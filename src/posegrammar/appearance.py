@@ -25,11 +25,10 @@ from .grammar import (
     AttrId,
     AttributeDef,
     NodeId,
-    ParseGraph,
     default_attributes,
+    part_keypoints,
 )
-from .relations import AttributeAssociation
-from .synthetic import PART_BOX_SIZES, SyntheticScene, person_keypoints
+from .synthetic import PART_BOX_SIZES, SyntheticScene
 
 # Canonical 17-part ordering used by the synthetic provider.
 PART_ORDER: tuple[NodeId, ...] = (FULL_BODY, UPPER_BODY, LOWER_BODY) + ATOMIC_PARTS
@@ -236,23 +235,6 @@ def save_proposals(pset: ProposalSet, path: str) -> None:
                 fh.write(json.dumps(doc, sort_keys=True) + "\n")
 
 
-def appearance_sum(pg: ParseGraph, pset: ProposalSet, assoc: AttributeAssociation) -> float:
-    """Appearance total of a parse graph under its attribute assignment.
-
-    Sums, over every selected part and every attribute associated with
-    that part, the score of the assigned value.  Attributes without an
-    assigned value contribute nothing.
-    """
-    total = 0.0
-    for part, st in pg.states.items():
-        for attr in assoc.attrs_for(part):
-            value = pg.attribute_assignment.get(attr)
-            if value is None:
-                continue
-            total += pset.scores.lookup(st.proposal_ref, attr, value, part=part)
-    return total
-
-
 def _part_box(
     part: NodeId,
     keypoints: Mapping[NodeId, tuple[float, float]],
@@ -311,7 +293,7 @@ def synth_scores(
         unknown = [a for a in person.attributes if a not in {d.id for d in attr_defs}]
         if unknown:
             raise ValidationError(f"person {pi} has values for undeclared attributes {unknown}")
-        keypoints = person_keypoints(person)
+        keypoints = part_keypoints(person.joints)
         bonus = target_bonus if pi == 0 else 0.0
         for part in PART_ORDER:
             x, y = keypoints[part]

@@ -71,7 +71,23 @@ def _merged_options(args: argparse.Namespace, defaults: dict) -> dict:
             raise ValidationError(f"config file {config_path}: unknown keys {unknown}")
         merged.update(config)
     merged.update(explicit)
-    return merged
+    return {k: _typed(k, v, defaults[k]) for k, v in merged.items()}
+
+
+def _typed(key: str, value, default):
+    """Convert a numeric option, or a tuple of them, to its default's type."""
+    if not isinstance(default, (int, float, tuple)):
+        return value
+    try:
+        if isinstance(default, tuple):
+            value = tuple(value)
+            if len(value) != len(default):
+                raise ValueError
+            return tuple(type(d)(v) for d, v in zip(default, value))
+        return type(default)(value)
+    except (TypeError, ValueError, OverflowError):
+        flag = "--" + key.replace("_", "-")
+        raise _UsageError(f"invalid value for {flag}: {value!r}") from None
 
 
 def _require(opts: dict, *names: str) -> None:
@@ -110,13 +126,10 @@ def _cmd_init_grammar(opts: dict) -> int:
 def _cmd_synth(opts: dict) -> int:
     _require(opts, "out")
     family = opts["family"]
-    n, seed = int(opts["n"]), int(opts["seed"])
-    kwargs = {
-        "image_size": tuple(int(v) for v in opts["image_size"]),
-        "pose_sigma": float(opts["pose_sigma"]),
-    }
+    n, seed = opts["n"], opts["seed"]
+    kwargs = {"image_size": opts["image_size"], "pose_sigma": opts["pose_sigma"]}
     if family == "two-person":
-        kwargs["spacing"] = float(opts["spacing"])
+        kwargs["spacing"] = opts["spacing"]
     scenes = synthetic.generate_family(family, n, seed, **kwargs)
     os.makedirs(opts["out"], exist_ok=True)
     for i, scene in enumerate(scenes):
@@ -170,8 +183,8 @@ def _cmd_learn(opts: dict) -> int:
         annotations,
         grammar,
         proposal_groups=groups,
-        n_components=int(opts["components"]),
-        seed=int(opts["seed"]),
+        n_components=opts["components"],
+        seed=opts["seed"],
     )
     relations.save_models(models, opts["out"])
     _info(f"wrote models to {opts['out']}")
@@ -196,7 +209,7 @@ def _cmd_parse(opts: dict) -> int:
     grammar = load_grammar(opts["grammar"])
     models = relations.load_models(opts["models"])
     pset = load_proposals(opts["proposals"], part_type_count=grammar.part_type_count)
-    cfg = BeamConfig(beam_width=int(opts["beam"]))
+    cfg = BeamConfig(beam_width=opts["beam"])
     mode, attr, value = _parse_mode(opts["mode"])
     if mode == "joint":
         pg, per_pair = select_final(grammar, models, pset, cfg=cfg)
@@ -227,7 +240,7 @@ def _cmd_eval_pcp(opts: dict) -> int:
             f"{len(files)} prediction files for {len(annotations)} annotations"
         )
     sticks = evaluation.default_sticks(grammar)
-    threshold = float(opts["threshold"])
+    threshold = opts["threshold"]
     hits: dict[int, list[int]] = {s.index: [0, 0] for s in sticks}
     total = [0, 0]
     for path, ann in zip(files, annotations):
@@ -250,12 +263,21 @@ def _cmd_eval_pcp(opts: dict) -> int:
     return 0
 
 
+def _load_number_array(path: str) -> list:
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(doc, list) or not all(isinstance(v, (int, float)) for v in doc):
+        raise ValidationError(f"{path}: expected a JSON array of numbers")
+    return doc
+
+
 def _cmd_eval_ap(opts: dict) -> int:
     _require(opts, "scores", "labels")
-    with open(opts["scores"], "r", encoding="utf-8") as fh:
-        scores = json.load(fh)
-    with open(opts["labels"], "r", encoding="utf-8") as fh:
-        labels = json.load(fh)
+    scores = _load_number_array(opts["scores"])
+    labels = _load_number_array(opts["labels"])
     ap = evaluation.average_precision(scores, labels)
     _dump_json({"average_precision": ap, "n": len(scores)}, None)
     return 0
@@ -282,12 +304,12 @@ def _cmd_diag(opts: dict) -> int:
     cfg = evaluation.DiagnosticConfig(
         grammar=grammar,
         models=models,
-        beam=BeamConfig(beam_width=int(opts["beam"])),
-        noise_sigma=float(opts["noise_sigma"]),
-        seed=int(opts["seed"]),
-        synth_margin=float(opts["margin"]),
-        synth_bonus=float(opts["bonus"]),
-        synth_coherence=float(opts["coherence"]),
+        beam=BeamConfig(beam_width=opts["beam"]),
+        noise_sigma=opts["noise_sigma"],
+        seed=opts["seed"],
+        synth_margin=opts["margin"],
+        synth_bonus=opts["bonus"],
+        synth_coherence=opts["coherence"],
     )
     report = evaluation.run_diagnostic(scenes, cfg, modes)
     _dump_json(report, opts["report"])

@@ -18,7 +18,7 @@ import numpy as np
 from .appearance import ProposalSet, synth_scores
 from .errors import MissingEntryError, ValidationError
 from .grammar import AOGrammar, AttrId, NodeId, ParseGraph
-from .inference import BeamConfig, attribute_scores, parse_unconstrained, select_final
+from .inference import BeamConfig, _readout, attribute_scores, parse_unconstrained, select_final
 from .learning import Annotation, JointObs
 from .relations import AttributeAssociation, RelationModels
 from .synthetic import Person, SyntheticScene, _child_seed, person_bbox
@@ -241,16 +241,10 @@ def parse_attribute_scores(
     grammar: AOGrammar,
 ) -> dict[AttrId, dict[str, float]]:
     """Per-value attribute scores summed over a single parse's parts."""
-    out: dict[AttrId, dict[str, float]] = {}
-    for attr in grammar.attributes:
-        out[attr.id] = {}
-        for value in attr.domain:
-            total = 0.0
-            for part, st in pg.states.items():
-                if assoc.contains(part, attr.id):
-                    total += pset.scores.lookup(st.proposal_ref, attr.id, value, part=part)
-            out[attr.id][value] = total
-    return out
+    return {
+        a.id: {v: _readout(pg, pset, assoc, a.id, v) for v in a.domain}
+        for a in grammar.attributes
+    }
 
 
 def no_pose_attribute_scores(

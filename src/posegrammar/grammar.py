@@ -83,6 +83,23 @@ PART_MEMBERS: dict[NodeId, tuple[NodeId, ...]] = {
     FULL_BODY: ATOMIC_PARTS,
 }
 
+
+def part_keypoints(
+    joints: Mapping[NodeId, tuple[float, float]],
+) -> dict[NodeId, tuple[float, float]]:
+    """Keypoints for all 17 parts: the 14 joints, then member centroids.
+
+    The centroids follow in upper, lower, full body order; proposal
+    labeling breaks distance ties by this order.
+    """
+    pts = dict(joints)
+    for part, members in PART_MEMBERS.items():
+        xs = [joints[m][0] for m in members]
+        ys = [joints[m][1] for m in members]
+        pts[part] = (sum(xs) / len(xs), sum(ys) / len(ys))
+    return pts
+
+
 # Geometric dependency tree over atomic parts, rooted at the torso.
 # Order matters: stick indices in evaluation follow this listing.
 DEFAULT_DG_EDGES: tuple[tuple[NodeId, NodeId], ...] = (

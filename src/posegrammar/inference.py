@@ -22,15 +22,13 @@ it exactly; it is the testing oracle, guarded against blowup.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .appearance import Proposal, ProposalSet
+from .appearance import ProposalSet
 from .errors import (
     EnumerationLimitError,
     InfeasibleParseError,
-    MissingEntryError,
     ValidationError,
 )
 from .grammar import AOGrammar, AttrId, NodeId, ParseGraph, PartState
@@ -140,24 +138,31 @@ def _build_plan(grammar: AOGrammar, models: RelationModels, order: Sequence[Node
     return steps
 
 
+def _assignment(grammar: AOGrammar, objective: Objective) -> dict[AttrId, str]:
+    """The attribute assignment ``objective`` imposes: empty when unconstrained."""
+    kind = objective if isinstance(objective, str) else objective[0]
+    if kind == "unconstrained":
+        return {}
+    if kind != "constrained":
+        raise ValidationError(f"unknown objective {objective!r}")
+    _, attr_id, value = objective
+    attr = grammar.attribute(attr_id)
+    if value not in attr.domain:
+        raise ValidationError(
+            f"value {value!r} not in domain of attribute {attr_id!r}: {attr.domain}"
+        )
+    return {attr_id: value}
+
+
 def _prefetch_buckets(
     grammar: AOGrammar,
     pset: ProposalSet,
     order: Sequence[NodeId],
-    objective: Objective,
+    assignment: Mapping[AttrId, str],
 ) -> list[list[tuple[str, float, float, int, float]]]:
     """Per step: (id, x, y, type, appearance term) for each proposal."""
-    kind = objective if isinstance(objective, str) else objective[0]
-    if kind == "constrained":
-        _, attr_id, value = objective
-        attr = grammar.attribute(attr_id)
-        if value not in attr.domain:
-            raise ValidationError(
-                f"value {value!r} not in domain of attribute {attr_id!r}: {attr.domain}"
-            )
-    elif kind != "unconstrained":
-        raise ValidationError(f"unknown objective {objective!r}")
-
+    if assignment:
+        [(attr_id, value)] = assignment.items()
     buckets = []
     for part in order:
         props = pset.proposals_for(part)
@@ -165,7 +170,7 @@ def _prefetch_buckets(
             raise InfeasibleParseError(f"part {part!r} has no proposals")
         rows = []
         for p in props:
-            if kind == "constrained":
+            if assignment:
                 app = pset.scores.lookup(p.id, attr_id, value, part=part)
             else:
                 app = 0.0
@@ -254,6 +259,22 @@ def _build_parse_graph(grammar, order, buckets, cand, assignment) -> ParseGraph:
     )
 
 
+def _prepare(grammar, models, pset, objective, cfg):
+    """Validated order, assignment, appearance buckets and step plan."""
+    order = _validated_order(grammar, cfg or BeamConfig())
+    assignment = _assignment(grammar, objective)
+    buckets = _prefetch_buckets(grammar, pset, order, assignment)
+    return order, assignment, buckets, _build_plan(grammar, models, order)
+
+
+def _search(grammar, models, pset, objective, cfg, collect_trace) -> ParseGraph:
+    """Beam search for the best parse under ``objective``."""
+    cfg = cfg or BeamConfig()
+    order, assignment, buckets, steps = _prepare(grammar, models, pset, objective, cfg)
+    beam = _run_beam(steps, buckets, cfg.beam_width, collect_trace, order)
+    return _build_parse_graph(grammar, order, buckets, beam[0], assignment)
+
+
 def parse_constrained(
     grammar: AOGrammar,
     models: RelationModels,
@@ -265,13 +286,7 @@ def parse_constrained(
     collect_trace: list | None = None,
 ) -> ParseGraph:
     """Best parse with ``attr`` fixed to ``value`` on every part."""
-    cfg = cfg or BeamConfig()
-    order = _validated_order(grammar, cfg)
-    objective = ("constrained", attr, value)
-    buckets = _prefetch_buckets(grammar, pset, order, objective)
-    steps = _build_plan(grammar, models, order)
-    beam = _run_beam(steps, buckets, cfg.beam_width, collect_trace, order)
-    return _build_parse_graph(grammar, order, buckets, beam[0], {attr: value})
+    return _search(grammar, models, pset, ("constrained", attr, value), cfg, collect_trace)
 
 
 def parse_unconstrained(
@@ -283,12 +298,7 @@ def parse_unconstrained(
     collect_trace: list | None = None,
 ) -> ParseGraph:
     """Best parse with every part free to pick its own attribute values."""
-    cfg = cfg or BeamConfig()
-    order = _validated_order(grammar, cfg)
-    buckets = _prefetch_buckets(grammar, pset, order, "unconstrained")
-    steps = _build_plan(grammar, models, order)
-    beam = _run_beam(steps, buckets, cfg.beam_width, collect_trace, order)
-    return _build_parse_graph(grammar, order, buckets, beam[0], {})
+    return _search(grammar, models, pset, "unconstrained", cfg, collect_trace)
 
 
 def brute_force_parse(
@@ -305,10 +315,7 @@ def brute_force_parse(
     beam, so a beam covering the full lattice reproduces its result
     bit for bit.
     """
-    cfg = cfg or BeamConfig()
-    order = _validated_order(grammar, cfg)
-    buckets = _prefetch_buckets(grammar, pset, order, objective)
-    steps = _build_plan(grammar, models, order)
+    order, assignment, buckets, steps = _prepare(grammar, models, pset, objective, cfg)
 
     total = 1
     for b in buckets:
@@ -332,10 +339,6 @@ def brute_force_parse(
             descend(si + 1, _step_score(score, row, resolved), idkey + (row[0],), idxs + (j,))
 
     descend(0, 0.0, (), ())
-    if isinstance(objective, tuple) and objective[0] == "constrained":
-        assignment = {objective[1]: objective[2]}
-    else:
-        assignment = {}
     return _build_parse_graph(grammar, order, buckets, best[0], assignment)
 
 
@@ -366,6 +369,17 @@ def select_final(
     return per_pair[best_pair], per_pair
 
 
+def _readout(
+    pg: ParseGraph, pset: ProposalSet, assoc: AttributeAssociation, attr: AttrId, value: str
+) -> float:
+    """Score of ``attr=value`` summed over the parse's parts associated with ``attr``."""
+    total = 0.0
+    for part, st in pg.states.items():
+        if assoc.contains(part, attr):
+            total += pset.scores.lookup(st.proposal_ref, attr, value, part=part)
+    return total
+
+
 def attribute_scores(
     per_pair: Mapping[tuple[AttrId, str], ParseGraph],
     pset: ProposalSet,
@@ -379,9 +393,5 @@ def attribute_scores(
     """
     out: dict[AttrId, dict[str, float]] = {}
     for (attr, value), pg in per_pair.items():
-        total = 0.0
-        for part, st in pg.states.items():
-            if assoc.contains(part, attr):
-                total += pset.scores.lookup(st.proposal_ref, attr, value, part=part)
-        out.setdefault(attr, {})[value] = total
+        out.setdefault(attr, {})[value] = _readout(pg, pset, assoc, attr, value)
     return out

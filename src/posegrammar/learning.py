@@ -25,6 +25,7 @@ from .grammar import (
     AOGrammar,
     AttrId,
     NodeId,
+    part_keypoints,
 )
 from .relations import (
     COV_EIG_FLOOR,
@@ -33,6 +34,7 @@ from .relations import (
     KinematicMoG,
     Mixture,
     SyntacticTable,
+    _mixture_terms,
 )
 
 # Proposal labeling thresholds: person-box overlap below the first bound
@@ -165,16 +167,6 @@ def box_iou(a: Sequence[float], b: Sequence[float]) -> float:
     return inter / union if union > 0.0 else 0.0
 
 
-def annotation_keypoints(ann: Annotation) -> dict[NodeId, tuple[float, float]]:
-    """Keypoints for all 17 parts: joints plus member centroids."""
-    pts = {p: (j.x, j.y) for p, j in ann.joints.items()}
-    for part, members in PART_MEMBERS.items():
-        xs = [ann.joints[m].x for m in members]
-        ys = [ann.joints[m].y for m in members]
-        pts[part] = (sum(xs) / len(xs), sum(ys) / len(ys))
-    return pts
-
-
 def _box_contains_all(box: Sequence[float], points: Iterable[tuple[float, float]]) -> bool:
     x0, y0, w, h = box
     return all(x0 <= x <= x0 + w and y0 <= y <= y0 + h for x, y in points)
@@ -191,7 +183,7 @@ def label_proposals(ann: Annotation, proposals: Sequence[Proposal]) -> list[Labe
     Matches with distance at or above ``DISTANCE_BOUND`` are dropped, as
     is the ambiguous overlap band in between.
     """
-    keypoints = annotation_keypoints(ann)
+    keypoints = part_keypoints({p: (j.x, j.y) for p, j in ann.joints.items()})
     out: list[LabeledProposal] = []
     for prop in proposals:
         overlap = box_iou(prop.box, ann.person_box)
@@ -287,22 +279,6 @@ def _floor_covariance(cov: np.ndarray) -> np.ndarray:
     return (eigvecs * eigvals) @ eigvecs.T
 
 
-def _mixture_log_density(X: np.ndarray, weights, means, covs) -> np.ndarray:
-    from scipy.special import logsumexp
-
-    n, k = X.shape[0], weights.shape[0]
-    comps = np.full((n, k), -np.inf)
-    for i in range(k):
-        if weights[i] <= 0.0:
-            continue
-        diff = X - means[i]
-        inv = np.linalg.inv(covs[i])
-        _, logdet = np.linalg.slogdet(covs[i])
-        quad = np.einsum("ni,ij,nj->n", diff, inv, diff)
-        comps[:, i] = math.log(weights[i]) - math.log(2.0 * math.pi) - 0.5 * logdet - 0.5 * quad
-    return logsumexp(comps, axis=1)
-
-
 def _em_fit(
     X: np.ndarray,
     k: int,
@@ -334,17 +310,7 @@ def _em_fit(
     prev = None
     for _ in range(max_iter):
         # E-step quantities double as the likelihood trace.
-        log_comp = np.full((n, k), -np.inf)
-        for i in range(k):
-            if weights[i] <= 0.0:
-                continue
-            diff = X - means[i]
-            inv = np.linalg.inv(covs[i])
-            _, logdet = np.linalg.slogdet(covs[i])
-            quad = np.einsum("ni,ij,nj->n", diff, inv, diff)
-            log_comp[:, i] = (
-                math.log(weights[i]) - math.log(2.0 * math.pi) - 0.5 * logdet - 0.5 * quad
-            )
+        log_comp = _mixture_terms(X, weights, means, covs)
         log_mix = logsumexp(log_comp, axis=1)
         ll = float(np.mean(log_mix))
         if prev is not None and ll < prev - 1e-7:
@@ -369,7 +335,7 @@ def _em_fit(
             covs[i] = _floor_covariance((resp[:, i] * diff.T) @ diff / nk[i])
         weights = weights / weights.sum()
     else:
-        log_mix = _mixture_log_density(X, weights, means, covs)
+        log_mix = logsumexp(_mixture_terms(X, weights, means, covs), axis=1)
         trace.append(float(np.mean(log_mix)))
 
     return Mixture(weights=weights, means=means, covariances=covs), trace

@@ -88,11 +88,6 @@ class SyntacticTable:
         return mat[t_parent - 1][t_child - 1]
 
 
-def syntactic_score(table: SyntacticTable, edge: Edge, t_i: int, t_j: int) -> float:
-    """Log co-occurrence probability of parent type ``t_i`` with child type ``t_j``."""
-    return table.score(edge, t_i, t_j)
-
-
 def uniform_syntactic_table(edges: Iterable[Edge], part_type_count: int = 9) -> SyntacticTable:
     t = part_type_count
     mat = np.full((t, t), 1.0 / (t * t))
@@ -134,9 +129,25 @@ class Mixture:
         object.__setattr__(self, "means", mu)
         object.__setattr__(self, "covariances", cov)
 
-    @property
-    def n_components(self) -> int:
-        return int(self.weights.shape[0])
+
+def _mixture_terms(points, weights, means, covariances) -> np.ndarray:
+    """Per-component log terms ``log w - log 2pi - log det / 2 - quad / 2``, shape (N, k).
+
+    Components with non-positive weight get -inf.  A log-sum-exp over
+    axis 1 gives the mixture log-density; the EM E-step also needs the
+    terms themselves for the responsibilities.
+    """
+    pts = np.asarray(points, dtype=float)
+    terms = np.full((pts.shape[0], weights.shape[0]), -np.inf)
+    for i, (w, mu, cov) in enumerate(zip(weights, means, covariances)):
+        if w <= 0.0:
+            continue
+        diff = pts - mu
+        inv = np.linalg.inv(cov)
+        _, logdet = np.linalg.slogdet(cov)
+        quad = np.einsum("ni,ij,nj->n", diff, inv, diff)
+        terms[:, i] = math.log(float(w)) - _LOG_TWO_PI - 0.5 * logdet - 0.5 * quad
+    return terms
 
 
 def _prepare_mixture(mix: Mixture) -> list[tuple[float, float, float, float, float, float]]:
@@ -205,29 +216,14 @@ class KinematicMoG:
     def score(self, edge: Edge, dx: float, dy: float) -> float:
         if not (math.isfinite(dx) and math.isfinite(dy)):
             raise ValidationError(f"displacement must be finite, got ({dx}, {dy})")
-        return _mixture_logpdf(self.prepared(edge), dx, dy)
+        return float(self.log_density(edge, np.array([[dx, dy]]))[0])
 
     def log_density(self, edge: Edge, points: np.ndarray) -> np.ndarray:
         """Vectorized log density over an (N, 2) array of displacements."""
-        mix = self.mixture(edge)
-        pts = np.asarray(points, dtype=float)
-        comps = np.full((pts.shape[0], mix.n_components), -np.inf)
-        for i, (w, mu, cov) in enumerate(zip(mix.weights, mix.means, mix.covariances)):
-            if w <= 0.0:
-                continue
-            diff = pts - mu
-            inv = np.linalg.inv(cov)
-            quad = np.einsum("ni,ij,nj->n", diff, inv, diff)
-            _, logdet = np.linalg.slogdet(cov)
-            comps[:, i] = math.log(float(w)) - _LOG_TWO_PI - 0.5 * logdet - 0.5 * quad
         from scipy.special import logsumexp
 
-        return logsumexp(comps, axis=1)
-
-
-def kinematic_score(mog: KinematicMoG, edge: Edge, dx: float, dy: float) -> float:
-    """Log mixture density of the child-minus-parent displacement (dx, dy)."""
-    return mog.score(edge, dx, dy)
+        mix = self.mixture(edge)
+        return logsumexp(_mixture_terms(points, mix.weights, mix.means, mix.covariances), axis=1)
 
 
 class AttributeAssociation:
@@ -264,11 +260,6 @@ class AttributeAssociation:
         if attr not in self.attr_ids:
             raise MissingEntryError(f"unknown attribute {attr!r}")
         return attr in self.attrs_for(part)
-
-
-def part_attribute_compat(assoc: AttributeAssociation, part: NodeId, attr: AttrId) -> int:
-    """Indicator: 1 if ``part`` is associated with ``attr``, else 0."""
-    return 1 if assoc.contains(part, attr) else 0
 
 
 def full_association(grammar: AOGrammar) -> AttributeAssociation:

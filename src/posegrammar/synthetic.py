@@ -17,10 +17,6 @@ import numpy as np
 from .errors import ValidationError
 from .grammar import (
     ATOMIC_PARTS,
-    FULL_BODY,
-    LOWER_BODY,
-    PART_MEMBERS,
-    UPPER_BODY,
     AttrId,
     AttributeDef,
     NodeId,
@@ -149,17 +145,6 @@ def load_scene(path: str) -> SyntheticScene:
         except json.JSONDecodeError as exc:
             raise ValidationError(f"scene file {path}: invalid JSON: {exc}") from exc
     return SyntheticScene.from_json_dict(doc)
-
-
-def person_keypoints(person: Person) -> dict[NodeId, tuple[float, float]]:
-    """Keypoints for all 17 parts: joints plus member centroids."""
-    pts = dict(person.joints)
-    for part in (UPPER_BODY, LOWER_BODY, FULL_BODY):
-        members = PART_MEMBERS[part]
-        xs = [person.joints[m][0] for m in members]
-        ys = [person.joints[m][1] for m in members]
-        pts[part] = (sum(xs) / len(xs), sum(ys) / len(ys))
-    return pts
 
 
 def person_bbox(person: Person, pad: float = 8.0) -> tuple[float, float, float, float]:

@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 import math
 
-import numpy as np
 import pytest
 
 from posegrammar.appearance import (
@@ -13,14 +12,12 @@ from posegrammar.appearance import (
     Proposal,
     ProposalSet,
     ScoreTable,
-    appearance_sum,
     load_proposals,
     save_proposals,
     synth_scores,
 )
 from posegrammar.errors import MissingEntryError, ValidationError
-from posegrammar.grammar import AttributeDef, ParseGraph, PartState
-from posegrammar.relations import AttributeAssociation
+from posegrammar.grammar import AttributeDef
 from posegrammar.synthetic import single_person_scene, two_person_scene
 
 SMALL_ATTRS = (
@@ -277,51 +274,3 @@ class TestProposalIO:
         }
         path.write_text("\n" + json.dumps(doc) + "\n\n")
         assert len(load_proposals(str(path))) == 1
-
-
-class TestAppearanceSum:
-    def test_assigned_attributes_masked_by_association(self):
-        table = ScoreTable()
-        table.set("ph", "hat", "yes", 1.25)
-        table.set("ph", "gender", "male", 100.0)
-        table.set("pt", "hat", "yes", 50.0)
-        table.set("pt", "gender", "male", 0.5)
-        pset = ProposalSet(
-            {
-                "head": (_proposal("ph", part="head"),),
-                "torso": (_proposal("pt", part="torso"),),
-            },
-            table,
-        )
-        assoc = AttributeAssociation(
-            parts={"head": ("hat",), "torso": ("gender",)},
-            attr_ids=("hat", "gender"),
-        )
-        pg = ParseGraph(
-            states={
-                "head": PartState("head", 0.0, 0.0, 1, "ph"),
-                "torso": PartState("torso", 0.0, 0.0, 1, "pt"),
-            },
-            used_psg_edges=(),
-            used_dg_edges=(),
-            attribute_assignment={"hat": "yes", "gender": "male"},
-            total_score=0.0,
-        )
-        # head contributes hat only, torso gender only: 1.25 + 0.5
-        np.testing.assert_allclose(appearance_sum(pg, pset, assoc), 1.75, atol=1e-12)
-
-    def test_unassigned_attribute_contributes_nothing(self):
-        table = ScoreTable()
-        table.set("ph", "hat", "yes", 1.25)
-        pset = ProposalSet({"head": (_proposal("ph", part="head"),)}, table)
-        assoc = AttributeAssociation(
-            parts={"head": ("hat", "gender")}, attr_ids=("hat", "gender")
-        )
-        pg = ParseGraph(
-            states={"head": PartState("head", 0.0, 0.0, 1, "ph")},
-            used_psg_edges=(),
-            used_dg_edges=(),
-            attribute_assignment={"hat": "yes"},
-            total_score=0.0,
-        )
-        np.testing.assert_allclose(appearance_sum(pg, pset, assoc), 1.25, atol=1e-12)

@@ -15,9 +15,15 @@ import numpy as np
 import pytest
 
 from posegrammar.cli import cli_dispatch
-from posegrammar.grammar import ParseGraph, PartState, build_default_human_grammar, save_parse_graph
+from posegrammar.grammar import (
+    ParseGraph,
+    PartState,
+    build_default_human_grammar,
+    part_keypoints,
+    save_parse_graph,
+)
 from posegrammar.relations import load_models
-from posegrammar.synthetic import load_scene, person_keypoints
+from posegrammar.synthetic import load_scene
 
 
 def _read(path):
@@ -197,6 +203,20 @@ class TestConfigMerging:
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{oops", encoding="utf-8")
         assert cli_dispatch(["synth", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+
+    def test_non_numeric_flag_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert cli_dispatch(["synth", "--n", "abc", "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: invalid value for --n: 'abc'"]
+        assert not out.exists()
+
+    def test_non_numeric_config_value_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": "x"}), encoding="utf-8")
+        assert cli_dispatch(["synth", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: invalid value for --n: 'x'"]
 
 
 class TestLearn:
@@ -384,6 +404,23 @@ class TestEvalAp:
         labels.write_text("[0, 0]", encoding="utf-8")
         assert cli_dispatch(["eval-ap", "--scores", str(scores), "--labels", str(labels)]) == 1
 
+    @pytest.mark.parametrize(
+        "bad",
+        ["[0.9, 0.8", '{"a": 1}', "0.9", '["a", 0.8]'],
+        ids=["truncated", "object", "number", "string-entry"],
+    )
+    @pytest.mark.parametrize("which", ["scores", "labels"])
+    def test_malformed_input_file_names_it(self, tmp_path, capsys, bad, which):
+        paths = {name: tmp_path / f"{name}.json" for name in ("scores", "labels")}
+        paths["scores"].write_text("[0.9, 0.8]", encoding="utf-8")
+        paths["labels"].write_text("[1, 0]", encoding="utf-8")
+        paths[which].write_text(bad, encoding="utf-8")
+        argv = ["eval-ap", "--scores", str(paths["scores"]), "--labels", str(paths["labels"])]
+        assert cli_dispatch(argv) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {paths[which]}: ")
+
 
 class TestEvalPcp:
     def _write_perfect_preds(self, pipeline, out_dir, count):
@@ -391,7 +428,7 @@ class TestEvalPcp:
         out_dir.mkdir()
         for i in range(count):
             scene = load_scene(str(pipeline["root"] / "scenes" / f"scene_{i:05d}.json"))
-            pts = person_keypoints(scene.persons[0])
+            pts = part_keypoints(scene.persons[0].joints)
             states = {
                 part: PartState(part, x, y, 1, f"t.{part}") for part, (x, y) in pts.items()
             }

@@ -38,6 +38,7 @@ from posegrammar.grammar import (
     NodeKind,
     ParseGraph,
     PartState,
+    part_keypoints,
 )
 from posegrammar.inference import BeamConfig
 from posegrammar.learning import Annotation, JointObs
@@ -240,6 +241,17 @@ class TestAnnotationFromPerson:
         assert ann.attributes == person.attributes
         for part, (x, y) in person.joints.items():
             assert (ann.joints[part].x, ann.joints[part].y) == (x, y)
+
+    def test_person_and_annotation_give_the_same_keypoints(self, grammar):
+        """Synthetic proposals and proposal labeling see one keypoint layout,
+        in one order: the joints, then upper, lower and full body."""
+        person = single_person_scene(3, attr_defs=tuple(grammar.attributes)).persons[0]
+        ann = annotation_from_person(person, np.random.default_rng(7), occlude=True)
+        from_person = list(part_keypoints(person.joints).items())
+        from_ann = list(part_keypoints({p: (j.x, j.y) for p, j in ann.joints.items()}).items())
+        assert from_ann == from_person
+        assert len(from_person) == 17
+        assert [p for p, _ in from_person[14:]] == ["upper_body", "lower_body", "full_body"]
 
     def test_occlusion_requires_rng(self, grammar):
         scene = single_person_scene(3, attr_defs=tuple(grammar.attributes))

@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posegrammar.appearance import Proposal, ProposalSet, ScoreTable, synth_scores
 from posegrammar.errors import (
@@ -30,6 +32,7 @@ from posegrammar.grammar import (
 )
 from posegrammar.inference import (
     BeamConfig,
+    _readout,
     attribute_scores,
     brute_force_parse,
     default_expansion_order,
@@ -415,6 +418,93 @@ class TestAttributeScores:
         # Only the head is associated with hat; torso's 5.0 is masked out.
         np.testing.assert_allclose(scores["hat"]["yes"], 2.0, atol=1e-12)
         np.testing.assert_allclose(scores["hat"]["no"], -1.0, atol=1e-12)
+
+
+class TestReadout:
+    """The masked sum behind every attribute readout, summed over a parse's
+    own assignment."""
+
+    @staticmethod
+    def _assigned_total(pg, pset, assoc):
+        return sum(_readout(pg, pset, assoc, a, v) for a, v in pg.attribute_assignment.items())
+
+    def test_assigned_attributes_masked_by_association(self):
+        table = ScoreTable()
+        table.set("ph", "hat", "yes", 1.25)
+        table.set("ph", "gender", "male", 100.0)
+        table.set("pt", "hat", "yes", 50.0)
+        table.set("pt", "gender", "male", 0.5)
+        pset = ProposalSet(
+            {
+                "head": (Proposal(id="ph", part="head", x=0, y=0, part_type=1, box=(0, 0, 10, 10)),),
+                "torso": (Proposal(id="pt", part="torso", x=0, y=0, part_type=1, box=(0, 0, 10, 10)),),
+            },
+            table,
+        )
+        assoc = AttributeAssociation(
+            parts={"head": ("hat",), "torso": ("gender",)},
+            attr_ids=("hat", "gender"),
+        )
+        pg = ParseGraph(
+            states={
+                "head": PartState("head", 0.0, 0.0, 1, "ph"),
+                "torso": PartState("torso", 0.0, 0.0, 1, "pt"),
+            },
+            used_psg_edges=(),
+            used_dg_edges=(),
+            attribute_assignment={"hat": "yes", "gender": "male"},
+            total_score=0.0,
+        )
+        # head contributes hat only, torso gender only: 1.25 + 0.5
+        np.testing.assert_allclose(self._assigned_total(pg, pset, assoc), 1.75, atol=1e-12)
+
+    def test_unassigned_attribute_contributes_nothing(self):
+        table = ScoreTable()
+        table.set("ph", "hat", "yes", 1.25)
+        pset = ProposalSet(
+            {"head": (Proposal(id="ph", part="head", x=0, y=0, part_type=1, box=(0, 0, 10, 10)),)},
+            table,
+        )
+        assoc = AttributeAssociation(
+            parts={"head": ("hat", "gender")}, attr_ids=("hat", "gender")
+        )
+        pg = ParseGraph(
+            states={"head": PartState("head", 0.0, 0.0, 1, "ph")},
+            used_psg_edges=(),
+            used_dg_edges=(),
+            attribute_assignment={"hat": "yes"},
+            total_score=0.0,
+        )
+        np.testing.assert_allclose(self._assigned_total(pg, pset, assoc), 1.25, atol=1e-12)
+
+
+class TestListingOrder:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        width=st.integers(1, 12),
+        constrained=st.booleans(),
+        data=st.data(),
+    )
+    def test_shuffled_buckets_parse_identically(self, seed, width, constrained, data):
+        """The chosen ids and the exact total do not depend on the order in
+        which a bucket lists its proposals, at any beam width."""
+        g, models, pset = _toy_world(seed, counts=(3, 4, 3))
+        shuffled = ProposalSet(
+            {part: data.draw(st.permutations(props)) for part, props in pset.buckets.items()},
+            pset.scores,
+            part_type_count=pset.part_type_count,
+        )
+        cfg = BeamConfig(beam_width=width)
+        if constrained:
+            runs = [parse_constrained(g, models, ps, "c", "v", cfg) for ps in (pset, shuffled)]
+        else:
+            runs = [parse_unconstrained(g, models, ps, cfg) for ps in (pset, shuffled)]
+        a, b = runs
+        assert {p: s.proposal_ref for p, s in a.states.items()} == {
+            p: s.proposal_ref for p, s in b.states.items()
+        }
+        assert a.total_score == b.total_score
 
 
 class TestDeterminism:

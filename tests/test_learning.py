@@ -17,11 +17,17 @@ from hypothesis import strategies as st
 
 from posegrammar.appearance import Proposal
 from posegrammar.errors import DegenerateDataError, MissingEntryError, ValidationError
-from posegrammar.grammar import ATOMIC_PARTS, AOGrammar, AttributeDef, GrammarNode, NodeKind
+from posegrammar.grammar import (
+    ATOMIC_PARTS,
+    AOGrammar,
+    AttributeDef,
+    GrammarNode,
+    NodeKind,
+    part_keypoints,
+)
 from posegrammar.learning import (
     Annotation,
     JointObs,
-    annotation_keypoints,
     box_iou,
     derive_associations,
     displacement_samples,
@@ -109,7 +115,7 @@ class TestAnnotation:
             load_annotations(str(path))
 
     def test_keypoints_include_member_centroids(self):
-        pts = annotation_keypoints(_annotation())
+        pts = part_keypoints({p: (j.x, j.y) for p, j in _annotation().joints.items()})
         assert len(pts) == 17
         np.testing.assert_allclose(pts["lower_body"], (50.0, 75.0), atol=1e-12)
         np.testing.assert_allclose(pts["upper_body"], (50.0, 38.75), atol=1e-12)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from posegrammar.errors import ValidationError
-from posegrammar.grammar import ATOMIC_PARTS
+from posegrammar.grammar import ATOMIC_PARTS, part_keypoints
 from posegrammar.synthetic import (
     CANONICAL_POSE,
     Person,
@@ -17,7 +17,6 @@ from posegrammar.synthetic import (
     generate_family,
     load_scene,
     person_bbox,
-    person_keypoints,
     save_scene,
     single_person_scene,
     two_person_scene,
@@ -43,7 +42,7 @@ class TestPerson:
 
     def test_keypoints_cover_all_seventeen_parts(self):
         person = _canonical_person()
-        pts = person_keypoints(person)
+        pts = part_keypoints(person.joints)
         assert len(pts) == 17
         # Composite keypoints are member centroids.
         ys = [CANONICAL_POSE[m][1] for m in ("l_hip", "r_hip", "l_upper_leg",
