@@ -220,19 +220,21 @@ def _proposal_from_doc(doc: Mapping) -> Proposal:
 
 def save_proposals(pset: ProposalSet, path: str) -> None:
     """Write JSON-lines, parts in sorted order, bucket order preserved."""
+    lines = []
+    for part in sorted(pset.buckets):
+        for p in pset.buckets[part]:
+            doc = {
+                "id": p.id,
+                "part": p.part,
+                "x": p.x,
+                "y": p.y,
+                "part_type": p.part_type,
+                "box": list(p.box),
+                "scores": pset.scores.per_proposal(p.id),
+            }
+            lines.append(json.dumps(doc, sort_keys=True, allow_nan=False))
     with open(path, "w", encoding="utf-8") as fh:
-        for part in sorted(pset.buckets):
-            for p in pset.buckets[part]:
-                doc = {
-                    "id": p.id,
-                    "part": p.part,
-                    "x": p.x,
-                    "y": p.y,
-                    "part_type": p.part_type,
-                    "box": list(p.box),
-                    "scores": pset.scores.per_proposal(p.id),
-                }
-                fh.write(json.dumps(doc, sort_keys=True) + "\n")
+        fh.writelines(line + "\n" for line in lines)
 
 
 def _part_box(

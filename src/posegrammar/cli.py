@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Sequence
@@ -39,7 +40,7 @@ _UNSET = object()
 
 
 def _dump_json(obj, path: str | None) -> None:
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if path is None:
         sys.stdout.write(text)
     else:
@@ -75,7 +76,10 @@ def _merged_options(args: argparse.Namespace, defaults: dict) -> dict:
 
 
 def _typed(key: str, value, default):
-    """Convert a numeric option, or a tuple of them, to its default's type."""
+    """Convert a numeric option, or a tuple of them, to its default's type.
+
+    Float options must be finite.
+    """
     if not isinstance(default, (int, float, tuple)):
         return value
     try:
@@ -84,7 +88,10 @@ def _typed(key: str, value, default):
             if len(value) != len(default):
                 raise ValueError
             return tuple(type(d)(v) for d, v in zip(default, value))
-        return type(default)(value)
+        converted = type(default)(value)
+        if not math.isfinite(converted):
+            raise ValueError
+        return converted
     except (TypeError, ValueError, OverflowError):
         flag = "--" + key.replace("_", "-")
         raise _UsageError(f"invalid value for {flag}: {value!r}") from None

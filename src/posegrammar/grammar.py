@@ -325,9 +325,9 @@ class AOGrammar:
 
 
 def save_grammar(grammar: AOGrammar, path: str) -> None:
+    text = json.dumps(grammar.to_json_dict(), sort_keys=True, indent=2, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(grammar.to_json_dict(), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_grammar(path: str) -> AOGrammar:
@@ -624,9 +624,9 @@ class ParseGraph:
 
 
 def save_parse_graph(pg: ParseGraph, path: str, grammar: AOGrammar | None = None) -> None:
+    text = json.dumps(pg.to_json_dict(grammar), sort_keys=True, indent=2, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(pg.to_json_dict(grammar), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_parse_graph(path: str, grammar: AOGrammar) -> ParseGraph:

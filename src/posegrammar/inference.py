@@ -15,15 +15,33 @@ Two objectives share this machinery:
 * unconstrained: every part contributes its best value score for every
   attribute, each part free to pick its own values.
 
-:func:`brute_force_parse` enumerates the full proposal lattice with the
-same step arithmetic, so on small instances a wide-enough beam must match
-it exactly; it is the testing oracle, guarded against blowup.
+Relation scores come from tables, not from per-candidate math.  Every
+edge closed at a step has a table with one row per proposal of the part
+grounded first and one column per proposal of the part grounded second:
+the co-occurrence table gathers the edge's log matrix by the two
+proposals' types, and the displacement table evaluates the edge's
+mixture log-density on the grid of offsets.  A row is computed the first
+time a search reads it, and the tables are memoised per
+:class:`ProposalSet` (weakly, so a dropped set frees them) and per
+relation model, so the constrained parses of every (attribute, value)
+pair, the unconstrained parse and the oracle read the same numbers.  The
+appearance term is one vector per bucket per objective.  A beam step is
+one (B, N) numpy sum, beam score plus appearance plus each closing's
+table row, cut by ``np.lexsort`` on score and id-tuple rank.
+
+:func:`brute_force_parse` enumerates the full proposal lattice and reads
+the same tables through the same sum, so on small instances a wide-enough
+beam must match it exactly; it is the testing oracle, guarded against
+blowup.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from .appearance import ProposalSet
 from .errors import (
@@ -32,7 +50,7 @@ from .errors import (
     ValidationError,
 )
 from .grammar import AOGrammar, AttrId, NodeId, ParseGraph, PartState
-from .relations import AttributeAssociation, RelationModels, _mixture_logpdf
+from .relations import AttributeAssociation, Edge, RelationModels, SyntacticTable
 
 COMBINATION_GUARD = 10_000_000
 
@@ -108,34 +126,123 @@ def _validated_order(grammar: AOGrammar, cfg: BeamConfig) -> tuple[NodeId, ...]:
     return order
 
 
-class _Step:
-    """One expansion step: the part to ground and the edges it closes."""
+class _Bucket:
+    """One part's proposals as arrays, in listing order, with each id's rank."""
 
-    __slots__ = ("part", "closings")
+    __slots__ = ("part", "props", "xy", "types", "id_rank")
 
-    def __init__(self, part: NodeId):
+    def __init__(self, part: NodeId, props: Sequence):
+        if not props:
+            raise InfeasibleParseError(f"part {part!r} has no proposals")
         self.part = part
-        # Entries: (other_position, kind, payload, cur_is_child) where kind
-        # is "s" (payload: log table) or "k" (payload: prepared mixture).
-        self.closings: list[tuple[int, str, object, bool]] = []
+        self.props = tuple(props)
+        self.xy = np.array([(p.x, p.y) for p in self.props])
+        self.types = np.array([p.part_type for p in self.props])
+        ids = [p.id for p in self.props]
+        self.id_rank = _ranks(sorted(range(len(ids)), key=ids.__getitem__))
 
 
-def _build_plan(grammar: AOGrammar, models: RelationModels, order: Sequence[NodeId]) -> list[_Step]:
-    position = {p: i for i, p in enumerate(order)}
-    steps = [_Step(p) for p in order]
-    for edge in grammar.psg_edges:
-        parent, child = edge
-        at = max(position[parent], position[child])
-        cur_is_child = position[child] == at
-        other = min(position[parent], position[child])
-        steps[at].closings.append((other, "s", models.syntactic.log_matrix(edge), cur_is_child))
-    for edge in grammar.dg_edges:
-        parent, child = edge
-        at = max(position[parent], position[child])
-        cur_is_child = position[child] == at
-        other = min(position[parent], position[child])
-        steps[at].closings.append((other, "k", models.kinematic.prepared(edge), cur_is_child))
-    return steps
+def _ranks(order) -> np.ndarray:
+    """Rank of each item, given the items' indices in ascending order."""
+    ranks = np.empty(len(order), dtype=np.int64)
+    ranks[order] = np.arange(len(order))
+    return ranks
+
+
+class _Table:
+    """Relation scores of one edge between the part grounded first and the
+    part grounded second: one row per proposal of the first, one column
+    per proposal of the second.  A row is computed the first time a search
+    reads it."""
+
+    __slots__ = ("source", "edge", "log", "first", "second", "second_is_child", "values", "filled")
+
+    def __init__(self, source, edge: Edge, first: _Bucket, second: _Bucket, second_is_child: bool):
+        self.source = source
+        self.edge = edge
+        # Looked up now, so that a missing model entry fails before any search.
+        if isinstance(source, SyntacticTable):
+            self.log = source.log_matrix(edge)
+        else:
+            self.log = None
+            source.mixture(edge)
+        self.first = first
+        self.second = second
+        self.second_is_child = second_is_child
+        self.values = np.empty((len(first.props), len(second.props)))
+        self.filled = np.zeros(len(first.props), dtype=bool)
+
+    def rows(self, idx: np.ndarray) -> np.ndarray:
+        """The rows of the first part's proposals ``idx``, shape (len(idx), N)."""
+        todo = idx[~self.filled[idx]]
+        if todo.size:
+            todo = np.unique(todo)
+            self.values[todo] = self._compute(todo)
+            self.filled[todo] = True
+        return self.values[idx]
+
+    def _compute(self, rows: np.ndarray) -> np.ndarray:
+        first, second = self.first, self.second
+        if self.log is not None:
+            if self.second_is_child:
+                return self.log[np.ix_(first.types[rows] - 1, second.types - 1)]
+            return self.log[np.ix_(second.types - 1, first.types[rows] - 1)].T
+        offsets = second.xy[None, :, :] - first.xy[rows, None, :]
+        if not self.second_is_child:
+            offsets = -offsets
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = self.source.log_density(self.edge, offsets.reshape(-1, 2))
+        values = values.reshape(len(rows), len(second.props))
+        bad = np.argwhere(~np.isfinite(values))
+        if bad.size:
+            r, c = bad[0]
+            ids = (first.props[rows[r]].id, second.props[c].id)
+            parent, child = ids[::-1] if not self.second_is_child else ids
+            raise ValidationError(
+                f"edge {self.edge[0]}->{self.edge[1]}: displacement score between proposals "
+                f"{parent!r} and {child!r} is {float(values[r, c])!r}, not finite"
+            )
+        return values
+
+
+class _Cache:
+    """What every search on one proposal set shares: the bucket arrays, and
+    the relation tables of each relation model that scored an edge."""
+
+    def __init__(self) -> None:
+        self.buckets: dict[NodeId, _Bucket] = {}
+        self.tables: dict[tuple, _Table] = {}
+
+    def bucket(self, pset: ProposalSet, part: NodeId) -> _Bucket:
+        if part not in self.buckets:
+            self.buckets[part] = _Bucket(part, pset.proposals_for(part))
+        return self.buckets[part]
+
+    def table(self, source, edge: Edge, first: _Bucket, second: _Bucket) -> _Table:
+        second_is_child = second.part == edge[1]
+        # The table holds ``source``, so its id stays unused by any other object
+        # while the key exists.
+        key = (id(source), edge, second_is_child)
+        if key not in self.tables:
+            self.tables[key] = _Table(source, edge, first, second, second_is_child)
+        return self.tables[key]
+
+
+# Per proposal set; a dropped set frees its tables.
+_CACHES: weakref.WeakKeyDictionary[ProposalSet, _Cache] = weakref.WeakKeyDictionary()
+
+
+class _Step:
+    """One expansion step: the part's bucket, its appearance vector under
+    the objective, and the tables of the edges it closes, each with the
+    step position of the edge's other part."""
+
+    __slots__ = ("bucket", "app", "closings")
+
+    def __init__(self, bucket: _Bucket, app: np.ndarray):
+        self.bucket = bucket
+        self.app = app
+        self.closings: list[tuple[int, _Table]] = []
 
 
 def _assignment(grammar: AOGrammar, objective: Objective) -> dict[AttrId, str]:
@@ -157,101 +264,123 @@ def _assignment(grammar: AOGrammar, objective: Objective) -> dict[AttrId, str]:
 def _prefetch_buckets(
     grammar: AOGrammar,
     pset: ProposalSet,
+    cache: _Cache,
     order: Sequence[NodeId],
     assignment: Mapping[AttrId, str],
-) -> list[list[tuple[str, float, float, int, float]]]:
-    """Per step: (id, x, y, type, appearance term) for each proposal."""
+) -> list[_Step]:
+    """Per step: the part's bucket and its appearance vector."""
     if assignment:
         [(attr_id, value)] = assignment.items()
-    buckets = []
+    steps = []
     for part in order:
-        props = pset.proposals_for(part)
-        if not props:
-            raise InfeasibleParseError(f"part {part!r} has no proposals")
-        rows = []
-        for p in props:
+        bucket = cache.bucket(pset, part)
+        app = []
+        for p in bucket.props:
             if assignment:
-                app = pset.scores.lookup(p.id, attr_id, value, part=part)
+                app.append(pset.scores.lookup(p.id, attr_id, value, part=part))
             else:
-                app = 0.0
+                total = 0.0
                 for a in grammar.attributes:
-                    app += max(
+                    total += max(
                         pset.scores.lookup(p.id, a.id, v, part=part) for v in a.domain
                     )
-            rows.append((p.id, p.x, p.y, p.part_type, app))
-        buckets.append(rows)
-    return buckets
+                app.append(total)
+        steps.append(_Step(bucket, np.array(app)))
+    return steps
 
 
-def _candidate_key(cand: tuple[float, tuple[str, ...], tuple[int, ...]]):
-    return (-cand[0], cand[1])
+def _prepare(grammar, models, pset, objective, cfg):
+    """The objective's assignment, and per step of the validated order the
+    bucket, its appearance vector and the tables of the edges it closes."""
+    order = _validated_order(grammar, cfg or BeamConfig())
+    assignment = _assignment(grammar, objective)
+    cache = _CACHES.setdefault(pset, _Cache())
+    steps = _prefetch_buckets(grammar, pset, cache, order, assignment)
+    position = {p: i for i, p in enumerate(order)}
+    closing = ((models.syntactic, grammar.psg_edges), (models.kinematic, grammar.dg_edges))
+    for source, edges in closing:
+        for edge in edges:
+            first, second = sorted((position[edge[0]], position[edge[1]]))
+            table = cache.table(source, tuple(edge), steps[first].bucket, steps[second].bucket)
+            steps[second].closings.append((first, table))
+    return assignment, steps
 
 
-def _resolve_closings(closings, buckets, idxs):
-    resolved = []
-    for other_pos, kind, payload, cur_is_child in closings:
-        resolved.append((kind, payload, cur_is_child, buckets[other_pos][idxs[other_pos]]))
-    return resolved
+def _extend(step: _Step, score: np.ndarray, idxs: np.ndarray) -> np.ndarray:
+    """Scores of the prefixes ``idxs`` (B, si) with ``score`` (B,), each
+    extended by every proposal of ``step``: shape (B, N).
+
+    The appearance term is added first, then each closing table's row in
+    plan order; the beam and the oracle both use this one sum.
+    """
+    total = score[:, None] + step.app
+    for first, table in step.closings:
+        total += table.rows(idxs[:, first])
+    if not np.isfinite(total).all():
+        raise ValidationError(
+            f"a partial parse score at part {step.bucket.part!r} is not finite: "
+            "appearance and relation scores overflow"
+        )
+    return total
 
 
-def _step_score(score, row, resolved):
-    pid, x, y, t, app = row
-    s = score + app
-    for kind, payload, cur_is_child, other in resolved:
-        _, ox, oy, ot, _ = other
-        if kind == "s":
-            s += payload[ot - 1][t - 1] if cur_is_child else payload[t - 1][ot - 1]
-        else:
-            if cur_is_child:
-                s += _mixture_logpdf(payload, x - ox, y - oy)
-            else:
-                s += _mixture_logpdf(payload, ox - x, oy - y)
-    return s
+def _cut(scores: np.ndarray, keys: np.ndarray, width: int) -> np.ndarray:
+    """Indices of the ``width`` best candidates, best first.
+
+    Higher score wins; equal scores go to the lower key.  Every candidate
+    tied with the score at the cut reaches the sort.
+    """
+    if scores.size > width:
+        kth = scores.size - width
+        cut = np.partition(scores, kth)[kth]
+        pool = np.flatnonzero(scores >= cut)
+    else:
+        pool = np.arange(scores.size)
+    return pool[np.lexsort((keys[pool], -scores[pool]))[:width]]
 
 
-def _run_beam(steps, buckets, beam_width, collect_trace=None, order=None):
-    first = buckets[0]
-    beam = [(row[4], (row[0],), (j,)) for j, row in enumerate(first)]
-    beam.sort(key=_candidate_key)
-    del beam[beam_width:]
+def _run_beam(steps: list[_Step], beam_width: int, collect_trace=None):
+    """Best (score, per-step proposal indices) under the beam.
+
+    Ties go to the lexicographically smaller tuple of proposal ids.  Each
+    survivor carries a rank that orders the survivors' id tuples, so a
+    candidate's id tuple orders as (parent rank, child id rank).
+    """
+    first = steps[0]
+    keep = _cut(first.app, first.bucket.id_rank, beam_width)
+    score, rank, idxs = first.app[keep], first.bucket.id_rank[keep], keep[:, None]
     if collect_trace is not None:
-        collect_trace.append(_trace_entry(steps, buckets, beam, 1, order))
-    for si in range(1, len(steps)):
-        bucket = buckets[si]
-        closings = steps[si].closings
-        new = []
-        for score, idkey, idxs in beam:
-            resolved = _resolve_closings(closings, buckets, idxs)
-            for j, row in enumerate(bucket):
-                new.append((_step_score(score, row, resolved), idkey + (row[0],), idxs + (j,)))
-        new.sort(key=_candidate_key)
-        del new[beam_width:]
-        beam = new
+        collect_trace.append(_trace_entry(steps, score, idxs))
+    for step in steps[1:]:
+        total = _extend(step, score, idxs).ravel()
+        n = len(step.app)
+        keys = (rank[:, None] * n + step.bucket.id_rank).ravel()
+        keep = _cut(total, keys, beam_width)
+        score, rank = total[keep], _ranks(np.argsort(keys[keep]))
+        idxs = np.column_stack((idxs[keep // n], keep % n))
         if collect_trace is not None:
-            collect_trace.append(_trace_entry(steps, buckets, beam, si + 1, order))
-    return beam
+            collect_trace.append(_trace_entry(steps, score, idxs))
+    return float(score[0]), idxs[0].tolist()
 
 
-def _trace_entry(steps, buckets, beam, depth, order):
-    entries = []
-    for score, _idkey, idxs in beam:
-        assigned = {}
-        for si in range(depth):
-            pid, x, y, t, _ = buckets[si][idxs[si]]
-            part = order[si]
-            assigned[part] = PartState(part=part, x=x, y=y, part_type=t, proposal_ref=pid)
-        entries.append(PartialParse(assigned=assigned, score=score))
-    return tuple(entries)
+def _state(step: _Step, j: int) -> PartState:
+    p = step.bucket.props[j]
+    return PartState(part=p.part, x=p.x, y=p.y, part_type=p.part_type, proposal_ref=p.id)
 
 
-def _build_parse_graph(grammar, order, buckets, cand, assignment) -> ParseGraph:
-    score, _idkey, idxs = cand
-    states = {}
-    for si, part in enumerate(order):
-        pid, x, y, t, _ = buckets[si][idxs[si]]
-        states[part] = PartState(part=part, x=x, y=y, part_type=t, proposal_ref=pid)
+def _trace_entry(steps, score, idxs):
+    return tuple(
+        PartialParse(
+            assigned={steps[si].bucket.part: _state(steps[si], j) for si, j in enumerate(row)},
+            score=float(s),
+        )
+        for s, row in zip(score, idxs.tolist())
+    )
+
+
+def _build_parse_graph(grammar, steps, score, idxs, assignment) -> ParseGraph:
     return ParseGraph(
-        states=states,
+        states={step.bucket.part: _state(step, j) for step, j in zip(steps, idxs)},
         used_psg_edges=tuple(grammar.psg_edges),
         used_dg_edges=tuple(grammar.dg_edges),
         attribute_assignment=dict(assignment),
@@ -259,20 +388,12 @@ def _build_parse_graph(grammar, order, buckets, cand, assignment) -> ParseGraph:
     )
 
 
-def _prepare(grammar, models, pset, objective, cfg):
-    """Validated order, assignment, appearance buckets and step plan."""
-    order = _validated_order(grammar, cfg or BeamConfig())
-    assignment = _assignment(grammar, objective)
-    buckets = _prefetch_buckets(grammar, pset, order, assignment)
-    return order, assignment, buckets, _build_plan(grammar, models, order)
-
-
 def _search(grammar, models, pset, objective, cfg, collect_trace) -> ParseGraph:
     """Beam search for the best parse under ``objective``."""
     cfg = cfg or BeamConfig()
-    order, assignment, buckets, steps = _prepare(grammar, models, pset, objective, cfg)
-    beam = _run_beam(steps, buckets, cfg.beam_width, collect_trace, order)
-    return _build_parse_graph(grammar, order, buckets, beam[0], assignment)
+    assignment, steps = _prepare(grammar, models, pset, objective, cfg)
+    score, idxs = _run_beam(steps, cfg.beam_width, collect_trace)
+    return _build_parse_graph(grammar, steps, score, idxs, assignment)
 
 
 def parse_constrained(
@@ -311,15 +432,15 @@ def brute_force_parse(
     """Exact argmax by exhaustive enumeration; the testing oracle.
 
     Refuses instances whose proposal lattice exceeds ``COMBINATION_GUARD``
-    combinations.  Uses the same per-step arithmetic and tie rule as the
-    beam, so a beam covering the full lattice reproduces its result
-    bit for bit.
+    combinations.  Reads the beam's relation tables through the same sum,
+    and breaks ties on the tuple of proposal ids as the beam does, so a
+    beam covering the full lattice reproduces its result bit for bit.
     """
-    order, assignment, buckets, steps = _prepare(grammar, models, pset, objective, cfg)
+    assignment, steps = _prepare(grammar, models, pset, objective, cfg)
 
     total = 1
-    for b in buckets:
-        total *= len(b)
+    for step in steps:
+        total *= len(step.app)
         if total > COMBINATION_GUARD:
             raise EnumerationLimitError(
                 f"{total}+ proposal combinations exceed the guard of {COMBINATION_GUARD}"
@@ -328,18 +449,23 @@ def brute_force_parse(
     n = len(steps)
     best: list = [None]
 
-    def descend(si: int, score: float, idkey: tuple, idxs: tuple) -> None:
+    def descend(si: int, scores: list, idkeys: list, idxs: list) -> None:
+        """Visit every completion of sibling prefixes that ground ``si`` parts."""
         if si == n:
-            cand = (score, idkey, idxs)
-            if best[0] is None or _candidate_key(cand) < _candidate_key(best[0]):
-                best[0] = cand
+            for score, idkey, ix in zip(scores, idkeys, idxs):
+                key = (-score, idkey)
+                if best[0] is None or key < best[0][0]:
+                    best[0] = (key, score, ix)
             return
-        resolved = _resolve_closings(steps[si].closings, buckets, idxs)
-        for j, row in enumerate(buckets[si]):
-            descend(si + 1, _step_score(score, row, resolved), idkey + (row[0],), idxs + (j,))
+        sums = _extend(steps[si], np.array(scores), np.array(idxs)).tolist()
+        ids = [p.id for p in steps[si].bucket.props]
+        for row, idkey, ix in zip(sums, idkeys, idxs):
+            descend(si + 1, row, [idkey + (i,) for i in ids], [ix + (j,) for j in range(len(ids))])
 
-    descend(0, 0.0, (), ())
-    return _build_parse_graph(grammar, order, buckets, best[0], assignment)
+    ids = [p.id for p in steps[0].bucket.props]
+    descend(1, steps[0].app.tolist(), [(i,) for i in ids], [(j,) for j in range(len(ids))])
+    _key, score, idxs = best[0]
+    return _build_parse_graph(grammar, steps, score, idxs, assignment)
 
 
 def select_final(

@@ -34,6 +34,7 @@ from .relations import (
     KinematicMoG,
     Mixture,
     SyntacticTable,
+    _component_constants,
     _mixture_terms,
 )
 
@@ -115,9 +116,9 @@ class Annotation:
 
 
 def save_annotations(annotations: Sequence[Annotation], path: str) -> None:
+    lines = [json.dumps(ann.to_json_dict(), sort_keys=True, allow_nan=False) for ann in annotations]
     with open(path, "w", encoding="utf-8") as fh:
-        for ann in annotations:
-            fh.write(json.dumps(ann.to_json_dict(), sort_keys=True) + "\n")
+        fh.writelines(line + "\n" for line in lines)
 
 
 def load_annotations(path: str) -> list[Annotation]:
@@ -310,7 +311,7 @@ def _em_fit(
     prev = None
     for _ in range(max_iter):
         # E-step quantities double as the likelihood trace.
-        log_comp = _mixture_terms(X, weights, means, covs)
+        log_comp = _mixture_terms(X, means, *_component_constants(weights, covs))
         log_mix = logsumexp(log_comp, axis=1)
         ll = float(np.mean(log_mix))
         if prev is not None and ll < prev - 1e-7:
@@ -335,7 +336,7 @@ def _em_fit(
             covs[i] = _floor_covariance((resp[:, i] * diff.T) @ diff / nk[i])
         weights = weights / weights.sum()
     else:
-        log_mix = logsumexp(_mixture_terms(X, weights, means, covs), axis=1)
+        log_mix = logsumexp(_mixture_terms(X, means, *_component_constants(weights, covs)), axis=1)
         trace.append(float(np.mean(log_mix)))
 
     return Mixture(weights=weights, means=means, covariances=covs), trace

@@ -66,13 +66,13 @@ class SyntacticTable:
                     f"syntactic table for {edge}: entries sum to {arr.sum()!r}, not 1"
                 )
             self.tables[tuple(edge)] = arr
-        self._log = {edge: np.log(arr).tolist() for edge, arr in self.tables.items()}
+        self._log = {edge: np.log(arr) for edge, arr in self.tables.items()}
 
     @property
     def edges(self) -> tuple[Edge, ...]:
         return tuple(self.tables)
 
-    def log_matrix(self, edge: Edge) -> list[list[float]]:
+    def log_matrix(self, edge: Edge) -> np.ndarray:
         try:
             return self._log[tuple(edge)]
         except KeyError:
@@ -85,7 +85,7 @@ class SyntacticTable:
             raise ValidationError(
                 f"part types must lie in 1..{t}, got ({t_parent}, {t_child})"
             )
-        return mat[t_parent - 1][t_child - 1]
+        return float(mat[t_parent - 1, t_child - 1])
 
 
 def uniform_syntactic_table(edges: Iterable[Edge], part_type_count: int = 9) -> SyntacticTable:
@@ -130,57 +130,46 @@ class Mixture:
         object.__setattr__(self, "covariances", cov)
 
 
-def _mixture_terms(points, weights, means, covariances) -> np.ndarray:
-    """Per-component log terms ``log w - log 2pi - log det / 2 - quad / 2``, shape (N, k).
+def _component_constants(weights, covariances) -> tuple[np.ndarray, np.ndarray]:
+    """Per component ``log w - log 2pi - log det / 2`` and the inverse covariance.
 
-    Components with non-positive weight get -inf.  A log-sum-exp over
-    axis 1 gives the mixture log-density; the EM E-step also needs the
-    terms themselves for the responsibilities.
+    Components with non-positive weight get -inf and a zero inverse.
     """
-    pts = np.asarray(points, dtype=float)
-    terms = np.full((pts.shape[0], weights.shape[0]), -np.inf)
-    for i, (w, mu, cov) in enumerate(zip(weights, means, covariances)):
+    consts = np.full(weights.shape[0], -np.inf)
+    inverses = np.zeros((weights.shape[0], 2, 2))
+    for i, (w, cov) in enumerate(zip(weights, covariances)):
         if w <= 0.0:
             continue
-        diff = pts - mu
-        inv = np.linalg.inv(cov)
+        inverses[i] = np.linalg.inv(cov)
         _, logdet = np.linalg.slogdet(cov)
-        quad = np.einsum("ni,ij,nj->n", diff, inv, diff)
-        terms[:, i] = math.log(float(w)) - _LOG_TWO_PI - 0.5 * logdet - 0.5 * quad
-    return terms
+        consts[i] = math.log(float(w)) - _LOG_TWO_PI - 0.5 * logdet
+    return consts, inverses
 
 
-def _prepare_mixture(mix: Mixture) -> list[tuple[float, float, float, float, float, float]]:
-    """Precompute per-component constants for fast scalar evaluation.
+def _mixture_terms(points, means, consts, inverses) -> np.ndarray:
+    """Per-component log terms ``const - quad / 2``, shape (N, k).
 
-    Each entry is (log w + log normalizer, mean_x, mean_y, ia, ib, ic)
-    where [[ia, ib], [ib, ic]] is the inverse covariance.
+    ``consts`` and ``inverses`` come from :func:`_component_constants`;
+    components with a -inf constant stay -inf.  A log-sum-exp over axis 1
+    gives the mixture log-density; the EM E-step also needs the terms
+    themselves for the responsibilities.
     """
-    out = []
-    for w, mu, cov in zip(mix.weights, mix.means, mix.covariances):
-        if w <= 0.0:
-            continue
-        a, b, c = float(cov[0, 0]), float(cov[0, 1]), float(cov[1, 1])
-        det = a * c - b * b
-        inv_a, inv_b, inv_c = c / det, -b / det, a / det
-        const = math.log(float(w)) - _LOG_TWO_PI - 0.5 * math.log(det)
-        out.append((const, float(mu[0]), float(mu[1]), inv_a, inv_b, inv_c))
-    if not out:
-        raise ValidationError("mixture has no component with positive weight")
+    diff = np.asarray(points, dtype=float)[:, None, :] - means
+    quad = np.einsum("nki,kij,nkj->nk", diff, inverses, diff)
+    return np.where(consts == -np.inf, -np.inf, consts - 0.5 * quad)
+
+
+def _log_sum_exp(terms: np.ndarray) -> np.ndarray:
+    """Row-wise log-sum-exp of (N, k) terms, total on every row.
+
+    A row of -inf gives -inf and a row holding NaN gives NaN; only rows
+    with a finite maximum reach ``exp``.
+    """
+    top = terms.max(axis=1)
+    out = top.copy()
+    ok = np.isfinite(top)
+    out[ok] += np.log(np.exp(terms[ok] - top[ok, None]).sum(axis=1))
     return out
-
-
-def _mixture_logpdf(prepared, dx: float, dy: float) -> float:
-    best = -math.inf
-    terms = []
-    for const, mx, my, ia, ib, ic in prepared:
-        ux = dx - mx
-        uy = dy - my
-        e = const - 0.5 * (ia * ux * ux + 2.0 * ib * ux * uy + ic * uy * uy)
-        terms.append(e)
-        if e > best:
-            best = e
-    return best + math.log(sum(math.exp(e - best) for e in terms))
 
 
 class KinematicMoG:
@@ -192,7 +181,9 @@ class KinematicMoG:
         fit_traces: Mapping[Edge, Sequence[float]] | None = None,
     ) -> None:
         self.mixtures: dict[Edge, Mixture] = {tuple(e): m for e, m in mixtures.items()}
-        self._prepared = {e: _prepare_mixture(m) for e, m in self.mixtures.items()}
+        self._constants = {
+            e: _component_constants(m.weights, m.covariances) for e, m in self.mixtures.items()
+        }
         self.fit_traces: dict[Edge, tuple[float, ...]] = {
             tuple(e): tuple(t) for e, t in (fit_traces or {}).items()
         }
@@ -207,12 +198,6 @@ class KinematicMoG:
         except KeyError:
             raise MissingEntryError(f"no kinematic mixture for edge {tuple(edge)}") from None
 
-    def prepared(self, edge: Edge):
-        try:
-            return self._prepared[tuple(edge)]
-        except KeyError:
-            raise MissingEntryError(f"no kinematic mixture for edge {tuple(edge)}") from None
-
     def score(self, edge: Edge, dx: float, dy: float) -> float:
         if not (math.isfinite(dx) and math.isfinite(dy)):
             raise ValidationError(f"displacement must be finite, got ({dx}, {dy})")
@@ -220,10 +205,9 @@ class KinematicMoG:
 
     def log_density(self, edge: Edge, points: np.ndarray) -> np.ndarray:
         """Vectorized log density over an (N, 2) array of displacements."""
-        from scipy.special import logsumexp
-
         mix = self.mixture(edge)
-        return logsumexp(_mixture_terms(points, mix.weights, mix.means, mix.covariances), axis=1)
+        consts, inverses = self._constants[tuple(edge)]
+        return _log_sum_exp(_mixture_terms(points, mix.means, consts, inverses))
 
 
 class AttributeAssociation:
@@ -358,9 +342,9 @@ class RelationModels:
 
 
 def save_models(models: RelationModels, path: str) -> None:
+    text = json.dumps(models.to_json_dict(), sort_keys=True, indent=2, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(models.to_json_dict(), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_models(path: str) -> RelationModels:

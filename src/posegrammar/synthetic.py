@@ -133,9 +133,9 @@ class SyntheticScene:
 
 
 def save_scene(scene: SyntheticScene, path: str) -> None:
+    text = json.dumps(scene.to_json_dict(), sort_keys=True, indent=2, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(scene.to_json_dict(), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_scene(path: str) -> SyntheticScene:

@@ -9,11 +9,15 @@ tests assert on its artifacts.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import posegrammar
 from posegrammar.cli import cli_dispatch
 from posegrammar.grammar import (
     ParseGraph,
@@ -298,6 +302,28 @@ class TestParse:
         # The winner is the best single (attribute, value) constrained parse.
         assert len(_read_json(out)["attributes"]) == 1
 
+    def test_joint_parse_loads_no_scipy(self, pipeline, tmp_path):
+        """The parse path needs numpy only; a fresh interpreter running a
+        joint parse never imports scipy."""
+        argv = [
+            "parse", "--grammar", pipeline["grammar"], "--models", pipeline["models"],
+            "--proposals", pipeline["proposals"], "--beam", "8", "--out", str(tmp_path / "p.json"),
+        ]
+        code = (
+            "import sys\n"
+            "import posegrammar\n"
+            "assert 'scipy' not in sys.modules, 'import'\n"
+            "from posegrammar.cli import cli_dispatch\n"
+            f"assert cli_dispatch({argv!r}) == 0\n"
+            "assert 'scipy' not in sys.modules, 'parse'\n"
+        )
+        src = os.path.dirname(os.path.dirname(posegrammar.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+
     def test_unconstrained_mode_deterministic(self, pipeline, tmp_path):
         outs = []
         for name in ("a.json", "b.json"):
@@ -458,6 +484,20 @@ class TestEvalPcp:
         assert report["n_pairs"] == 40
         assert set(report["per_stick"]) == {str(i) for i in range(1, 14)}
         assert report["threshold"] == 0.5
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_threshold_is_usage_error(self, pipeline, tmp_path, capsys, value):
+        pred = tmp_path / "pred"
+        self._write_perfect_preds(pipeline, pred, 40)
+        report_path = tmp_path / "report.json"
+        argv = [
+            "eval-pcp", "--pred", str(pred), "--truth", pipeline["annotations"],
+            "--grammar", pipeline["grammar"], f"--threshold={value}", "--report", str(report_path),
+        ]
+        assert cli_dispatch(argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: invalid value for --threshold: {value!r}"]
+        assert not report_path.exists()
 
     def test_count_mismatch_exits_one(self, pipeline, tmp_path, capsys):
         pred = tmp_path / "pred"

@@ -7,7 +7,10 @@ agree exactly, not approximately.
 
 from __future__ import annotations
 
+import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -31,8 +34,12 @@ from posegrammar.grammar import (
     recompute_score,
 )
 from posegrammar.inference import (
+    _CACHES,
     BeamConfig,
+    _extend,
+    _prepare,
     _readout,
+    _Table,
     attribute_scores,
     brute_force_parse,
     default_expansion_order,
@@ -46,8 +53,11 @@ from posegrammar.relations import (
     Mixture,
     RelationModels,
     SyntacticTable,
+    uniform_syntactic_table,
 )
 from posegrammar.synthetic import two_person_scene
+
+_PROPERTY_ATTRIBUTE = (AttributeDef("c", "c", ("u", "v")),)
 
 
 def _toy_grammar(part_type_count=2):
@@ -282,6 +292,35 @@ class TestTieBreaking:
         assert pg.states["root"].proposal_ref == "rt0"
         oracle = brute_force_parse(g, models, pset2, ("constrained", "c", "u"))
         assert oracle.states["root"].proposal_ref == "rt0"
+
+
+    @pytest.mark.parametrize("width", [2, 3, 4])
+    def test_tie_across_prefixes_goes_to_the_smaller_prefix(self, width):
+        """Two complete parses tie exactly, the one through the smaller
+        prefix ending in the larger child id: the id tuple, not the child
+        id alone, decides."""
+        g = _toy_grammar()
+        models = RelationModels(
+            syntactic=uniform_syntactic_table(g.psg_edges, part_type_count=2),
+            kinematic=KinematicMoG(
+                {("a", "b"): Mixture(np.array([1.0]), np.zeros((1, 2)), np.eye(2)[None])}
+            ),
+            association=AttributeAssociation({p: ("c",) for p in g.part_ids}, ("c",)),
+            part_type_count=2,
+        )
+        table = ScoreTable()
+        rows = [("r", "root", 0.0, 0.0), ("a0", "a", 0.0, 0.5), ("a1", "a", 20.0, 0.0),
+                ("bz", "b", 0.0, 0.0), ("ba", "b", 20.0, 0.5)]
+        props = []
+        for pid, part, x, app in rows:
+            props.append(Proposal(id=pid, part=part, x=x, y=0.0, part_type=1, box=(0, 0, 5, 5)))
+            table.set(pid, "c", "u", app)
+            table.set(pid, "c", "v", app)
+        pset = ProposalSet.from_proposals(props, table, part_type_count=2)
+        beam = parse_constrained(g, models, pset, "c", "u", BeamConfig(beam_width=width))
+        oracle = brute_force_parse(g, models, pset, ("constrained", "c", "u"))
+        assert _ids(beam) == _ids(oracle) == {"root": "r", "a": "a0", "b": "bz"}
+        assert beam.total_score == oracle.total_score
 
 
 class TestEnumerationGuard:
@@ -519,3 +558,211 @@ class TestDeterminism:
         pg = parse_unconstrained(g, models, pset, BeamConfig(beam_width=1))
         assert set(pg.states) == {"root", "a", "b"}
         assert math.isfinite(pg.total_score)
+
+
+def _chain_world(seed, parts, flat=False):
+    """A four-part grammar (root over a, b, c; dependency chain a -> b -> c)
+    whose proposals draw coordinates, types and appearance scores from
+    small pools, so equal candidate scores are common.  ``parts`` maps each
+    part to its bucket's proposal ids, in listing order.  ``flat`` puts
+    every proposal at one point with one type, so every relation row is
+    constant and prefixes with different scores tie after extension."""
+    rng = np.random.default_rng(seed)
+    nodes = (
+        GrammarNode("root", NodeKind.AND, "root", ("a", "b", "c")),
+        GrammarNode("a", NodeKind.TERMINAL, "a"),
+        GrammarNode("b", NodeKind.TERMINAL, "b"),
+        GrammarNode("c", NodeKind.TERMINAL, "c"),
+    )
+    g = AOGrammar(
+        root="root",
+        nodes=nodes,
+        psg_edges=(("root", "a"), ("root", "b"), ("root", "c")),
+        dg_edges=(("a", "b"), ("b", "c")),
+        attributes=_PROPERTY_ATTRIBUTE,
+        part_type_count=2,
+    )
+    syn = {}
+    for e in g.psg_edges:
+        m = rng.uniform(0.2, 1.0, size=(2, 2))
+        syn[e] = m / m.sum()
+    mixes = {
+        e: Mixture(
+            weights=np.array([0.6, 0.4]),
+            means=rng.normal(0.0, 4.0, size=(2, 2)),
+            covariances=np.stack([np.eye(2) * 3.0, np.eye(2) * 8.0]),
+        )
+        for e in g.dg_edges
+    }
+    models = RelationModels(
+        syntactic=SyntacticTable(syn, part_type_count=2),
+        kinematic=KinematicMoG(mixes),
+        association=AttributeAssociation({p: ("c",) for p in g.part_ids}, ("c",)),
+        part_type_count=2,
+    )
+    table = ScoreTable()
+    buckets = {}
+    for part, ids in parts.items():
+        props = []
+        for pid in ids:
+            props.append(
+                Proposal(
+                    id=pid,
+                    part=part,
+                    x=0.0 if flat else float(rng.choice([0.0, 4.0])),
+                    y=0.0 if flat else float(rng.choice([0.0, 4.0])),
+                    part_type=1 if flat else int(rng.integers(1, 3)),
+                    box=(0.0, 0.0, 5.0, 5.0),
+                )
+            )
+            for v in ("u", "v"):
+                table.set(pid, "c", v, float(rng.choice([0.0, 0.5, 1.0] if flat else [0.0, 0.5])))
+        buckets[part] = props
+    return g, models, ProposalSet(buckets, table, part_type_count=2)
+
+
+def _reference_beam(steps, width):
+    """The beam as a plain sort on (-score, id tuple), cut to ``width`` at
+    every step, over the same candidate sums the search uses."""
+    first = steps[0]
+    beam = [(s, (p.id,), (j,)) for j, (s, p) in enumerate(zip(first.app.tolist(), first.bucket.props))]
+    beam = sorted(beam, key=lambda c: (-c[0], c[1]))[:width]
+    for step in steps[1:]:
+        new = []
+        for score, ids, idxs in beam:
+            sums = _extend(step, np.array([score]), np.array([idxs]))[0].tolist()
+            new += [
+                (s, ids + (p.id,), idxs + (j,))
+                for j, (s, p) in enumerate(zip(sums, step.bucket.props))
+            ]
+        beam = sorted(new, key=lambda c: (-c[0], c[1]))[:width]
+    return beam[0]
+
+
+def _ids(pg):
+    return {p: s.proposal_ref for p, s in pg.states.items()}
+
+
+class TestBeamProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**16), constrained=st.booleans(), flat=st.booleans(), data=st.data())
+    def test_beam_equals_plain_sort_and_oracle(self, seed, constrained, flat, data):
+        """At every width the beam keeps what a plain sort keeps, and at the
+        full lattice it equals the oracle: same ids, bit-identical total."""
+        parts = {}
+        for part in ("root", "a", "b", "c"):
+            n = data.draw(st.integers(1, 3))
+            # Ids listed out of id order, so listing order cannot stand in
+            # for the tie rule.
+            parts[part] = data.draw(st.permutations([f"{part}{i}" for i in range(n)]))
+        g, models, pset = _chain_world(seed, parts, flat)
+        objective = ("constrained", "c", "v") if constrained else "unconstrained"
+        full = _lattice_size(pset, parts)
+        width = data.draw(st.integers(1, full))
+        cfg = BeamConfig(beam_width=width)
+        if constrained:
+            beam = parse_constrained(g, models, pset, "c", "v", cfg)
+        else:
+            beam = parse_unconstrained(g, models, pset, cfg)
+        _assignment, steps = _prepare(g, models, pset, objective, cfg)
+        score, ids, _idxs = _reference_beam(steps, width)
+        assert tuple(beam.states[p].proposal_ref for p in ("root", "a", "b", "c")) == ids
+        assert beam.total_score == score
+
+        wide = BeamConfig(beam_width=full)
+        if constrained:
+            beam = parse_constrained(g, models, pset, "c", "v", wide)
+        else:
+            beam = parse_unconstrained(g, models, pset, wide)
+        oracle = brute_force_parse(g, models, pset, objective)
+        assert _ids(beam) == _ids(oracle)
+        assert beam.total_score == oracle.total_score
+
+
+class TestRelationTables:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_lazy_rows_equal_full_table(self, seed):
+        g, models, pset = _toy_world(seed + 500, counts=(4, 5, 6))
+        _assignment, steps = _prepare(g, models, pset, "unconstrained", None)
+        rng = np.random.default_rng(seed)
+        tables = [table for step in steps for _first, table in step.closings]
+        assert len(tables) == 3
+        for table in tables:
+            n = len(table.first.props)
+            full = _Table(table.source, table.edge, table.first, table.second, table.second_is_child)
+            whole = full.rows(np.arange(n))
+            lazy = _Table(table.source, table.edge, table.first, table.second, table.second_is_child)
+            for _ in range(3):
+                idx = rng.integers(0, n, size=int(rng.integers(1, n + 1)))
+                np.testing.assert_array_equal(lazy.rows(idx), whole[idx])
+            np.testing.assert_array_equal(lazy.rows(np.arange(n)), whole)
+            # Each entry against the model's own scalar score.
+            parent, child = table.edge
+            for r, other in enumerate(table.first.props):
+                for c, cur in enumerate(table.second.props):
+                    p, ch = (other, cur) if table.second_is_child else (cur, other)
+                    assert (p.part, ch.part) == (parent, child)
+                    if isinstance(table.source, SyntacticTable):
+                        expected = models.syntactic.score(table.edge, p.part_type, ch.part_type)
+                        assert whole[r, c] == expected
+                    else:
+                        expected = models.kinematic.score(table.edge, ch.x - p.x, ch.y - p.y)
+                        np.testing.assert_allclose(whole[r, c], expected, rtol=0, atol=1e-12)
+
+    def test_one_proposal_set_two_models(self):
+        """Tables are kept per relation model, so alternating models on one
+        proposal set gives each model the result a fresh set gives it."""
+        g, models_a, pset = _toy_world(31, counts=(3, 4, 3))
+        _, models_b, _ = _toy_world(32, counts=(3, 4, 3))
+
+        def fresh():
+            return ProposalSet(pset.buckets, pset.scores, part_type_count=pset.part_type_count)
+
+        cfg = BeamConfig(beam_width=3)
+        runs = [
+            (models, parse_unconstrained(g, models, pset, cfg))
+            for models in (models_a, models_b, models_a, models_b)
+        ]
+        for models, pg in runs:
+            expected = parse_unconstrained(g, models, fresh(), cfg)
+            assert _ids(pg) == _ids(expected)
+            assert pg.total_score == expected.total_score
+        assert runs[0][1].total_score != runs[1][1].total_score
+
+    def test_dropped_proposal_set_frees_its_tables(self):
+        g, models, pset = _toy_world(33)
+        parse_constrained(g, models, pset, "c", "u")
+        assert pset in _CACHES
+        gone = weakref.ref(pset)
+        del pset
+        gc.collect()
+        assert gone() is None
+
+
+class TestNonFiniteRelations:
+    """With every head proposal at x=1e200 the torso->head displacement
+    density is -inf; every search refuses the input, naming the edge and
+    both proposals, instead of returning a NaN score."""
+
+    @staticmethod
+    def _far_heads():
+        pset = synth_scores(two_person_scene(seed=21), noise_sigma=0.0, rng_seed=4)
+        buckets = {
+            part: [dataclasses.replace(p, x=1e200) if part == "head" else p for p in props]
+            for part, props in pset.buckets.items()
+        }
+        return ProposalSet(buckets, pset.scores, part_type_count=pset.part_type_count)
+
+    _MESSAGE = r"edge torso->head: displacement score between proposals 'p\d\.torso' and 'p\d\.head' is -inf, not finite"
+
+    def test_parse_unconstrained(self, grammar, quick_models):
+        with pytest.raises(ValidationError, match=self._MESSAGE):
+            parse_unconstrained(grammar, quick_models, self._far_heads())
+
+    def test_parse_constrained(self, grammar, quick_models):
+        with pytest.raises(ValidationError, match=self._MESSAGE):
+            parse_constrained(grammar, quick_models, self._far_heads(), "gender", "male")
+
+    def test_brute_force_parse(self, grammar, quick_models):
+        with pytest.raises(ValidationError, match=self._MESSAGE):
+            brute_force_parse(grammar, quick_models, self._far_heads(), ("constrained", "gender", "male"))

@@ -16,7 +16,9 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
+from posegrammar.appearance import Proposal
 from posegrammar.errors import MissingEntryError, ValidationError
+from posegrammar.inference import _Bucket, _Table
 from posegrammar.relations import (
     AttributeAssociation,
     KinematicMoG,
@@ -24,7 +26,6 @@ from posegrammar.relations import (
     RelationModels,
     SyntacticTable,
     _parse_edge_key,
-    _mixture_logpdf,
     full_association,
     load_models,
     save_models,
@@ -139,8 +140,14 @@ class TestMixtureDensity:
         got = np.array([mog.score(EDGE, float(x), float(y)) for x, y in pts])
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
         np.testing.assert_allclose(mog.log_density(EDGE, pts), expected, rtol=0, atol=1e-12)
-        # The beam's scalar kernel, which ``score`` no longer runs.
-        beam = np.array([_mixture_logpdf(mog.prepared(EDGE), float(x), float(y)) for x, y in pts])
+        # The beam's relation table: one parent at the origin, one child
+        # proposal per point.
+        parent = _Bucket(EDGE[0], [Proposal("p", EDGE[0], 0.0, 0.0, 1, (0, 0, 1, 1))])
+        children = _Bucket(
+            EDGE[1],
+            [Proposal(f"c{i}", EDGE[1], float(x), float(y), 1, (0, 0, 1, 1)) for i, (x, y) in enumerate(pts)],
+        )
+        beam = _Table(mog, EDGE, parent, children, True).rows(np.array([0]))[0]
         np.testing.assert_allclose(beam, expected, rtol=0, atol=1e-12)
 
     def test_density_integrates_to_one(self):
