@@ -8,7 +8,6 @@ produced by the synthetic provider :func:`synth_scores`.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -28,6 +27,7 @@ from .grammar import (
     default_attributes,
     part_keypoints,
 )
+from .jsonio import malformed, read_json_lines, write_json_lines
 from .synthetic import PART_BOX_SIZES, SyntheticScene
 
 # Canonical 17-part ordering used by the synthetic provider.
@@ -164,63 +164,45 @@ class ProposalSet:
         return sum(len(b) for b in self.buckets.values())
 
 
-def _reject_constant(token: str):
-    raise ValidationError(f"non-finite JSON constant {token!r} not allowed")
-
-
 def load_proposals(path: str, *, part_type_count: int = 9) -> ProposalSet:
     """Read a JSON-lines proposal file; one proposal object per line."""
-    proposals: list[Proposal] = []
     scores = ScoreTable()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                doc = json.loads(line, parse_constant=_reject_constant)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            except ValidationError as exc:
-                raise ValidationError(f"{path}:{lineno}: {exc}") from None
-            try:
-                proposals.append(_proposal_from_doc(doc))
-                pid = str(doc["id"])
-                for attr, per_value in doc.get("scores", {}).items():
-                    for value, score in per_value.items():
-                        if not isinstance(score, (int, float)) or isinstance(score, bool):
-                            raise ValidationError(
-                                f"score for {attr!r}={value!r} must be a number, got {score!r}"
-                            )
-                        scores.set(pid, str(attr), str(value), float(score))
-            except ValidationError as exc:
-                raise ValidationError(f"{path}:{lineno}: {exc}") from None
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValidationError(f"{path}:{lineno}: malformed proposal: {exc}") from exc
+    proposals = read_json_lines(path, lambda doc: _proposal_from_doc(doc, scores))
     return ProposalSet.from_proposals(proposals, scores, part_type_count=part_type_count)
 
 
-def _proposal_from_doc(doc: Mapping) -> Proposal:
-    box = doc["box"]
-    if not isinstance(box, (list, tuple)) or len(box) != 4:
-        raise ValidationError(f"box must be a 4-element array, got {box!r}")
-    for field in ("x", "y"):
-        v = doc[field]
-        if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
-            raise ValidationError(f"field {field!r} must be a finite number, got {v!r}")
-    return Proposal(
-        id=str(doc["id"]),
-        part=str(doc["part"]),
-        x=float(doc["x"]),
-        y=float(doc["y"]),
-        part_type=int(doc["part_type"]),
-        box=tuple(float(v) for v in box),
-    )
+def _proposal_from_doc(doc: Mapping, scores: ScoreTable | None = None) -> Proposal:
+    """The proposal a JSON object describes; its scores go into ``scores`` if given."""
+    with malformed("proposal", doc):
+        box = doc["box"]
+        if not isinstance(box, (list, tuple)) or len(box) != 4:
+            raise ValidationError(f"box must be a 4-element array, got {box!r}")
+        for field in ("x", "y"):
+            v = doc[field]
+            if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
+                raise ValidationError(f"field {field!r} must be a finite number, got {v!r}")
+        proposal = Proposal(
+            id=str(doc["id"]),
+            part=str(doc["part"]),
+            x=float(doc["x"]),
+            y=float(doc["y"]),
+            part_type=int(doc["part_type"]),
+            box=tuple(float(v) for v in box),
+        )
+        if scores is not None:
+            for attr, per_value in doc.get("scores", {}).items():
+                for value, score in per_value.items():
+                    if not isinstance(score, (int, float)) or isinstance(score, bool):
+                        raise ValidationError(
+                            f"score for {attr!r}={value!r} must be a number, got {score!r}"
+                        )
+                    scores.set(proposal.id, str(attr), str(value), float(score))
+    return proposal
 
 
 def save_proposals(pset: ProposalSet, path: str) -> None:
     """Write JSON-lines, parts in sorted order, bucket order preserved."""
-    lines = []
+    docs = []
     for part in sorted(pset.buckets):
         for p in pset.buckets[part]:
             doc = {
@@ -232,9 +214,8 @@ def save_proposals(pset: ProposalSet, path: str) -> None:
                 "box": list(p.box),
                 "scores": pset.scores.per_proposal(p.id),
             }
-            lines.append(json.dumps(doc, sort_keys=True, allow_nan=False))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(line + "\n" for line in lines)
+            docs.append(doc)
+    write_json_lines(path, docs)
 
 
 def _part_box(

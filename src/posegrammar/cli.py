@@ -13,7 +13,6 @@ its flags (dashes as underscores); explicit flags override the file.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -22,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from . import evaluation, learning, relations, synthetic
-from .appearance import load_proposals
+from .appearance import _proposal_from_doc, load_proposals
 from .errors import PoseGrammarError, ValidationError
 from .grammar import (
     SCHEMA_VERSION,
@@ -34,18 +33,10 @@ from .grammar import (
     validate,
 )
 from .inference import BeamConfig, attribute_scores, parse_constrained, parse_unconstrained, select_final
+from .jsonio import read_json, read_json_lines, write_json
 from .render import save_svg
 
 _UNSET = object()
-
-
-def _dump_json(obj, path: str | None) -> None:
-    text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
 
 
 def _info(message: str) -> None:
@@ -60,11 +51,7 @@ def _merged_options(args: argparse.Namespace, defaults: dict) -> dict:
     explicit.pop("command", None)
     explicit.pop("func", None)
     if config_path is not None:
-        with open(config_path, "r", encoding="utf-8") as fh:
-            try:
-                config = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"config file {config_path}: invalid JSON: {exc}") from exc
+        config = read_json(config_path)
         if not isinstance(config, dict):
             raise ValidationError(f"config file {config_path}: expected a JSON object")
         unknown = sorted(set(config) - set(defaults))
@@ -95,6 +82,10 @@ def _typed(key: str, value, default):
     except (TypeError, ValueError, OverflowError):
         flag = "--" + key.replace("_", "-")
         raise _UsageError(f"invalid value for {flag}: {value!r}") from None
+
+
+def _json_files(directory: str) -> list[str]:
+    return sorted(os.path.join(directory, f) for f in os.listdir(directory) if f.endswith(".json"))
 
 
 def _require(opts: dict, *names: str) -> None:
@@ -154,25 +145,10 @@ def _cmd_synth(opts: dict) -> int:
     return 0
 
 
-def _load_proposal_groups(path: str) -> list[list]:
-    from .appearance import _proposal_from_doc
-
-    groups = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                docs = json.loads(line)
-                if not isinstance(docs, list):
-                    raise ValidationError("expected a JSON array of proposals")
-                groups.append([_proposal_from_doc(d) for d in docs])
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            except ValidationError as exc:
-                raise ValidationError(f"{path}:{lineno}: {exc}") from None
-    return groups
+def _proposal_group(docs) -> list:
+    if not isinstance(docs, list):
+        raise ValidationError("expected a JSON array of proposals")
+    return [_proposal_from_doc(d) for d in docs]
 
 
 def _cmd_learn(opts: dict) -> int:
@@ -181,7 +157,7 @@ def _cmd_learn(opts: dict) -> int:
     annotations = learning.load_annotations(opts["annotations"])
     groups = None
     if opts.get("proposals"):
-        groups = _load_proposal_groups(opts["proposals"])
+        groups = read_json_lines(opts["proposals"], _proposal_group)
         if len(groups) != len(annotations):
             raise ValidationError(
                 f"{len(groups)} proposal groups for {len(annotations)} annotations"
@@ -222,7 +198,7 @@ def _cmd_parse(opts: dict) -> int:
         pg, per_pair = select_final(grammar, models, pset, cfg=cfg)
         if opts.get("scores_out"):
             scores = attribute_scores(per_pair, pset, models.association)
-            _dump_json({"schema_version": SCHEMA_VERSION, "attribute_scores": scores}, opts["scores_out"])
+            write_json(opts["scores_out"], {"schema_version": SCHEMA_VERSION, "attribute_scores": scores})
             _info(f"wrote attribute scores to {opts['scores_out']}")
     elif mode == "unconstrained":
         pg = parse_unconstrained(grammar, models, pset, cfg=cfg)
@@ -237,11 +213,7 @@ def _cmd_eval_pcp(opts: dict) -> int:
     _require(opts, "pred", "truth", "grammar")
     grammar = load_grammar(opts["grammar"])
     annotations = learning.load_annotations(opts["truth"])
-    files = sorted(
-        os.path.join(opts["pred"], f)
-        for f in os.listdir(opts["pred"])
-        if f.endswith(".json")
-    )
+    files = _json_files(opts["pred"])
     if len(files) != len(annotations):
         raise ValidationError(
             f"{len(files)} prediction files for {len(annotations)} annotations"
@@ -266,27 +238,24 @@ def _cmd_eval_pcp(opts: dict) -> int:
         },
         "threshold": threshold,
     }
-    _dump_json(report, opts.get("report"))
+    write_json(opts.get("report"), report)
     return 0
 
 
-def _load_number_array(path: str) -> list:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(doc, list) or not all(isinstance(v, (int, float)) for v in doc):
-        raise ValidationError(f"{path}: expected a JSON array of numbers")
+def _number_array(doc) -> list:
+    if not isinstance(doc, list) or not all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in doc
+    ):
+        raise ValidationError("expected a JSON array of numbers")
     return doc
 
 
 def _cmd_eval_ap(opts: dict) -> int:
     _require(opts, "scores", "labels")
-    scores = _load_number_array(opts["scores"])
-    labels = _load_number_array(opts["labels"])
+    scores = read_json(opts["scores"], _number_array)
+    labels = read_json(opts["labels"], _number_array)
     ap = evaluation.average_precision(scores, labels)
-    _dump_json({"average_precision": ap, "n": len(scores)}, None)
+    write_json(None, {"average_precision": ap, "n": len(scores)})
     return 0
 
 
@@ -294,11 +263,7 @@ def _cmd_diag(opts: dict) -> int:
     _require(opts, "scenes", "grammar", "models", "report")
     grammar = load_grammar(opts["grammar"])
     models = relations.load_models(opts["models"])
-    files = sorted(
-        os.path.join(opts["scenes"], f)
-        for f in os.listdir(opts["scenes"])
-        if f.endswith(".json")
-    )
+    files = _json_files(opts["scenes"])
     if not files:
         raise ValidationError(f"no scene files in {opts['scenes']}")
     scenes = [synthetic.load_scene(f) for f in files]
@@ -319,7 +284,7 @@ def _cmd_diag(opts: dict) -> int:
         synth_coherence=opts["coherence"],
     )
     report = evaluation.run_diagnostic(scenes, cfg, modes)
-    _dump_json(report, opts["report"])
+    write_json(opts["report"], report)
     _info(f"wrote diagnostic report to {opts['report']}")
     return 0
 

@@ -21,13 +21,13 @@ so the default grammar contains only and-nodes and terminals.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
 from .errors import MissingEntryError, ValidationError
+from .jsonio import malformed, read_json, write_json
 
 NodeId = str
 AttrId = str
@@ -203,10 +203,8 @@ class AOGrammar:
         for parent, child in self.psg_edges:
             self._psg_parents.setdefault(child, []).append(parent)
         self._dg_parents: dict[NodeId, list[NodeId]] = {}
-        self._dg_children: dict[NodeId, list[NodeId]] = {}
         for parent, child in self.dg_edges:
             self._dg_parents.setdefault(child, []).append(parent)
-            self._dg_children.setdefault(parent, []).append(child)
 
     # -- lookups ---------------------------------------------------------
 
@@ -240,9 +238,6 @@ class AOGrammar:
     def dg_parent(self, node_id: NodeId) -> NodeId | None:
         parents = self._dg_parents.get(node_id)
         return parents[0] if parents else None
-
-    def dg_children(self, node_id: NodeId) -> tuple[NodeId, ...]:
-        return tuple(self._dg_children.get(node_id, ()))
 
     def psg_ancestors(self, node_id: NodeId) -> tuple[NodeId, ...]:
         """Chain of decomposition parents from ``node_id`` up to the root."""
@@ -280,7 +275,7 @@ class AOGrammar:
 
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "AOGrammar":
-        try:
+        with malformed("grammar document", doc):
             nodes = [
                 GrammarNode(
                     id=str(n["id"]),
@@ -306,10 +301,6 @@ class AOGrammar:
                 attributes=attrs,
                 part_type_count=int(doc.get("part_type_count", DEFAULT_PART_TYPE_COUNT)),
             )
-        except (KeyError, TypeError, ValueError) as exc:
-            if isinstance(exc, ValidationError):
-                raise
-            raise ValidationError(f"malformed grammar document: {exc}") from exc
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AOGrammar):
@@ -325,18 +316,11 @@ class AOGrammar:
 
 
 def save_grammar(grammar: AOGrammar, path: str) -> None:
-    text = json.dumps(grammar.to_json_dict(), sort_keys=True, indent=2, allow_nan=False)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+    write_json(path, grammar.to_json_dict())
 
 
 def load_grammar(path: str) -> AOGrammar:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"grammar file {path}: invalid JSON: {exc}") from exc
-    return AOGrammar.from_json_dict(doc)
+    return read_json(path, AOGrammar.from_json_dict)
 
 
 def default_attributes() -> tuple[AttributeDef, ...]:
@@ -544,6 +528,10 @@ class PartState:
             raise ValidationError(
                 f"part {self.part!r}: part_type must be >= 1, got {self.part_type}"
             )
+        if not (math.isfinite(self.x) and math.isfinite(self.y)):
+            raise ValidationError(
+                f"part {self.part!r}: coordinates must be finite, got ({self.x!r}, {self.y!r})"
+            )
 
 
 @dataclass(frozen=True)
@@ -594,7 +582,7 @@ class ParseGraph:
 
     @classmethod
     def from_json_dict(cls, doc: Mapping, grammar: AOGrammar) -> "ParseGraph":
-        try:
+        with malformed("parse graph document", doc):
             states = {
                 str(s["part"]): PartState(
                     part=str(s["part"]),
@@ -607,10 +595,8 @@ class ParseGraph:
             }
             assignment = {str(k): str(v) for k, v in doc.get("attributes", {}).items()}
             total = float(doc["total_score"])
-        except (KeyError, TypeError, ValueError) as exc:
-            if isinstance(exc, ValidationError):
-                raise
-            raise ValidationError(f"malformed parse graph document: {exc}") from exc
+        if not math.isfinite(total):
+            raise ValidationError(f"total_score must be finite, got {total!r}")
         present = set(states)
         psg = tuple(e for e in grammar.psg_edges if e[0] in present and e[1] in present)
         dg = tuple(e for e in grammar.dg_edges if e[0] in present and e[1] in present)
@@ -624,18 +610,11 @@ class ParseGraph:
 
 
 def save_parse_graph(pg: ParseGraph, path: str, grammar: AOGrammar | None = None) -> None:
-    text = json.dumps(pg.to_json_dict(grammar), sort_keys=True, indent=2, allow_nan=False)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+    write_json(path, pg.to_json_dict(grammar))
 
 
 def load_parse_graph(path: str, grammar: AOGrammar) -> ParseGraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"parse graph file {path}: invalid JSON: {exc}") from exc
-    return ParseGraph.from_json_dict(doc, grammar)
+    return read_json(path, lambda doc: ParseGraph.from_json_dict(doc, grammar))
 
 
 def recompute_score(pg: ParseGraph, grammar: AOGrammar, models, scores) -> float:

@@ -163,6 +163,14 @@ class _Table:
         # Looked up now, so that a missing model entry fails before any search.
         if isinstance(source, SyntacticTable):
             self.log = source.log_matrix(edge)
+            for bucket in (first, second):
+                beyond = np.flatnonzero(bucket.types > source.part_type_count)
+                if beyond.size:
+                    p = bucket.props[beyond[0]]
+                    raise ValidationError(
+                        f"edge {edge[0]}->{edge[1]}: proposal {p.id!r} has part_type "
+                        f"{p.part_type}, beyond the models' part_type_count {source.part_type_count}"
+                    )
         else:
             self.log = None
             source.mixture(edge)

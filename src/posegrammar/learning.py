@@ -9,7 +9,6 @@ availability and part visibility.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -27,6 +26,7 @@ from .grammar import (
     NodeId,
     part_keypoints,
 )
+from .jsonio import malformed, read_json_lines, write_json_lines
 from .relations import (
     COV_EIG_FLOOR,
     AttributeAssociation,
@@ -77,6 +77,11 @@ class Annotation:
         extra = sorted(set(joints) - set(ATOMIC_PARTS))
         if extra:
             raise ValidationError(f"annotation has unknown joints {extra}")
+        for part, j in joints.items():
+            if not (math.isfinite(j.x) and math.isfinite(j.y)):
+                raise ValidationError(
+                    f"joint {part!r}: coordinates must be finite, got ({j.x!r}, {j.y!r})"
+                )
         if not any(j.visible for j in joints.values()):
             raise ValidationError("annotation needs at least one visible joint")
         box = tuple(float(v) for v in self.person_box)
@@ -95,7 +100,7 @@ class Annotation:
 
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "Annotation":
-        try:
+        with malformed("annotation", doc):
             joints = {
                 str(p): JointObs(x=float(v[0]), y=float(v[1]), visible=bool(v[2]))
                 for p, v in doc["joints"].items()
@@ -109,32 +114,14 @@ class Annotation:
                 person_box=tuple(float(v) for v in doc["person_box"]),
                 attributes=attributes,
             )
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
-            if isinstance(exc, ValidationError):
-                raise
-            raise ValidationError(f"malformed annotation: {exc}") from exc
 
 
 def save_annotations(annotations: Sequence[Annotation], path: str) -> None:
-    lines = [json.dumps(ann.to_json_dict(), sort_keys=True, allow_nan=False) for ann in annotations]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(line + "\n" for line in lines)
+    write_json_lines(path, [ann.to_json_dict() for ann in annotations])
 
 
 def load_annotations(path: str) -> list[Annotation]:
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                out.append(Annotation.from_json_dict(json.loads(line)))
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            except ValidationError as exc:
-                raise ValidationError(f"{path}:{lineno}: {exc}") from None
-    return out
+    return read_json_lines(path, Annotation.from_json_dict)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ All scores are log-probabilities (or log-densities); higher is better.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -24,6 +23,7 @@ import numpy as np
 
 from .errors import MissingEntryError, ValidationError
 from .grammar import AOGrammar, AttrId, NodeId, ValidationReport
+from .jsonio import malformed, read_json, write_json
 
 Edge = tuple[NodeId, NodeId]
 
@@ -315,7 +315,7 @@ class RelationModels:
 
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "RelationModels":
-        try:
+        with malformed("models document", doc):
             ptc = int(doc.get("part_type_count", 9))
             syn = SyntacticTable(
                 {_parse_edge_key(k): np.asarray(v, dtype=float) for k, v in doc["syntactic"].items()},
@@ -334,23 +334,12 @@ class RelationModels:
                 attr_ids=tuple(adoc.get("attr_ids", ())),
                 mi={p: {a: float(v) for a, v in per.items()} for p, per in adoc.get("mi", {}).items()},
             )
-        except (KeyError, TypeError, ValueError) as exc:
-            if isinstance(exc, ValidationError):
-                raise
-            raise ValidationError(f"malformed models document: {exc}") from exc
         return cls(syntactic=syn, kinematic=KinematicMoG(mixtures), association=assoc, part_type_count=ptc)
 
 
 def save_models(models: RelationModels, path: str) -> None:
-    text = json.dumps(models.to_json_dict(), sort_keys=True, indent=2, allow_nan=False)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+    write_json(path, models.to_json_dict())
 
 
 def load_models(path: str) -> RelationModels:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"models file {path}: invalid JSON: {exc}") from exc
-    return RelationModels.from_json_dict(doc)
+    return read_json(path, RelationModels.from_json_dict)

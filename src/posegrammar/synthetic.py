@@ -8,7 +8,6 @@ regenerated byte-for-byte.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -22,6 +21,7 @@ from .grammar import (
     NodeId,
     default_attributes,
 )
+from .jsonio import malformed, read_json, write_json
 
 # Canonical joint offsets (pixels) relative to the torso center, y down.
 CANONICAL_POSE: dict[NodeId, tuple[float, float]] = {
@@ -116,7 +116,7 @@ class SyntheticScene:
 
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "SyntheticScene":
-        try:
+        with malformed("scene document", doc):
             persons = tuple(
                 Person(
                     joints={str(p): (float(v[0]), float(v[1])) for p, v in entry["joints"].items()},
@@ -126,25 +126,14 @@ class SyntheticScene:
             )
             w, h = doc["image_size"]
             return cls(persons=persons, image_size=(int(w), int(h)))
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
-            if isinstance(exc, ValidationError):
-                raise
-            raise ValidationError(f"malformed scene document: {exc}") from exc
 
 
 def save_scene(scene: SyntheticScene, path: str) -> None:
-    text = json.dumps(scene.to_json_dict(), sort_keys=True, indent=2, allow_nan=False)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+    write_json(path, scene.to_json_dict())
 
 
 def load_scene(path: str) -> SyntheticScene:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"scene file {path}: invalid JSON: {exc}") from exc
-    return SyntheticScene.from_json_dict(doc)
+    return read_json(path, SyntheticScene.from_json_dict)
 
 
 def person_bbox(person: Person, pad: float = 8.0) -> tuple[float, float, float, float]:

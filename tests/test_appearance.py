@@ -217,14 +217,6 @@ class TestProposalIO:
         save_proposals(load_proposals(str(p1)), str(p2))
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_writer_refuses_nan_and_leaves_no_file(self, tmp_path):
-        table = ScoreTable({"p1": {"hat": {"yes": 0.5}}})
-        props = [Proposal(id="p1", part="head", x=math.nan, y=1.0, part_type=1, box=(0, 0, 2, 2))]
-        path = tmp_path / "props.jsonl"
-        with pytest.raises(ValueError, match="not JSON compliant"):
-            save_proposals(ProposalSet.from_proposals(props, table), str(path))
-        assert not path.exists()
-
     def test_rejects_infinity_token(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         doc = {

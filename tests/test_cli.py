@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -369,6 +370,19 @@ class TestParse:
         assert code == 2
         assert "invalid --mode" in capsys.readouterr().err
 
+    def test_models_file_holding_an_array_exits_one(self, pipeline, tmp_path, capsys):
+        models = tmp_path / "models.json"
+        models.write_text("[]", encoding="utf-8")
+        out = tmp_path / "p.json"
+        argv = [
+            "parse", "--grammar", pipeline["grammar"], "--models", str(models),
+            "--proposals", pipeline["proposals"], "--out", str(out),
+        ]
+        assert cli_dispatch(argv) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {models}: malformed models document: expected a JSON object, got list"]
+        assert not out.exists()
+
 
 class TestRender:
     def test_svg_has_thirteen_sticks(self, pipeline, tmp_path):
@@ -411,6 +425,24 @@ class TestRender:
         assert svg.count('<line class="stick"') == 13
         assert 'gender: male' in svg
 
+    @pytest.mark.parametrize(
+        "field, token", [("x", "NaN"), ("x", "1e400"), ("total_score", "NaN"), ("total_score", "1e400")]
+    )
+    def test_non_finite_parse_exits_one_and_writes_no_svg(self, pipeline, tmp_path, capsys, field, token):
+        grammar = build_default_human_grammar()
+        pg = ParseGraph({"head": PartState("head", 5.0, 6.0, 1, "p")}, (), (), {}, 1.5)
+        parse_path = tmp_path / "parse.json"
+        save_parse_graph(pg, str(parse_path), grammar)
+        text = re.sub(rf'("{field}": )[-0-9.e]+', rf"\g<1>{token}", _read(parse_path), count=1)
+        parse_path.write_text(text, encoding="utf-8")
+        svg_path = tmp_path / "parse.svg"
+        argv = ["render", "--parse", str(parse_path), "--grammar", pipeline["grammar"], "--out", str(svg_path)]
+        assert cli_dispatch(argv) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {parse_path}: ")
+        assert not svg_path.exists()
+
 
 class TestEvalAp:
     def test_fixture_through_files(self, tmp_path, capsys):
@@ -432,8 +464,8 @@ class TestEvalAp:
 
     @pytest.mark.parametrize(
         "bad",
-        ["[0.9, 0.8", '{"a": 1}', "0.9", '["a", 0.8]'],
-        ids=["truncated", "object", "number", "string-entry"],
+        ["[0.9, 0.8", '{"a": 1}', "0.9", '["a", 0.8]', "[true, 0.8]"],
+        ids=["truncated", "object", "number", "string-entry", "bool-entry"],
     )
     @pytest.mark.parametrize("which", ["scores", "labels"])
     def test_malformed_input_file_names_it(self, tmp_path, capsys, bad, which):
@@ -497,6 +529,33 @@ class TestEvalPcp:
         assert cli_dispatch(argv) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert err == [f"error: invalid value for --threshold: {value!r}"]
+        assert not report_path.exists()
+
+    @pytest.mark.parametrize("token", ["NaN", "1e400"])
+    @pytest.mark.parametrize("which", ["pred", "truth"])
+    def test_non_finite_coordinate_exits_one(self, pipeline, tmp_path, capsys, which, token):
+        pred = tmp_path / "pred"
+        self._write_perfect_preds(pipeline, pred, 40)
+        truth = tmp_path / "truth.jsonl"
+        truth.write_text(_read(pipeline["annotations"]), encoding="utf-8")
+        if which == "pred":
+            bad = where = pred / "pred_00003.json"
+            pattern = r'("x": )[-0-9.e]+'
+        else:
+            bad, where = truth, f"{truth}:1"
+            pattern = r'("head": \[)[-0-9.e]+'
+        text = _read(bad)
+        bad.write_text(re.sub(pattern, rf"\g<1>{token}", text, count=1), encoding="utf-8")
+        report_path = tmp_path / "report.json"
+        argv = [
+            "eval-pcp", "--pred", str(pred), "--truth", str(truth),
+            "--grammar", pipeline["grammar"], "--report", str(report_path),
+        ]
+        assert cli_dispatch(argv) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {where}: ")
+        assert ("non-finite JSON constant" if token == "NaN" else "must be finite") in err[0]
         assert not report_path.exists()
 
     def test_count_mismatch_exits_one(self, pipeline, tmp_path, capsys):

@@ -373,13 +373,6 @@ class TestParseGraph:
         assert set(back.used_psg_edges) == {("root", "a"), ("root", "b")}
         assert back.used_dg_edges == (("a", "b"),)
 
-    def test_writer_refuses_nan_and_leaves_no_file(self, tmp_path):
-        g = _toy_grammar()
-        path = tmp_path / "parse.json"
-        with pytest.raises(ValueError, match="not JSON compliant"):
-            save_parse_graph(_toy_parse(score=math.nan), str(path), g)
-        assert not path.exists()
-
     def test_partial_parse_keeps_only_covered_edges(self):
         g = _toy_grammar()
         doc = {

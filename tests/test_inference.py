@@ -17,7 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posegrammar.appearance import Proposal, ProposalSet, ScoreTable, synth_scores
+from posegrammar.appearance import Proposal, ProposalSet, ScoreTable, save_proposals, synth_scores
+from posegrammar.cli import cli_dispatch
 from posegrammar.errors import (
     EnumerationLimitError,
     InfeasibleParseError,
@@ -32,6 +33,7 @@ from posegrammar.grammar import (
     ParseGraph,
     PartState,
     recompute_score,
+    save_grammar,
 )
 from posegrammar.inference import (
     _CACHES,
@@ -53,6 +55,7 @@ from posegrammar.relations import (
     Mixture,
     RelationModels,
     SyntacticTable,
+    save_models,
     uniform_syntactic_table,
 )
 from posegrammar.synthetic import two_person_scene
@@ -766,3 +769,38 @@ class TestNonFiniteRelations:
     def test_brute_force_parse(self, grammar, quick_models):
         with pytest.raises(ValidationError, match=self._MESSAGE):
             brute_force_parse(grammar, quick_models, self._far_heads(), ("constrained", "gender", "male"))
+
+
+class TestPartTypesBeyondModels:
+    """A proposal whose type exceeds the models' type count is refused when
+    the relation tables are built, naming the proposal, its type, the edge
+    and the count, instead of an IndexError from the search."""
+
+    _MESSAGE = "edge root->b: proposal 'b1' has part_type 5, beyond the models' part_type_count 2"
+
+    @staticmethod
+    def _type_five():
+        g, models, pset = _toy_world(41)
+        buckets = {
+            part: [dataclasses.replace(p, part_type=5) if p.id == "b1" else p for p in props]
+            for part, props in pset.buckets.items()
+        }
+        return g, models, ProposalSet(buckets, pset.scores, part_type_count=9)
+
+    def test_parse_unconstrained(self):
+        g, models, pset = self._type_five()
+        with pytest.raises(ValidationError, match=self._MESSAGE):
+            parse_unconstrained(g, models, pset)
+
+    def test_cli_parse_exits_one(self, tmp_path, capsys):
+        _, models, pset = self._type_five()
+        paths = {name: str(tmp_path / f"{name}.json") for name in ("grammar", "models", "proposals")}
+        save_grammar(_toy_grammar(part_type_count=9), paths["grammar"])
+        save_models(models, paths["models"])
+        save_proposals(pset, paths["proposals"])
+        out = tmp_path / "parse.json"
+        argv = ["parse", "--mode", "unconstrained", "--out", str(out)]
+        argv += [f"--{name}={path}" for name, path in paths.items()]
+        assert cli_dispatch(argv) == 1
+        assert capsys.readouterr().err.strip().splitlines() == [f"error: {self._MESSAGE}"]
+        assert not out.exists()

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import posegrammar
 
 
@@ -10,3 +13,23 @@ def test_every_exported_name_resolves_once():
     assert len(names) == len(set(names))
     missing = [n for n in names if not hasattr(posegrammar, n)]
     assert missing == []
+
+
+def test_only_the_codec_encodes_or_decodes_json():
+    """The file contract lives in ``posegrammar.jsonio``: no other module
+    calls ``json.load``, ``json.loads``, ``json.dump`` or ``json.dumps``,
+    or imports them from ``json``."""
+    banned = {"load", "loads", "dump", "dumps"}
+    offenders = []
+    for path in sorted(Path(posegrammar.__file__).parent.glob("*.py")):
+        if path.name == "jsonio.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr in banned
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "json"
+            ) or (isinstance(node, ast.ImportFrom) and node.module == "json"):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
