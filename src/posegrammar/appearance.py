@@ -51,6 +51,11 @@ class Proposal:
         box = tuple(float(v) for v in self.box)
         if len(box) != 4:
             raise ValidationError(f"proposal {self.id!r}: box must have 4 entries, got {box!r}")
+        x, y = float(self.x), float(self.y)
+        if not all(map(math.isfinite, (x, y) + box)):
+            raise ValidationError(
+                f"proposal {self.id!r}: x, y and box must be finite, got ({x!r}, {y!r}) and {box!r}"
+            )
         if box[2] <= 0.0 or box[3] <= 0.0:
             raise ValidationError(
                 f"proposal {self.id!r}: box width and height must be positive, got {box!r}"
@@ -60,8 +65,8 @@ class Proposal:
                 f"proposal {self.id!r}: part_type must be >= 1, got {self.part_type}"
             )
         object.__setattr__(self, "box", box)
-        object.__setattr__(self, "x", float(self.x))
-        object.__setattr__(self, "y", float(self.y))
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
 
 
 class ScoreTable:
@@ -179,8 +184,8 @@ def _proposal_from_doc(doc: Mapping, scores: ScoreTable | None = None) -> Propos
             raise ValidationError(f"box must be a 4-element array, got {box!r}")
         for field in ("x", "y"):
             v = doc[field]
-            if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
-                raise ValidationError(f"field {field!r} must be a finite number, got {v!r}")
+            if not isinstance(v, (int, float)) or isinstance(v, bool):
+                raise ValidationError(f"field {field!r} must be a number, got {v!r}")
         proposal = Proposal(
             id=str(doc["id"]),
             part=str(doc["part"]),
@@ -219,17 +224,14 @@ def save_proposals(pset: ProposalSet, path: str) -> None:
 
 
 def _part_box(
-    part: NodeId,
-    keypoints: Mapping[NodeId, tuple[float, float]],
-    scale: float,
+    part: NodeId, keypoints: Mapping[NodeId, tuple[float, float]]
 ) -> tuple[float, float, float, float]:
     if part in PART_BOX_SIZES:
         w, h = PART_BOX_SIZES[part]
-        w, h = w * scale, h * scale
         x, y = keypoints[part]
         return (x - w / 2.0, y - h / 2.0, w, h)
     members = PART_MEMBERS[part]
-    pad = 6.0 * scale
+    pad = 6.0
     xs = [keypoints[m][0] for m in members]
     ys = [keypoints[m][1] for m in members]
     x0, y0 = min(xs) - pad, min(ys) - pad
@@ -246,7 +248,6 @@ def synth_scores(
     target_bonus: float = 0.15,
     distractor_coherence: float = 0.0,
     part_type_count: int = 9,
-    scale: float = 1.0,
 ) -> ProposalSet:
     """Oracle appearance provider over a synthetic scene.
 
@@ -288,7 +289,7 @@ def synth_scores(
                     x=x,
                     y=y,
                     part_type=int(rng.integers(1, part_type_count + 1)),
-                    box=_part_box(part, keypoints, scale),
+                    box=_part_box(part, keypoints),
                 )
             )
             for attr in attr_defs:

@@ -243,17 +243,31 @@ def _cmd_eval_pcp(opts: dict) -> int:
 
 
 def _number_array(doc) -> list:
+    """A JSON array of finite numbers."""
     if not isinstance(doc, list) or not all(
         isinstance(v, (int, float)) and not isinstance(v, bool) for v in doc
     ):
         raise ValidationError("expected a JSON array of numbers")
+    try:
+        finite = all(map(math.isfinite, doc))
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite:
+        raise ValidationError("entries must be finite numbers")
+    return doc
+
+
+def _label_array(doc) -> list:
+    """A JSON array of 0/1 labels."""
+    if not all(v in (0, 1) for v in _number_array(doc)):
+        raise ValidationError("labels must be 0 or 1")
     return doc
 
 
 def _cmd_eval_ap(opts: dict) -> int:
     _require(opts, "scores", "labels")
     scores = read_json(opts["scores"], _number_array)
-    labels = read_json(opts["labels"], _number_array)
+    labels = read_json(opts["labels"], _label_array)
     ap = evaluation.average_precision(scores, labels)
     write_json(None, {"average_precision": ap, "n": len(scores)})
     return 0

@@ -147,6 +147,13 @@ INFORMATIVE_PARTS: dict[AttrId, tuple[NodeId, ...]] = {
     "backpack": ("torso", "l_shoulder", "r_shoulder"),
 }
 
+# Occlusion noise: the chance that a joint's visibility flips, that a
+# visible attribute is still recorded unknown (drop), and that an occluded
+# one is recorded known (leak).
+JOINT_FLIP = 0.03
+ATTR_DROP = 0.08
+ATTR_LEAK = 0.04
+
 # Body regions that get occluded together, with their occlusion rates.
 OCCLUSION_REGIONS: tuple[tuple[tuple[NodeId, ...], float], ...] = (
     (("l_hip", "r_hip", "l_upper_leg", "l_lower_leg", "r_upper_leg", "r_lower_leg"), 0.25),
@@ -161,9 +168,6 @@ def annotation_from_person(
     rng: np.random.Generator | None = None,
     *,
     occlude: bool = False,
-    joint_flip: float = 0.03,
-    attr_drop: float = 0.08,
-    attr_leak: float = 0.04,
 ) -> Annotation:
     """Turn a synthetic person into an annotation record.
 
@@ -184,16 +188,16 @@ def annotation_from_person(
                 for part in region:
                     visible[part] = False
         for part in visible:
-            if rng.random() < joint_flip:
+            if rng.random() < JOINT_FLIP:
                 visible[part] = not visible[part]
         if not any(visible.values()):
             visible["torso"] = True
         for attr, value in person.attributes.items():
             informative = INFORMATIVE_PARTS.get(attr, tuple(person.joints))
             known = any(visible[p] for p in informative)
-            if known and rng.random() < attr_drop:
+            if known and rng.random() < ATTR_DROP:
                 known = False
-            elif not known and rng.random() < attr_leak:
+            elif not known and rng.random() < ATTR_LEAK:
                 known = True
             attributes[attr] = value if known else None
     joints = {
@@ -206,7 +210,6 @@ def make_training_pairs(
     n: int,
     seed: int,
     grammar: AOGrammar,
-    **scene_kwargs,
 ) -> tuple[list[Annotation], list[dict[NodeId, int]]]:
     """Seeded single-person training corpus: annotations plus part types."""
     from .synthetic import single_person_scene
@@ -217,18 +220,13 @@ def make_training_pairs(
     type_samples = []
     attr_defs = tuple(grammar.attributes)
     for i in range(n):
-        scene = single_person_scene(_child_seed(seed, i), attr_defs=attr_defs, **scene_kwargs)
+        scene = single_person_scene(_child_seed(seed, i), attr_defs=attr_defs)
         rng = np.random.default_rng([int(seed), i, 1])
         annotations.append(annotation_from_person(scene.persons[0], rng, occlude=True))
         type_samples.append(
             {p: int(rng.integers(1, grammar.part_type_count + 1)) for p in grammar.part_ids}
         )
     return annotations, type_samples
-
-
-def truth_annotation(person: Person) -> Annotation:
-    """Fully visible, fully known annotation for scoring predictions."""
-    return annotation_from_person(person)
 
 
 # -- diagnostic harness -------------------------------------------------------
@@ -333,7 +331,7 @@ def run_diagnostic(
             distractor_coherence=cfg.synth_coherence,
             part_type_count=grammar.part_type_count,
         )
-        truth = truth_annotation(scene.persons[0])
+        truth = annotation_from_person(scene.persons[0])
         truth_values = scene.persons[0].attributes
 
         mode_scores: dict[str, dict[AttrId, dict[str, float]]] = {}

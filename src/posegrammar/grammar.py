@@ -557,6 +557,10 @@ class ParseGraph:
         for part, st in self.states.items():
             if part != st.part:
                 raise ValidationError(f"state keyed {part!r} describes part {st.part!r}")
+        if not math.isfinite(self.total_score):
+            raise ValidationError(
+                f"parse graph total_score must be finite, got {self.total_score!r}"
+            )
 
     def to_json_dict(self, grammar: AOGrammar | None = None) -> dict:
         if grammar is not None:
@@ -595,8 +599,6 @@ class ParseGraph:
             }
             assignment = {str(k): str(v) for k, v in doc.get("attributes", {}).items()}
             total = float(doc["total_score"])
-        if not math.isfinite(total):
-            raise ValidationError(f"total_score must be finite, got {total!r}")
         present = set(states)
         psg = tuple(e for e in grammar.psg_edges if e[0] in present and e[1] in present)
         dg = tuple(e for e in grammar.dg_edges if e[0] in present and e[1] in present)

@@ -38,7 +38,7 @@ blowup.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -59,24 +59,13 @@ Objective = str | tuple[str, AttrId, str]
 
 @dataclass(frozen=True)
 class BeamConfig:
-    """Beam width and part expansion order (None picks the default order)."""
+    """Beam width."""
 
     beam_width: int = 100
-    expansion_order: tuple[NodeId, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.beam_width < 1:
             raise ValidationError(f"beam_width must be >= 1, got {self.beam_width}")
-        if self.expansion_order is not None:
-            object.__setattr__(self, "expansion_order", tuple(self.expansion_order))
-
-
-@dataclass
-class PartialParse:
-    """Prefix of a parse during beam search: grounded parts plus score."""
-
-    assigned: dict[NodeId, PartState] = field(default_factory=dict)
-    score: float = 0.0
 
 
 def default_expansion_order(grammar: AOGrammar) -> tuple[NodeId, ...]:
@@ -104,26 +93,6 @@ def default_expansion_order(grammar: AOGrammar) -> tuple[NodeId, ...]:
                 f"cannot derive an expansion order: parts {pool} never become placeable"
             )
     return tuple(order)
-
-
-def _validated_order(grammar: AOGrammar, cfg: BeamConfig) -> tuple[NodeId, ...]:
-    if cfg.expansion_order is None:
-        return default_expansion_order(grammar)
-    order = cfg.expansion_order
-    if sorted(order) != sorted(grammar.part_ids):
-        raise ValidationError("expansion_order must be a permutation of the grammar's parts")
-    if order[0] != grammar.root:
-        raise ValidationError(
-            f"expansion_order must start at the root {grammar.root!r}, got {order[0]!r}"
-        )
-    position = {p: i for i, p in enumerate(order)}
-    for part in order:
-        for parent in (grammar.psg_parent(part), grammar.dg_parent(part)):
-            if parent is not None and position[parent] > position[part]:
-                raise ValidationError(
-                    f"expansion_order places {part!r} before its parent {parent!r}"
-                )
-    return order
 
 
 class _Bucket:
@@ -297,10 +266,11 @@ def _prefetch_buckets(
     return steps
 
 
-def _prepare(grammar, models, pset, objective, cfg):
-    """The objective's assignment, and per step of the validated order the
-    bucket, its appearance vector and the tables of the edges it closes."""
-    order = _validated_order(grammar, cfg or BeamConfig())
+def _prepare(grammar, models, pset, objective):
+    """The objective's assignment, and per step of the default expansion
+    order the bucket, its appearance vector and the tables of the edges it
+    closes."""
+    order = default_expansion_order(grammar)
     assignment = _assignment(grammar, objective)
     cache = _CACHES.setdefault(pset, _Cache())
     steps = _prefetch_buckets(grammar, pset, cache, order, assignment)
@@ -347,7 +317,7 @@ def _cut(scores: np.ndarray, keys: np.ndarray, width: int) -> np.ndarray:
     return pool[np.lexsort((keys[pool], -scores[pool]))[:width]]
 
 
-def _run_beam(steps: list[_Step], beam_width: int, collect_trace=None):
+def _run_beam(steps: list[_Step], beam_width: int):
     """Best (score, per-step proposal indices) under the beam.
 
     Ties go to the lexicographically smaller tuple of proposal ids.  Each
@@ -357,8 +327,6 @@ def _run_beam(steps: list[_Step], beam_width: int, collect_trace=None):
     first = steps[0]
     keep = _cut(first.app, first.bucket.id_rank, beam_width)
     score, rank, idxs = first.app[keep], first.bucket.id_rank[keep], keep[:, None]
-    if collect_trace is not None:
-        collect_trace.append(_trace_entry(steps, score, idxs))
     for step in steps[1:]:
         total = _extend(step, score, idxs).ravel()
         n = len(step.app)
@@ -366,24 +334,12 @@ def _run_beam(steps: list[_Step], beam_width: int, collect_trace=None):
         keep = _cut(total, keys, beam_width)
         score, rank = total[keep], _ranks(np.argsort(keys[keep]))
         idxs = np.column_stack((idxs[keep // n], keep % n))
-        if collect_trace is not None:
-            collect_trace.append(_trace_entry(steps, score, idxs))
     return float(score[0]), idxs[0].tolist()
 
 
 def _state(step: _Step, j: int) -> PartState:
     p = step.bucket.props[j]
     return PartState(part=p.part, x=p.x, y=p.y, part_type=p.part_type, proposal_ref=p.id)
-
-
-def _trace_entry(steps, score, idxs):
-    return tuple(
-        PartialParse(
-            assigned={steps[si].bucket.part: _state(steps[si], j) for si, j in enumerate(row)},
-            score=float(s),
-        )
-        for s, row in zip(score, idxs.tolist())
-    )
 
 
 def _build_parse_graph(grammar, steps, score, idxs, assignment) -> ParseGraph:
@@ -396,11 +352,10 @@ def _build_parse_graph(grammar, steps, score, idxs, assignment) -> ParseGraph:
     )
 
 
-def _search(grammar, models, pset, objective, cfg, collect_trace) -> ParseGraph:
+def _search(grammar, models, pset, objective, cfg) -> ParseGraph:
     """Beam search for the best parse under ``objective``."""
-    cfg = cfg or BeamConfig()
-    assignment, steps = _prepare(grammar, models, pset, objective, cfg)
-    score, idxs = _run_beam(steps, cfg.beam_width, collect_trace)
+    assignment, steps = _prepare(grammar, models, pset, objective)
+    score, idxs = _run_beam(steps, (cfg or BeamConfig()).beam_width)
     return _build_parse_graph(grammar, steps, score, idxs, assignment)
 
 
@@ -411,11 +366,9 @@ def parse_constrained(
     attr: AttrId,
     value: str,
     cfg: BeamConfig | None = None,
-    *,
-    collect_trace: list | None = None,
 ) -> ParseGraph:
     """Best parse with ``attr`` fixed to ``value`` on every part."""
-    return _search(grammar, models, pset, ("constrained", attr, value), cfg, collect_trace)
+    return _search(grammar, models, pset, ("constrained", attr, value), cfg)
 
 
 def parse_unconstrained(
@@ -423,11 +376,9 @@ def parse_unconstrained(
     models: RelationModels,
     pset: ProposalSet,
     cfg: BeamConfig | None = None,
-    *,
-    collect_trace: list | None = None,
 ) -> ParseGraph:
     """Best parse with every part free to pick its own attribute values."""
-    return _search(grammar, models, pset, "unconstrained", cfg, collect_trace)
+    return _search(grammar, models, pset, "unconstrained", cfg)
 
 
 def brute_force_parse(
@@ -435,7 +386,6 @@ def brute_force_parse(
     models: RelationModels,
     pset: ProposalSet,
     objective: Objective,
-    cfg: BeamConfig | None = None,
 ) -> ParseGraph:
     """Exact argmax by exhaustive enumeration; the testing oracle.
 
@@ -444,7 +394,7 @@ def brute_force_parse(
     and breaks ties on the tuple of proposal ids as the beam does, so a
     beam covering the full lattice reproduces its result bit for bit.
     """
-    assignment, steps = _prepare(grammar, models, pset, objective, cfg)
+    assignment, steps = _prepare(grammar, models, pset, objective)
 
     total = 1
     for step in steps:
@@ -480,22 +430,20 @@ def select_final(
     grammar: AOGrammar,
     models: RelationModels,
     pset: ProposalSet,
-    attr_values: Sequence[tuple[AttrId, str]] | None = None,
     cfg: BeamConfig | None = None,
 ) -> tuple[ParseGraph, dict[tuple[AttrId, str], ParseGraph]]:
-    """Run one constrained parse per (attribute, value) pair; keep the best.
+    """Run one constrained parse per (attribute, value) pair of the
+    grammar; keep the best.
 
     Returns the winning parse graph and the full pair-to-parse map.  Ties
-    go to the earliest pair in list order.
+    go to the earliest pair in grammar order.
     """
-    if attr_values is None:
-        attr_values = [(a.id, v) for a in grammar.attributes for v in a.domain]
-    attr_values = list(attr_values)
-    if not attr_values:
+    pairs = [(a.id, v) for a in grammar.attributes for v in a.domain]
+    if not pairs:
         raise ValidationError("select_final needs at least one (attribute, value) pair")
     per_pair: dict[tuple[AttrId, str], ParseGraph] = {}
     best_pair = None
-    for attr, value in attr_values:
+    for attr, value in pairs:
         pg = parse_constrained(grammar, models, pset, attr, value, cfg)
         per_pair[(attr, value)] = pg
         if best_pair is None or pg.total_score > per_pair[best_pair].total_score:

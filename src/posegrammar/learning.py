@@ -35,6 +35,7 @@ from .relations import (
     Mixture,
     SyntacticTable,
     _component_constants,
+    _log_sum_exp,
     _mixture_terms,
 )
 
@@ -45,6 +46,9 @@ from .relations import (
 OVERLAP_NEGATIVE = 0.5
 OVERLAP_POSITIVE = 0.7
 DISTANCE_BOUND = 0.5
+
+# EM stops once the mean log-likelihood gains less than this per iteration.
+EM_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -85,6 +89,8 @@ class Annotation:
         if not any(j.visible for j in joints.values()):
             raise ValidationError("annotation needs at least one visible joint")
         box = tuple(float(v) for v in self.person_box)
+        if not all(map(math.isfinite, box)):
+            raise ValidationError(f"annotation person box must be finite, got {box!r}")
         if len(box) != 4 or box[2] <= 0.0 or box[3] <= 0.0:
             raise ValidationError(f"person box must have positive area, got {box!r}")
         object.__setattr__(self, "joints", joints)
@@ -206,10 +212,8 @@ def label_proposals(ann: Annotation, proposals: Sequence[Proposal]) -> list[Labe
 def fit_syntactic(
     data: Sequence[tuple[Annotation, Mapping[NodeId, int]]],
     grammar: AOGrammar,
-    *,
-    alpha: float = 1.0,
 ) -> SyntacticTable:
-    """Fit per-edge part-type co-occurrence tables with add-alpha smoothing.
+    """Fit per-edge part-type co-occurrence tables with add-one smoothing.
 
     ``data`` pairs each annotation with the part types chosen for it (for
     example the types of its matched positive proposals).  An edge
@@ -239,7 +243,7 @@ def fit_syntactic(
                 f"no part-type samples for edge {edge}; using the uniform table",
                 stacklevel=2,
             )
-        tables[edge] = (counts + alpha) / (n + alpha * cells)
+        tables[edge] = (counts + 1.0) / (n + cells)
     return SyntacticTable(tables, part_type_count=t)
 
 
@@ -272,10 +276,7 @@ def _em_fit(
     k: int,
     rng: np.random.Generator,
     max_iter: int,
-    tol: float,
 ) -> tuple[Mixture, list[float]]:
-    from scipy.special import logsumexp
-
     n = X.shape[0]
     means = _kmeans_plusplus(X, k, rng)
     labels = np.argmin(
@@ -299,14 +300,14 @@ def _em_fit(
     for _ in range(max_iter):
         # E-step quantities double as the likelihood trace.
         log_comp = _mixture_terms(X, means, *_component_constants(weights, covs))
-        log_mix = logsumexp(log_comp, axis=1)
+        log_mix = _log_sum_exp(log_comp)
         ll = float(np.mean(log_mix))
         if prev is not None and ll < prev - 1e-7:
             raise RuntimeError(
                 f"EM mean log-likelihood decreased from {prev} to {ll}"
             )
         trace.append(ll)
-        if prev is not None and ll - prev < tol:
+        if prev is not None and ll - prev < EM_TOL:
             break
         prev = ll
 
@@ -323,7 +324,7 @@ def _em_fit(
             covs[i] = _floor_covariance((resp[:, i] * diff.T) @ diff / nk[i])
         weights = weights / weights.sum()
     else:
-        log_mix = logsumexp(_mixture_terms(X, means, *_component_constants(weights, covs)), axis=1)
+        log_mix = _log_sum_exp(_mixture_terms(X, means, *_component_constants(weights, covs)))
         trace.append(float(np.mean(log_mix)))
 
     return Mixture(weights=weights, means=means, covariances=covs), trace
@@ -334,7 +335,6 @@ def fit_kinematic(
     n_components: int = 10,
     seed: int = 0,
     max_iter: int = 200,
-    tol: float = 1e-6,
 ) -> KinematicMoG:
     """Fit one displacement mixture per dependency edge via EM.
 
@@ -366,7 +366,7 @@ def fit_kinematic(
             )
             k = n
         rng = np.random.default_rng([int(seed), index])
-        mixtures[edge], traces[edge] = _em_fit(X, k, rng, max_iter, tol)
+        mixtures[edge], traces[edge] = _em_fit(X, k, rng, max_iter)
     return KinematicMoG(mixtures, fit_traces=traces)
 
 

@@ -41,7 +41,7 @@ CANONICAL_POSE: dict[NodeId, tuple[float, float]] = {
     "r_lower_leg": (12.0, 62.0),
 }
 
-# Approximate box extents per atomic part, at scale 1.
+# Approximate box extents per atomic part.
 PART_BOX_SIZES: dict[NodeId, tuple[float, float]] = {
     "head": (24.0, 24.0),
     "torso": (34.0, 46.0),
@@ -136,8 +136,9 @@ def load_scene(path: str) -> SyntheticScene:
     return read_json(path, SyntheticScene.from_json_dict)
 
 
-def person_bbox(person: Person, pad: float = 8.0) -> tuple[float, float, float, float]:
-    """Axis-aligned joint bounding box with padding, as (x0, y0, w, h)."""
+def person_bbox(person: Person) -> tuple[float, float, float, float]:
+    """Axis-aligned joint bounding box padded by 8 pixels, as (x0, y0, w, h)."""
+    pad = 8.0
     xs = [x for x, _ in person.joints.values()]
     ys = [y for _, y in person.joints.values()]
     x0, y0 = min(xs) - pad, min(ys) - pad
@@ -154,13 +155,12 @@ def _sample_person(
     attributes: Mapping[AttrId, str],
     image_size: tuple[int, int],
     pose_sigma: float,
-    scale: float,
 ) -> Person:
     w, h = image_size
     joints = {}
     for part, (ox, oy) in CANONICAL_POSE.items():
-        x = center[0] + scale * ox + float(rng.normal(0.0, pose_sigma))
-        y = center[1] + scale * oy + float(rng.normal(0.0, pose_sigma))
+        x = center[0] + ox + float(rng.normal(0.0, pose_sigma))
+        y = center[1] + oy + float(rng.normal(0.0, pose_sigma))
         joints[part] = (min(max(x, 0.0), float(w)), min(max(y, 0.0), float(h)))
     return Person(joints=joints, attributes=dict(attributes))
 
@@ -170,7 +170,6 @@ def single_person_scene(
     *,
     image_size: tuple[int, int] = (320, 240),
     pose_sigma: float = 6.0,
-    scale: float = 1.0,
     attr_defs: Sequence[AttributeDef] | None = None,
 ) -> SyntheticScene:
     """One person near the canvas center, pose and attributes seeded."""
@@ -182,7 +181,7 @@ def single_person_scene(
         h * 0.5 + float(rng.normal(0.0, h * 0.04)),
     )
     attrs = _sample_attributes(rng, attr_defs)
-    person = _sample_person(rng, center, attrs, image_size, pose_sigma, scale)
+    person = _sample_person(rng, center, attrs, image_size, pose_sigma)
     return SyntheticScene(persons=(person,), image_size=image_size)
 
 
@@ -192,16 +191,16 @@ def two_person_scene(
     image_size: tuple[int, int] = (320, 240),
     spacing: float = 24.0,
     pose_sigma: float = 6.0,
-    scale: float = 1.0,
     attr_defs: Sequence[AttributeDef] | None = None,
-    force_attribute_difference: bool = True,
 ) -> SyntheticScene:
     """Target person plus a close distractor standing beside them.
 
     The first person is the target.  The distractor stands ``spacing``
     pixels to the side, close enough that its limbs are geometrically
     plausible continuations of the target's, which is what makes joint
-    pose-and-attribute reasoning pay off over pose alone.
+    pose-and-attribute reasoning pay off over pose alone.  When the two
+    draw the same attributes, the distractor's first attribute moves to
+    another value, so the two never agree on every attribute.
     """
     attr_defs = default_attributes() if attr_defs is None else tuple(attr_defs)
     rng = np.random.default_rng(int(seed))
@@ -217,13 +216,13 @@ def two_person_scene(
     )
     attrs_a = _sample_attributes(rng, attr_defs)
     attrs_b = _sample_attributes(rng, attr_defs)
-    if force_attribute_difference and attrs_a == attrs_b:
+    if attrs_a == attrs_b:
         first = attr_defs[0]
         alternatives = [v for v in first.domain if v != attrs_a[first.id]]
         attrs_b = dict(attrs_b)
         attrs_b[first.id] = alternatives[0]
-    person_a = _sample_person(rng, center, attrs_a, image_size, pose_sigma, scale)
-    person_b = _sample_person(rng, other, attrs_b, image_size, pose_sigma, scale)
+    person_a = _sample_person(rng, center, attrs_a, image_size, pose_sigma)
+    person_b = _sample_person(rng, other, attrs_b, image_size, pose_sigma)
     return SyntheticScene(persons=(person_a, person_b), image_size=image_size)
 
 

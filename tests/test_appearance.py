@@ -43,6 +43,10 @@ class TestProposal:
         with pytest.raises(ValidationError, match="part_type must be >= 1"):
             _proposal(part_type=0)
 
+    def test_rejects_non_finite_position_and_box(self):
+        with pytest.raises(ValidationError, match="proposal 'p': x, y and box must be finite"):
+            Proposal(id="p", part="head", x=math.nan, y=math.inf, box=(math.nan,) * 4, part_type=1)
+
 
 class TestScoreTable:
     def test_set_and_lookup(self):

@@ -304,9 +304,13 @@ class TestParse:
         assert len(_read_json(out)["attributes"]) == 1
 
     def test_joint_parse_loads_no_scipy(self, pipeline, tmp_path):
-        """The parse path needs numpy only; a fresh interpreter running a
-        joint parse never imports scipy."""
-        argv = [
+        """The learn and parse paths need numpy only; a fresh interpreter
+        running a learn and a joint parse never imports scipy."""
+        learn = [
+            "learn", "--annotations", pipeline["annotations"], "--grammar", pipeline["grammar"],
+            "--components", "2", "--seed", "5", "--out", str(tmp_path / "m.json"),
+        ]
+        parse = [
             "parse", "--grammar", pipeline["grammar"], "--models", pipeline["models"],
             "--proposals", pipeline["proposals"], "--beam", "8", "--out", str(tmp_path / "p.json"),
         ]
@@ -315,7 +319,9 @@ class TestParse:
             "import posegrammar\n"
             "assert 'scipy' not in sys.modules, 'import'\n"
             "from posegrammar.cli import cli_dispatch\n"
-            f"assert cli_dispatch({argv!r}) == 0\n"
+            f"assert cli_dispatch({learn!r}) == 0\n"
+            "assert 'scipy' not in sys.modules, 'learn'\n"
+            f"assert cli_dispatch({parse!r}) == 0\n"
             "assert 'scipy' not in sys.modules, 'parse'\n"
         )
         src = os.path.dirname(os.path.dirname(posegrammar.__file__))
@@ -462,12 +468,25 @@ class TestEvalAp:
         labels.write_text("[0, 0]", encoding="utf-8")
         assert cli_dispatch(["eval-ap", "--scores", str(scores), "--labels", str(labels)]) == 1
 
+    _MALFORMED = {
+        "truncated": "[0.9, 0.8",
+        "object": '{"a": 1}',
+        "number": "0.9",
+        "string-entry": '["a", 0.8]',
+        "bool-entry": "[true, 0.8]",
+        "non-finite": "[1e400, 0.8]",
+        "huge-int": "[1" + "0" * 400 + ", 0]",
+    }
+
     @pytest.mark.parametrize(
-        "bad",
-        ["[0.9, 0.8", '{"a": 1}', "0.9", '["a", 0.8]', "[true, 0.8]"],
-        ids=["truncated", "object", "number", "string-entry", "bool-entry"],
+        "which, bad",
+        [
+            pytest.param(which, bad, id=f"{which}-{name}")
+            for name, bad in _MALFORMED.items()
+            for which in ("scores", "labels")
+        ]
+        + [pytest.param("labels", "[2, 0]", id="labels-not-0-or-1")],
     )
-    @pytest.mark.parametrize("which", ["scores", "labels"])
     def test_malformed_input_file_names_it(self, tmp_path, capsys, bad, which):
         paths = {name: tmp_path / f"{name}.json" for name in ("scores", "labels")}
         paths["scores"].write_text("[0.9, 0.8]", encoding="utf-8")

@@ -28,7 +28,6 @@ from posegrammar.evaluation import (
     parse_attribute_scores,
     run_diagnostic,
     strict_pcp,
-    truth_annotation,
 )
 from posegrammar.grammar import (
     ATOMIC_PARTS,
@@ -236,7 +235,7 @@ class TestAnnotationFromPerson:
     def test_clean_annotation_matches_person(self, grammar):
         scene = single_person_scene(3, attr_defs=tuple(grammar.attributes))
         person = scene.persons[0]
-        ann = truth_annotation(person)
+        ann = annotation_from_person(person)
         assert all(j.visible for j in ann.joints.values())
         assert ann.attributes == person.attributes
         for part, (x, y) in person.joints.items():

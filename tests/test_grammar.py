@@ -306,6 +306,10 @@ class TestParseGraph:
                 total_score=0.0,
             )
 
+    def test_non_finite_total_score_rejected(self):
+        with pytest.raises(ValidationError, match="parse graph total_score must be finite"):
+            ParseGraph({"a": PartState("a", 0.0, 0.0, 1, "p")}, (), (), {}, math.nan)
+
     def test_part_state_type_bound(self):
         with pytest.raises(ValidationError, match="part_type must be >= 1"):
             PartState("a", 0.0, 0.0, 0, "p")

@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import gc
 import math
+import re
 import weakref
 
 import numpy as np
@@ -140,33 +141,6 @@ class TestExpansionOrder:
         # The torso grounds before any limb joint it anchors.
         assert position["torso"] < position["head"]
         assert position["torso"] < position["l_shoulder"]
-
-    def test_explicit_order_accepted(self):
-        g, models, pset = _toy_world(0)
-        cfg = BeamConfig(expansion_order=("root", "a", "b"))
-        pg = parse_constrained(g, models, pset, "c", "u", cfg)
-        default = parse_constrained(g, models, pset, "c", "u")
-        assert pg.states == default.states
-        assert pg.total_score == default.total_score
-
-    def test_order_must_start_at_root(self):
-        g, models, pset = _toy_world(0)
-        cfg = BeamConfig(expansion_order=("a", "root", "b"))
-        with pytest.raises(ValidationError, match="must start at the root"):
-            parse_constrained(g, models, pset, "c", "u", cfg)
-
-    def test_order_must_be_permutation(self):
-        g, models, pset = _toy_world(0)
-        cfg = BeamConfig(expansion_order=("root", "a"))
-        with pytest.raises(ValidationError, match="permutation"):
-            parse_constrained(g, models, pset, "c", "u", cfg)
-
-    def test_child_cannot_precede_parent(self):
-        g, models, pset = _toy_world(0)
-        # b's dependency parent is a; placing b first violates the order.
-        cfg = BeamConfig(expansion_order=("root", "b", "a"))
-        with pytest.raises(ValidationError, match="before its parent"):
-            parse_constrained(g, models, pset, "c", "u", cfg)
 
     def test_beam_width_bound(self):
         with pytest.raises(ValidationError, match="beam_width"):
@@ -366,29 +340,27 @@ def _partial_total(g, models, pset, assigned, attr=None, value=None):
 
 class TestBeamTrace:
     def test_partial_scores_audit(self):
-        """Every traced prefix's score equals an independent recomputation."""
+        """Every prefix of a 3x3x3 lattice, extended step by step through the
+        search's own sum, scores what an independent per-edge recomputation
+        gives, under a constrained and the unconstrained objective."""
         g, models, pset = _toy_world(11, counts=(3, 3, 3))
-        trace: list = []
-        parse_constrained(
-            g, models, pset, "c", "u", BeamConfig(beam_width=4), collect_trace=trace
-        )
-        assert len(trace) == 3
-        audited = 0
-        for step_entries in trace:
-            assert 1 <= len(step_entries) <= 4
-            for partial in step_entries:
-                expected = _partial_total(g, models, pset, partial.assigned, "c", "u")
-                np.testing.assert_allclose(partial.score, expected, rtol=0, atol=1e-9)
-                audited += 1
-        assert audited >= 6
-
-    def test_trace_depths_grow_by_one(self):
-        g, models, pset = _toy_world(11)
-        trace: list = []
-        parse_unconstrained(g, models, pset, BeamConfig(beam_width=2), collect_trace=trace)
-        for depth, entries in enumerate(trace, start=1):
-            for partial in entries:
-                assert len(partial.assigned) == depth
+        for objective, attr, value in ((("constrained", "c", "u"), "c", "u"), ("unconstrained", None, None)):
+            _assignment, steps = _prepare(g, models, pset, objective)
+            score, idxs = steps[0].app, np.arange(len(steps[0].app))[:, None]
+            audited = 0
+            for si, step in enumerate(steps):
+                if si:
+                    total = _extend(step, score, idxs)
+                    b, n = total.shape
+                    score = total.ravel()
+                    idxs = np.column_stack((np.repeat(idxs, n, axis=0), np.tile(np.arange(n), b)))
+                for partial, row in zip(score.tolist(), idxs.tolist()):
+                    props = [steps[k].bucket.props[j] for k, j in enumerate(row)]
+                    assigned = {p.part: PartState(p.part, p.x, p.y, p.part_type, p.id) for p in props}
+                    expected = _partial_total(g, models, pset, assigned, attr, value)
+                    np.testing.assert_allclose(partial, expected, rtol=0, atol=1e-9)
+                    audited += 1
+            assert audited == 3 + 9 + 27
 
 
 class TestSelectFinal:
@@ -412,10 +384,11 @@ class TestSelectFinal:
         assert per_pair[("c", "u")].total_score == per_pair[("c", "v")].total_score
         assert best.attribute_assignment == {"c": "u"}
 
-    def test_empty_pair_list_rejected(self):
+    def test_grammar_without_attributes_rejected(self):
         g, models, pset = _toy_world(13)
+        bare = AOGrammar(g.root, g.nodes, g.psg_edges, g.dg_edges, attributes=(), part_type_count=2)
         with pytest.raises(ValidationError, match="at least one"):
-            select_final(g, models, pset, attr_values=[])
+            select_final(bare, models, pset)
 
     def test_two_person_scene_exact_argmax_stays_on_target(self, grammar, quick_models):
         """With the distractor's attribute evidence incoherent, the exact
@@ -563,13 +536,14 @@ class TestDeterminism:
         assert math.isfinite(pg.total_score)
 
 
-def _chain_world(seed, parts, flat=False):
+def _chain_world(seed, parts, flat=False, far=None):
     """A four-part grammar (root over a, b, c; dependency chain a -> b -> c)
     whose proposals draw coordinates, types and appearance scores from
     small pools, so equal candidate scores are common.  ``parts`` maps each
     part to its bucket's proposal ids, in listing order.  ``flat`` puts
     every proposal at one point with one type, so every relation row is
-    constant and prefixes with different scores tie after extension."""
+    constant and prefixes with different scores tie after extension.
+    ``far`` names a part whose proposals all sit at x of about 1e200."""
     rng = np.random.default_rng(seed)
     nodes = (
         GrammarNode("root", NodeKind.AND, "root", ("a", "b", "c")),
@@ -612,7 +586,7 @@ def _chain_world(seed, parts, flat=False):
                 Proposal(
                     id=pid,
                     part=part,
-                    x=0.0 if flat else float(rng.choice([0.0, 4.0])),
+                    x=(1e200 if part == far else 0.0) + (0.0 if flat else float(rng.choice([0.0, 4.0]))),
                     y=0.0 if flat else float(rng.choice([0.0, 4.0])),
                     part_type=1 if flat else int(rng.integers(1, 3)),
                     box=(0.0, 0.0, 5.0, 5.0),
@@ -646,47 +620,69 @@ def _ids(pg):
     return {p: s.proposal_ref for p, s in pg.states.items()}
 
 
+def _refused_edge(run):
+    """``run()``, or the edge named by the ValidationError it raises."""
+    try:
+        return run()
+    except ValidationError as exc:
+        named = re.match(r"edge (\S+): ", str(exc))
+        assert named, exc
+        return ("refused", named.group(1))
+
+
 class TestBeamProperties:
     @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 2**16), constrained=st.booleans(), flat=st.booleans(), data=st.data())
-    def test_beam_equals_plain_sort_and_oracle(self, seed, constrained, flat, data):
+    @given(
+        seed=st.integers(0, 2**16),
+        constrained=st.booleans(),
+        flat=st.booleans(),
+        far=st.sampled_from((None, "root", "a", "b", "c")),
+        data=st.data(),
+    )
+    def test_beam_equals_plain_sort_and_oracle(self, seed, constrained, flat, far, data):
         """At every width the beam keeps what a plain sort keeps, and at the
-        full lattice it equals the oracle: same ids, bit-identical total."""
+        full lattice it equals the oracle: same ids, bit-identical total.
+        A bucket at x=1e200 on a displacement edge makes all three refuse
+        the input, naming the same edge."""
         parts = {}
         for part in ("root", "a", "b", "c"):
             n = data.draw(st.integers(1, 3))
             # Ids listed out of id order, so listing order cannot stand in
             # for the tie rule.
             parts[part] = data.draw(st.permutations([f"{part}{i}" for i in range(n)]))
-        g, models, pset = _chain_world(seed, parts, flat)
+        g, models, pset = _chain_world(seed, parts, flat, far)
         objective = ("constrained", "c", "v") if constrained else "unconstrained"
         full = _lattice_size(pset, parts)
         width = data.draw(st.integers(1, full))
-        cfg = BeamConfig(beam_width=width)
-        if constrained:
-            beam = parse_constrained(g, models, pset, "c", "v", cfg)
-        else:
-            beam = parse_unconstrained(g, models, pset, cfg)
-        _assignment, steps = _prepare(g, models, pset, objective, cfg)
-        score, ids, _idxs = _reference_beam(steps, width)
-        assert tuple(beam.states[p].proposal_ref for p in ("root", "a", "b", "c")) == ids
-        assert beam.total_score == score
 
-        wide = BeamConfig(beam_width=full)
-        if constrained:
-            beam = parse_constrained(g, models, pset, "c", "v", wide)
-        else:
-            beam = parse_unconstrained(g, models, pset, wide)
-        oracle = brute_force_parse(g, models, pset, objective)
-        assert _ids(beam) == _ids(oracle)
-        assert beam.total_score == oracle.total_score
+        def result(pg):
+            return tuple(pg.states[p].proposal_ref for p in parts), pg.total_score
+
+        def beam(k):
+            cfg = BeamConfig(beam_width=k)
+            if constrained:
+                return result(parse_constrained(g, models, pset, "c", "v", cfg))
+            return result(parse_unconstrained(g, models, pset, cfg))
+
+        def plain():
+            _assignment, steps = _prepare(g, models, pset, objective)
+            score, ids, _idxs = _reference_beam(steps, width)
+            return ids, score
+
+        def oracle():
+            return result(brute_force_parse(g, models, pset, objective))
+
+        narrow = _refused_edge(lambda: beam(width))
+        assert narrow == _refused_edge(plain)
+        assert _refused_edge(lambda: beam(full)) == _refused_edge(oracle)
+        assert (narrow[0] == "refused") == (far in ("a", "b", "c"))
 
 
 class TestRelationTables:
     @pytest.mark.parametrize("seed", range(4))
     def test_lazy_rows_equal_full_table(self, seed):
         g, models, pset = _toy_world(seed + 500, counts=(4, 5, 6))
-        _assignment, steps = _prepare(g, models, pset, "unconstrained", None)
+        _assignment, steps = _prepare(g, models, pset, "unconstrained")
         rng = np.random.default_rng(seed)
         tables = [table for step in steps for _first, table in step.closings]
         assert len(tables) == 3

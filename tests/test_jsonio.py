@@ -88,15 +88,22 @@ def test_document_reader_refuses_a_top_level_that_is_not_an_object(tmp_path, rea
         DOCUMENT_READERS[reader](str(path))
 
 
+# The constructors refuse non-finite values, so each writer below gets an
+# object whose field is set past them, as a caller mutating a frozen
+# record could.
+
+
 def _nan_parse_graph(path):
-    pg = ParseGraph({"head": PartState("head", 1.0, 2.0, 1, "p")}, (), (), {}, math.nan)
+    pg = ParseGraph({"head": PartState("head", 1.0, 2.0, 1, "p")}, (), (), {}, 0.0)
+    object.__setattr__(pg, "total_score", math.nan)
     save_parse_graph(pg, path, build_default_human_grammar())
 
 
 def _nan_proposals(path):
     table = ScoreTable({"p1": {"hat": {"yes": 0.5}}})
-    props = [Proposal(id="p1", part="head", x=math.nan, y=1.0, part_type=1, box=(0, 0, 2, 2))]
-    save_proposals(ProposalSet.from_proposals(props, table), path)
+    prop = Proposal(id="p1", part="head", x=0.0, y=1.0, part_type=1, box=(0, 0, 2, 2))
+    object.__setattr__(prop, "x", math.nan)
+    save_proposals(ProposalSet.from_proposals([prop], table), path)
 
 
 def _nan_models(path):
@@ -106,7 +113,9 @@ def _nan_models(path):
 
 
 def _nan_annotations(path):
-    save_annotations([Annotation.from_json_dict({**_ANNOTATION, "person_box": [0, 0, math.nan, 1]})], path)
+    ann = Annotation.from_json_dict(_ANNOTATION)
+    object.__setattr__(ann, "person_box", (0.0, 0.0, math.nan, 1.0))
+    save_annotations([ann], path)
 
 
 WRITERS = {

@@ -99,6 +99,11 @@ class TestAnnotation:
         with pytest.raises(ValidationError, match="positive area"):
             Annotation(joints=joints, person_box=(0, 0, 10, 0), attributes={})
 
+    def test_non_finite_box_rejected(self):
+        joints = {p: JointObs(0.0, 0.0) for p in ATOMIC_PARTS}
+        with pytest.raises(ValidationError, match="annotation person box must be finite"):
+            Annotation(joints=joints, person_box=(math.nan, 0, math.nan, 1), attributes={})
+
     def test_json_round_trip(self, tmp_path):
         ann = _annotation(hidden=("l_lower_leg",), attributes={"hat": "yes", "age": None})
         again = Annotation.from_json_dict(ann.to_json_dict())

@@ -52,7 +52,7 @@ class TestPerson:
 
     def test_bbox_covers_joints_with_padding(self):
         person = _canonical_person()
-        x0, y0, w, h = person_bbox(person, pad=8.0)
+        x0, y0, w, h = person_bbox(person)
         assert x0 == 160.0 - 22.0 - 8.0
         assert y0 == 120.0 - 35.0 - 8.0
         assert w == 44.0 + 16.0
