@@ -1,15 +1,19 @@
 """Appearance scores: part proposals and their per-attribute log-scores.
 
 The engine never looks at pixels.  Whatever detector produced the
-proposals is abstracted into a :class:`ScoreTable` mapping
-``(proposal id, attribute, value)`` to a log-score, loaded from disk or
-produced by the synthetic provider :func:`synth_scores`.
+proposals is abstracted into a :class:`ScoreTable`, loaded from disk or
+produced by the synthetic provider :func:`synth_scores`: an immutable
+grid with one row per proposal and one column per (attribute, value)
+pair.  It is complete and finite; a non-finite score, or a proposal
+lacking a pair another proposal has, is refused when the table is built,
+naming the proposal and the pair.  Every appearance read gathers from it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -70,51 +74,99 @@ class Proposal:
 
 
 class ScoreTable:
-    """Finite log-scores keyed by (proposal id, attribute, value)."""
+    """Finite log-scores as an immutable, complete grid: ``values`` has one
+    row per proposal id and one column per (attribute, value) pair, both in
+    first-seen order.  :meth:`rows` and :meth:`column` resolve ids and
+    pairs to indices and own the error text for ones the grid lacks."""
 
-    def __init__(self, entries: Mapping[str, Mapping[AttrId, Mapping[str, float]]] | None = None):
-        self._scores: dict[str, dict[AttrId, dict[str, float]]] = {}
-        for pid, per_attr in (entries or {}).items():
-            for attr, per_value in per_attr.items():
-                for value, score in per_value.items():
-                    self.set(pid, attr, value, score)
+    __slots__ = ("values", "_rows", "_columns")
 
-    def set(self, pid: str, attr: AttrId, value: str, score: float) -> None:
-        score = float(score)
-        if not math.isfinite(score):
+    def __init__(self, entries: Mapping[str, Mapping[AttrId, Mapping[str, float]]]):
+        self._rows = {pid: r for r, pid in enumerate(entries)}
+        self._columns: dict[tuple[AttrId, str], int] = {}
+        # Rows that list the same pairs in the same order form one block,
+        # filled with one array assignment.
+        blocks: dict[tuple, tuple[list[int], list[int], list]] = {}
+        for r, per_attr in enumerate(entries.values()):
+            layout = tuple((attr, tuple(per_value)) for attr, per_value in per_attr.items())
+            if layout not in blocks:
+                pairs = [(a, v) for a, vs in layout for v in vs]
+                cols = [self._columns.setdefault(pair, len(self._columns)) for pair in pairs]
+                blocks[layout] = (cols, [], [])
+            _cols, rows, scores = blocks[layout]
+            rows.append(r)
+            for per_value in per_attr.values():
+                scores.extend(per_value.values())
+        self.values = np.full((len(self._rows), len(self._columns)), np.nan)
+        given = np.zeros(self.values.shape, dtype=bool)
+        for cols, rows, scores in blocks.values():
+            cells = np.ix_(rows, cols)
+            self.values[cells] = np.array(scores, dtype=float).reshape(len(rows), len(cols))
+            given[cells] = True
+        bad = np.argwhere(~np.isfinite(self.values))
+        if bad.size:
+            r, c = bad[0]
+            pid, (attr, value) = list(self._rows)[r], list(self._columns)[c]
+            if given[r, c]:
+                raise ValidationError(
+                    f"score for proposal {pid!r}, attribute {attr!r}={value!r} "
+                    f"must be finite, got {float(self.values[r, c])!r}"
+                )
             raise ValidationError(
-                f"score for proposal {pid!r}, attribute {attr!r}={value!r} "
-                f"must be finite, got {score!r}"
+                f"proposal {pid!r} has no score for {attr!r}={value!r}, which other proposals have"
             )
-        self._scores.setdefault(pid, {}).setdefault(attr, {})[value] = score
+        self.values.flags.writeable = False
+
+    def rows(self, pids: Iterable[str], part: NodeId | None = None) -> np.ndarray:
+        """The row of each of ``pids``; an error names ``part``."""
+        try:
+            return np.array([self._rows[pid] for pid in pids], dtype=np.intp)
+        except KeyError as exc:
+            where = f" (part {part!r})" if part else ""
+            raise MissingEntryError(f"no scores for proposal {exc.args[0]!r}{where}") from None
+
+    def column(self, attr: AttrId, value: str, whose: str = "the score table") -> int:
+        """The column of ``attr=value``; an error says ``whose`` lacks it."""
+        if (attr, value) in self._columns:
+            return self._columns[attr, value]
+        if any(a == attr for a, _v in self._columns):
+            raise MissingEntryError(f"{whose} has no score for {attr!r}={value!r}")
+        raise MissingEntryError(f"{whose} has no scores for attribute {attr!r}")
 
     def lookup(self, pid: str, attr: AttrId, value: str, part: NodeId | None = None) -> float:
+        [row] = self.rows([pid], part)
         where = f" (part {part!r})" if part else ""
-        per_attr = self._scores.get(pid)
-        if per_attr is None:
-            raise MissingEntryError(f"no scores for proposal {pid!r}{where}")
-        per_value = per_attr.get(attr)
-        if per_value is None:
-            raise MissingEntryError(
-                f"proposal {pid!r}{where} has no scores for attribute {attr!r}"
-            )
-        try:
-            return per_value[value]
-        except KeyError:
-            raise MissingEntryError(
-                f"proposal {pid!r}{where} has no score for {attr!r}={value!r}"
-            ) from None
+        return float(self.values[row, self.column(attr, value, f"proposal {pid!r}{where}")])
+
+    def appearance(
+        self, rows: np.ndarray, attributes: Sequence[AttributeDef], assignment: Mapping[AttrId, str]
+    ) -> np.ndarray:
+        """The objective's appearance term of each of ``rows``.
+
+        Under an assignment: the assigned cells, added in assignment order
+        with no ``0.0`` start, so a ``-0.0`` score keeps its sign.  Without
+        one: ``0.0`` plus each attribute's best value score, in the order
+        of ``attributes``.  Every pair of ``attributes`` must have a column.
+        """
+        groups = [[self.column(a.id, v) for v in a.domain] for a in attributes]
+        grid = self.values[rows]
+        if assignment:
+            return reduce(np.add, [grid[:, self.column(a, v)] for a, v in assignment.items()])
+        return reduce(np.add, [grid[:, g].max(axis=1) for g in groups], np.zeros(len(grid)))
 
     def per_proposal(self, pid: str) -> dict[AttrId, dict[str, float]]:
-        return {a: dict(v) for a, v in self._scores.get(pid, {}).items()}
+        [row] = self.rows([pid])
+        out: dict[AttrId, dict[str, float]] = {}
+        for (attr, value), score in zip(self._columns, self.values[row].tolist()):
+            out.setdefault(attr, {})[value] = score
+        return out
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ScoreTable):
             return NotImplemented
-        return self._scores == other._scores
-
-    def __len__(self) -> int:
-        return sum(len(v) for per in self._scores.values() for v in per.values())
+        return {p: self.per_proposal(p) for p in self._rows} == {
+            p: other.per_proposal(p) for p in other._rows
+        }
 
 
 class ProposalSet:
@@ -146,6 +198,8 @@ class ProposalSet:
                     raise ValidationError(f"duplicate proposal id {p.id!r}")
                 seen_ids.add(p.id)
             self.buckets[part] = props
+        for part, props in self.buckets.items():
+            scores.rows((p.id for p in props), part)
 
     @classmethod
     def from_proposals(
@@ -162,22 +216,22 @@ class ProposalSet:
     def proposals_for(self, part: NodeId) -> tuple[Proposal, ...]:
         return self.buckets.get(part, ())
 
-    def all_proposals(self) -> list[Proposal]:
-        return [p for part in self.buckets for p in self.buckets[part]]
-
     def __len__(self) -> int:
         return sum(len(b) for b in self.buckets.values())
 
 
 def load_proposals(path: str, *, part_type_count: int = 9) -> ProposalSet:
     """Read a JSON-lines proposal file; one proposal object per line."""
-    scores = ScoreTable()
-    proposals = read_json_lines(path, lambda doc: _proposal_from_doc(doc, scores))
-    return ProposalSet.from_proposals(proposals, scores, part_type_count=part_type_count)
+    rows = read_json_lines(path, lambda doc: (_proposal_from_doc(doc), _scores_from_doc(doc)))
+    try:
+        scores = ScoreTable({p.id: per_attr for p, per_attr in rows})
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
+    return ProposalSet.from_proposals((p for p, _ in rows), scores, part_type_count=part_type_count)
 
 
-def _proposal_from_doc(doc: Mapping, scores: ScoreTable | None = None) -> Proposal:
-    """The proposal a JSON object describes; its scores go into ``scores`` if given."""
+def _proposal_from_doc(doc: Mapping) -> Proposal:
+    """The proposal a JSON object describes."""
     with malformed("proposal", doc):
         box = doc["box"]
         if not isinstance(box, (list, tuple)) or len(box) != 4:
@@ -186,7 +240,7 @@ def _proposal_from_doc(doc: Mapping, scores: ScoreTable | None = None) -> Propos
             v = doc[field]
             if not isinstance(v, (int, float)) or isinstance(v, bool):
                 raise ValidationError(f"field {field!r} must be a number, got {v!r}")
-        proposal = Proposal(
+        return Proposal(
             id=str(doc["id"]),
             part=str(doc["part"]),
             x=float(doc["x"]),
@@ -194,15 +248,21 @@ def _proposal_from_doc(doc: Mapping, scores: ScoreTable | None = None) -> Propos
             part_type=int(doc["part_type"]),
             box=tuple(float(v) for v in box),
         )
-        if scores is not None:
-            for attr, per_value in doc.get("scores", {}).items():
-                for value, score in per_value.items():
-                    if not isinstance(score, (int, float)) or isinstance(score, bool):
+
+
+def _scores_from_doc(doc: Mapping) -> Mapping[AttrId, Mapping[str, float]]:
+    """The scores a proposal object lists, each checked to be a JSON number."""
+    with malformed("proposal", doc):
+        scores = doc.get("scores", {})
+        for attr, per_value in scores.items():
+            for value, score in per_value.items():
+                if type(score) is not float:
+                    if type(score) is not int:
                         raise ValidationError(
                             f"score for {attr!r}={value!r} must be a number, got {score!r}"
                         )
-                    scores.set(proposal.id, str(attr), str(value), float(score))
-    return proposal
+                    float(score)  # an integer beyond the float range raises here
+        return scores
 
 
 def save_proposals(pset: ProposalSet, path: str) -> None:
@@ -272,7 +332,7 @@ def synth_scores(
     attr_defs = default_attributes() if attr_defs is None else tuple(attr_defs)
     rng = np.random.default_rng(int(rng_seed))
     proposals: list[Proposal] = []
-    table = ScoreTable()
+    scores: dict[str, dict[AttrId, dict[str, float]]] = {}
     for pi, person in enumerate(scene.persons):
         unknown = [a for a in person.attributes if a not in {d.id for d in attr_defs}]
         if unknown:
@@ -292,6 +352,7 @@ def synth_scores(
                     box=_part_box(part, keypoints),
                 )
             )
+            per_attr = scores[pid] = {}
             for attr in attr_defs:
                 true_value = person.attributes.get(attr.id)
                 if true_value is None:
@@ -305,8 +366,9 @@ def synth_scores(
                 apparent = true_value
                 if pi > 0 and rng.random() >= distractor_coherence:
                     apparent = attr.domain[int(rng.integers(0, len(attr.domain)))]
+                per_value = per_attr[attr.id] = {}
                 for value in attr.domain:
                     base = bonus + (0.0 if value == apparent else -margin)
                     noise = float(rng.normal(0.0, noise_sigma))
-                    table.set(pid, attr.id, value, base + noise)
-    return ProposalSet.from_proposals(proposals, table, part_type_count=part_type_count)
+                    per_value[value] = base + noise
+    return ProposalSet.from_proposals(proposals, ScoreTable(scores), part_type_count=part_type_count)

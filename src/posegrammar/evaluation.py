@@ -103,7 +103,10 @@ def average_precision(scores: Sequence[float], labels: Sequence[int]) -> float:
     stand or fall together, and integrates the interpolated precision
     envelope over recall.
     """
-    s = np.asarray(scores, dtype=float)
+    try:
+        s = np.asarray(scores, dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        raise ValidationError("scores must be finite") from None
     y = np.asarray(labels)
     if s.shape != y.shape or s.ndim != 1:
         raise ValidationError(
@@ -249,16 +252,15 @@ def no_pose_attribute_scores(
     pset: ProposalSet, grammar: AOGrammar
 ) -> dict[AttrId, dict[str, float]]:
     """Pose-blind attribute scores: best proposal score per value."""
-    out: dict[AttrId, dict[str, float]] = {}
-    proposals = pset.all_proposals()
-    if not proposals:
+    scores = pset.scores
+    ids = [p.id for props in pset.buckets.values() for p in props]
+    if not ids:
         raise ValidationError("no proposals to score attributes from")
-    for attr in grammar.attributes:
-        out[attr.id] = {
-            value: max(pset.scores.lookup(p.id, attr.id, value) for p in proposals)
-            for value in attr.domain
-        }
-    return out
+    best = scores.values[scores.rows(ids)].max(axis=0).tolist()
+    return {
+        attr.id: {value: best[scores.column(attr.id, value)] for value in attr.domain}
+        for attr in grammar.attributes
+    }
 
 
 def argmax_value(per_value: Mapping[str, float], domain: Sequence[str]) -> str:

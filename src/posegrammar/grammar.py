@@ -630,18 +630,11 @@ def recompute_score(pg: ParseGraph, grammar: AOGrammar, models, scores) -> float
     sum the syntactic score over used decomposition edges and the
     geometric score over used dependency edges.
     """
+    refs = [pg.states[p].proposal_ref for p in grammar.part_ids if p in pg.states]
+    app = scores.appearance(scores.rows(refs), grammar.attributes, pg.attribute_assignment)
     total = 0.0
-    assignment = pg.attribute_assignment
-    for part in (p for p in grammar.part_ids if p in pg.states):
-        st = pg.states[part]
-        if assignment:
-            for attr_id, value in assignment.items():
-                total += scores.lookup(st.proposal_ref, attr_id, value, part=part)
-        else:
-            for attr in grammar.attributes:
-                total += max(
-                    scores.lookup(st.proposal_ref, attr.id, v, part=part) for v in attr.domain
-                )
+    for term in app.tolist():
+        total += term
     missing = [p for p in pg.states if not grammar.has_node(p)]
     if missing:
         raise MissingEntryError(f"parse graph states name unknown parts {sorted(missing)}")

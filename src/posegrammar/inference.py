@@ -25,9 +25,12 @@ time a search reads it, and the tables are memoised per
 :class:`ProposalSet` (weakly, so a dropped set frees them) and per
 relation model, so the constrained parses of every (attribute, value)
 pair, the unconstrained parse and the oracle read the same numbers.  The
-appearance term is one vector per bucket per objective.  A beam step is
-one (B, N) numpy sum, beam score plus appearance plus each closing's
-table row, cut by ``np.lexsort`` on score and id-tuple rank.
+appearance term is one vector per objective, gathered from the proposal
+set's immutable score grid (:meth:`ScoreTable.appearance`) and sliced
+per bucket; a grammar pair the grid lacks is refused before any search
+step.  A beam step is one (B, N) numpy sum, beam score plus appearance
+plus each closing's table row, cut by ``np.lexsort`` on score and
+id-tuple rank.
 
 :func:`brute_force_parse` enumerates the full proposal lattice and reads
 the same tables through the same sum, so on small instances a wide-enough
@@ -96,15 +99,17 @@ def default_expansion_order(grammar: AOGrammar) -> tuple[NodeId, ...]:
 
 
 class _Bucket:
-    """One part's proposals as arrays, in listing order, with each id's rank."""
+    """One part's proposals as arrays, in listing order, with their score
+    table rows and each id's rank."""
 
-    __slots__ = ("part", "props", "xy", "types", "id_rank")
+    __slots__ = ("part", "props", "rows", "xy", "types", "id_rank")
 
-    def __init__(self, part: NodeId, props: Sequence):
+    def __init__(self, part: NodeId, props: Sequence, scores):
         if not props:
             raise InfeasibleParseError(f"part {part!r} has no proposals")
         self.part = part
         self.props = tuple(props)
+        self.rows = scores.rows((p.id for p in self.props), part)
         self.xy = np.array([(p.x, p.y) for p in self.props])
         self.types = np.array([p.part_type for p in self.props])
         ids = [p.id for p in self.props]
@@ -192,7 +197,7 @@ class _Cache:
 
     def bucket(self, pset: ProposalSet, part: NodeId) -> _Bucket:
         if part not in self.buckets:
-            self.buckets[part] = _Bucket(part, pset.proposals_for(part))
+            self.buckets[part] = _Bucket(part, pset.proposals_for(part), pset.scores)
         return self.buckets[part]
 
     def table(self, source, edge: Edge, first: _Bucket, second: _Bucket) -> _Table:
@@ -238,34 +243,6 @@ def _assignment(grammar: AOGrammar, objective: Objective) -> dict[AttrId, str]:
     return {attr_id: value}
 
 
-def _prefetch_buckets(
-    grammar: AOGrammar,
-    pset: ProposalSet,
-    cache: _Cache,
-    order: Sequence[NodeId],
-    assignment: Mapping[AttrId, str],
-) -> list[_Step]:
-    """Per step: the part's bucket and its appearance vector."""
-    if assignment:
-        [(attr_id, value)] = assignment.items()
-    steps = []
-    for part in order:
-        bucket = cache.bucket(pset, part)
-        app = []
-        for p in bucket.props:
-            if assignment:
-                app.append(pset.scores.lookup(p.id, attr_id, value, part=part))
-            else:
-                total = 0.0
-                for a in grammar.attributes:
-                    total += max(
-                        pset.scores.lookup(p.id, a.id, v, part=part) for v in a.domain
-                    )
-                app.append(total)
-        steps.append(_Step(bucket, np.array(app)))
-    return steps
-
-
 def _prepare(grammar, models, pset, objective):
     """The objective's assignment, and per step of the default expansion
     order the bucket, its appearance vector and the tables of the edges it
@@ -273,7 +250,11 @@ def _prepare(grammar, models, pset, objective):
     order = default_expansion_order(grammar)
     assignment = _assignment(grammar, objective)
     cache = _CACHES.setdefault(pset, _Cache())
-    steps = _prefetch_buckets(grammar, pset, cache, order, assignment)
+    buckets = [cache.bucket(pset, part) for part in order]
+    rows = np.concatenate([b.rows for b in buckets])
+    app = pset.scores.appearance(rows, grammar.attributes, assignment)
+    ends = np.cumsum([len(b.rows) for b in buckets])[:-1]
+    steps = [_Step(b, a) for b, a in zip(buckets, np.split(app, ends))]
     position = {p: i for i, p in enumerate(order)}
     closing = ((models.syntactic, grammar.psg_edges), (models.kinematic, grammar.dg_edges))
     for source, edges in closing:
@@ -454,11 +435,15 @@ def select_final(
 def _readout(
     pg: ParseGraph, pset: ProposalSet, assoc: AttributeAssociation, attr: AttrId, value: str
 ) -> float:
-    """Score of ``attr=value`` summed over the parse's parts associated with ``attr``."""
+    """Score of ``attr=value`` summed over the parse's parts associated with
+    ``attr``, in state order from ``0.0``."""
+    scores = pset.scores
+    refs = [st.proposal_ref for part, st in pg.states.items() if assoc.contains(part, attr)]
+    # Added one by one, not by np.sum, whose pairwise order changes the
+    # last bits of the byte-compared readout.
     total = 0.0
-    for part, st in pg.states.items():
-        if assoc.contains(part, attr):
-            total += pset.scores.lookup(st.proposal_ref, attr, value, part=part)
+    for score in scores.values[scores.rows(refs), scores.column(attr, value)].tolist():
+        total += score
     return total
 
 

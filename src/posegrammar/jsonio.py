@@ -93,7 +93,7 @@ class malformed:
         return None
 
     def __exit__(self, kind, exc, tb) -> bool:
-        shape_error = (LookupError, TypeError, ValueError, AttributeError)
+        shape_error = (LookupError, TypeError, ValueError, AttributeError, OverflowError)
         if kind is not None and issubclass(kind, shape_error) and not issubclass(kind, PoseGrammarError):
             raise ValidationError(f"malformed {self.what}: {exc}") from exc
         return False

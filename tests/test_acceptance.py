@@ -100,7 +100,7 @@ def _toy_world(seed):
         association=AttributeAssociation({p: ("c1",) for p in _TOY.part_ids}, ("c1",)),
         part_type_count=t,
     )
-    table = ScoreTable()
+    scores = {}
     props = []
     for part in _TOY_PARTS:
         for i in range(int(rng.integers(1, 5))):
@@ -115,9 +115,8 @@ def _toy_world(seed):
                     box=(0.0, 0.0, 4.0, 4.0),
                 )
             )
-            for v in ("u", "v"):
-                table.set(pid, "c1", v, float(rng.normal(0.0, 1.5)))
-    return models, ProposalSet.from_proposals(props, table, part_type_count=t)
+            scores[pid] = {"c1": {v: float(rng.normal(0.0, 1.5)) for v in ("u", "v")}}
+    return models, ProposalSet.from_proposals(props, ScoreTable(scores), part_type_count=t)
 
 
 def _full_width(pset):
@@ -334,7 +333,7 @@ def test_criterion_08_metric_fixtures(criterion):
 def test_criterion_09_parsing_speed(criterion, grammar, quick_models):
     with criterion(9, "50-proposal parses stay under 1 s and all pairs under 15 s"):
         rng = np.random.default_rng(123)
-        table = ScoreTable()
+        scores = {}
         props = []
         for part in grammar.part_ids:
             for i in range(50):
@@ -349,10 +348,11 @@ def test_criterion_09_parsing_speed(criterion, grammar, quick_models):
                         box=(0.0, 0.0, 40.0, 40.0),
                     )
                 )
-                for a in grammar.attributes:
-                    for v in a.domain:
-                        table.set(pid, a.id, v, float(rng.normal(0.0, 1.0)))
-        pset = ProposalSet.from_proposals(props, table, part_type_count=9)
+                scores[pid] = {
+                    a.id: {v: float(rng.normal(0.0, 1.0)) for v in a.domain}
+                    for a in grammar.attributes
+                }
+        pset = ProposalSet.from_proposals(props, ScoreTable(scores), part_type_count=9)
         cfg = BeamConfig(beam_width=100)
         start = time.perf_counter()
         parse_constrained(grammar, quick_models, pset, "gender", "male", cfg)

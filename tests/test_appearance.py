@@ -49,19 +49,41 @@ class TestProposal:
 
 
 class TestScoreTable:
-    def test_set_and_lookup(self):
-        t = ScoreTable()
-        t.set("p1", "hat", "yes", -0.25)
+    def test_lookup_reads_the_grid(self):
+        t = ScoreTable({"p1": {"hat": {"yes": -0.25}}})
         assert t.lookup("p1", "hat", "yes") == -0.25
 
+    def test_values_hold_one_row_per_proposal_and_one_column_per_pair(self):
+        t = ScoreTable(
+            {"p1": {"hat": {"yes": 1.0, "no": 2.0}}, "p2": {"hat": {"no": 4.0, "yes": 3.0}}}
+        )
+        assert t.values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert t.rows(["p2", "p1"]).tolist() == [1, 0]
+        assert (t.column("hat", "yes"), t.column("hat", "no")) == (0, 1)
+
+    def test_grid_is_immutable(self):
+        t = ScoreTable({"p1": {"hat": {"yes": 0.0}}})
+        with pytest.raises(ValueError, match="read-only"):
+            t.values[0, 0] = 1.0
+        assert not hasattr(t, "set")
+
     def test_rejects_non_finite(self):
-        t = ScoreTable()
-        with pytest.raises(ValidationError, match="must be finite"):
-            t.set("p1", "hat", "yes", math.inf)
+        with pytest.raises(
+            ValidationError, match="proposal 'p2', attribute 'hat'='no' must be finite, got inf"
+        ):
+            ScoreTable(
+                {"p1": {"hat": {"yes": 0.0, "no": 0.0}}, "p2": {"hat": {"yes": 0.0, "no": math.inf}}}
+            )
+
+    @pytest.mark.parametrize("lacking", ["p1", "p2"])
+    def test_rejects_a_proposal_lacking_a_column_another_has(self, lacking):
+        entries = {"p1": {"hat": {"yes": 0.0, "no": 0.0}}, "p2": {"hat": {"yes": 0.0, "no": 0.0}}}
+        del entries[lacking]["hat"]["no"]
+        with pytest.raises(ValidationError, match=f"proposal '{lacking}' has no score for 'hat'='no'"):
+            ScoreTable(entries)
 
     def test_missing_lookups_name_the_part(self):
-        t = ScoreTable()
-        t.set("p1", "hat", "yes", 0.0)
+        t = ScoreTable({"p1": {"hat": {"yes": 0.0}}})
         with pytest.raises(MissingEntryError, match="no scores for proposal 'p9'"):
             t.lookup("p9", "hat", "yes", part="head")
         with pytest.raises(MissingEntryError, match="'head'"):
@@ -69,33 +91,49 @@ class TestScoreTable:
         with pytest.raises(MissingEntryError, match="'hat'='maybe'"):
             t.lookup("p1", "hat", "maybe")
 
-    def test_len_counts_entries(self):
-        t = ScoreTable()
-        t.set("p1", "hat", "yes", 0.0)
-        t.set("p1", "hat", "no", 0.0)
-        t.set("p2", "gender", "male", 0.0)
-        assert len(t) == 3
+    def test_appearance_keeps_the_sign_of_an_assigned_zero(self):
+        t = ScoreTable({"p1": {"hat": {"yes": -0.0, "no": -1.0}}})
+        attrs = (AttributeDef("hat", "hat", ("yes", "no")),)
+        constrained = t.appearance(t.rows(["p1"]), attrs, {"hat": "yes"})
+        assert math.copysign(1.0, constrained[0]) == -1.0
+        unconstrained = t.appearance(t.rows(["p1"]), attrs, {})
+        assert math.copysign(1.0, unconstrained[0]) == 1.0
+
+    def test_appearance_refuses_a_pair_no_proposal_has(self):
+        t = ScoreTable({"p1": {"hat": {"yes": 0.0}}})
+        with pytest.raises(MissingEntryError, match="no score for 'hat'='no'"):
+            t.appearance(t.rows(["p1"]), (AttributeDef("hat", "hat", ("yes", "no")),), {"hat": "yes"})
+
+
+def _listed(pset):
+    return [p for props in pset.buckets.values() for p in props]
 
 
 class TestProposalSet:
     def test_bucket_part_mismatch(self):
         with pytest.raises(ValidationError, match="filed under bucket"):
-            ProposalSet({"torso": (_proposal(part="head"),)}, ScoreTable())
+            ProposalSet({"torso": (_proposal(part="head"),)}, ScoreTable({"p1": {}}))
 
     def test_part_type_exceeds_count(self):
         with pytest.raises(ValidationError, match="exceeds"):
             ProposalSet(
-                {"head": (_proposal(part_type=5),)}, ScoreTable(), part_type_count=4
+                {"head": (_proposal(part_type=5),)}, ScoreTable({"p1": {}}), part_type_count=4
             )
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValidationError, match="duplicate proposal id"):
             ProposalSet.from_proposals(
-                [_proposal("p1"), _proposal("p1", part="torso")], ScoreTable()
+                [_proposal("p1"), _proposal("p1", part="torso")], ScoreTable({"p1": {}})
+            )
+
+    def test_proposal_without_a_row_rejected(self):
+        with pytest.raises(MissingEntryError, match=r"no scores for proposal 'p2' \(part 'torso'\)"):
+            ProposalSet.from_proposals(
+                [_proposal("p1"), _proposal("p2", part="torso")], ScoreTable({"p1": {}})
             )
 
     def test_missing_bucket_is_empty(self):
-        pset = ProposalSet.from_proposals([_proposal()], ScoreTable())
+        pset = ProposalSet.from_proposals([_proposal()], ScoreTable({"p1": {}}))
         assert pset.proposals_for("torso") == ()
         assert len(pset) == 1
 
@@ -120,7 +158,7 @@ class TestSynthScores:
         a = synth_scores(scene, noise_sigma=0.7, rng_seed=9)
         b = synth_scores(scene, noise_sigma=0.7, rng_seed=9)
         assert a.scores == b.scores
-        assert [p.id for p in a.all_proposals()] == [p.id for p in b.all_proposals()]
+        assert [p.id for p in _listed(a)] == [p.id for p in _listed(b)]
 
     def test_seed_changes_scores(self):
         scene = two_person_scene(seed=2)
@@ -134,7 +172,7 @@ class TestSynthScores:
         scene = single_person_scene(seed=3, attr_defs=SMALL_ATTRS)
         truth = scene.persons[0].attributes
         pset = synth_scores(scene, noise_sigma=0.0, rng_seed=5, attr_defs=SMALL_ATTRS)
-        for prop in pset.all_proposals():
+        for prop in _listed(pset):
             for attr in SMALL_ATTRS:
                 best = max(
                     attr.domain, key=lambda v: pset.scores.lookup(prop.id, attr.id, v)
@@ -206,9 +244,9 @@ class TestProposalIO:
         pset = synth_scores(scene, noise_sigma=0.6, rng_seed=3)
         path, back = self._round_trip(tmp_path, pset)
         assert back.scores == pset.scores
-        assert {p.id for p in back.all_proposals()} == {p.id for p in pset.all_proposals()}
-        by_id = {p.id: p for p in pset.all_proposals()}
-        for p in back.all_proposals():
+        assert {p.id for p in _listed(back)} == {p.id for p in _listed(pset)}
+        by_id = {p.id: p for p in _listed(pset)}
+        for p in _listed(back):
             orig = by_id[p.id]
             assert (p.x, p.y, p.part_type, p.box) == (orig.x, orig.y, orig.part_type, orig.box)
 
@@ -278,3 +316,34 @@ class TestProposalIO:
         }
         path.write_text("\n" + json.dumps(doc) + "\n\n")
         assert len(load_proposals(str(path))) == 1
+
+    @pytest.mark.parametrize("field", ["x", "score"])
+    def test_integer_beyond_float_range_is_malformed(self, tmp_path, field):
+        path = tmp_path / "bad.jsonl"
+        huge = "1" + "0" * 400
+        doc = {
+            "id": "p1",
+            "part": "head",
+            "x": 0.0,
+            "y": 0.0,
+            "part_type": 1,
+            "box": [0, 0, 5, 5],
+            "scores": {"hat": {"yes": 0.5}},
+        }
+        good = json.dumps(doc)
+        bad = good.replace('"x": 0.0', f'"x": {huge}') if field == "x" else good.replace("0.5", huge)
+        path.write_text(good.replace('"p1"', '"p0"') + "\n" + bad + "\n")
+        with pytest.raises(ValidationError, match=f"^{path}:2: malformed proposal: int too large"):
+            load_proposals(str(path))
+
+    def test_incomplete_grid_names_the_file_and_the_proposal(self, tmp_path):
+        path = tmp_path / "ragged.jsonl"
+        docs = [
+            {"id": pid, "part": "head", "x": 0.0, "y": 0.0, "part_type": 1, "box": [0, 0, 5, 5],
+             "scores": {"hat": scores}}
+            for pid, scores in (("p1", {"yes": 0.5, "no": 0.0}), ("p2", {"yes": 0.5}))
+        ]
+        path.write_text("".join(json.dumps(d) + "\n" for d in docs))
+        message = f"^{path}: proposal 'p2' has no score for 'hat'='no'"
+        with pytest.raises(ValidationError, match=message):
+            load_proposals(str(path))

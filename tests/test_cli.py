@@ -31,6 +31,10 @@ from posegrammar.relations import load_models
 from posegrammar.synthetic import load_scene
 
 
+# A valid JSON integer beyond the float range.
+_HUGE_INT = pytest.param("1" + "0" * 400, id="huge-int")
+
+
 def _read(path):
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
@@ -431,9 +435,8 @@ class TestRender:
         assert svg.count('<line class="stick"') == 13
         assert 'gender: male' in svg
 
-    @pytest.mark.parametrize(
-        "field, token", [("x", "NaN"), ("x", "1e400"), ("total_score", "NaN"), ("total_score", "1e400")]
-    )
+    @pytest.mark.parametrize("token", ["NaN", "1e400", _HUGE_INT])
+    @pytest.mark.parametrize("field", ["x", "total_score"])
     def test_non_finite_parse_exits_one_and_writes_no_svg(self, pipeline, tmp_path, capsys, field, token):
         grammar = build_default_human_grammar()
         pg = ParseGraph({"head": PartState("head", 5.0, 6.0, 1, "p")}, (), (), {}, 1.5)
@@ -447,6 +450,8 @@ class TestRender:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert err[0].startswith(f"error: {parse_path}: ")
+        expected = {"NaN": "non-finite JSON constant", "1e400": "must be finite"}.get(token, "malformed ")
+        assert expected in err[0]
         assert not svg_path.exists()
 
 
@@ -550,7 +555,7 @@ class TestEvalPcp:
         assert err == [f"error: invalid value for --threshold: {value!r}"]
         assert not report_path.exists()
 
-    @pytest.mark.parametrize("token", ["NaN", "1e400"])
+    @pytest.mark.parametrize("token", ["NaN", "1e400", _HUGE_INT])
     @pytest.mark.parametrize("which", ["pred", "truth"])
     def test_non_finite_coordinate_exits_one(self, pipeline, tmp_path, capsys, which, token):
         pred = tmp_path / "pred"
@@ -574,7 +579,8 @@ class TestEvalPcp:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert err[0].startswith(f"error: {where}: ")
-        assert ("non-finite JSON constant" if token == "NaN" else "must be finite") in err[0]
+        expected = {"NaN": "non-finite JSON constant", "1e400": "must be finite"}.get(token, "malformed ")
+        assert expected in err[0]
         assert not report_path.exists()
 
     def test_count_mismatch_exits_one(self, pipeline, tmp_path, capsys):

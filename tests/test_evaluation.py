@@ -215,6 +215,8 @@ class TestAveragePrecision:
             average_precision([1.0], [1, 0])
         with pytest.raises(ValidationError, match="finite"):
             average_precision([float("nan")], [1])
+        with pytest.raises(ValidationError, match="scores must be finite"):
+            average_precision([10**400, 0.8], [1, 0])
         with pytest.raises(ValidationError, match="0 or 1"):
             average_precision([1.0], [2])
         with pytest.raises(ValidationError, match="no positive"):
@@ -298,11 +300,9 @@ class TestMakeTrainingPairs:
 
 
 def _tiny_pset():
-    table = ScoreTable()
-    table.set("ph", "hat", "yes", 2.0)
-    table.set("ph", "hat", "no", -1.0)
-    table.set("pt", "hat", "yes", 5.0)
-    table.set("pt", "hat", "no", 0.5)
+    table = ScoreTable(
+        {"ph": {"hat": {"yes": 2.0, "no": -1.0}}, "pt": {"hat": {"yes": 5.0, "no": 0.5}}}
+    )
     pset = ProposalSet(
         {
             "head": (Proposal(id="ph", part="head", x=0, y=0, part_type=1, box=(0, 0, 2, 2)),),
@@ -351,7 +351,7 @@ class TestAttributeScoring:
     def test_no_pose_needs_proposals(self):
         g = self._grammar()
         with pytest.raises(ValidationError, match="no proposals"):
-            no_pose_attribute_scores(ProposalSet({}, ScoreTable()), g)
+            no_pose_attribute_scores(ProposalSet({}, ScoreTable({})), g)
 
 
 class TestRunDiagnostic:

@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from posegrammar.appearance import ScoreTable
 from posegrammar.errors import MissingEntryError, ValidationError
 from posegrammar.grammar import (
     ATOMIC_PARTS,
@@ -287,14 +288,6 @@ class _Models:
         self.kinematic = kin
 
 
-class _TableStub:
-    def __init__(self, entries):
-        self.entries = entries
-
-    def lookup(self, pid, attr, value, part=None):
-        return self.entries[(pid, attr, value)]
-
-
 class TestParseGraph:
     def test_state_key_must_match_part(self):
         with pytest.raises(ValidationError, match="describes part"):
@@ -322,11 +315,11 @@ class TestParseGraph:
         """
         g = _toy_grammar()
         pg = _toy_parse(assignment={"c": "u"})
-        table = _TableStub(
+        table = ScoreTable(
             {
-                ("pr", "c", "u"): 1.0,
-                ("pa", "c", "u"): 2.0,
-                ("pb", "c", "u"): 0.5,
+                "pr": {"c": {"u": 1.0, "v": 9.0}},
+                "pa": {"c": {"u": 2.0, "v": 9.0}},
+                "pb": {"c": {"u": 0.5, "v": 9.0}},
             }
         )
         kin = _FlatKinematic(1.5)
@@ -339,14 +332,11 @@ class TestParseGraph:
         """With no assignment, each part contributes its best value score."""
         g = _toy_grammar()
         pg = _toy_parse()
-        table = _TableStub(
+        table = ScoreTable(
             {
-                ("pr", "c", "u"): 1.0,
-                ("pr", "c", "v"): 4.0,
-                ("pa", "c", "u"): 2.0,
-                ("pa", "c", "v"): -1.0,
-                ("pb", "c", "u"): 0.5,
-                ("pb", "c", "v"): 0.25,
+                "pr": {"c": {"u": 1.0, "v": 4.0}},
+                "pa": {"c": {"u": 2.0, "v": -1.0}},
+                "pb": {"c": {"u": 0.5, "v": 0.25}},
             }
         )
         total = recompute_score(pg, g, _Models(_FlatSyntactic(0.0), _FlatKinematic(0.0)), table)
@@ -361,7 +351,7 @@ class TestParseGraph:
             attribute_assignment={"c": "u"},
             total_score=0.0,
         )
-        table = _TableStub({("p", "c", "u"): 0.0})
+        table = ScoreTable({"p": {"c": {"u": 0.0, "v": 0.0}}})
         with pytest.raises(MissingEntryError, match="unknown parts"):
             recompute_score(pg, g, _Models(_FlatSyntactic(0.0), _FlatKinematic(0.0)), table)
 

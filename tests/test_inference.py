@@ -99,7 +99,7 @@ def _toy_world(seed, counts=(3, 3, 3), part_type_count=2):
     kin = KinematicMoG(mixes)
     assoc = AttributeAssociation({p: ("c",) for p in g.part_ids}, ("c",))
     models = RelationModels(syntactic=syn, kinematic=kin, association=assoc, part_type_count=t)
-    table = ScoreTable()
+    scores = {}
     proposals = []
     for part, n in zip(("root", "a", "b"), counts):
         for i in range(n):
@@ -114,10 +114,20 @@ def _toy_world(seed, counts=(3, 3, 3), part_type_count=2):
                     box=(0.0, 0.0, 5.0, 5.0),
                 )
             )
-            for v in ("u", "v"):
-                table.set(pid, "c", v, float(rng.normal(0.0, 1.5)))
-    pset = ProposalSet.from_proposals(proposals, table, part_type_count=t)
+            scores[pid] = {"c": {v: float(rng.normal(0.0, 1.5)) for v in ("u", "v")}}
+    pset = ProposalSet.from_proposals(proposals, ScoreTable(scores), part_type_count=t)
     return g, models, pset
+
+
+def _rescored(pset, change):
+    """``pset`` rebuilt on a copy of its scores that ``change`` edits per
+    proposal id; the score table itself is immutable."""
+    scores = {}
+    for props in pset.buckets.values():
+        for p in props:
+            scores[p.id] = pset.scores.per_proposal(p.id)
+            change(p.id, scores[p.id])
+    return ProposalSet(pset.buckets, ScoreTable(scores), part_type_count=pset.part_type_count)
 
 
 def _lattice_size(pset, parts=("root", "a", "b")):
@@ -211,10 +221,13 @@ class TestObjectives:
     def test_constraint_changes_the_winner(self):
         """Each value pulls the parse toward proposals scoring high on it."""
         g, models, pset = _toy_world(3)
-        table = pset.scores
-        for i in range(3):
-            table.set(f"a{i}", "c", "u", 100.0 if i == 0 else -100.0)
-            table.set(f"a{i}", "c", "v", 100.0 if i == 2 else -100.0)
+
+        def rig(pid, per_attr):
+            if pid.startswith("a"):
+                i = int(pid[1:])
+                per_attr["c"] = {"u": 100.0 if i == 0 else -100.0, "v": 100.0 if i == 2 else -100.0}
+
+        pset = _rescored(pset, rig)
         pg_u = parse_constrained(g, models, pset, "c", "u")
         pg_v = parse_constrained(g, models, pset, "c", "v")
         assert pg_u.states["a"].proposal_ref == "a0"
@@ -250,19 +263,17 @@ class TestTieBreaking:
     def test_exact_tie_falls_to_lexicographic_ids(self):
         """Identical scores resolve by the tuple of proposal ids."""
         g, models, pset = _toy_world(5)
-        table = pset.scores
         # Make the two root proposals indistinguishable by score.
-        rows = pset.proposals_for("root")
         clones = [
             Proposal(id=f"rt{i}", part="root", x=1.0, y=2.0, part_type=1, box=(0, 0, 5, 5))
             for i in range(2)
         ]
-        for p in clones:
-            table.set(p.id, "c", "u", 0.5)
-            table.set(p.id, "c", "v", 0.5)
+        kept = pset.proposals_for("a") + pset.proposals_for("b")
+        scores = {p.id: pset.scores.per_proposal(p.id) for p in kept}
+        scores.update({p.id: {"c": {"u": 0.5, "v": 0.5}} for p in clones})
         pset2 = ProposalSet(
             {"root": clones, "a": pset.proposals_for("a"), "b": pset.proposals_for("b")},
-            table,
+            ScoreTable(scores),
             part_type_count=2,
         )
         pg = parse_constrained(g, models, pset2, "c", "u")
@@ -285,15 +296,14 @@ class TestTieBreaking:
             association=AttributeAssociation({p: ("c",) for p in g.part_ids}, ("c",)),
             part_type_count=2,
         )
-        table = ScoreTable()
+        scores = {}
         rows = [("r", "root", 0.0, 0.0), ("a0", "a", 0.0, 0.5), ("a1", "a", 20.0, 0.0),
                 ("bz", "b", 0.0, 0.0), ("ba", "b", 20.0, 0.5)]
         props = []
         for pid, part, x, app in rows:
             props.append(Proposal(id=pid, part=part, x=x, y=0.0, part_type=1, box=(0, 0, 5, 5)))
-            table.set(pid, "c", "u", app)
-            table.set(pid, "c", "v", app)
-        pset = ProposalSet.from_proposals(props, table, part_type_count=2)
+            scores[pid] = {"c": {"u": app, "v": app}}
+        pset = ProposalSet.from_proposals(props, ScoreTable(scores), part_type_count=2)
         beam = parse_constrained(g, models, pset, "c", "u", BeamConfig(beam_width=width))
         oracle = brute_force_parse(g, models, pset, ("constrained", "c", "u"))
         assert _ids(beam) == _ids(oracle) == {"root": "r", "a": "a0", "b": "bz"}
@@ -302,7 +312,7 @@ class TestTieBreaking:
 
 class TestEnumerationGuard:
     def test_brute_force_refuses_large_lattices(self):
-        table = ScoreTable()
+        scores = {}
         proposals = []
         for part in ("root", "a", "b"):
             for i in range(500):
@@ -310,9 +320,8 @@ class TestEnumerationGuard:
                 proposals.append(
                     Proposal(id=pid, part=part, x=0.0, y=0.0, part_type=1, box=(0, 0, 5, 5))
                 )
-                table.set(pid, "c", "u", 0.0)
-                table.set(pid, "c", "v", 0.0)
-        pset = ProposalSet.from_proposals(proposals, table, part_type_count=2)
+                scores[pid] = {"c": {"u": 0.0, "v": 0.0}}
+        pset = ProposalSet.from_proposals(proposals, ScoreTable(scores), part_type_count=2)
         g, models, _ = _toy_world(0)
         with pytest.raises(EnumerationLimitError, match="exceed the guard"):
             brute_force_parse(g, models, pset, ("constrained", "c", "u"))
@@ -366,9 +375,7 @@ class TestBeamTrace:
 class TestSelectFinal:
     def test_rigged_pair_wins(self):
         g, models, pset = _toy_world(13)
-        for part, n in (("root", 3), ("a", 3), ("b", 3)):
-            for i in range(n):
-                pset.scores.set(f"{part}{i}", "c", "v", 25.0)
+        pset = _rescored(pset, lambda pid, per_attr: per_attr["c"].update(v=25.0))
         best, per_pair = select_final(g, models, pset)
         assert set(per_pair) == {("c", "u"), ("c", "v")}
         assert best.attribute_assignment == {"c": "v"}
@@ -376,10 +383,7 @@ class TestSelectFinal:
 
     def test_exact_tie_keeps_first_pair(self):
         g, models, pset = _toy_world(13)
-        for part, n in (("root", 3), ("a", 3), ("b", 3)):
-            for i in range(n):
-                s = pset.scores.lookup(f"{part}{i}", "c", "u")
-                pset.scores.set(f"{part}{i}", "c", "v", s)
+        pset = _rescored(pset, lambda pid, per_attr: per_attr["c"].update(v=per_attr["c"]["u"]))
         best, per_pair = select_final(g, models, pset)
         assert per_pair[("c", "u")].total_score == per_pair[("c", "v")].total_score
         assert best.attribute_assignment == {"c": "u"}
@@ -406,11 +410,9 @@ class TestSelectFinal:
 
 class TestAttributeScores:
     def test_masked_sums(self):
-        table = ScoreTable()
-        table.set("ph", "hat", "yes", 2.0)
-        table.set("ph", "hat", "no", -1.0)
-        table.set("pt", "hat", "yes", 5.0)
-        table.set("pt", "hat", "no", 0.5)
+        table = ScoreTable(
+            {"ph": {"hat": {"yes": 2.0, "no": -1.0}}, "pt": {"hat": {"yes": 5.0, "no": 0.5}}}
+        )
         pset = ProposalSet(
             {
                 "head": (Proposal(id="ph", part="head", x=0, y=0, part_type=1, box=(0, 0, 2, 2)),),
@@ -444,11 +446,12 @@ class TestReadout:
         return sum(_readout(pg, pset, assoc, a, v) for a, v in pg.attribute_assignment.items())
 
     def test_assigned_attributes_masked_by_association(self):
-        table = ScoreTable()
-        table.set("ph", "hat", "yes", 1.25)
-        table.set("ph", "gender", "male", 100.0)
-        table.set("pt", "hat", "yes", 50.0)
-        table.set("pt", "gender", "male", 0.5)
+        table = ScoreTable(
+            {
+                "ph": {"hat": {"yes": 1.25}, "gender": {"male": 100.0}},
+                "pt": {"hat": {"yes": 50.0}, "gender": {"male": 0.5}},
+            }
+        )
         pset = ProposalSet(
             {
                 "head": (Proposal(id="ph", part="head", x=0, y=0, part_type=1, box=(0, 0, 10, 10)),),
@@ -474,8 +477,7 @@ class TestReadout:
         np.testing.assert_allclose(self._assigned_total(pg, pset, assoc), 1.75, atol=1e-12)
 
     def test_unassigned_attribute_contributes_nothing(self):
-        table = ScoreTable()
-        table.set("ph", "hat", "yes", 1.25)
+        table = ScoreTable({"ph": {"hat": {"yes": 1.25}}})
         pset = ProposalSet(
             {"head": (Proposal(id="ph", part="head", x=0, y=0, part_type=1, box=(0, 0, 10, 10)),)},
             table,
@@ -491,6 +493,87 @@ class TestReadout:
             total_score=0.0,
         )
         np.testing.assert_allclose(self._assigned_total(pg, pset, assoc), 1.25, atol=1e-12)
+
+
+def _lookup_appearance(grammar, pset, step, assignment):
+    """A step's appearance vector read cell by cell through ``lookup``: the
+    assigned cell itself, or 0.0 plus each attribute's best value score."""
+    out = []
+    for p in step.bucket.props:
+        if assignment:
+            [(attr, value)] = assignment.items()
+            out.append(pset.scores.lookup(p.id, attr, value, part=p.part))
+        else:
+            total = 0.0
+            for a in grammar.attributes:
+                total += max(pset.scores.lookup(p.id, a.id, v, part=p.part) for v in a.domain)
+            out.append(total)
+    return out
+
+
+def _lookup_readout(pg, pset, assoc, attr, value):
+    """``_readout`` as a plain loop: from 0.0, add each associated part's
+    cell in state order."""
+    total = 0.0
+    for part, st in pg.states.items():
+        if assoc.contains(part, attr):
+            total += pset.scores.lookup(st.proposal_ref, attr, value, part=part)
+    return total
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+class TestAppearanceBits:
+    """Every appearance read through the score grid performs the same float
+    operations as the cell-by-cell loop it replaced, so results match bit
+    for bit: signed zeros, and sums whose order matters at 8+ terms."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), per_part=st.integers(1, 3))
+    def test_prepare_and_readout_equal_the_lookup_loop(self, grammar, quick_models, seed, per_part):
+        rng = np.random.default_rng(seed)
+        scores, props = {}, []
+        for part in grammar.part_ids:
+            for i in range(per_part):
+                pid = f"{part}.{i}"
+                part_type = int(rng.integers(1, 10))
+                props.append(Proposal(pid, part, float(i), 0.0, part_type, (0, 0, 4, 4)))
+                scores[pid] = {}
+                for a in grammar.attributes:
+                    # Magnitudes 1e-8..1e8 make the summation order visible;
+                    # one cell in ten is -0.0.
+                    n = len(a.domain)
+                    cells = rng.normal(0.0, 1.0, n) * 10.0 ** rng.integers(-8, 9, n)
+                    cells[rng.random(n) < 0.1] = -0.0
+                    scores[pid][a.id] = dict(zip(a.domain, cells.tolist()))
+        pset = ProposalSet.from_proposals(props, ScoreTable(scores), part_type_count=9)
+
+        pairs = [(a.id, v) for a in grammar.attributes for v in a.domain]
+        for objective in ["unconstrained"] + [("constrained", a, v) for a, v in pairs]:
+            assignment, steps = _prepare(grammar, quick_models, pset, objective)
+            for step in steps:
+                assert _bits(step.app) == _bits(_lookup_appearance(grammar, pset, step, assignment))
+
+        # Each attribute is carried by 8 to 17 parts.
+        parts = list(grammar.part_ids)
+        carried = {
+            a.id: set(rng.permutation(parts)[: int(rng.integers(8, 18))]) for a in grammar.attributes
+        }
+        assoc = AttributeAssociation(
+            {part: tuple(a for a in carried if part in carried[a]) for part in parts}, list(carried)
+        )
+        for attr, value in pairs:
+            order = rng.permutation(parts).tolist()
+            chosen = {part: f"{part}.{int(rng.integers(0, per_part))}" for part in order}
+            pg = ParseGraph(
+                {part: PartState(part, 0.0, 0.0, 1, pid) for part, pid in chosen.items()},
+                (), (), {}, 0.0,
+            )
+            assert _bits([_readout(pg, pset, assoc, attr, value)]) == _bits(
+                [_lookup_readout(pg, pset, assoc, attr, value)]
+            )
 
 
 class TestListingOrder:
@@ -577,7 +660,7 @@ def _chain_world(seed, parts, flat=False, far=None):
         association=AttributeAssociation({p: ("c",) for p in g.part_ids}, ("c",)),
         part_type_count=2,
     )
-    table = ScoreTable()
+    scores = {}
     buckets = {}
     for part, ids in parts.items():
         props = []
@@ -592,10 +675,11 @@ def _chain_world(seed, parts, flat=False, far=None):
                     box=(0.0, 0.0, 5.0, 5.0),
                 )
             )
-            for v in ("u", "v"):
-                table.set(pid, "c", v, float(rng.choice([0.0, 0.5, 1.0] if flat else [0.0, 0.5])))
+            scores[pid] = {
+                "c": {v: float(rng.choice([0.0, 0.5, 1.0] if flat else [0.0, 0.5])) for v in ("u", "v")}
+            }
         buckets[part] = props
-    return g, models, ProposalSet(buckets, table, part_type_count=2)
+    return g, models, ProposalSet(buckets, ScoreTable(scores), part_type_count=2)
 
 
 def _reference_beam(steps, width):

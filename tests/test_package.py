@@ -33,3 +33,20 @@ def test_only_the_codec_encodes_or_decodes_json():
             ) or (isinstance(node, ast.ImportFrom) and node.module == "json"):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+def test_only_appearance_reads_scores_by_lookup():
+    """Appearance reads go through the score grid: no module other than
+    ``posegrammar.appearance`` calls ``.lookup(`` cell by cell."""
+    offenders = []
+    for path in sorted(Path(posegrammar.__file__).parent.glob("*.py")):
+        if path.name == "appearance.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "lookup"
+            ):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
-from posegrammar.appearance import Proposal
+from posegrammar.appearance import Proposal, ScoreTable
 from posegrammar.errors import MissingEntryError, ValidationError
 from posegrammar.inference import _Bucket, _Table
 from posegrammar.relations import (
@@ -142,11 +142,14 @@ class TestMixtureDensity:
         np.testing.assert_allclose(mog.log_density(EDGE, pts), expected, rtol=0, atol=1e-12)
         # The beam's relation table: one parent at the origin, one child
         # proposal per point.
-        parent = _Bucket(EDGE[0], [Proposal("p", EDGE[0], 0.0, 0.0, 1, (0, 0, 1, 1))])
-        children = _Bucket(
-            EDGE[1],
-            [Proposal(f"c{i}", EDGE[1], float(x), float(y), 1, (0, 0, 1, 1)) for i, (x, y) in enumerate(pts)],
-        )
+        parents = [Proposal("p", EDGE[0], 0.0, 0.0, 1, (0, 0, 1, 1))]
+        kids = [
+            Proposal(f"c{i}", EDGE[1], float(x), float(y), 1, (0, 0, 1, 1))
+            for i, (x, y) in enumerate(pts)
+        ]
+        table = ScoreTable({p.id: {} for p in parents + kids})
+        parent = _Bucket(EDGE[0], parents, table)
+        children = _Bucket(EDGE[1], kids, table)
         beam = _Table(mog, EDGE, parent, children, True).rows(np.array([0]))[0]
         np.testing.assert_allclose(beam, expected, rtol=0, atol=1e-12)
 
