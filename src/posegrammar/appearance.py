@@ -4,16 +4,25 @@ The engine never looks at pixels.  Whatever detector produced the
 proposals is abstracted into a :class:`ScoreTable`, loaded from disk or
 produced by the synthetic provider :func:`synth_scores`: an immutable
 grid with one row per proposal and one column per (attribute, value)
-pair.  It is complete and finite; a non-finite score, or a proposal
-lacking a pair another proposal has, is refused when the table is built,
-naming the proposal and the pair.  Every appearance read gathers from it.
+pair.  It is complete and finite; a score that is not a finite number, or
+a proposal lacking a pair another proposal has, is refused when the table
+is built, naming the proposal and the pair.  Every appearance read
+gathers from it.
+
+:meth:`ProposalSet.from_proposals`, the one way to build a proposal set,
+groups a flat list of proposals by part into one columnar
+:class:`Bucket` per part.  The set keeps no :class:`Proposal` objects:
+the search reads the columns, and only :meth:`ProposalSet.proposals_for`
+rebuilds proposals.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import reduce
+from itertools import product
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -52,17 +61,26 @@ class Proposal:
     def __post_init__(self) -> None:
         if not isinstance(self.id, str) or not self.id:
             raise ValidationError(f"proposal id must be a non-empty string, got {self.id!r}")
-        box = tuple(float(v) for v in self.box)
+        box = tuple(self.box)
         if len(box) != 4:
             raise ValidationError(f"proposal {self.id!r}: box must have 4 entries, got {box!r}")
-        x, y = float(self.x), float(self.y)
-        if not all(map(math.isfinite, (x, y) + box)):
+        given = (self.x, self.y) + box
+        if not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v) for v in given
+        ):
             raise ValidationError(
-                f"proposal {self.id!r}: x, y and box must be finite, got ({x!r}, {y!r}) and {box!r}"
+                f"proposal {self.id!r}: x, y and box must be finite numbers, "
+                f"got ({self.x!r}, {self.y!r}) and {box!r}"
             )
+        x, y, *rest = map(float, given)
+        box = tuple(rest)
         if box[2] <= 0.0 or box[3] <= 0.0:
             raise ValidationError(
                 f"proposal {self.id!r}: box width and height must be positive, got {box!r}"
+            )
+        if not isinstance(self.part_type, numbers.Integral) or isinstance(self.part_type, bool):
+            raise ValidationError(
+                f"proposal {self.id!r}: part_type must be an integer, got {self.part_type!r}"
             )
         if self.part_type < 1:
             raise ValidationError(
@@ -71,6 +89,7 @@ class Proposal:
         object.__setattr__(self, "box", box)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
+        object.__setattr__(self, "part_type", int(self.part_type))
 
 
 class ScoreTable:
@@ -87,35 +106,59 @@ class ScoreTable:
         # Rows that list the same pairs in the same order form one block,
         # filled with one array assignment.
         blocks: dict[tuple, tuple[list[int], list[int], list]] = {}
-        for r, per_attr in enumerate(entries.values()):
-            layout = tuple((attr, tuple(per_value)) for attr, per_value in per_attr.items())
+        for r, (pid, per_attr) in enumerate(entries.items()):
+            try:
+                layout = tuple((attr, tuple(per_value)) for attr, per_value in per_attr.items())
+                views = [per_value.values() for per_value in per_attr.values()]
+            except (AttributeError, TypeError):
+                raise ValidationError(
+                    f"scores of proposal {pid!r} must map each attribute to a mapping "
+                    f"of value scores, got {per_attr!r}"
+                ) from None
             if layout not in blocks:
                 pairs = [(a, v) for a, vs in layout for v in vs]
                 cols = [self._columns.setdefault(pair, len(self._columns)) for pair in pairs]
                 blocks[layout] = (cols, [], [])
             _cols, rows, scores = blocks[layout]
             rows.append(r)
-            for per_value in per_attr.values():
-                scores.extend(per_value.values())
+            for view in views:
+                scores.extend(view)
         self.values = np.full((len(self._rows), len(self._columns)), np.nan)
         given = np.zeros(self.values.shape, dtype=bool)
         for cols, rows, scores in blocks.values():
+            # One scan of the block's types: any cell that is not a float is
+            # read one by one.
+            if not set(map(type, scores)) <= {float}:
+                scores = [self._score(r, c, s) for (r, c), s in zip(product(rows, cols), scores)]
             cells = np.ix_(rows, cols)
             self.values[cells] = np.array(scores, dtype=float).reshape(len(rows), len(cols))
             given[cells] = True
         bad = np.argwhere(~np.isfinite(self.values))
         if bad.size:
             r, c = bad[0]
-            pid, (attr, value) = list(self._rows)[r], list(self._columns)[c]
             if given[r, c]:
                 raise ValidationError(
-                    f"score for proposal {pid!r}, attribute {attr!r}={value!r} "
-                    f"must be finite, got {float(self.values[r, c])!r}"
+                    f"{self._cell(r, c)} must be finite, got {float(self.values[r, c])!r}"
                 )
+            pid, (attr, value) = list(self._rows)[r], list(self._columns)[c]
             raise ValidationError(
                 f"proposal {pid!r} has no score for {attr!r}={value!r}, which other proposals have"
             )
         self.values.flags.writeable = False
+
+    def _score(self, r: int, c: int, score) -> float:
+        """Cell (r, c)'s ``score`` as a float, refused by name when it is not
+        a number or is an integer beyond the float range."""
+        if isinstance(score, bool) or not isinstance(score, (int, float)):
+            raise ValidationError(f"{self._cell(r, c)} must be a number, got {score!r}")
+        try:
+            return float(score)
+        except OverflowError:
+            raise ValidationError(f"{self._cell(r, c)} is an integer beyond the float range") from None
+
+    def _cell(self, r: int, c: int) -> str:
+        pid, (attr, value) = list(self._rows)[r], list(self._columns)[c]
+        return f"score for proposal {pid!r}, attribute {attr!r}={value!r}"
 
     def rows(self, pids: Iterable[str], part: NodeId | None = None) -> np.ndarray:
         """The row of each of ``pids``; an error names ``part``."""
@@ -169,37 +212,32 @@ class ScoreTable:
         }
 
 
-class ProposalSet:
-    """Per-part proposal buckets sharing one score table."""
+class Bucket:
+    """One part's proposals as columns, in listing order: ``ids``, ``xy``
+    (N, 2), ``types`` (N,) and ``boxes`` (N, 4), each proposal's score-grid
+    row in ``rows``, and in ``id_rank`` each id's rank among the ids."""
 
-    def __init__(
-        self,
-        buckets: Mapping[NodeId, Sequence[Proposal]],
-        scores: ScoreTable,
-        part_type_count: int = 9,
-    ) -> None:
-        self.part_type_count = int(part_type_count)
+    __slots__ = ("part", "ids", "xy", "types", "boxes", "rows", "id_rank")
+
+    def __init__(self, part: NodeId, proposals: Sequence[Proposal], scores: ScoreTable) -> None:
+        self.part = part
+        self.ids = tuple(p.id for p in proposals)
+        self.xy = np.array([(p.x, p.y) for p in proposals], dtype=float)
+        self.types = np.array([p.part_type for p in proposals], dtype=np.int64)
+        self.boxes = np.array([p.box for p in proposals], dtype=float)
+        self.rows = scores.rows(self.ids, part)
+        # The inverse of the id-sorting permutation.
+        self.id_rank = np.argsort(sorted(range(len(self.ids)), key=self.ids.__getitem__))
+
+
+class ProposalSet:
+    """One :class:`Bucket` per part that has proposals, sharing one score
+    table; built by :meth:`from_proposals`."""
+
+    def __init__(self, buckets: Iterable[Bucket], scores: ScoreTable, part_type_count: int) -> None:
+        self.buckets = {b.part: b for b in buckets}
         self.scores = scores
-        self.buckets: dict[NodeId, tuple[Proposal, ...]] = {}
-        seen_ids: set[str] = set()
-        for part, props in buckets.items():
-            props = tuple(props)
-            for p in props:
-                if p.part != part:
-                    raise ValidationError(
-                        f"proposal {p.id!r} for part {p.part!r} filed under bucket {part!r}"
-                    )
-                if p.part_type > self.part_type_count:
-                    raise ValidationError(
-                        f"proposal {p.id!r}: part_type {p.part_type} exceeds "
-                        f"part_type_count {self.part_type_count}"
-                    )
-                if p.id in seen_ids:
-                    raise ValidationError(f"duplicate proposal id {p.id!r}")
-                seen_ids.add(p.id)
-            self.buckets[part] = props
-        for part, props in self.buckets.items():
-            scores.rows((p.id for p in props), part)
+        self.part_type_count = part_type_count
 
     @classmethod
     def from_proposals(
@@ -208,21 +246,40 @@ class ProposalSet:
         scores: ScoreTable,
         part_type_count: int = 9,
     ) -> "ProposalSet":
-        buckets: dict[NodeId, list[Proposal]] = {}
+        """``proposals`` grouped by part, each part's in listing order.  Every
+        id must be unique, have a row in ``scores`` and a type of at most
+        ``part_type_count``."""
+        part_type_count = int(part_type_count)
+        grouped: dict[NodeId, list[Proposal]] = {}
+        seen_ids: set[str] = set()
         for p in proposals:
-            buckets.setdefault(p.part, []).append(p)
-        return cls(buckets, scores, part_type_count=part_type_count)
+            if p.part_type > part_type_count:
+                raise ValidationError(
+                    f"proposal {p.id!r}: part_type {p.part_type} exceeds "
+                    f"part_type_count {part_type_count}"
+                )
+            if p.id in seen_ids:
+                raise ValidationError(f"duplicate proposal id {p.id!r}")
+            seen_ids.add(p.id)
+            grouped.setdefault(p.part, []).append(p)
+        buckets = [Bucket(part, props, scores) for part, props in grouped.items()]
+        return cls(buckets, scores, part_type_count)
 
     def proposals_for(self, part: NodeId) -> tuple[Proposal, ...]:
-        return self.buckets.get(part, ())
+        """``part``'s proposals in listing order, rebuilt from its bucket."""
+        if part not in self.buckets:
+            return ()
+        b = self.buckets[part]
+        columns = zip(b.ids, b.xy.tolist(), b.types.tolist(), b.boxes.tolist())
+        return tuple(Proposal(pid, part, x, y, t, box) for pid, (x, y), t, box in columns)
 
     def __len__(self) -> int:
-        return sum(len(b) for b in self.buckets.values())
+        return sum(len(b.ids) for b in self.buckets.values())
 
 
 def load_proposals(path: str, *, part_type_count: int = 9) -> ProposalSet:
     """Read a JSON-lines proposal file; one proposal object per line."""
-    rows = read_json_lines(path, lambda doc: (_proposal_from_doc(doc), _scores_from_doc(doc)))
+    rows = read_json_lines(path, lambda doc: (_proposal_from_doc(doc), doc.get("scores", {})))
     try:
         scores = ScoreTable({p.id: per_attr for p, per_attr in rows})
     except ValidationError as exc:
@@ -233,51 +290,31 @@ def load_proposals(path: str, *, part_type_count: int = 9) -> ProposalSet:
 def _proposal_from_doc(doc: Mapping) -> Proposal:
     """The proposal a JSON object describes."""
     with malformed("proposal", doc):
-        box = doc["box"]
-        if not isinstance(box, (list, tuple)) or len(box) != 4:
-            raise ValidationError(f"box must be a 4-element array, got {box!r}")
-        for field in ("x", "y"):
-            v = doc[field]
-            if not isinstance(v, (int, float)) or isinstance(v, bool):
-                raise ValidationError(f"field {field!r} must be a number, got {v!r}")
         return Proposal(
             id=str(doc["id"]),
             part=str(doc["part"]),
-            x=float(doc["x"]),
-            y=float(doc["y"]),
-            part_type=int(doc["part_type"]),
-            box=tuple(float(v) for v in box),
+            x=doc["x"],
+            y=doc["y"],
+            part_type=doc["part_type"],
+            box=doc["box"],
         )
-
-
-def _scores_from_doc(doc: Mapping) -> Mapping[AttrId, Mapping[str, float]]:
-    """The scores a proposal object lists, each checked to be a JSON number."""
-    with malformed("proposal", doc):
-        scores = doc.get("scores", {})
-        for attr, per_value in scores.items():
-            for value, score in per_value.items():
-                if type(score) is not float:
-                    if type(score) is not int:
-                        raise ValidationError(
-                            f"score for {attr!r}={value!r} must be a number, got {score!r}"
-                        )
-                    float(score)  # an integer beyond the float range raises here
-        return scores
 
 
 def save_proposals(pset: ProposalSet, path: str) -> None:
     """Write JSON-lines, parts in sorted order, bucket order preserved."""
     docs = []
     for part in sorted(pset.buckets):
-        for p in pset.buckets[part]:
+        b = pset.buckets[part]
+        columns = zip(b.ids, b.xy.tolist(), b.types.tolist(), b.boxes.tolist())
+        for pid, (x, y), part_type, box in columns:
             doc = {
-                "id": p.id,
-                "part": p.part,
-                "x": p.x,
-                "y": p.y,
-                "part_type": p.part_type,
-                "box": list(p.box),
-                "scores": pset.scores.per_proposal(p.id),
+                "id": pid,
+                "part": part,
+                "x": x,
+                "y": y,
+                "part_type": part_type,
+                "box": box,
+                "scores": pset.scores.per_proposal(pid),
             }
             docs.append(doc)
     write_json_lines(path, docs)

@@ -253,10 +253,10 @@ def no_pose_attribute_scores(
 ) -> dict[AttrId, dict[str, float]]:
     """Pose-blind attribute scores: best proposal score per value."""
     scores = pset.scores
-    ids = [p.id for props in pset.buckets.values() for p in props]
-    if not ids:
+    if not pset.buckets:
         raise ValidationError("no proposals to score attributes from")
-    best = scores.values[scores.rows(ids)].max(axis=0).tolist()
+    rows = np.concatenate([b.rows for b in pset.buckets.values()])
+    best = scores.values[rows].max(axis=0).tolist()
     return {
         attr.id: {value: best[scores.column(attr.id, value)] for value in attr.domain}
         for attr in grammar.attributes

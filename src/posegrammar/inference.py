@@ -15,22 +15,23 @@ Two objectives share this machinery:
 * unconstrained: every part contributes its best value score for every
   attribute, each part free to pick its own values.
 
-Relation scores come from tables, not from per-candidate math.  Every
-edge closed at a step has a table with one row per proposal of the part
-grounded first and one column per proposal of the part grounded second:
-the co-occurrence table gathers the edge's log matrix by the two
-proposals' types, and the displacement table evaluates the edge's
-mixture log-density on the grid of offsets.  A row is computed the first
-time a search reads it, and the tables are memoised per
-:class:`ProposalSet` (weakly, so a dropped set frees them) and per
-relation model, so the constrained parses of every (attribute, value)
-pair, the unconstrained parse and the oracle read the same numbers.  The
-appearance term is one vector per objective, gathered from the proposal
-set's immutable score grid (:meth:`ScoreTable.appearance`) and sliced
-per bucket; a grammar pair the grid lacks is refused before any search
-step.  A beam step is one (B, N) numpy sum, beam score plus appearance
-plus each closing's table row, cut by ``np.lexsort`` on score and
-id-tuple rank.
+Each step reads its part's columnar :class:`~posegrammar.appearance.Bucket`
+straight from the proposal set.  Relation scores come from tables, not
+from per-candidate math.  Every edge closed at a step has a table with
+one row per proposal of the part grounded first and one column per
+proposal of the part grounded second: the co-occurrence table gathers the
+edge's log matrix by the buckets' ``types``, and the displacement table
+evaluates the edge's mixture log-density on the grid of ``xy`` offsets.
+A row is computed the first time a search reads it.  The tables are the
+only thing cached per :class:`ProposalSet` (weakly, so a dropped set
+frees them), kept per relation model, so the constrained parses of every
+(attribute, value) pair, the unconstrained parse and the oracle read the
+same numbers.  The appearance term is one vector per objective, gathered
+from the proposal set's immutable score grid
+(:meth:`ScoreTable.appearance`) and sliced per bucket; a grammar pair the
+grid lacks is refused before any search step.  A beam step is one (B, N)
+numpy sum, beam score plus appearance plus each closing's table row, cut
+by ``np.lexsort`` on score and id-tuple rank.
 
 :func:`brute_force_parse` enumerates the full proposal lattice and reads
 the same tables through the same sum, so on small instances a wide-enough
@@ -42,11 +43,11 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
-from .appearance import ProposalSet
+from .appearance import Bucket, ProposalSet
 from .errors import (
     EnumerationLimitError,
     InfeasibleParseError,
@@ -98,31 +99,6 @@ def default_expansion_order(grammar: AOGrammar) -> tuple[NodeId, ...]:
     return tuple(order)
 
 
-class _Bucket:
-    """One part's proposals as arrays, in listing order, with their score
-    table rows and each id's rank."""
-
-    __slots__ = ("part", "props", "rows", "xy", "types", "id_rank")
-
-    def __init__(self, part: NodeId, props: Sequence, scores):
-        if not props:
-            raise InfeasibleParseError(f"part {part!r} has no proposals")
-        self.part = part
-        self.props = tuple(props)
-        self.rows = scores.rows((p.id for p in self.props), part)
-        self.xy = np.array([(p.x, p.y) for p in self.props])
-        self.types = np.array([p.part_type for p in self.props])
-        ids = [p.id for p in self.props]
-        self.id_rank = _ranks(sorted(range(len(ids)), key=ids.__getitem__))
-
-
-def _ranks(order) -> np.ndarray:
-    """Rank of each item, given the items' indices in ascending order."""
-    ranks = np.empty(len(order), dtype=np.int64)
-    ranks[order] = np.arange(len(order))
-    return ranks
-
-
 class _Table:
     """Relation scores of one edge between the part grounded first and the
     part grounded second: one row per proposal of the first, one column
@@ -131,7 +107,7 @@ class _Table:
 
     __slots__ = ("source", "edge", "log", "first", "second", "second_is_child", "values", "filled")
 
-    def __init__(self, source, edge: Edge, first: _Bucket, second: _Bucket, second_is_child: bool):
+    def __init__(self, source, edge: Edge, first: Bucket, second: Bucket):
         self.source = source
         self.edge = edge
         # Looked up now, so that a missing model entry fails before any search.
@@ -140,19 +116,19 @@ class _Table:
             for bucket in (first, second):
                 beyond = np.flatnonzero(bucket.types > source.part_type_count)
                 if beyond.size:
-                    p = bucket.props[beyond[0]]
+                    j = beyond[0]
                     raise ValidationError(
-                        f"edge {edge[0]}->{edge[1]}: proposal {p.id!r} has part_type "
-                        f"{p.part_type}, beyond the models' part_type_count {source.part_type_count}"
+                        f"edge {edge[0]}->{edge[1]}: proposal {bucket.ids[j]!r} has part_type "
+                        f"{bucket.types[j]}, beyond the models' part_type_count {source.part_type_count}"
                     )
         else:
             self.log = None
             source.mixture(edge)
         self.first = first
         self.second = second
-        self.second_is_child = second_is_child
-        self.values = np.empty((len(first.props), len(second.props)))
-        self.filled = np.zeros(len(first.props), dtype=bool)
+        self.second_is_child = second.part == edge[1]
+        self.values = np.empty((len(first.ids), len(second.ids)))
+        self.filled = np.zeros(len(first.ids), dtype=bool)
 
     def rows(self, idx: np.ndarray) -> np.ndarray:
         """The rows of the first part's proposals ``idx``, shape (len(idx), N)."""
@@ -174,11 +150,11 @@ class _Table:
             offsets = -offsets
         with np.errstate(over="ignore", invalid="ignore"):
             values = self.source.log_density(self.edge, offsets.reshape(-1, 2))
-        values = values.reshape(len(rows), len(second.props))
+        values = values.reshape(len(rows), len(second.ids))
         bad = np.argwhere(~np.isfinite(values))
         if bad.size:
             r, c = bad[0]
-            ids = (first.props[rows[r]].id, second.props[c].id)
+            ids = (first.ids[rows[r]], second.ids[c])
             parent, child = ids[::-1] if not self.second_is_child else ids
             raise ValidationError(
                 f"edge {self.edge[0]}->{self.edge[1]}: displacement score between proposals "
@@ -187,31 +163,9 @@ class _Table:
         return values
 
 
-class _Cache:
-    """What every search on one proposal set shares: the bucket arrays, and
-    the relation tables of each relation model that scored an edge."""
-
-    def __init__(self) -> None:
-        self.buckets: dict[NodeId, _Bucket] = {}
-        self.tables: dict[tuple, _Table] = {}
-
-    def bucket(self, pset: ProposalSet, part: NodeId) -> _Bucket:
-        if part not in self.buckets:
-            self.buckets[part] = _Bucket(part, pset.proposals_for(part), pset.scores)
-        return self.buckets[part]
-
-    def table(self, source, edge: Edge, first: _Bucket, second: _Bucket) -> _Table:
-        second_is_child = second.part == edge[1]
-        # The table holds ``source``, so its id stays unused by any other object
-        # while the key exists.
-        key = (id(source), edge, second_is_child)
-        if key not in self.tables:
-            self.tables[key] = _Table(source, edge, first, second, second_is_child)
-        return self.tables[key]
-
-
-# Per proposal set; a dropped set frees its tables.
-_CACHES: weakref.WeakKeyDictionary[ProposalSet, _Cache] = weakref.WeakKeyDictionary()
+# The relation tables of each proposal set, by relation model, edge and
+# orientation; a dropped set frees its tables.
+_TABLES: weakref.WeakKeyDictionary[ProposalSet, dict[tuple, _Table]] = weakref.WeakKeyDictionary()
 
 
 class _Step:
@@ -221,7 +175,7 @@ class _Step:
 
     __slots__ = ("bucket", "app", "closings")
 
-    def __init__(self, bucket: _Bucket, app: np.ndarray):
+    def __init__(self, bucket: Bucket, app: np.ndarray):
         self.bucket = bucket
         self.app = app
         self.closings: list[tuple[int, _Table]] = []
@@ -249,8 +203,10 @@ def _prepare(grammar, models, pset, objective):
     closes."""
     order = default_expansion_order(grammar)
     assignment = _assignment(grammar, objective)
-    cache = _CACHES.setdefault(pset, _Cache())
-    buckets = [cache.bucket(pset, part) for part in order]
+    tables = _TABLES.setdefault(pset, {})
+    buckets = [pset.buckets.get(part) for part in order]
+    if None in buckets:
+        raise InfeasibleParseError(f"part {order[buckets.index(None)]!r} has no proposals")
     rows = np.concatenate([b.rows for b in buckets])
     app = pset.scores.appearance(rows, grammar.attributes, assignment)
     ends = np.cumsum([len(b.rows) for b in buckets])[:-1]
@@ -260,8 +216,12 @@ def _prepare(grammar, models, pset, objective):
     for source, edges in closing:
         for edge in edges:
             first, second = sorted((position[edge[0]], position[edge[1]]))
-            table = cache.table(source, tuple(edge), steps[first].bucket, steps[second].bucket)
-            steps[second].closings.append((first, table))
+            # The table holds ``source``, so its id stays unused by any other
+            # object while the key exists.
+            key = (id(source), tuple(edge), order[second])
+            if key not in tables:
+                tables[key] = _Table(source, tuple(edge), steps[first].bucket, steps[second].bucket)
+            steps[second].closings.append((first, tables[key]))
     return assignment, steps
 
 
@@ -313,14 +273,15 @@ def _run_beam(steps: list[_Step], beam_width: int):
         n = len(step.app)
         keys = (rank[:, None] * n + step.bucket.id_rank).ravel()
         keep = _cut(total, keys, beam_width)
-        score, rank = total[keep], _ranks(np.argsort(keys[keep]))
+        score, rank = total[keep], keys[keep].argsort().argsort()
         idxs = np.column_stack((idxs[keep // n], keep % n))
     return float(score[0]), idxs[0].tolist()
 
 
 def _state(step: _Step, j: int) -> PartState:
-    p = step.bucket.props[j]
-    return PartState(part=p.part, x=p.x, y=p.y, part_type=p.part_type, proposal_ref=p.id)
+    b = step.bucket
+    x, y, part_type = b.xy.item(j, 0), b.xy.item(j, 1), b.types.item(j)
+    return PartState(part=b.part, x=x, y=y, part_type=part_type, proposal_ref=b.ids[j])
 
 
 def _build_parse_graph(grammar, steps, score, idxs, assignment) -> ParseGraph:
@@ -397,11 +358,11 @@ def brute_force_parse(
                     best[0] = (key, score, ix)
             return
         sums = _extend(steps[si], np.array(scores), np.array(idxs)).tolist()
-        ids = [p.id for p in steps[si].bucket.props]
+        ids = steps[si].bucket.ids
         for row, idkey, ix in zip(sums, idkeys, idxs):
             descend(si + 1, row, [idkey + (i,) for i in ids], [ix + (j,) for j in range(len(ids))])
 
-    ids = [p.id for p in steps[0].bucket.props]
+    ids = steps[0].bucket.ids
     descend(1, steps[0].app.tolist(), [(i,) for i in ids], [(j,) for j in range(len(ids))])
     _key, score, idxs = best[0]
     return _build_parse_graph(grammar, steps, score, idxs, assignment)

@@ -303,11 +303,11 @@ def _tiny_pset():
     table = ScoreTable(
         {"ph": {"hat": {"yes": 2.0, "no": -1.0}}, "pt": {"hat": {"yes": 5.0, "no": 0.5}}}
     )
-    pset = ProposalSet(
-        {
-            "head": (Proposal(id="ph", part="head", x=0, y=0, part_type=1, box=(0, 0, 2, 2)),),
-            "torso": (Proposal(id="pt", part="torso", x=0, y=0, part_type=1, box=(0, 0, 2, 2)),),
-        },
+    pset = ProposalSet.from_proposals(
+        [
+            Proposal(id="ph", part="head", x=0, y=0, part_type=1, box=(0, 0, 2, 2)),
+            Proposal(id="pt", part="torso", x=0, y=0, part_type=1, box=(0, 0, 2, 2)),
+        ],
         table,
     )
     return pset
@@ -351,7 +351,7 @@ class TestAttributeScoring:
     def test_no_pose_needs_proposals(self):
         g = self._grammar()
         with pytest.raises(ValidationError, match="no proposals"):
-            no_pose_attribute_scores(ProposalSet({}, ScoreTable({})), g)
+            no_pose_attribute_scores(ProposalSet.from_proposals([], ScoreTable({})), g)
 
 
 class TestRunDiagnostic:

@@ -37,7 +37,7 @@ from posegrammar.grammar import (
     save_grammar,
 )
 from posegrammar.inference import (
-    _CACHES,
+    _TABLES,
     BeamConfig,
     _extend,
     _prepare,
@@ -119,15 +119,21 @@ def _toy_world(seed, counts=(3, 3, 3), part_type_count=2):
     return g, models, pset
 
 
+def _listed(pset):
+    """Every proposal of ``pset``, bucket by bucket in listing order."""
+    return [p for part in pset.buckets for p in pset.proposals_for(part)]
+
+
 def _rescored(pset, change):
     """``pset`` rebuilt on a copy of its scores that ``change`` edits per
     proposal id; the score table itself is immutable."""
     scores = {}
-    for props in pset.buckets.values():
-        for p in props:
-            scores[p.id] = pset.scores.per_proposal(p.id)
-            change(p.id, scores[p.id])
-    return ProposalSet(pset.buckets, ScoreTable(scores), part_type_count=pset.part_type_count)
+    for p in _listed(pset):
+        scores[p.id] = pset.scores.per_proposal(p.id)
+        change(p.id, scores[p.id])
+    return ProposalSet.from_proposals(
+        _listed(pset), ScoreTable(scores), part_type_count=pset.part_type_count
+    )
 
 
 def _lattice_size(pset, parts=("root", "a", "b")):
@@ -250,10 +256,8 @@ class TestObjectives:
 
     def test_empty_bucket_is_infeasible(self):
         g, models, pset = _toy_world(0)
-        empty = ProposalSet(
-            {"root": pset.proposals_for("root"), "a": pset.proposals_for("a")},
-            pset.scores,
-            part_type_count=2,
+        empty = ProposalSet.from_proposals(
+            pset.proposals_for("root") + pset.proposals_for("a"), pset.scores, part_type_count=2
         )
         with pytest.raises(InfeasibleParseError, match="part 'b' has no proposals"):
             parse_constrained(g, models, empty, "c", "u")
@@ -271,11 +275,7 @@ class TestTieBreaking:
         kept = pset.proposals_for("a") + pset.proposals_for("b")
         scores = {p.id: pset.scores.per_proposal(p.id) for p in kept}
         scores.update({p.id: {"c": {"u": 0.5, "v": 0.5}} for p in clones})
-        pset2 = ProposalSet(
-            {"root": clones, "a": pset.proposals_for("a"), "b": pset.proposals_for("b")},
-            ScoreTable(scores),
-            part_type_count=2,
-        )
+        pset2 = ProposalSet.from_proposals([*clones, *kept], ScoreTable(scores), part_type_count=2)
         pg = parse_constrained(g, models, pset2, "c", "u")
         assert pg.states["root"].proposal_ref == "rt0"
         oracle = brute_force_parse(g, models, pset2, ("constrained", "c", "u"))
@@ -364,7 +364,7 @@ class TestBeamTrace:
                     score = total.ravel()
                     idxs = np.column_stack((np.repeat(idxs, n, axis=0), np.tile(np.arange(n), b)))
                 for partial, row in zip(score.tolist(), idxs.tolist()):
-                    props = [steps[k].bucket.props[j] for k, j in enumerate(row)]
+                    props = [pset.proposals_for(steps[k].bucket.part)[j] for k, j in enumerate(row)]
                     assigned = {p.part: PartState(p.part, p.x, p.y, p.part_type, p.id) for p in props}
                     expected = _partial_total(g, models, pset, assigned, attr, value)
                     np.testing.assert_allclose(partial, expected, rtol=0, atol=1e-9)
@@ -413,11 +413,11 @@ class TestAttributeScores:
         table = ScoreTable(
             {"ph": {"hat": {"yes": 2.0, "no": -1.0}}, "pt": {"hat": {"yes": 5.0, "no": 0.5}}}
         )
-        pset = ProposalSet(
-            {
-                "head": (Proposal(id="ph", part="head", x=0, y=0, part_type=1, box=(0, 0, 2, 2)),),
-                "torso": (Proposal(id="pt", part="torso", x=0, y=0, part_type=1, box=(0, 0, 2, 2)),),
-            },
+        pset = ProposalSet.from_proposals(
+            [
+                Proposal(id="ph", part="head", x=0, y=0, part_type=1, box=(0, 0, 2, 2)),
+                Proposal(id="pt", part="torso", x=0, y=0, part_type=1, box=(0, 0, 2, 2)),
+            ],
             table,
         )
         assoc = AttributeAssociation(
@@ -452,11 +452,11 @@ class TestReadout:
                 "pt": {"hat": {"yes": 50.0}, "gender": {"male": 0.5}},
             }
         )
-        pset = ProposalSet(
-            {
-                "head": (Proposal(id="ph", part="head", x=0, y=0, part_type=1, box=(0, 0, 10, 10)),),
-                "torso": (Proposal(id="pt", part="torso", x=0, y=0, part_type=1, box=(0, 0, 10, 10)),),
-            },
+        pset = ProposalSet.from_proposals(
+            [
+                Proposal(id="ph", part="head", x=0, y=0, part_type=1, box=(0, 0, 10, 10)),
+                Proposal(id="pt", part="torso", x=0, y=0, part_type=1, box=(0, 0, 10, 10)),
+            ],
             table,
         )
         assoc = AttributeAssociation(
@@ -478,9 +478,8 @@ class TestReadout:
 
     def test_unassigned_attribute_contributes_nothing(self):
         table = ScoreTable({"ph": {"hat": {"yes": 1.25}}})
-        pset = ProposalSet(
-            {"head": (Proposal(id="ph", part="head", x=0, y=0, part_type=1, box=(0, 0, 10, 10)),)},
-            table,
+        pset = ProposalSet.from_proposals(
+            [Proposal(id="ph", part="head", x=0, y=0, part_type=1, box=(0, 0, 10, 10))], table
         )
         assoc = AttributeAssociation(
             parts={"head": ("hat", "gender")}, attr_ids=("hat", "gender")
@@ -499,7 +498,7 @@ def _lookup_appearance(grammar, pset, step, assignment):
     """A step's appearance vector read cell by cell through ``lookup``: the
     assigned cell itself, or 0.0 plus each attribute's best value score."""
     out = []
-    for p in step.bucket.props:
+    for p in pset.proposals_for(step.bucket.part):
         if assignment:
             [(attr, value)] = assignment.items()
             out.append(pset.scores.lookup(p.id, attr, value, part=p.part))
@@ -586,10 +585,10 @@ class TestListingOrder:
     )
     def test_shuffled_buckets_parse_identically(self, seed, width, constrained, data):
         """The chosen ids and the exact total do not depend on the order in
-        which a bucket lists its proposals, at any beam width."""
+        which the proposals are listed, at any beam width."""
         g, models, pset = _toy_world(seed, counts=(3, 4, 3))
-        shuffled = ProposalSet(
-            {part: data.draw(st.permutations(props)) for part, props in pset.buckets.items()},
+        shuffled = ProposalSet.from_proposals(
+            data.draw(st.permutations(_listed(pset))),
             pset.scores,
             part_type_count=pset.part_type_count,
         )
@@ -661,9 +660,8 @@ def _chain_world(seed, parts, flat=False, far=None):
         part_type_count=2,
     )
     scores = {}
-    buckets = {}
+    props = []
     for part, ids in parts.items():
-        props = []
         for pid in ids:
             props.append(
                 Proposal(
@@ -678,23 +676,22 @@ def _chain_world(seed, parts, flat=False, far=None):
             scores[pid] = {
                 "c": {v: float(rng.choice([0.0, 0.5, 1.0] if flat else [0.0, 0.5])) for v in ("u", "v")}
             }
-        buckets[part] = props
-    return g, models, ProposalSet(buckets, ScoreTable(scores), part_type_count=2)
+    return g, models, ProposalSet.from_proposals(props, ScoreTable(scores), part_type_count=2)
 
 
 def _reference_beam(steps, width):
     """The beam as a plain sort on (-score, id tuple), cut to ``width`` at
     every step, over the same candidate sums the search uses."""
     first = steps[0]
-    beam = [(s, (p.id,), (j,)) for j, (s, p) in enumerate(zip(first.app.tolist(), first.bucket.props))]
+    beam = [(s, (pid,), (j,)) for j, (s, pid) in enumerate(zip(first.app.tolist(), first.bucket.ids))]
     beam = sorted(beam, key=lambda c: (-c[0], c[1]))[:width]
     for step in steps[1:]:
         new = []
         for score, ids, idxs in beam:
             sums = _extend(step, np.array([score]), np.array([idxs]))[0].tolist()
             new += [
-                (s, ids + (p.id,), idxs + (j,))
-                for j, (s, p) in enumerate(zip(sums, step.bucket.props))
+                (s, ids + (pid,), idxs + (j,))
+                for j, (s, pid) in enumerate(zip(sums, step.bucket.ids))
             ]
         beam = sorted(new, key=lambda c: (-c[0], c[1]))[:width]
     return beam[0]
@@ -771,18 +768,18 @@ class TestRelationTables:
         tables = [table for step in steps for _first, table in step.closings]
         assert len(tables) == 3
         for table in tables:
-            n = len(table.first.props)
-            full = _Table(table.source, table.edge, table.first, table.second, table.second_is_child)
+            n = len(table.first.ids)
+            full = _Table(table.source, table.edge, table.first, table.second)
             whole = full.rows(np.arange(n))
-            lazy = _Table(table.source, table.edge, table.first, table.second, table.second_is_child)
+            lazy = _Table(table.source, table.edge, table.first, table.second)
             for _ in range(3):
                 idx = rng.integers(0, n, size=int(rng.integers(1, n + 1)))
                 np.testing.assert_array_equal(lazy.rows(idx), whole[idx])
             np.testing.assert_array_equal(lazy.rows(np.arange(n)), whole)
             # Each entry against the model's own scalar score.
             parent, child = table.edge
-            for r, other in enumerate(table.first.props):
-                for c, cur in enumerate(table.second.props):
+            for r, other in enumerate(pset.proposals_for(table.first.part)):
+                for c, cur in enumerate(pset.proposals_for(table.second.part)):
                     p, ch = (other, cur) if table.second_is_child else (cur, other)
                     assert (p.part, ch.part) == (parent, child)
                     if isinstance(table.source, SyntacticTable):
@@ -799,7 +796,9 @@ class TestRelationTables:
         _, models_b, _ = _toy_world(32, counts=(3, 4, 3))
 
         def fresh():
-            return ProposalSet(pset.buckets, pset.scores, part_type_count=pset.part_type_count)
+            return ProposalSet.from_proposals(
+                _listed(pset), pset.scores, part_type_count=pset.part_type_count
+            )
 
         cfg = BeamConfig(beam_width=3)
         runs = [
@@ -815,7 +814,7 @@ class TestRelationTables:
     def test_dropped_proposal_set_frees_its_tables(self):
         g, models, pset = _toy_world(33)
         parse_constrained(g, models, pset, "c", "u")
-        assert pset in _CACHES
+        assert pset in _TABLES
         gone = weakref.ref(pset)
         del pset
         gc.collect()
@@ -830,11 +829,8 @@ class TestNonFiniteRelations:
     @staticmethod
     def _far_heads():
         pset = synth_scores(two_person_scene(seed=21), noise_sigma=0.0, rng_seed=4)
-        buckets = {
-            part: [dataclasses.replace(p, x=1e200) if part == "head" else p for p in props]
-            for part, props in pset.buckets.items()
-        }
-        return ProposalSet(buckets, pset.scores, part_type_count=pset.part_type_count)
+        props = [dataclasses.replace(p, x=1e200) if p.part == "head" else p for p in _listed(pset)]
+        return ProposalSet.from_proposals(props, pset.scores, part_type_count=pset.part_type_count)
 
     _MESSAGE = r"edge torso->head: displacement score between proposals 'p\d\.torso' and 'p\d\.head' is -inf, not finite"
 
@@ -861,11 +857,8 @@ class TestPartTypesBeyondModels:
     @staticmethod
     def _type_five():
         g, models, pset = _toy_world(41)
-        buckets = {
-            part: [dataclasses.replace(p, part_type=5) if p.id == "b1" else p for p in props]
-            for part, props in pset.buckets.items()
-        }
-        return g, models, ProposalSet(buckets, pset.scores, part_type_count=9)
+        props = [dataclasses.replace(p, part_type=5) if p.id == "b1" else p for p in _listed(pset)]
+        return g, models, ProposalSet.from_proposals(props, pset.scores, part_type_count=9)
 
     def test_parse_unconstrained(self):
         g, models, pset = self._type_five()

@@ -79,6 +79,30 @@ def test_reader_refuses_nan_and_truncated_documents_naming_the_path(tmp_path, re
         read(str(path))
 
 
+# Proposal fields of the wrong number type: none is coerced.
+COERCIONS = {
+    "float-type": ({"part_type": 2.7}, "part_type must be an integer, got 2.7"),
+    "string-type": ({"part_type": "3"}, "part_type must be an integer, got '3'"),
+    "bool-type": ({"part_type": True}, "part_type must be an integer, got True"),
+    "string-x": ({"x": "1"}, "x, y and box must be finite numbers"),
+    "bool-y": ({"y": True}, "x, y and box must be finite numbers"),
+    "string-box": ({"box": ["1", 0, 5, 5]}, "x, y and box must be finite numbers"),
+    "bool-box": ({"box": [0, 0, True, 5]}, "x, y and box must be finite numbers"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COERCIONS))
+@pytest.mark.parametrize("reader", ["proposals", "proposal-groups"])
+def test_proposal_readers_refuse_numbers_of_the_wrong_type_naming_the_line(tmp_path, reader, case):
+    fields, message = COERCIONS[case]
+    read, first = LINE_READERS[reader]
+    bad = {**_PROPOSAL, "id": "p2", **fields}
+    path = tmp_path / "input.jsonl"
+    path.write_text(json.dumps(first) + "\n" + json.dumps([bad] if reader == "proposal-groups" else bad) + "\n")
+    with pytest.raises(ValidationError, match="^" + re.escape(f"{path}:2: proposal 'p2': {message}")):
+        read(str(path))
+
+
 @pytest.mark.parametrize("top", ["[]", "3", '"text"'])
 @pytest.mark.parametrize("reader", sorted(DOCUMENT_READERS))
 def test_document_reader_refuses_a_top_level_that_is_not_an_object(tmp_path, reader, top):

@@ -35,9 +35,8 @@ def test_only_the_codec_encodes_or_decodes_json():
     assert offenders == []
 
 
-def test_only_appearance_reads_scores_by_lookup():
-    """Appearance reads go through the score grid: no module other than
-    ``posegrammar.appearance`` calls ``.lookup(`` cell by cell."""
+def _calls_outside_appearance(method: str) -> list[str]:
+    """Where a module other than ``posegrammar.appearance`` calls ``.method(``."""
     offenders = []
     for path in sorted(Path(posegrammar.__file__).parent.glob("*.py")):
         if path.name == "appearance.py":
@@ -46,7 +45,20 @@ def test_only_appearance_reads_scores_by_lookup():
             if (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "lookup"
+                and node.func.attr == method
             ):
                 offenders.append(f"{path.name}:{node.lineno}")
-    assert offenders == []
+    return offenders
+
+
+def test_only_appearance_reads_scores_by_lookup():
+    """Appearance reads go through the score grid: no module other than
+    ``posegrammar.appearance`` calls ``.lookup(`` cell by cell."""
+    assert _calls_outside_appearance("lookup") == []
+
+
+def test_only_appearance_rebuilds_proposals():
+    """A proposal set keeps columns, not ``Proposal`` objects: no module
+    other than ``posegrammar.appearance`` calls ``.proposals_for(``, so the
+    search never rebuilds them."""
+    assert _calls_outside_appearance("proposals_for") == []

@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
-from posegrammar.appearance import Proposal, ScoreTable
+from posegrammar.appearance import Bucket, Proposal, ScoreTable
 from posegrammar.errors import MissingEntryError, ValidationError
-from posegrammar.inference import _Bucket, _Table
+from posegrammar.inference import _Table
 from posegrammar.relations import (
     AttributeAssociation,
     KinematicMoG,
@@ -148,9 +148,9 @@ class TestMixtureDensity:
             for i, (x, y) in enumerate(pts)
         ]
         table = ScoreTable({p.id: {} for p in parents + kids})
-        parent = _Bucket(EDGE[0], parents, table)
-        children = _Bucket(EDGE[1], kids, table)
-        beam = _Table(mog, EDGE, parent, children, True).rows(np.array([0]))[0]
+        parent = Bucket(EDGE[0], parents, table)
+        children = Bucket(EDGE[1], kids, table)
+        beam = _Table(mog, EDGE, parent, children).rows(np.array([0]))[0]
         np.testing.assert_allclose(beam, expected, rtol=0, atol=1e-12)
 
     def test_density_integrates_to_one(self):
