@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from functools import reduce
 from itertools import product
@@ -61,13 +62,25 @@ class Proposal:
     def __post_init__(self) -> None:
         if not isinstance(self.id, str) or not self.id:
             raise ValidationError(f"proposal id must be a non-empty string, got {self.id!r}")
+        if not isinstance(self.part, str):
+            raise ValidationError(f"proposal {self.id!r}: part must be a string, got {self.part!r}")
         box = tuple(self.box)
         if len(box) != 4:
             raise ValidationError(f"proposal {self.id!r}: box must have 4 entries, got {box!r}")
         given = (self.x, self.y) + box
-        if not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v) for v in given
-        ):
+        try:
+            finite = all(
+                isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+                for v in given
+            )
+        except OverflowError:
+            fields = ("x", "y", "box", "box", "box", "box")
+            name = next(f for f, v in zip(fields, given) if abs(v) > sys.float_info.max)
+            raise ValidationError(
+                f"proposal {self.id!r}: x, y and box must be finite numbers, "
+                f"{name} is an integer beyond the float range"
+            ) from None
+        if not finite:
             raise ValidationError(
                 f"proposal {self.id!r}: x, y and box must be finite numbers, "
                 f"got ({self.x!r}, {self.y!r}) and {box!r}"
@@ -291,8 +304,8 @@ def _proposal_from_doc(doc: Mapping) -> Proposal:
     """The proposal a JSON object describes."""
     with malformed("proposal", doc):
         return Proposal(
-            id=str(doc["id"]),
-            part=str(doc["part"]),
+            id=doc["id"],
+            part=doc["part"],
             x=doc["x"],
             y=doc["y"],
             part_type=doc["part_type"],

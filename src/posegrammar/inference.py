@@ -99,6 +99,19 @@ def default_expansion_order(grammar: AOGrammar) -> tuple[NodeId, ...]:
     return tuple(order)
 
 
+# The expansion order of each grammar, by ``id``; a dropped grammar frees
+# its entry.  Grammars compare by structure and so are not hashable.
+_ORDERS: dict[int, tuple[NodeId, ...]] = {}
+
+
+def _expansion_order(grammar: AOGrammar) -> tuple[NodeId, ...]:
+    order = _ORDERS.get(id(grammar))
+    if order is None:
+        order = _ORDERS[id(grammar)] = default_expansion_order(grammar)
+        weakref.finalize(grammar, _ORDERS.pop, id(grammar), None)
+    return order
+
+
 class _Table:
     """Relation scores of one edge between the part grounded first and the
     part grounded second: one row per proposal of the first, one column
@@ -201,7 +214,7 @@ def _prepare(grammar, models, pset, objective):
     """The objective's assignment, and per step of the default expansion
     order the bucket, its appearance vector and the tables of the edges it
     closes."""
-    order = default_expansion_order(grammar)
+    order = _expansion_order(grammar)
     assignment = _assignment(grammar, objective)
     tables = _TABLES.setdefault(pset, {})
     buckets = [pset.buckets.get(part) for part in order]

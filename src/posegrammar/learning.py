@@ -9,6 +9,7 @@ availability and part visibility.
 
 from __future__ import annotations
 
+import logging
 import math
 import warnings
 from dataclasses import dataclass
@@ -28,14 +29,15 @@ from .grammar import (
 )
 from .jsonio import malformed, read_json_lines, write_json_lines
 from .relations import (
-    COV_EIG_FLOOR,
     AttributeAssociation,
     Edge,
     KinematicMoG,
     Mixture,
     SyntacticTable,
     _component_constants,
+    _floor_covariances,
     _log_sum_exp,
+    _matrices,
     _mixture_terms,
 )
 
@@ -49,6 +51,8 @@ DISTANCE_BOUND = 0.5
 
 # EM stops once the mean log-likelihood gains less than this per iteration.
 EM_TOL = 1e-6
+
+_LOG = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -263,12 +267,13 @@ def _kmeans_plusplus(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndar
     return means
 
 
-def _floor_covariance(cov: np.ndarray) -> np.ndarray:
-    """Symmetrize and lift eigenvalues to the covariance floor."""
-    cov = (cov + cov.T) / 2.0
-    eigvals, eigvecs = np.linalg.eigh(cov)
-    eigvals = np.maximum(eigvals, COV_EIG_FLOOR)
-    return (eigvecs * eigvals) @ eigvecs.T
+def _scatter(X: np.ndarray, resp: np.ndarray, centres: np.ndarray) -> np.ndarray:
+    """Each component's ``resp``-weighted scatter of the samples about its
+    centre, (k, 2, 2), from the three moments."""
+    dx = X[:, 0, None] - centres[:, 0]
+    dy = X[:, 1, None] - centres[:, 1]
+    rdx = resp * dx
+    return _matrices((rdx * dx).sum(axis=0), (rdx * dy).sum(axis=0), (resp * dy * dy).sum(axis=0))
 
 
 def _em_fit(
@@ -277,22 +282,28 @@ def _em_fit(
     rng: np.random.Generator,
     max_iter: int,
 ) -> tuple[Mixture, list[float]]:
+    """EM for a ``k``-component mixture over the (n >= 2) rows of ``X``, with
+    the mean log-likelihood before each update as the trace.
+
+    k-means++ seeds the means; each component starts from the covariance
+    of the samples nearest its seed (the global covariance when fewer than
+    two) and their share of the samples.  Each iteration is batched over
+    the components: the E-step goes through :func:`_mixture_terms`, the
+    M-step takes the responsibility sums, the means, the three covariance
+    moments and one eigenvalue floor.  A component whose responsibilities
+    sum below 1e-12 keeps its parameters and gets weight 0.
+    """
     n = X.shape[0]
     means = _kmeans_plusplus(X, k, rng)
     labels = np.argmin(
         np.sum((X[:, None, :] - means[None, :, :]) ** 2, axis=2), axis=1
     )
-    weights = np.full(k, 1.0 / k)
-    covs = np.empty((k, 2, 2))
-    global_cov = _floor_covariance(np.cov(X.T) if n > 1 else np.eye(2))
-    for i in range(k):
-        members = X[labels == i]
-        if members.shape[0] >= 2:
-            covs[i] = _floor_covariance(np.cov(members.T))
-            weights[i] = members.shape[0] / n
-        else:
-            covs[i] = global_cov
-            weights[i] = max(members.shape[0], 1) / n
+    members = (labels[:, None] == np.arange(k)).astype(float)
+    counts = members.sum(axis=0)
+    centres = members.T @ X / np.maximum(counts, 1.0)[:, None]
+    own = _scatter(X, members, centres) / np.maximum(counts - 1.0, 1.0)[:, None, None]
+    covs = _floor_covariances(np.where((counts >= 2)[:, None, None], own, np.cov(X.T)))
+    weights = np.maximum(counts, 1.0) / n
     weights = weights / weights.sum()
 
     trace: list[float] = []
@@ -313,15 +324,12 @@ def _em_fit(
 
         resp = np.exp(log_comp - log_mix[:, None])
         nk = resp.sum(axis=0)
-        for i in range(k):
-            if nk[i] < 1e-12:
-                # Empty component: keep its parameters, zero its weight.
-                weights[i] = 0.0
-                continue
-            weights[i] = nk[i] / n
-            means[i] = resp[:, i] @ X / nk[i]
-            diff = X - means[i]
-            covs[i] = _floor_covariance((resp[:, i] * diff.T) @ diff / nk[i])
+        live = nk >= 1e-12
+        mass = np.where(live, nk, 1.0)
+        means = np.where(live[:, None], resp.T @ X / mass[:, None], means)
+        fitted = _floor_covariances(_scatter(X, resp, means) / mass[:, None, None])
+        covs = np.where(live[:, None, None], fitted, covs)
+        weights = np.where(live, nk / n, 0.0)
         weights = weights / weights.sum()
     else:
         log_mix = _log_sum_exp(_mixture_terms(X, means, *_component_constants(weights, covs)))
@@ -342,6 +350,8 @@ def fit_kinematic(
     fewer samples than requested components, the component count drops to
     the sample count with a warning.  Per-edge fits are seeded
     independently from ``seed`` so edge order cannot leak between fits.
+    An edge whose fit stops at ``max_iter`` rather than at ``EM_TOL`` is
+    logged at INFO, with its last gain in mean log-likelihood.
     """
     mixtures: dict[Edge, Mixture] = {}
     traces: dict[Edge, list[float]] = {}
@@ -367,6 +377,13 @@ def fit_kinematic(
             k = n
         rng = np.random.default_rng([int(seed), index])
         mixtures[edge], traces[edge] = _em_fit(X, k, rng, max_iter)
+        trace = traces[edge]
+        if len(trace) > max_iter:
+            gain = trace[-1] - trace[-2] if len(trace) > 1 else math.nan
+            _LOG.info(
+                "edge %s->%s: EM stopped at max_iter after %d iterations, last gain %.3g",
+                edge[0], edge[1], max_iter, gain,
+            )
     return KinematicMoG(mixtures, fit_traces=traces)
 
 

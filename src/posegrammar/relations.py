@@ -116,34 +116,114 @@ class Mixture:
             raise ValidationError("mixture parameters must be finite")
         if np.any(w < 0.0) or abs(float(w.sum()) - 1.0) > 1e-9:
             raise ValidationError(f"mixture weights must be non-negative and sum to 1, got {w!r}")
-        for i in range(k):
-            if abs(cov[i, 0, 1] - cov[i, 1, 0]) > 1e-9:
+        asymmetric = np.abs(cov[:, 0, 1] - cov[:, 1, 0]) > 1e-9
+        a, b, d = _entries(cov)
+        with np.errstate(over="ignore", invalid="ignore"):
+            overflow = ~np.isfinite(_determinant(a, b, d))
+            lowest, _ = _eigenvalues(a, b, d)
+        bad = np.flatnonzero(asymmetric | overflow | (lowest < COV_EIG_FLOOR * (1.0 - 1e-6)))
+        if bad.size:
+            i = bad[0]
+            if asymmetric[i]:
                 raise ValidationError(f"mixture component {i}: covariance not symmetric")
-            eigvals = np.linalg.eigvalsh(cov[i])
-            if eigvals[0] < COV_EIG_FLOOR * (1.0 - 1e-6):
+            if overflow[i]:
                 raise ValidationError(
-                    f"mixture component {i}: covariance eigenvalue {eigvals[0]!r} below "
-                    f"floor {COV_EIG_FLOOR}"
+                    f"mixture component {i}: covariance determinant is beyond the float range"
                 )
+            raise ValidationError(
+                f"mixture component {i}: covariance eigenvalue {float(lowest[i])!r} below "
+                f"floor {COV_EIG_FLOOR}"
+            )
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "means", mu)
         object.__setattr__(self, "covariances", cov)
 
 
-def _component_constants(weights, covariances) -> tuple[np.ndarray, np.ndarray]:
-    """Per component ``log w - log 2pi - log det / 2`` and the inverse covariance.
+# Closed-form 2x2 Gaussian math, batched over leading axes.  A covariance
+# ``[[a, b], [b, d]]`` travels as its three entries; EM, the model check,
+# the mixture log-density and so the relation tables all use these.
 
-    Components with non-positive weight get -inf and a zero inverse.
+
+def _entries(matrices) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``a``, ``b`` and ``d`` of each (..., 2, 2) matrix read as the symmetric
+    ``[[a, b], [b, d]]``; ``b`` is the mean of the two off-diagonal entries."""
+    m = np.asarray(matrices, dtype=float)
+    return m[..., 0, 0], 0.5 * (m[..., 0, 1] + m[..., 1, 0]), m[..., 1, 1]
+
+
+def _matrices(a, b, d) -> np.ndarray:
+    """The (..., 2, 2) stack of ``[[a, b], [b, d]]``."""
+    out = np.empty(np.shape(a) + (2, 2))
+    out[..., 0, 0] = a
+    out[..., 0, 1] = out[..., 1, 0] = b
+    out[..., 1, 1] = d
+    return out
+
+
+def _determinant(a, b, d) -> np.ndarray:
+    """The determinant ``a d - b^2`` of ``[[a, b], [b, d]]``."""
+    return a * d - b * b
+
+
+def _eigenvalues(a, b, d) -> tuple[np.ndarray, np.ndarray]:
+    """The smaller and the larger eigenvalue of ``[[a, b], [b, d]]``.
+
+    ``mid +- radius`` gives the eigenvalue of larger magnitude without
+    cancellation; the other one is the determinant over it, so a small
+    eigenvalue keeps its relative precision.
     """
-    consts = np.full(weights.shape[0], -np.inf)
-    inverses = np.zeros((weights.shape[0], 2, 2))
-    for i, (w, cov) in enumerate(zip(weights, covariances)):
-        if w <= 0.0:
-            continue
-        inverses[i] = np.linalg.inv(cov)
-        _, logdet = np.linalg.slogdet(cov)
-        consts[i] = math.log(float(w)) - _LOG_TWO_PI - 0.5 * logdet
+    mid = 0.5 * (a + d)
+    radius = np.hypot(0.5 * (a - d), b)
+    up = mid >= 0.0
+    big = np.where(up, mid + radius, mid - radius)
+    other = np.divide(_determinant(a, b, d), big, out=np.zeros(np.shape(big)), where=big != 0.0)
+    return np.where(up, other, big), np.where(up, big, other)
+
+
+def _floor_covariances(covariances) -> np.ndarray:
+    """Symmetrize (..., 2, 2) covariances and lift every eigenvalue below
+    ``COV_EIG_FLOOR`` to it.
+
+    On a 2x2 matrix ``C`` with eigenvalues ``lo <= hi``, applying
+    ``max(., floor)`` to the spectrum is the affine map ``alpha + beta * x``
+    through the two lifted eigenvalues, so the result is
+    ``alpha * I + beta * C``: ``C`` itself when ``lo`` is at or above the
+    floor, ``floor * I`` when ``hi`` is not above it, and otherwise the
+    line through ``(lo, floor)`` and ``(hi, hi)``.
+    """
+    a, b, d = _entries(covariances)
+    lo, hi = _eigenvalues(a, b, d)
+    lifted = lo < COV_EIG_FLOOR
+    split = lifted & (hi > COV_EIG_FLOOR)
+    beta = np.where(lifted, 0.0, 1.0)
+    beta[split] = (hi[split] - COV_EIG_FLOOR) / (hi[split] - lo[split])
+    alpha = np.where(lifted, COV_EIG_FLOOR - beta * lo, 0.0)
+    return _matrices(alpha + beta * a, beta * b, alpha + beta * d)
+
+
+def _component_constants(weights, covariances) -> tuple[np.ndarray, np.ndarray]:
+    """Per component ``log w - log 2pi - log det / 2``, and the entries
+    ``(ia, ib, ic)`` of the inverse covariance as a (k, 3) array.
+
+    In closed form: ``det = a d - b^2`` and the inverse is
+    ``[[d, -b], [-b, a]] / det``.  Components with non-positive weight get
+    -inf and a zero inverse.
+    """
+    w = np.asarray(weights, dtype=float)
+    a, b, d = _entries(covariances)
+    live = w > 0.0
+    det = np.where(live, _determinant(a, b, d), 1.0)
+    consts = np.full(w.shape, -np.inf)
+    consts[live] = np.log(w[live]) - _LOG_TWO_PI - 0.5 * np.log(det[live])
+    inverses = np.where(live[:, None], np.stack([d, -b, a], axis=1) / det[:, None], 0.0)
     return consts, inverses
+
+
+def _quadratic(inverses, dx, dy) -> np.ndarray:
+    """``ia dx^2 + 2 ib dx dy + ic dy^2`` for (k, 3) inverse entries and
+    (N, k) offsets ``dx``, ``dy``: shape (N, k)."""
+    ia, ib, ic = inverses.T
+    return ia * dx * dx + 2.0 * ib * dx * dy + ic * dy * dy
 
 
 def _mixture_terms(points, means, consts, inverses) -> np.ndarray:
@@ -154,9 +234,10 @@ def _mixture_terms(points, means, consts, inverses) -> np.ndarray:
     gives the mixture log-density; the EM E-step also needs the terms
     themselves for the responsibilities.
     """
-    diff = np.asarray(points, dtype=float)[:, None, :] - means
-    quad = np.einsum("nki,kij,nkj->nk", diff, inverses, diff)
-    return np.where(consts == -np.inf, -np.inf, consts - 0.5 * quad)
+    points = np.asarray(points, dtype=float)
+    dx = points[:, 0, None] - means[:, 0]
+    dy = points[:, 1, None] - means[:, 1]
+    return np.where(consts == -np.inf, -np.inf, consts - 0.5 * _quadratic(inverses, dx, dy))
 
 
 def _log_sum_exp(terms: np.ndarray) -> np.ndarray:

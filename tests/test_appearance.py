@@ -56,6 +56,8 @@ class TestProposal:
             ("y", True, "x, y and box must be finite numbers"),
             ("box", ("1", 0, 5, 5), "x, y and box must be finite numbers"),
             ("box", (0, 0, True, 5), "x, y and box must be finite numbers"),
+            ("x", 10**400, "x, y and box must be finite numbers, x is an integer beyond the float range"),
+            ("box", (0, 0, 5, -(10**400)), "x, y and box must be finite numbers, box is an integer beyond"),
             ("part_type", 2.7, "part_type must be an integer, got 2.7"),
             ("part_type", "3", "part_type must be an integer, got '3'"),
             ("part_type", True, "part_type must be an integer, got True"),
@@ -373,7 +375,7 @@ class TestProposalIO:
         bad = good.replace('"x": 0.0', f'"x": {huge}') if field == "x" else good.replace("0.5", huge)
         path.write_text(good.replace('"p1"', '"p0"') + "\n" + bad + "\n")
         where = {
-            "x": f"{path}:2: malformed proposal: int too large",
+            "x": f"{path}:2: proposal 'p1': x, y and box must be finite numbers, x is an integer beyond",
             "score": f"{path}: score for proposal 'p1', attribute 'hat'='yes'",
         }
         with pytest.raises(ValidationError, match=f"^{where[field]}"):

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from posegrammar import inference
 from posegrammar.appearance import Proposal, ProposalSet, ScoreTable, save_proposals, synth_scores
 from posegrammar.cli import cli_dispatch
 from posegrammar.errors import (
@@ -37,6 +38,7 @@ from posegrammar.grammar import (
     save_grammar,
 )
 from posegrammar.inference import (
+    _ORDERS,
     _TABLES,
     BeamConfig,
     _extend,
@@ -819,6 +821,27 @@ class TestRelationTables:
         del pset
         gc.collect()
         assert gone() is None
+
+    def test_expansion_order_is_derived_once_per_grammar_and_freed_with_it(self, monkeypatch):
+        g, models, pset = _toy_world(34)
+        calls = []
+
+        def counted(grammar):
+            calls.append(grammar)
+            return default_expansion_order(grammar)
+
+        monkeypatch.setattr(inference, "default_expansion_order", counted)
+        for value in ("u", "v"):
+            parse_constrained(g, models, pset, "c", value)
+        parse_unconstrained(g, models, pset)
+        assert calls == [g]
+        assert _ORDERS[id(g)] == default_expansion_order(g)
+        key = id(g)
+        gone = weakref.ref(g)
+        del g, calls
+        gc.collect()
+        assert gone() is None
+        assert key not in _ORDERS
 
 
 class TestNonFiniteRelations:

@@ -79,15 +79,21 @@ def test_reader_refuses_nan_and_truncated_documents_naming_the_path(tmp_path, re
         read(str(path))
 
 
-# Proposal fields of the wrong number type: none is coerced.
+# Proposal fields of the wrong type (numbers, ids, parts): none is coerced.
 COERCIONS = {
-    "float-type": ({"part_type": 2.7}, "part_type must be an integer, got 2.7"),
-    "string-type": ({"part_type": "3"}, "part_type must be an integer, got '3'"),
-    "bool-type": ({"part_type": True}, "part_type must be an integer, got True"),
-    "string-x": ({"x": "1"}, "x, y and box must be finite numbers"),
-    "bool-y": ({"y": True}, "x, y and box must be finite numbers"),
-    "string-box": ({"box": ["1", 0, 5, 5]}, "x, y and box must be finite numbers"),
-    "bool-box": ({"box": [0, 0, True, 5]}, "x, y and box must be finite numbers"),
+    "float-type": ({"part_type": 2.7}, "proposal 'p2': part_type must be an integer, got 2.7"),
+    "string-type": ({"part_type": "3"}, "proposal 'p2': part_type must be an integer, got '3'"),
+    "bool-type": ({"part_type": True}, "proposal 'p2': part_type must be an integer, got True"),
+    "string-x": ({"x": "1"}, "proposal 'p2': x, y and box must be finite numbers"),
+    "bool-y": ({"y": True}, "proposal 'p2': x, y and box must be finite numbers"),
+    "string-box": ({"box": ["1", 0, 5, 5]}, "proposal 'p2': x, y and box must be finite numbers"),
+    "bool-box": ({"box": [0, 0, True, 5]}, "proposal 'p2': x, y and box must be finite numbers"),
+    "null-id": ({"id": None}, "proposal id must be a non-empty string, got None"),
+    "number-id": ({"id": 5}, "proposal id must be a non-empty string, got 5"),
+    "bool-id": ({"id": True}, "proposal id must be a non-empty string, got True"),
+    "null-part": ({"part": None}, "proposal 'p2': part must be a string, got None"),
+    "number-part": ({"part": 5}, "proposal 'p2': part must be a string, got 5"),
+    "bool-part": ({"part": False}, "proposal 'p2': part must be a string, got False"),
 }
 
 
@@ -99,7 +105,7 @@ def test_proposal_readers_refuse_numbers_of_the_wrong_type_naming_the_line(tmp_p
     bad = {**_PROPOSAL, "id": "p2", **fields}
     path = tmp_path / "input.jsonl"
     path.write_text(json.dumps(first) + "\n" + json.dumps([bad] if reader == "proposal-groups" else bad) + "\n")
-    with pytest.raises(ValidationError, match="^" + re.escape(f"{path}:2: proposal 'p2': {message}")):
+    with pytest.raises(ValidationError, match="^" + re.escape(f"{path}:2: {message}")):
         read(str(path))
 
 

@@ -7,6 +7,7 @@ its internals (count consistency, trace monotonicity, mean recovery).
 
 from __future__ import annotations
 
+import logging
 import math
 import warnings
 
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from posegrammar.appearance import Proposal
 from posegrammar.errors import DegenerateDataError, MissingEntryError, ValidationError
@@ -29,6 +31,8 @@ from posegrammar.learning import (
     Annotation,
     JointObs,
     box_iou,
+    EM_TOL,
+    _kmeans_plusplus,
     derive_associations,
     displacement_samples,
     fit_kinematic,
@@ -39,7 +43,7 @@ from posegrammar.learning import (
     mutual_information,
     save_annotations,
 )
-from posegrammar.relations import validate_association
+from posegrammar.relations import COV_EIG_FLOOR, validate_association
 
 # A spread-out pose on a 100 x 100 person box, used by the labeling
 # fixtures below.  Member centroids: upper_body (50, 38.75),
@@ -276,7 +280,78 @@ class TestDisplacementSamples:
         assert samples[("torso", "l_shoulder")].shape == (2, 2)
 
 
+def _reference_em(X, k, rng, max_iter):
+    """EM one component at a time through ``numpy.linalg``: the loop the
+    batched closed-form fit replaced, kept as its reference."""
+
+    def floor(cov):
+        vals, vecs = np.linalg.eigh((cov + cov.T) / 2.0)
+        return (vecs * np.maximum(vals, COV_EIG_FLOOR)) @ vecs.T
+
+    def log_terms(means, weights, covs):
+        terms = np.full((X.shape[0], k), -np.inf)
+        for i in np.flatnonzero(weights > 0.0):
+            diff = X - means[i]
+            quad = np.einsum("ni,ij,nj->n", diff, np.linalg.inv(covs[i]), diff)
+            logdet = np.linalg.slogdet(covs[i])[1]
+            terms[:, i] = math.log(weights[i]) - math.log(2.0 * math.pi) - 0.5 * (logdet + quad)
+        return terms
+
+    n = X.shape[0]
+    means = _kmeans_plusplus(X, k, rng)
+    labels = np.argmin(np.sum((X[:, None, :] - means[None, :, :]) ** 2, axis=2), axis=1)
+    weights, covs = np.empty(k), np.empty((k, 2, 2))
+    for i in range(k):
+        members = X[labels == i]
+        covs[i] = floor(np.cov(members.T) if members.shape[0] >= 2 else np.cov(X.T))
+        weights[i] = max(members.shape[0], 1) / n
+    weights /= weights.sum()
+    trace = []
+    for _ in range(max_iter + 1):
+        terms = log_terms(means, weights, covs)
+        log_mix = logsumexp(terms, axis=1)
+        trace.append(float(np.mean(log_mix)))
+        if len(trace) > max_iter or (len(trace) > 1 and trace[-1] - trace[-2] < EM_TOL):
+            break
+        resp = np.exp(terms - log_mix[:, None])
+        for i in range(k):
+            nk = resp[:, i].sum()
+            if nk < 1e-12:
+                weights[i] = 0.0
+                continue
+            weights[i] = nk / n
+            means[i] = resp[:, i] @ X / nk
+            diff = X - means[i]
+            covs[i] = floor((resp[:, i] * diff.T) @ diff / nk)
+        weights /= weights.sum()
+    return weights, means, covs, trace
+
+
 class TestFitKinematic:
+    @pytest.mark.parametrize("case", ["three-clusters", "empty-component"])
+    def test_batched_fit_matches_the_per_component_reference(self, case):
+        """Same iteration count, and parameters within 1e-9 of each
+        matrix's or vector's scale.  In the second case two far sites and
+        a duplicated seed leave one component with responsibilities below
+        1e-12: it keeps its parameters at weight 0."""
+        rng = np.random.default_rng(21)
+        if case == "three-clusters":
+            centres = np.array([[0.0, -30.0], [25.0, 10.0], [-20.0, 15.0]])
+            X = np.vstack([rng.normal(c, s, size=(70, 2)) for c, s in zip(centres, (2.0, 5.0, 0.5))])
+            k = 4
+        else:
+            X = np.array([[0.0, 0.0]] * 3 + [[1e6, 0.0]] * 2)
+            k = 3
+        edge = ("a", "b")
+        model = fit_kinematic({edge: X}, n_components=k, seed=4)
+        mix, trace = model.mixtures[edge], model.fit_traces[edge]
+        weights, means, covs, expected = _reference_em(X, k, np.random.default_rng([4, 0]), 200)
+        assert len(trace) == len(expected)
+        np.testing.assert_allclose(trace, expected, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(mix.weights, weights, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(mix.means, means, rtol=0, atol=1e-9 * np.abs(X).max())
+        np.testing.assert_allclose(mix.covariances, covs, rtol=1e-9, atol=1e-9 * np.abs(covs).max())
+        assert (0.0 in mix.weights) == (case == "empty-component")
     def test_recovers_cluster_means(self):
         rng = np.random.default_rng(0)
         a = rng.normal((10.0, 0.0), 0.1, size=(60, 2))
@@ -324,6 +399,28 @@ class TestFitKinematic:
         bad[1, 0] = np.nan
         with pytest.raises(ValidationError, match="finite"):
             fit_kinematic({("a", "b"): bad})
+
+    def test_logs_exactly_the_edges_stopped_at_max_iter(self, caplog):
+        rng = np.random.default_rng(0)
+        data = {
+            ("a", "b"): np.vstack(
+                [rng.normal((10.0, 0.0), 0.1, (60, 2)), rng.normal((-10.0, 5.0), 0.1, (60, 2))]
+            ),
+            ("b", "c"): rng.normal(0.0, 3.0, size=(200, 2)),
+            ("c", "d"): rng.normal((4.0, -2.0), 0.5, size=(80, 2)),
+        }
+        with caplog.at_level(logging.INFO, logger="posegrammar.learning"):
+            model = fit_kinematic(data, n_components=2, seed=1, max_iter=10)
+        capped = {e for e, t in model.fit_traces.items() if len(t) > 10}
+        assert capped == {("c", "d")}
+        assert all(r.levelno == logging.INFO for r in caplog.records)
+        logged = {r.args[:2] for r in caplog.records}
+        assert logged == capped
+        trace = model.fit_traces[("c", "d")]
+        [record] = caplog.records
+        assert record.getMessage() == (
+            f"edge c->d: EM stopped at max_iter after 10 iterations, last gain {trace[-1] - trace[-2]:.3g}"
+        )
 
     def test_deterministic_under_seed(self):
         rng = np.random.default_rng(12)

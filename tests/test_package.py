@@ -62,3 +62,30 @@ def test_only_appearance_rebuilds_proposals():
     other than ``posegrammar.appearance`` calls ``.proposals_for(``, so the
     search never rebuilds them."""
     assert _calls_outside_appearance("proposals_for") == []
+
+
+def _functions(module: str) -> dict[str, ast.FunctionDef]:
+    tree = ast.parse((Path(posegrammar.__file__).parent / module).read_text(encoding="utf-8"))
+    return {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+
+
+def test_gaussian_math_is_closed_form_and_batched():
+    """The 2x2 Gaussian math has one closed-form implementation: no module
+    reaches for ``numpy.linalg``, and neither its helpers, nor the mixture
+    check, nor EM beyond its iteration loop, loop over components."""
+    linalg = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(posegrammar.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr == "linalg"
+    ]
+    assert linalg == []
+    relations, learning = _functions("relations.py"), _functions("learning.py")
+    batched = [relations[name] for name in (
+        "__post_init__", "_entries", "_matrices", "_determinant", "_eigenvalues",
+        "_floor_covariances", "_component_constants", "_quadratic", "_mixture_terms",
+    )] + [learning["_scatter"]]
+    loops = (ast.For, ast.While, ast.comprehension)
+    assert [fn.name for fn in batched if any(isinstance(n, loops) for n in ast.walk(fn))] == []
+    em_loops = [ast.unparse(n) for n in ast.walk(learning["_em_fit"]) if isinstance(n, loops)]
+    assert len(em_loops) == 1 and em_loops[0].startswith("for _ in range(max_iter):")

@@ -20,12 +20,18 @@ from posegrammar.appearance import Bucket, Proposal, ScoreTable
 from posegrammar.errors import MissingEntryError, ValidationError
 from posegrammar.inference import _Table
 from posegrammar.relations import (
+    COV_EIG_FLOOR,
     AttributeAssociation,
     KinematicMoG,
     Mixture,
     RelationModels,
     SyntacticTable,
+    _component_constants,
+    _eigenvalues,
+    _entries,
+    _floor_covariances,
     _parse_edge_key,
+    _quadratic,
     full_association,
     load_models,
     save_models,
@@ -199,6 +205,90 @@ class TestMixtureDensity:
         np.testing.assert_allclose(mog.score(EDGE, dx, dy), expected, rtol=1e-10, atol=1e-10)
 
 
+def _spd(rng, count, lowest=(1e-2, 1e2), max_condition=1e4):
+    """Random SPD 2x2 matrices: a random rotation of eigenvalues whose
+    smaller one and condition number are log-uniform in the given ranges."""
+    lo = np.exp(rng.uniform(*np.log(lowest), size=count))
+    hi = lo * np.exp(rng.uniform(0.0, np.log(max_condition), size=count))
+    theta = rng.uniform(0.0, np.pi, size=count)
+    c, s = np.cos(theta), np.sin(theta)
+    rot = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
+    covs = rot @ (np.stack([lo, hi], -1)[:, :, None] * np.swapaxes(rot, 1, 2))
+    return (covs + np.swapaxes(covs, 1, 2)) / 2.0
+
+
+def _eigh_floor(covs: np.ndarray) -> np.ndarray:
+    """The eigenvalue floor through ``numpy.linalg.eigh``, one matrix at a time."""
+    out = np.empty_like(covs)
+    for i, cov in enumerate(covs):
+        vals, vecs = np.linalg.eigh((cov + cov.T) / 2.0)
+        out[i] = (vecs * np.maximum(vals, COV_EIG_FLOOR)) @ vecs.T
+    return out
+
+
+def _assert_matrices_close(got, expected, rtol=1e-10):
+    """Entries agree within ``rtol`` of each matrix's largest entry."""
+    scale = np.abs(expected).max(axis=(1, 2), keepdims=True)
+    assert np.all(np.abs(got - expected) <= rtol * scale)
+
+
+class TestClosedFormGaussian:
+    """The closed-form 2x2 math against ``numpy.linalg``: log-domain values
+    agree within 1e-10 absolute (1e-10 relative in the density), matrices
+    within 1e-10 of their largest entry."""
+
+    def test_random_spd_matches_linalg(self):
+        rng = np.random.default_rng(8)
+        covs = _spd(rng, 200)
+        weights = rng.dirichlet(np.ones(200))
+        consts, inverses = _component_constants(weights, covs)
+        expected = np.log(weights) - math.log(2.0 * math.pi) - 0.5 * np.linalg.slogdet(covs)[1]
+        np.testing.assert_allclose(consts, expected, rtol=1e-10, atol=1e-10)
+        inv = np.linalg.inv(covs)
+        ia, ib, ic = inverses.T
+        _assert_matrices_close(np.stack([np.stack([ia, ib], -1), np.stack([ib, ic], -1)], -2), inv)
+        lo, hi = _eigenvalues(*_entries(covs))
+        np.testing.assert_allclose(np.stack([lo, hi], -1), np.linalg.eigvalsh(covs), rtol=1e-10)
+        _assert_matrices_close(_floor_covariances(covs), _eigh_floor(covs))
+        offsets = rng.normal(0.0, 30.0, size=(50, 200, 2))
+        quad = np.einsum("nki,kij,nkj->nk", offsets, inv, offsets)
+        np.testing.assert_allclose(_quadratic(inverses, offsets[..., 0], offsets[..., 1]), quad, rtol=1e-10)
+
+    def test_floor_matches_eigh_across_the_floor(self):
+        covs = _spd(np.random.default_rng(9), 200, lowest=(1e-7, 1e-3))
+        floored = _floor_covariances(covs)
+        _assert_matrices_close(floored, _eigh_floor(covs))
+        assert np.all(_eigenvalues(*_entries(floored))[0] >= COV_EIG_FLOOR * (1.0 - 1e-9))
+
+    def test_isotropic_matrix_below_the_floor_lifts_both_eigenvalues(self):
+        covs = np.array([0.25 * COV_EIG_FLOOR * np.eye(2)])
+        floored = _floor_covariances(covs)
+        np.testing.assert_allclose(floored, [COV_EIG_FLOOR * np.eye(2)], rtol=1e-12, atol=0)
+        _assert_matrices_close(floored, _eigh_floor(covs))
+
+    @pytest.mark.parametrize("diagonal", [(1e-6, 4.0), (4.0, 1e-6)], ids=["a<d", "a>d"])
+    def test_diagonal_matrix_lifts_only_its_small_entry(self, diagonal):
+        covs = np.array([np.diag(diagonal)])
+        expected = np.diag(np.maximum(diagonal, COV_EIG_FLOOR))
+        np.testing.assert_allclose(_floor_covariances(covs)[0], expected, rtol=1e-10, atol=1e-16)
+        lo, hi = _eigenvalues(*_entries(covs))
+        np.testing.assert_allclose([lo[0], hi[0]], sorted(diagonal), rtol=1e-10)
+
+    def test_non_psd_input_is_lifted_like_eigh(self):
+        covs = np.array([[[1.0, 2.0], [2.0, 1.0]], [[-3.0, 0.5], [0.5, -1.0]]])
+        lo, hi = _eigenvalues(*_entries(covs))
+        np.testing.assert_allclose(np.stack([lo, hi], -1), np.linalg.eigvalsh(covs), rtol=1e-12)
+        floored = _floor_covariances(covs)
+        _assert_matrices_close(floored, _eigh_floor(covs))
+        np.testing.assert_allclose(floored[1], COV_EIG_FLOOR * np.eye(2), rtol=1e-12)
+
+    def test_zero_weight_component_gets_minus_inf_and_a_zero_inverse(self):
+        consts, inverses = _component_constants(np.array([1.0, 0.0]), np.array([np.eye(2), 4.0 * np.eye(2)]))
+        assert consts[0] == pytest.approx(-math.log(2.0 * math.pi), abs=1e-15)
+        assert consts[1] == -np.inf
+        assert inverses.tolist() == [[1.0, -0.0, 1.0], [0.0, 0.0, 0.0]]
+
+
 class TestMixtureValidation:
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ValidationError, match="sum to 1"):
@@ -222,6 +312,14 @@ class TestMixtureValidation:
                 weights=np.array([1.0]),
                 means=np.zeros((1, 2)),
                 covariances=np.array([[[1e-6, 0.0], [0.0, 1.0]]]),
+            )
+
+    def test_covariance_determinant_must_fit_the_float_range(self):
+        with pytest.raises(ValidationError, match="component 1: covariance determinant is beyond"):
+            Mixture(
+                weights=np.array([0.5, 0.5]),
+                means=np.zeros((2, 2)),
+                covariances=np.array([np.eye(2), 1e200 * np.eye(2)]),
             )
 
     def test_shape_mismatch(self):
