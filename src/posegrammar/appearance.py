@@ -205,9 +205,12 @@ class ScoreTable:
         of ``attributes``.  Every pair of ``attributes`` must have a column.
         """
         groups = [[self.column(a.id, v) for v in a.domain] for a in attributes]
-        grid = self.values[rows]
         if assignment:
-            return reduce(np.add, [grid[:, self.column(a, v)] for a, v in assignment.items()])
+            # Gathered cell by cell, so the result owns its memory and holds
+            # no view of a whole row block.
+            cells = [self.values[rows, self.column(a, v)] for a, v in assignment.items()]
+            return reduce(np.add, cells)
+        grid = self.values[rows]
         return reduce(np.add, [grid[:, g].max(axis=1) for g in groups], np.zeros(len(grid)))
 
     def per_proposal(self, pid: str) -> dict[AttrId, dict[str, float]]:

@@ -18,7 +18,7 @@ import numpy as np
 from .appearance import ProposalSet, synth_scores
 from .errors import MissingEntryError, ValidationError
 from .grammar import AOGrammar, AttrId, NodeId, ParseGraph
-from .inference import BeamConfig, _readout, attribute_scores, parse_unconstrained, select_final
+from .inference import BeamConfig, _pairs, _readout, _search, _select, attribute_scores
 from .learning import Annotation, JointObs
 from .relations import AttributeAssociation, RelationModels
 from .synthetic import Person, SyntheticScene, _child_seed, person_bbox
@@ -299,19 +299,29 @@ def run_diagnostic(
     derived from ``cfg.seed``.  The joint mode parses once per
     (attribute, value) pair and keeps the best; the no-attribute mode
     parses without constraints; the no-pose mode skips parsing and takes
-    the best proposal score per value.  Pose is scored as strict PCP
-    against the first person; attributes as accuracy and mean AP over
-    (attribute, value) pairs with at least one positive scene.
+    the best proposal score per value.  The parses a scene needs run as
+    one stacked search.  Pose is scored as strict PCP against the first
+    person; attributes as accuracy and mean AP over (attribute, value)
+    pairs with at least one positive scene.  ``modes`` must name each
+    mode at most once, and at least one.
     """
     for mode in modes:
         if mode not in ALL_MODES:
             raise ValidationError(f"unknown diagnostic mode {mode!r}, expected {ALL_MODES}")
+    if not modes or len(set(modes)) != len(modes):
+        raise ValidationError(
+            f"diagnostic modes must be distinct and non-empty, got {tuple(modes)!r}"
+        )
     if not scenes:
         raise ValidationError("diagnostic needs at least one scene")
     grammar = cfg.grammar
     assoc = cfg.models.association
     sticks = default_sticks(grammar)
     attr_defs = tuple(grammar.attributes)
+    pairs = _pairs(grammar) if MODE_JOINT in modes else []
+    objectives: list = [("constrained", attr, value) for attr, value in pairs]
+    if MODE_NO_ATTRIBUTE in modes:
+        objectives.append("unconstrained")
 
     stick_hits: dict[str, list[int]] = {m: [0, 0] for m in modes}
     acc_hits: dict[str, list[int]] = {m: [0, 0] for m in modes}
@@ -336,14 +346,15 @@ def run_diagnostic(
         truth = annotation_from_person(scene.persons[0])
         truth_values = scene.persons[0].attributes
 
+        parses = _search(grammar, cfg.models, pset, objectives, cfg.beam) if objectives else []
         mode_scores: dict[str, dict[AttrId, dict[str, float]]] = {}
         for mode in modes:
             if mode == MODE_JOINT:
-                best, per_pair = select_final(grammar, cfg.models, pset, cfg=cfg.beam)
+                per_pair = dict(zip(pairs, parses))
                 mode_scores[mode] = attribute_scores(per_pair, pset, assoc)
-                pcp = strict_pcp(best, truth, sticks)
+                pcp = strict_pcp(_select(per_pair), truth, sticks)
             elif mode == MODE_NO_ATTRIBUTE:
-                pg = parse_unconstrained(grammar, cfg.models, pset, cfg=cfg.beam)
+                pg = parses[-1]
                 mode_scores[mode] = parse_attribute_scores(pg, pset, assoc, grammar)
                 pcp = strict_pcp(pg, truth, sticks)
             else:

@@ -8,39 +8,51 @@ endpoints are now both grounded contributes its relation score.  Only the
 top ``beam_width`` candidates survive a step, ordered by score and, on
 ties, by the tuple of chosen proposal ids.
 
-Two objectives share this machinery:
+Two kinds of objective share this machinery:
 
 * constrained: every part is scored under one fixed attribute value,
   treating the attribute as a global constraint on the whole body;
 * unconstrained: every part contributes its best value score for every
   attribute, each part free to pick its own values.
 
-Each step reads its part's columnar :class:`~posegrammar.appearance.Bucket`
-straight from the proposal set.  Relation scores come from tables, not
-from per-candidate math.  Every edge closed at a step has a table with
-one row per proposal of the part grounded first and one column per
-proposal of the part grounded second: the co-occurrence table gathers the
-edge's log matrix by the buckets' ``types``, and the displacement table
-evaluates the edge's mixture log-density on the grid of ``xy`` offsets.
-A row is computed the first time a search reads it.  The tables are the
-only thing cached per :class:`ProposalSet` (weakly, so a dropped set
-frees them), kept per relation model, so the constrained parses of every
-(attribute, value) pair, the unconstrained parse and the oracle read the
-same numbers.  The appearance term is one vector per objective, gathered
-from the proposal set's immutable score grid
-(:meth:`ScoreTable.appearance`) and sliced per bucket; a grammar pair the
-grid lacks is refused before any search step.  A beam step is one (B, N)
-numpy sum, beam score plus appearance plus each closing's table row, cut
-by ``np.lexsort`` on score and id-tuple rank.
+One search runs K objectives stacked on a leading axis: the 26
+constrained parses of :func:`select_final` are one K=26 search, and
+:func:`parse_constrained` and :func:`parse_unconstrained` are K=1
+searches.  Steps, buckets and relation tables are shared; each step reads
+its part's columnar :class:`~posegrammar.appearance.Bucket` straight from
+the proposal set and holds a (K, N) appearance block, one row per
+objective, gathered once from the set's immutable score grid
+(:meth:`ScoreTable.appearance`); a grammar pair the grid lacks is refused
+before any search step.
+
+Relation scores come from tables, not from per-candidate math.  Every
+edge closed at a step has a table with one row per proposal of the part
+grounded first and one column per proposal of the part grounded second:
+the co-occurrence table gathers the edge's log matrix by the buckets'
+``types``, and the displacement table evaluates the edge's mixture
+log-density on the grid of ``xy`` offsets.  A row is computed the first
+time a search reads it.  The tables are the only thing cached per
+:class:`ProposalSet` (weakly, so a dropped set frees them), kept per
+relation model, so every objective and the oracle read the same numbers.
+
+A beam step is one (K, B, N) numpy sum: each survivor's score plus the
+appearance row of its objective, then each closing table's row in plan
+order, the rows gathered once for all K*B survivors.  So every candidate
+sees the same float operations, in the same order, as in a search of its
+objective alone.  The cut is per objective: a per-row ``argpartition`` at
+the beam width, widened to the largest count of candidates tied with a
+row's score at its cut, so every tied candidate reaches the sort; the
+pool is then ordered within each objective by (-score, id-tuple rank).
 
 :func:`brute_force_parse` enumerates the full proposal lattice and reads
-the same tables through the same sum, so on small instances a wide-enough
-beam must match it exactly; it is the testing oracle, guarded against
-blowup.
+the same tables through the same sum, at K=1, so on small instances a
+wide-enough beam must match it exactly; it is the testing oracle, guarded
+against blowup.
 """
 
 from __future__ import annotations
 
+import operator
 import weakref
 from dataclasses import dataclass
 from typing import Mapping
@@ -63,13 +75,20 @@ Objective = str | tuple[str, AttrId, str]
 
 @dataclass(frozen=True)
 class BeamConfig:
-    """Beam width."""
+    """Beam width: an integer >= 1, kept as ``int``."""
 
     beam_width: int = 100
 
     def __post_init__(self) -> None:
-        if self.beam_width < 1:
-            raise ValidationError(f"beam_width must be >= 1, got {self.beam_width}")
+        try:
+            width = operator.index(self.beam_width)
+        except TypeError:
+            width = None
+        if width is None or isinstance(self.beam_width, bool):
+            raise ValidationError(f"beam_width must be an integer, got {self.beam_width!r}")
+        if width < 1:
+            raise ValidationError(f"beam_width must be >= 1, got {width}")
+        object.__setattr__(self, "beam_width", width)
 
 
 def default_expansion_order(grammar: AOGrammar) -> tuple[NodeId, ...]:
@@ -145,9 +164,10 @@ class _Table:
 
     def rows(self, idx: np.ndarray) -> np.ndarray:
         """The rows of the first part's proposals ``idx``, shape (len(idx), N)."""
-        todo = idx[~self.filled[idx]]
+        todo = np.zeros_like(self.filled)
+        todo[idx] = True
+        todo = np.flatnonzero(todo & ~self.filled)
         if todo.size:
-            todo = np.unique(todo)
             self.values[todo] = self._compute(todo)
             self.filled[todo] = True
         return self.values[idx]
@@ -182,9 +202,9 @@ _TABLES: weakref.WeakKeyDictionary[ProposalSet, dict[tuple, _Table]] = weakref.W
 
 
 class _Step:
-    """One expansion step: the part's bucket, its appearance vector under
-    the objective, and the tables of the edges it closes, each with the
-    step position of the edge's other part."""
+    """One expansion step: the part's bucket, its (K, N) appearance block,
+    one row per objective, and the tables of the edges it closes, each with
+    the step position of the edge's other part."""
 
     __slots__ = ("bucket", "app", "closings")
 
@@ -210,20 +230,20 @@ def _assignment(grammar: AOGrammar, objective: Objective) -> dict[AttrId, str]:
     return {attr_id: value}
 
 
-def _prepare(grammar, models, pset, objective):
-    """The objective's assignment, and per step of the default expansion
-    order the bucket, its appearance vector and the tables of the edges it
-    closes."""
+def _prepare(grammar, models, pset, objectives):
+    """Each objective's assignment, and per step of the default expansion
+    order the bucket, its appearance block (one row per objective) and the
+    tables of the edges it closes."""
     order = _expansion_order(grammar)
-    assignment = _assignment(grammar, objective)
+    assignments = [_assignment(grammar, objective) for objective in objectives]
     tables = _TABLES.setdefault(pset, {})
     buckets = [pset.buckets.get(part) for part in order]
     if None in buckets:
         raise InfeasibleParseError(f"part {order[buckets.index(None)]!r} has no proposals")
     rows = np.concatenate([b.rows for b in buckets])
-    app = pset.scores.appearance(rows, grammar.attributes, assignment)
+    app = np.stack([pset.scores.appearance(rows, grammar.attributes, a) for a in assignments])
     ends = np.cumsum([len(b.rows) for b in buckets])[:-1]
-    steps = [_Step(b, a) for b, a in zip(buckets, np.split(app, ends))]
+    steps = [_Step(b, a) for b, a in zip(buckets, np.split(app, ends, axis=1))]
     position = {p: i for i, p in enumerate(order)}
     closing = ((models.syntactic, grammar.psg_edges), (models.kinematic, grammar.dg_edges))
     for source, edges in closing:
@@ -235,19 +255,21 @@ def _prepare(grammar, models, pset, objective):
             if key not in tables:
                 tables[key] = _Table(source, tuple(edge), steps[first].bucket, steps[second].bucket)
             steps[second].closings.append((first, tables[key]))
-    return assignment, steps
+    return assignments, steps
 
 
 def _extend(step: _Step, score: np.ndarray, idxs: np.ndarray) -> np.ndarray:
-    """Scores of the prefixes ``idxs`` (B, si) with ``score`` (B,), each
-    extended by every proposal of ``step``: shape (B, N).
+    """Scores of the prefixes ``idxs`` (K, B, si) with ``score`` (K, B), one
+    row per objective, each extended by every proposal of ``step``: shape
+    (K, B, N).
 
     The appearance term is added first, then each closing table's row in
-    plan order; the beam and the oracle both use this one sum.
+    plan order; the beam and the oracle (at K=1) both use this one sum.
+    Table rows are gathered once for all K*B prefixes.
     """
-    total = score[:, None] + step.app
+    total = score[:, :, None] + step.app[:, None, :]
     for first, table in step.closings:
-        total += table.rows(idxs[:, first])
+        total += table.rows(idxs[:, :, first].ravel()).reshape(total.shape)
     if not np.isfinite(total).all():
         raise ValidationError(
             f"a partial parse score at part {step.bucket.part!r} is not finite: "
@@ -256,39 +278,57 @@ def _extend(step: _Step, score: np.ndarray, idxs: np.ndarray) -> np.ndarray:
     return total
 
 
-def _cut(scores: np.ndarray, keys: np.ndarray, width: int) -> np.ndarray:
-    """Indices of the ``width`` best candidates, best first.
+def _cut(scores: np.ndarray, key_of, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of ``scores`` (K, M), the indices of its ``width`` best
+    candidates, best first, and their keys.
 
-    Higher score wins; equal scores go to the lower key.  Every candidate
-    tied with the score at the cut reaches the sort.
+    Higher score wins; equal scores go to the lower key.  ``key_of(pool)``
+    gives the keys of the candidates ``pool`` (K, P), so keys are built
+    only for the pool: each row's ``width`` best by score and every
+    candidate tied with the row's score at the cut.
     """
-    if scores.size > width:
-        kth = scores.size - width
-        cut = np.partition(scores, kth)[kth]
-        pool = np.flatnonzero(scores >= cut)
+    k, m = scores.shape
+    rows = np.arange(k)[:, None]
+    if m > width:
+        pool = np.argpartition(scores, m - width, axis=1)[:, m - width :]
+        tied = int(np.count_nonzero(scores >= scores[rows, pool[:, :1]], axis=1).max())
+        if tied > width:
+            pool = np.argpartition(scores, m - tied, axis=1)[:, m - tied :]
     else:
-        pool = np.arange(scores.size)
-    return pool[np.lexsort((keys[pool], -scores[pool]))[:width]]
+        pool = np.broadcast_to(np.arange(m), scores.shape)
+    keys = key_of(pool)
+    order = np.lexsort((keys, -scores[rows, pool]), axis=1)[:, :width]
+    return pool[rows, order], keys[rows, order]
 
 
-def _run_beam(steps: list[_Step], beam_width: int):
-    """Best (score, per-step proposal indices) under the beam.
+def _run_beam(steps: list[_Step], beam_width: int) -> list[tuple[float, list[int]]]:
+    """Per objective, the best (score, per-step proposal indices) under the
+    beam.
 
-    Ties go to the lexicographically smaller tuple of proposal ids.  Each
-    survivor carries a rank that orders the survivors' id tuples, so a
+    Each objective keeps its own ``beam_width`` survivors.  Ties go to the
+    lexicographically smaller tuple of proposal ids.  Each survivor carries
+    a rank that orders its objective's survivors' id tuples, so a
     candidate's id tuple orders as (parent rank, child id rank).
     """
     first = steps[0]
-    keep = _cut(first.app, first.bucket.id_rank, beam_width)
-    score, rank, idxs = first.app[keep], first.bucket.id_rank[keep], keep[:, None]
+    rows = np.arange(len(first.app))[:, None]
+    keep, rank = _cut(first.app, first.bucket.id_rank.__getitem__, beam_width)
+    score, idxs = first.app[rows, keep], keep[:, :, None]
     for step in steps[1:]:
-        total = _extend(step, score, idxs).ravel()
-        n = len(step.app)
-        keys = (rank[:, None] * n + step.bucket.id_rank).ravel()
-        keep = _cut(total, keys, beam_width)
-        score, rank = total[keep], keys[keep].argsort().argsort()
-        idxs = np.column_stack((idxs[keep // n], keep % n))
-    return float(score[0]), idxs[0].tolist()
+        total = _extend(step, score, idxs).reshape(len(rows), -1)
+        n, id_rank = step.app.shape[1], step.bucket.id_rank
+
+        def key_of(pool):
+            parent, child = np.divmod(pool, n)
+            return rank[rows, parent] * n + id_rank[child]
+
+        keep, keys = _cut(total, key_of, beam_width)
+        parent, child = np.divmod(keep, n)
+        score, rank = total[rows, keep], keys.argsort(1).argsort(1)
+        idxs = np.concatenate((idxs[rows, parent], child[:, :, None]), axis=2)
+        # Freed before the next step builds its own (K, B, N) block.
+        del total
+    return list(zip(score[:, 0].tolist(), idxs[:, 0].tolist()))
 
 
 def _state(step: _Step, j: int) -> PartState:
@@ -297,21 +337,36 @@ def _state(step: _Step, j: int) -> PartState:
     return PartState(part=b.part, x=x, y=y, part_type=part_type, proposal_ref=b.ids[j])
 
 
-def _build_parse_graph(grammar, steps, score, idxs, assignment) -> ParseGraph:
-    return ParseGraph(
-        states={step.bucket.part: _state(step, j) for step, j in zip(steps, idxs)},
-        used_psg_edges=tuple(grammar.psg_edges),
-        used_dg_edges=tuple(grammar.dg_edges),
-        attribute_assignment=dict(assignment),
-        total_score=score,
-    )
+def _build_parse_graphs(grammar, steps, assignments, results) -> list[ParseGraph]:
+    """One parse graph per objective's assignment and (score, per-step
+    proposal indices); a proposal several objectives choose gets one
+    shared, immutable :class:`PartState`."""
+    states: dict[tuple[int, int], PartState] = {}
+    graphs = []
+    for assignment, (score, idxs) in zip(assignments, results):
+        chosen = {}
+        for si, j in enumerate(idxs):
+            if (si, j) not in states:
+                states[si, j] = _state(steps[si], j)
+            chosen[steps[si].bucket.part] = states[si, j]
+        graphs.append(
+            ParseGraph(
+                states=chosen,
+                used_psg_edges=tuple(grammar.psg_edges),
+                used_dg_edges=tuple(grammar.dg_edges),
+                attribute_assignment=dict(assignment),
+                total_score=score,
+            )
+        )
+    return graphs
 
 
-def _search(grammar, models, pset, objective, cfg) -> ParseGraph:
-    """Beam search for the best parse under ``objective``."""
-    assignment, steps = _prepare(grammar, models, pset, objective)
-    score, idxs = _run_beam(steps, (cfg or BeamConfig()).beam_width)
-    return _build_parse_graph(grammar, steps, score, idxs, assignment)
+def _search(grammar, models, pset, objectives, cfg) -> list[ParseGraph]:
+    """One beam search for the best parse under each of ``objectives``,
+    stacked: steps, buckets and relation tables are shared."""
+    assignments, steps = _prepare(grammar, models, pset, objectives)
+    results = _run_beam(steps, (cfg or BeamConfig()).beam_width)
+    return _build_parse_graphs(grammar, steps, assignments, results)
 
 
 def parse_constrained(
@@ -323,7 +378,8 @@ def parse_constrained(
     cfg: BeamConfig | None = None,
 ) -> ParseGraph:
     """Best parse with ``attr`` fixed to ``value`` on every part."""
-    return _search(grammar, models, pset, ("constrained", attr, value), cfg)
+    [pg] = _search(grammar, models, pset, [("constrained", attr, value)], cfg)
+    return pg
 
 
 def parse_unconstrained(
@@ -333,7 +389,8 @@ def parse_unconstrained(
     cfg: BeamConfig | None = None,
 ) -> ParseGraph:
     """Best parse with every part free to pick its own attribute values."""
-    return _search(grammar, models, pset, "unconstrained", cfg)
+    [pg] = _search(grammar, models, pset, ["unconstrained"], cfg)
+    return pg
 
 
 def brute_force_parse(
@@ -349,11 +406,11 @@ def brute_force_parse(
     and breaks ties on the tuple of proposal ids as the beam does, so a
     beam covering the full lattice reproduces its result bit for bit.
     """
-    assignment, steps = _prepare(grammar, models, pset, objective)
+    [assignment], steps = _prepare(grammar, models, pset, [objective])
 
     total = 1
     for step in steps:
-        total *= len(step.app)
+        total *= len(step.bucket.ids)
         if total > COMBINATION_GUARD:
             raise EnumerationLimitError(
                 f"{total}+ proposal combinations exceed the guard of {COMBINATION_GUARD}"
@@ -370,15 +427,29 @@ def brute_force_parse(
                 if best[0] is None or key < best[0][0]:
                     best[0] = (key, score, ix)
             return
-        sums = _extend(steps[si], np.array(scores), np.array(idxs)).tolist()
+        sums = _extend(steps[si], np.array([scores]), np.array([idxs]))[0].tolist()
         ids = steps[si].bucket.ids
         for row, idkey, ix in zip(sums, idkeys, idxs):
             descend(si + 1, row, [idkey + (i,) for i in ids], [ix + (j,) for j in range(len(ids))])
 
     ids = steps[0].bucket.ids
-    descend(1, steps[0].app.tolist(), [(i,) for i in ids], [(j,) for j in range(len(ids))])
+    descend(1, steps[0].app[0].tolist(), [(i,) for i in ids], [(j,) for j in range(len(ids))])
     _key, score, idxs = best[0]
-    return _build_parse_graph(grammar, steps, score, idxs, assignment)
+    [pg] = _build_parse_graphs(grammar, steps, [assignment], [(score, idxs)])
+    return pg
+
+
+def _pairs(grammar: AOGrammar) -> list[tuple[AttrId, str]]:
+    """Every (attribute, value) pair of the grammar, in grammar order."""
+    pairs = [(a.id, v) for a in grammar.attributes for v in a.domain]
+    if not pairs:
+        raise ValidationError("select_final needs at least one (attribute, value) pair")
+    return pairs
+
+
+def _select(per_pair: Mapping[tuple[AttrId, str], ParseGraph]) -> ParseGraph:
+    """The best-scoring parse of ``per_pair``; ties go to the earliest pair."""
+    return max(per_pair.values(), key=lambda pg: pg.total_score)
 
 
 def select_final(
@@ -388,22 +459,15 @@ def select_final(
     cfg: BeamConfig | None = None,
 ) -> tuple[ParseGraph, dict[tuple[AttrId, str], ParseGraph]]:
     """Run one constrained parse per (attribute, value) pair of the
-    grammar; keep the best.
+    grammar, all in one stacked search; keep the best.
 
     Returns the winning parse graph and the full pair-to-parse map.  Ties
     go to the earliest pair in grammar order.
     """
-    pairs = [(a.id, v) for a in grammar.attributes for v in a.domain]
-    if not pairs:
-        raise ValidationError("select_final needs at least one (attribute, value) pair")
-    per_pair: dict[tuple[AttrId, str], ParseGraph] = {}
-    best_pair = None
-    for attr, value in pairs:
-        pg = parse_constrained(grammar, models, pset, attr, value, cfg)
-        per_pair[(attr, value)] = pg
-        if best_pair is None or pg.total_score > per_pair[best_pair].total_score:
-            best_pair = (attr, value)
-    return per_pair[best_pair], per_pair
+    pairs = _pairs(grammar)
+    objectives = [("constrained", attr, value) for attr, value in pairs]
+    per_pair = dict(zip(pairs, _search(grammar, models, pset, objectives, cfg)))
+    return _select(per_pair), per_pair
 
 
 def _readout(

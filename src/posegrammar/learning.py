@@ -497,14 +497,14 @@ def learn_models(
         displacement_samples(annotations, grammar), n_components=n_components, seed=seed
     )
 
+    known = {
+        a.id: [ann.attributes.get(a.id) is not None for ann in annotations]
+        for a in grammar.attributes
+    }
     mi: dict[NodeId, dict[AttrId, float]] = {}
-    attr_ids = [a.id for a in grammar.attributes]
     for part in grammar.terminal_ids:
         visible = [ann.joints[part].visible for ann in annotations]
-        mi[part] = {}
-        for attr in attr_ids:
-            known = [ann.attributes.get(attr) is not None for ann in annotations]
-            mi[part][attr] = mutual_information(known, visible)
+        mi[part] = {attr: mutual_information(k, visible) for attr, k in known.items()}
     association = derive_associations(mi, grammar)
     return RelationModels(
         syntactic=syntactic,

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from posegrammar import evaluation, inference
 from posegrammar.appearance import Proposal, ProposalSet, ScoreTable
 from posegrammar.errors import MissingEntryError, ValidationError
 from posegrammar.evaluation import (
@@ -394,6 +395,44 @@ class TestRunDiagnostic:
             scenes, self._config(grammar, quick_models), modes=("no-attribute",)
         )
         assert set(report["modes"]) == {"no-attribute"}
+
+    def test_stacked_modes_report_what_each_mode_reports_alone(self, grammar, quick_models):
+        """The joint and no-attribute parses of a scene share one stacked
+        search; each mode's numbers equal those of a run of that mode alone."""
+        scenes = generate_family("two-person", 2, seed=9)
+        cfg = self._config(grammar, quick_models)
+        together = run_diagnostic(scenes, cfg)
+        for mode in ALL_MODES:
+            alone = run_diagnostic(scenes, cfg, modes=(mode,))
+            assert alone["modes"][mode] == together["modes"][mode]
+
+    def test_one_search_per_scene(self, grammar, quick_models, monkeypatch):
+        """All three modes on one scene run exactly one search."""
+        calls = []
+        search = inference._search
+
+        def counted(*args):
+            calls.append(args[3])
+            return search(*args)
+
+        monkeypatch.setattr(inference, "_search", counted)
+        monkeypatch.setattr(evaluation, "_search", counted)
+        run_diagnostic(generate_family("two-person", 1, seed=1), self._config(grammar, quick_models))
+        pairs = [(a.id, v) for a in grammar.attributes for v in a.domain]
+        assert calls == [[("constrained", a, v) for a, v in pairs] + ["unconstrained"]]
+
+    @pytest.mark.parametrize(
+        "modes",
+        [(), ("joint", "joint"), ("no-pose", "joint", "no-pose")],
+        ids=["empty", "joint-twice", "no-pose-twice"],
+    )
+    def test_modes_must_be_distinct_and_non_empty(self, grammar, quick_models, modes):
+        with pytest.raises(ValidationError, match=r"modes must be distinct and non-empty, got \("):
+            run_diagnostic(
+                generate_family("two-person", 1, seed=1),
+                self._config(grammar, quick_models),
+                modes=modes,
+            )
 
     def test_unknown_mode(self, grammar, quick_models):
         with pytest.raises(ValidationError, match="unknown diagnostic mode"):

@@ -44,6 +44,8 @@ from posegrammar.inference import (
     _extend,
     _prepare,
     _readout,
+    _search,
+    _Step,
     _Table,
     attribute_scores,
     brute_force_parse,
@@ -163,6 +165,11 @@ class TestExpansionOrder:
     def test_beam_width_bound(self):
         with pytest.raises(ValidationError, match="beam_width"):
             BeamConfig(beam_width=0)
+        for width, shown in ((2.5, "2.5"), (float("nan"), "nan"), (True, "True"), ("3", "'3'")):
+            with pytest.raises(ValidationError, match=re.escape(f"beam_width must be an integer, got {shown}")):
+                BeamConfig(beam_width=width)
+        cfg = BeamConfig(beam_width=np.int64(3))
+        assert cfg.beam_width == 3 and type(cfg.beam_width) is int
 
 
 class TestBeamMatchesBruteForce:
@@ -355,23 +362,26 @@ class TestBeamTrace:
         search's own sum, scores what an independent per-edge recomputation
         gives, under a constrained and the unconstrained objective."""
         g, models, pset = _toy_world(11, counts=(3, 3, 3))
-        for objective, attr, value in ((("constrained", "c", "u"), "c", "u"), ("unconstrained", None, None)):
-            _assignment, steps = _prepare(g, models, pset, objective)
-            score, idxs = steps[0].app, np.arange(len(steps[0].app))[:, None]
-            audited = 0
-            for si, step in enumerate(steps):
-                if si:
-                    total = _extend(step, score, idxs)
-                    b, n = total.shape
-                    score = total.ravel()
-                    idxs = np.column_stack((np.repeat(idxs, n, axis=0), np.tile(np.arange(n), b)))
-                for partial, row in zip(score.tolist(), idxs.tolist()):
+        objectives = (("constrained", "c", "u"), "unconstrained")
+        constraints = (("c", "u"), (None, None))
+        _assignments, steps = _prepare(g, models, pset, objectives)
+        score, idxs = steps[0].app, np.arange(steps[0].app.shape[1])[:, None]
+        audited = 0
+        for si, step in enumerate(steps):
+            if si:
+                # Both objectives extend the same prefixes, stacked.
+                total = _extend(step, score, np.stack([idxs] * len(objectives)))
+                k, b, n = total.shape
+                score = total.reshape(k, -1)
+                idxs = np.column_stack((np.repeat(idxs, n, axis=0), np.tile(np.arange(n), b)))
+            for row_scores, (attr, value) in zip(score.tolist(), constraints):
+                for partial, row in zip(row_scores, idxs.tolist()):
                     props = [pset.proposals_for(steps[k].bucket.part)[j] for k, j in enumerate(row)]
                     assigned = {p.part: PartState(p.part, p.x, p.y, p.part_type, p.id) for p in props}
                     expected = _partial_total(g, models, pset, assigned, attr, value)
                     np.testing.assert_allclose(partial, expected, rtol=0, atol=1e-9)
                     audited += 1
-            assert audited == 3 + 9 + 27
+        assert audited == 2 * (3 + 9 + 27)
 
 
 class TestSelectFinal:
@@ -389,6 +399,19 @@ class TestSelectFinal:
         best, per_pair = select_final(g, models, pset)
         assert per_pair[("c", "u")].total_score == per_pair[("c", "v")].total_score
         assert best.attribute_assignment == {"c": "u"}
+
+    def test_runs_one_search_over_every_pair(self, monkeypatch):
+        g, models, pset = _toy_world(13)
+        calls = []
+
+        def counted(*args):
+            calls.append(args[3])
+            return _search(*args)
+
+        monkeypatch.setattr(inference, "_search", counted)
+        _best, per_pair = select_final(g, models, pset)
+        assert calls == [[("constrained", "c", "u"), ("constrained", "c", "v")]]
+        assert list(per_pair) == [("c", "u"), ("c", "v")]
 
     def test_grammar_without_attributes_rejected(self):
         g, models, pset = _toy_world(13)
@@ -552,10 +575,12 @@ class TestAppearanceBits:
         pset = ProposalSet.from_proposals(props, ScoreTable(scores), part_type_count=9)
 
         pairs = [(a.id, v) for a in grammar.attributes for v in a.domain]
-        for objective in ["unconstrained"] + [("constrained", a, v) for a, v in pairs]:
-            assignment, steps = _prepare(grammar, quick_models, pset, objective)
-            for step in steps:
-                assert _bits(step.app) == _bits(_lookup_appearance(grammar, pset, step, assignment))
+        objectives = ["unconstrained"] + [("constrained", a, v) for a, v in pairs]
+        assignments, steps = _prepare(grammar, quick_models, pset, objectives)
+        for step in steps:
+            assert step.app.shape == (len(objectives), len(step.bucket.ids))
+            for app, assignment in zip(step.app, assignments):
+                assert _bits(app) == _bits(_lookup_appearance(grammar, pset, step, assignment))
 
         # Each attribute is carried by 8 to 17 parts.
         parts = list(grammar.part_ids)
@@ -681,16 +706,27 @@ def _chain_world(seed, parts, flat=False, far=None):
     return g, models, ProposalSet.from_proposals(props, ScoreTable(scores), part_type_count=2)
 
 
+def _objective_steps(steps, k):
+    """The steps of a stacked search cut down to objective ``k`` alone."""
+    out = []
+    for step in steps:
+        alone = _Step(step.bucket, step.app[k : k + 1])
+        alone.closings = step.closings
+        out.append(alone)
+    return out
+
+
 def _reference_beam(steps, width):
-    """The beam as a plain sort on (-score, id tuple), cut to ``width`` at
-    every step, over the same candidate sums the search uses."""
+    """The beam of a one-objective search as a plain sort on (-score, id
+    tuple), cut to ``width`` at every step, over the same candidate sums
+    the search uses."""
     first = steps[0]
-    beam = [(s, (pid,), (j,)) for j, (s, pid) in enumerate(zip(first.app.tolist(), first.bucket.ids))]
+    beam = [(s, (pid,), (j,)) for j, (s, pid) in enumerate(zip(first.app[0].tolist(), first.bucket.ids))]
     beam = sorted(beam, key=lambda c: (-c[0], c[1]))[:width]
     for step in steps[1:]:
         new = []
         for score, ids, idxs in beam:
-            sums = _extend(step, np.array([score]), np.array([idxs]))[0].tolist()
+            sums = _extend(step, np.array([[score]]), np.array([[idxs]]))[0, 0].tolist()
             new += [
                 (s, ids + (pid,), idxs + (j,))
                 for j, (s, pid) in enumerate(zip(sums, step.bucket.ids))
@@ -717,16 +753,16 @@ class TestBeamProperties:
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 2**16),
-        constrained=st.booleans(),
         flat=st.booleans(),
         far=st.sampled_from((None, "root", "a", "b", "c")),
         data=st.data(),
     )
-    def test_beam_equals_plain_sort_and_oracle(self, seed, constrained, flat, far, data):
+    def test_beam_equals_plain_sort_and_oracle(self, seed, flat, far, data):
         """At every width the beam keeps what a plain sort keeps, and at the
         full lattice it equals the oracle: same ids, bit-identical total.
-        A bucket at x=1e200 on a displacement edge makes all three refuse
-        the input, naming the same edge."""
+        Every objective gets the same result alone and stacked with the
+        others.  A bucket at x=1e200 on a displacement edge makes all of
+        them refuse the input, naming the same edge."""
         parts = {}
         for part in ("root", "a", "b", "c"):
             n = data.draw(st.integers(1, 3))
@@ -734,38 +770,74 @@ class TestBeamProperties:
             # for the tie rule.
             parts[part] = data.draw(st.permutations([f"{part}{i}" for i in range(n)]))
         g, models, pset = _chain_world(seed, parts, flat, far)
-        objective = ("constrained", "c", "v") if constrained else "unconstrained"
+        objectives = [("constrained", "c", "u"), ("constrained", "c", "v"), "unconstrained"]
         full = _lattice_size(pset, parts)
         width = data.draw(st.integers(1, full))
 
         def result(pg):
-            return tuple(pg.states[p].proposal_ref for p in parts), pg.total_score
+            return tuple(pg.states[p].proposal_ref for p in parts), float.hex(pg.total_score)
 
-        def beam(k):
+        def public(objective, cfg):
+            if objective == "unconstrained":
+                return parse_unconstrained(g, models, pset, cfg)
+            return parse_constrained(g, models, pset, *objective[1:], cfg)
+
+        def alone(k):
             cfg = BeamConfig(beam_width=k)
-            if constrained:
-                return result(parse_constrained(g, models, pset, "c", "v", cfg))
-            return result(parse_unconstrained(g, models, pset, cfg))
+            return [result(public(objective, cfg)) for objective in objectives]
+
+        def stacked(k):
+            return [result(pg) for pg in _search(g, models, pset, objectives, BeamConfig(beam_width=k))]
 
         def plain():
-            _assignment, steps = _prepare(g, models, pset, objective)
-            score, ids, _idxs = _reference_beam(steps, width)
-            return ids, score
+            _assignments, steps = _prepare(g, models, pset, objectives)
+            out = []
+            for k in range(len(objectives)):
+                score, ids, _idxs = _reference_beam(_objective_steps(steps, k), width)
+                out.append((ids, float.hex(score)))
+            return out
 
         def oracle():
-            return result(brute_force_parse(g, models, pset, objective))
+            return [result(brute_force_parse(g, models, pset, objective)) for objective in objectives]
 
-        narrow = _refused_edge(lambda: beam(width))
-        assert narrow == _refused_edge(plain)
-        assert _refused_edge(lambda: beam(full)) == _refused_edge(oracle)
+        narrow = _refused_edge(lambda: stacked(width))
+        assert narrow == _refused_edge(lambda: alone(width)) == _refused_edge(plain)
+        assert _refused_edge(lambda: stacked(full)) == _refused_edge(lambda: alone(full)) == _refused_edge(oracle)
         assert (narrow[0] == "refused") == (far in ("a", "b", "c"))
+
+    def test_objectives_resolve_their_own_ties_at_the_cut(self):
+        """Stacked objectives tie at the cut on different candidates.  With
+        every proposal at one point and of one type, each relation row is
+        constant, so appearance alone decides.  At width 2, objective ``u``
+        keeps roots (r2, r0) and objective ``v`` ties r1 and r2; at part
+        ``a``, ``v``'s four candidates all tie at its cut, past the width,
+        while ``u`` has no tie beyond it.  Each objective must break its
+        ties by its own survivors' id ranks, at its own cut score."""
+        g, models, _ = _toy_world(3)
+        appearance = {
+            "r0": (1.0, 0.0), "r1": (0.0, 1.0), "r2": (2.0, 1.0),
+            "a0": (0.5, 0.0), "a1": (0.0, 0.0),
+            "b0": (0.0, 0.0), "b1": (0.5, 0.0),
+        }
+        part = {"r": "root", "a": "a", "b": "b"}
+        proposals = [Proposal(pid, part[pid[0]], 0.0, 0.0, 1, (0.0, 0.0, 5.0, 5.0)) for pid in appearance]
+        scores = ScoreTable({pid: {"c": {"u": u, "v": v}} for pid, (u, v) in appearance.items()})
+        pset = ProposalSet.from_proposals(proposals, scores, part_type_count=2)
+        cfg = BeamConfig(beam_width=2)
+        objectives = [("constrained", "c", "u"), ("constrained", "c", "v")]
+        stacked = [_ids(pg) for pg in _search(g, models, pset, objectives, cfg)]
+        assert stacked == [
+            {"root": "r2", "a": "a0", "b": "b1"},
+            {"root": "r1", "a": "a0", "b": "b0"},
+        ]
+        assert stacked == [_ids(parse_constrained(g, models, pset, "c", v, cfg)) for v in ("u", "v")]
 
 
 class TestRelationTables:
     @pytest.mark.parametrize("seed", range(4))
     def test_lazy_rows_equal_full_table(self, seed):
         g, models, pset = _toy_world(seed + 500, counts=(4, 5, 6))
-        _assignment, steps = _prepare(g, models, pset, "unconstrained")
+        _assignments, steps = _prepare(g, models, pset, ["unconstrained"])
         rng = np.random.default_rng(seed)
         tables = [table for step in steps for _first, table in step.closings]
         assert len(tables) == 3
