@@ -31,6 +31,7 @@ import numpy as np
 from .errors import MissingEntryError, ValidationError
 from .grammar import (
     ATOMIC_PARTS,
+    DEFAULT_PART_TYPE_COUNT,
     FULL_BODY,
     LOWER_BODY,
     PART_MEMBERS,
@@ -260,7 +261,7 @@ class ProposalSet:
         cls,
         proposals: Iterable[Proposal],
         scores: ScoreTable,
-        part_type_count: int = 9,
+        part_type_count: int = DEFAULT_PART_TYPE_COUNT,
     ) -> "ProposalSet":
         """``proposals`` grouped by part, each part's in listing order.  Every
         id must be unique, have a row in ``scores`` and a type of at most
@@ -293,7 +294,7 @@ class ProposalSet:
         return sum(len(b.ids) for b in self.buckets.values())
 
 
-def load_proposals(path: str, *, part_type_count: int = 9) -> ProposalSet:
+def load_proposals(path: str, *, part_type_count: int = DEFAULT_PART_TYPE_COUNT) -> ProposalSet:
     """Read a JSON-lines proposal file; one proposal object per line."""
     rows = read_json_lines(path, lambda doc: (_proposal_from_doc(doc), doc.get("scores", {})))
     try:
@@ -360,7 +361,7 @@ def synth_scores(
     margin: float = 2.5,
     target_bonus: float = 0.15,
     distractor_coherence: float = 0.0,
-    part_type_count: int = 9,
+    part_type_count: int = DEFAULT_PART_TYPE_COUNT,
 ) -> ProposalSet:
     """Oracle appearance provider over a synthetic scene.
 

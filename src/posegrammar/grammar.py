@@ -14,9 +14,12 @@ A grammar carries two edge sets over the same nodes:
   e.g. the torso to the head.  In the default grammar they form a tree
   over the 14 atomic parts, rooted at the torso.
 
-Part appearance variation (scale, aspect ratio) is folded into a per-part
-``part_type`` in ``1..part_type_count`` rather than explicit or-branches,
-so the default grammar contains only and-nodes and terminals.
+The alternatives an or-node would choose among (part scale, aspect
+ratio) are the per-part ``part_type`` in ``1..part_type_count``, so a
+grammar is an and-graph: every node is an and-node or a terminal, and a
+parse grounds every node.  A parse graph is its part states, its
+attribute assignment and its score; the edges it scores are the grammar's
+edges whose two parts both have states.
 """
 
 from __future__ import annotations
@@ -123,17 +126,18 @@ DEFAULT_PART_TYPE_COUNT = 9
 
 class NodeKind(str, Enum):
     AND = "and"
-    OR = "or"
     TERMINAL = "terminal"
 
 
 @dataclass(frozen=True)
 class GrammarNode:
-    """One node of the and-or graph.
+    """One node of the grammar: an and-node or a terminal.
 
-    Arity rules (terminals childless, or-nodes branching, and-nodes
-    composing) are reported by :func:`validate` rather than enforced here,
-    so that malformed documents can be loaded and diagnosed.
+    There are no or-nodes; a part's alternatives are its part types.  Any
+    other kind is refused here.  Arity rules (terminals childless,
+    and-nodes composing) are reported by :func:`validate` rather than
+    enforced here, so that malformed documents can be loaded and
+    diagnosed.
     """
 
     id: NodeId
@@ -144,7 +148,14 @@ class GrammarNode:
     def __post_init__(self) -> None:
         if not self.id:
             raise ValidationError("grammar node id must be non-empty")
-        object.__setattr__(self, "kind", NodeKind(self.kind))
+        try:
+            kind = NodeKind(self.kind)
+        except ValueError:
+            allowed = [k.value for k in NodeKind]
+            raise ValidationError(
+                f"grammar node {self.id!r}: kind {self.kind!r} is not one of {allowed}"
+            ) from None
+        object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "children", tuple(self.children))
 
     @property
@@ -175,6 +186,9 @@ class AttributeDef:
 
 class AOGrammar:
     """Immutable structural grammar: nodes, both edge sets, attributes.
+
+    The nodes form an and-graph; the alternatives of the paper's
+    or-nodes are part types in ``1..part_type_count``.
 
     Construction accepts structurally broken graphs so that
     :func:`validate` can report on them; inference and learning assume a
@@ -279,7 +293,7 @@ class AOGrammar:
             nodes = [
                 GrammarNode(
                     id=str(n["id"]),
-                    kind=NodeKind(n["kind"]),
+                    kind=n["kind"],
                     name=str(n.get("name", n["id"])),
                     children=tuple(str(c) for c in n.get("children", ())),
                 )
@@ -440,8 +454,6 @@ def validate(grammar: AOGrammar) -> ValidationReport:
         n_children = len(n.children)
         if n.kind is NodeKind.TERMINAL and n_children:
             report.add(f"terminal node {n.id!r} has children {list(n.children)}")
-        elif n.kind is NodeKind.OR and n_children < 2:
-            report.add(f"or-node {n.id!r} needs at least two children, has {n_children}")
         elif n.kind is NodeKind.AND and n_children < 1:
             report.add(f"and-node {n.id!r} has no children")
         if len(set(n.children)) != n_children:
@@ -544,15 +556,11 @@ class ParseGraph:
     """
 
     states: Mapping[NodeId, PartState]
-    used_psg_edges: tuple[tuple[NodeId, NodeId], ...]
-    used_dg_edges: tuple[tuple[NodeId, NodeId], ...]
     attribute_assignment: Mapping[AttrId, str]
     total_score: float
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "states", dict(self.states))
-        object.__setattr__(self, "used_psg_edges", tuple(map(tuple, self.used_psg_edges)))
-        object.__setattr__(self, "used_dg_edges", tuple(map(tuple, self.used_dg_edges)))
         object.__setattr__(self, "attribute_assignment", dict(self.attribute_assignment))
         for part, st in self.states.items():
             if part != st.part:
@@ -562,12 +570,9 @@ class ParseGraph:
                 f"parse graph total_score must be finite, got {self.total_score!r}"
             )
 
-    def to_json_dict(self, grammar: AOGrammar | None = None) -> dict:
-        if grammar is not None:
-            order = [p for p in grammar.part_ids if p in self.states]
-            order.extend(sorted(set(self.states) - set(order)))
-        else:
-            order = sorted(self.states)
+    def to_json_dict(self, grammar: AOGrammar) -> dict:
+        order = [p for p in grammar.part_ids if p in self.states]
+        order.extend(sorted(set(self.states) - set(order)))
         return {
             "schema_version": SCHEMA_VERSION,
             "states": [
@@ -599,19 +604,10 @@ class ParseGraph:
             }
             assignment = {str(k): str(v) for k, v in doc.get("attributes", {}).items()}
             total = float(doc["total_score"])
-        present = set(states)
-        psg = tuple(e for e in grammar.psg_edges if e[0] in present and e[1] in present)
-        dg = tuple(e for e in grammar.dg_edges if e[0] in present and e[1] in present)
-        return cls(
-            states=states,
-            used_psg_edges=psg,
-            used_dg_edges=dg,
-            attribute_assignment=assignment,
-            total_score=total,
-        )
+        return cls(states=states, attribute_assignment=assignment, total_score=total)
 
 
-def save_parse_graph(pg: ParseGraph, path: str, grammar: AOGrammar | None = None) -> None:
+def save_parse_graph(pg: ParseGraph, path: str, grammar: AOGrammar) -> None:
     write_json(path, pg.to_json_dict(grammar))
 
 
@@ -627,8 +623,9 @@ def recompute_score(pg: ParseGraph, grammar: AOGrammar, models, scores) -> float
     the assigned value's score for each assigned attribute; with an empty
     assignment every part contributes, for each attribute in the grammar,
     its best value score (the unconstrained objective).  Relation terms
-    sum the syntactic score over used decomposition edges and the
-    geometric score over used dependency edges.
+    sum, in grammar order, the syntactic score over the decomposition
+    edges and the geometric score over the dependency edges whose two
+    parts both have states.
     """
     refs = [pg.states[p].proposal_ref for p in grammar.part_ids if p in pg.states]
     app = scores.appearance(scores.rows(refs), grammar.attributes, pg.attribute_assignment)
@@ -639,22 +636,15 @@ def recompute_score(pg: ParseGraph, grammar: AOGrammar, models, scores) -> float
     if missing:
         raise MissingEntryError(f"parse graph states name unknown parts {sorted(missing)}")
 
-    for parent, child in pg.used_psg_edges:
-        try:
-            ps, cs = pg.states[parent], pg.states[child]
-        except KeyError as exc:
-            raise MissingEntryError(
-                f"used psg edge ({parent!r}, {child!r}) misses state for {exc.args[0]!r}"
-            ) from None
-        total += models.syntactic.score((parent, child), ps.part_type, cs.part_type)
-    for parent, child in pg.used_dg_edges:
-        try:
-            ps, cs = pg.states[parent], pg.states[child]
-        except KeyError as exc:
-            raise MissingEntryError(
-                f"used dg edge ({parent!r}, {child!r}) misses state for {exc.args[0]!r}"
-            ) from None
-        total += models.kinematic.score((parent, child), cs.x - ps.x, cs.y - ps.y)
+    states = pg.states
+    for parent, child in grammar.psg_edges:
+        if parent in states and child in states:
+            ps, cs = states[parent], states[child]
+            total += models.syntactic.score((parent, child), ps.part_type, cs.part_type)
+    for parent, child in grammar.dg_edges:
+        if parent in states and child in states:
+            ps, cs = states[parent], states[child]
+            total += models.kinematic.score((parent, child), cs.x - ps.x, cs.y - ps.y)
     if not math.isfinite(total):
         raise ValidationError("recomputed parse graph score is not finite")
     return total

@@ -118,19 +118,6 @@ def default_expansion_order(grammar: AOGrammar) -> tuple[NodeId, ...]:
     return tuple(order)
 
 
-# The expansion order of each grammar, by ``id``; a dropped grammar frees
-# its entry.  Grammars compare by structure and so are not hashable.
-_ORDERS: dict[int, tuple[NodeId, ...]] = {}
-
-
-def _expansion_order(grammar: AOGrammar) -> tuple[NodeId, ...]:
-    order = _ORDERS.get(id(grammar))
-    if order is None:
-        order = _ORDERS[id(grammar)] = default_expansion_order(grammar)
-        weakref.finalize(grammar, _ORDERS.pop, id(grammar), None)
-    return order
-
-
 class _Table:
     """Relation scores of one edge between the part grounded first and the
     part grounded second: one row per proposal of the first, one column
@@ -234,7 +221,7 @@ def _prepare(grammar, models, pset, objectives):
     """Each objective's assignment, and per step of the default expansion
     order the bucket, its appearance block (one row per objective) and the
     tables of the edges it closes."""
-    order = _expansion_order(grammar)
+    order = default_expansion_order(grammar)
     assignments = [_assignment(grammar, objective) for objective in objectives]
     tables = _TABLES.setdefault(pset, {})
     buckets = [pset.buckets.get(part) for part in order]
@@ -337,7 +324,7 @@ def _state(step: _Step, j: int) -> PartState:
     return PartState(part=b.part, x=x, y=y, part_type=part_type, proposal_ref=b.ids[j])
 
 
-def _build_parse_graphs(grammar, steps, assignments, results) -> list[ParseGraph]:
+def _build_parse_graphs(steps, assignments, results) -> list[ParseGraph]:
     """One parse graph per objective's assignment and (score, per-step
     proposal indices); a proposal several objectives choose gets one
     shared, immutable :class:`PartState`."""
@@ -350,13 +337,7 @@ def _build_parse_graphs(grammar, steps, assignments, results) -> list[ParseGraph
                 states[si, j] = _state(steps[si], j)
             chosen[steps[si].bucket.part] = states[si, j]
         graphs.append(
-            ParseGraph(
-                states=chosen,
-                used_psg_edges=tuple(grammar.psg_edges),
-                used_dg_edges=tuple(grammar.dg_edges),
-                attribute_assignment=dict(assignment),
-                total_score=score,
-            )
+            ParseGraph(states=chosen, attribute_assignment=dict(assignment), total_score=score)
         )
     return graphs
 
@@ -366,7 +347,7 @@ def _search(grammar, models, pset, objectives, cfg) -> list[ParseGraph]:
     stacked: steps, buckets and relation tables are shared."""
     assignments, steps = _prepare(grammar, models, pset, objectives)
     results = _run_beam(steps, (cfg or BeamConfig()).beam_width)
-    return _build_parse_graphs(grammar, steps, assignments, results)
+    return _build_parse_graphs(steps, assignments, results)
 
 
 def parse_constrained(
@@ -435,7 +416,7 @@ def brute_force_parse(
     ids = steps[0].bucket.ids
     descend(1, steps[0].app[0].tolist(), [(i,) for i in ids], [(j,) for j in range(len(ids))])
     _key, score, idxs = best[0]
-    [pg] = _build_parse_graphs(grammar, steps, [assignment], [(score, idxs)])
+    [pg] = _build_parse_graphs(steps, [assignment], [(score, idxs)])
     return pg
 
 

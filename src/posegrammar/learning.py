@@ -506,9 +506,4 @@ def learn_models(
         visible = [ann.joints[part].visible for ann in annotations]
         mi[part] = {attr: mutual_information(k, visible) for attr, k in known.items()}
     association = derive_associations(mi, grammar)
-    return RelationModels(
-        syntactic=syntactic,
-        kinematic=kinematic,
-        association=association,
-        part_type_count=grammar.part_type_count,
-    )
+    return RelationModels(syntactic=syntactic, kinematic=kinematic, association=association)

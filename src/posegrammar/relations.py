@@ -16,13 +16,13 @@ All scores are log-probabilities (or log-densities); higher is better.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import MissingEntryError, ValidationError
-from .grammar import AOGrammar, AttrId, NodeId, ValidationReport
+from .grammar import DEFAULT_PART_TYPE_COUNT, AOGrammar, AttrId, NodeId, ValidationReport
 from .jsonio import malformed, read_json, write_json
 
 Edge = tuple[NodeId, NodeId]
@@ -47,7 +47,9 @@ def _parse_edge_key(key: str) -> Edge:
 class SyntacticTable:
     """Per-edge joint distributions over (parent type, child type) pairs."""
 
-    def __init__(self, tables: Mapping[Edge, np.ndarray], part_type_count: int = 9) -> None:
+    def __init__(
+        self, tables: Mapping[Edge, np.ndarray], part_type_count: int = DEFAULT_PART_TYPE_COUNT
+    ) -> None:
         self.part_type_count = int(part_type_count)
         self.tables: dict[Edge, np.ndarray] = {}
         t = self.part_type_count
@@ -68,10 +70,6 @@ class SyntacticTable:
             self.tables[tuple(edge)] = arr
         self._log = {edge: np.log(arr) for edge, arr in self.tables.items()}
 
-    @property
-    def edges(self) -> tuple[Edge, ...]:
-        return tuple(self.tables)
-
     def log_matrix(self, edge: Edge) -> np.ndarray:
         try:
             return self._log[tuple(edge)]
@@ -88,7 +86,9 @@ class SyntacticTable:
         return float(mat[t_parent - 1, t_child - 1])
 
 
-def uniform_syntactic_table(edges: Iterable[Edge], part_type_count: int = 9) -> SyntacticTable:
+def uniform_syntactic_table(
+    edges: Iterable[Edge], part_type_count: int = DEFAULT_PART_TYPE_COUNT
+) -> SyntacticTable:
     t = part_type_count
     mat = np.full((t, t), 1.0 / (t * t))
     return SyntacticTable({tuple(e): mat.copy() for e in edges}, part_type_count=t)
@@ -269,10 +269,6 @@ class KinematicMoG:
             tuple(e): tuple(t) for e, t in (fit_traces or {}).items()
         }
 
-    @property
-    def edges(self) -> tuple[Edge, ...]:
-        return tuple(self.mixtures)
-
     def mixture(self, edge: Edge) -> Mixture:
         try:
             return self.mixtures[tuple(edge)]
@@ -363,7 +359,11 @@ class RelationModels:
     syntactic: SyntacticTable
     kinematic: KinematicMoG
     association: AttributeAssociation
-    part_type_count: int = field(default=9)
+
+    @property
+    def part_type_count(self) -> int:
+        """The type count of the syntactic table."""
+        return self.syntactic.part_type_count
 
     def to_json_dict(self) -> dict:
         return {
@@ -397,10 +397,9 @@ class RelationModels:
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "RelationModels":
         with malformed("models document", doc):
-            ptc = int(doc.get("part_type_count", 9))
             syn = SyntacticTable(
                 {_parse_edge_key(k): np.asarray(v, dtype=float) for k, v in doc["syntactic"].items()},
-                part_type_count=ptc,
+                part_type_count=int(doc.get("part_type_count", DEFAULT_PART_TYPE_COUNT)),
             )
             mixtures = {}
             for key, comps in doc["kinematic"].items():
@@ -415,7 +414,7 @@ class RelationModels:
                 attr_ids=tuple(adoc.get("attr_ids", ())),
                 mi={p: {a: float(v) for a, v in per.items()} for p, per in adoc.get("mi", {}).items()},
             )
-        return cls(syntactic=syn, kinematic=KinematicMoG(mixtures), association=assoc, part_type_count=ptc)
+        return cls(syntactic=syn, kinematic=KinematicMoG(mixtures), association=assoc)
 
 
 def save_models(models: RelationModels, path: str) -> None:

@@ -98,7 +98,6 @@ def _toy_world(seed):
         syntactic=SyntacticTable(syn, part_type_count=t),
         kinematic=KinematicMoG(mixes),
         association=AttributeAssociation({p: ("c1",) for p in _TOY.part_ids}, ("c1",)),
-        part_type_count=t,
     )
     scores = {}
     props = []
@@ -309,7 +308,7 @@ def _parse(offsets, scale=1.0):
     for part, (x, y) in _JOINTS.items():
         dx, dy = offsets.get(part, (0.0, 0.0))
         states[part] = PartState(part, (x + dx) * scale, (y + dy) * scale, 1, f"p.{part}")
-    return ParseGraph(states, (), (), {}, 0.0)
+    return ParseGraph(states, {}, 0.0)
 
 
 def test_criterion_08_metric_fixtures(criterion):

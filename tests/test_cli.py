@@ -439,7 +439,7 @@ class TestRender:
     @pytest.mark.parametrize("field", ["x", "total_score"])
     def test_non_finite_parse_exits_one_and_writes_no_svg(self, pipeline, tmp_path, capsys, field, token):
         grammar = build_default_human_grammar()
-        pg = ParseGraph({"head": PartState("head", 5.0, 6.0, 1, "p")}, (), (), {}, 1.5)
+        pg = ParseGraph({"head": PartState("head", 5.0, 6.0, 1, "p")}, {}, 1.5)
         parse_path = tmp_path / "parse.json"
         save_parse_graph(pg, str(parse_path), grammar)
         text = re.sub(rf'("{field}": )[-0-9.e]+', rf"\g<1>{token}", _read(parse_path), count=1)
@@ -514,7 +514,7 @@ class TestEvalPcp:
             states = {
                 part: PartState(part, x, y, 1, f"t.{part}") for part, (x, y) in pts.items()
             }
-            pg = ParseGraph(states, (), (), {}, 0.0)
+            pg = ParseGraph(states, {}, 0.0)
             save_parse_graph(pg, str(out_dir / f"pred_{i:05d}.json"), grammar)
 
     def test_perfect_predictions_score_one(self, pipeline, tmp_path, capsys):

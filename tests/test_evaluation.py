@@ -80,7 +80,7 @@ def _parse(offsets=None, scale=1.0):
     for part, (x, y) in _JOINTS.items():
         dx, dy = offsets.get(part, (0.0, 0.0))
         states[part] = PartState(part, (x + dx) * scale, (y + dy) * scale, 1, f"p.{part}")
-    return ParseGraph(states, (), (), {}, 0.0)
+    return ParseGraph(states, {}, 0.0)
 
 
 class TestDefaultSticks:
@@ -338,7 +338,7 @@ class TestAttributeScoring:
             "head": PartState("head", 0.0, 0.0, 1, "ph"),
             "torso": PartState("torso", 0.0, 0.0, 1, "pt"),
         }
-        pg = ParseGraph(states, (), (), {}, 0.0)
+        pg = ParseGraph(states, {}, 0.0)
         scores = parse_attribute_scores(pg, pset, assoc, g)
         np.testing.assert_allclose(scores["hat"]["yes"], 2.0, atol=1e-12)
         np.testing.assert_allclose(scores["hat"]["no"], -1.0, atol=1e-12)

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import json
 import math
+import re
 
 import pytest
 
 from posegrammar.appearance import ScoreTable
+from posegrammar.cli import cli_dispatch
 from posegrammar.errors import MissingEntryError, ValidationError
 from posegrammar.grammar import (
     ATOMIC_PARTS,
@@ -149,14 +152,18 @@ class TestValidation:
         )
         assert any("terminal node 'a' has children" in v for v in report.violations)
 
-    def test_or_node_needs_branches(self):
-        nodes = (
-            GrammarNode("root", NodeKind.OR, "root", ("a",)),
-            GrammarNode("a", NodeKind.TERMINAL, "a"),
-            GrammarNode("b", NodeKind.TERMINAL, "b"),
-        )
-        report = validate(_toy_grammar(nodes=nodes, psg_edges=(("root", "a"),)))
-        assert any("or-node 'root' needs at least two children" in v for v in report.violations)
+    def test_or_node_is_refused(self, tmp_path, capsys):
+        allowed = r"grammar node 'root': kind 'or' is not one of \['and', 'terminal'\]"
+        with pytest.raises(ValidationError, match=allowed):
+            GrammarNode("root", "or", "root", ("a", "b"))
+        doc = _toy_grammar().to_json_dict()
+        doc["nodes"][0]["kind"] = "or"
+        path = tmp_path / "or.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: grammar node 'root'"):
+            load_grammar(str(path))
+        assert cli_dispatch(["validate", "--grammar", str(path)]) == 1
+        assert f"{path}: grammar node 'root'" in capsys.readouterr().err
 
     def test_self_edge(self):
         report = validate(_toy_grammar(dg_edges=(("a", "a"),)))
@@ -255,20 +262,16 @@ def _toy_parse(score=0.0, assignment=()):
         "a": PartState("a", 3.0, 2.0, 2, "pa"),
         "b": PartState("b", 3.0, 6.0, 1, "pb"),
     }
-    return ParseGraph(
-        states=states,
-        used_psg_edges=(("root", "a"), ("root", "b")),
-        used_dg_edges=(("a", "b"),),
-        attribute_assignment=dict(assignment),
-        total_score=score,
-    )
+    return ParseGraph(states=states, attribute_assignment=dict(assignment), total_score=score)
 
 
 class _FlatSyntactic:
     def __init__(self, value):
         self.value = value
+        self.calls = []
 
     def score(self, edge, t_parent, t_child):
+        self.calls.append((edge, t_parent, t_child))
         return self.value
 
 
@@ -288,20 +291,27 @@ class _Models:
         self.kinematic = kin
 
 
+_TOY_TABLE = ScoreTable(
+    {
+        "pr": {"c": {"u": 1.0, "v": 9.0}},
+        "pa": {"c": {"u": 2.0, "v": 9.0}},
+        "pb": {"c": {"u": 0.5, "v": 9.0}},
+    }
+)
+
+
 class TestParseGraph:
     def test_state_key_must_match_part(self):
         with pytest.raises(ValidationError, match="describes part"):
             ParseGraph(
                 states={"a": PartState("b", 0.0, 0.0, 1, "p")},
-                used_psg_edges=(),
-                used_dg_edges=(),
                 attribute_assignment={},
                 total_score=0.0,
             )
 
     def test_non_finite_total_score_rejected(self):
         with pytest.raises(ValidationError, match="parse graph total_score must be finite"):
-            ParseGraph({"a": PartState("a", 0.0, 0.0, 1, "p")}, (), (), {}, math.nan)
+            ParseGraph({"a": PartState("a", 0.0, 0.0, 1, "p")}, {}, math.nan)
 
     def test_part_state_type_bound(self):
         with pytest.raises(ValidationError, match="part_type must be >= 1"):
@@ -315,16 +325,10 @@ class TestParseGraph:
         """
         g = _toy_grammar()
         pg = _toy_parse(assignment={"c": "u"})
-        table = ScoreTable(
-            {
-                "pr": {"c": {"u": 1.0, "v": 9.0}},
-                "pa": {"c": {"u": 2.0, "v": 9.0}},
-                "pb": {"c": {"u": 0.5, "v": 9.0}},
-            }
-        )
-        kin = _FlatKinematic(1.5)
-        total = recompute_score(pg, g, _Models(_FlatSyntactic(0.75), kin), table)
+        syn, kin = _FlatSyntactic(0.75), _FlatKinematic(1.5)
+        total = recompute_score(pg, g, _Models(syn, kin), _TOY_TABLE)
         assert math.isclose(total, 6.5, rel_tol=0, abs_tol=1e-12)
+        assert syn.calls == [(("root", "a"), 1, 2), (("root", "b"), 1, 1)]
         # Displacement is child minus parent for the (a, b) edge.
         assert kin.calls == [(("a", "b"), 0.0, 4.0)]
 
@@ -346,8 +350,6 @@ class TestParseGraph:
         g = _toy_grammar()
         pg = ParseGraph(
             states={"ghost": PartState("ghost", 0.0, 0.0, 1, "p")},
-            used_psg_edges=(),
-            used_dg_edges=(),
             attribute_assignment={"c": "u"},
             total_score=0.0,
         )
@@ -364,10 +366,12 @@ class TestParseGraph:
         assert back.states == pg.states
         assert back.attribute_assignment == {"c": "u"}
         assert back.total_score == 6.5
-        assert set(back.used_psg_edges) == {("root", "a"), ("root", "b")}
-        assert back.used_dg_edges == (("a", "b"),)
+        models = _Models(_FlatSyntactic(0.75), _FlatKinematic(1.5))
+        rescored = [recompute_score(p, g, models, _TOY_TABLE) for p in (back, pg)]
+        assert float.hex(rescored[0]) == float.hex(rescored[1])
 
-    def test_partial_parse_keeps_only_covered_edges(self):
+    def test_partial_parse_scores_only_covered_edges(self):
+        """Appearance 1.0 + 2.0, one covered psg edge at 0.75, no dg edge."""
         g = _toy_grammar()
         doc = {
             "schema_version": 1,
@@ -375,9 +379,12 @@ class TestParseGraph:
                 {"part": "root", "x": 0.0, "y": 0.0, "part_type": 1, "proposal": "pr"},
                 {"part": "a", "x": 1.0, "y": 0.0, "part_type": 1, "proposal": "pa"},
             ],
-            "attributes": {},
+            "attributes": {"c": "u"},
             "total_score": 0.0,
         }
         pg = ParseGraph.from_json_dict(doc, g)
-        assert pg.used_psg_edges == (("root", "a"),)
-        assert pg.used_dg_edges == ()
+        syn, kin = _FlatSyntactic(0.75), _FlatKinematic(1.5)
+        total = recompute_score(pg, g, _Models(syn, kin), _TOY_TABLE)
+        assert syn.calls == [(("root", "a"), 1, 1)]
+        assert kin.calls == []
+        assert total == 1.0 + 2.0 + 0.75

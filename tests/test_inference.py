@@ -38,7 +38,6 @@ from posegrammar.grammar import (
     save_grammar,
 )
 from posegrammar.inference import (
-    _ORDERS,
     _TABLES,
     BeamConfig,
     _extend,
@@ -102,7 +101,7 @@ def _toy_world(seed, counts=(3, 3, 3), part_type_count=2):
         mixes[e] = Mixture(weights=w, means=means, covariances=covs)
     kin = KinematicMoG(mixes)
     assoc = AttributeAssociation({p: ("c",) for p in g.part_ids}, ("c",))
-    models = RelationModels(syntactic=syn, kinematic=kin, association=assoc, part_type_count=t)
+    models = RelationModels(syntactic=syn, kinematic=kin, association=assoc)
     scores = {}
     proposals = []
     for part, n in zip(("root", "a", "b"), counts):
@@ -195,11 +194,10 @@ class TestBeamMatchesBruteForce:
         assert beam.states == oracle.states
         assert beam.attribute_assignment == {}
 
-    def test_used_edges_cover_grammar(self):
+    def test_parse_grounds_every_grammar_part(self):
         g, models, pset = _toy_world(1)
         pg = parse_constrained(g, models, pset, "c", "u")
-        assert pg.used_psg_edges == g.psg_edges
-        assert pg.used_dg_edges == g.dg_edges
+        assert set(pg.states) == set(g.part_ids)
 
 
 class TestBeamWidthMonotonicity:
@@ -303,7 +301,6 @@ class TestTieBreaking:
                 {("a", "b"): Mixture(np.array([1.0]), np.zeros((1, 2)), np.eye(2)[None])}
             ),
             association=AttributeAssociation({p: ("c",) for p in g.part_ids}, ("c",)),
-            part_type_count=2,
         )
         scores = {}
         rows = [("r", "root", 0.0, 0.0), ("a0", "a", 0.0, 0.5), ("a1", "a", 20.0, 0.0),
@@ -453,8 +450,8 @@ class TestAttributeScores:
             "torso": PartState("torso", 0.0, 0.0, 1, "pt"),
         }
         per_pair = {
-            ("hat", "yes"): ParseGraph(states, (), (), {"hat": "yes"}, 0.0),
-            ("hat", "no"): ParseGraph(states, (), (), {"hat": "no"}, 0.0),
+            ("hat", "yes"): ParseGraph(states, {"hat": "yes"}, 0.0),
+            ("hat", "no"): ParseGraph(states, {"hat": "no"}, 0.0),
         }
         scores = attribute_scores(per_pair, pset, assoc)
         # Only the head is associated with hat; torso's 5.0 is masked out.
@@ -493,8 +490,6 @@ class TestReadout:
                 "head": PartState("head", 0.0, 0.0, 1, "ph"),
                 "torso": PartState("torso", 0.0, 0.0, 1, "pt"),
             },
-            used_psg_edges=(),
-            used_dg_edges=(),
             attribute_assignment={"hat": "yes", "gender": "male"},
             total_score=0.0,
         )
@@ -511,8 +506,6 @@ class TestReadout:
         )
         pg = ParseGraph(
             states={"head": PartState("head", 0.0, 0.0, 1, "ph")},
-            used_psg_edges=(),
-            used_dg_edges=(),
             attribute_assignment={"hat": "yes"},
             total_score=0.0,
         )
@@ -594,8 +587,7 @@ class TestAppearanceBits:
             order = rng.permutation(parts).tolist()
             chosen = {part: f"{part}.{int(rng.integers(0, per_part))}" for part in order}
             pg = ParseGraph(
-                {part: PartState(part, 0.0, 0.0, 1, pid) for part, pid in chosen.items()},
-                (), (), {}, 0.0,
+                {part: PartState(part, 0.0, 0.0, 1, pid) for part, pid in chosen.items()}, {}, 0.0
             )
             assert _bits([_readout(pg, pset, assoc, attr, value)]) == _bits(
                 [_lookup_readout(pg, pset, assoc, attr, value)]
@@ -684,7 +676,6 @@ def _chain_world(seed, parts, flat=False, far=None):
         syntactic=SyntacticTable(syn, part_type_count=2),
         kinematic=KinematicMoG(mixes),
         association=AttributeAssociation({p: ("c",) for p in g.part_ids}, ("c",)),
-        part_type_count=2,
     )
     scores = {}
     props = []
@@ -893,27 +884,6 @@ class TestRelationTables:
         del pset
         gc.collect()
         assert gone() is None
-
-    def test_expansion_order_is_derived_once_per_grammar_and_freed_with_it(self, monkeypatch):
-        g, models, pset = _toy_world(34)
-        calls = []
-
-        def counted(grammar):
-            calls.append(grammar)
-            return default_expansion_order(grammar)
-
-        monkeypatch.setattr(inference, "default_expansion_order", counted)
-        for value in ("u", "v"):
-            parse_constrained(g, models, pset, "c", value)
-        parse_unconstrained(g, models, pset)
-        assert calls == [g]
-        assert _ORDERS[id(g)] == default_expansion_order(g)
-        key = id(g)
-        gone = weakref.ref(g)
-        del g, calls
-        gc.collect()
-        assert gone() is None
-        assert key not in _ORDERS
 
 
 class TestNonFiniteRelations:

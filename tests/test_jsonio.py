@@ -124,7 +124,7 @@ def test_document_reader_refuses_a_top_level_that_is_not_an_object(tmp_path, rea
 
 
 def _nan_parse_graph(path):
-    pg = ParseGraph({"head": PartState("head", 1.0, 2.0, 1, "p")}, (), (), {}, 0.0)
+    pg = ParseGraph({"head": PartState("head", 1.0, 2.0, 1, "p")}, {}, 0.0)
     object.__setattr__(pg, "total_score", math.nan)
     save_parse_graph(pg, path, build_default_human_grammar())
 
@@ -139,7 +139,7 @@ def _nan_proposals(path):
 def _nan_models(path):
     edges = (("a", "b"),)
     assoc = AttributeAssociation({"a": ("c",)}, ("c",), mi={"a": {"c": math.nan}})
-    save_models(RelationModels(uniform_syntactic_table(edges, 2), KinematicMoG({}), assoc, 2), path)
+    save_models(RelationModels(uniform_syntactic_table(edges, 2), KinematicMoG({}), assoc), path)
 
 
 def _nan_annotations(path):

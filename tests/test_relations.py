@@ -7,6 +7,7 @@ implementation under test.
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -390,12 +391,14 @@ class TestAttributeAssociation:
         assert any("misses grammar part" in v for v in report.violations)
 
 
+_TWO_TYPES = SyntacticTable(
+    {("root", "a"): np.array([[0.5, 0.25], [0.125, 0.125]])},
+    part_type_count=2,
+)
+
+
 class TestModelSerialization:
-    def _models(self):
-        syn = SyntacticTable(
-            {("root", "a"): np.array([[0.5, 0.25], [0.125, 0.125]])},
-            part_type_count=2,
-        )
+    def _models(self, syn=_TWO_TYPES):
         kin = KinematicMoG(
             {("a", "b"): _three_component()},
             fit_traces={("a", "b"): (-5.0, -4.5, -4.4)},
@@ -405,9 +408,7 @@ class TestModelSerialization:
             attr_ids=("c",),
             mi={"a": {"c": 0.12}},
         )
-        return RelationModels(
-            syntactic=syn, kinematic=kin, association=assoc, part_type_count=2
-        )
+        return RelationModels(syn, kin, assoc)
 
     def test_round_trip_numeric_equality(self):
         models = self._models()
@@ -432,11 +433,20 @@ class TestModelSerialization:
         back = RelationModels.from_json_dict(models.to_json_dict())
         assert back.kinematic.fit_traces == {}
 
-    def test_file_round_trip_scores_identically(self, tmp_path):
-        models = self._models()
+    @pytest.mark.parametrize(
+        "syn",
+        [_TWO_TYPES, uniform_syntactic_table([("root", "a")], 3)],
+        ids=["two-types", "three-uniform-types"],
+    )
+    def test_file_round_trip_scores_identically(self, tmp_path, syn):
+        """The type count written is the syntactic table's own."""
+        models = self._models(syn)
         path = tmp_path / "models.json"
         save_models(models, str(path))
+        assert json.loads(path.read_text())["part_type_count"] == syn.part_type_count
         back = load_models(str(path))
+        assert back.part_type_count == syn.part_type_count
+        np.testing.assert_array_equal(back.syntactic.tables[("root", "a")], syn.tables[("root", "a")])
         for dx, dy in ((0.0, -30.0), (6.0, -28.0), (10.0, 0.0)):
             np.testing.assert_allclose(
                 back.kinematic.score(("a", "b"), dx, dy),
