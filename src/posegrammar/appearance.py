@@ -18,9 +18,6 @@ rebuilds proposals.
 
 from __future__ import annotations
 
-import math
-import numbers
-import sys
 from dataclasses import dataclass
 from functools import reduce
 from itertools import product
@@ -42,7 +39,8 @@ from .grammar import (
     default_attributes,
     part_keypoints,
 )
-from .jsonio import malformed, read_json_lines, write_json_lines
+from .jsonio import FieldError, read_json_lines, write_json_lines
+from .jsonio import array, check_fields, count, mapping, number, record, text
 from .synthetic import PART_BOX_SIZES, SyntheticScene
 
 # Canonical 17-part ordering used by the synthetic provider.
@@ -61,49 +59,19 @@ class Proposal:
     box: tuple[float, float, float, float]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.id, str) or not self.id:
-            raise ValidationError(f"proposal id must be a non-empty string, got {self.id!r}")
-        if not isinstance(self.part, str):
-            raise ValidationError(f"proposal {self.id!r}: part must be a string, got {self.part!r}")
-        box = tuple(self.box)
-        if len(box) != 4:
-            raise ValidationError(f"proposal {self.id!r}: box must have 4 entries, got {box!r}")
-        given = (self.x, self.y) + box
-        try:
-            finite = all(
-                isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-                for v in given
-            )
-        except OverflowError:
-            fields = ("x", "y", "box", "box", "box", "box")
-            name = next(f for f, v in zip(fields, given) if abs(v) > sys.float_info.max)
+        check_fields(self, _PROPOSAL)
+        if self.box[2] <= 0.0 or self.box[3] <= 0.0:
             raise ValidationError(
-                f"proposal {self.id!r}: x, y and box must be finite numbers, "
-                f"{name} is an integer beyond the float range"
-            ) from None
-        if not finite:
-            raise ValidationError(
-                f"proposal {self.id!r}: x, y and box must be finite numbers, "
-                f"got ({self.x!r}, {self.y!r}) and {box!r}"
+                f"proposal {self.id!r}: box width and height must be positive, got {self.box!r}"
             )
-        x, y, *rest = map(float, given)
-        box = tuple(rest)
-        if box[2] <= 0.0 or box[3] <= 0.0:
-            raise ValidationError(
-                f"proposal {self.id!r}: box width and height must be positive, got {box!r}"
-            )
-        if not isinstance(self.part_type, numbers.Integral) or isinstance(self.part_type, bool):
-            raise ValidationError(
-                f"proposal {self.id!r}: part_type must be an integer, got {self.part_type!r}"
-            )
-        if self.part_type < 1:
-            raise ValidationError(
-                f"proposal {self.id!r}: part_type must be >= 1, got {self.part_type}"
-            )
-        object.__setattr__(self, "box", box)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "part_type", int(self.part_type))
+
+    @classmethod
+    def from_json_dict(cls, doc: Mapping) -> "Proposal":
+        """The proposal a JSON object describes; its other keys are ignored."""
+        return cls(**_PROPOSAL.present(doc))
+
+
+_PROPOSAL = record(id=text, part=text, x=number, y=number, part_type=count, box=array(number, 4))
 
 
 class ScoreTable:
@@ -125,10 +93,11 @@ class ScoreTable:
                 layout = tuple((attr, tuple(per_value)) for attr, per_value in per_attr.items())
                 views = [per_value.values() for per_value in per_attr.values()]
             except (AttributeError, TypeError):
-                raise ValidationError(
-                    f"scores of proposal {pid!r} must map each attribute to a mapping "
-                    f"of value scores, got {per_attr!r}"
-                ) from None
+                try:
+                    mapping(mapping(lambda score: score))(per_attr)
+                except FieldError as exc:
+                    raise _refused_scores(pid, exc) from None
+                raise
             if layout not in blocks:
                 pairs = [(a, v) for a, vs in layout for v in vs]
                 cols = [self._columns.setdefault(pair, len(self._columns)) for pair in pairs]
@@ -143,7 +112,7 @@ class ScoreTable:
             # One scan of the block's types: any cell that is not a float is
             # read one by one.
             if not set(map(type, scores)) <= {float}:
-                scores = [self._score(r, c, s) for (r, c), s in zip(product(rows, cols), scores)]
+                scores = [self._cell(r, c, s) for (r, c), s in zip(product(rows, cols), scores)]
             cells = np.ix_(rows, cols)
             self.values[cells] = np.array(scores, dtype=float).reshape(len(rows), len(cols))
             given[cells] = True
@@ -151,28 +120,20 @@ class ScoreTable:
         if bad.size:
             r, c = bad[0]
             if given[r, c]:
-                raise ValidationError(
-                    f"{self._cell(r, c)} must be finite, got {float(self.values[r, c])!r}"
-                )
+                self._cell(r, c, float(self.values[r, c]))  # refuses the non-finite score
             pid, (attr, value) = list(self._rows)[r], list(self._columns)[c]
             raise ValidationError(
-                f"proposal {pid!r} has no score for {attr!r}={value!r}, which other proposals have"
+                f"proposal {pid!r}: scores.{attr}.{value} is missing, which other proposals have"
             )
         self.values.flags.writeable = False
 
-    def _score(self, r: int, c: int, score) -> float:
-        """Cell (r, c)'s ``score`` as a float, refused by name when it is not
-        a number or is an integer beyond the float range."""
-        if isinstance(score, bool) or not isinstance(score, (int, float)):
-            raise ValidationError(f"{self._cell(r, c)} must be a number, got {score!r}")
+    def _cell(self, r: int, c: int, score) -> float:
+        """Cell (r, c)'s ``score`` under the number rule."""
         try:
-            return float(score)
-        except OverflowError:
-            raise ValidationError(f"{self._cell(r, c)} is an integer beyond the float range") from None
-
-    def _cell(self, r: int, c: int) -> str:
-        pid, (attr, value) = list(self._rows)[r], list(self._columns)[c]
-        return f"score for proposal {pid!r}, attribute {attr!r}={value!r}"
+            return number(score)
+        except FieldError as exc:
+            pid, pair = list(self._rows)[r], list(self._columns)[c]
+            raise _refused_scores(pid, exc, *pair) from None
 
     def rows(self, pids: Iterable[str], part: NodeId | None = None) -> np.ndarray:
         """The row of each of ``pids``; an error names ``part``."""
@@ -227,6 +188,11 @@ class ScoreTable:
         return {p: self.per_proposal(p) for p in self._rows} == {
             p: other.per_proposal(p) for p in other._rows
         }
+
+
+def _refused_scores(pid: str, exc: FieldError, *keys) -> ValidationError:
+    """``exc``, refusing proposal ``pid``'s ``scores`` field at ``keys``."""
+    return ValidationError(f"proposal {pid!r}: {exc.within('scores', *keys)}")
 
 
 class Bucket:
@@ -296,25 +262,12 @@ class ProposalSet:
 
 def load_proposals(path: str, *, part_type_count: int = DEFAULT_PART_TYPE_COUNT) -> ProposalSet:
     """Read a JSON-lines proposal file; one proposal object per line."""
-    rows = read_json_lines(path, lambda doc: (_proposal_from_doc(doc), doc.get("scores", {})))
+    rows = read_json_lines(path, lambda doc: (Proposal.from_json_dict(doc), doc.get("scores", {})))
     try:
         scores = ScoreTable({p.id: per_attr for p, per_attr in rows})
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
     return ProposalSet.from_proposals((p for p, _ in rows), scores, part_type_count=part_type_count)
-
-
-def _proposal_from_doc(doc: Mapping) -> Proposal:
-    """The proposal a JSON object describes."""
-    with malformed("proposal", doc):
-        return Proposal(
-            id=doc["id"],
-            part=doc["part"],
-            x=doc["x"],
-            y=doc["y"],
-            part_type=doc["part_type"],
-            box=doc["box"],
-        )
 
 
 def save_proposals(pset: ProposalSet, path: str) -> None:

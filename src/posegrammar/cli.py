@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from . import evaluation, learning, relations, synthetic
-from .appearance import _proposal_from_doc, load_proposals
+from .appearance import Proposal, load_proposals
 from .errors import PoseGrammarError, ValidationError
 from .grammar import (
     SCHEMA_VERSION,
@@ -33,7 +33,7 @@ from .grammar import (
     validate,
 )
 from .inference import BeamConfig, attribute_scores, parse_constrained, parse_unconstrained, select_final
-from .jsonio import read_json, read_json_lines, write_json
+from .jsonio import array, integer, number, optional, read_json, read_json_lines, record, text, write_json
 from .render import save_svg
 
 _UNSET = object()
@@ -46,35 +46,40 @@ def _info(message: str) -> None:
 def _merged_options(args: argparse.Namespace, defaults: dict) -> dict:
     """Layer defaults, then the config file, then explicit flags."""
     explicit = {k: v for k, v in vars(args).items() if v is not _UNSET}
-    merged = dict(defaults)
     config_path = explicit.pop("config", None)
     explicit.pop("command", None)
     explicit.pop("func", None)
-    if config_path is not None:
-        config = read_json(config_path)
-        if not isinstance(config, dict):
-            raise ValidationError(f"config file {config_path}: expected a JSON object")
-        unknown = sorted(set(config) - set(defaults))
+    config = {} if config_path is None else read_json(config_path, _config_reader(defaults))
+    return {**defaults, **config, **{k: _typed(k, v, defaults[k]) for k, v in explicit.items()}}
+
+
+# The spec of a config value by the type of its option's default; any
+# other option takes a string.
+_OPTION_SPECS = {int: integer, float: number, tuple: array(integer, 2)}
+
+
+def _config_reader(defaults: dict):
+    spec = record(**{k: optional(_OPTION_SPECS.get(type(d), text), _UNSET) for k, d in defaults.items()})
+
+    def build(doc) -> dict:
+        options = {k: v for k, v in spec(doc).items() if v is not _UNSET}
+        unknown = sorted(set(doc) - set(defaults))
         if unknown:
-            raise ValidationError(f"config file {config_path}: unknown keys {unknown}")
-        merged.update(config)
-    merged.update(explicit)
-    return {k: _typed(k, v, defaults[k]) for k, v in merged.items()}
+            raise ValidationError(f"unknown keys {unknown}")
+        return options
+
+    return build
 
 
 def _typed(key: str, value, default):
-    """Convert a numeric option, or a tuple of them, to its default's type.
-
-    Float options must be finite.
+    """Convert a command-line option to its default's type; the parser has
+    read a pair already.  Float options must be finite.
     """
-    if not isinstance(default, (int, float, tuple)):
+    if isinstance(default, tuple):
+        return tuple(value)
+    if not isinstance(default, (int, float)):
         return value
     try:
-        if isinstance(default, tuple):
-            value = tuple(value)
-            if len(value) != len(default):
-                raise ValueError
-            return tuple(type(d)(v) for d, v in zip(default, value))
         converted = type(default)(value)
         if not math.isfinite(converted):
             raise ValueError
@@ -145,10 +150,7 @@ def _cmd_synth(opts: dict) -> int:
     return 0
 
 
-def _proposal_group(docs) -> list:
-    if not isinstance(docs, list):
-        raise ValidationError("expected a JSON array of proposals")
-    return [_proposal_from_doc(d) for d in docs]
+_proposal_group = array(Proposal.from_json_dict)
 
 
 def _cmd_learn(opts: dict) -> int:
@@ -242,26 +244,15 @@ def _cmd_eval_pcp(opts: dict) -> int:
     return 0
 
 
-def _number_array(doc) -> list:
-    """A JSON array of finite numbers."""
-    if not isinstance(doc, list) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in doc
-    ):
-        raise ValidationError("expected a JSON array of numbers")
-    try:
-        finite = all(map(math.isfinite, doc))
-    except OverflowError:  # an integer beyond the float range
-        finite = False
-    if not finite:
-        raise ValidationError("entries must be finite numbers")
-    return doc
+_number_array = array(number)
 
 
-def _label_array(doc) -> list:
+def _label_array(doc) -> tuple:
     """A JSON array of 0/1 labels."""
-    if not all(v in (0, 1) for v in _number_array(doc)):
+    labels = _number_array(doc)
+    if not all(v in (0, 1) for v in labels):
         raise ValidationError("labels must be 0 or 1")
-    return doc
+    return labels
 
 
 def _cmd_eval_ap(opts: dict) -> int:
@@ -284,7 +275,7 @@ def _cmd_diag(opts: dict) -> int:
     aliases = {"no-attr": evaluation.MODE_NO_ATTRIBUTE}
     modes = [
         aliases.get(m.strip(), m.strip())
-        for m in str(opts["modes"]).split(",")
+        for m in opts["modes"].split(",")
         if m.strip()
     ]
     cfg = evaluation.DiagnosticConfig(

@@ -30,12 +30,11 @@ from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
 from .errors import MissingEntryError, ValidationError
-from .jsonio import malformed, read_json, write_json
+from .jsonio import SCHEMA_VERSION, FieldError, read_json, schema_version, write_json
+from .jsonio import array, check_fields, count, mapping, number, optional, record, text
 
 NodeId = str
 AttrId = str
-
-SCHEMA_VERSION = 1
 
 # Atomic (terminal) parts, in canonical order.
 ATOMIC_PARTS: tuple[NodeId, ...] = (
@@ -206,10 +205,10 @@ class AOGrammar:
     ) -> None:
         self.root = root
         self.nodes = tuple(nodes)
-        self.psg_edges = tuple((str(p), str(c)) for p, c in psg_edges)
-        self.dg_edges = tuple((str(p), str(c)) for p, c in dg_edges)
+        self.psg_edges = tuple(map(tuple, psg_edges))
+        self.dg_edges = tuple(map(tuple, dg_edges))
         self.attributes = tuple(attributes)
-        self.part_type_count = int(part_type_count)
+        self.part_type_count = part_type_count
 
         self._node_by_id = {n.id: n for n in self.nodes}
         self._attr_by_id = {a.id: a for a in self.attributes}
@@ -289,32 +288,10 @@ class AOGrammar:
 
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "AOGrammar":
-        with malformed("grammar document", doc):
-            nodes = [
-                GrammarNode(
-                    id=str(n["id"]),
-                    kind=n["kind"],
-                    name=str(n.get("name", n["id"])),
-                    children=tuple(str(c) for c in n.get("children", ())),
-                )
-                for n in doc["nodes"]
-            ]
-            attrs = [
-                AttributeDef(
-                    id=str(a["id"]),
-                    name=str(a.get("name", a["id"])),
-                    domain=tuple(str(v) for v in a["domain"]),
-                )
-                for a in doc.get("attributes", ())
-            ]
-            return cls(
-                root=str(doc["root"]),
-                nodes=nodes,
-                psg_edges=[(str(p), str(c)) for p, c in doc.get("psg_edges", ())],
-                dg_edges=[(str(p), str(c)) for p, c in doc.get("dg_edges", ())],
-                attributes=attrs,
-                part_type_count=int(doc.get("part_type_count", DEFAULT_PART_TYPE_COUNT)),
-            )
+        d = _GRAMMAR(doc)
+        nodes = [GrammarNode(n["id"], n["kind"], n["name"] or n["id"], n["children"]) for n in d["nodes"]]
+        attributes = [AttributeDef(a["id"], a["name"] or a["id"], a["domain"]) for a in d["attributes"]]
+        return cls(d["root"], nodes, d["psg_edges"], d["dg_edges"], attributes, d["part_type_count"])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AOGrammar):
@@ -327,6 +304,20 @@ class AOGrammar:
             f"psg_edges={len(self.psg_edges)}, dg_edges={len(self.dg_edges)}, "
             f"attributes={len(self.attributes)})"
         )
+
+
+_EDGES = optional(array(array(text, 2)), ())
+_GRAMMAR = record(
+    schema_version=schema_version,
+    root=text,
+    nodes=array(
+        record(id=text, kind=text, name=optional(text, None), children=optional(array(text), ()))
+    ),
+    psg_edges=_EDGES,
+    dg_edges=_EDGES,
+    attributes=optional(array(record(id=text, name=optional(text, None), domain=array(text))), ()),
+    part_type_count=optional(count, DEFAULT_PART_TYPE_COUNT),
+)
 
 
 def save_grammar(grammar: AOGrammar, path: str) -> None:
@@ -447,8 +438,10 @@ def validate(grammar: AOGrammar) -> ValidationReport:
         report.add("grammar has no nodes")
     if grammar.root not in known:
         report.add(f"root {grammar.root!r} is not a declared node")
-    if grammar.part_type_count < 1:
-        report.add(f"part_type_count must be >= 1, got {grammar.part_type_count}")
+    try:
+        count(grammar.part_type_count)
+    except FieldError as exc:
+        report.add(str(exc.within("part_type_count")))
 
     for n in grammar.nodes:
         n_children = len(n.children)
@@ -565,10 +558,7 @@ class ParseGraph:
         for part, st in self.states.items():
             if part != st.part:
                 raise ValidationError(f"state keyed {part!r} describes part {st.part!r}")
-        if not math.isfinite(self.total_score):
-            raise ValidationError(
-                f"parse graph total_score must be finite, got {self.total_score!r}"
-            )
+        check_fields(self, _TOTAL_SCORE)
 
     def to_json_dict(self, grammar: AOGrammar) -> dict:
         order = [p for p in grammar.part_ids if p in self.states]
@@ -591,20 +581,18 @@ class ParseGraph:
 
     @classmethod
     def from_json_dict(cls, doc: Mapping, grammar: AOGrammar) -> "ParseGraph":
-        with malformed("parse graph document", doc):
-            states = {
-                str(s["part"]): PartState(
-                    part=str(s["part"]),
-                    x=float(s["x"]),
-                    y=float(s["y"]),
-                    part_type=int(s["part_type"]),
-                    proposal_ref=str(s["proposal"]),
-                )
-                for s in doc["states"]
-            }
-            assignment = {str(k): str(v) for k, v in doc.get("attributes", {}).items()}
-            total = float(doc["total_score"])
-        return cls(states=states, attribute_assignment=assignment, total_score=total)
+        d = _PARSE_GRAPH(doc)
+        states = [PartState(s["part"], s["x"], s["y"], s["part_type"], s["proposal"]) for s in d["states"]]
+        return cls({s.part: s for s in states}, d["attributes"], d["total_score"])
+
+
+_TOTAL_SCORE = record(total_score=number)
+_PARSE_GRAPH = record(
+    schema_version=schema_version,
+    states=array(record(part=text, x=number, y=number, part_type=count, proposal=text)),
+    attributes=optional(mapping(text), {}),
+    total_score=number,
+)
 
 
 def save_parse_graph(pg: ParseGraph, path: str, grammar: AOGrammar) -> None:

@@ -52,7 +52,6 @@ against blowup.
 
 from __future__ import annotations
 
-import operator
 import weakref
 from dataclasses import dataclass
 from typing import Mapping
@@ -66,6 +65,7 @@ from .errors import (
     ValidationError,
 )
 from .grammar import AOGrammar, AttrId, NodeId, ParseGraph, PartState
+from .jsonio import check_fields, count, record
 from .relations import AttributeAssociation, Edge, RelationModels, SyntacticTable
 
 COMBINATION_GUARD = 10_000_000
@@ -80,15 +80,10 @@ class BeamConfig:
     beam_width: int = 100
 
     def __post_init__(self) -> None:
-        try:
-            width = operator.index(self.beam_width)
-        except TypeError:
-            width = None
-        if width is None or isinstance(self.beam_width, bool):
-            raise ValidationError(f"beam_width must be an integer, got {self.beam_width!r}")
-        if width < 1:
-            raise ValidationError(f"beam_width must be >= 1, got {width}")
-        object.__setattr__(self, "beam_width", width)
+        check_fields(self, _BEAM_WIDTH)
+
+
+_BEAM_WIDTH = record(beam_width=count)
 
 
 def default_expansion_order(grammar: AOGrammar) -> tuple[NodeId, ...]:

@@ -1,19 +1,195 @@
 """The JSON file contract behind every file the package reads or writes.
 
-Readers refuse the ``NaN``, ``Infinity`` and ``-Infinity`` tokens and
-report any error as a :class:`ValidationError` that names ``path``, or
-``path:line`` for JSON-lines files.  Writers sort keys, refuse non-finite
-values and serialise the whole document before opening the file, so a
-refused value leaves no file behind.
+Each reader declares its document once as a field spec, the one place a
+document value is checked and given its Python type.  A spec is a
+callable from a decoded JSON value to the checked value: :func:`text` (a
+non-empty string), :func:`number` (the number rule), ``integer``,
+``count`` (an integer >= 1), :func:`flag`, :func:`nullable`, :func:`array`,
+:func:`mapping` (an object whose keys are data) and :class:`record` (an
+object of named fields, :func:`optional` ones with a default; other keys
+are ignored).  A refusal is a :class:`FieldError` naming the field path,
+e.g. ``nodes[3].id``.  Readers refuse the ``NaN``, ``Infinity`` and
+``-Infinity`` tokens and prefix every error with ``path``, or
+``path:line`` for JSON-lines files.  Writers sort keys, refuse
+non-finite values and serialise the whole document before opening the
+file, so a refused value leaves no file behind.
 """
 
 from __future__ import annotations
 
 import json
+import numbers
 import sys
-from typing import Callable, Iterable, Mapping
+from collections.abc import Mapping
+from itertools import repeat
+from typing import Callable, Iterable
 
-from .errors import PoseGrammarError, ValidationError
+from .errors import ValidationError
+
+SCHEMA_VERSION = 1
+
+_FLOAT_MAX = sys.float_info.max
+
+
+class FieldError(ValidationError):
+    """A value a spec refused; each container it leaves puts its key or index
+    in front of ``path``, so the message names the whole field."""
+
+    def __init__(self, problem: str) -> None:
+        super().__init__(problem)
+        self.problem, self.path = problem, []
+
+    def within(self, *keys) -> "FieldError":
+        self.path[:0] = keys
+        return self
+
+    def __str__(self) -> str:
+        where = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in self.path)
+        return f"{where.removeprefix('.') or 'the document'} {self.problem}"
+
+
+def _refused(want: str, value) -> FieldError:
+    if isinstance(value, Mapping):
+        shown = "a JSON object"
+    elif isinstance(value, (list, tuple)):
+        shown = f"a JSON array of length {len(value)}"
+    elif isinstance(value, int) and not isinstance(value, bool) and abs(value) > _FLOAT_MAX:
+        shown = "an integer beyond the float range"
+    else:
+        shown = repr(value)
+    return FieldError(f"must be {want}, got {shown}")
+
+
+def number(value) -> float:
+    """The number rule: a finite float or an integer within the float range,
+    never a bool; read as a float."""
+    if type(value) is float or isinstance(value, (int, float)) and not isinstance(value, bool):
+        if -_FLOAT_MAX <= value <= _FLOAT_MAX:
+            return float(value)
+    raise _refused("a finite number", value)
+
+
+def text(value) -> str:
+    """A non-empty string."""
+    if isinstance(value, str) and value:
+        return value
+    raise _refused("a non-empty string", value)
+
+
+def _integer(least, want: str) -> Callable:
+    def check(value) -> int:
+        integral = type(value) is int or isinstance(value, numbers.Integral) and not isinstance(value, bool)
+        if integral and least <= value <= _FLOAT_MAX:
+            return int(value)
+        raise _refused(want, value)
+
+    return check
+
+
+integer = _integer(-_FLOAT_MAX, "an integer")
+count = _integer(1, "an integer >= 1")
+
+
+def flag(value) -> bool:
+    """``true`` or ``false``."""
+    if isinstance(value, bool):
+        return value
+    raise _refused("true or false", value)
+
+
+def nullable(spec: Callable) -> Callable:
+    """``null``, read as ``None``, or what ``spec`` accepts."""
+    return lambda value: None if value is None else spec(value)
+
+
+def array(item, length: int | None = None) -> Callable:
+    """A JSON array of ``item``s, of ``length`` entries when given, or with
+    one entry per spec of a tuple ``item``; read as a tuple."""
+    specs, length = (item, len(item)) if isinstance(item, tuple) else (repeat(item), length)
+    want = "a JSON array" + ("" if length is None else f" of length {length}")
+
+    def check(value) -> tuple:
+        if not isinstance(value, (list, tuple)) or length not in (None, len(value)):
+            raise _refused(want, value)
+        out = []
+        try:
+            for i, (spec, entry) in enumerate(zip(specs, value)):
+                out.append(spec(entry))
+        except FieldError as exc:
+            raise exc.within(i)
+        return tuple(out)
+
+    return check
+
+
+def mapping(spec: Callable) -> Callable:
+    """A JSON object whose keys are data, every value checked by ``spec``."""
+
+    def check(value) -> dict:
+        if not isinstance(value, Mapping):
+            raise _refused("a JSON object", value)
+        out = {}
+        try:
+            for key, entry in value.items():
+                out[key] = spec(entry)
+        except FieldError as exc:
+            raise exc.within(key)
+        return out
+
+    return check
+
+
+def optional(spec: Callable, default) -> tuple:
+    """A record field that may be absent, ``default`` then standing in."""
+    return spec, default
+
+
+_REQUIRED = object()
+
+
+class record:
+    """A JSON object of named fields, each a spec or an :func:`optional`
+    one; keys it does not name are ignored.  Calling it gives a dict of
+    every field, checked."""
+
+    def __init__(self, **fields) -> None:
+        self.fields = [(k, *f) if isinstance(f, tuple) else (k, f, _REQUIRED) for k, f in fields.items()]
+
+    def __call__(self, value, checked: bool = True) -> dict:
+        if type(value) is not dict and not isinstance(value, Mapping):
+            raise _refused("a JSON object", value)
+        out = {}
+        try:
+            for name, spec, default in self.fields:
+                if name in value:
+                    out[name] = spec(value[name]) if checked else value[name]
+                elif default is _REQUIRED:
+                    raise FieldError("is missing")
+                else:
+                    out[name] = default
+        except FieldError as exc:
+            raise exc.within(name)
+        return out
+
+    def present(self, value) -> dict:
+        """The fields of ``value`` unchecked, for a constructor that checks
+        them itself; only the object and its required keys are checked."""
+        return self(value, checked=False)
+
+
+def check_fields(obj, spec: record) -> None:
+    """Set each field of the frozen dataclass ``obj`` to its value checked
+    by ``spec``, past the frozen ``__setattr__``."""
+    vars(obj).update(spec(vars(obj)))
+
+
+def _version(value) -> int:
+    if type(value) is int and value == SCHEMA_VERSION:
+        return value
+    raise _refused(str(SCHEMA_VERSION), value)
+
+
+schema_version = optional(_version, SCHEMA_VERSION)
 
 
 def parse_constant(token: str):
@@ -74,26 +250,3 @@ def write_json(path: str | None, doc) -> None:
 def write_json_lines(path: str, docs: Iterable) -> None:
     """Write one compact document per line."""
     _write(path, docs)
-
-
-class malformed:
-    """Context manager reporting ``doc`` as a ``malformed <what>`` unless it is
-    an object whose fields have the types the body reads; errors of the
-    package pass through.  A class, not a generator: it is entered once per
-    proposal line, and this form costs a third as much."""
-
-    __slots__ = ("what",)
-
-    def __init__(self, what: str, doc) -> None:
-        if not isinstance(doc, Mapping):
-            raise ValidationError(f"malformed {what}: expected a JSON object, got {type(doc).__name__}")
-        self.what = what
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, kind, exc, tb) -> bool:
-        shape_error = (LookupError, TypeError, ValueError, AttributeError, OverflowError)
-        if kind is not None and issubclass(kind, shape_error) and not issubclass(kind, PoseGrammarError):
-            raise ValidationError(f"malformed {self.what}: {exc}") from exc
-        return False

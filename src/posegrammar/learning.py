@@ -27,7 +27,8 @@ from .grammar import (
     NodeId,
     part_keypoints,
 )
-from .jsonio import malformed, read_json_lines, write_json_lines
+from .jsonio import read_json_lines, write_json_lines
+from .jsonio import array, check_fields, flag, mapping, nullable, number, optional, record, text
 from .relations import (
     AttributeAssociation,
     Edge,
@@ -64,6 +65,7 @@ class JointObs:
     visible: bool = True
 
 
+
 @dataclass(frozen=True)
 class Annotation:
     """Ground truth for one person: 14 joints, person box, attribute values.
@@ -92,13 +94,10 @@ class Annotation:
                 )
         if not any(j.visible for j in joints.values()):
             raise ValidationError("annotation needs at least one visible joint")
-        box = tuple(float(v) for v in self.person_box)
-        if not all(map(math.isfinite, box)):
-            raise ValidationError(f"annotation person box must be finite, got {box!r}")
-        if len(box) != 4 or box[2] <= 0.0 or box[3] <= 0.0:
-            raise ValidationError(f"person box must have positive area, got {box!r}")
+        check_fields(self, _PERSON_BOX)
+        if self.person_box[2] <= 0.0 or self.person_box[3] <= 0.0:
+            raise ValidationError(f"person box must have positive area, got {self.person_box!r}")
         object.__setattr__(self, "joints", joints)
-        object.__setattr__(self, "person_box", box)
         object.__setattr__(self, "attributes", dict(self.attributes))
 
     def to_json_dict(self) -> dict:
@@ -110,20 +109,17 @@ class Annotation:
 
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "Annotation":
-        with malformed("annotation", doc):
-            joints = {
-                str(p): JointObs(x=float(v[0]), y=float(v[1]), visible=bool(v[2]))
-                for p, v in doc["joints"].items()
-            }
-            attributes = {
-                str(a): (None if v is None else str(v))
-                for a, v in doc.get("attributes", {}).items()
-            }
-            return cls(
-                joints=joints,
-                person_box=tuple(float(v) for v in doc["person_box"]),
-                attributes=attributes,
-            )
+        d = _ANNOTATION(doc)
+        joints = {p: JointObs(x, y, visible) for p, (x, y, visible) in d["joints"].items()}
+        return cls(joints=joints, person_box=d["person_box"], attributes=d["attributes"])
+
+
+_PERSON_BOX = record(person_box=array(number, 4))
+_ANNOTATION = record(
+    joints=mapping(array((number, number, flag))),
+    person_box=array(number, 4),
+    attributes=optional(mapping(nullable(text)), {}),
+)
 
 
 def save_annotations(annotations: Sequence[Annotation], path: str) -> None:

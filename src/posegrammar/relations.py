@@ -23,7 +23,8 @@ import numpy as np
 
 from .errors import MissingEntryError, ValidationError
 from .grammar import DEFAULT_PART_TYPE_COUNT, AOGrammar, AttrId, NodeId, ValidationReport
-from .jsonio import malformed, read_json, write_json
+from .jsonio import SCHEMA_VERSION, read_json, schema_version, write_json
+from .jsonio import array, count, mapping, number, optional, record, text
 
 Edge = tuple[NodeId, NodeId]
 
@@ -54,10 +55,14 @@ class SyntacticTable:
         self.tables: dict[Edge, np.ndarray] = {}
         t = self.part_type_count
         for edge, mat in tables.items():
-            arr = np.asarray(mat, dtype=float)
-            if arr.shape != (t, t):
+            try:
+                arr = np.asarray(mat, dtype=float)
+                shape = arr.shape
+            except ValueError:
+                shape = "ragged or non-numeric rows"
+            if shape != (t, t):
                 raise ValidationError(
-                    f"syntactic table for {edge}: expected shape {(t, t)}, got {arr.shape}"
+                    f"syntactic table for {edge}: expected shape {(t, t)}, got {shape}"
                 )
             if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
                 raise ValidationError(
@@ -367,7 +372,7 @@ class RelationModels:
 
     def to_json_dict(self) -> dict:
         return {
-            "schema_version": 1,
+            "schema_version": SCHEMA_VERSION,
             "part_type_count": self.part_type_count,
             "syntactic": {
                 _edge_key(e): [[float(x) for x in row] for row in mat]
@@ -396,25 +401,29 @@ class RelationModels:
 
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "RelationModels":
-        with malformed("models document", doc):
-            syn = SyntacticTable(
-                {_parse_edge_key(k): np.asarray(v, dtype=float) for k, v in doc["syntactic"].items()},
-                part_type_count=int(doc.get("part_type_count", DEFAULT_PART_TYPE_COUNT)),
-            )
-            mixtures = {}
-            for key, comps in doc["kinematic"].items():
-                mixtures[_parse_edge_key(key)] = Mixture(
-                    weights=np.array([c["w"] for c in comps], dtype=float),
-                    means=np.array([c["mu"] for c in comps], dtype=float),
-                    covariances=np.array([c["cov"] for c in comps], dtype=float),
-                )
-            adoc = doc["association"]
-            assoc = AttributeAssociation(
-                parts={p: tuple(a) for p, a in adoc.get("parts", {}).items()},
-                attr_ids=tuple(adoc.get("attr_ids", ())),
-                mi={p: {a: float(v) for a, v in per.items()} for p, per in adoc.get("mi", {}).items()},
-            )
-        return cls(syntactic=syn, kinematic=KinematicMoG(mixtures), association=assoc)
+        d = _MODELS(doc)
+        a = d["association"]
+        syntactic = {_parse_edge_key(k): rows for k, rows in d["syntactic"].items()}
+        kinematic = {
+            _parse_edge_key(k): Mixture(*([c[f] for c in comps] for f in ("w", "mu", "cov")))
+            for k, comps in d["kinematic"].items()
+        }
+        return cls(
+            SyntacticTable(syntactic, d["part_type_count"]),
+            KinematicMoG(kinematic),
+            AttributeAssociation(a["parts"], a["attr_ids"], mi=a["mi"]),
+        )
+
+
+_MODELS = record(
+    schema_version=schema_version,
+    part_type_count=optional(count, DEFAULT_PART_TYPE_COUNT),
+    syntactic=mapping(array(array(number))),
+    kinematic=mapping(
+        array(record(w=number, mu=array(number, 2), cov=array(array(number, 2), 2)))
+    ),
+    association=record(attr_ids=array(text), parts=mapping(array(text)), mi=optional(mapping(mapping(number)), {})),
+)
 
 
 def save_models(models: RelationModels, path: str) -> None:

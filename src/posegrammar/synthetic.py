@@ -21,7 +21,8 @@ from .grammar import (
     NodeId,
     default_attributes,
 )
-from .jsonio import malformed, read_json, write_json
+from .jsonio import SCHEMA_VERSION, read_json, schema_version, write_json
+from .jsonio import array, check_fields, count, mapping, number, optional, record, text
 
 # Canonical joint offsets (pixels) relative to the torso center, y down.
 CANONICAL_POSE: dict[NodeId, tuple[float, float]] = {
@@ -88,12 +89,10 @@ class SyntheticScene:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "persons", tuple(self.persons))
+        check_fields(self, _IMAGE_SIZE)
         w, h = self.image_size
-        object.__setattr__(self, "image_size", (int(w), int(h)))
         if not self.persons:
             raise ValidationError("scene needs at least one person")
-        if w <= 0 or h <= 0:
-            raise ValidationError(f"image size must be positive, got {(w, h)}")
         for i, person in enumerate(self.persons):
             for part, (x, y) in person.joints.items():
                 if not (0.0 <= x <= w and 0.0 <= y <= h):
@@ -103,7 +102,7 @@ class SyntheticScene:
 
     def to_json_dict(self) -> dict:
         return {
-            "schema_version": 1,
+            "schema_version": SCHEMA_VERSION,
             "image_size": list(self.image_size),
             "persons": [
                 {
@@ -116,16 +115,16 @@ class SyntheticScene:
 
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "SyntheticScene":
-        with malformed("scene document", doc):
-            persons = tuple(
-                Person(
-                    joints={str(p): (float(v[0]), float(v[1])) for p, v in entry["joints"].items()},
-                    attributes={str(a): str(v) for a, v in entry.get("attributes", {}).items()},
-                )
-                for entry in doc["persons"]
-            )
-            w, h = doc["image_size"]
-            return cls(persons=persons, image_size=(int(w), int(h)))
+        d = _SCENE(doc)
+        return cls([Person(p["joints"], p["attributes"]) for p in d["persons"]], d["image_size"])
+
+
+_IMAGE_SIZE = record(image_size=array(count, 2))
+_SCENE = record(
+    schema_version=schema_version,
+    image_size=array(count, 2),
+    persons=array(record(joints=mapping(array(number, 2)), attributes=optional(mapping(text), {}))),
+)
 
 
 def save_scene(scene: SyntheticScene, path: str) -> None:

@@ -35,6 +35,14 @@ from posegrammar.synthetic import load_scene
 _HUGE_INT = pytest.param("1" + "0" * 400, id="huge-int")
 
 
+def _non_finite_problem(token: str, field: str) -> str:
+    """The reader's refusal of ``token`` written into ``field``."""
+    if token == "NaN":
+        return "non-finite JSON constant 'NaN'"
+    shown = "inf" if token == "1e400" else "an integer beyond the float range"
+    return f": {field} must be a finite number, got {shown}"
+
+
 def _read(path):
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
@@ -220,12 +228,56 @@ class TestConfigMerging:
         assert err == ["error: invalid value for --n: 'abc'"]
         assert not out.exists()
 
-    def test_non_numeric_config_value_is_usage_error(self, tmp_path, capsys):
+    def test_non_numeric_config_value_is_refused_naming_the_field(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n": "x"}), encoding="utf-8")
-        assert cli_dispatch(["synth", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert cli_dispatch(["synth", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err.strip().splitlines()
-        assert err == ["error: invalid value for --n: 'x'"]
+        assert err == [f"error: {cfg}: n must be an integer, got 'x'"]
+
+
+    def test_path_option_must_be_a_string_and_leaves_an_open_descriptor_alone(self, tmp_path, capsys):
+        held = open(tmp_path / "held.txt", "w", encoding="utf-8")
+        try:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"grammar": held.fileno()}), encoding="utf-8")
+            assert cli_dispatch(["validate", "--config", str(cfg)]) == 1
+            err = capsys.readouterr().err.strip().splitlines()
+            assert err == [f"error: {cfg}: grammar must be a non-empty string, got {held.fileno()}"]
+            held.write("still open")
+            held.flush()
+            os.fstat(held.fileno())
+        finally:
+            held.close()
+        assert (tmp_path / "held.txt").read_text(encoding="utf-8") == "still open"
+
+    @pytest.mark.parametrize(
+        "command, config, problem",
+        [
+            ("parse", {"beam": 3.7}, "beam must be an integer, got 3.7"),
+            ("parse", {"beam": True}, "beam must be an integer, got True"),
+            ("parse", {"mode": 1}, "mode must be a non-empty string, got 1"),
+            ("diag", {"modes": ["joint"]}, "modes must be a non-empty string, got a JSON array of length 1"),
+            ("eval-pcp", {"threshold": True}, "threshold must be a finite number, got True"),
+            ("eval-pcp", '{"threshold": 1e400}', "threshold must be a finite number, got inf"),
+            ("synth", {"image_size": [320.5, 240]}, "image_size[0] must be an integer, got 320.5"),
+        ],
+        ids=["float-int", "bool-int", "int-string", "list-string", "bool-float", "inf-float", "float-pair"],
+    )
+    def test_config_values_keep_their_json_type(self, tmp_path, capsys, command, config, problem):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(config if isinstance(config, str) else json.dumps(config), encoding="utf-8")
+        assert cli_dispatch([command, "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {cfg}: {problem}"]
+
+    def test_config_numbers_take_the_option_type(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 1, "spacing": 20, "image_size": [300, 200]}), encoding="utf-8")
+        assert cli_dispatch(["synth", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
+        argv = ["synth", "--n", "1", "--spacing", "20.0", "--image-size", "300", "200", "--out", str(tmp_path / "b")]
+        assert cli_dispatch(argv) == 0
+        assert _read(tmp_path / "a" / "scene_00000.json") == _read(tmp_path / "b" / "scene_00000.json")
 
 
 class TestLearn:
@@ -390,7 +442,7 @@ class TestParse:
         ]
         assert cli_dispatch(argv) == 1
         err = capsys.readouterr().err.strip().splitlines()
-        assert err == [f"error: {models}: malformed models document: expected a JSON object, got list"]
+        assert err == [f"error: {models}: the document must be a JSON object, got a JSON array of length 0"]
         assert not out.exists()
 
 
@@ -450,8 +502,7 @@ class TestRender:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert err[0].startswith(f"error: {parse_path}: ")
-        expected = {"NaN": "non-finite JSON constant", "1e400": "must be finite"}.get(token, "malformed ")
-        assert expected in err[0]
+        assert _non_finite_problem(token, "states[0].x" if field == "x" else field) in err[0]
         assert not svg_path.exists()
 
 
@@ -579,8 +630,7 @@ class TestEvalPcp:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert err[0].startswith(f"error: {where}: ")
-        expected = {"NaN": "non-finite JSON constant", "1e400": "must be finite"}.get(token, "malformed ")
-        assert expected in err[0]
+        assert _non_finite_problem(token, "states[0].x" if which == "pred" else "joints.head[0]") in err[0]
         assert not report_path.exists()
 
     def test_count_mismatch_exits_one(self, pipeline, tmp_path, capsys):

@@ -162,10 +162,10 @@ class TestExpansionOrder:
         assert position["torso"] < position["l_shoulder"]
 
     def test_beam_width_bound(self):
-        with pytest.raises(ValidationError, match="beam_width"):
+        with pytest.raises(ValidationError, match="^beam_width must be an integer >= 1, got 0$"):
             BeamConfig(beam_width=0)
         for width, shown in ((2.5, "2.5"), (float("nan"), "nan"), (True, "True"), ("3", "'3'")):
-            with pytest.raises(ValidationError, match=re.escape(f"beam_width must be an integer, got {shown}")):
+            with pytest.raises(ValidationError, match="^" + re.escape(f"beam_width must be an integer >= 1, got {shown}") + "$"):
                 BeamConfig(beam_width=width)
         cfg = BeamConfig(beam_width=np.int64(3))
         assert cfg.beam_width == 3 and type(cfg.beam_width) is int

@@ -1,22 +1,29 @@
 """The JSON file contract, checked through every reader and writer.
 
-Readers refuse ``NaN`` tokens, truncated documents and (for document
-files) tops that are not objects, naming ``path`` or ``path:line``.
-Writers refuse non-finite values and leave no file behind.
+Readers refuse ``NaN`` tokens, truncated documents and every value their
+field spec does not accept, naming ``path`` or ``path:line`` and the
+field.  Writers refuse non-finite values and leave no file behind.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
+import inspect
 import json
 import math
+import pkgutil
 import re
+from functools import partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import posegrammar
 from posegrammar import cli
 from posegrammar.appearance import Proposal, ProposalSet, ScoreTable, load_proposals, save_proposals
-from posegrammar.errors import ValidationError
+from posegrammar.errors import PoseGrammarError, ValidationError
 from posegrammar.grammar import (
     ATOMIC_PARTS,
     ParseGraph,
@@ -31,33 +38,36 @@ from posegrammar.learning import Annotation, load_annotations, save_annotations
 from posegrammar.relations import (
     AttributeAssociation,
     KinematicMoG,
+    Mixture,
     RelationModels,
     load_models,
     save_models,
     uniform_syntactic_table,
 )
-from posegrammar.synthetic import load_scene
+from posegrammar.synthetic import load_scene, single_person_scene
 
 _PROPOSAL = {"id": "p1", "part": "head", "x": 0.0, "y": 0.0, "part_type": 1, "box": [0, 0, 5, 5]}
 _ANNOTATION = {"joints": {p: [1.0, 2.0, True] for p in ATOMIC_PARTS}, "person_box": [0, 0, 10, 10]}
+_SYNTH_DEFAULTS = cli._COMMANDS["synth"][1]
 
 # Document readers: one JSON value per file.
 DOCUMENT_READERS = {
     "grammar": load_grammar,
     "models": load_models,
-    "parse-graph": lambda path: load_parse_graph(path, build_default_human_grammar()),
+    "parse-graph": partial(load_parse_graph, grammar=build_default_human_grammar()),
     "scene": load_scene,
 }
 READERS = {
     **DOCUMENT_READERS,
-    "number-array": lambda path: read_json(path, cli._number_array),
-    "config": lambda path: cli._merged_options(argparse.Namespace(config=path), {}),
+    "number-array": partial(read_json, build=cli._number_array),
+    "label-array": partial(read_json, build=cli._label_array),
+    "config": lambda path: cli._merged_options(argparse.Namespace(config=path), _SYNTH_DEFAULTS),
 }
 # JSON-lines readers, with a valid first line.
 LINE_READERS = {
     "annotations": (load_annotations, _ANNOTATION),
     "proposals": (load_proposals, _PROPOSAL),
-    "proposal-groups": (lambda path: read_json_lines(path, cli._proposal_group), [_PROPOSAL]),
+    "proposal-groups": (partial(read_json_lines, build=cli._proposal_group), [_PROPOSAL]),
 }
 DEFECTS = {"nan": ('{"a": NaN}', "non-finite JSON constant 'NaN'"), "truncated": ('{"a": [1', "invalid JSON")}
 
@@ -79,21 +89,38 @@ def test_reader_refuses_nan_and_truncated_documents_naming_the_path(tmp_path, re
         read(str(path))
 
 
+def test_every_public_load_function_is_in_the_reader_tables():
+    """A new reader cannot bypass the field spec unnoticed: every public
+    ``load_*`` function of the package is in the tables above, and so in
+    the mutation property below."""
+    loaders = set()
+    for info in pkgutil.iter_modules(posegrammar.__path__):
+        module = importlib.import_module(f"posegrammar.{info.name}")
+        loaders.update(
+            f for name, f in vars(module).items()
+            if name.startswith("load_") and inspect.isfunction(f) and f.__module__ == module.__name__
+        )
+    tabled = {getattr(r, "func", r) for r in [*READERS.values(), *(r for r, _ in LINE_READERS.values())]}
+    assert len(loaders) == 6
+    assert sorted(f.__qualname__ for f in loaders - tabled) == []
+    assert set(DOCUMENTS) == set(READERS) | set(LINE_READERS)
+
+
 # Proposal fields of the wrong type (numbers, ids, parts): none is coerced.
 COERCIONS = {
-    "float-type": ({"part_type": 2.7}, "proposal 'p2': part_type must be an integer, got 2.7"),
-    "string-type": ({"part_type": "3"}, "proposal 'p2': part_type must be an integer, got '3'"),
-    "bool-type": ({"part_type": True}, "proposal 'p2': part_type must be an integer, got True"),
-    "string-x": ({"x": "1"}, "proposal 'p2': x, y and box must be finite numbers"),
-    "bool-y": ({"y": True}, "proposal 'p2': x, y and box must be finite numbers"),
-    "string-box": ({"box": ["1", 0, 5, 5]}, "proposal 'p2': x, y and box must be finite numbers"),
-    "bool-box": ({"box": [0, 0, True, 5]}, "proposal 'p2': x, y and box must be finite numbers"),
-    "null-id": ({"id": None}, "proposal id must be a non-empty string, got None"),
-    "number-id": ({"id": 5}, "proposal id must be a non-empty string, got 5"),
-    "bool-id": ({"id": True}, "proposal id must be a non-empty string, got True"),
-    "null-part": ({"part": None}, "proposal 'p2': part must be a string, got None"),
-    "number-part": ({"part": 5}, "proposal 'p2': part must be a string, got 5"),
-    "bool-part": ({"part": False}, "proposal 'p2': part must be a string, got False"),
+    "float-type": ({"part_type": 2.7}, "part_type must be an integer >= 1, got 2.7"),
+    "string-type": ({"part_type": "3"}, "part_type must be an integer >= 1, got '3'"),
+    "bool-type": ({"part_type": True}, "part_type must be an integer >= 1, got True"),
+    "string-x": ({"x": "1"}, "x must be a finite number, got '1'"),
+    "bool-y": ({"y": True}, "y must be a finite number, got True"),
+    "string-box": ({"box": ["1", 0, 5, 5]}, "box[0] must be a finite number, got '1'"),
+    "bool-box": ({"box": [0, 0, True, 5]}, "box[2] must be a finite number, got True"),
+    "null-id": ({"id": None}, "id must be a non-empty string, got None"),
+    "number-id": ({"id": 5}, "id must be a non-empty string, got 5"),
+    "bool-id": ({"id": True}, "id must be a non-empty string, got True"),
+    "null-part": ({"part": None}, "part must be a non-empty string, got None"),
+    "number-part": ({"part": 5}, "part must be a non-empty string, got 5"),
+    "bool-part": ({"part": False}, "part must be a non-empty string, got False"),
 }
 
 
@@ -105,17 +132,228 @@ def test_proposal_readers_refuse_numbers_of_the_wrong_type_naming_the_line(tmp_p
     bad = {**_PROPOSAL, "id": "p2", **fields}
     path = tmp_path / "input.jsonl"
     path.write_text(json.dumps(first) + "\n" + json.dumps([bad] if reader == "proposal-groups" else bad) + "\n")
-    with pytest.raises(ValidationError, match="^" + re.escape(f"{path}:2: {message}")):
+    field = "[0]." if reader == "proposal-groups" else ""
+    with pytest.raises(ValidationError, match="^" + re.escape(f"{path}:2: {field}{message}") + "$"):
         read(str(path))
 
 
-@pytest.mark.parametrize("top", ["[]", "3", '"text"'])
+TOPS = {"[]": "a JSON array of length 0", "3": "3", '"text"': "'text'"}
+
+
+@pytest.mark.parametrize("top", list(TOPS))
 @pytest.mark.parametrize("reader", sorted(DOCUMENT_READERS))
 def test_document_reader_refuses_a_top_level_that_is_not_an_object(tmp_path, reader, top):
     path = tmp_path / "doc.json"
     path.write_text(top, encoding="utf-8")
-    with pytest.raises(ValidationError, match="^" + re.escape(f"{path}: malformed ") + ".*expected a JSON object"):
+    message = f"{path}: the document must be a JSON object, got {TOPS[top]}"
+    with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
         DOCUMENT_READERS[reader](str(path))
+
+
+# One valid document per reader; a JSON-lines reader's is a list of lines.
+
+
+def _models_doc() -> dict:
+    edge = ("torso", "head")
+    mixture = Mixture([0.5, 0.5], [[0.0, -30.0], [2.0, -35.0]], [[[4.0, 1.0], [1.0, 9.0]], [[2.0, 0.0], [0.0, 2.0]]])
+    association = AttributeAssociation({"head": ("hat",), "torso": ()}, ("hat", "gender"), mi={"head": {"hat": 0.5}})
+    return RelationModels(uniform_syntactic_table([edge], 2), KinematicMoG({edge: mixture}), association).to_json_dict()
+
+
+def _parse_graph_doc() -> dict:
+    states = {"head": PartState("head", 1.0, 2.0, 1, "p1"), "torso": PartState("torso", 3.0, 4.5, 2, "p2")}
+    return ParseGraph(states, {"gender": "male"}, -1.5).to_json_dict(build_default_human_grammar())
+
+
+_SCORED = {**_PROPOSAL, "scores": {"hat": {"yes": 0.5, "no": -0.5}}}
+DOCUMENTS = {
+    "grammar": lambda: build_default_human_grammar().to_json_dict(),
+    "models": _models_doc,
+    "parse-graph": _parse_graph_doc,
+    "scene": lambda: single_person_scene(3).to_json_dict(),
+    "number-array": lambda: [0.9, 0.8],
+    "label-array": lambda: [1, 0],
+    "config": lambda: {"n": 2, "seed": 9, "family": "single", "image_size": [320, 240], "spacing": 24.0},
+    "annotations": lambda: [{**_ANNOTATION, "attributes": {"gender": "male", "hat": None}}] * 2,
+    "proposals": lambda: [_SCORED, {**_SCORED, "id": "p2"}],
+    "proposal-groups": lambda: [[_SCORED, {**_SCORED, "id": "p2"}]] * 2,
+}
+
+# Where the README's "File formats" section lets a mutated document load.
+# A pattern is a field path in which ANY stands for one key or index.
+ANY = object()
+# Objects whose keys are data rather than field names: an entry of one is
+# never a required key.
+DATA = {
+    "models": [("syntactic",), ("kinematic",), ("association", "parts"), ("association", "mi"), ("association", "mi", ANY)],
+    "parse-graph": [("attributes",)],
+    "scene": [("persons", ANY, "joints"), ("persons", ANY, "attributes")],
+    "annotations": [("joints",), ("attributes",)],
+    "proposals": [("scores",), ("scores", ANY)],
+}
+# Fields that may be absent, a default standing in.
+OPTIONAL = {
+    "grammar": [("schema_version",), ("nodes", ANY, "name"), ("nodes", ANY, "children"), ("psg_edges",),
+                ("dg_edges",), ("attributes",), ("attributes", ANY, "name"), ("part_type_count",)],
+    "models": [("schema_version",), ("part_type_count",), ("association", "mi")],
+    "parse-graph": [("schema_version",), ("attributes",)],
+    "scene": [("schema_version",), ("persons", ANY, "attributes")],
+    "annotations": [("attributes",)],
+    "proposals": [("scores",)],
+    "config": [(ANY,)],
+}
+# Fields that may be null or a string, and fields a reader ignores, with
+# all they hold.
+NULLABLE = {"annotations": [("attributes", ANY)]}
+IGNORED = {"proposal-groups": [(ANY, "scores")]}
+
+
+def _matches(path: tuple, patterns, prefix: bool = False) -> bool:
+    return any(
+        (len(path) >= len(p) if prefix else len(path) == len(p))
+        and all(q is ANY or q == k for q, k in zip(p, path))
+        for p in patterns
+    )
+
+
+def _field(path: tuple) -> str:
+    """``path`` written the way errors name fields, e.g. ``nodes[3].id``."""
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path).removeprefix(".")
+
+
+def _paths(doc, path=()):
+    """Every field path below ``doc``."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _paths(value, path + (key,))
+
+
+def _kind(value) -> str:
+    return "number" if isinstance(value, (int, float)) and not isinstance(value, bool) else type(value).__name__
+
+
+_OF_EACH_TYPE = [None, True, 2.5, "text", [1], {"k": 1}]
+DROP = object()
+
+
+def _mutations(reader: str) -> list:
+    """(path, replacement) pairs; a replacement of ``DROP`` drops the key."""
+    doc = DOCUMENTS[reader]()
+    root = doc[-1] if reader in LINE_READERS else doc
+    out = []
+    for path in _paths(root):
+        value = _at(root, path)
+        out += [(path, v) for v in _OF_EACH_TYPE if _kind(v) != _kind(value)]
+        out += [(path, 10**400), (path, [value]), (path, {"k": value})]
+        if isinstance(path[-1], str) and not _matches(path[:-1], DATA.get(reader, [])):
+            out.append((path, DROP))
+    return out
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _write_mutated(tmp_dir, reader: str, path: tuple, value) -> str:
+    doc = json.loads(json.dumps(DOCUMENTS[reader]()))  # every line its own copy
+    root = doc[-1] if reader in LINE_READERS else doc
+    parent = _at(root, path[:-1])
+    if value is DROP:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    target = tmp_dir / "doc.json"
+    lines = doc if reader in LINE_READERS else [doc]
+    target.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+    return str(target)
+
+
+def _refused_or_lenient(tmp_dir, reader: str, path: tuple, value) -> None:
+    """Load ``reader``'s document with ``path`` set to ``value`` (or dropped):
+    the load fails with an error naming the file and the field, unless the
+    README lists the field as optional (when dropped), nullable (when null
+    or a string) or ignored."""
+    target = _write_mutated(tmp_dir, reader, path, value)
+    read = LINE_READERS[reader][0] if reader in LINE_READERS else READERS[reader]
+    lenient = (
+        _matches(path, IGNORED.get(reader, []), prefix=True)
+        or value is DROP and _matches(path, OPTIONAL.get(reader, []))
+        or (value is None or isinstance(value, str)) and _matches(path, NULLABLE.get(reader, []))
+    )
+    try:
+        read(target)
+    except PoseGrammarError as exc:
+        if not lenient:
+            assert str(exc).startswith(f"{target}:") and _field(path) in str(exc), str(exc)
+    else:
+        assert lenient, f"{reader} loaded {_field(path)} = {value!r}"
+
+
+@pytest.mark.parametrize("reader", sorted(DOCUMENTS))
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_a_mutated_document_is_refused_naming_the_field(tmp_path_factory, reader, data):
+    """Change one field's JSON type, drop a required key, write an integer
+    of 10**400 or wrap a value in an array or an object."""
+    path, value = data.draw(st.sampled_from(_mutations(reader)))
+    _refused_or_lenient(tmp_path_factory.mktemp(reader), reader, path, value)
+
+
+@pytest.mark.parametrize("reader", sorted(DOCUMENTS))
+def test_every_mutation_of_a_document_is_refused_naming_the_field(tmp_path, reader):
+    """The property above, over every mutation at once: a few seconds in all."""
+    for path, value in _mutations(reader):
+        _refused_or_lenient(tmp_path, reader, path, value)
+
+
+# Coercions the readers used to apply: each such document now fails,
+# naming the field.
+REGRESSIONS = {
+    "grammar-null-node-id": ("grammar", ("nodes", 3, "id"), None, "must be a non-empty string, got None"),
+    "grammar-null-edge-end": ("grammar", ("psg_edges", 0, 1), None, "must be a non-empty string, got None"),
+    "grammar-float-type-count": ("grammar", ("part_type_count",), 3.7, "must be an integer >= 1, got 3.7"),
+    "models-float-type-count": ("models", ("part_type_count",), 3.7, "must be an integer >= 1, got 3.7"),
+    "models-string-attr-ids": ("models", ("association", "attr_ids"), "gender", "must be a JSON array, got 'gender'"),
+    "models-string-parts": ("models", ("association", "parts", "head"), "hat", "must be a JSON array, got 'hat'"),
+    "models-string-syntactic": ("models", ("syntactic", "torso->head", 0, 0), "0.25", "must be a finite number, got '0.25'"),
+    "parse-string-x": ("parse-graph", ("states", 0, "x"), "3", "must be a finite number, got '3'"),
+    "parse-bool-y": ("parse-graph", ("states", 0, "y"), True, "must be a finite number, got True"),
+    "parse-float-type": ("parse-graph", ("states", 1, "part_type"), 2.9, "must be an integer >= 1, got 2.9"),
+    "parse-number-proposal": ("parse-graph", ("states", 1, "proposal"), 7, "must be a non-empty string, got 7"),
+    "annotation-4-entry-joint": (
+        "annotations", ("joints", "head"), [1, 2, 0, 99],
+        "must be a JSON array of length 3, got a JSON array of length 4",
+    ),
+    "annotation-list-visibility": (
+        "annotations", ("joints", "head", 2), [True], "must be true or false, got a JSON array of length 1"
+    ),
+    "scene-float-image-size": ("scene", ("image_size", 0), 320.9, "must be an integer >= 1, got 320.9"),
+    "scene-string-image-size": ("scene", ("image_size", 1), "240", "must be an integer >= 1, got '240'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REGRESSIONS))
+def test_a_coercion_the_readers_used_to_apply_is_refused(tmp_path, case):
+    reader, path, value, problem = REGRESSIONS[case]
+    target = _write_mutated(tmp_path, reader, path, value)
+    where = f"{target}:2" if reader in LINE_READERS else target
+    read = LINE_READERS[reader][0] if reader in LINE_READERS else READERS[reader]
+    with pytest.raises(ValidationError, match="^" + re.escape(f"{where}: {_field(path)} {problem}") + "$"):
+        read(target)
+
+
+@pytest.mark.parametrize("reader", sorted(DOCUMENT_READERS))
+def test_schema_version_may_be_absent_but_is_never_another_version(tmp_path, reader):
+    read = DOCUMENT_READERS[reader]
+    current = read(_write_mutated(tmp_path, reader, ("schema_version",), 1))
+    assert type(read(_write_mutated(tmp_path, reader, ("schema_version",), DROP))) is type(current)
+    for other, shown in ((2, "2"), (1.0, "1.0"), ("1", "'1'"), (True, "True")):
+        target = _write_mutated(tmp_path, reader, ("schema_version",), other)
+        with pytest.raises(ValidationError, match="^" + re.escape(f"{target}: schema_version must be 1, got {shown}") + "$"):
+            read(target)
 
 
 # The constructors refuse non-finite values, so each writer below gets an

@@ -105,7 +105,7 @@ class TestAnnotation:
 
     def test_non_finite_box_rejected(self):
         joints = {p: JointObs(0.0, 0.0) for p in ATOMIC_PARTS}
-        with pytest.raises(ValidationError, match="annotation person box must be finite"):
+        with pytest.raises(ValidationError, match=r"^person_box\[0\] must be a finite number, got nan$"):
             Annotation(joints=joints, person_box=(math.nan, 0, math.nan, 1), attributes={})
 
     def test_json_round_trip(self, tmp_path):

@@ -64,6 +64,8 @@ class TestSyntacticTable:
     def test_rejects_bad_shape(self):
         with pytest.raises(ValidationError, match="expected shape"):
             SyntacticTable({EDGE: np.ones((2, 3)) / 6.0}, part_type_count=2)
+        with pytest.raises(ValidationError, match=r"expected shape \(2, 2\), got ragged or non-numeric rows"):
+            SyntacticTable({EDGE: ((0.5, 0.25), (0.25,))}, part_type_count=2)
 
     def test_rejects_zero_entries(self):
         mat = np.array([[1.0, 0.0], [0.0, 0.0]])
@@ -456,7 +458,7 @@ class TestModelSerialization:
             )
 
     def test_malformed_document(self):
-        with pytest.raises(ValidationError, match="malformed models document"):
+        with pytest.raises(ValidationError, match="^kinematic is missing$"):
             RelationModels.from_json_dict({"syntactic": {}})
 
     def test_edge_key_format(self):
