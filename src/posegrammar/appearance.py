@@ -9,19 +9,21 @@ a proposal lacking a pair another proposal has, is refused when the table
 is built, naming the proposal and the pair.  Every appearance read
 gathers from it.
 
-:meth:`ProposalSet.from_proposals`, the one way to build a proposal set,
-groups a flat list of proposals by part into one columnar
-:class:`Bucket` per part.  The set keeps no :class:`Proposal` objects:
-the search reads the columns, and only :meth:`ProposalSet.proposals_for`
-rebuilds proposals.
+A :class:`ProposalSet` holds one columnar :class:`Bucket` per part, all
+built by :meth:`ProposalSet.from_columns` from proposals given as
+columns: the proposal reader's, the synthetic provider's and
+:meth:`ProposalSet.from_proposals`'s.  The set keeps no :class:`Proposal`
+objects: the search reads the columns, and only
+:meth:`ProposalSet.proposals_for` rebuilds proposals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import product
-from typing import Iterable, Mapping, Sequence
+from itertools import chain, repeat
+from operator import itemgetter
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -40,7 +42,8 @@ from .grammar import (
     part_keypoints,
 )
 from .jsonio import FieldError, read_json_lines, write_json_lines
-from .jsonio import array, check_fields, count, mapping, number, record, text
+from .jsonio import argument, array, check_fields, count, mapping, nonnegative, number, number_column
+from .jsonio import record, text
 from .synthetic import PART_BOX_SIZES, SyntheticScene
 
 # Canonical 17-part ordering used by the synthetic provider.
@@ -59,11 +62,7 @@ class Proposal:
     box: tuple[float, float, float, float]
 
     def __post_init__(self) -> None:
-        check_fields(self, _PROPOSAL)
-        if self.box[2] <= 0.0 or self.box[3] <= 0.0:
-            raise ValidationError(
-                f"proposal {self.id!r}: box width and height must be positive, got {self.box!r}"
-            )
+        check_fields(self, _checked_proposal)
 
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "Proposal":
@@ -72,6 +71,21 @@ class Proposal:
 
 
 _PROPOSAL = record(id=text, part=text, x=number, y=number, part_type=count, box=array(number, 4))
+_PROPOSAL_FIELDS = itemgetter("id", "part", "x", "y", "part_type", "box")
+
+
+def _checked_proposal(fields: Mapping) -> dict:
+    """A proposal's fields checked by the spec, its box of positive size."""
+    checked = _PROPOSAL(fields)
+    box = checked["box"]
+    if box[2] <= 0.0 or box[3] <= 0.0:
+        raise ValidationError(
+            f"proposal {checked['id']!r}: box width and height must be positive, got {box!r}"
+        )
+    return checked
+
+
+_SCORES = mapping(mapping(number))
 
 
 class ScoreTable:
@@ -84,56 +98,34 @@ class ScoreTable:
 
     def __init__(self, entries: Mapping[str, Mapping[AttrId, Mapping[str, float]]]):
         self._rows = {pid: r for r, pid in enumerate(entries)}
-        self._columns: dict[tuple[AttrId, str], int] = {}
-        # Rows that list the same pairs in the same order form one block,
-        # filled with one array assignment.
-        blocks: dict[tuple, tuple[list[int], list[int], list]] = {}
-        for r, (pid, per_attr) in enumerate(entries.items()):
-            try:
-                layout = tuple((attr, tuple(per_value)) for attr, per_value in per_attr.items())
-                views = [per_value.values() for per_value in per_attr.values()]
-            except (AttributeError, TypeError):
+        grid = _grid(list(entries.values()))
+        if grid is None:
+            # Some row is not an object of objects, or its pairs differ
+            # from the first row's: check each row, then find the first
+            # pair a row lacks.
+            rows = []
+            for pid, per_attr in entries.items():
                 try:
-                    mapping(mapping(lambda score: score))(per_attr)
+                    rows.append(_SCORES(per_attr))
                 except FieldError as exc:
                     raise _refused_scores(pid, exc) from None
-                raise
-            if layout not in blocks:
-                pairs = [(a, v) for a, vs in layout for v in vs]
-                cols = [self._columns.setdefault(pair, len(self._columns)) for pair in pairs]
-                blocks[layout] = (cols, [], [])
-            _cols, rows, scores = blocks[layout]
-            rows.append(r)
-            for view in views:
-                scores.extend(view)
-        self.values = np.full((len(self._rows), len(self._columns)), np.nan)
-        given = np.zeros(self.values.shape, dtype=bool)
-        for cols, rows, scores in blocks.values():
-            # One scan of the block's types: any cell that is not a float is
-            # read one by one.
-            if not set(map(type, scores)) <= {float}:
-                scores = [self._cell(r, c, s) for (r, c), s in zip(product(rows, cols), scores)]
-            cells = np.ix_(rows, cols)
-            self.values[cells] = np.array(scores, dtype=float).reshape(len(rows), len(cols))
-            given[cells] = True
-        bad = np.argwhere(~np.isfinite(self.values))
-        if bad.size:
-            r, c = bad[0]
-            if given[r, c]:
-                self._cell(r, c, float(self.values[r, c]))  # refuses the non-finite score
-            pid, (attr, value) = list(self._rows)[r], list(self._columns)[c]
-            raise ValidationError(
-                f"proposal {pid!r}: scores.{attr}.{value} is missing, which other proposals have"
-            )
-        self.values.flags.writeable = False
-
-    def _cell(self, r: int, c: int, score) -> float:
-        """Cell (r, c)'s ``score`` under the number rule."""
+            pairs = dict.fromkeys((a, v) for per_attr in rows for a, per_value in per_attr.items() for v in per_value)
+            for pid, per_attr in zip(entries, rows):
+                for attr, value in pairs:
+                    if value not in per_attr.get(attr, ()):
+                        raise ValidationError(
+                            f"proposal {pid!r}: scores.{attr}.{value} is missing, which other proposals have"
+                        )
+            grid = _grid(rows)
+        self._columns, cells = grid
         try:
-            return number(score)
+            values = number_column(cells)
         except FieldError as exc:
+            r, c = divmod(exc.path[0], len(self._columns))
             pid, pair = list(self._rows)[r], list(self._columns)[c]
-            raise _refused_scores(pid, exc, *pair) from None
+            raise _refused_scores(pid, FieldError(exc.problem), *pair) from None
+        self.values = values.reshape(len(self._rows), len(self._columns))
+        self.values.flags.writeable = False
 
     def rows(self, pids: Iterable[str], part: NodeId | None = None) -> np.ndarray:
         """The row of each of ``pids``; an error names ``part``."""
@@ -195,6 +187,39 @@ def _refused_scores(pid: str, exc: FieldError, *keys) -> ValidationError:
     return ValidationError(f"proposal {pid!r}: {exc.within('scores', *keys)}")
 
 
+def _cells(values: Sequence[str]) -> Callable[[Mapping], tuple]:
+    """A function from an object to its entries at ``values`` (at least
+    one), as a tuple."""
+    if len(values) == 1:
+        [value] = values
+        return lambda per_value: (per_value[value],)
+    return itemgetter(*values)
+
+
+def _grid(rows: list) -> tuple[dict, list] | None:
+    """The (attribute, value) pairs of ``rows[0]``, each mapped to its
+    column, and every row's cells read at those pairs, flat and row by row;
+    ``None`` when a row is not an object of objects or lists other pairs.
+    An attribute with no values adds no pair, listed or not."""
+    if not rows:
+        return {}, []
+    try:
+        getters = [(attr, _cells(tuple(per_value))) for attr, per_value in rows[0].items() if per_value]
+        cells: list = []
+        for per_attr in rows:
+            for attr, get in getters:
+                cells += get(per_attr[attr])
+        per_values = list(chain.from_iterable(map(dict.values, rows)))
+    except (AttributeError, KeyError, TypeError):
+        return None
+    # Every row has the first row's pairs; it has no others when the rows
+    # list as many pairs as were read.
+    if not (set(map(type, per_values)) <= {dict} and sum(map(len, per_values)) == len(cells)):
+        return None
+    pairs = ((attr, value) for attr, per_value in rows[0].items() for value in per_value)
+    return {pair: c for c, pair in enumerate(pairs)}, cells
+
+
 class Bucket:
     """One part's proposals as columns, in listing order: ``ids``, ``xy``
     (N, 2), ``types`` (N,) and ``boxes`` (N, 4), each proposal's score-grid
@@ -202,25 +227,62 @@ class Bucket:
 
     __slots__ = ("part", "ids", "xy", "types", "boxes", "rows", "id_rank")
 
-    def __init__(self, part: NodeId, proposals: Sequence[Proposal], scores: ScoreTable) -> None:
-        self.part = part
-        self.ids = tuple(p.id for p in proposals)
-        self.xy = np.array([(p.x, p.y) for p in proposals], dtype=float)
-        self.types = np.array([p.part_type for p in proposals], dtype=np.int64)
-        self.boxes = np.array([p.box for p in proposals], dtype=float)
-        self.rows = scores.rows(self.ids, part)
+    def __init__(self, part: NodeId, ids: tuple[str, ...], xy, types, boxes, rows) -> None:
+        self.part, self.ids, self.xy, self.types, self.boxes, self.rows = part, ids, xy, types, boxes, rows
         # The inverse of the id-sorting permutation.
-        self.id_rank = np.argsort(sorted(range(len(self.ids)), key=self.ids.__getitem__))
+        self.id_rank = np.argsort(sorted(range(len(ids)), key=ids.__getitem__))
 
 
 class ProposalSet:
     """One :class:`Bucket` per part that has proposals, sharing one score
-    table; built by :meth:`from_proposals`."""
+    table; built by :meth:`from_columns`."""
 
     def __init__(self, buckets: Iterable[Bucket], scores: ScoreTable, part_type_count: int) -> None:
         self.buckets = {b.part: b for b in buckets}
         self.scores = scores
         self.part_type_count = part_type_count
+
+    @classmethod
+    def from_columns(
+        cls,
+        ids: Sequence[str],
+        parts: Sequence[NodeId],
+        xy,
+        types: Sequence[int],
+        boxes,
+        scores: ScoreTable,
+        part_type_count: int,
+        where: Callable[[int], str] = lambda i: "",
+    ) -> "ProposalSet":
+        """Checked proposals given as columns in listing order (``xy`` and
+        ``boxes`` of 2 and 4 numbers each), grouped by part, each part's in
+        listing order.  Every id must be unique, have a row in ``scores``
+        and a type of at most ``part_type_count``; an error about the i-th
+        proposal starts with ``where(i)``."""
+        part_type_count = int(part_type_count)
+        if max(types, default=0) > part_type_count or len(set(ids)) < len(ids):
+            seen: set[str] = set()
+            for i, (pid, part_type) in enumerate(zip(ids, types)):
+                if part_type > part_type_count:
+                    raise ValidationError(
+                        f"{where(i)}proposal {pid!r}: part_type {part_type} exceeds "
+                        f"part_type_count {part_type_count}"
+                    )
+                if pid in seen:
+                    raise ValidationError(f"{where(i)}duplicate proposal id {pid!r}")
+                seen.add(pid)
+        xy = np.asarray(xy, dtype=float).reshape(-1, 2)
+        types = np.asarray(types, dtype=np.int64)
+        boxes = np.asarray(boxes, dtype=float).reshape(-1, 4)
+        members: dict[NodeId, list[int]] = {}
+        for i, part in enumerate(parts):
+            members.setdefault(part, []).append(i)
+        buckets = []
+        for part, index in members.items():
+            part_ids = tuple(ids[i] for i in index)
+            rows = scores.rows(part_ids, part)
+            buckets.append(Bucket(part, part_ids, xy[index], types[index], boxes[index], rows))
+        return cls(buckets, scores, part_type_count)
 
     @classmethod
     def from_proposals(
@@ -229,24 +291,17 @@ class ProposalSet:
         scores: ScoreTable,
         part_type_count: int = DEFAULT_PART_TYPE_COUNT,
     ) -> "ProposalSet":
-        """``proposals`` grouped by part, each part's in listing order.  Every
-        id must be unique, have a row in ``scores`` and a type of at most
-        ``part_type_count``."""
-        part_type_count = int(part_type_count)
-        grouped: dict[NodeId, list[Proposal]] = {}
-        seen_ids: set[str] = set()
-        for p in proposals:
-            if p.part_type > part_type_count:
-                raise ValidationError(
-                    f"proposal {p.id!r}: part_type {p.part_type} exceeds "
-                    f"part_type_count {part_type_count}"
-                )
-            if p.id in seen_ids:
-                raise ValidationError(f"duplicate proposal id {p.id!r}")
-            seen_ids.add(p.id)
-            grouped.setdefault(p.part, []).append(p)
-        buckets = [Bucket(part, props, scores) for part, props in grouped.items()]
-        return cls(buckets, scores, part_type_count)
+        """``proposals`` grouped by part, as :meth:`from_columns` groups them."""
+        ps = list(proposals)
+        return cls.from_columns(
+            [p.id for p in ps],
+            [p.part for p in ps],
+            [(p.x, p.y) for p in ps],
+            [p.part_type for p in ps],
+            [p.box for p in ps],
+            scores,
+            part_type_count,
+        )
 
     def proposals_for(self, part: NodeId) -> tuple[Proposal, ...]:
         """``part``'s proposals in listing order, rebuilt from its bucket."""
@@ -261,13 +316,61 @@ class ProposalSet:
 
 
 def load_proposals(path: str, *, part_type_count: int = DEFAULT_PART_TYPE_COUNT) -> ProposalSet:
-    """Read a JSON-lines proposal file; one proposal object per line."""
-    rows = read_json_lines(path, lambda doc: (Proposal.from_json_dict(doc), doc.get("scores", {})))
+    """Read a JSON-lines proposal file; one proposal object per line.
+
+    Each line is decoded once, then each field is checked and converted
+    as one column.  An error names ``path:line`` of the first line at
+    fault, in the words a check of that line alone uses, except the score
+    grid's, which names ``path`` and the proposal.
+    """
+    linenos: list[int] = []
+    docs = read_json_lines(path, lambda doc: doc, linenos)
+    columns = _proposal_columns(docs)
+    if columns is None:
+        for lineno, doc in zip(linenos, docs):
+            try:
+                _checked_proposal(_PROPOSAL.present(doc))
+            except ValidationError as exc:
+                raise ValidationError(f"{path}:{lineno}: {exc}") from exc
+    ids, parts, xy, types, boxes = columns
     try:
-        scores = ScoreTable({p.id: per_attr for p, per_attr in rows})
+        scores = ScoreTable(dict(zip(ids, map(dict.get, docs, repeat("scores"), repeat({})))))
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
-    return ProposalSet.from_proposals((p for p, _ in rows), scores, part_type_count=part_type_count)
+    del docs  # the decoded lines are not needed past this point
+    where = lambda i: f"{path}:{linenos[i]}: "
+    return ProposalSet.from_columns(ids, parts, xy, types, boxes, scores, part_type_count, where)
+
+
+def _proposal_columns(docs: list) -> tuple | None:
+    """The columns ``ids``, ``parts``, ``xy``, ``types`` and ``boxes`` of the
+    proposal objects ``docs``; ``None`` when a document fails a check."""
+    if not set(map(type, docs)) <= {dict}:
+        return None
+    try:
+        ids, parts, xs, ys, types, boxes = zip(*map(_PROPOSAL_FIELDS, docs)) if docs else [()] * 6
+    except KeyError:
+        return None
+    if not set(map(type, types)) <= {int}:
+        return None
+    try:
+        # Integers all pass the count rule when their extremes do.
+        count(min(types, default=1)), count(max(types, default=1))
+    except FieldError:
+        return None
+    if not (set(map(type, ids)) | set(map(type, parts)) <= {str} and all(ids) and all(parts)):
+        return None
+    if not (set(map(type, boxes)) <= {list} and set(map(len, boxes)) <= {4}):
+        return None
+    try:
+        numbers = number_column(xs + ys + tuple(chain.from_iterable(boxes)))
+    except FieldError:
+        return None
+    n = len(docs)
+    xy, boxes = numbers[: 2 * n].reshape(2, n).T, numbers[2 * n :].reshape(n, 4)
+    if (boxes[:, 2:] <= 0.0).any():
+        return None
+    return ids, parts, xy, types, boxes
 
 
 def save_proposals(pset: ProposalSet, path: str) -> None:
@@ -337,8 +440,8 @@ def synth_scores(
             f"distractor_coherence must be in [0, 1], got {distractor_coherence}"
         )
     attr_defs = default_attributes() if attr_defs is None else tuple(attr_defs)
-    rng = np.random.default_rng(int(rng_seed))
-    proposals: list[Proposal] = []
+    rng = np.random.default_rng(argument("rng_seed", rng_seed, nonnegative))
+    proposals: list[tuple] = []  # (id, part, (x, y), part type, box)
     scores: dict[str, dict[AttrId, dict[str, float]]] = {}
     for pi, person in enumerate(scene.persons):
         unknown = [a for a in person.attributes if a not in {d.id for d in attr_defs}]
@@ -347,18 +450,9 @@ def synth_scores(
         keypoints = part_keypoints(person.joints)
         bonus = target_bonus if pi == 0 else 0.0
         for part in PART_ORDER:
-            x, y = keypoints[part]
             pid = f"p{pi}.{part}"
-            proposals.append(
-                Proposal(
-                    id=pid,
-                    part=part,
-                    x=x,
-                    y=y,
-                    part_type=int(rng.integers(1, part_type_count + 1)),
-                    box=_part_box(part, keypoints),
-                )
-            )
+            part_type = int(rng.integers(1, part_type_count + 1))
+            proposals.append((pid, part, keypoints[part], part_type, _part_box(part, keypoints)))
             per_attr = scores[pid] = {}
             for attr in attr_defs:
                 true_value = person.attributes.get(attr.id)
@@ -378,4 +472,4 @@ def synth_scores(
                     base = bonus + (0.0 if value == apparent else -margin)
                     noise = float(rng.normal(0.0, noise_sigma))
                     per_value[value] = base + noise
-    return ProposalSet.from_proposals(proposals, ScoreTable(scores), part_type_count=part_type_count)
+    return ProposalSet.from_columns(*zip(*proposals), ScoreTable(scores), part_type_count)

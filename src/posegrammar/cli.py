@@ -33,7 +33,8 @@ from .grammar import (
     validate,
 )
 from .inference import BeamConfig, attribute_scores, parse_constrained, parse_unconstrained, select_final
-from .jsonio import array, integer, number, optional, read_json, read_json_lines, record, text, write_json
+from .jsonio import argument, array, integer, nonnegative, number, optional, read_json, read_json_lines, record, text
+from .jsonio import write_json
 from .render import save_svg
 
 _UNSET = object()
@@ -53,13 +54,17 @@ def _merged_options(args: argparse.Namespace, defaults: dict) -> dict:
     return {**defaults, **config, **{k: _typed(k, v, defaults[k]) for k, v in explicit.items()}}
 
 
-# The spec of a config value by the type of its option's default; any
-# other option takes a string.
+# The spec of an option's value by the type of its default; a seed is an
+# integer >= 0, and any other option takes a string.
 _OPTION_SPECS = {int: integer, float: number, tuple: array(integer, 2)}
 
 
+def _option_spec(key: str, default):
+    return nonnegative if key == "seed" else _OPTION_SPECS.get(type(default), text)
+
+
 def _config_reader(defaults: dict):
-    spec = record(**{k: optional(_OPTION_SPECS.get(type(d), text), _UNSET) for k, d in defaults.items()})
+    spec = record(**{k: optional(_option_spec(k, d), _UNSET) for k, d in defaults.items()})
 
     def build(doc) -> dict:
         options = {k: v for k, v in spec(doc).items() if v is not _UNSET}
@@ -72,21 +77,23 @@ def _config_reader(defaults: dict):
 
 
 def _typed(key: str, value, default):
-    """Convert a command-line option to its default's type; the parser has
-    read a pair already.  Float options must be finite.
+    """Convert a command-line option to its default's type, then check it
+    by the option's spec; the parser has read a pair already.  Float
+    options must be finite.
     """
+    flag = "--" + key.replace("_", "-")
     if isinstance(default, tuple):
-        return tuple(value)
-    if not isinstance(default, (int, float)):
+        converted = tuple(value)
+    elif isinstance(default, (int, float)):
+        try:
+            converted = type(default)(value)
+            if not math.isfinite(converted):
+                raise ValueError
+        except (TypeError, ValueError, OverflowError):
+            raise _UsageError(f"invalid value for {flag}: {value!r}") from None
+    else:
         return value
-    try:
-        converted = type(default)(value)
-        if not math.isfinite(converted):
-            raise ValueError
-        return converted
-    except (TypeError, ValueError, OverflowError):
-        flag = "--" + key.replace("_", "-")
-        raise _UsageError(f"invalid value for {flag}: {value!r}") from None
+    return argument(flag, converted, _option_spec(key, default))
 
 
 def _json_files(directory: str) -> list[str]:

@@ -19,6 +19,7 @@ from .appearance import ProposalSet, synth_scores
 from .errors import MissingEntryError, ValidationError
 from .grammar import AOGrammar, AttrId, NodeId, ParseGraph
 from .inference import BeamConfig, _pairs, _readout, _search, _select, attribute_scores
+from .jsonio import argument, number_column
 from .learning import Annotation, JointObs
 from .relations import AttributeAssociation, RelationModels
 from .synthetic import Person, SyntheticScene, _child_seed, person_bbox
@@ -101,12 +102,10 @@ def average_precision(scores: Sequence[float], labels: Sequence[int]) -> float:
 
     Ranks by score descending, grouping tied scores so that equal scores
     stand or fall together, and integrates the interpolated precision
-    envelope over recall.
+    envelope over recall.  Scores follow the number rule; a refusal names
+    the score's index.
     """
-    try:
-        s = np.asarray(scores, dtype=float)
-    except OverflowError:  # an integer beyond the float range
-        raise ValidationError("scores must be finite") from None
+    s = argument("scores", scores, number_column)
     y = np.asarray(labels)
     if s.shape != y.shape or s.ndim != 1:
         raise ValidationError(
@@ -114,8 +113,6 @@ def average_precision(scores: Sequence[float], labels: Sequence[int]) -> float:
         )
     if s.shape[0] == 0:
         raise ValidationError("average precision needs at least one sample")
-    if not np.all(np.isfinite(s)):
-        raise ValidationError("scores must be finite")
     if not np.all(np.isin(y, (0, 1))):
         raise ValidationError("labels must be 0 or 1")
     positives = int(y.sum())
@@ -224,7 +221,7 @@ def make_training_pairs(
     attr_defs = tuple(grammar.attributes)
     for i in range(n):
         scene = single_person_scene(_child_seed(seed, i), attr_defs=attr_defs)
-        rng = np.random.default_rng([int(seed), i, 1])
+        rng = np.random.default_rng([seed, i, 1])
         annotations.append(annotation_from_person(scene.persons[0], rng, occlude=True))
         type_samples.append(
             {p: int(rng.integers(1, grammar.part_type_count + 1)) for p in grammar.part_ids}

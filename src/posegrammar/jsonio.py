@@ -4,13 +4,15 @@ Each reader declares its document once as a field spec, the one place a
 document value is checked and given its Python type.  A spec is a
 callable from a decoded JSON value to the checked value: :func:`text` (a
 non-empty string), :func:`number` (the number rule), ``integer``,
-``count`` (an integer >= 1), :func:`flag`, :func:`nullable`, :func:`array`,
+``count`` (an integer >= 1), ``nonnegative`` (an integer >= 0, the rule
+for seeds), :func:`flag`, :func:`nullable`, :func:`array`,
 :func:`mapping` (an object whose keys are data) and :class:`record` (an
 object of named fields, :func:`optional` ones with a default; other keys
 are ignored).  A refusal is a :class:`FieldError` naming the field path,
-e.g. ``nodes[3].id``.  Readers refuse the ``NaN``, ``Infinity`` and
-``-Infinity`` tokens and prefix every error with ``path``, or
-``path:line`` for JSON-lines files.  Writers sort keys, refuse
+e.g. ``nodes[3].id``.  :func:`number_column` is the number rule over a
+whole column at once, for readers of large files.  Readers refuse the
+``NaN``, ``Infinity`` and ``-Infinity`` tokens and prefix every error
+with ``path``, or ``path:line`` for JSON-lines files.  Writers sort keys, refuse
 non-finite values and serialise the whole document before opening the
 file, so a refused value leaves no file behind.
 """
@@ -23,6 +25,8 @@ import sys
 from collections.abc import Mapping
 from itertools import repeat
 from typing import Callable, Iterable
+
+import numpy as np
 
 from .errors import ValidationError
 
@@ -69,6 +73,31 @@ def number(value) -> float:
     raise _refused("a finite number", value)
 
 
+def number_column(values) -> np.ndarray:
+    """The number rule over a sequence, read as a float array: one scan of
+    the types, one conversion and one check of finiteness.  A refusal
+    names the index of the first value refused."""
+    types = set(map(type, values))
+    if types <= {float, int}:
+        try:
+            column = np.array(values, dtype=float)
+        except OverflowError:  # an integer beyond the float range
+            pass
+        else:
+            # An integer just beyond the float range rounds to its edge.
+            edge = int in types and np.abs(column).max(initial=0.0) == _FLOAT_MAX
+            if not edge and np.isfinite(column).all():
+                return column
+    # Some value is refused or of another type: check them one by one.
+    checked = []
+    for i, value in enumerate(values):
+        try:
+            checked.append(number(value))
+        except FieldError as exc:
+            raise exc.within(i) from None
+    return np.array(checked, dtype=float)
+
+
 def text(value) -> str:
     """A non-empty string."""
     if isinstance(value, str) and value:
@@ -88,6 +117,15 @@ def _integer(least, want: str) -> Callable:
 
 integer = _integer(-_FLOAT_MAX, "an integer")
 count = _integer(1, "an integer >= 1")
+nonnegative = _integer(0, "an integer >= 0")
+
+
+def argument(name: str, value, spec: Callable):
+    """``value`` checked by ``spec``; a refusal names the argument ``name``."""
+    try:
+        return spec(value)
+    except FieldError as exc:
+        raise exc.within(name) from None
 
 
 def flag(value) -> bool:
@@ -216,15 +254,18 @@ def read_json(path: str, build: Callable = lambda doc: doc):
     return _build(path, text, build)
 
 
-def read_json_lines(path: str, build: Callable) -> list:
+def read_json_lines(path: str, build: Callable, linenos: list[int] | None = None) -> list:
     """``build`` applied to the document on each non-blank line of ``path``;
-    errors name ``path:line``."""
+    errors name ``path:line``.  Each document's line number is appended to
+    ``linenos`` when given, for errors found after the whole file is read."""
     out = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if line:
                 out.append(_build(f"{path}:{lineno}", line, build))
+                if linenos is not None:
+                    linenos.append(lineno)
     return out
 
 

@@ -28,7 +28,7 @@ from .grammar import (
     part_keypoints,
 )
 from .jsonio import read_json_lines, write_json_lines
-from .jsonio import array, check_fields, flag, mapping, nullable, number, optional, record, text
+from .jsonio import argument, array, check_fields, flag, mapping, nonnegative, nullable, number, optional, record, text
 from .relations import (
     AttributeAssociation,
     Edge,
@@ -349,6 +349,7 @@ def fit_kinematic(
     An edge whose fit stops at ``max_iter`` rather than at ``EM_TOL`` is
     logged at INFO, with its last gain in mean log-likelihood.
     """
+    seed = argument("seed", seed, nonnegative)
     mixtures: dict[Edge, Mixture] = {}
     traces: dict[Edge, list[float]] = {}
     for index, (edge, samples) in enumerate(data.items()):
@@ -371,7 +372,7 @@ def fit_kinematic(
                 stacklevel=2,
             )
             k = n
-        rng = np.random.default_rng([int(seed), index])
+        rng = np.random.default_rng([seed, index])
         mixtures[edge], traces[edge] = _em_fit(X, k, rng, max_iter)
         trace = traces[edge]
         if len(trace) > max_iter:
@@ -471,6 +472,7 @@ def learn_models(
     """
     from .relations import RelationModels
 
+    seed = argument("seed", seed, nonnegative)
     if not annotations:
         raise DegenerateDataError("learning needs at least one annotation")
     if type_samples is not None and len(type_samples) != len(annotations):

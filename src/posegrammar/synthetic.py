@@ -22,7 +22,7 @@ from .grammar import (
     default_attributes,
 )
 from .jsonio import SCHEMA_VERSION, read_json, schema_version, write_json
-from .jsonio import array, check_fields, count, mapping, number, optional, record, text
+from .jsonio import argument, array, check_fields, count, mapping, nonnegative, number, optional, record, text
 
 # Canonical joint offsets (pixels) relative to the torso center, y down.
 CANONICAL_POSE: dict[NodeId, tuple[float, float]] = {
@@ -69,14 +69,13 @@ class Person:
     attributes: Mapping[AttrId, str]
 
     def __post_init__(self) -> None:
-        joints = {p: (float(x), float(y)) for p, (x, y) in self.joints.items()}
-        missing = [p for p in ATOMIC_PARTS if p not in joints]
+        check_fields(self, _PERSON)
+        missing = [p for p in ATOMIC_PARTS if p not in self.joints]
         if missing:
             raise ValidationError(f"person misses joints {missing}")
-        extra = sorted(set(joints) - set(ATOMIC_PARTS))
+        extra = sorted(set(self.joints) - set(ATOMIC_PARTS))
         if extra:
             raise ValidationError(f"person has unknown joints {extra}")
-        object.__setattr__(self, "joints", joints)
         object.__setattr__(self, "attributes", dict(self.attributes))
 
 
@@ -120,10 +119,12 @@ class SyntheticScene:
 
 
 _IMAGE_SIZE = record(image_size=array(count, 2))
+_JOINT_POSITIONS = mapping(array(number, 2))
+_PERSON = record(joints=_JOINT_POSITIONS)
 _SCENE = record(
     schema_version=schema_version,
     image_size=array(count, 2),
-    persons=array(record(joints=mapping(array(number, 2)), attributes=optional(mapping(text), {}))),
+    persons=array(record(joints=_JOINT_POSITIONS, attributes=optional(mapping(text), {}))),
 )
 
 
@@ -173,7 +174,7 @@ def single_person_scene(
 ) -> SyntheticScene:
     """One person near the canvas center, pose and attributes seeded."""
     attr_defs = default_attributes() if attr_defs is None else tuple(attr_defs)
-    rng = np.random.default_rng(int(seed))
+    rng = np.random.default_rng(argument("seed", seed, nonnegative))
     w, h = image_size
     center = (
         w * 0.5 + float(rng.normal(0.0, w * 0.05)),
@@ -202,7 +203,7 @@ def two_person_scene(
     another value, so the two never agree on every attribute.
     """
     attr_defs = default_attributes() if attr_defs is None else tuple(attr_defs)
-    rng = np.random.default_rng(int(seed))
+    rng = np.random.default_rng(argument("seed", seed, nonnegative))
     w, h = image_size
     center = (
         w * 0.42 + float(rng.normal(0.0, w * 0.03)),
@@ -246,4 +247,4 @@ def generate_family(
 
 def _child_seed(seed: int, index: int) -> int:
     """Derived per-item seed: stable arithmetic, no RNG state shared."""
-    return int(seed) * 1_000_003 + index
+    return argument("seed", seed, nonnegative) * 1_000_003 + index

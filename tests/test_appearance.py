@@ -6,8 +6,12 @@ import dataclasses
 import json
 import math
 import re
+import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posegrammar.appearance import (
     PART_ORDER,
@@ -19,6 +23,7 @@ from posegrammar.appearance import (
     synth_scores,
 )
 from posegrammar.errors import MissingEntryError, ValidationError
+from posegrammar.jsonio import number, read_json_lines
 from posegrammar.grammar import AttributeDef
 from posegrammar.synthetic import single_person_scene, two_person_scene
 
@@ -115,8 +120,10 @@ class TestScoreTable:
             ({"hat": [1.0]}, "scores.hat must be a JSON object, got a JSON array of length 1"),
             ({"hat": 5}, "scores.hat must be a JSON object, got 5"),
             ({"hat": "yes"}, "scores.hat must be a JSON object, got 'yes'"),
+            ({"hat": {"yes": 0.0}, "age": []}, "scores.age must be a JSON object, got a JSON array of length 0"),
+            ({"hat": {"yes": 0.0}, "age": 5}, "scores.age must be a JSON object, got 5"),
         ],
-        ids=["None", "row1", "row2", "row3", "row4"],
+        ids=["None", "row1", "row2", "row3", "row4", "extra-empty-array", "extra-number"],
     )
     def test_rejects_a_row_that_is_not_a_mapping(self, row, problem):
         with pytest.raises(ValidationError, match="^" + re.escape(f"proposal 'p2': {problem}") + "$"):
@@ -128,6 +135,19 @@ class TestScoreTable:
         del entries[lacking]["hat"]["no"]
         with pytest.raises(ValidationError, match=f"^proposal '{lacking}': scores.hat.no is missing"):
             ScoreTable(entries)
+
+    @pytest.mark.parametrize("holder", ["p1", "p2"])
+    def test_an_attribute_with_no_values_adds_no_column(self, holder):
+        entries = {"p1": {"hat": {"yes": 0.5}}, "p2": {"hat": {"yes": -0.5}}}
+        entries[holder] = {**entries[holder], "gender": {}}
+        assert ScoreTable(entries) == ScoreTable({"p1": {"hat": {"yes": 0.5}}, "p2": {"hat": {"yes": -0.5}}})
+
+    def test_rows_of_any_mapping_type_load(self):
+        from types import MappingProxyType
+
+        entries = {"p1": {"hat": {"yes": 0.5, "no": 1}}, "p2": {"hat": {"no": -0.5, "yes": 2.0}}}
+        proxied = {pid: MappingProxyType({a: MappingProxyType(v) for a, v in row.items()}) for pid, row in entries.items()}
+        assert ScoreTable(proxied).values.tolist() == ScoreTable(entries).values.tolist() == [[0.5, 1.0], [2.0, -0.5]]
 
     def test_missing_lookups_name_the_part(self):
         t = ScoreTable({"p1": {"hat": {"yes": 0.0}}})
@@ -253,6 +273,11 @@ class TestSynthScores:
             for v in domain
         )
         assert best_total < -2.0
+
+    def test_negative_seed_rejected(self):
+        scene = single_person_scene(seed=3)
+        with pytest.raises(ValidationError, match=r"^rng_seed must be an integer >= 0, got -1$"):
+            synth_scores(scene, noise_sigma=0.1, rng_seed=-1)
 
     def test_negative_sigma_rejected(self):
         scene = single_person_scene(seed=3)
@@ -401,3 +426,141 @@ class TestProposalIO:
         message = "^" + re.escape(f"{path}: proposal 'p2': scores.hat.no is missing, which other proposals have")
         with pytest.raises(ValidationError, match=message):
             load_proposals(str(path))
+
+
+def _line(pid="p1", **fields):
+    doc = {"id": pid, "part": "head", "x": 0.0, "y": 0.0, "part_type": 1, "box": [0, 0, 5, 5],
+           "scores": {"hat": {"yes": 0.5}}}
+    return json.dumps({**doc, **fields})
+
+
+class TestLoaderErrors:
+    """Errors of the proposal reader name ``path:line`` of the first line at
+    fault, though it checks whole columns."""
+
+    def _load(self, tmp_path, lines, **kwargs):
+        path = tmp_path / "props.jsonl"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        return str(path), lambda: load_proposals(str(path), **kwargs)
+
+    def test_a_duplicate_id_names_the_line_of_its_second_listing(self, tmp_path):
+        path, load = self._load(tmp_path, [_line("full_body.0"), "", _line("full_body.0", part="torso")])
+        message = f"{path}:3: duplicate proposal id 'full_body.0'"
+        with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
+            load()
+
+    def test_a_part_type_beyond_the_count_names_its_line(self, tmp_path):
+        path, load = self._load(tmp_path, [_line("p0"), _line("full_body.0", part_type=4)], part_type_count=1)
+        message = f"{path}:2: proposal 'full_body.0': part_type 4 exceeds part_type_count 1"
+        with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
+            load()
+
+    def test_the_first_line_at_fault_is_named_whichever_column_fails(self, tmp_path):
+        lines = [_line("p1"), _line("p2", box=[0, 0, "5", 5]), _line("p3", x="1")]
+        path, load = self._load(tmp_path, lines)
+        message = f"{path}:2: box[2] must be a finite number, got '5'"
+        with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
+            load()
+
+    @pytest.mark.parametrize("top, shown", [("[1]", "a JSON array of length 1"), ("3", "3"), ('"text"', "'text'")])
+    def test_a_line_that_is_not_an_object_names_its_line(self, tmp_path, top, shown):
+        path, load = self._load(tmp_path, [_line("p1"), top])
+        message = f"{path}:2: the document must be a JSON object, got {shown}"
+        with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
+            load()
+
+    @pytest.mark.parametrize("field", ["id", "part"])
+    def test_an_empty_string_names_its_line(self, tmp_path, field):
+        path, load = self._load(tmp_path, [_line("p1"), _line("p2", **{field: ""})])
+        message = f"{path}:2: {field} must be a non-empty string, got ''"
+        with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
+            load()
+
+    def test_a_flat_box_names_its_line(self, tmp_path):
+        path, load = self._load(tmp_path, ["", _line("p1", box=[0, 0, 0, 5])])
+        message = f"{path}:2: proposal 'p1': box width and height must be positive, got (0.0, 0.0, 0.0, 5.0)"
+        with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
+            load()
+
+    def test_an_integer_just_beyond_the_float_range_is_refused(self, tmp_path):
+        """It rounds to the largest float, so only its exact value shows it."""
+        edge = int(sys.float_info.max) + 1
+        path, load = self._load(tmp_path, [_line("p1"), _line("p2", y=edge)])
+        message = f"{path}:2: y must be a finite number, got an integer beyond the float range"
+        with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
+            load()
+
+    def test_a_score_row_listing_a_pair_the_others_lack_is_refused(self, tmp_path):
+        extra = {"hat": {"yes": 0.5}, "gender": {"male": 0.0}}
+        path, load = self._load(tmp_path, [_line("p1"), _line("p2", scores=extra)])
+        message = f"{path}: proposal 'p1': scores.gender.male is missing, which other proposals have"
+        with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
+            load()
+
+
+# Valid cells of a proposal file: integers and floats, -0.0 and integers
+# near 10**300 among them.
+_NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-(10**6), 10**6),
+    st.integers(10**300 - 10**6, 10**300 + 10**6).flatmap(lambda n: st.sampled_from([n, -n])),
+    st.just(-0.0),
+)
+_SIZES = st.one_of(st.floats(min_value=1e-300, max_value=1e300), st.integers(1, 10**300))
+_PAIRS = {"hat": ("yes", "no"), "gender": ("male",), "age": ("youth", "adult", "elder")}
+
+
+@st.composite
+def _proposal_files(draw):
+    """The lines of a valid proposal file over 1-5 parts, each score row
+    listing its attributes and values in its own order, blank lines
+    between."""
+    parts = draw(st.lists(st.sampled_from(PART_ORDER), min_size=1, max_size=5, unique=True))
+    attrs = draw(st.lists(st.sampled_from(sorted(_PAIRS)), min_size=1, unique=True))
+    lines = []
+    for i in range(draw(st.integers(1, 12))):
+        scores = {
+            a: {v: draw(_NUMBERS) for v in draw(st.permutations(_PAIRS[a]))}
+            for a in draw(st.permutations(attrs))
+        }
+        doc = {
+            "id": f"q{draw(st.integers(0, 3))}.{i}",
+            "part": draw(st.sampled_from(parts)),
+            "x": draw(_NUMBERS),
+            "y": draw(_NUMBERS),
+            "part_type": draw(st.integers(1, 9)),
+            "box": [draw(_NUMBERS), draw(_NUMBERS), draw(_SIZES), draw(_SIZES)],
+            "scores": scores,
+        }
+        lines += [json.dumps(doc)] + draw(st.lists(st.sampled_from(["", "  "]), max_size=1))
+    return lines
+
+
+def _hexes(values) -> list:
+    return [float.hex(float(v)) for v in np.ravel(values)]
+
+
+@given(lines=_proposal_files())
+@settings(max_examples=80, deadline=None)
+def test_the_columnar_loader_matches_a_line_by_line_reference(tmp_path_factory, lines):
+    path = tmp_path_factory.mktemp("props") / "props.jsonl"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    pset = load_proposals(str(path), part_type_count=9)
+    docs = read_json_lines(str(path), lambda doc: doc)
+    proposals = [Proposal.from_json_dict(doc) for doc in docs]
+    assert list(pset.buckets) == list(dict.fromkeys(p.part for p in proposals))
+    for part, bucket in pset.buckets.items():
+        mine = [(r, p) for r, p in enumerate(proposals) if p.part == part]
+        ids = tuple(p.id for _r, p in mine)
+        assert bucket.ids == ids
+        assert _hexes(bucket.xy) == _hexes([(p.x, p.y) for _r, p in mine])
+        assert _hexes(bucket.boxes) == _hexes([p.box for _r, p in mine])
+        assert bucket.types.tolist() == [p.part_type for _r, p in mine]
+        assert bucket.rows.tolist() == [r for r, _p in mine]
+        assert bucket.id_rank.tolist() == [sorted(ids).index(pid) for pid in ids]
+    assert pset.scores.values.shape == (len(docs), sum(map(len, docs[0]["scores"].values())))
+    for r, doc in enumerate(docs):
+        for attr, per_value in doc["scores"].items():
+            for value, cell in per_value.items():
+                got = pset.scores.values[r, pset.scores.column(attr, value)]
+                assert float.hex(float(got)) == float.hex(number(cell))

@@ -271,6 +271,17 @@ class TestConfigMerging:
         err = capsys.readouterr().err.strip().splitlines()
         assert err == [f"error: {cfg}: {problem}"]
 
+    @pytest.mark.parametrize("command", ["synth", "learn", "diag"])
+    def test_a_negative_seed_exits_one_naming_the_seed(self, tmp_path, capsys, command):
+        assert cli_dispatch([command, "--seed", "-1"]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: --seed must be an integer >= 0, got -1"]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": -1}), encoding="utf-8")
+        assert cli_dispatch([command, "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {cfg}: seed must be an integer >= 0, got -1"]
+
     def test_config_numbers_take_the_option_type(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n": 1, "spacing": 20, "image_size": [300, 200]}), encoding="utf-8")

@@ -8,6 +8,9 @@ the acceptance suite.
 
 from __future__ import annotations
 
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -216,12 +219,24 @@ class TestAveragePrecision:
             average_precision([1.0], [1, 0])
         with pytest.raises(ValidationError, match="finite"):
             average_precision([float("nan")], [1])
-        with pytest.raises(ValidationError, match="scores must be finite"):
+        with pytest.raises(ValidationError, match=r"^scores\[0\] must be a finite number, got an integer beyond"):
             average_precision([10**400, 0.8], [1, 0])
         with pytest.raises(ValidationError, match="0 or 1"):
             average_precision([1.0], [2])
         with pytest.raises(ValidationError, match="no positive"):
             average_precision([1.0, 2.0], [0, 0])
+
+    @pytest.mark.parametrize(
+        "scores, problem",
+        [([0.9, True], "[1] must be a finite number, got True"), ([math.inf, 0.5], "[0] must be a finite number, got inf")],
+        ids=["bool", "inf"],
+    )
+    def test_scores_follow_the_number_rule_naming_the_index(self, scores, problem):
+        with pytest.raises(ValidationError, match="^" + re.escape("scores" + problem) + "$"):
+            average_precision(scores, [1, 0])
+
+    def test_integer_scores_are_read_as_floats(self):
+        assert average_precision([2, 1], [1, 0]) == 1.0
 
 
 class TestArgmaxValue:
@@ -287,6 +302,10 @@ class TestMakeTrainingPairs:
         b_anns, b_types = make_training_pairs(6, seed=11, grammar=grammar)
         assert a_anns == b_anns
         assert a_types == b_types
+
+    def test_a_negative_seed_is_refused_naming_it(self, grammar):
+        with pytest.raises(ValidationError, match=r"^seed must be an integer >= 0, got -1$"):
+            make_training_pairs(5, seed=-1, grammar=grammar)
 
     def test_shapes_and_ranges(self, grammar):
         anns, types = make_training_pairs(5, seed=2, grammar=grammar)

@@ -14,6 +14,7 @@ import json
 import math
 import pkgutil
 import re
+import sys
 from functools import partial
 
 import pytest
@@ -33,7 +34,7 @@ from posegrammar.grammar import (
     load_parse_graph,
     save_parse_graph,
 )
-from posegrammar.jsonio import read_json, read_json_lines, write_json, write_json_lines
+from posegrammar.jsonio import FieldError, number, number_column, read_json, read_json_lines, write_json, write_json_lines
 from posegrammar.learning import Annotation, load_annotations, save_annotations
 from posegrammar.relations import (
     AttributeAssociation,
@@ -417,3 +418,32 @@ def test_writers_sort_keys_and_indent_documents(tmp_path):
     write_json_lines(str(lines), [doc, {}])
     assert lines.read_text(encoding="utf-8") == '{"a": {"c": true, "d": null}, "b": [1, 2.5]}\n{}\n'
     assert read_json_lines(str(lines), dict) == [doc, {}]
+
+
+_EDGE = int(sys.float_info.max)
+_CELLS = st.one_of(
+    st.floats(),
+    st.integers(),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=2),
+    st.sampled_from([-0.0, sys.float_info.max, -sys.float_info.max, _EDGE, _EDGE + 1, -_EDGE - 1, 2**1024, 10**400]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(_CELLS, max_size=6), as_tuple=st.booleans())
+def test_the_column_number_rule_is_the_number_rule_at_each_index(values, as_tuple):
+    """``number_column`` reads what ``number`` reads, bit for bit, and
+    refuses the first value ``number`` refuses, naming its index."""
+    expected = []
+    for i, value in enumerate(values):
+        try:
+            expected.append(number(value))
+        except FieldError as exc:
+            with pytest.raises(FieldError) as refused:
+                number_column(tuple(values) if as_tuple else values)
+            assert str(refused.value) == f"[{i}] {exc.problem}"
+            return
+    column = number_column(tuple(values) if as_tuple else values)
+    assert column.dtype == float and [float.hex(v) for v in column.tolist()] == [float.hex(v) for v in expected]

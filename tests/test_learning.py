@@ -422,6 +422,11 @@ class TestFitKinematic:
             f"edge c->d: EM stopped at max_iter after 10 iterations, last gain {trace[-1] - trace[-2]:.3g}"
         )
 
+    def test_a_negative_seed_is_refused_naming_it(self):
+        X = np.random.default_rng(12).normal(0.0, 2.0, size=(50, 2))
+        with pytest.raises(ValidationError, match=r"^seed must be an integer >= 0, got -1$"):
+            fit_kinematic({("a", "b"): X}, n_components=3, seed=-1)
+
     def test_deterministic_under_seed(self):
         rng = np.random.default_rng(12)
         X = rng.normal(0.0, 2.0, size=(50, 2))
@@ -521,6 +526,11 @@ class TestLearnModels:
         assert set(quick_models.kinematic.mixtures) == set(grammar.dg_edges)
         assert validate_association(quick_models.association, grammar).violations == []
         assert quick_models.part_type_count == grammar.part_type_count
+
+    def test_a_negative_seed_is_refused_naming_it(self, grammar):
+        ann = _annotation(attributes={a.id: a.domain[0] for a in grammar.attributes})
+        with pytest.raises(ValidationError, match=r"^seed must be an integer >= 0, got -1$"):
+            learn_models([ann, ann], grammar, seed=-1)
 
     def test_empty_corpus(self, grammar):
         with pytest.raises(DegenerateDataError, match="at least one"):

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
-from posegrammar.appearance import Bucket, Proposal, ScoreTable
+from posegrammar.appearance import Proposal, ProposalSet, ScoreTable
 from posegrammar.errors import MissingEntryError, ValidationError
 from posegrammar.inference import _Table
 from posegrammar.relations import (
@@ -157,9 +157,8 @@ class TestMixtureDensity:
             for i, (x, y) in enumerate(pts)
         ]
         table = ScoreTable({p.id: {} for p in parents + kids})
-        parent = Bucket(EDGE[0], parents, table)
-        children = Bucket(EDGE[1], kids, table)
-        beam = _Table(mog, EDGE, parent, children).rows(np.array([0]))[0]
+        buckets = ProposalSet.from_proposals(parents + kids, table).buckets
+        beam = _Table(mog, EDGE, buckets[EDGE[0]], buckets[EDGE[1]]).rows(np.array([0]))[0]
         np.testing.assert_allclose(beam, expected, rtol=0, atol=1e-12)
 
     def test_density_integrates_to_one(self):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -39,6 +40,19 @@ class TestPerson:
         joints["tail"] = (1.0, 1.0)
         with pytest.raises(ValidationError, match="unknown joints"):
             Person(joints=joints, attributes={})
+
+    @pytest.mark.parametrize(
+        "joint, problem",
+        [(("1", 2), "[0] must be a finite number, got '1'"), ((0.0, True), "[1] must be a finite number, got True")],
+        ids=["string", "bool"],
+    )
+    def test_joint_coordinates_are_not_coerced(self, joint, problem):
+        with pytest.raises(ValidationError, match="^" + re.escape(f"joints.head{problem}") + "$"):
+            Person({p: joint for p in ATOMIC_PARTS}, {})
+
+    def test_integer_joint_coordinates_are_read_as_floats(self):
+        person = Person({p: (1, 2) for p in ATOMIC_PARTS}, {})
+        assert {type(c) for xy in person.joints.values() for c in xy} == {float}
 
     def test_keypoints_cover_all_seventeen_parts(self):
         person = _canonical_person()
@@ -116,6 +130,21 @@ class TestGenerators:
     def test_bad_count(self):
         with pytest.raises(ValidationError, match="count must be >= 1"):
             generate_family("single", 0, seed=0)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda seed: generate_family("two-person", 2, seed=seed),
+            single_person_scene,
+            two_person_scene,
+            lambda seed: _child_seed(seed, 0),
+        ],
+        ids=["family", "single", "two-person", "child-seed"],
+    )
+    @pytest.mark.parametrize("seed, shown", [(-1, "-1"), (2.0, "2.0"), (True, "True")])
+    def test_a_seed_is_an_integer_of_at_least_zero(self, make, seed, shown):
+        with pytest.raises(ValidationError, match="^" + re.escape(f"seed must be an integer >= 0, got {shown}") + "$"):
+            make(seed)
 
 
 class TestSceneSerialization:
