@@ -433,6 +433,11 @@ def synth_scores(
     independently drawn domain value otherwise, so no single value fits
     all of their parts at once.
     """
+    noise_sigma = argument("noise_sigma", noise_sigma, number)
+    margin = argument("margin", margin, number)
+    target_bonus = argument("target_bonus", target_bonus, number)
+    distractor_coherence = argument("distractor_coherence", distractor_coherence, number)
+    part_type_count = argument("part_type_count", part_type_count, count)
     if noise_sigma < 0.0:
         raise ValidationError(f"noise_sigma must be >= 0, got {noise_sigma}")
     if not 0.0 <= distractor_coherence <= 1.0:

@@ -19,10 +19,10 @@ from .appearance import ProposalSet, synth_scores
 from .errors import MissingEntryError, ValidationError
 from .grammar import AOGrammar, AttrId, NodeId, ParseGraph
 from .inference import BeamConfig, _pairs, _readout, _search, _select, attribute_scores
-from .jsonio import argument, number_column
+from .jsonio import argument, count, number, number_column
 from .learning import Annotation, JointObs
 from .relations import AttributeAssociation, RelationModels
-from .synthetic import Person, SyntheticScene, _child_seed, person_bbox
+from .synthetic import Person, SyntheticScene, _child_seed, person_bbox, single_person_scene
 
 MODE_JOINT = "joint"
 MODE_NO_ATTRIBUTE = "no-attribute"
@@ -73,6 +73,7 @@ def strict_pcp(
     ground-truth positions.  Sticks with an invisible ground-truth
     endpoint are excluded from the denominator.
     """
+    threshold = argument("threshold", threshold, number)
     if threshold <= 0.0:
         raise ValidationError(f"threshold must be positive, got {threshold}")
     per_stick: dict[int, bool] = {}
@@ -212,10 +213,7 @@ def make_training_pairs(
     grammar: AOGrammar,
 ) -> tuple[list[Annotation], list[dict[NodeId, int]]]:
     """Seeded single-person training corpus: annotations plus part types."""
-    from .synthetic import single_person_scene
-
-    if n < 1:
-        raise ValidationError(f"corpus size must be >= 1, got {n}")
+    n = argument("n", n, count)
     annotations = []
     type_samples = []
     attr_defs = tuple(grammar.attributes)
@@ -316,15 +314,13 @@ def run_diagnostic(
     sticks = default_sticks(grammar)
     attr_defs = tuple(grammar.attributes)
     pairs = _pairs(grammar) if MODE_JOINT in modes else []
-    objectives: list = [("constrained", attr, value) for attr, value in pairs]
+    assignments = [{attr: value} for attr, value in pairs]
     if MODE_NO_ATTRIBUTE in modes:
-        objectives.append("unconstrained")
+        assignments.append({})
 
     stick_hits: dict[str, list[int]] = {m: [0, 0] for m in modes}
-    acc_hits: dict[str, list[int]] = {m: [0, 0] for m in modes}
-    per_attr_hits: dict[str, dict[AttrId, list[int]]] = {
-        m: {a.id: [0, 0] for a in attr_defs} for m in modes
-    }
+    # Correct predictions per mode and attribute, out of len(scenes) each.
+    correct: dict[str, dict[AttrId, int]] = {m: {a.id: 0 for a in attr_defs} for m in modes}
     ap_streams: dict[str, dict[tuple[AttrId, str], tuple[list[float], list[int]]]] = {
         m: {} for m in modes
     }
@@ -343,7 +339,7 @@ def run_diagnostic(
         truth = annotation_from_person(scene.persons[0])
         truth_values = scene.persons[0].attributes
 
-        parses = _search(grammar, cfg.models, pset, objectives, cfg.beam) if objectives else []
+        parses = _search(grammar, cfg.models, pset, assignments, cfg.beam) if assignments else []
         mode_scores: dict[str, dict[AttrId, dict[str, float]]] = {}
         for mode in modes:
             if mode == MODE_JOINT:
@@ -363,11 +359,7 @@ def run_diagnostic(
             for attr in attr_defs:
                 per_value = mode_scores[mode][attr.id]
                 predicted = argmax_value(per_value, attr.domain)
-                correct = predicted == truth_values[attr.id]
-                acc_hits[mode][0] += int(correct)
-                acc_hits[mode][1] += 1
-                per_attr_hits[mode][attr.id][0] += int(correct)
-                per_attr_hits[mode][attr.id][1] += 1
+                correct[mode][attr.id] += predicted == truth_values[attr.id]
                 for value in attr.domain:
                     stream = ap_streams[mode].setdefault((attr.id, value), ([], []))
                     stream[0].append(per_value[value])
@@ -380,14 +372,11 @@ def run_diagnostic(
             if sum(y) == 0:
                 continue
             aps.append(average_precision(s, y))
-        correct, total = acc_hits[mode]
         hits, evaluated = stick_hits[mode]
         report["modes"][mode] = {
             "pcp": (hits / evaluated) if evaluated else None,
-            "attribute_accuracy": correct / total,
+            "attribute_accuracy": sum(correct[mode].values()) / (len(scenes) * len(attr_defs)),
             "mean_ap": sum(aps) / len(aps) if aps else None,
-            "per_attribute_accuracy": {
-                a: (h / t if t else None) for a, (h, t) in sorted(per_attr_hits[mode].items())
-            },
+            "per_attribute_accuracy": {a: h / len(scenes) for a, h in sorted(correct[mode].items())},
         }
     return report

@@ -8,12 +8,11 @@ endpoints are now both grounded contributes its relation score.  Only the
 top ``beam_width`` candidates survive a step, ordered by score and, on
 ties, by the tuple of chosen proposal ids.
 
-Two kinds of objective share this machinery:
-
-* constrained: every part is scored under one fixed attribute value,
-  treating the attribute as a global constraint on the whole body;
-* unconstrained: every part contributes its best value score for every
-  attribute, each part free to pick its own values.
+An objective is an attribute assignment, the attribute grammar's part
+of the parse: ``{attr: value}`` scores every part under that one value,
+treating the attribute as a global constraint on the whole body, and
+``{}`` lets every part contribute its best value score for every
+attribute, each part free to pick its own values.
 
 One search runs K objectives stacked on a leading axis: the 26
 constrained parses of :func:`select_final` are one K=26 search, and
@@ -25,13 +24,14 @@ objective, gathered once from the set's immutable score grid
 (:meth:`ScoreTable.appearance`); a grammar pair the grid lacks is refused
 before any search step.
 
-Relation scores come from tables, not from per-candidate math.  Every
-edge closed at a step has a table with one row per proposal of the part
-grounded first and one column per proposal of the part grounded second:
-the co-occurrence table gathers the edge's log matrix by the buckets'
-``types``, and the displacement table evaluates the edge's mixture
-log-density on the grid of ``xy`` offsets.  A row is computed the first
-time a search reads it.  The tables are the only thing cached per
+Relation scores come from tables, not from per-candidate math.  The
+expansion order grounds every part after all of its parents, so each edge
+closes at its child's step and its table has one row per proposal of the
+parent and one column per proposal of the child: the co-occurrence table
+gathers the edge's log matrix by the buckets' ``types``, and the
+displacement table evaluates the edge's mixture log-density on the grid
+of child-minus-parent ``xy`` offsets.  A row is computed the first time a
+search reads it.  The tables are the only thing cached per
 :class:`ProposalSet` (weakly, so a dropped set frees them), kept per
 relation model, so every objective and the oracle read the same numbers.
 
@@ -70,8 +70,6 @@ from .relations import AttributeAssociation, Edge, RelationModels, SyntacticTabl
 
 COMBINATION_GUARD = 10_000_000
 
-Objective = str | tuple[str, AttrId, str]
-
 
 @dataclass(frozen=True)
 class BeamConfig:
@@ -87,24 +85,23 @@ _BEAM_WIDTH = record(beam_width=count)
 
 
 def default_expansion_order(grammar: AOGrammar) -> tuple[NodeId, ...]:
-    """Root-first order placing each part after both of its parents.
+    """Root-first order placing each part after all of its parents.
 
-    Repeatedly picks the first node, in grammar listing order, whose
-    decomposition parent and dependency parent are already placed.  For
+    Repeatedly picks the first node, the root first and then in grammar
+    listing order, whose decomposition and dependency parents are all
+    placed.  So every edge's parent is grounded before its child.  For
     the default human grammar this grounds the torso right after the body
     levels and walks each limb outward.
     """
-    order: list[NodeId] = [grammar.root]
-    placed = {grammar.root}
-    pool = [p for p in grammar.part_ids if p != grammar.root]
+    parents: dict[NodeId, set[NodeId]] = {}
+    for parent, child in grammar.psg_edges + grammar.dg_edges:
+        parents.setdefault(child, set()).add(parent)
+    order: list[NodeId] = []
+    pool = [grammar.root] + [p for p in grammar.part_ids if p != grammar.root]
     while pool:
         for i, nid in enumerate(pool):
-            pp = grammar.psg_parent(nid)
-            dp = grammar.dg_parent(nid)
-            if (pp is None or pp in placed) and (dp is None or dp in placed):
-                order.append(nid)
-                placed.add(nid)
-                pool.pop(i)
+            if parents.get(nid, set()).issubset(order):
+                order.append(pool.pop(i))
                 break
         else:
             raise ValidationError(
@@ -114,20 +111,19 @@ def default_expansion_order(grammar: AOGrammar) -> tuple[NodeId, ...]:
 
 
 class _Table:
-    """Relation scores of one edge between the part grounded first and the
-    part grounded second: one row per proposal of the first, one column
-    per proposal of the second.  A row is computed the first time a search
-    reads it."""
+    """Relation scores of one edge: one row per proposal of its parent, one
+    column per proposal of its child.  A row is computed the first time a
+    search reads it."""
 
-    __slots__ = ("source", "edge", "log", "first", "second", "second_is_child", "values", "filled")
+    __slots__ = ("source", "edge", "log", "parent", "child", "values", "filled")
 
-    def __init__(self, source, edge: Edge, first: Bucket, second: Bucket):
+    def __init__(self, source, edge: Edge, parent: Bucket, child: Bucket):
         self.source = source
         self.edge = edge
         # Looked up now, so that a missing model entry fails before any search.
         if isinstance(source, SyntacticTable):
             self.log = source.log_matrix(edge)
-            for bucket in (first, second):
+            for bucket in (parent, child):
                 beyond = np.flatnonzero(bucket.types > source.part_type_count)
                 if beyond.size:
                     j = beyond[0]
@@ -138,14 +134,13 @@ class _Table:
         else:
             self.log = None
             source.mixture(edge)
-        self.first = first
-        self.second = second
-        self.second_is_child = second.part == edge[1]
-        self.values = np.empty((len(first.ids), len(second.ids)))
-        self.filled = np.zeros(len(first.ids), dtype=bool)
+        self.parent = parent
+        self.child = child
+        self.values = np.empty((len(parent.ids), len(child.ids)))
+        self.filled = np.zeros(len(parent.ids), dtype=bool)
 
     def rows(self, idx: np.ndarray) -> np.ndarray:
-        """The rows of the first part's proposals ``idx``, shape (len(idx), N)."""
+        """The rows of the parent's proposals ``idx``, shape (len(idx), N)."""
         todo = np.zeros_like(self.filled)
         todo[idx] = True
         todo = np.flatnonzero(todo & ~self.filled)
@@ -155,38 +150,32 @@ class _Table:
         return self.values[idx]
 
     def _compute(self, rows: np.ndarray) -> np.ndarray:
-        first, second = self.first, self.second
+        parent, child = self.parent, self.child
         if self.log is not None:
-            if self.second_is_child:
-                return self.log[np.ix_(first.types[rows] - 1, second.types - 1)]
-            return self.log[np.ix_(second.types - 1, first.types[rows] - 1)].T
-        offsets = second.xy[None, :, :] - first.xy[rows, None, :]
-        if not self.second_is_child:
-            offsets = -offsets
+            return self.log[np.ix_(parent.types[rows] - 1, child.types - 1)]
+        offsets = child.xy[None, :, :] - parent.xy[rows, None, :]
         with np.errstate(over="ignore", invalid="ignore"):
             values = self.source.log_density(self.edge, offsets.reshape(-1, 2))
-        values = values.reshape(len(rows), len(second.ids))
+        values = values.reshape(len(rows), len(child.ids))
         bad = np.argwhere(~np.isfinite(values))
         if bad.size:
             r, c = bad[0]
-            ids = (first.ids[rows[r]], second.ids[c])
-            parent, child = ids[::-1] if not self.second_is_child else ids
             raise ValidationError(
                 f"edge {self.edge[0]}->{self.edge[1]}: displacement score between proposals "
-                f"{parent!r} and {child!r} is {float(values[r, c])!r}, not finite"
+                f"{parent.ids[rows[r]]!r} and {child.ids[c]!r} is {float(values[r, c])!r}, not finite"
             )
         return values
 
 
-# The relation tables of each proposal set, by relation model, edge and
-# orientation; a dropped set frees its tables.
+# The relation tables of each proposal set, by relation model and edge; a
+# dropped set frees its tables.
 _TABLES: weakref.WeakKeyDictionary[ProposalSet, dict[tuple, _Table]] = weakref.WeakKeyDictionary()
 
 
 class _Step:
     """One expansion step: the part's bucket, its (K, N) appearance block,
     one row per objective, and the tables of the edges it closes, each with
-    the step position of the edge's other part."""
+    the step position of the edge's parent."""
 
     __slots__ = ("bucket", "app", "closings")
 
@@ -196,28 +185,18 @@ class _Step:
         self.closings: list[tuple[int, _Table]] = []
 
 
-def _assignment(grammar: AOGrammar, objective: Objective) -> dict[AttrId, str]:
-    """The attribute assignment ``objective`` imposes: empty when unconstrained."""
-    kind = objective if isinstance(objective, str) else objective[0]
-    if kind == "unconstrained":
-        return {}
-    if kind != "constrained":
-        raise ValidationError(f"unknown objective {objective!r}")
-    _, attr_id, value = objective
-    attr = grammar.attribute(attr_id)
-    if value not in attr.domain:
-        raise ValidationError(
-            f"value {value!r} not in domain of attribute {attr_id!r}: {attr.domain}"
-        )
-    return {attr_id: value}
-
-
-def _prepare(grammar, models, pset, objectives):
-    """Each objective's assignment, and per step of the default expansion
-    order the bucket, its appearance block (one row per objective) and the
-    tables of the edges it closes."""
+def _prepare(grammar, models, pset, assignments) -> list[_Step]:
+    """Per step of the default expansion order, the bucket, its appearance
+    block (one row per attribute assignment) and the tables of the edges
+    it closes."""
     order = default_expansion_order(grammar)
-    assignments = [_assignment(grammar, objective) for objective in objectives]
+    for assignment in assignments:
+        for attr_id, value in assignment.items():
+            domain = grammar.attribute(attr_id).domain
+            if value not in domain:
+                raise ValidationError(
+                    f"value {value!r} not in domain of attribute {attr_id!r}: {domain}"
+                )
     tables = _TABLES.setdefault(pset, {})
     buckets = [pset.buckets.get(part) for part in order]
     if None in buckets:
@@ -230,14 +209,11 @@ def _prepare(grammar, models, pset, objectives):
     closing = ((models.syntactic, grammar.psg_edges), (models.kinematic, grammar.dg_edges))
     for source, edges in closing:
         for edge in edges:
-            first, second = sorted((position[edge[0]], position[edge[1]]))
-            # The table holds ``source``, so its id stays unused by any other
-            # object while the key exists.
-            key = (id(source), tuple(edge), order[second])
-            if key not in tables:
-                tables[key] = _Table(source, tuple(edge), steps[first].bucket, steps[second].bucket)
-            steps[second].closings.append((first, tables[key]))
-    return assignments, steps
+            parent, child = position[edge[0]], position[edge[1]]
+            if (source, edge) not in tables:
+                tables[source, edge] = _Table(source, edge, steps[parent].bucket, steps[child].bucket)
+            steps[child].closings.append((parent, tables[source, edge]))
+    return steps
 
 
 def _extend(step: _Step, score: np.ndarray, idxs: np.ndarray) -> np.ndarray:
@@ -250,8 +226,8 @@ def _extend(step: _Step, score: np.ndarray, idxs: np.ndarray) -> np.ndarray:
     Table rows are gathered once for all K*B prefixes.
     """
     total = score[:, :, None] + step.app[:, None, :]
-    for first, table in step.closings:
-        total += table.rows(idxs[:, :, first].ravel()).reshape(total.shape)
+    for parent, table in step.closings:
+        total += table.rows(idxs[:, :, parent].ravel()).reshape(total.shape)
     if not np.isfinite(total).all():
         raise ValidationError(
             f"a partial parse score at part {step.bucket.part!r} is not finite: "
@@ -331,16 +307,15 @@ def _build_parse_graphs(steps, assignments, results) -> list[ParseGraph]:
             if (si, j) not in states:
                 states[si, j] = _state(steps[si], j)
             chosen[steps[si].bucket.part] = states[si, j]
-        graphs.append(
-            ParseGraph(states=chosen, attribute_assignment=dict(assignment), total_score=score)
-        )
+        graphs.append(ParseGraph(states=chosen, attribute_assignment=assignment, total_score=score))
     return graphs
 
 
-def _search(grammar, models, pset, objectives, cfg) -> list[ParseGraph]:
-    """One beam search for the best parse under each of ``objectives``,
-    stacked: steps, buckets and relation tables are shared."""
-    assignments, steps = _prepare(grammar, models, pset, objectives)
+def _search(grammar, models, pset, assignments, cfg) -> list[ParseGraph]:
+    """One beam search for the best parse under each of the attribute
+    ``assignments``, stacked: steps, buckets and relation tables are
+    shared."""
+    steps = _prepare(grammar, models, pset, assignments)
     results = _run_beam(steps, (cfg or BeamConfig()).beam_width)
     return _build_parse_graphs(steps, assignments, results)
 
@@ -354,7 +329,7 @@ def parse_constrained(
     cfg: BeamConfig | None = None,
 ) -> ParseGraph:
     """Best parse with ``attr`` fixed to ``value`` on every part."""
-    [pg] = _search(grammar, models, pset, [("constrained", attr, value)], cfg)
+    [pg] = _search(grammar, models, pset, [{attr: value}], cfg)
     return pg
 
 
@@ -365,7 +340,7 @@ def parse_unconstrained(
     cfg: BeamConfig | None = None,
 ) -> ParseGraph:
     """Best parse with every part free to pick its own attribute values."""
-    [pg] = _search(grammar, models, pset, ["unconstrained"], cfg)
+    [pg] = _search(grammar, models, pset, [{}], cfg)
     return pg
 
 
@@ -373,16 +348,17 @@ def brute_force_parse(
     grammar: AOGrammar,
     models: RelationModels,
     pset: ProposalSet,
-    objective: Objective,
+    assignment: Mapping[AttrId, str],
 ) -> ParseGraph:
-    """Exact argmax by exhaustive enumeration; the testing oracle.
+    """Exact argmax under the attribute ``assignment`` (``{}`` is
+    unconstrained) by exhaustive enumeration; the testing oracle.
 
     Refuses instances whose proposal lattice exceeds ``COMBINATION_GUARD``
     combinations.  Reads the beam's relation tables through the same sum,
     and breaks ties on the tuple of proposal ids as the beam does, so a
     beam covering the full lattice reproduces its result bit for bit.
     """
-    [assignment], steps = _prepare(grammar, models, pset, [objective])
+    steps = _prepare(grammar, models, pset, [assignment])
 
     total = 1
     for step in steps:
@@ -441,8 +417,8 @@ def select_final(
     go to the earliest pair in grammar order.
     """
     pairs = _pairs(grammar)
-    objectives = [("constrained", attr, value) for attr, value in pairs]
-    per_pair = dict(zip(pairs, _search(grammar, models, pset, objectives, cfg)))
+    assignments = [{attr: value} for attr, value in pairs]
+    per_pair = dict(zip(pairs, _search(grammar, models, pset, assignments, cfg)))
     return _select(per_pair), per_pair
 
 

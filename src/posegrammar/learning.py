@@ -28,12 +28,13 @@ from .grammar import (
     part_keypoints,
 )
 from .jsonio import read_json_lines, write_json_lines
-from .jsonio import argument, array, check_fields, flag, mapping, nonnegative, nullable, number, optional, record, text
+from .jsonio import argument, array, check_fields, count, flag, mapping, nonnegative, nullable, number, optional, record, text
 from .relations import (
     AttributeAssociation,
     Edge,
     KinematicMoG,
     Mixture,
+    RelationModels,
     SyntacticTable,
     _component_constants,
     _floor_covariances,
@@ -349,6 +350,7 @@ def fit_kinematic(
     An edge whose fit stops at ``max_iter`` rather than at ``EM_TOL`` is
     logged at INFO, with its last gain in mean log-likelihood.
     """
+    n_components = argument("n_components", n_components, count)
     seed = argument("seed", seed, nonnegative)
     mixtures: dict[Edge, Mixture] = {}
     traces: dict[Edge, list[float]] = {}
@@ -470,8 +472,7 @@ def learn_models(
     when given, else from labeling ``proposal_groups`` against their
     annotations, else every edge falls back to uniform.
     """
-    from .relations import RelationModels
-
+    n_components = argument("n_components", n_components, count)
     seed = argument("seed", seed, nonnegative)
     if not annotations:
         raise DegenerateDataError("learning needs at least one annotation")

@@ -149,6 +149,14 @@ def _sample_attributes(rng: np.random.Generator, attr_defs: Sequence[AttributeDe
     return {a.id: a.domain[int(rng.integers(0, len(a.domain)))] for a in attr_defs}
 
 
+def _pose_sigma(value) -> float:
+    """The joint jitter ``pose_sigma``: a number >= 0."""
+    sigma = argument("pose_sigma", value, number)
+    if sigma < 0.0:
+        raise ValidationError(f"pose_sigma must be >= 0, got {sigma}")
+    return sigma
+
+
 def _sample_person(
     rng: np.random.Generator,
     center: tuple[float, float],
@@ -173,6 +181,7 @@ def single_person_scene(
     attr_defs: Sequence[AttributeDef] | None = None,
 ) -> SyntheticScene:
     """One person near the canvas center, pose and attributes seeded."""
+    pose_sigma = _pose_sigma(pose_sigma)
     attr_defs = default_attributes() if attr_defs is None else tuple(attr_defs)
     rng = np.random.default_rng(argument("seed", seed, nonnegative))
     w, h = image_size
@@ -202,6 +211,8 @@ def two_person_scene(
     draw the same attributes, the distractor's first attribute moves to
     another value, so the two never agree on every attribute.
     """
+    pose_sigma = _pose_sigma(pose_sigma)
+    spacing = argument("spacing", spacing, number)
     attr_defs = default_attributes() if attr_defs is None else tuple(attr_defs)
     rng = np.random.default_rng(argument("seed", seed, nonnegative))
     w, h = image_size
@@ -240,9 +251,7 @@ def generate_family(
         raise ValidationError(
             f"unknown scene family {family!r}, expected one of {sorted(makers)}"
         ) from None
-    if n < 1:
-        raise ValidationError(f"scene count must be >= 1, got {n}")
-    return [maker(_child_seed(seed, i), **kwargs) for i in range(n)]
+    return [maker(_child_seed(seed, i), **kwargs) for i in range(argument("n", n, count))]
 
 
 def _child_seed(seed: int, index: int) -> int:

@@ -133,12 +133,12 @@ def test_criterion_01_beam_equals_exhaustive_search(criterion):
             width = _full_width(pset)
             if seed % 2 == 0:
                 value = "u" if seed % 4 == 0 else "v"
-                objective = ("constrained", "c1", value)
+                objective = {"c1": value}
                 beam = parse_constrained(
                     _TOY, models, pset, "c1", value, BeamConfig(beam_width=width)
                 )
             else:
-                objective = "unconstrained"
+                objective = {}
                 beam = parse_unconstrained(_TOY, models, pset, BeamConfig(beam_width=width))
             oracle = brute_force_parse(_TOY, models, pset, objective)
             assert beam.total_score == oracle.total_score

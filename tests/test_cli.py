@@ -318,6 +318,64 @@ class TestLearn:
         assert "error:" in capsys.readouterr().err
 
 
+    def _learn(self, pipeline, tmp_path, *extra):
+        argv = ["learn", "--annotations", pipeline["annotations"], "--grammar", pipeline["grammar"]]
+        argv += ["--components", "2", "--out", str(tmp_path / "m.json"), *extra]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return cli_dispatch(argv)
+
+    def test_zero_components_exits_one_naming_the_argument(self, pipeline, tmp_path, capsys):
+        assert self._learn(pipeline, tmp_path, "--components", "0") == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: n_components must be an integer >= 1, got 0"]
+        assert not (tmp_path / "m.json").exists()
+
+    @staticmethod
+    def _groups(pipeline) -> list[str]:
+        """One proposal group per annotation: a proposal at each part's
+        keypoint, boxed by the person box, with a type that varies by
+        part and person."""
+        lines = []
+        for i, line in enumerate(_read(pipeline["annotations"]).splitlines()):
+            ann = json.loads(line)
+            keypoints = part_keypoints({p: (x, y) for p, (x, y, _v) in ann["joints"].items()})
+            group = [
+                {"id": f"{i}.{part}", "part": part, "x": x, "y": y,
+                 "part_type": 1 + (i + k) % 9, "box": ann["person_box"]}
+                for k, (part, (x, y)) in enumerate(keypoints.items())
+            ]
+            lines.append(json.dumps(group))
+        return lines
+
+    def test_proposal_groups_give_fitted_type_tables(self, pipeline, tmp_path):
+        groups = tmp_path / "groups.jsonl"
+        groups.write_text("\n".join(self._groups(pipeline)) + "\n", encoding="utf-8")
+        assert self._learn(pipeline, tmp_path, "--proposals", str(groups)) == 0
+        syntactic = load_models(str(tmp_path / "m.json")).syntactic
+        grammar = build_default_human_grammar()
+        assert all(np.ptp(syntactic.log_matrix(edge)) > 0.0 for edge in grammar.psg_edges)
+        uniform = load_models(pipeline["models"]).syntactic
+        assert all(np.ptp(uniform.log_matrix(edge)) == 0.0 for edge in grammar.psg_edges)
+
+    def test_a_group_count_other_than_the_annotations_exits_one(self, pipeline, tmp_path, capsys):
+        lines = self._groups(pipeline)
+        groups = tmp_path / "groups.jsonl"
+        groups.write_text("\n".join(lines[:-1]) + "\n", encoding="utf-8")
+        assert self._learn(pipeline, tmp_path, "--proposals", str(groups)) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {len(lines) - 1} proposal groups for {len(lines)} annotations"]
+
+    def test_a_malformed_group_names_its_line(self, pipeline, tmp_path, capsys):
+        lines = self._groups(pipeline)
+        lines[1] = json.dumps([{"id": "p", "part": "head"}])
+        groups = tmp_path / "groups.jsonl"
+        groups.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert self._learn(pipeline, tmp_path, "--proposals", str(groups)) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {groups}:2: [0].x is missing"]
+
+
 class TestParse:
     def test_constrained_mode(self, pipeline, tmp_path):
         out = tmp_path / "parse.json"

@@ -161,6 +161,19 @@ class TestExpansionOrder:
         assert position["torso"] < position["head"]
         assert position["torso"] < position["l_shoulder"]
 
+    def test_a_part_waits_for_all_of_its_parents(self):
+        """``c`` is listed between its two dependency parents; it is placed
+        after both, so both of its edges close at its own step."""
+        g, _models, _pset = _two_parent_world(0)
+        assert default_expansion_order(g) == ("root", "a", "b", "c")
+
+    def test_parts_that_never_become_placeable(self):
+        g = _toy_grammar()
+        cyclic = AOGrammar(g.root, g.nodes, g.psg_edges, (("a", "b"), ("b", "a")), g.attributes, 2)
+        message = "cannot derive an expansion order: parts ['a', 'b'] never become placeable"
+        with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
+            default_expansion_order(cyclic)
+
     def test_beam_width_bound(self):
         with pytest.raises(ValidationError, match="^beam_width must be an integer >= 1, got 0$"):
             BeamConfig(beam_width=0)
@@ -178,7 +191,7 @@ class TestBeamMatchesBruteForce:
     def test_constrained_exact(self, seed):
         g, models, pset = _toy_world(seed, counts=(3, 4, 3))
         full = _lattice_size(pset)
-        oracle = brute_force_parse(g, models, pset, ("constrained", "c", "u"))
+        oracle = brute_force_parse(g, models, pset, {"c": "u"})
         beam = parse_constrained(g, models, pset, "c", "u", BeamConfig(beam_width=full))
         assert beam.total_score == oracle.total_score
         assert beam.states == oracle.states
@@ -188,7 +201,7 @@ class TestBeamMatchesBruteForce:
     def test_unconstrained_exact(self, seed):
         g, models, pset = _toy_world(seed + 100, counts=(4, 3, 4))
         full = _lattice_size(pset)
-        oracle = brute_force_parse(g, models, pset, "unconstrained")
+        oracle = brute_force_parse(g, models, pset, {})
         beam = parse_unconstrained(g, models, pset, BeamConfig(beam_width=full))
         assert beam.total_score == oracle.total_score
         assert beam.states == oracle.states
@@ -198,6 +211,24 @@ class TestBeamMatchesBruteForce:
         g, models, pset = _toy_world(1)
         pg = parse_constrained(g, models, pset, "c", "u")
         assert set(pg.states) == set(g.part_ids)
+
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_two_dependency_parents_exact(self, seed):
+        """A part with two dependency parents: the full-width beam equals the
+        oracle (same ids, bit-identical total) under both objective forms,
+        and the total agrees with an independent recomputation."""
+        g, models, pset = _two_parent_world(seed)
+        full = _lattice_size(pset, ("root", "a", "b", "c"))
+        for assignment in ({"c": "u"}, {}):
+            [beam] = _search(g, models, pset, [assignment], BeamConfig(beam_width=full))
+            oracle = brute_force_parse(g, models, pset, assignment)
+            assert _ids(beam) == _ids(oracle)
+            assert float.hex(beam.total_score) == float.hex(oracle.total_score)
+            assert beam.attribute_assignment == oracle.attribute_assignment == assignment
+            np.testing.assert_allclose(
+                recompute_score(beam, g, models, pset.scores), beam.total_score, rtol=0, atol=1e-9
+            )
 
 
 class TestBeamWidthMonotonicity:
@@ -212,7 +243,7 @@ class TestBeamWidthMonotonicity:
         ]
         for lo, hi in zip(scores, scores[1:]):
             assert hi >= lo
-        oracle = brute_force_parse(g, models, pset, ("constrained", "c", "v"))
+        oracle = brute_force_parse(g, models, pset, {"c": "v"})
         assert scores[-1] == oracle.total_score
 
 
@@ -256,11 +287,6 @@ class TestObjectives:
         with pytest.raises(ValidationError, match="not in domain"):
             parse_constrained(g, models, pset, "c", "w")
 
-    def test_unknown_objective_token(self):
-        g, models, pset = _toy_world(0)
-        with pytest.raises(ValidationError, match="unknown objective"):
-            brute_force_parse(g, models, pset, "freestyle")
-
     def test_empty_bucket_is_infeasible(self):
         g, models, pset = _toy_world(0)
         empty = ProposalSet.from_proposals(
@@ -285,7 +311,7 @@ class TestTieBreaking:
         pset2 = ProposalSet.from_proposals([*clones, *kept], ScoreTable(scores), part_type_count=2)
         pg = parse_constrained(g, models, pset2, "c", "u")
         assert pg.states["root"].proposal_ref == "rt0"
-        oracle = brute_force_parse(g, models, pset2, ("constrained", "c", "u"))
+        oracle = brute_force_parse(g, models, pset2, {"c": "u"})
         assert oracle.states["root"].proposal_ref == "rt0"
 
 
@@ -311,7 +337,7 @@ class TestTieBreaking:
             scores[pid] = {"c": {"u": app, "v": app}}
         pset = ProposalSet.from_proposals(props, ScoreTable(scores), part_type_count=2)
         beam = parse_constrained(g, models, pset, "c", "u", BeamConfig(beam_width=width))
-        oracle = brute_force_parse(g, models, pset, ("constrained", "c", "u"))
+        oracle = brute_force_parse(g, models, pset, {"c": "u"})
         assert _ids(beam) == _ids(oracle) == {"root": "r", "a": "a0", "b": "bz"}
         assert beam.total_score == oracle.total_score
 
@@ -330,7 +356,7 @@ class TestEnumerationGuard:
         pset = ProposalSet.from_proposals(proposals, ScoreTable(scores), part_type_count=2)
         g, models, _ = _toy_world(0)
         with pytest.raises(EnumerationLimitError, match="exceed the guard"):
-            brute_force_parse(g, models, pset, ("constrained", "c", "u"))
+            brute_force_parse(g, models, pset, {"c": "u"})
 
 
 def _partial_total(g, models, pset, assigned, attr=None, value=None):
@@ -359,9 +385,9 @@ class TestBeamTrace:
         search's own sum, scores what an independent per-edge recomputation
         gives, under a constrained and the unconstrained objective."""
         g, models, pset = _toy_world(11, counts=(3, 3, 3))
-        objectives = (("constrained", "c", "u"), "unconstrained")
+        objectives = ({"c": "u"}, {})
         constraints = (("c", "u"), (None, None))
-        _assignments, steps = _prepare(g, models, pset, objectives)
+        steps = _prepare(g, models, pset, objectives)
         score, idxs = steps[0].app, np.arange(steps[0].app.shape[1])[:, None]
         audited = 0
         for si, step in enumerate(steps):
@@ -407,7 +433,7 @@ class TestSelectFinal:
 
         monkeypatch.setattr(inference, "_search", counted)
         _best, per_pair = select_final(g, models, pset)
-        assert calls == [[("constrained", "c", "u"), ("constrained", "c", "v")]]
+        assert calls == [[{"c": "u"}, {"c": "v"}]]
         assert list(per_pair) == [("c", "u"), ("c", "v")]
 
     def test_grammar_without_attributes_rejected(self):
@@ -424,7 +450,7 @@ class TestSelectFinal:
         truth = scene.persons[0].attributes
         pset = synth_scores(scene, noise_sigma=0.0, rng_seed=4)
         pg = brute_force_parse(
-            grammar, quick_models, pset, ("constrained", "gender", truth["gender"])
+            grammar, quick_models, pset, {"gender": truth["gender"]}
         )
         for st in pg.states.values():
             assert st.proposal_ref.startswith("p0.")
@@ -568,10 +594,10 @@ class TestAppearanceBits:
         pset = ProposalSet.from_proposals(props, ScoreTable(scores), part_type_count=9)
 
         pairs = [(a.id, v) for a in grammar.attributes for v in a.domain]
-        objectives = ["unconstrained"] + [("constrained", a, v) for a, v in pairs]
-        assignments, steps = _prepare(grammar, quick_models, pset, objectives)
+        assignments = [{}] + [{a: v} for a, v in pairs]
+        steps = _prepare(grammar, quick_models, pset, assignments)
         for step in steps:
-            assert step.app.shape == (len(objectives), len(step.bucket.ids))
+            assert step.app.shape == (len(assignments), len(step.bucket.ids))
             for app, assignment in zip(step.app, assignments):
                 assert _bits(app) == _bits(_lookup_appearance(grammar, pset, step, assignment))
 
@@ -697,6 +723,52 @@ def _chain_world(seed, parts, flat=False, far=None):
     return g, models, ProposalSet.from_proposals(props, ScoreTable(scores), part_type_count=2)
 
 
+def _two_parent_world(seed, counts=(2, 3, 3, 3)):
+    """A four-part grammar (root over a, c, b) in which ``c``, listed
+    between them, has two dependency parents, ``a`` and ``b``; seeded
+    tables, mixtures, proposals and scores."""
+    rng = np.random.default_rng(seed)
+    nodes = (
+        GrammarNode("root", NodeKind.AND, "root", ("a", "c", "b")),
+        GrammarNode("a", NodeKind.TERMINAL, "a"),
+        GrammarNode("c", NodeKind.TERMINAL, "c"),
+        GrammarNode("b", NodeKind.TERMINAL, "b"),
+    )
+    g = AOGrammar(
+        root="root",
+        nodes=nodes,
+        psg_edges=(("root", "a"), ("root", "c"), ("root", "b")),
+        dg_edges=(("a", "c"), ("b", "c")),
+        attributes=_PROPERTY_ATTRIBUTE,
+        part_type_count=2,
+    )
+    syn = {}
+    for e in g.psg_edges:
+        m = rng.uniform(0.2, 1.0, size=(2, 2))
+        syn[e] = m / m.sum()
+    mixes = {
+        e: Mixture(
+            weights=np.array([0.6, 0.4]),
+            means=rng.normal(0.0, 8.0, size=(2, 2)),
+            covariances=np.stack([np.eye(2) * 4.0, np.eye(2) * 9.0]),
+        )
+        for e in g.dg_edges
+    }
+    models = RelationModels(
+        syntactic=SyntacticTable(syn, part_type_count=2),
+        kinematic=KinematicMoG(mixes),
+        association=AttributeAssociation({p: ("c",) for p in g.part_ids}, ("c",)),
+    )
+    scores, props = {}, []
+    for part, n in zip(("root", "a", "b", "c"), counts):
+        for i in range(n):
+            pid = f"{part}{i}"
+            x, y = rng.uniform(0.0, 30.0, size=2).tolist()
+            props.append(Proposal(pid, part, x, y, int(rng.integers(1, 3)), (0.0, 0.0, 5.0, 5.0)))
+            scores[pid] = {"c": {v: float(rng.normal(0.0, 1.5)) for v in ("u", "v")}}
+    return g, models, ProposalSet.from_proposals(props, ScoreTable(scores), part_type_count=2)
+
+
 def _objective_steps(steps, k):
     """The steps of a stacked search cut down to objective ``k`` alone."""
     out = []
@@ -761,7 +833,7 @@ class TestBeamProperties:
             # for the tie rule.
             parts[part] = data.draw(st.permutations([f"{part}{i}" for i in range(n)]))
         g, models, pset = _chain_world(seed, parts, flat, far)
-        objectives = [("constrained", "c", "u"), ("constrained", "c", "v"), "unconstrained"]
+        objectives = [{"c": "u"}, {"c": "v"}, {}]
         full = _lattice_size(pset, parts)
         width = data.draw(st.integers(1, full))
 
@@ -769,9 +841,10 @@ class TestBeamProperties:
             return tuple(pg.states[p].proposal_ref for p in parts), float.hex(pg.total_score)
 
         def public(objective, cfg):
-            if objective == "unconstrained":
+            if not objective:
                 return parse_unconstrained(g, models, pset, cfg)
-            return parse_constrained(g, models, pset, *objective[1:], cfg)
+            [(attr, value)] = objective.items()
+            return parse_constrained(g, models, pset, attr, value, cfg)
 
         def alone(k):
             cfg = BeamConfig(beam_width=k)
@@ -781,7 +854,7 @@ class TestBeamProperties:
             return [result(pg) for pg in _search(g, models, pset, objectives, BeamConfig(beam_width=k))]
 
         def plain():
-            _assignments, steps = _prepare(g, models, pset, objectives)
+            steps = _prepare(g, models, pset, objectives)
             out = []
             for k in range(len(objectives)):
                 score, ids, _idxs = _reference_beam(_objective_steps(steps, k), width)
@@ -815,7 +888,7 @@ class TestBeamProperties:
         scores = ScoreTable({pid: {"c": {"u": u, "v": v}} for pid, (u, v) in appearance.items()})
         pset = ProposalSet.from_proposals(proposals, scores, part_type_count=2)
         cfg = BeamConfig(beam_width=2)
-        objectives = [("constrained", "c", "u"), ("constrained", "c", "v")]
+        objectives = [{"c": "u"}, {"c": "v"}]
         stacked = [_ids(pg) for pg in _search(g, models, pset, objectives, cfg)]
         assert stacked == [
             {"root": "r2", "a": "a0", "b": "b1"},
@@ -828,24 +901,23 @@ class TestRelationTables:
     @pytest.mark.parametrize("seed", range(4))
     def test_lazy_rows_equal_full_table(self, seed):
         g, models, pset = _toy_world(seed + 500, counts=(4, 5, 6))
-        _assignments, steps = _prepare(g, models, pset, ["unconstrained"])
+        steps = _prepare(g, models, pset, [{}])
         rng = np.random.default_rng(seed)
         tables = [table for step in steps for _first, table in step.closings]
         assert len(tables) == 3
         for table in tables:
-            n = len(table.first.ids)
-            full = _Table(table.source, table.edge, table.first, table.second)
+            n = len(table.parent.ids)
+            full = _Table(table.source, table.edge, table.parent, table.child)
             whole = full.rows(np.arange(n))
-            lazy = _Table(table.source, table.edge, table.first, table.second)
+            lazy = _Table(table.source, table.edge, table.parent, table.child)
             for _ in range(3):
                 idx = rng.integers(0, n, size=int(rng.integers(1, n + 1)))
                 np.testing.assert_array_equal(lazy.rows(idx), whole[idx])
             np.testing.assert_array_equal(lazy.rows(np.arange(n)), whole)
             # Each entry against the model's own scalar score.
             parent, child = table.edge
-            for r, other in enumerate(pset.proposals_for(table.first.part)):
-                for c, cur in enumerate(pset.proposals_for(table.second.part)):
-                    p, ch = (other, cur) if table.second_is_child else (cur, other)
+            for r, p in enumerate(pset.proposals_for(table.parent.part)):
+                for c, ch in enumerate(pset.proposals_for(table.child.part)):
                     assert (p.part, ch.part) == (parent, child)
                     if isinstance(table.source, SyntacticTable):
                         expected = models.syntactic.score(table.edge, p.part_type, ch.part_type)
@@ -909,7 +981,37 @@ class TestNonFiniteRelations:
 
     def test_brute_force_parse(self, grammar, quick_models):
         with pytest.raises(ValidationError, match=self._MESSAGE):
-            brute_force_parse(grammar, quick_models, self._far_heads(), ("constrained", "gender", "male"))
+            brute_force_parse(grammar, quick_models, self._far_heads(), {"gender": "male"})
+
+
+class TestOverflow:
+    """Appearance scores of 1e308 on the first two parts sum past the float
+    range at the second; the search refuses the input instead of ranking
+    an infinite score."""
+
+    _MESSAGE = (
+        "a partial parse score at part 'a' is not finite: appearance and relation scores overflow"
+    )
+
+    @staticmethod
+    def _huge():
+        g, models, pset = _toy_world(43)
+
+        def huge(pid, per_attr):
+            if not pid.startswith("b"):
+                per_attr["c"] = {"u": 1e308, "v": 1e308}
+
+        return g, models, _rescored(pset, huge)
+
+    def test_parse_unconstrained(self):
+        g, models, pset = self._huge()
+        with pytest.raises(ValidationError, match="^" + re.escape(self._MESSAGE) + "$"):
+            parse_unconstrained(g, models, pset)
+
+    def test_brute_force_parse(self):
+        g, models, pset = self._huge()
+        with pytest.raises(ValidationError, match="^" + re.escape(self._MESSAGE) + "$"):
+            brute_force_parse(g, models, pset, {})
 
 
 class TestPartTypesBeyondModels:

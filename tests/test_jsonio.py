@@ -23,8 +23,9 @@ from hypothesis import strategies as st
 
 import posegrammar
 from posegrammar import cli
-from posegrammar.appearance import Proposal, ProposalSet, ScoreTable, load_proposals, save_proposals
+from posegrammar.appearance import Proposal, ProposalSet, ScoreTable, load_proposals, save_proposals, synth_scores
 from posegrammar.errors import PoseGrammarError, ValidationError
+from posegrammar.evaluation import annotation_from_person, default_sticks, make_training_pairs, strict_pcp
 from posegrammar.grammar import (
     ATOMIC_PARTS,
     ParseGraph,
@@ -35,7 +36,7 @@ from posegrammar.grammar import (
     save_parse_graph,
 )
 from posegrammar.jsonio import FieldError, number, number_column, read_json, read_json_lines, write_json, write_json_lines
-from posegrammar.learning import Annotation, load_annotations, save_annotations
+from posegrammar.learning import Annotation, fit_kinematic, learn_models, load_annotations, save_annotations
 from posegrammar.relations import (
     AttributeAssociation,
     KinematicMoG,
@@ -45,7 +46,7 @@ from posegrammar.relations import (
     save_models,
     uniform_syntactic_table,
 )
-from posegrammar.synthetic import load_scene, single_person_scene
+from posegrammar.synthetic import generate_family, load_scene, single_person_scene, two_person_scene
 
 _PROPOSAL = {"id": "p1", "part": "head", "x": 0.0, "y": 0.0, "part_type": 1, "box": [0, 0, 5, 5]}
 _ANNOTATION = {"joints": {p: [1.0, 2.0, True] for p in ATOMIC_PARTS}, "person_box": [0, 0, 10, 10]}
@@ -447,3 +448,71 @@ def test_the_column_number_rule_is_the_number_rule_at_each_index(values, as_tupl
             return
     column = number_column(tuple(values) if as_tuple else values)
     assert column.dtype == float and [float.hex(v) for v in column.tolist()] == [float.hex(v) for v in expected]
+
+
+_NAN = float("nan")
+
+
+def _pcp(threshold):
+    grammar = build_default_human_grammar()
+    truth = annotation_from_person(single_person_scene(1).persons[0])
+    return strict_pcp(ParseGraph({}, {}, 0.0), truth, default_sticks(grammar), threshold=threshold)
+
+
+def _synth(**kwargs):
+    return synth_scores(single_person_scene(1), kwargs.pop("noise_sigma", 0.1), 0, **kwargs)
+
+
+def _learn(n_components):
+    grammar = build_default_human_grammar()
+    annotations, types = make_training_pairs(4, seed=1, grammar=grammar)
+    return learn_models(annotations, grammar, type_samples=types, n_components=n_components)
+
+
+_SAMPLES = {("a", "b"): [[0.0, 0.0], [1.0, 2.0], [3.0, 1.0]]}
+
+# Library arguments that follow the count rule, each called with ``value``.
+COUNT_ARGUMENTS = {
+    "generate_family": ("n", lambda value: generate_family("single", value, 0)),
+    "make_training_pairs": ("n", lambda value: make_training_pairs(value, 0, build_default_human_grammar())),
+    "synth_scores": ("part_type_count", lambda value: _synth(part_type_count=value)),
+    "fit_kinematic": ("n_components", lambda value: fit_kinematic(_SAMPLES, n_components=value)),
+    "learn_models": ("n_components", _learn),
+}
+
+
+@pytest.mark.parametrize("value, shown", [(0, "0"), (2.5, "2.5"), (True, "True")])
+@pytest.mark.parametrize("function", COUNT_ARGUMENTS)
+def test_a_count_argument_is_refused_naming_it(function, value, shown):
+    name, call = COUNT_ARGUMENTS[function]
+    message = f"{name} must be an integer >= 1, got {shown}"
+    with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
+        call(value)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: _pcp(_NAN), "threshold must be a finite number, got nan"),
+        (lambda: _pcp(math.inf), "threshold must be a finite number, got inf"),
+        (lambda: _pcp("0.5"), "threshold must be a finite number, got '0.5'"),
+        (lambda: _synth(noise_sigma="1"), "noise_sigma must be a finite number, got '1'"),
+        (lambda: _synth(noise_sigma=_NAN), "noise_sigma must be a finite number, got nan"),
+        (lambda: _synth(margin=_NAN), "margin must be a finite number, got nan"),
+        (lambda: _synth(target_bonus=_NAN), "target_bonus must be a finite number, got nan"),
+        (lambda: _synth(distractor_coherence="0.5"), "distractor_coherence must be a finite number, got '0.5'"),
+        (lambda: single_person_scene(0, pose_sigma=-1.0), "pose_sigma must be >= 0, got -1.0"),
+        (lambda: single_person_scene(0, pose_sigma=_NAN), "pose_sigma must be a finite number, got nan"),
+        (lambda: two_person_scene(0, pose_sigma=_NAN), "pose_sigma must be a finite number, got nan"),
+        (lambda: two_person_scene(0, spacing=_NAN), "spacing must be a finite number, got nan"),
+    ],
+    ids=[
+        "threshold-nan", "threshold-inf", "threshold-str", "noise-str", "noise-nan", "margin-nan",
+        "bonus-nan", "coherence-str", "pose-negative", "pose-nan", "two-person-pose-nan", "spacing-nan",
+    ],
+)
+def test_a_real_argument_is_refused_naming_it(call, message):
+    """Library arguments that follow the number rule name themselves when
+    refused, before any sign rule and before any value is drawn."""
+    with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
+        call()

@@ -128,7 +128,7 @@ class TestGenerators:
             generate_family("crowd", 2, seed=0)
 
     def test_bad_count(self):
-        with pytest.raises(ValidationError, match="count must be >= 1"):
+        with pytest.raises(ValidationError, match="^n must be an integer >= 1, got 0$"):
             generate_family("single", 0, seed=0)
 
     @pytest.mark.parametrize(
