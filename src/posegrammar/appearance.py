@@ -62,7 +62,11 @@ class Proposal:
     box: tuple[float, float, float, float]
 
     def __post_init__(self) -> None:
-        check_fields(self, _checked_proposal)
+        check_fields(self, _PROPOSAL)
+        if self.box[2] <= 0.0 or self.box[3] <= 0.0:
+            raise ValidationError(
+                f"proposal {self.id!r}: box width and height must be positive, got {self.box!r}"
+            )
 
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "Proposal":
@@ -72,17 +76,6 @@ class Proposal:
 
 _PROPOSAL = record(id=text, part=text, x=number, y=number, part_type=count, box=array(number, 4))
 _PROPOSAL_FIELDS = itemgetter("id", "part", "x", "y", "part_type", "box")
-
-
-def _checked_proposal(fields: Mapping) -> dict:
-    """A proposal's fields checked by the spec, its box of positive size."""
-    checked = _PROPOSAL(fields)
-    box = checked["box"]
-    if box[2] <= 0.0 or box[3] <= 0.0:
-        raise ValidationError(
-            f"proposal {checked['id']!r}: box width and height must be positive, got {box!r}"
-        )
-    return checked
 
 
 _SCORES = mapping(mapping(number))
@@ -329,7 +322,7 @@ def load_proposals(path: str, *, part_type_count: int = DEFAULT_PART_TYPE_COUNT)
     if columns is None:
         for lineno, doc in zip(linenos, docs):
             try:
-                _checked_proposal(_PROPOSAL.present(doc))
+                Proposal.from_json_dict(doc)
             except ValidationError as exc:
                 raise ValidationError(f"{path}:{lineno}: {exc}") from exc
     ids, parts, xy, types, boxes = columns

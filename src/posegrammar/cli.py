@@ -291,9 +291,6 @@ def _cmd_diag(opts: dict) -> int:
         beam=BeamConfig(beam_width=opts["beam"]),
         noise_sigma=opts["noise_sigma"],
         seed=opts["seed"],
-        synth_margin=opts["margin"],
-        synth_bonus=opts["bonus"],
-        synth_coherence=opts["coherence"],
     )
     report = evaluation.run_diagnostic(scenes, cfg, modes)
     write_json(opts["report"], report)
@@ -382,9 +379,6 @@ _COMMANDS = {
             "beam": 100,
             "noise_sigma": 0.9,
             "seed": 0,
-            "margin": 2.5,
-            "bonus": 0.15,
-            "coherence": 0.0,
             "report": None,
         },
         "joint-vs-ablation diagnostic over a scene directory",

@@ -216,9 +216,8 @@ def make_training_pairs(
     n = argument("n", n, count)
     annotations = []
     type_samples = []
-    attr_defs = tuple(grammar.attributes)
     for i in range(n):
-        scene = single_person_scene(_child_seed(seed, i), attr_defs=attr_defs)
+        scene = single_person_scene(_child_seed(seed, i), attr_defs=grammar.attributes)
         rng = np.random.default_rng([seed, i, 1])
         annotations.append(annotation_from_person(scene.persons[0], rng, occlude=True))
         type_samples.append(
@@ -278,9 +277,6 @@ class DiagnosticConfig:
     beam: BeamConfig = field(default_factory=BeamConfig)
     noise_sigma: float = 0.9
     seed: int = 0
-    synth_margin: float = 2.5
-    synth_bonus: float = 0.15
-    synth_coherence: float = 0.0
 
 
 def run_diagnostic(
@@ -331,9 +327,6 @@ def run_diagnostic(
             cfg.noise_sigma,
             _child_seed(cfg.seed, i),
             attr_defs=attr_defs,
-            margin=cfg.synth_margin,
-            target_bonus=cfg.synth_bonus,
-            distractor_coherence=cfg.synth_coherence,
             part_type_count=grammar.part_type_count,
         )
         truth = annotation_from_person(scene.persons[0])
@@ -375,7 +368,7 @@ def run_diagnostic(
         hits, evaluated = stick_hits[mode]
         report["modes"][mode] = {
             "pcp": (hits / evaluated) if evaluated else None,
-            "attribute_accuracy": sum(correct[mode].values()) / (len(scenes) * len(attr_defs)),
+            "attribute_accuracy": sum(correct[mode].values()) / (len(scenes) * len(attr_defs)) if attr_defs else None,
             "mean_ap": sum(aps) / len(aps) if aps else None,
             "per_attribute_accuracy": {a: h / len(scenes) for a, h in sorted(correct[mode].items())},
         }

@@ -30,8 +30,8 @@ from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
 from .errors import MissingEntryError, ValidationError
-from .jsonio import SCHEMA_VERSION, FieldError, read_json, schema_version, write_json
-from .jsonio import array, check_fields, count, mapping, number, optional, record, text
+from .jsonio import SCHEMA_VERSION, FieldError, read_json, schema_version, versioned, write_json
+from .jsonio import array, check_fields, count, instance, mapping, number, optional, record, text
 
 NodeId = str
 AttrId = str
@@ -84,6 +84,17 @@ PART_MEMBERS: dict[NodeId, tuple[NodeId, ...]] = {
     LOWER_BODY: LOWER_BODY_MEMBERS,
     FULL_BODY: ATOMIC_PARTS,
 }
+
+
+def require_atomic_joints(joints: Mapping[NodeId, object], what: str) -> None:
+    """Refuse ``joints`` unless keyed by exactly the 14 atomic parts;
+    ``what`` names the record in the error."""
+    missing = [p for p in ATOMIC_PARTS if p not in joints]
+    if missing:
+        raise ValidationError(f"{what} misses joints {missing}")
+    extra = sorted(set(joints) - set(ATOMIC_PARTS))
+    if extra:
+        raise ValidationError(f"{what} has unknown joints {extra}")
 
 
 def part_keypoints(
@@ -145,8 +156,7 @@ class GrammarNode:
     children: tuple[NodeId, ...] = ()
 
     def __post_init__(self) -> None:
-        if not self.id:
-            raise ValidationError("grammar node id must be non-empty")
+        check_fields(self, _GRAMMAR_NODE_FIELDS)
         try:
             kind = NodeKind(self.kind)
         except ValueError:
@@ -155,7 +165,10 @@ class GrammarNode:
                 f"grammar node {self.id!r}: kind {self.kind!r} is not one of {allowed}"
             ) from None
         object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "children", tuple(self.children))
+
+    @classmethod
+    def from_json_dict(cls, doc: Mapping) -> "GrammarNode":
+        return cls(**_named_by_id(_GRAMMAR_NODE_FIELDS, doc))
 
     @property
     def is_terminal(self) -> bool:
@@ -171,16 +184,29 @@ class AttributeDef:
     domain: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        if not self.id:
-            raise ValidationError("attribute id must be non-empty")
-        domain = tuple(self.domain)
-        if len(domain) < 2:
+        check_fields(self, _ATTRIBUTE_FIELDS)
+        if len(self.domain) < 2:
             raise ValidationError(
-                f"attribute {self.id!r}: domain needs at least two values, got {domain!r}"
+                f"attribute {self.id!r}: domain needs at least two values, got {self.domain!r}"
             )
-        if len(set(domain)) != len(domain):
-            raise ValidationError(f"attribute {self.id!r}: duplicate domain values in {domain!r}")
-        object.__setattr__(self, "domain", domain)
+        if len(set(self.domain)) != len(self.domain):
+            raise ValidationError(f"attribute {self.id!r}: duplicate domain values in {self.domain!r}")
+
+    @classmethod
+    def from_json_dict(cls, doc: Mapping) -> "AttributeDef":
+        return cls(**_named_by_id(_ATTRIBUTE_FIELDS, doc))
+
+
+_GRAMMAR_NODE_FIELDS = record(id=text, kind=text, name=optional(text, None), children=optional(array(text), ()))
+_ATTRIBUTE_FIELDS = record(id=text, name=optional(text, None), domain=array(text))
+
+
+def _named_by_id(spec: record, doc) -> dict:
+    """``spec.present(doc)``, the ``name`` defaulting to the ``id``."""
+    fields = spec.present(doc)
+    if "name" not in doc:
+        fields["name"] = fields["id"]
+    return fields
 
 
 class AOGrammar:
@@ -269,29 +295,16 @@ class AOGrammar:
         return {
             "schema_version": SCHEMA_VERSION,
             "root": self.root,
-            "nodes": [
-                {
-                    "id": n.id,
-                    "kind": n.kind.value,
-                    "name": n.name,
-                    "children": list(n.children),
-                }
-                for n in self.nodes
-            ],
+            "nodes": [{**vars(n), "kind": n.kind.value, "children": list(n.children)} for n in self.nodes],
             "psg_edges": [list(e) for e in self.psg_edges],
             "dg_edges": [list(e) for e in self.dg_edges],
-            "attributes": [
-                {"id": a.id, "name": a.name, "domain": list(a.domain)} for a in self.attributes
-            ],
+            "attributes": [{**vars(a), "domain": list(a.domain)} for a in self.attributes],
             "part_type_count": self.part_type_count,
         }
 
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "AOGrammar":
-        d = _GRAMMAR(doc)
-        nodes = [GrammarNode(n["id"], n["kind"], n["name"] or n["id"], n["children"]) for n in d["nodes"]]
-        attributes = [AttributeDef(a["id"], a["name"] or a["id"], a["domain"]) for a in d["attributes"]]
-        return cls(d["root"], nodes, d["psg_edges"], d["dg_edges"], attributes, d["part_type_count"])
+        return cls(**_GRAMMAR(versioned(doc)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AOGrammar):
@@ -308,14 +321,11 @@ class AOGrammar:
 
 _EDGES = optional(array(array(text, 2)), ())
 _GRAMMAR = record(
-    schema_version=schema_version,
     root=text,
-    nodes=array(
-        record(id=text, kind=text, name=optional(text, None), children=optional(array(text), ()))
-    ),
+    nodes=array(GrammarNode.from_json_dict),
     psg_edges=_EDGES,
     dg_edges=_EDGES,
-    attributes=optional(array(record(id=text, name=optional(text, None), domain=array(text))), ()),
+    attributes=optional(array(AttributeDef.from_json_dict), ()),
     part_type_count=optional(count, DEFAULT_PART_TYPE_COUNT),
 )
 
@@ -404,25 +414,29 @@ class ValidationReport:
         return self.ok
 
 
-def _find_cycle(edges: Iterable[tuple[NodeId, NodeId]]) -> bool:
-    adjacency: dict[NodeId, list[NodeId]] = {}
-    for p, c in edges:
-        adjacency.setdefault(p, []).append(c)
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color: dict[NodeId, int] = {}
+def parents_first(
+    nodes: Iterable[NodeId], edges: Iterable[tuple[NodeId, NodeId]]
+) -> tuple[list[NodeId], list[NodeId]]:
+    """``nodes`` placed one by one, each time the first in ``nodes`` order
+    whose parents under the (parent, child) ``edges`` are all placed; and the
+    nodes never placeable, on or below a cycle or a parent not in ``nodes``."""
+    parents: dict[NodeId, set[NodeId]] = {}
+    for parent, child in edges:
+        parents.setdefault(child, set()).add(parent)
+    order: list[NodeId] = []
+    pool = list(nodes)
+    while pool:
+        for i, nid in enumerate(pool):
+            if parents.get(nid, set()).issubset(order):
+                order.append(pool.pop(i))
+                break
+        else:
+            break
+    return order, pool
 
-    def visit(u: NodeId) -> bool:
-        color[u] = GRAY
-        for v in adjacency.get(u, ()):
-            state = color.get(v, WHITE)
-            if state == GRAY:
-                return True
-            if state == WHITE and visit(v):
-                return True
-        color[u] = BLACK
-        return False
 
-    return any(color.get(u, WHITE) == WHITE and visit(u) for u in list(adjacency))
+def _cyclic(edges: Sequence[tuple[NodeId, NodeId]]) -> bool:
+    return bool(parents_first(dict.fromkeys(n for edge in edges for n in edge), edges)[1])
 
 
 def validate(grammar: AOGrammar) -> ValidationReport:
@@ -473,7 +487,7 @@ def validate(grammar: AOGrammar) -> ValidationReport:
     for edge in sorted(child_set - psg_set):
         report.add(f"children list pair {edge} missing from psg_edges")
 
-    if _find_cycle(grammar.psg_edges):
+    if _cyclic(grammar.psg_edges):
         report.add("psg edges contain a cycle")
     else:
         # With acyclic edges, check single-parenthood and root reachability.
@@ -500,7 +514,7 @@ def validate(grammar: AOGrammar) -> ValidationReport:
         for end in (p, c):
             if end in known and end not in terminals:
                 report.add(f"dg edge ({p!r}, {c!r}) touches non-terminal node {end!r}")
-    if _find_cycle(grammar.dg_edges):
+    if _cyclic(grammar.dg_edges):
         report.add("dg edges contain a cycle")
     else:
         for child, parents in grammar._dg_parents.items():
@@ -529,14 +543,10 @@ class PartState:
     proposal_ref: str
 
     def __post_init__(self) -> None:
-        if self.part_type < 1:
-            raise ValidationError(
-                f"part {self.part!r}: part_type must be >= 1, got {self.part_type}"
-            )
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValidationError(
-                f"part {self.part!r}: coordinates must be finite, got ({self.x!r}, {self.y!r})"
-            )
+        check_fields(self, _PART_STATE_FIELDS)
+
+
+_PART_STATE_FIELDS = record(part=text, x=number, y=number, part_type=count, proposal_ref=text)
 
 
 @dataclass(frozen=True)
@@ -553,12 +563,10 @@ class ParseGraph:
     total_score: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "states", dict(self.states))
-        object.__setattr__(self, "attribute_assignment", dict(self.attribute_assignment))
+        check_fields(self, _PARSE_GRAPH_FIELDS)
         for part, st in self.states.items():
             if part != st.part:
                 raise ValidationError(f"state keyed {part!r} describes part {st.part!r}")
-        check_fields(self, _TOTAL_SCORE)
 
     def to_json_dict(self, grammar: AOGrammar) -> dict:
         order = [p for p in grammar.part_ids if p in self.states]
@@ -581,13 +589,15 @@ class ParseGraph:
 
     @classmethod
     def from_json_dict(cls, doc: Mapping, grammar: AOGrammar) -> "ParseGraph":
-        d = _PARSE_GRAPH(doc)
+        d = _PARSE_DOC(doc)
         states = [PartState(s["part"], s["x"], s["y"], s["part_type"], s["proposal"]) for s in d["states"]]
         return cls({s.part: s for s in states}, d["attributes"], d["total_score"])
 
 
-_TOTAL_SCORE = record(total_score=number)
-_PARSE_GRAPH = record(
+_PARSE_GRAPH_FIELDS = record(states=mapping(instance(PartState)), attribute_assignment=mapping(text), total_score=number)
+# A parse file lists its states, names their proposal_ref ``proposal`` and
+# the assignment ``attributes``.
+_PARSE_DOC = record(
     schema_version=schema_version,
     states=array(record(part=text, x=number, y=number, part_type=count, proposal=text)),
     attributes=optional(mapping(text), {}),

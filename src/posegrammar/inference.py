@@ -64,7 +64,7 @@ from .errors import (
     InfeasibleParseError,
     ValidationError,
 )
-from .grammar import AOGrammar, AttrId, NodeId, ParseGraph, PartState
+from .grammar import AOGrammar, AttrId, NodeId, ParseGraph, PartState, parents_first
 from .jsonio import check_fields, count, record
 from .relations import AttributeAssociation, Edge, RelationModels, SyntacticTable
 
@@ -85,28 +85,18 @@ _BEAM_WIDTH = record(beam_width=count)
 
 
 def default_expansion_order(grammar: AOGrammar) -> tuple[NodeId, ...]:
-    """Root-first order placing each part after all of its parents.
-
-    Repeatedly picks the first node, the root first and then in grammar
-    listing order, whose decomposition and dependency parents are all
-    placed.  So every edge's parent is grounded before its child.  For
-    the default human grammar this grounds the torso right after the body
-    levels and walks each limb outward.
+    """Root-first order placing each part after all of its decomposition
+    and dependency parents (:func:`parents_first` over the root, then the
+    grammar's listing), so every edge's parent is grounded before its
+    child.  For the default human grammar this grounds the torso right
+    after the body levels and walks each limb outward.
     """
-    parents: dict[NodeId, set[NodeId]] = {}
-    for parent, child in grammar.psg_edges + grammar.dg_edges:
-        parents.setdefault(child, set()).add(parent)
-    order: list[NodeId] = []
     pool = [grammar.root] + [p for p in grammar.part_ids if p != grammar.root]
-    while pool:
-        for i, nid in enumerate(pool):
-            if parents.get(nid, set()).issubset(order):
-                order.append(pool.pop(i))
-                break
-        else:
-            raise ValidationError(
-                f"cannot derive an expansion order: parts {pool} never become placeable"
-            )
+    order, stuck = parents_first(pool, grammar.psg_edges + grammar.dg_edges)
+    if stuck:
+        raise ValidationError(
+            f"cannot derive an expansion order: parts {stuck} never become placeable"
+        )
     return tuple(order)
 
 
@@ -223,7 +213,8 @@ def _extend(step: _Step, score: np.ndarray, idxs: np.ndarray) -> np.ndarray:
 
     The appearance term is added first, then each closing table's row in
     plan order; the beam and the oracle (at K=1) both use this one sum.
-    Table rows are gathered once for all K*B prefixes.
+    Table rows are gathered once for all K*B prefixes.  A sum that
+    overflows is refused here; the searches silence numpy's warning.
     """
     total = score[:, :, None] + step.app[:, None, :]
     for parent, table in step.closings:
@@ -316,7 +307,8 @@ def _search(grammar, models, pset, assignments, cfg) -> list[ParseGraph]:
     ``assignments``, stacked: steps, buckets and relation tables are
     shared."""
     steps = _prepare(grammar, models, pset, assignments)
-    results = _run_beam(steps, (cfg or BeamConfig()).beam_width)
+    with np.errstate(over="ignore"):
+        results = _run_beam(steps, (cfg or BeamConfig()).beam_width)
     return _build_parse_graphs(steps, assignments, results)
 
 
@@ -385,7 +377,8 @@ def brute_force_parse(
             descend(si + 1, row, [idkey + (i,) for i in ids], [ix + (j,) for j in range(len(ids))])
 
     ids = steps[0].bucket.ids
-    descend(1, steps[0].app[0].tolist(), [(i,) for i in ids], [(j,) for j in range(len(ids))])
+    with np.errstate(over="ignore"):
+        descend(1, steps[0].app[0].tolist(), [(i,) for i in ids], [(j,) for j in range(len(ids))])
     _key, score, idxs = best[0]
     [pg] = _build_parse_graphs(steps, [assignment], [(score, idxs)])
     return pg

@@ -1,15 +1,21 @@
 """The JSON file contract behind every file the package reads or writes.
 
-Each reader declares its document once as a field spec, the one place a
-document value is checked and given its Python type.  A spec is a
-callable from a decoded JSON value to the checked value: :func:`text` (a
-non-empty string), :func:`number` (the number rule), ``integer``,
-``count`` (an integer >= 1), ``nonnegative`` (an integer >= 0, the rule
-for seeds), :func:`flag`, :func:`nullable`, :func:`array`,
-:func:`mapping` (an object whose keys are data) and :class:`record` (an
+Every record type declares its constructor fields once as a
+:class:`record` spec, the one place a field is checked and given its
+Python type: the constructor checks its fields by it (:func:`check_fields`)
+and the reader builds the type from a document's fields unchecked
+(``record.present``), so a file and a library caller meet the same rules.
+A spec is a callable from a decoded JSON value to the checked value:
+:func:`text` (a non-empty string), :func:`number` (the number rule),
+``integer``, ``count`` (an integer >= 1), ``nonnegative`` (an integer >= 0,
+the rule for seeds), :func:`flag`, :func:`nullable`, :func:`array`,
+:func:`mapping` (an object whose keys are data), :func:`instance` (a
+nested record, or a document read into one) and :class:`record` (an
 object of named fields, :func:`optional` ones with a default; other keys
-are ignored).  A refusal is a :class:`FieldError` naming the field path,
-e.g. ``nodes[3].id``.  :func:`number_column` is the number rule over a
+are ignored).  :func:`versioned` checks a document's ``schema_version``.
+A document whose shape differs from its type's keeps a spec of its own.
+A refusal is a :class:`FieldError` naming the field path, e.g.
+``nodes[3].id``.  :func:`number_column` is the number rule over a
 whole column at once, for readers of large files.  Readers refuse the
 ``NaN``, ``Infinity`` and ``-Infinity`` tokens and prefix every error
 with ``path``, or ``path:line`` for JSON-lines files.  Writers sort keys, refuse
@@ -143,12 +149,18 @@ def nullable(spec: Callable) -> Callable:
 def array(item, length: int | None = None) -> Callable:
     """A JSON array of ``item``s, of ``length`` entries when given, or with
     one entry per spec of a tuple ``item``; read as a tuple."""
-    specs, length = (item, len(item)) if isinstance(item, tuple) else (repeat(item), length)
+    per_entry = isinstance(item, tuple)
+    specs, length = (item, len(item)) if per_entry else (repeat(item), length)
     want = "a JSON array" + ("" if length is None else f" of length {length}")
 
     def check(value) -> tuple:
         if not isinstance(value, (list, tuple)) or length not in (None, len(value)):
             raise _refused(want, value)
+        if not per_entry:
+            try:
+                return tuple(map(item, value))
+            except FieldError:
+                pass  # refused again below, naming the entry's index
         out = []
         try:
             for i, (spec, entry) in enumerate(zip(specs, value)):
@@ -221,6 +233,20 @@ def check_fields(obj, spec: record) -> None:
     vars(obj).update(spec(vars(obj)))
 
 
+def instance(cls: type, read: Callable | None = None) -> Callable:
+    """An instance of ``cls``, kept as it is; with ``read``, any other value
+    is read into one by it, e.g. a JSON object by ``cls.from_json_dict``."""
+
+    def check(value):
+        if isinstance(value, cls):
+            return value
+        if read is None:
+            raise _refused(f"a {cls.__name__}", value)
+        return read(value)
+
+    return check
+
+
 def _version(value) -> int:
     if type(value) is int and value == SCHEMA_VERSION:
         return value
@@ -228,6 +254,14 @@ def _version(value) -> int:
 
 
 schema_version = optional(_version, SCHEMA_VERSION)
+_VERSIONED = record(schema_version=schema_version)
+
+
+def versioned(doc):
+    """``doc``, once it is a JSON object whose ``schema_version``, if any, is
+    the current one."""
+    _VERSIONED(doc)
+    return doc
 
 
 def parse_constant(token: str):

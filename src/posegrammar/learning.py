@@ -26,9 +26,11 @@ from .grammar import (
     AttrId,
     NodeId,
     part_keypoints,
+    require_atomic_joints,
 )
 from .jsonio import read_json_lines, write_json_lines
-from .jsonio import argument, array, check_fields, count, flag, mapping, nonnegative, nullable, number, optional, record, text
+from .jsonio import argument, array, check_fields, count, flag, instance, mapping, nonnegative, nullable, number, optional
+from .jsonio import record, text
 from .relations import (
     AttributeAssociation,
     Edge,
@@ -65,15 +67,23 @@ class JointObs:
     y: float
     visible: bool = True
 
+    def __post_init__(self) -> None:
+        check_fields(self, _JOINT_FIELDS)
+
+
+_JOINT_FIELDS = record(x=number, y=number, visible=flag)
+# An annotation file writes a joint as [x, y, visible].
+_JOINT_DOC = array((number, number, flag))
 
 
 @dataclass(frozen=True)
 class Annotation:
     """Ground truth for one person: 14 joints, person box, attribute values.
 
-    ``attributes`` maps attribute ids to a value label, or ``None`` when
-    the value could not be determined for this person (for example the
-    relevant body region is not visible).
+    A joint is a :class:`JointObs`, or ``[x, y, visible]`` as an annotation
+    file writes it.  ``attributes`` maps attribute ids to a value label, or
+    ``None`` when the value could not be determined for this person (for
+    example the relevant body region is not visible).
     """
 
     joints: Mapping[NodeId, JointObs]
@@ -81,43 +91,27 @@ class Annotation:
     attributes: Mapping[AttrId, str | None]
 
     def __post_init__(self) -> None:
-        joints = dict(self.joints)
-        missing = [p for p in ATOMIC_PARTS if p not in joints]
-        if missing:
-            raise ValidationError(f"annotation misses joints {missing}")
-        extra = sorted(set(joints) - set(ATOMIC_PARTS))
-        if extra:
-            raise ValidationError(f"annotation has unknown joints {extra}")
-        for part, j in joints.items():
-            if not (math.isfinite(j.x) and math.isfinite(j.y)):
-                raise ValidationError(
-                    f"joint {part!r}: coordinates must be finite, got ({j.x!r}, {j.y!r})"
-                )
-        if not any(j.visible for j in joints.values()):
+        check_fields(self, _ANNOTATION_FIELDS)
+        require_atomic_joints(self.joints, "annotation")
+        if not any(j.visible for j in self.joints.values()):
             raise ValidationError("annotation needs at least one visible joint")
-        check_fields(self, _PERSON_BOX)
         if self.person_box[2] <= 0.0 or self.person_box[3] <= 0.0:
             raise ValidationError(f"person box must have positive area, got {self.person_box!r}")
-        object.__setattr__(self, "joints", joints)
-        object.__setattr__(self, "attributes", dict(self.attributes))
 
     def to_json_dict(self) -> dict:
         return {
-            "joints": {p: [j.x, j.y, bool(j.visible)] for p, j in self.joints.items()},
+            "joints": {p: [j.x, j.y, j.visible] for p, j in self.joints.items()},
             "person_box": list(self.person_box),
             "attributes": dict(self.attributes),
         }
 
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "Annotation":
-        d = _ANNOTATION(doc)
-        joints = {p: JointObs(x, y, visible) for p, (x, y, visible) in d["joints"].items()}
-        return cls(joints=joints, person_box=d["person_box"], attributes=d["attributes"])
+        return cls(**_ANNOTATION_FIELDS.present(doc))
 
 
-_PERSON_BOX = record(person_box=array(number, 4))
-_ANNOTATION = record(
-    joints=mapping(array((number, number, flag))),
+_ANNOTATION_FIELDS = record(
+    joints=mapping(instance(JointObs, lambda joint: JointObs(*_JOINT_DOC(joint)))),
     person_box=array(number, 4),
     attributes=optional(mapping(nullable(text)), {}),
 )

@@ -14,15 +14,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .grammar import (
-    ATOMIC_PARTS,
-    AttrId,
-    AttributeDef,
-    NodeId,
-    default_attributes,
-)
-from .jsonio import SCHEMA_VERSION, read_json, schema_version, write_json
-from .jsonio import argument, array, check_fields, count, mapping, nonnegative, number, optional, record, text
+from .grammar import AttrId, AttributeDef, NodeId, default_attributes, require_atomic_joints
+from .jsonio import SCHEMA_VERSION, read_json, versioned, write_json
+from .jsonio import argument, array, check_fields, count, instance, mapping, nonnegative, number, optional, record, text
 
 # Canonical joint offsets (pixels) relative to the torso center, y down.
 CANONICAL_POSE: dict[NodeId, tuple[float, float]] = {
@@ -69,26 +63,27 @@ class Person:
     attributes: Mapping[AttrId, str]
 
     def __post_init__(self) -> None:
-        check_fields(self, _PERSON)
-        missing = [p for p in ATOMIC_PARTS if p not in self.joints]
-        if missing:
-            raise ValidationError(f"person misses joints {missing}")
-        extra = sorted(set(self.joints) - set(ATOMIC_PARTS))
-        if extra:
-            raise ValidationError(f"person has unknown joints {extra}")
-        object.__setattr__(self, "attributes", dict(self.attributes))
+        check_fields(self, _PERSON_FIELDS)
+        require_atomic_joints(self.joints, "person")
+
+    @classmethod
+    def from_json_dict(cls, doc: Mapping) -> "Person":
+        return cls(**_PERSON_FIELDS.present(doc))
+
+
+_PERSON_FIELDS = record(joints=mapping(array(number, 2)), attributes=optional(mapping(text), {}))
 
 
 @dataclass(frozen=True)
 class SyntheticScene:
-    """A set of persons on a blank canvas of the given size."""
+    """A set of persons on a blank canvas of the given size; a person may
+    also be given as the JSON object a scene file holds."""
 
     persons: tuple[Person, ...]
     image_size: tuple[int, int]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "persons", tuple(self.persons))
-        check_fields(self, _IMAGE_SIZE)
+        check_fields(self, _SCENE_FIELDS)
         w, h = self.image_size
         if not self.persons:
             raise ValidationError("scene needs at least one person")
@@ -114,18 +109,10 @@ class SyntheticScene:
 
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "SyntheticScene":
-        d = _SCENE(doc)
-        return cls([Person(p["joints"], p["attributes"]) for p in d["persons"]], d["image_size"])
+        return cls(**_SCENE_FIELDS.present(versioned(doc)))
 
 
-_IMAGE_SIZE = record(image_size=array(count, 2))
-_JOINT_POSITIONS = mapping(array(number, 2))
-_PERSON = record(joints=_JOINT_POSITIONS)
-_SCENE = record(
-    schema_version=schema_version,
-    image_size=array(count, 2),
-    persons=array(record(joints=_JOINT_POSITIONS, attributes=optional(mapping(text), {}))),
-)
+_SCENE_FIELDS = record(image_size=array(count, 2), persons=array(instance(Person, Person.from_json_dict)))
 
 
 def save_scene(scene: SyntheticScene, path: str) -> None:
@@ -170,7 +157,7 @@ def _sample_person(
         x = center[0] + ox + float(rng.normal(0.0, pose_sigma))
         y = center[1] + oy + float(rng.normal(0.0, pose_sigma))
         joints[part] = (min(max(x, 0.0), float(w)), min(max(y, 0.0), float(h)))
-    return Person(joints=joints, attributes=dict(attributes))
+    return Person(joints=joints, attributes=attributes)
 
 
 def single_person_scene(
@@ -209,7 +196,7 @@ def two_person_scene(
     plausible continuations of the target's, which is what makes joint
     pose-and-attribute reasoning pay off over pose alone.  When the two
     draw the same attributes, the distractor's first attribute moves to
-    another value, so the two never agree on every attribute.
+    another value, so with any attribute the two never agree on them all.
     """
     pose_sigma = _pose_sigma(pose_sigma)
     spacing = argument("spacing", spacing, number)
@@ -227,10 +214,9 @@ def two_person_scene(
     )
     attrs_a = _sample_attributes(rng, attr_defs)
     attrs_b = _sample_attributes(rng, attr_defs)
-    if attrs_a == attrs_b:
+    if attrs_a == attrs_b and attr_defs:
         first = attr_defs[0]
         alternatives = [v for v in first.domain if v != attrs_a[first.id]]
-        attrs_b = dict(attrs_b)
         attrs_b[first.id] = alternatives[0]
     person_a = _sample_person(rng, center, attrs_a, image_size, pose_sigma)
     person_b = _sample_person(rng, other, attrs_b, image_size, pose_sigma)

@@ -751,6 +751,17 @@ class TestDiag:
         assert cli_dispatch(args) == 0
         assert _read(report_path) == first
 
+    @pytest.mark.parametrize("key", ["margin", "bonus", "coherence"])
+    def test_the_synthesis_settings_are_not_options(self, tmp_path, capsys, key):
+        """The diagnostic synthesizes scores with ``synth_scores``' own
+        settings; neither a flag nor a config key sets them."""
+        assert cli_dispatch(["diag", f"--{key}", "1.0"]) == 2
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: 1.0}), encoding="utf-8")
+        capsys.readouterr()
+        assert cli_dispatch(["diag", "--config", str(cfg)]) == 1
+        assert f"unknown keys ['{key}']" in capsys.readouterr().err
+
     def test_empty_scene_directory(self, pipeline, tmp_path, capsys):
         empty = tmp_path / "none"
         empty.mkdir()

@@ -36,6 +36,7 @@ from posegrammar.evaluation import (
 from posegrammar.grammar import (
     ATOMIC_PARTS,
     AOGrammar,
+    build_default_human_grammar,
     AttributeDef,
     GrammarNode,
     NodeKind,
@@ -45,7 +46,7 @@ from posegrammar.grammar import (
 )
 from posegrammar.inference import BeamConfig
 from posegrammar.learning import Annotation, JointObs
-from posegrammar.relations import AttributeAssociation
+from posegrammar.relations import AttributeAssociation, RelationModels, full_association
 from posegrammar.synthetic import generate_family, single_person_scene
 
 _JOINTS = {
@@ -460,6 +461,18 @@ class TestRunDiagnostic:
                 self._config(grammar, quick_models),
                 modes=("freestyle",),
             )
+
+    def test_a_grammar_without_attributes_reports_no_attribute_numbers(self, quick_models):
+        """The pose is still scored; accuracy, like mean AP, has nothing to
+        average and reads None."""
+        bare = build_default_human_grammar(attr_defs=())
+        models = RelationModels(quick_models.syntactic, quick_models.kinematic, full_association(bare))
+        scenes = generate_family("single", 2, seed=0, attr_defs=())
+        report = run_diagnostic(scenes, self._config(bare, models), modes=("no-attribute", "no-pose"))
+        for mode, entry in report["modes"].items():
+            assert entry["attribute_accuracy"] is None and entry["mean_ap"] is None, mode
+            assert entry["per_attribute_accuracy"] == {}
+        assert 0.0 <= report["modes"]["no-attribute"]["pcp"] <= 1.0
 
     def test_needs_scenes(self, grammar, quick_models):
         with pytest.raises(ValidationError, match="at least one scene"):

@@ -27,6 +27,7 @@ from posegrammar.grammar import (
     default_attributes,
     load_grammar,
     load_parse_graph,
+    parents_first,
     recompute_score,
     save_grammar,
     save_parse_graph,
@@ -224,6 +225,15 @@ class TestValidation:
         )
         assert any("dg edges contain a cycle" in v for v in report.violations)
 
+    def test_placement_after_every_parent(self):
+        """``parents_first`` places a node once all its parents are placed,
+        taking the first such node in listing order; a node on a cycle or
+        below an unlisted parent is returned as never placeable."""
+        edges = [("a", "b"), ("b", "c"), ("a", "c"), ("x", "d")]
+        assert parents_first(["d", "c", "b", "a"], edges) == (["a", "b", "c"], ["d"])
+        assert parents_first(["a", "b", "c"], [("a", "b"), ("b", "a")]) == (["c"], ["a", "b"])
+        assert parents_first(["a"], [("a", "a")]) == ([], ["a"])
+
     def test_psg_must_mirror_children(self):
         report = validate(_toy_grammar(psg_edges=(("root", "a"),)))
         assert any("missing from psg_edges" in v for v in report.violations)
@@ -315,7 +325,7 @@ class TestParseGraph:
             ParseGraph({"a": PartState("a", 0.0, 0.0, 1, "p")}, {}, math.nan)
 
     def test_part_state_type_bound(self):
-        with pytest.raises(ValidationError, match="part_type must be >= 1"):
+        with pytest.raises(ValidationError, match="^part_type must be an integer >= 1, got 0$"):
             PartState("a", 0.0, 0.0, 0, "p")
 
     def test_recompute_constrained_fixture(self):

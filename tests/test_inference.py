@@ -984,10 +984,11 @@ class TestNonFiniteRelations:
             brute_force_parse(grammar, quick_models, self._far_heads(), {"gender": "male"})
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestOverflow:
     """Appearance scores of 1e308 on the first two parts sum past the float
     range at the second; the search refuses the input instead of ranking
-    an infinite score."""
+    an infinite score, and numpy warns of nothing."""
 
     _MESSAGE = (
         "a partial parse score at part 'a' is not finite: appearance and relation scores overflow"

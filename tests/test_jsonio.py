@@ -28,6 +28,8 @@ from posegrammar.errors import PoseGrammarError, ValidationError
 from posegrammar.evaluation import annotation_from_person, default_sticks, make_training_pairs, strict_pcp
 from posegrammar.grammar import (
     ATOMIC_PARTS,
+    AttributeDef,
+    GrammarNode,
     ParseGraph,
     PartState,
     build_default_human_grammar,
@@ -35,8 +37,9 @@ from posegrammar.grammar import (
     load_parse_graph,
     save_parse_graph,
 )
-from posegrammar.jsonio import FieldError, number, number_column, read_json, read_json_lines, write_json, write_json_lines
-from posegrammar.learning import Annotation, fit_kinematic, learn_models, load_annotations, save_annotations
+from posegrammar.jsonio import FieldError, array, number, number_column, read_json, read_json_lines, write_json
+from posegrammar.jsonio import write_json_lines
+from posegrammar.learning import Annotation, JointObs, fit_kinematic, learn_models, load_annotations, save_annotations
 from posegrammar.relations import (
     AttributeAssociation,
     KinematicMoG,
@@ -46,7 +49,8 @@ from posegrammar.relations import (
     save_models,
     uniform_syntactic_table,
 )
-from posegrammar.synthetic import generate_family, load_scene, single_person_scene, two_person_scene
+from posegrammar.synthetic import Person, SyntheticScene, generate_family, load_scene, single_person_scene
+from posegrammar.synthetic import two_person_scene
 
 _PROPOSAL = {"id": "p1", "part": "head", "x": 0.0, "y": 0.0, "part_type": 1, "box": [0, 0, 5, 5]}
 _ANNOTATION = {"joints": {p: [1.0, 2.0, True] for p in ATOMIC_PARTS}, "person_box": [0, 0, 10, 10]}
@@ -516,3 +520,50 @@ def test_a_real_argument_is_refused_naming_it(call, message):
     refused, before any sign rule and before any value is drawn."""
     with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
         call()
+
+
+def test_an_array_names_its_first_refused_entry():
+    assert array(number)([1, 2.5]) == (1.0, 2.5)
+    with pytest.raises(FieldError, match=r"^\[1\] must be a finite number, got 'a'$"):
+        array(number)([1.0, "a", None])
+
+
+_JOINT_OBS = {p: JointObs(1.0, 2.0) for p in ATOMIC_PARTS}
+_XY = {p: (1.0, 2.0) for p in ATOMIC_PARTS}
+
+# Record constructors called as a library caller may call them: each checks
+# every field by its type's one spec, as the type's reader does.
+CONSTRUCTOR_CASES = {
+    "state-float-type": (lambda: PartState("head", 1.0, 1.0, 1.5, "p"), "part_type must be an integer >= 1, got 1.5"),
+    "state-string-type": (lambda: PartState("head", 1.0, 1.0, "2", "p"), "part_type must be an integer >= 1, got '2'"),
+    "state-string-x": (lambda: PartState("head", "a", 1.0, 1, "p"), "x must be a finite number, got 'a'"),
+    "state-nan-y": (lambda: PartState("head", 1.0, math.nan, 1, "p"), "y must be a finite number, got nan"),
+    "joint-string-x": (
+        lambda: Annotation({**_JOINT_OBS, "head": JointObs("a", 1.0)}, (0, 0, 1, 1), {}),
+        "x must be a finite number, got 'a'",
+    ),
+    "joint-string-visible": (lambda: JointObs(1.0, 1.0, visible="no"), "visible must be true or false, got 'no'"),
+    "person-number-value": (lambda: Person(_XY, {"hat": 3}), "attributes.hat must be a non-empty string, got 3"),
+    "annotation-number-value": (
+        lambda: Annotation(_JOINT_OBS, (0, 0, 1, 1), {"hat": 3}),
+        "attributes.hat must be a non-empty string, got 3",
+    ),
+    "parse-number-value": (
+        lambda: ParseGraph({}, {"hat": 3}, 1.0), "attribute_assignment.hat must be a non-empty string, got 3"
+    ),
+    "parse-number-state": (lambda: ParseGraph({"head": 5}, {}, 1.0), "states.head must be a PartState, got 5"),
+    "attribute-number-domain": (
+        lambda: AttributeDef("a", "a", (1, 2)), "domain[0] must be a non-empty string, got 1"
+    ),
+    "node-number-id": (lambda: GrammarNode(5, "terminal", "x"), "id must be a non-empty string, got 5"),
+    "scene-number-person": (
+        lambda: SyntheticScene([5], (320, 240)), "persons[0] must be a JSON object, got 5"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONSTRUCTOR_CASES))
+def test_a_record_constructor_refuses_a_field_naming_it(case):
+    make, message = CONSTRUCTOR_CASES[case]
+    with pytest.raises(PoseGrammarError, match="^" + re.escape(message) + "$"):
+        make()

@@ -117,6 +117,12 @@ class TestGenerators:
             scene = two_person_scene(seed=seed)
             assert scene.persons[0].attributes != scene.persons[1].attributes
 
+    def test_two_person_scene_without_attributes(self):
+        """With no attributes the two persons agree on all of none; there is
+        no attribute to move, and the scene is still drawn."""
+        for scene in [two_person_scene(0, attr_defs=()), *generate_family("two-person", 3, 5, attr_defs=())]:
+            assert [p.attributes for p in scene.persons] == [{}, {}]
+
     def test_family_uses_child_seeds(self):
         scenes = generate_family("single", 3, seed=9)
         assert len(scenes) == 3
