@@ -43,11 +43,12 @@ _FLOAT_MAX = sys.float_info.max
 
 class FieldError(ValidationError):
     """A value a spec refused; each container it leaves puts its key or index
-    in front of ``path``, so the message names the whole field."""
+    in front of ``path``, so the message names the whole field.  ``want``
+    is what the spec would have taken, when it refused the value's form."""
 
-    def __init__(self, problem: str) -> None:
+    def __init__(self, problem: str, want: str | None = None) -> None:
         super().__init__(problem)
-        self.problem, self.path = problem, []
+        self.problem, self.path, self.want = problem, [], want
 
     def within(self, *keys) -> "FieldError":
         self.path[:0] = keys
@@ -67,7 +68,7 @@ def _refused(want: str, value) -> FieldError:
         shown = "an integer beyond the float range"
     else:
         shown = repr(value)
-    return FieldError(f"must be {want}, got {shown}")
+    return FieldError(f"must be {want}, got {shown}", want)
 
 
 def number(value) -> float:
@@ -235,14 +236,21 @@ def check_fields(obj, spec: record) -> None:
 
 def instance(cls: type, read: Callable | None = None) -> Callable:
     """An instance of ``cls``, kept as it is; with ``read``, any other value
-    is read into one by it, e.g. a JSON object by ``cls.from_json_dict``."""
+    is read into one by it, e.g. a JSON object by ``cls.from_json_dict``.
+    A value of neither form is refused naming both, e.g. ``must be a
+    Person or a JSON object, got 5``."""
 
     def check(value):
         if isinstance(value, cls):
             return value
         if read is None:
             raise _refused(f"a {cls.__name__}", value)
-        return read(value)
+        try:
+            return read(value)
+        except FieldError as exc:
+            if exc.path:  # a field inside the value, not its form
+                raise
+            raise _refused(f"a {cls.__name__} or {exc.want}", value) from None
 
     return check
 

@@ -43,6 +43,7 @@ from .relations import (
     _log_sum_exp,
     _matrices,
     _mixture_terms,
+    _offsets,
 )
 
 # Proposal labeling thresholds: person-box overlap below the first bound
@@ -258,75 +259,112 @@ def _kmeans_plusplus(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndar
     return means
 
 
-def _scatter(X: np.ndarray, resp: np.ndarray, centres: np.ndarray) -> np.ndarray:
-    """Each component's ``resp``-weighted scatter of the samples about its
-    centre, (k, 2, 2), from the three moments."""
-    dx = X[:, 0, None] - centres[:, 0]
-    dy = X[:, 1, None] - centres[:, 1]
-    rdx = resp * dx
-    return _matrices((rdx * dx).sum(axis=0), (rdx * dy).sum(axis=0), (resp * dy * dy).sum(axis=0))
+def _scatter(points, resp, centres, scratch=(None, None)) -> np.ndarray:
+    """Each component's ``resp``-weighted scatter of the (..., 3, N) points
+    ``[x; y; 1]`` about its centre, (..., k, 2, 2), from the three moments.
+    ``resp`` is (..., k, N) and ``centres`` (..., k, 2)."""
+    dx, dy = _offsets(points, centres, scratch)
+    moment = "...n,...n,...n->..."
+    return _matrices(
+        np.einsum(moment, resp, dx, dx), np.einsum(moment, resp, dx, dy), np.einsum(moment, resp, dy, dy)
+    )
 
 
 def _em_fit(
-    X: np.ndarray,
-    k: int,
-    rng: np.random.Generator,
+    edges: Sequence[Edge],
+    points: np.ndarray,
+    mask: np.ndarray,
+    means: np.ndarray,
+    ks: np.ndarray,
     max_iter: int,
-) -> tuple[Mixture, list[float]]:
-    """EM for a ``k``-component mixture over the (n >= 2) rows of ``X``, with
-    the mean log-likelihood before each update as the trace.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """EM for the mixtures of all ``edges`` at once, stacked.
 
-    k-means++ seeds the means; each component starts from the covariance
-    of the samples nearest its seed (the global covariance when fewer than
-    two) and their share of the samples.  Each iteration is batched over
-    the components: the E-step goes through :func:`_mixture_terms`, the
-    M-step takes the responsibility sums, the means, the three covariance
-    moments and one eigenvalue floor.  A component whose responsibilities
-    sum below 1e-12 keeps its parameters and gets weight 0.
+    Edge ``e`` has ``n_e = mask[e].sum() >= 2`` samples, the first ``n_e``
+    columns of ``points[e]`` (rows x, y and 1, padded to the longest edge
+    with copies of a sample that ``mask`` leaves out), and ``ks[e]``
+    components whose k-means++ seeds are the first rows of ``means[e]``;
+    the rest are padding at weight 0.  Each component starts from the
+    covariance of the samples nearest its seed (the edge's covariance when
+    fewer than two) and their share of the samples.
+
+    Each iteration is one E-step through :func:`_mixture_terms` and
+    :func:`_log_sum_exp`, and one M-step of responsibility sums, means,
+    the three covariance moments and one eigenvalue floor, over every
+    edge and component, in (edge, component, sample) buffers allocated
+    once.  A component whose responsibilities sum below 1e-12 keeps its
+    parameters and gets weight 0.  An edge stops on its own once its mean
+    log-likelihood gains less than ``EM_TOL``, and its parameters stay as
+    they are from then on.
+
+    Returns the weights (E, k), means (E, k, 2) and covariances
+    (E, k, 2, 2), and the mean log-likelihood before each update as a
+    (max_iter + 1, E) history with each edge's trace length.
     """
-    n = X.shape[0]
-    means = _kmeans_plusplus(X, k, rng)
-    labels = np.argmin(
-        np.sum((X[:, None, :] - means[None, :, :]) ** 2, axis=2), axis=1
-    )
-    members = (labels[:, None] == np.arange(k)).astype(float)
-    counts = members.sum(axis=0)
-    centres = members.T @ X / np.maximum(counts, 1.0)[:, None]
-    own = _scatter(X, members, centres) / np.maximum(counts - 1.0, 1.0)[:, None, None]
-    covs = _floor_covariances(np.where((counts >= 2)[:, None, None], own, np.cov(X.T)))
-    weights = np.maximum(counts, 1.0) / n
-    weights = weights / weights.sum()
+    n = mask.sum(axis=1)
+    padded = mask == 0.0
+    real = np.arange(means.shape[1]) < ks[:, None]
+    terms, *scratch = np.empty((3,) + means.shape[:2] + mask.shape[1:])
+    # ``r @ samples`` gives each component's sums of r x, r y and r.
+    samples = np.ascontiguousarray(points.transpose(0, 2, 1))
 
-    trace: list[float] = []
-    prev = None
-    for _ in range(max_iter):
+    dx, dy = _offsets(points, means, scratch)
+    distance = np.add(np.square(dx, out=dx), np.square(dy, out=dy), out=terms)
+    np.copyto(distance, np.inf, where=~real[..., None])
+    nearest = distance.argmin(axis=1)
+    members = np.equal(nearest[:, None, :], np.arange(means.shape[1])[:, None], out=terms)
+    members *= mask[:, None, :]
+    moments = members @ samples
+    counts = moments[..., 2]
+    centres = moments[..., :2] / np.maximum(counts, 1.0)[..., None]
+    own = _scatter(points, members, centres, scratch) / np.maximum(counts - 1.0, 1.0)[..., None, None]
+    whole = mask[:, None, :]
+    moments = whole @ samples
+    spread = _scatter(points, whole, moments[..., :2] / moments[..., 2:]) / (n - 1.0)[:, None, None, None]
+    covs = _floor_covariances(np.where((counts >= 2)[..., None, None], own, spread))
+    weights = np.where(real, np.maximum(counts, 1.0), 0.0) / n[:, None]
+    weights /= weights.sum(axis=1, keepdims=True)
+
+    history = np.empty((max_iter + 1, len(edges)))
+    steps = np.zeros(len(edges), dtype=int)
+    running = np.ones(len(edges), dtype=bool)
+    prev = np.full(len(edges), -np.inf)
+    for step in range(max_iter + 1):
         # E-step quantities double as the likelihood trace.
-        log_comp = _mixture_terms(X, means, *_component_constants(weights, covs))
-        log_mix = _log_sum_exp(log_comp)
-        ll = float(np.mean(log_mix))
-        if prev is not None and ll < prev - 1e-7:
+        consts, inverses = _component_constants(weights, covs)
+        _mixture_terms(points, means, consts, inverses, out=terms, scratch=scratch)
+        log_mix = _log_sum_exp(terms, scratch=scratch[0])
+        ll = np.einsum("en,en->e", log_mix, mask) / n
+        fell = np.flatnonzero(running & (ll < prev - 1e-7))
+        if fell.size:
+            e = fell[0]
             raise RuntimeError(
-                f"EM mean log-likelihood decreased from {prev} to {ll}"
+                f"edge {edges[e][0]}->{edges[e][1]}: EM mean log-likelihood decreased "
+                f"from {float(prev[e])} to {float(ll[e])}"
             )
-        trace.append(ll)
-        if prev is not None and ll - prev < EM_TOL:
+        history[step] = ll
+        steps += running
+        # The E-step after update ``max_iter`` only ends the trace.
+        running &= (step < max_iter) & ~(ll - prev < EM_TOL)
+        if not running.any():
             break
         prev = ll
 
-        resp = np.exp(log_comp - log_mix[:, None])
-        nk = resp.sum(axis=0)
+        # A padded sample's +inf log-likelihood gives it responsibility 0.
+        np.copyto(log_mix, np.inf, where=padded)
+        resp = np.subtract(terms, log_mix[:, None, :], out=terms)
+        np.exp(resp, out=resp)
+        moments = resp @ samples
+        nk = moments[..., 2]
         live = nk >= 1e-12
         mass = np.where(live, nk, 1.0)
-        means = np.where(live[:, None], resp.T @ X / mass[:, None], means)
-        fitted = _floor_covariances(_scatter(X, resp, means) / mass[:, None, None])
-        covs = np.where(live[:, None, None], fitted, covs)
-        weights = np.where(live, nk / n, 0.0)
-        weights = weights / weights.sum()
-    else:
-        log_mix = _log_sum_exp(_mixture_terms(X, means, *_component_constants(weights, covs)))
-        trace.append(float(np.mean(log_mix)))
-
-    return Mixture(weights=weights, means=means, covariances=covs), trace
+        update = live & running[:, None]
+        means = np.where(update[..., None], moments[..., :2] / mass[..., None], means)
+        fitted = _floor_covariances(_scatter(points, resp, means, scratch) / mass[..., None, None])
+        covs = np.where(update[..., None, None], fitted, covs)
+        fresh = np.where(live, nk, 0.0) / n[:, None]
+        weights = np.where(running[:, None], fresh / fresh.sum(axis=1, keepdims=True), weights)
+    return weights, means, covs, history, steps
 
 
 def fit_kinematic(
@@ -335,44 +373,60 @@ def fit_kinematic(
     seed: int = 0,
     max_iter: int = 200,
 ) -> KinematicMoG:
-    """Fit one displacement mixture per dependency edge via EM.
+    """Fit one displacement mixture per dependency edge, all edges in one
+    stacked EM (:func:`_em_fit`).
 
     Each edge needs at least two displacement samples.  When an edge has
     fewer samples than requested components, the component count drops to
-    the sample count with a warning.  Per-edge fits are seeded
-    independently from ``seed`` so edge order cannot leak between fits.
-    An edge whose fit stops at ``max_iter`` rather than at ``EM_TOL`` is
-    logged at INFO, with its last gain in mean log-likelihood.
+    the sample count with a warning.  Each edge's k-means++ start is
+    seeded from ``[seed, index]``, so edge order cannot leak between
+    fits, and each edge stops on its own.  An edge whose fit stops at
+    ``max_iter`` rather than at ``EM_TOL`` is logged at INFO, with its
+    last gain in mean log-likelihood.
     """
     n_components = argument("n_components", n_components, count)
     seed = argument("seed", seed, nonnegative)
-    mixtures: dict[Edge, Mixture] = {}
-    traces: dict[Edge, list[float]] = {}
-    for index, (edge, samples) in enumerate(data.items()):
-        X = np.asarray(samples, dtype=float)
+    max_iter = argument("max_iter", max_iter, nonnegative)
+    edges = list(data)
+    samples = [np.asarray(data[edge], dtype=float) for edge in edges]
+    for edge, X in zip(edges, samples):
         if X.ndim != 2 or X.shape[1] != 2:
             raise ValidationError(
                 f"edge {edge}: displacement samples must be (n, 2), got {X.shape}"
             )
         if not np.all(np.isfinite(X)):
             raise ValidationError(f"edge {edge}: displacement samples must be finite")
-        n = X.shape[0]
-        if n < 2:
+        if X.shape[0] < 2:
             raise DegenerateDataError(
-                f"edge {edge}: needs at least 2 displacement samples, got {n}"
+                f"edge {edge}: needs at least 2 displacement samples, got {X.shape[0]}"
             )
-        k = n_components
-        if n < k:
+    if not edges:
+        return KinematicMoG({})
+    ks = np.array([min(X.shape[0], n_components) for X in samples])
+    width = max(X.shape[0] for X in samples)
+    points = np.ones((len(edges), 3, width))
+    mask = np.zeros((len(edges), width))
+    means = np.zeros((len(edges), ks.max(), 2))
+    for index, (edge, X, k) in enumerate(zip(edges, samples, ks)):
+        n = X.shape[0]
+        if k < n_components:
             warnings.warn(
-                f"edge {edge}: only {n} samples for {k} components; using {n}",
+                f"edge {edge}: only {n} samples for {n_components} components; using {n}",
                 stacklevel=2,
             )
-            k = n
-        rng = np.random.default_rng([seed, index])
-        mixtures[edge], traces[edge] = _em_fit(X, k, rng, max_iter)
-        trace = traces[edge]
-        if len(trace) > max_iter:
-            gain = trace[-1] - trace[-2] if len(trace) > 1 else math.nan
+        points[index, :2] = X[:1].T
+        points[index, :2, :n] = X.T
+        mask[index, :n] = 1.0
+        means[index, :k] = _kmeans_plusplus(X, k, np.random.default_rng([seed, index]))
+
+    weights, means, covs, history, steps = _em_fit(edges, points, mask, means, ks, max_iter)
+    mixtures: dict[Edge, Mixture] = {}
+    traces: dict[Edge, list[float]] = {}
+    for index, (edge, k, length) in enumerate(zip(edges, ks, steps)):
+        mixtures[edge] = Mixture(weights[index, :k], means[index, :k], covs[index, :k])
+        traces[edge] = trace = history[:length, index].tolist()
+        if length > max_iter:
+            gain = trace[-1] - trace[-2] if length > 1 else math.nan
             _LOG.info(
                 "edge %s->%s: EM stopped at max_iter after %d iterations, last gain %.3g",
                 edge[0], edge[1], max_iter, gain,

@@ -207,8 +207,9 @@ def _floor_covariances(covariances) -> np.ndarray:
 
 
 def _component_constants(weights, covariances) -> tuple[np.ndarray, np.ndarray]:
-    """Per component ``log w - log 2pi - log det / 2``, and the entries
-    ``(ia, ib, ic)`` of the inverse covariance as a (k, 3) array.
+    """Per component ``log w - log 2pi - log det / 2``, shape (..., k), and
+    the entries ``(ia, ib, ic)`` of the inverse covariance as a (..., k, 3)
+    array.
 
     In closed form: ``det = a d - b^2`` and the inverse is
     ``[[d, -b], [-b, a]] / det``.  Components with non-positive weight get
@@ -220,42 +221,85 @@ def _component_constants(weights, covariances) -> tuple[np.ndarray, np.ndarray]:
     det = np.where(live, _determinant(a, b, d), 1.0)
     consts = np.full(w.shape, -np.inf)
     consts[live] = np.log(w[live]) - _LOG_TWO_PI - 0.5 * np.log(det[live])
-    inverses = np.where(live[:, None], np.stack([d, -b, a], axis=1) / det[:, None], 0.0)
+    inverses = np.where(live[..., None], np.stack([d, -b, a], axis=-1) / det[..., None], 0.0)
     return consts, inverses
 
 
-def _quadratic(inverses, dx, dy) -> np.ndarray:
-    """``ia dx^2 + 2 ib dx dy + ic dy^2`` for (k, 3) inverse entries and
-    (N, k) offsets ``dx``, ``dy``: shape (N, k)."""
-    ia, ib, ic = inverses.T
-    return ia * dx * dx + 2.0 * ib * dx * dy + ic * dy * dy
+# The mixture math below runs component-major: the N points of one
+# mixture are the rows ``x``, ``y`` and a row of ones of a (..., 3, N)
+# array, and every per-component array is (..., k, N), so each sum over
+# the points reads contiguous memory.  EM passes preallocated buffers
+# through ``out`` and ``scratch``; without them each call allocates its own.
 
 
-def _mixture_terms(points, means, consts, inverses) -> np.ndarray:
-    """Per-component log terms ``const - quad / 2``, shape (N, k).
+def _offsets(points, centres, out=(None, None)) -> tuple[np.ndarray, np.ndarray]:
+    """``x - cx`` and ``y - cy`` of the (..., 3, N) points ``[x; y; 1]``
+    against the (..., k, 2) centres, each (..., k, N).
+
+    Each is the product of ``[1, -c]`` with ``[x; 1]``: both products are
+    exact, so the one rounded sum is ``x - c`` to the bit, and the matrix
+    product writes the block faster than a broadcast subtraction.
+    """
+    lhs = np.ones(np.shape(centres) + (2,))
+    np.negative(centres, out=lhs[..., 1])
+    dx = np.matmul(lhs[..., 0, :], points[..., ::2, :], out=out[0])
+    dy = np.matmul(lhs[..., 1, :], points[..., 1:, :], out=out[1])
+    return dx, dy
+
+
+def _quadratic(inverses, dx, dy, out=None) -> np.ndarray:
+    """``ia dx^2 + 2 ib dx dy + ic dy^2`` for (..., k, 3) inverse entries
+    and (..., k, N) offsets ``dx``, ``dy``: shape (..., k, N).  ``dx`` is
+    overwritten."""
+    ia, ib, ic = inverses[..., 0, None], inverses[..., 1, None], inverses[..., 2, None]
+    quad = np.multiply(ia, dx, out=out)
+    quad *= dx
+    cross = np.multiply(dx, 2.0 * ib, out=dx)
+    cross *= dy
+    quad += cross
+    np.multiply(ic, dy, out=cross)
+    cross *= dy
+    quad += cross
+    return quad
+
+
+def _mixture_terms(points, means, consts, inverses, out=None, scratch=(None, None)) -> np.ndarray:
+    """Per-component log terms ``const - quad / 2`` of the (..., 3, N)
+    points ``[x; y; 1]``, shape (..., k, N).
 
     ``consts`` and ``inverses`` come from :func:`_component_constants`;
-    components with a -inf constant stay -inf.  A log-sum-exp over axis 1
-    gives the mixture log-density; the EM E-step also needs the terms
-    themselves for the responsibilities.
+    components with a -inf constant stay -inf.  :func:`_log_sum_exp` over
+    the components gives the mixture log-density; the EM E-step also needs
+    the terms themselves for the responsibilities.
     """
-    points = np.asarray(points, dtype=float)
-    dx = points[:, 0, None] - means[:, 0]
-    dy = points[:, 1, None] - means[:, 1]
-    return np.where(consts == -np.inf, -np.inf, consts - 0.5 * _quadratic(inverses, dx, dy))
+    dx, dy = _offsets(points, means, scratch)
+    # Halving the inverse entries is exact, so this is -quad / 2 to the bit.
+    terms = _quadratic(-0.5 * inverses, dx, dy, out=out)
+    terms += consts[..., None]
+    dead = consts == -np.inf
+    if dead.any():
+        np.copyto(terms, -np.inf, where=dead[..., None])
+    return terms
 
 
-def _log_sum_exp(terms: np.ndarray) -> np.ndarray:
-    """Row-wise log-sum-exp of (N, k) terms, total on every row.
+def _log_sum_exp(terms: np.ndarray, scratch=None) -> np.ndarray:
+    """Log-sum-exp over the components of (..., k, N) terms, shape (..., N),
+    total on every point.
 
-    A row of -inf gives -inf and a row holding NaN gives NaN; only rows
-    with a finite maximum reach ``exp``.
+    A point whose terms are all -inf gives -inf and one with a NaN term
+    gives NaN; the largest term is taken out before ``exp`` only where it
+    is finite.  ``scratch``, a buffer shaped like ``terms``, takes the
+    exponentials.
     """
-    top = terms.max(axis=1)
-    out = top.copy()
-    ok = np.isfinite(top)
-    out[ok] += np.log(np.exp(terms[ok] - top[ok, None]).sum(axis=1))
-    return out
+    top = terms.max(axis=-2)
+    shift = np.where(np.isfinite(top), top, 0.0)
+    scaled = np.subtract(terms, shift[..., None, :], out=scratch)
+    np.exp(scaled, out=scaled)
+    total = scaled.sum(axis=-2)
+    with np.errstate(divide="ignore"):
+        np.log(total, out=total)
+    total += shift
+    return total
 
 
 class KinematicMoG:
@@ -289,7 +333,9 @@ class KinematicMoG:
         """Vectorized log density over an (N, 2) array of displacements."""
         mix = self.mixture(edge)
         consts, inverses = self._constants[tuple(edge)]
-        return _log_sum_exp(_mixture_terms(points, mix.means, consts, inverses))
+        rows = np.ones((3, len(points)))
+        rows[:2] = np.asarray(points, dtype=float).T
+        return _log_sum_exp(_mixture_terms(rows, mix.means, consts, inverses))
 
 
 class AttributeAssociation:

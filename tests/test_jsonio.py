@@ -331,7 +331,7 @@ REGRESSIONS = {
     "parse-number-proposal": ("parse-graph", ("states", 1, "proposal"), 7, "must be a non-empty string, got 7"),
     "annotation-4-entry-joint": (
         "annotations", ("joints", "head"), [1, 2, 0, 99],
-        "must be a JSON array of length 3, got a JSON array of length 4",
+        "must be a JointObs or a JSON array of length 3, got a JSON array of length 4",
     ),
     "annotation-list-visibility": (
         "annotations", ("joints", "head", 2), [True], "must be true or false, got a JSON array of length 1"
@@ -557,7 +557,22 @@ CONSTRUCTOR_CASES = {
     ),
     "node-number-id": (lambda: GrammarNode(5, "terminal", "x"), "id must be a non-empty string, got 5"),
     "scene-number-person": (
-        lambda: SyntheticScene([5], (320, 240)), "persons[0] must be a JSON object, got 5"
+        lambda: SyntheticScene([5], (320, 240)), "persons[0] must be a Person or a JSON object, got 5"
+    ),
+    "annotation-number-joint": (
+        lambda: Annotation({**_JOINT_OBS, "head": 5}, (0, 0, 1, 1), {}),
+        "joints.head must be a JointObs or a JSON array of length 3, got 5",
+    ),
+    "annotation-short-joint": (
+        lambda: Annotation({**_JOINT_OBS, "head": [1.0, 2.0]}, (0, 0, 1, 1), {}),
+        "joints.head must be a JointObs or a JSON array of length 3, got a JSON array of length 2",
+    ),
+    "annotation-list-joint-visibility": (
+        lambda: Annotation({**_JOINT_OBS, "head": [1.0, 2.0, "no"]}, (0, 0, 1, 1), {}),
+        "joints.head[2] must be true or false, got 'no'",
+    ),
+    "scene-person-missing-joints": (
+        lambda: SyntheticScene([{"attributes": {}}], (320, 240)), "persons[0].joints is missing"
     ),
 }
 

@@ -19,6 +19,7 @@ from scipy.special import logsumexp
 
 from posegrammar.appearance import Proposal
 from posegrammar.errors import DegenerateDataError, MissingEntryError, ValidationError
+from posegrammar.evaluation import make_training_pairs
 from posegrammar.grammar import (
     ATOMIC_PARTS,
     AOGrammar,
@@ -327,6 +328,25 @@ def _reference_em(X, k, rng, max_iter):
     return weights, means, covs, trace
 
 
+# Per-edge held-out mean log-density of the gate corpus's models, as the
+# per-edge EM fitted them.
+_HELD_OUT_MEAN_LOG_DENSITY = {
+    "torso->head": -7.174474186367517,
+    "torso->l_shoulder": -7.121037516584069,
+    "l_shoulder->l_upper_arm": -7.213580834850746,
+    "l_upper_arm->l_lower_arm": -7.119542334935997,
+    "torso->r_shoulder": -7.29084835704511,
+    "r_shoulder->r_upper_arm": -7.5488827351069085,
+    "r_upper_arm->r_lower_arm": -7.238691175114779,
+    "torso->l_hip": -7.249289401466192,
+    "l_hip->l_upper_leg": -7.240131966397401,
+    "l_upper_leg->l_lower_leg": -7.447527203973996,
+    "torso->r_hip": -7.431210434965776,
+    "r_hip->r_upper_leg": -7.27235743342525,
+    "r_upper_leg->r_lower_leg": -7.152636867559272,
+}
+
+
 class TestFitKinematic:
     @pytest.mark.parametrize("case", ["three-clusters", "empty-component"])
     def test_batched_fit_matches_the_per_component_reference(self, case):
@@ -352,6 +372,42 @@ class TestFitKinematic:
         np.testing.assert_allclose(mix.means, means, rtol=0, atol=1e-9 * np.abs(X).max())
         np.testing.assert_allclose(mix.covariances, covs, rtol=1e-9, atol=1e-9 * np.abs(covs).max())
         assert (0.0 in mix.weights) == (case == "empty-component")
+
+    def test_stacked_fit_matches_the_reference_per_edge(self, caplog):
+        """Five edges fitted in one call, each against the reference run
+        alone with its own seed: same iteration count, the same
+        tolerances as above.  ``b->c`` has fewer samples than components,
+        ``a->b`` converges while ``d->e`` and ``e->f`` run to ``max_iter``,
+        and ``c->d`` is the empty-component case."""
+        rng = np.random.default_rng(21)
+        centres = np.array([[0.0, -30.0], [25.0, 10.0], [-20.0, 15.0]])
+        data = {
+            ("a", "b"): np.vstack([rng.normal(c, s, size=(70, 2)) for c, s in zip(centres, (2.0, 5.0, 0.5))]),
+            ("b", "c"): rng.normal(0.0, 1.0, size=(3, 2)),
+            ("c", "d"): np.array([[0.0, 0.0]] * 3 + [[1e6, 0.0]] * 2),
+            ("d", "e"): rng.normal((4.0, -2.0), 0.5, size=(80, 2)),
+            ("e", "f"): rng.normal(0.0, 3.0, size=(200, 2)),
+        }
+        with caplog.at_level(logging.INFO, logger="posegrammar.learning"):
+            with pytest.warns(UserWarning, match="edge \\('b', 'c'\\): only 3 samples for 4 components"):
+                model = fit_kinematic(data, n_components=4, seed=4, max_iter=40)
+        lengths = {}
+        for index, (edge, X) in enumerate(data.items()):
+            k = min(len(X), 4)
+            mix, trace = model.mixtures[edge], model.fit_traces[edge]
+            weights, means, covs, expected = _reference_em(X, k, np.random.default_rng([4, index]), 40)
+            assert len(trace) == len(expected), edge
+            np.testing.assert_allclose(trace, expected, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(mix.weights, weights, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(mix.means, means, rtol=0, atol=1e-9 * np.abs(X).max())
+            np.testing.assert_allclose(mix.covariances, covs, rtol=1e-9, atol=1e-9 * np.abs(covs).max())
+            lengths[edge] = len(trace)
+        assert model.mixtures[("b", "c")].weights.shape == (3,)
+        assert 0.0 in model.mixtures[("c", "d")].weights
+        capped = {e for e, n in lengths.items() if n > 40}
+        assert capped == {("d", "e"), ("e", "f")} and lengths[("a", "b")] < 40
+        assert {r.args[:2] for r in caplog.records} == capped
+
     def test_recovers_cluster_means(self):
         rng = np.random.default_rng(0)
         a = rng.normal((10.0, 0.0), 0.1, size=(60, 2))
@@ -421,6 +477,17 @@ class TestFitKinematic:
         assert record.getMessage() == (
             f"edge c->d: EM stopped at max_iter after 10 iterations, last gain {trace[-1] - trace[-2]:.3g}"
         )
+
+    def test_acceptance_corpus_keeps_its_em_trajectory(self, grammar, trained_models):
+        """The gate corpus, ``make_training_pairs(600, seed=11)`` fitted with
+        seed 5: each edge's iteration count, and its held-out mean
+        log-density on ``make_training_pairs(200, seed=999)`` within 1e-9
+        of the values the per-edge fit gave before EM was stacked."""
+        kinematic = trained_models.kinematic
+        assert [len(t) for t in kinematic.fit_traces.values()] == [201] * 7 + [177] + [201] * 5
+        held_out = displacement_samples(make_training_pairs(200, seed=999, grammar=grammar)[0], grammar)
+        got = {f"{p}->{c}": float(np.mean(kinematic.log_density((p, c), X))) for (p, c), X in held_out.items()}
+        assert got == pytest.approx(_HELD_OUT_MEAN_LOG_DENSITY, rel=0, abs=1e-9)
 
     def test_a_negative_seed_is_refused_naming_it(self):
         X = np.random.default_rng(12).normal(0.0, 2.0, size=(50, 2))

@@ -72,7 +72,9 @@ def _functions(module: str) -> dict[str, ast.FunctionDef]:
 def test_gaussian_math_is_closed_form_and_batched():
     """The 2x2 Gaussian math has one closed-form implementation: no module
     reaches for ``numpy.linalg``, and neither its helpers, nor the mixture
-    check, nor EM beyond its iteration loop, loop over components."""
+    check, nor the log-sum-exp, loop over components.  The stacked EM fit
+    has one loop, over iterations: no loop over edges or components runs
+    inside it, and the per-edge seeding sits outside it."""
     linalg = [
         f"{path.name}:{node.lineno}"
         for path in sorted(Path(posegrammar.__file__).parent.glob("*.py"))
@@ -83,9 +85,12 @@ def test_gaussian_math_is_closed_form_and_batched():
     relations, learning = _functions("relations.py"), _functions("learning.py")
     batched = [relations[name] for name in (
         "__post_init__", "_entries", "_matrices", "_determinant", "_eigenvalues",
-        "_floor_covariances", "_component_constants", "_quadratic", "_mixture_terms",
+        "_floor_covariances", "_component_constants", "_offsets", "_quadratic", "_mixture_terms",
+        "_log_sum_exp",
     )] + [learning["_scatter"]]
     loops = (ast.For, ast.While, ast.comprehension)
     assert [fn.name for fn in batched if any(isinstance(n, loops) for n in ast.walk(fn))] == []
     em_loops = [ast.unparse(n) for n in ast.walk(learning["_em_fit"]) if isinstance(n, loops)]
-    assert len(em_loops) == 1 and em_loops[0].startswith("for _ in range(max_iter):")
+    assert len(em_loops) == 1 and em_loops[0].startswith("for step in range(max_iter + 1):")
+    assert "_kmeans_plusplus" in ast.unparse(learning["fit_kinematic"])
+    assert "_kmeans_plusplus" not in ast.unparse(learning["_em_fit"])

@@ -31,6 +31,9 @@ from posegrammar.relations import (
     _eigenvalues,
     _entries,
     _floor_covariances,
+    _log_sum_exp,
+    _mixture_terms,
+    _offsets,
     _parse_edge_key,
     _quadratic,
     full_association,
@@ -240,21 +243,67 @@ class TestClosedFormGaussian:
     within 1e-10 of their largest entry."""
 
     def test_random_spd_matches_linalg(self):
+        """Batched as EM runs it: the 200 components as 4 mixtures of 50,
+        each component's 50 offsets one row of a (..., k, N) array."""
         rng = np.random.default_rng(8)
         covs = _spd(rng, 200)
         weights = rng.dirichlet(np.ones(200))
-        consts, inverses = _component_constants(weights, covs)
+        consts, inverses = _component_constants(weights.reshape(4, 50), covs.reshape(4, 50, 2, 2))
+        assert consts.shape == (4, 50) and inverses.shape == (4, 50, 3)
         expected = np.log(weights) - math.log(2.0 * math.pi) - 0.5 * np.linalg.slogdet(covs)[1]
-        np.testing.assert_allclose(consts, expected, rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(consts.reshape(200), expected, rtol=1e-10, atol=1e-10)
         inv = np.linalg.inv(covs)
-        ia, ib, ic = inverses.T
+        ia, ib, ic = inverses.reshape(200, 3).T
         _assert_matrices_close(np.stack([np.stack([ia, ib], -1), np.stack([ib, ic], -1)], -2), inv)
         lo, hi = _eigenvalues(*_entries(covs))
         np.testing.assert_allclose(np.stack([lo, hi], -1), np.linalg.eigvalsh(covs), rtol=1e-10)
         _assert_matrices_close(_floor_covariances(covs), _eigh_floor(covs))
-        offsets = rng.normal(0.0, 30.0, size=(50, 200, 2))
-        quad = np.einsum("nki,kij,nkj->nk", offsets, inv, offsets)
-        np.testing.assert_allclose(_quadratic(inverses, offsets[..., 0], offsets[..., 1]), quad, rtol=1e-10)
+        offsets = rng.normal(0.0, 30.0, size=(200, 50, 2))
+        quad = np.einsum("kni,kij,knj->kn", offsets, inv, offsets)
+        dx, dy = (offsets[..., i].reshape(4, 50, 50) for i in (0, 1))
+        got = _quadratic(inverses, dx, dy)
+        assert got.shape == (4, 50, 50)
+        np.testing.assert_allclose(got.reshape(200, 50), quad, rtol=1e-10)
+
+    def test_offsets_are_the_subtraction_to_the_bit(self):
+        """Through the matrix product ``[1, -c] @ [x; 1]``, overflow included."""
+        rng = np.random.default_rng(10)
+        xy = rng.normal(0.0, 1e3, size=(3, 2, 40))
+        centres = rng.normal(0.0, 1e3, size=(3, 5, 2))
+        xy[0, :, :2] = 1.7e308
+        centres[0, 0] = -1.7e308
+        points = np.concatenate([xy, np.ones((3, 1, 40))], axis=1)
+        with np.errstate(over="ignore"):
+            dx, dy = _offsets(points, centres)
+            assert np.array_equal(dx, xy[:, None, 0, :] - centres[..., 0, None])
+            assert np.array_equal(dy, xy[:, None, 1, :] - centres[..., 1, None])
+        assert np.isinf(dx[0, 0, :2]).all()
+
+    def test_batched_log_density_matches_each_mixture_alone(self):
+        """One (E, k, N) call agrees with E single-mixture calls to the bit
+        and with scipy; a dead component's terms stay -inf."""
+        rng = np.random.default_rng(11)
+        covs = _spd(rng, 12).reshape(3, 4, 2, 2)
+        weights = rng.dirichlet(np.ones(4), size=3)
+        weights[1, 2] = 0.0
+        weights[1] /= weights[1].sum()
+        means = rng.normal(0.0, 10.0, size=(3, 4, 2))
+        xy = rng.normal(0.0, 10.0, size=(3, 2, 30))
+        points = np.concatenate([xy, np.ones((3, 1, 30))], axis=1)
+        consts, inverses = _component_constants(weights, covs)
+        terms = _mixture_terms(points, means, consts, inverses)
+        assert np.all(terms[1, 2] == -np.inf)
+        stacked = _log_sum_exp(terms)
+        for e in range(3):
+            alone = _log_sum_exp(_mixture_terms(points[e], means[e], consts[e], inverses[e]))
+            np.testing.assert_array_equal(stacked[e], alone)
+            live = [
+                np.log(w) + multivariate_normal(m, c).logpdf(xy[e].T)
+                for w, m, c in zip(weights[e], means[e], covs[e])
+                if w > 0.0
+            ]
+            expected = logsumexp(live, axis=0)
+            np.testing.assert_allclose(stacked[e], expected, rtol=0, atol=1e-10)
 
     def test_floor_matches_eigh_across_the_floor(self):
         covs = _spd(np.random.default_rng(9), 200, lowest=(1e-7, 1e-3))
