@@ -50,7 +50,7 @@ from .synthetic import PART_BOX_SIZES, SyntheticScene
 PART_ORDER: tuple[NodeId, ...] = (FULL_BODY, UPPER_BODY, LOWER_BODY) + ATOMIC_PARTS
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Proposal:
     """One detected part candidate: position, type, and bounding box."""
 

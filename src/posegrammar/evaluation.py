@@ -214,15 +214,16 @@ def make_training_pairs(
 ) -> tuple[list[Annotation], list[dict[NodeId, int]]]:
     """Seeded single-person training corpus: annotations plus part types."""
     n = argument("n", n, count)
+    parts = grammar.part_ids
     annotations = []
     type_samples = []
     for i in range(n):
         scene = single_person_scene(_child_seed(seed, i), attr_defs=grammar.attributes)
         rng = np.random.default_rng([seed, i, 1])
         annotations.append(annotation_from_person(scene.persons[0], rng, occlude=True))
-        type_samples.append(
-            {p: int(rng.integers(1, grammar.part_type_count + 1)) for p in grammar.part_ids}
-        )
+        # One draw per part, in part order, as many single draws would give.
+        types = rng.integers(1, grammar.part_type_count + 1, size=len(parts)).tolist()
+        type_samples.append(dict(zip(parts, types)))
     return annotations, type_samples
 
 

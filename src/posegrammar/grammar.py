@@ -139,7 +139,7 @@ class NodeKind(str, Enum):
     TERMINAL = "terminal"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GrammarNode:
     """One node of the grammar: an and-node or a terminal.
 
@@ -175,7 +175,7 @@ class GrammarNode:
         return self.kind is NodeKind.TERMINAL
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AttributeDef:
     """A categorical attribute with a fixed value vocabulary."""
 
@@ -295,10 +295,13 @@ class AOGrammar:
         return {
             "schema_version": SCHEMA_VERSION,
             "root": self.root,
-            "nodes": [{**vars(n), "kind": n.kind.value, "children": list(n.children)} for n in self.nodes],
+            "nodes": [
+                {"id": n.id, "kind": n.kind.value, "name": n.name, "children": list(n.children)}
+                for n in self.nodes
+            ],
             "psg_edges": [list(e) for e in self.psg_edges],
             "dg_edges": [list(e) for e in self.dg_edges],
-            "attributes": [{**vars(a), "domain": list(a.domain)} for a in self.attributes],
+            "attributes": [{"id": a.id, "name": a.name, "domain": list(a.domain)} for a in self.attributes],
             "part_type_count": self.part_type_count,
         }
 
@@ -532,7 +535,7 @@ def validate(grammar: AOGrammar) -> ValidationReport:
 # -- parse graphs -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PartState:
     """A grounded part: image position, chosen type, and source proposal."""
 
@@ -549,7 +552,7 @@ class PartState:
 _PART_STATE_FIELDS = record(part=text, x=number, y=number, part_type=count, proposal_ref=text)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParseGraph:
     """A fully grounded parse: one state per selected part plus its score.
 

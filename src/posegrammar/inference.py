@@ -52,6 +52,7 @@ against blowup.
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass
 from typing import Mapping
@@ -71,7 +72,7 @@ from .relations import AttributeAssociation, Edge, RelationModels, SyntacticTabl
 COMBINATION_GUARD = 10_000_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BeamConfig:
     """Beam width: an integer >= 1, kept as ``int``."""
 
@@ -419,7 +420,8 @@ def _readout(
     pg: ParseGraph, pset: ProposalSet, assoc: AttributeAssociation, attr: AttrId, value: str
 ) -> float:
     """Score of ``attr=value`` summed over the parse's parts associated with
-    ``attr``, in state order from ``0.0``."""
+    ``attr``, in state order from ``0.0``.  A sum beyond the float range is
+    refused naming the pair and the proposals summed."""
     scores = pset.scores
     refs = [st.proposal_ref for part, st in pg.states.items() if assoc.contains(part, attr)]
     # Added one by one, not by np.sum, whose pairwise order changes the
@@ -427,6 +429,10 @@ def _readout(
     total = 0.0
     for score in scores.values[scores.rows(refs), scores.column(attr, value)].tolist():
         total += score
+    if not math.isfinite(total):
+        raise ValidationError(
+            f"attribute score {attr}={value} summed over proposals {refs} is {total}, not a finite number"
+        )
     return total
 
 

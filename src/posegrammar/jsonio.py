@@ -74,7 +74,10 @@ def _refused(want: str, value) -> FieldError:
 def number(value) -> float:
     """The number rule: a finite float or an integer within the float range,
     never a bool; read as a float."""
-    if type(value) is float or isinstance(value, (int, float)) and not isinstance(value, bool):
+    if type(value) is float:
+        if -_FLOAT_MAX <= value <= _FLOAT_MAX:
+            return value
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
         if -_FLOAT_MAX <= value <= _FLOAT_MAX:
             return float(value)
     raise _refused("a finite number", value)
@@ -114,9 +117,12 @@ def text(value) -> str:
 
 def _integer(least, want: str) -> Callable:
     def check(value) -> int:
-        integral = type(value) is int or isinstance(value, numbers.Integral) and not isinstance(value, bool)
-        if integral and least <= value <= _FLOAT_MAX:
-            return int(value)
+        if type(value) is int:
+            if least <= value <= _FLOAT_MAX:
+                return value
+        elif isinstance(value, numbers.Integral) and not isinstance(value, bool):
+            if least <= value <= _FLOAT_MAX:
+                return int(value)
         raise _refused(want, value)
 
     return check
@@ -230,8 +236,12 @@ class record:
 
 def check_fields(obj, spec: record) -> None:
     """Set each field of the frozen dataclass ``obj`` to its value checked
-    by ``spec``, past the frozen ``__setattr__``."""
-    vars(obj).update(spec(vars(obj)))
+    by ``spec``, past the frozen ``__setattr__``; ``obj`` may have slots."""
+    try:
+        for name, check, _default in spec.fields:
+            object.__setattr__(obj, name, check(getattr(obj, name)))
+    except FieldError as exc:
+        raise exc.within(name)
 
 
 def instance(cls: type, read: Callable | None = None) -> Callable:

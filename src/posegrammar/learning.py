@@ -13,6 +13,8 @@ import logging
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -60,7 +62,7 @@ EM_TOL = 1e-6
 _LOG = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JointObs:
     """One annotated joint: position plus visibility."""
 
@@ -77,7 +79,7 @@ _JOINT_FIELDS = record(x=number, y=number, visible=flag)
 _JOINT_DOC = array((number, number, flag))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Annotation:
     """Ground truth for one person: 14 joints, person box, attribute values.
 
@@ -205,6 +207,11 @@ def label_proposals(ann: Annotation, proposals: Sequence[Proposal]) -> list[Labe
     return out
 
 
+def _columns(edges: Iterable[Edge]) -> dict[NodeId, int]:
+    """A column index for each part ``edges`` name, in order of first mention."""
+    return {p: i for i, p in enumerate(dict.fromkeys(p for edge in edges for p in edge))}
+
+
 def fit_syntactic(
     data: Sequence[tuple[Annotation, Mapping[NodeId, int]]],
     grammar: AOGrammar,
@@ -218,27 +225,32 @@ def fit_syntactic(
     """
     t = grammar.part_type_count
     cells = t * t
+    parts = _columns(grammar.psg_edges)
+    # One row per sample, one column per part: its type, None when it has none.
+    typed = np.array([[types.get(p) for p in parts] for _ann, types in data], dtype=object)
+    typed = typed.reshape(len(data), len(parts))
+    present = np.not_equal(typed, None)
+    typed[~present] = 0
+    with np.errstate(invalid="ignore"):  # a NaN type is out of range
+        valid = present & (typed >= 1) & (typed <= t) & (typed % 1 == 0)
+    codes = np.where(valid, typed, 1).astype(np.intp) - 1
     tables: dict[Edge, np.ndarray] = {}
     for edge in grammar.psg_edges:
-        parent, child = edge
-        counts = np.zeros((t, t), dtype=float)
-        n = 0
-        for _ann, types in data:
-            tp = types.get(parent)
-            tc = types.get(child)
-            if tp is None or tc is None:
-                continue
-            if not (1 <= tp <= t and 1 <= tc <= t):
-                raise ValidationError(
-                    f"part types for edge {edge} must lie in 1..{t}, got ({tp}, {tc})"
-                )
-            counts[tp - 1, tc - 1] += 1.0
-            n += 1
+        i, j = parts[edge[0]], parts[edge[1]]
+        both = present[:, i] & present[:, j]
+        bad = np.flatnonzero(both & ~(valid[:, i] & valid[:, j]))
+        if bad.size:
+            types = data[bad[0]][1]
+            raise ValidationError(
+                f"part types for edge {edge} must lie in 1..{t}, got ({types[edge[0]]}, {types[edge[1]]})"
+            )
+        n = int(both.sum())
         if n == 0:
             warnings.warn(
                 f"no part-type samples for edge {edge}; using the uniform table",
                 stacklevel=2,
             )
+        counts = np.bincount(codes[both, i] * t + codes[both, j], minlength=cells).reshape(t, t)
         tables[edge] = (counts + 1.0) / (n + cells)
     return SyntacticTable(tables, part_type_count=t)
 
@@ -259,11 +271,10 @@ def _kmeans_plusplus(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndar
     return means
 
 
-def _scatter(points, resp, centres, scratch=(None, None)) -> np.ndarray:
-    """Each component's ``resp``-weighted scatter of the (..., 3, N) points
-    ``[x; y; 1]`` about its centre, (..., k, 2, 2), from the three moments.
-    ``resp`` is (..., k, N) and ``centres`` (..., k, 2)."""
-    dx, dy = _offsets(points, centres, scratch)
+def _scatter(resp, dx, dy) -> np.ndarray:
+    """Each component's ``resp``-weighted scatter of the points at offsets
+    ``dx``, ``dy`` from its centre, (..., k, 2, 2), from the three moments;
+    ``resp``, ``dx`` and ``dy`` are (..., k, N)."""
     moment = "...n,...n,...n->..."
     return _matrices(
         np.einsum(moment, resp, dx, dx), np.einsum(moment, resp, dx, dy), np.einsum(moment, resp, dy, dy)
@@ -291,11 +302,14 @@ def _em_fit(
     Each iteration is one E-step through :func:`_mixture_terms` and
     :func:`_log_sum_exp`, and one M-step of responsibility sums, means,
     the three covariance moments and one eigenvalue floor, over every
-    edge and component, in (edge, component, sample) buffers allocated
-    once.  A component whose responsibilities sum below 1e-12 keeps its
-    parameters and gets weight 0.  An edge stops on its own once its mean
-    log-likelihood gains less than ``EM_TOL``, and its parameters stay as
-    they are from then on.
+    running edge and its components, in (edge, component, sample) buffers
+    that are prefix views of one allocation.  The responsibilities are the
+    exponentials :func:`_log_sum_exp` returns over their sums, a padded
+    sample's sum set to +inf.  A component whose responsibilities sum below
+    1e-12 keeps its parameters and gets weight 0.  An edge stops on its
+    own once its mean log-likelihood gains less than ``EM_TOL``: its
+    parameters are written out, and it leaves every working array, whose
+    samples are trimmed to the longest edge still running.
 
     Returns the weights (E, k), means (E, k, 2) and covariances
     (E, k, 2, 2), and the mean log-likelihood before each update as a
@@ -304,7 +318,8 @@ def _em_fit(
     n = mask.sum(axis=1)
     padded = mask == 0.0
     real = np.arange(means.shape[1]) < ks[:, None]
-    terms, *scratch = np.empty((3,) + means.shape[:2] + mask.shape[1:])
+    block = np.empty((3, mask.size * means.shape[1]))
+    terms, *scratch = block.reshape((3,) + means.shape[:2] + mask.shape[1:])
     # ``r @ samples`` gives each component's sums of r x, r y and r.
     samples = np.ascontiguousarray(points.transpose(0, 2, 1))
 
@@ -317,54 +332,66 @@ def _em_fit(
     moments = members @ samples
     counts = moments[..., 2]
     centres = moments[..., :2] / np.maximum(counts, 1.0)[..., None]
-    own = _scatter(points, members, centres, scratch) / np.maximum(counts - 1.0, 1.0)[..., None, None]
+    own = _scatter(members, *_offsets(points, centres, scratch)) / np.maximum(counts - 1.0, 1.0)[..., None, None]
     whole = mask[:, None, :]
     moments = whole @ samples
-    spread = _scatter(points, whole, moments[..., :2] / moments[..., 2:]) / (n - 1.0)[:, None, None, None]
+    spread = _scatter(whole, *_offsets(points, moments[..., :2] / moments[..., 2:])) / (n - 1.0)[:, None, None, None]
     covs = _floor_covariances(np.where((counts >= 2)[..., None, None], own, spread))
     weights = np.where(real, np.maximum(counts, 1.0), 0.0) / n[:, None]
     weights /= weights.sum(axis=1, keepdims=True)
 
+    final_weights, final_means, final_covs = np.empty_like(weights), np.empty_like(means), np.empty_like(covs)
     history = np.empty((max_iter + 1, len(edges)))
     steps = np.zeros(len(edges), dtype=int)
-    running = np.ones(len(edges), dtype=bool)
+    rows = np.arange(len(edges))  # the edge of each working row
     prev = np.full(len(edges), -np.inf)
+    offsets = _offsets(points, means, scratch)
     for step in range(max_iter + 1):
         # E-step quantities double as the likelihood trace.
         consts, inverses = _component_constants(weights, covs)
-        _mixture_terms(points, means, consts, inverses, out=terms, scratch=scratch)
-        log_mix = _log_sum_exp(terms, scratch=scratch[0])
+        _mixture_terms(offsets, consts, inverses, out=terms)
+        log_mix, exps, sums = _log_sum_exp(terms, scratch=scratch[0])
         ll = np.einsum("en,en->e", log_mix, mask) / n
-        fell = np.flatnonzero(running & (ll < prev - 1e-7))
+        fell = np.flatnonzero(ll < prev - 1e-7)
         if fell.size:
-            e = fell[0]
+            e = rows[fell[0]]
             raise RuntimeError(
                 f"edge {edges[e][0]}->{edges[e][1]}: EM mean log-likelihood decreased "
-                f"from {float(prev[e])} to {float(ll[e])}"
+                f"from {float(prev[fell[0]])} to {float(ll[fell[0]])}"
             )
-        history[step] = ll
-        steps += running
+        history[step, rows] = ll
+        steps[rows] += 1
         # The E-step after update ``max_iter`` only ends the trace.
-        running &= (step < max_iter) & ~(ll - prev < EM_TOL)
-        if not running.any():
-            break
+        stop = (step >= max_iter) | (ll - prev < EM_TOL)
+        if stop.any():
+            done = rows[stop]
+            final_weights[done], final_means[done], final_covs[done] = weights[stop], means[stop], covs[stop]
+            if stop.all():
+                break
+            go = ~stop
+            rows, n, ll, weights, means, covs = rows[go], n[go], ll[go], weights[go], means[go], covs[go]
+            width = int(n.max())
+            points, samples = points[go, :, :width], samples[go, :width]
+            mask, padded = mask[go, :width], padded[go, :width]
+            exps, sums = exps[go, :, :width], sums[go, :width]
+            terms, *scratch = block[:, : exps.size].reshape((3,) + exps.shape)
         prev = ll
 
-        # A padded sample's +inf log-likelihood gives it responsibility 0.
-        np.copyto(log_mix, np.inf, where=padded)
-        resp = np.subtract(terms, log_mix[:, None, :], out=terms)
-        np.exp(resp, out=resp)
+        # A padded sample's +inf sum gives it responsibility 0.
+        np.copyto(sums, np.inf, where=padded)
+        resp = np.divide(exps, sums[:, None, :], out=terms)
         moments = resp @ samples
         nk = moments[..., 2]
         live = nk >= 1e-12
         mass = np.where(live, nk, 1.0)
-        update = live & running[:, None]
-        means = np.where(update[..., None], moments[..., :2] / mass[..., None], means)
-        fitted = _floor_covariances(_scatter(points, resp, means, scratch) / mass[..., None, None])
-        covs = np.where(update[..., None, None], fitted, covs)
+        means = np.where(live[..., None], moments[..., :2] / mass[..., None], means)
+        # The offsets from the new means serve the scatter and the next E-step.
+        offsets = _offsets(points, means, scratch)
+        update = _floor_covariances(_scatter(resp, *offsets) / mass[..., None, None])
+        covs = np.where(live[..., None, None], update, covs)
         fresh = np.where(live, nk, 0.0) / n[:, None]
-        weights = np.where(running[:, None], fresh / fresh.sum(axis=1, keepdims=True), weights)
-    return weights, means, covs, history, steps
+        weights = fresh / fresh.sum(axis=1, keepdims=True)
+    return final_weights, final_means, final_covs, history, steps
 
 
 def fit_kinematic(
@@ -437,14 +464,38 @@ def fit_kinematic(
 def displacement_samples(
     annotations: Sequence[Annotation], grammar: AOGrammar
 ) -> dict[Edge, np.ndarray]:
-    """Child-minus-parent offsets per dependency edge, visible joints only."""
-    out: dict[Edge, list[tuple[float, float]]] = {e: [] for e in grammar.dg_edges}
-    for ann in annotations:
-        for parent, child in grammar.dg_edges:
-            jp, jc = ann.joints[parent], ann.joints[child]
-            if jp.visible and jc.visible:
-                out[(parent, child)].append((jc.x - jp.x, jc.y - jp.y))
-    return {e: np.asarray(v, dtype=float) for e, v in out.items()}
+    """Child-minus-parent offsets per dependency edge, visible joints only;
+    each edge's samples are an (n, 2) array."""
+    parts = _columns(grammar.dg_edges)
+    # x, y and visible of each annotation's joint of each part.
+    joints = chain.from_iterable(map(ann.joints.__getitem__, parts) for ann in annotations)
+    table = np.fromiter(
+        chain.from_iterable(map(attrgetter("x", "y", "visible"), joints)),
+        dtype=float,
+        count=len(annotations) * len(parts) * 3,
+    ).reshape(len(annotations), len(parts), 3)
+    out: dict[Edge, np.ndarray] = {}
+    for parent, child in grammar.dg_edges:
+        jp, jc = table[:, parts[parent]], table[:, parts[child]]
+        seen = (jp[:, 2] != 0.0) & (jc[:, 2] != 0.0)
+        out[(parent, child)] = jc[seen, :2] - jp[seen, :2]
+    return out
+
+
+def _information(counts: Sequence[Sequence[int]], n: int) -> float:
+    """Mutual information, in nats, of the 2 x 2 table ``counts`` of ``n``
+    paired boolean samples."""
+    mi = 0.0
+    for i in (0, 1):
+        for j in (0, 1):
+            c = counts[i][j]
+            if c == 0:
+                continue
+            p = c / n
+            px = (counts[i][0] + counts[i][1]) / n
+            py = (counts[0][j] + counts[1][j]) / n
+            mi += p * math.log(p / (px * py))
+    return mi
 
 
 def mutual_information(attr_known: Sequence[bool], part_visible: Sequence[bool]) -> float:
@@ -459,17 +510,7 @@ def mutual_information(attr_known: Sequence[bool], part_visible: Sequence[bool])
     counts = [[0, 0], [0, 0]]
     for a, b in zip(attr_known, part_visible):
         counts[int(bool(a))][int(bool(b))] += 1
-    mi = 0.0
-    for i in (0, 1):
-        for j in (0, 1):
-            c = counts[i][j]
-            if c == 0:
-                continue
-            p = c / n
-            px = (counts[i][0] + counts[i][1]) / n
-            py = (counts[0][j] + counts[1][j]) / n
-            mi += p * math.log(p / (px * py))
-    return mi
+    return _information(counts, n)
 
 
 def derive_associations(
@@ -544,13 +585,20 @@ def learn_models(
         displacement_samples(annotations, grammar), n_components=n_components, seed=seed
     )
 
-    known = {
-        a.id: [ann.attributes.get(a.id) is not None for ann in annotations]
-        for a in grammar.attributes
-    }
+    # Every (part, attribute) 2 x 2 table from one product: annotations
+    # with the part visible and the attribute known, and the margins.
+    n = len(annotations)
+    attr_ids = [a.id for a in grammar.attributes]
+    terminals = grammar.terminal_ids
+    visible = np.array([[ann.joints[p].visible for p in terminals] for ann in annotations], dtype=np.int64)
+    known = np.array([[ann.attributes.get(a) is not None for a in attr_ids] for ann in annotations], dtype=np.int64)
+    both = (visible.T @ known).tolist()
+    seen, told = visible.sum(axis=0).tolist(), known.sum(axis=0).tolist()
     mi: dict[NodeId, dict[AttrId, float]] = {}
-    for part in grammar.terminal_ids:
-        visible = [ann.joints[part].visible for ann in annotations]
-        mi[part] = {attr: mutual_information(k, visible) for attr, k in known.items()}
+    for part, row, v in zip(terminals, both, seen):
+        mi[part] = {
+            attr: _information([[n - k - v + b, v - b], [k - b, b]], n)
+            for attr, b, k in zip(attr_ids, row, told)
+        }
     association = derive_associations(mi, grammar)
     return RelationModels(syntactic=syntactic, kinematic=kinematic, association=association)

@@ -263,16 +263,17 @@ def _quadratic(inverses, dx, dy, out=None) -> np.ndarray:
     return quad
 
 
-def _mixture_terms(points, means, consts, inverses, out=None, scratch=(None, None)) -> np.ndarray:
-    """Per-component log terms ``const - quad / 2`` of the (..., 3, N)
-    points ``[x; y; 1]``, shape (..., k, N).
+def _mixture_terms(offsets, consts, inverses, out=None) -> np.ndarray:
+    """Per-component log terms ``const - quad / 2`` of the points at the
+    (..., k, N) offsets ``(dx, dy)`` from each component's mean, as
+    :func:`_offsets` gives them, shape (..., k, N); ``dx`` is overwritten.
 
     ``consts`` and ``inverses`` come from :func:`_component_constants`;
     components with a -inf constant stay -inf.  :func:`_log_sum_exp` over
-    the components gives the mixture log-density; the EM E-step also needs
-    the terms themselves for the responsibilities.
+    the components gives the mixture log-density, and the EM E-step the
+    responsibilities.
     """
-    dx, dy = _offsets(points, means, scratch)
+    dx, dy = offsets
     # Halving the inverse entries is exact, so this is -quad / 2 to the bit.
     terms = _quadratic(-0.5 * inverses, dx, dy, out=out)
     terms += consts[..., None]
@@ -282,24 +283,25 @@ def _mixture_terms(points, means, consts, inverses, out=None, scratch=(None, Non
     return terms
 
 
-def _log_sum_exp(terms: np.ndarray, scratch=None) -> np.ndarray:
+def _log_sum_exp(terms: np.ndarray, scratch=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Log-sum-exp over the components of (..., k, N) terms, shape (..., N),
-    total on every point.
+    total on every point, with the exponentials and sums it is taken from.
 
     A point whose terms are all -inf gives -inf and one with a NaN term
     gives NaN; the largest term is taken out before ``exp`` only where it
-    is finite.  ``scratch``, a buffer shaped like ``terms``, takes the
-    exponentials.
+    is finite.  The exponentials of the shifted terms, (..., k, N) and in
+    ``scratch`` when given, and their per-point sums, (..., N), come back
+    too: over its sum, each exponential is its component's responsibility.
     """
     top = terms.max(axis=-2)
     shift = np.where(np.isfinite(top), top, 0.0)
-    scaled = np.subtract(terms, shift[..., None, :], out=scratch)
-    np.exp(scaled, out=scaled)
-    total = scaled.sum(axis=-2)
+    exps = np.subtract(terms, shift[..., None, :], out=scratch)
+    np.exp(exps, out=exps)
+    sums = exps.sum(axis=-2)
     with np.errstate(divide="ignore"):
-        np.log(total, out=total)
+        total = np.log(sums)
     total += shift
-    return total
+    return total, exps, sums
 
 
 class KinematicMoG:
@@ -335,7 +337,7 @@ class KinematicMoG:
         consts, inverses = self._constants[tuple(edge)]
         rows = np.ones((3, len(points)))
         rows[:2] = np.asarray(points, dtype=float).T
-        return _log_sum_exp(_mixture_terms(rows, mix.means, consts, inverses))
+        return _log_sum_exp(_mixture_terms(_offsets(rows, mix.means), consts, inverses))[0]
 
 
 class AttributeAssociation:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
+from html import escape
 
 from .grammar import AOGrammar, ParseGraph
 
@@ -44,13 +44,13 @@ def render_svg(pg: ParseGraph, grammar: AOGrammar) -> str:
         if part in terminals:
             markers.append(
                 f'<circle class="keypoint" cx="{_fmt(st.x)}" cy="{_fmt(st.y)}" r="3.5" '
-                f'fill="#cc3322"><title>{escape(part)}</title></circle>'
+                f'fill="#cc3322"><title>{escape(part, quote=False)}</title></circle>'
             )
         else:
             markers.append(
                 f'<circle class="center" cx="{_fmt(st.x)}" cy="{_fmt(st.y)}" r="5" '
                 f'fill="none" stroke="#888888" stroke-width="1.5">'
-                f"<title>{escape(part)}</title></circle>"
+                f"<title>{escape(part, quote=False)}</title></circle>"
             )
 
     legend = [
@@ -60,7 +60,7 @@ def render_svg(pg: ParseGraph, grammar: AOGrammar) -> str:
     for i, (attr, value) in enumerate(sorted(pg.attribute_assignment.items())):
         legend.append(
             f'<text class="legend" x="{_fmt(x0 + 6)}" y="{_fmt(max(ys) + 34 + 16 * i)}" '
-            f'font-family="monospace" font-size="12">{escape(attr)}: {escape(value)}</text>'
+            f'font-family="monospace" font-size="12">{escape(attr, quote=False)}: {escape(value, quote=False)}</text>'
         )
 
     body = "\n".join(["<g>"] + lines + markers + legend + ["</g>"])

@@ -55,7 +55,7 @@ PART_BOX_SIZES: dict[NodeId, tuple[float, float]] = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Person:
     """Ground truth for one person: 14 joints plus attribute values."""
 
@@ -74,7 +74,7 @@ class Person:
 _PERSON_FIELDS = record(joints=mapping(array(number, 2)), attributes=optional(mapping(text), {}))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SyntheticScene:
     """A set of persons on a blank canvas of the given size; a person may
     also be given as the JSON object a scene file holds."""
@@ -152,10 +152,12 @@ def _sample_person(
     pose_sigma: float,
 ) -> Person:
     w, h = image_size
+    # An x and a y jitter per joint, in pose order, as single draws give them.
+    jitter = rng.normal(0.0, pose_sigma, size=(len(CANONICAL_POSE), 2)).tolist()
     joints = {}
-    for part, (ox, oy) in CANONICAL_POSE.items():
-        x = center[0] + ox + float(rng.normal(0.0, pose_sigma))
-        y = center[1] + oy + float(rng.normal(0.0, pose_sigma))
+    for (part, (ox, oy)), (jx, jy) in zip(CANONICAL_POSE.items(), jitter):
+        x = center[0] + ox + jx
+        y = center[1] + oy + jy
         joints[part] = (min(max(x, 0.0), float(w)), min(max(y, 0.0), float(h)))
     return Person(joints=joints, attributes=attributes)
 

@@ -556,6 +556,11 @@ class TestRender:
         assert svg.count('<line class="stick"') == 13
         assert 'gender: male' in svg
 
+    def test_text_escapes_markup_but_not_quotes(self):
+        grammar = build_default_human_grammar()
+        pg = ParseGraph({"head": PartState("head", 5.0, 6.0, 1, "p")}, {"hat": 'a<b & "c">\'d\''}, 1.5)
+        assert """hat: a&lt;b &amp; "c"&gt;'d'</text>""" in posegrammar.render_svg(pg, grammar)
+
     @pytest.mark.parametrize("token", ["NaN", "1e400", _HUGE_INT])
     @pytest.mark.parametrize("field", ["x", "total_score"])
     def test_non_finite_parse_exits_one_and_writes_no_svg(self, pipeline, tmp_path, capsys, field, token):

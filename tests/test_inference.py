@@ -34,6 +34,7 @@ from posegrammar.grammar import (
     NodeKind,
     ParseGraph,
     PartState,
+    part_keypoints,
     recompute_score,
     save_grammar,
 )
@@ -1013,6 +1014,60 @@ class TestOverflow:
         g, models, pset = self._huge()
         with pytest.raises(ValidationError, match="^" + re.escape(self._MESSAGE) + "$"):
             brute_force_parse(g, models, pset, {})
+
+
+class TestReadoutOverflow:
+    """One proposal per part, placed at a scene's first person, under the
+    gate corpus's models.  ``gender=male`` scores 1e308 on ``full_body``
+    and ``torso``, both associated with gender, and -1e308 on
+    ``lower_body``, which is not and is grounded between them; every
+    other score is 0.  Each partial sum of the search stays finite, but
+    the readout over the associated parts does not: it is refused naming
+    the pair and the proposals summed."""
+
+    _MESSAGE = (
+        "attribute score gender=male summed over proposals ['full_body.0', 'upper_body.0', 'torso.0', "
+        "'head.0', 'l_shoulder.0', 'r_shoulder.0'] is inf, not a finite number"
+    )
+
+    @staticmethod
+    def _lattice(grammar):
+        keypoints = part_keypoints(two_person_scene(seed=21).persons[0].joints)
+        props = [
+            Proposal(id=f"{p}.0", part=p, x=keypoints[p][0], y=keypoints[p][1], part_type=1, box=(0.0, 0.0, 40.0, 40.0))
+            for p in grammar.part_ids
+        ]
+        huge = {"full_body": 1e308, "torso": 1e308, "lower_body": -1e308}
+        scores = {
+            prop.id: {
+                a.id: {v: huge.get(prop.part, 0.0) if (a.id, v) == ("gender", "male") else 0.0 for v in a.domain}
+                for a in grammar.attributes
+            }
+            for prop in props
+        }
+        return ProposalSet.from_proposals(props, ScoreTable(scores), part_type_count=grammar.part_type_count)
+
+    def test_the_search_stays_finite_and_the_readout_refuses(self, grammar, trained_models):
+        assoc = trained_models.association
+        assert {"full_body", "torso"} <= {p for p in grammar.part_ids if assoc.contains(p, "gender")}
+        assert not assoc.contains("lower_body", "gender")
+        pset = self._lattice(grammar)
+        best, per_pair = select_final(grammar, trained_models, pset)
+        assert best.attribute_assignment == {"gender": "male"} and math.isfinite(best.total_score)
+        with pytest.raises(ValidationError, match="^" + re.escape(self._MESSAGE) + "$"):
+            attribute_scores(per_pair, pset, assoc)
+
+    def test_cli_joint_parse_exits_one_naming_the_readout(self, grammar, trained_models, tmp_path, capsys):
+        paths = {name: str(tmp_path / f"{name}.json") for name in ("grammar", "models", "proposals")}
+        save_grammar(grammar, paths["grammar"])
+        save_models(trained_models, paths["models"])
+        save_proposals(self._lattice(grammar), paths["proposals"])
+        out, scores_out = tmp_path / "parse.json", tmp_path / "scores.json"
+        argv = ["parse", "--mode", "joint", "--out", str(out), "--scores-out", str(scores_out)]
+        argv += [f"--{name}={path}" for name, path in paths.items()]
+        assert cli_dispatch(argv) == 1
+        assert capsys.readouterr().err.strip().splitlines() == [f"error: {self._MESSAGE}"]
+        assert not out.exists() and not scores_out.exists()
 
 
 class TestPartTypesBeyondModels:

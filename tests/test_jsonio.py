@@ -8,6 +8,7 @@ field.  Writers refuse non-finite values and leave no file behind.
 from __future__ import annotations
 
 import argparse
+import ast
 import importlib
 import inspect
 import json
@@ -582,3 +583,19 @@ def test_a_record_constructor_refuses_a_field_naming_it(case):
     make, message = CONSTRUCTOR_CASES[case]
     with pytest.raises(PoseGrammarError, match="^" + re.escape(message) + "$"):
         make()
+
+
+def test_every_checked_record_is_a_frozen_slotted_dataclass():
+    """Every class whose ``__post_init__`` runs ``check_fields`` is frozen
+    and slotted: its instances carry no ``__dict__``, which the check
+    would otherwise materialize."""
+    checked = []
+    for info in pkgutil.iter_modules(posegrammar.__path__):
+        module = importlib.import_module(f"posegrammar.{info.name}")
+        for node in ast.walk(ast.parse(inspect.getsource(module))):
+            if isinstance(node, ast.ClassDef) and "check_fields(" in ast.unparse(node):
+                checked.append(getattr(module, node.name))
+    assert len(checked) == 10
+    for cls in checked:
+        assert cls.__dataclass_params__.frozen and "__slots__" in vars(cls), cls.__name__
+        assert cls.__dictoffset__ == 0, cls.__name__

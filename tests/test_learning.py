@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import logging
 import math
+import re
 import warnings
 
 import numpy as np
@@ -219,6 +220,57 @@ def _toy_grammar():
     )
 
 
+@pytest.fixture(scope="module")
+def corpus_101(grammar):
+    """The first corpus of the learning benchmark: 600 annotations and
+    their part types."""
+    return make_training_pairs(600, seed=101, grammar=grammar)
+
+
+def _loop_syntactic(data, grammar):
+    """Co-occurrence counts one sample at a time: the reference for the
+    counted fit."""
+    t = grammar.part_type_count
+    tables = {}
+    for parent, child in grammar.psg_edges:
+        counts = np.zeros((t, t))
+        n = 0
+        for _ann, types in data:
+            if types.get(parent) is not None and types.get(child) is not None:
+                counts[types[parent] - 1, types[child] - 1] += 1.0
+                n += 1
+        tables[(parent, child)] = (counts + 1.0) / (n + t * t)
+    return tables
+
+
+def _loop_displacements(annotations, grammar):
+    """Child-minus-parent offsets one annotation at a time."""
+    out = {e: [] for e in grammar.dg_edges}
+    for ann in annotations:
+        for parent, child in grammar.dg_edges:
+            jp, jc = ann.joints[parent], ann.joints[child]
+            if jp.visible and jc.visible:
+                out[(parent, child)].append((jc.x - jp.x, jc.y - jp.y))
+    return {e: np.array(v).reshape(-1, 2) for e, v in out.items()}
+
+
+def _loop_mutual_information(known, visible):
+    """Mutual information from a 2 x 2 table counted one sample at a time."""
+    n = len(known)
+    counts = [[0, 0], [0, 0]]
+    for a, b in zip(known, visible):
+        counts[int(a)][int(b)] += 1
+    mi = 0.0
+    for i in (0, 1):
+        for j in (0, 1):
+            if counts[i][j]:
+                p = counts[i][j] / n
+                px = (counts[i][0] + counts[i][1]) / n
+                py = (counts[0][j] + counts[1][j]) / n
+                mi += p * math.log(p / (px * py))
+    return mi
+
+
 class TestFitSyntactic:
     def test_single_observation_smoothing(self, grammar):
         """One sample per edge: the observed cell gets 2/82, the rest 1/82."""
@@ -267,6 +319,33 @@ class TestFitSyntactic:
             fit_syntactic([(ann, {"root": 1, "a": 3, "b": 1})], g)
 
 
+    def test_counts_match_the_per_sample_loop(self, grammar, corpus_101):
+        """Corpus 101 with about a fifth of its part types dropped, so
+        edges differ in their sample counts."""
+        annotations, types = corpus_101
+        rng = np.random.default_rng(3)
+        thinned = [{p: v for p, v in per.items() if rng.random() > 0.2} for per in types]
+        data = list(zip(annotations, thinned))
+        table = fit_syntactic(data, grammar)
+        expected = _loop_syntactic(data, grammar)
+        assert list(table.tables) == list(expected)
+        for edge, counts in expected.items():
+            assert np.array_equal(table.tables[edge], counts), edge
+
+    def test_out_of_range_error_names_the_first_bad_pair(self):
+        """Edges are checked in grammar order, each over the samples in
+        order; a type whose edge partner has none is not a pair."""
+        g = _toy_grammar()
+        ann = _annotation()
+        samples = [{"root": 1, "a": 2}, {"a": 7, "b": 9}, {"root": 2, "a": 1, "b": 3}, {"root": 0, "b": 1}]
+        message = "part types for edge ('root', 'b') must lie in 1..2, got (2, 3)"
+        with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
+            fit_syntactic([(ann, types) for types in samples], g)
+        message = "part types for edge ('root', 'a') must lie in 1..2, got (1, 1.5)"
+        with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
+            fit_syntactic([(ann, {"root": 1, "a": 1.5})], g)
+
+
 class TestDisplacementSamples:
     def test_offsets_are_child_minus_parent(self, grammar):
         samples = displacement_samples([_annotation()], grammar)
@@ -279,6 +358,18 @@ class TestDisplacementSamples:
         samples = displacement_samples(anns, grammar)
         assert samples[("torso", "head")].shape == (1, 2)
         assert samples[("torso", "l_shoulder")].shape == (2, 2)
+
+
+    def test_offsets_match_the_per_annotation_loop(self, grammar, corpus_101):
+        samples = displacement_samples(corpus_101[0], grammar)
+        expected = _loop_displacements(corpus_101[0], grammar)
+        assert list(samples) == list(expected)
+        for edge, offsets in expected.items():
+            assert np.array_equal(samples[edge], offsets), edge
+
+    def test_an_edge_never_seen_has_no_rows(self, grammar):
+        samples = displacement_samples([_annotation(hidden=("head",))], grammar)
+        assert samples[("torso", "head")].shape == (0, 2)
 
 
 def _reference_em(X, k, rng, max_iter):
@@ -407,6 +498,31 @@ class TestFitKinematic:
         capped = {e for e, n in lengths.items() if n > 40}
         assert capped == {("d", "e"), ("e", "f")} and lengths[("a", "b")] < 40
         assert {r.args[:2] for r in caplog.records} == capped
+
+    def test_the_longest_edge_stopping_first_trims_the_width(self):
+        """The longest edge converges first and the middle one next, so the
+        working samples shrink twice, each time to the longest edge left,
+        while the shortest, padded until the last, runs to ``max_iter``:
+        each edge still matches the reference run alone, at the tolerances
+        above."""
+        rng = np.random.default_rng(8)
+        data = {
+            ("a", "b"): np.vstack([rng.normal((10.0, 0.0), 0.1, (150, 2)), rng.normal((-10.0, 5.0), 0.1, (150, 2))]),
+            ("b", "c"): rng.normal(0.0, 3.0, size=(150, 2)),
+            ("c", "d"): rng.normal((4.0, -2.0), 0.5, size=(60, 2)),
+        }
+        model = fit_kinematic(data, n_components=2, seed=2, max_iter=30)
+        lengths = {}
+        for index, (edge, X) in enumerate(data.items()):
+            mix, trace = model.mixtures[edge], model.fit_traces[edge]
+            weights, means, covs, expected = _reference_em(X, 2, np.random.default_rng([2, index]), 30)
+            assert len(trace) == len(expected), edge
+            np.testing.assert_allclose(trace, expected, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(mix.weights, weights, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(mix.means, means, rtol=0, atol=1e-9 * np.abs(X).max())
+            np.testing.assert_allclose(mix.covariances, covs, rtol=1e-9, atol=1e-9 * np.abs(covs).max())
+            lengths[edge] = len(trace)
+        assert lengths[("a", "b")] < lengths[("b", "c")] < lengths[("c", "d")] == 31
 
     def test_recovers_cluster_means(self):
         rng = np.random.default_rng(0)
@@ -541,6 +657,23 @@ class TestMutualInformation:
     def test_empty_input(self):
         with pytest.raises(ValidationError, match="at least one"):
             mutual_information([], [])
+
+
+    def test_learned_information_matches_the_per_sample_loop(self, grammar, corpus_101):
+        """Every (atomic part, attribute) value ``learn_models`` counts from
+        one product is the per-sample loop's to the bit."""
+        annotations, types = corpus_101
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            mi = learn_models(annotations, grammar, type_samples=types, n_components=1, seed=0).association.mi
+        assert set(mi) == set(grammar.terminal_ids)
+        for part in grammar.terminal_ids:
+            visible = [ann.joints[part].visible for ann in annotations]
+            for attr in grammar.attributes:
+                known = [ann.attributes.get(attr.id) is not None for ann in annotations]
+                expected = _loop_mutual_information(known, visible)
+                assert float.hex(mi[part][attr.id]) == float.hex(expected), (part, attr.id)
+                assert float.hex(mutual_information(known, visible)) == float.hex(expected)
 
 
 class TestDeriveAssociations:

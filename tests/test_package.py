@@ -74,7 +74,9 @@ def test_gaussian_math_is_closed_form_and_batched():
     reaches for ``numpy.linalg``, and neither its helpers, nor the mixture
     check, nor the log-sum-exp, loop over components.  The stacked EM fit
     has one loop, over iterations: no loop over edges or components runs
-    inside it, and the per-edge seeding sits outside it."""
+    inside it, and the per-edge seeding sits outside it.  It takes no
+    exponential of its own: the responsibilities come from the ones
+    :func:`_log_sum_exp` returns."""
     linalg = [
         f"{path.name}:{node.lineno}"
         for path in sorted(Path(posegrammar.__file__).parent.glob("*.py"))
@@ -94,3 +96,6 @@ def test_gaussian_math_is_closed_form_and_batched():
     assert len(em_loops) == 1 and em_loops[0].startswith("for step in range(max_iter + 1):")
     assert "_kmeans_plusplus" in ast.unparse(learning["fit_kinematic"])
     assert "_kmeans_plusplus" not in ast.unparse(learning["_em_fit"])
+    names = (n for n in ast.walk(learning["_em_fit"]) if isinstance(n, (ast.Attribute, ast.Name)))
+    named = [n.attr if isinstance(n, ast.Attribute) else n.id for n in names]
+    assert "_log_sum_exp" in named and not {"exp", "expm1", "exp2"} & set(named)

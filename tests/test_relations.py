@@ -281,7 +281,8 @@ class TestClosedFormGaussian:
 
     def test_batched_log_density_matches_each_mixture_alone(self):
         """One (E, k, N) call agrees with E single-mixture calls to the bit
-        and with scipy; a dead component's terms stay -inf."""
+        and with scipy; a dead component's terms stay -inf.  The
+        exponentials over their sums are the responsibilities."""
         rng = np.random.default_rng(11)
         covs = _spd(rng, 12).reshape(3, 4, 2, 2)
         weights = rng.dirichlet(np.ones(4), size=3)
@@ -291,11 +292,13 @@ class TestClosedFormGaussian:
         xy = rng.normal(0.0, 10.0, size=(3, 2, 30))
         points = np.concatenate([xy, np.ones((3, 1, 30))], axis=1)
         consts, inverses = _component_constants(weights, covs)
-        terms = _mixture_terms(points, means, consts, inverses)
+        terms = _mixture_terms(_offsets(points, means), consts, inverses)
         assert np.all(terms[1, 2] == -np.inf)
-        stacked = _log_sum_exp(terms)
+        stacked, exps, sums = _log_sum_exp(terms)
+        np.testing.assert_allclose(exps / sums[:, None, :], np.exp(terms - stacked[:, None, :]), rtol=1e-12, atol=0)
+        assert np.all(exps[1, 2] == 0.0)
         for e in range(3):
-            alone = _log_sum_exp(_mixture_terms(points[e], means[e], consts[e], inverses[e]))
+            alone = _log_sum_exp(_mixture_terms(_offsets(points[e], means[e]), consts[e], inverses[e]))[0]
             np.testing.assert_array_equal(stacked[e], alone)
             live = [
                 np.log(w) + multivariate_normal(m, c).logpdf(xy[e].T)
