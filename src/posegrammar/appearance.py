@@ -19,6 +19,7 @@ objects: the search reads the columns, and only
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, repeat
@@ -44,7 +45,7 @@ from .grammar import (
 from .jsonio import FieldError, read_json_lines, write_json_lines
 from .jsonio import argument, array, check_fields, count, mapping, nonnegative, number, number_column
 from .jsonio import record, text
-from .synthetic import PART_BOX_SIZES, SyntheticScene
+from .synthetic import PART_BOX_SIZES, SyntheticScene, _sigma, padded_box
 
 # Canonical 17-part ordering used by the synthetic provider.
 PART_ORDER: tuple[NodeId, ...] = (FULL_BODY, UPPER_BODY, LOWER_BODY) + ATOMIC_PARTS
@@ -393,12 +394,13 @@ def _part_box(
         w, h = PART_BOX_SIZES[part]
         x, y = keypoints[part]
         return (x - w / 2.0, y - h / 2.0, w, h)
-    members = PART_MEMBERS[part]
-    pad = 6.0
-    xs = [keypoints[m][0] for m in members]
-    ys = [keypoints[m][1] for m in members]
-    x0, y0 = min(xs) - pad, min(ys) - pad
-    return (x0, y0, max(xs) + pad - x0, max(ys) + pad - y0)
+    return padded_box([keypoints[m] for m in PART_MEMBERS[part]], 6.0)
+
+
+# The synthetic provider's score structure, as :func:`synth_scores` uses it.
+SYNTH_MARGIN = 2.5
+SYNTH_TARGET_BONUS = 0.15
+DISTRACTOR_COHERENCE = 0.0
 
 
 def synth_scores(
@@ -407,36 +409,26 @@ def synth_scores(
     rng_seed: int,
     *,
     attr_defs: Sequence[AttributeDef] | None = None,
-    margin: float = 2.5,
-    target_bonus: float = 0.15,
-    distractor_coherence: float = 0.0,
     part_type_count: int = DEFAULT_PART_TYPE_COUNT,
 ) -> ProposalSet:
     """Oracle appearance provider over a synthetic scene.
 
     Emits one proposal per (person, part) at the ground-truth keypoint.
-    A proposal's score for an attribute value is ``-margin`` if the value
-    contradicts the part's apparent value, ``0`` otherwise, plus
-    ``target_bonus`` for the first person and Gaussian noise of the given
-    sigma.  The first person's parts all show that person's true values,
-    so with zero noise the true value is strictly highest at every one of
-    its parts.  Later persons mimic off-center people whose per-part
-    attribute evidence is corrupted: each (part, attribute) shows the
-    person's true value with probability ``distractor_coherence`` and an
-    independently drawn domain value otherwise, so no single value fits
-    all of their parts at once.
+    A proposal's score for an attribute value is ``-SYNTH_MARGIN`` if the
+    value contradicts the part's apparent value, ``0`` otherwise, plus
+    ``SYNTH_TARGET_BONUS`` for the first person and Gaussian noise of
+    sigma ``noise_sigma`` (a number >= 0).  The first person's parts all
+    show that person's true values, so with zero noise the true value is
+    strictly highest at every one of its parts.  Later persons mimic
+    off-center people whose per-part attribute evidence is corrupted: each
+    (part, attribute) shows the person's true value with probability
+    ``DISTRACTOR_COHERENCE`` and an independently drawn domain value
+    otherwise, so no single value fits all of their parts at once.  A
+    noise so large that a score leaves the float range is refused, naming
+    ``noise_sigma``, the person and the part.
     """
-    noise_sigma = argument("noise_sigma", noise_sigma, number)
-    margin = argument("margin", margin, number)
-    target_bonus = argument("target_bonus", target_bonus, number)
-    distractor_coherence = argument("distractor_coherence", distractor_coherence, number)
+    noise_sigma = _sigma("noise_sigma", noise_sigma)
     part_type_count = argument("part_type_count", part_type_count, count)
-    if noise_sigma < 0.0:
-        raise ValidationError(f"noise_sigma must be >= 0, got {noise_sigma}")
-    if not 0.0 <= distractor_coherence <= 1.0:
-        raise ValidationError(
-            f"distractor_coherence must be in [0, 1], got {distractor_coherence}"
-        )
     attr_defs = default_attributes() if attr_defs is None else tuple(attr_defs)
     rng = np.random.default_rng(argument("rng_seed", rng_seed, nonnegative))
     proposals: list[tuple] = []  # (id, part, (x, y), part type, box)
@@ -446,7 +438,7 @@ def synth_scores(
         if unknown:
             raise ValidationError(f"person {pi} has values for undeclared attributes {unknown}")
         keypoints = part_keypoints(person.joints)
-        bonus = target_bonus if pi == 0 else 0.0
+        bonus = SYNTH_TARGET_BONUS if pi == 0 else 0.0
         for part in PART_ORDER:
             pid = f"p{pi}.{part}"
             part_type = int(rng.integers(1, part_type_count + 1))
@@ -463,11 +455,15 @@ def synth_scores(
                         f"person {pi}: value {true_value!r} outside domain of {attr.id!r}"
                     )
                 apparent = true_value
-                if pi > 0 and rng.random() >= distractor_coherence:
+                if pi > 0 and rng.random() >= DISTRACTOR_COHERENCE:
                     apparent = attr.domain[int(rng.integers(0, len(attr.domain)))]
                 per_value = per_attr[attr.id] = {}
                 for value in attr.domain:
-                    base = bonus + (0.0 if value == apparent else -margin)
-                    noise = float(rng.normal(0.0, noise_sigma))
-                    per_value[value] = base + noise
+                    base = bonus + (0.0 if value == apparent else -SYNTH_MARGIN)
+                    score = per_value[value] = base + float(rng.normal(0.0, noise_sigma))
+                    if not math.isfinite(score):
+                        raise ValidationError(
+                            f"noise_sigma {noise_sigma} gives person {pi}'s part {part!r} "
+                            f"a score of {score} for {attr.id}={value}, not a finite number"
+                        )
     return ProposalSet.from_columns(*zip(*proposals), ScoreTable(scores), part_type_count)

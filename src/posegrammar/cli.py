@@ -18,8 +18,6 @@ import os
 import sys
 from typing import Sequence
 
-import numpy as np
-
 from . import evaluation, learning, relations, synthetic
 from .appearance import Proposal, load_proposals
 from .errors import PoseGrammarError, ValidationError
@@ -146,12 +144,7 @@ def _cmd_synth(opts: dict) -> int:
         synthetic.save_scene(scene, os.path.join(opts["out"], f"scene_{i:05d}.json"))
     _info(f"wrote {n} {family} scenes to {opts['out']}")
     if opts.get("annotations"):
-        annotations = []
-        for i, scene in enumerate(scenes):
-            rng = np.random.default_rng([seed, i, 1])
-            annotations.append(
-                evaluation.annotation_from_person(scene.persons[0], rng, occlude=True)
-            )
+        annotations = [evaluation.occluded_annotation(s.persons[0], seed, i)[0] for i, s in enumerate(scenes)]
         learning.save_annotations(annotations, opts["annotations"])
         _info(f"wrote {n} annotations to {opts['annotations']}")
     return 0
@@ -164,17 +157,18 @@ def _cmd_learn(opts: dict) -> int:
     _require(opts, "annotations", "grammar", "out")
     grammar = load_grammar(opts["grammar"])
     annotations = learning.load_annotations(opts["annotations"])
-    groups = None
+    type_samples = None
     if opts.get("proposals"):
         groups = read_json_lines(opts["proposals"], _proposal_group)
         if len(groups) != len(annotations):
             raise ValidationError(
                 f"{len(groups)} proposal groups for {len(annotations)} annotations"
             )
+        type_samples = list(map(learning.proposal_part_types, annotations, groups))
     models = learning.learn_models(
         annotations,
         grammar,
-        proposal_groups=groups,
+        type_samples=type_samples,
         n_components=opts["components"],
         seed=opts["seed"],
     )
@@ -230,17 +224,15 @@ def _cmd_eval_pcp(opts: dict) -> int:
     sticks = evaluation.default_sticks(grammar)
     threshold = opts["threshold"]
     hits: dict[int, list[int]] = {s.index: [0, 0] for s in sticks}
-    total = [0, 0]
     for path, ann in zip(files, annotations):
         pg = load_parse_graph(path, grammar)
         result = evaluation.strict_pcp(pg, ann, sticks, threshold=threshold)
         for index, ok in result.per_stick.items():
             hits[index][0] += int(ok)
             hits[index][1] += 1
-            total[0] += int(ok)
-            total[1] += 1
+    correct, evaluated = sum(h for h, _t in hits.values()), sum(t for _h, t in hits.values())
     report = {
-        "mean_pcp": total[0] / total[1] if total[1] else None,
+        "mean_pcp": correct / evaluated if evaluated else None,
         "n_pairs": len(files),
         "per_stick": {
             str(i): (h / t if t else None) for i, (h, t) in sorted(hits.items())

@@ -18,11 +18,11 @@ import numpy as np
 from .appearance import ProposalSet, synth_scores
 from .errors import MissingEntryError, ValidationError
 from .grammar import AOGrammar, AttrId, NodeId, ParseGraph
-from .inference import BeamConfig, _pairs, _readout, _search, _select, attribute_scores
+from .inference import BeamConfig, _pairs, _search, _select, attribute_scores
 from .jsonio import argument, count, number, number_column
 from .learning import Annotation, JointObs
 from .relations import AttributeAssociation, RelationModels
-from .synthetic import Person, SyntheticScene, _child_seed, person_bbox, single_person_scene
+from .synthetic import Person, SyntheticScene, _child_seed, padded_box, single_person_scene
 
 MODE_JOINT = "joint"
 MODE_NO_ATTRIBUTE = "no-attribute"
@@ -204,7 +204,15 @@ def annotation_from_person(
     joints = {
         p: JointObs(x=x, y=y, visible=visible[p]) for p, (x, y) in person.joints.items()
     }
-    return Annotation(joints=joints, person_box=person_bbox(person), attributes=attributes)
+    return Annotation(joints=joints, person_box=padded_box(person.joints.values(), 8.0), attributes=attributes)
+
+
+def occluded_annotation(person: Person, seed: int, index: int) -> tuple[Annotation, np.random.Generator]:
+    """Item ``index`` of a corpus under ``seed``: ``person`` as an occluded
+    annotation drawn from the generator ``[seed, index, 1]``, and that
+    generator, for the item's further draws."""
+    rng = np.random.default_rng([seed, index, 1])
+    return annotation_from_person(person, rng, occlude=True), rng
 
 
 def make_training_pairs(
@@ -219,8 +227,8 @@ def make_training_pairs(
     type_samples = []
     for i in range(n):
         scene = single_person_scene(_child_seed(seed, i), attr_defs=grammar.attributes)
-        rng = np.random.default_rng([seed, i, 1])
-        annotations.append(annotation_from_person(scene.persons[0], rng, occlude=True))
+        annotation, rng = occluded_annotation(scene.persons[0], seed, i)
+        annotations.append(annotation)
         # One draw per part, in part order, as many single draws would give.
         types = rng.integers(1, grammar.part_type_count + 1, size=len(parts)).tolist()
         type_samples.append(dict(zip(parts, types)))
@@ -237,10 +245,7 @@ def parse_attribute_scores(
     grammar: AOGrammar,
 ) -> dict[AttrId, dict[str, float]]:
     """Per-value attribute scores summed over a single parse's parts."""
-    return {
-        a.id: {v: _readout(pg, pset, assoc, a.id, v) for v in a.domain}
-        for a in grammar.attributes
-    }
+    return attribute_scores({(a.id, v): pg for a in grammar.attributes for v in a.domain}, pset, assoc)
 
 
 def no_pose_attribute_scores(
@@ -260,13 +265,7 @@ def no_pose_attribute_scores(
 
 def argmax_value(per_value: Mapping[str, float], domain: Sequence[str]) -> str:
     """Highest scoring value, earliest domain entry winning ties."""
-    best = None
-    best_score = -math.inf
-    for value in domain:
-        score = per_value[value]
-        if score > best_score:
-            best, best_score = value, score
-    return best
+    return max(domain, key=per_value.__getitem__)
 
 
 @dataclass

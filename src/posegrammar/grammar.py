@@ -57,7 +57,6 @@ ATOMIC_PARTS: tuple[NodeId, ...] = (
 UPPER_BODY: NodeId = "upper_body"
 LOWER_BODY: NodeId = "lower_body"
 FULL_BODY: NodeId = "full_body"
-MID_PARTS: tuple[NodeId, ...] = (UPPER_BODY, LOWER_BODY)
 
 UPPER_BODY_MEMBERS: tuple[NodeId, ...] = (
     "head",
@@ -270,23 +269,15 @@ class AOGrammar:
         except KeyError:
             raise MissingEntryError(f"unknown attribute {attr_id!r}") from None
 
-    def psg_parent(self, node_id: NodeId) -> NodeId | None:
-        parents = self._psg_parents.get(node_id)
-        return parents[0] if parents else None
-
-    def dg_parent(self, node_id: NodeId) -> NodeId | None:
-        parents = self._dg_parents.get(node_id)
-        return parents[0] if parents else None
-
     def psg_ancestors(self, node_id: NodeId) -> tuple[NodeId, ...]:
         """Chain of decomposition parents from ``node_id`` up to the root."""
         out: list[NodeId] = []
         seen = {node_id}
-        cur = self.psg_parent(node_id)
-        while cur is not None and cur not in seen:
-            out.append(cur)
-            seen.add(cur)
-            cur = self.psg_parent(cur)
+        parents = self._psg_parents.get(node_id)
+        while parents and parents[0] not in seen:
+            out.append(parents[0])
+            seen.add(parents[0])
+            parents = self._psg_parents.get(parents[0])
         return tuple(out)
 
     # -- serialization ---------------------------------------------------

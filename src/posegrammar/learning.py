@@ -212,47 +212,63 @@ def _columns(edges: Iterable[Edge]) -> dict[NodeId, int]:
     return {p: i for i, p in enumerate(dict.fromkeys(p for edge in edges for p in edge))}
 
 
-def fit_syntactic(
-    data: Sequence[tuple[Annotation, Mapping[NodeId, int]]],
-    grammar: AOGrammar,
-) -> SyntacticTable:
+def proposal_part_types(annotation: Annotation, proposals: Sequence[Proposal]) -> dict[NodeId, int]:
+    """The part types ``proposals`` show for ``annotation``: each part takes
+    the type of the first proposal :func:`label_proposals` matches to it."""
+    types: dict[NodeId, int] = {}
+    for lp in label_proposals(annotation, proposals):
+        if not lp.is_negative:
+            types.setdefault(lp.part, lp.part_type)
+    return types
+
+
+def fit_syntactic(type_samples: Sequence[Mapping[NodeId, int]], grammar: AOGrammar) -> SyntacticTable:
     """Fit per-edge part-type co-occurrence tables with add-one smoothing.
 
-    ``data`` pairs each annotation with the part types chosen for it (for
-    example the types of its matched positive proposals).  An edge
+    Each of ``type_samples`` maps parts to the types chosen for one
+    annotation (for example by :func:`proposal_part_types`).  An edge
     contributes a sample when both of its parts have a type.  Edges with
-    no samples fall back to the uniform table with a warning.
+    no samples fall back to the uniform table, named in one warning.
     """
     t = grammar.part_type_count
     cells = t * t
     parts = _columns(grammar.psg_edges)
     # One row per sample, one column per part: its type, None when it has none.
-    typed = np.array([[types.get(p) for p in parts] for _ann, types in data], dtype=object)
-    typed = typed.reshape(len(data), len(parts))
+    typed = np.array([[types.get(p) for p in parts] for types in type_samples], dtype=object)
+    typed = typed.reshape(len(type_samples), len(parts))
     present = np.not_equal(typed, None)
     typed[~present] = 0
     with np.errstate(invalid="ignore"):  # a NaN type is out of range
         valid = present & (typed >= 1) & (typed <= t) & (typed % 1 == 0)
     codes = np.where(valid, typed, 1).astype(np.intp) - 1
     tables: dict[Edge, np.ndarray] = {}
+    unsampled: list[Edge] = []
     for edge in grammar.psg_edges:
         i, j = parts[edge[0]], parts[edge[1]]
         both = present[:, i] & present[:, j]
         bad = np.flatnonzero(both & ~(valid[:, i] & valid[:, j]))
         if bad.size:
-            types = data[bad[0]][1]
+            types = type_samples[bad[0]]
             raise ValidationError(
                 f"part types for edge {edge} must lie in 1..{t}, got ({types[edge[0]]}, {types[edge[1]]})"
             )
         n = int(both.sum())
         if n == 0:
-            warnings.warn(
-                f"no part-type samples for edge {edge}; using the uniform table",
-                stacklevel=2,
-            )
+            unsampled.append(edge)
         counts = np.bincount(codes[both, i] * t + codes[both, j], minlength=cells).reshape(t, t)
         tables[edge] = (counts + 1.0) / (n + cells)
+    if unsampled:
+        warnings.warn(
+            f"no part-type samples for edges {unsampled}; they use the uniform table",
+            stacklevel=2,
+        )
     return SyntacticTable(tables, part_type_count=t)
+
+
+def _beyond_range(edge: Edge, why) -> ValidationError:
+    """The refusal of ``edge``'s displacement samples, on which the fit
+    failed for the reason ``why``."""
+    return ValidationError(f"edge {edge}: displacement samples are beyond the range the fit can represent ({why})")
 
 
 def _kmeans_plusplus(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -354,10 +370,9 @@ def _em_fit(
         ll = np.einsum("en,en->e", log_mix, mask) / n
         fell = np.flatnonzero(ll < prev - 1e-7)
         if fell.size:
-            e = rows[fell[0]]
-            raise RuntimeError(
-                f"edge {edges[e][0]}->{edges[e][1]}: EM mean log-likelihood decreased "
-                f"from {float(prev[fell[0]])} to {float(ll[fell[0]])}"
+            raise _beyond_range(
+                edges[rows[fell[0]]],
+                f"EM mean log-likelihood decreased from {float(prev[fell[0]])} to {float(ll[fell[0]])}",
             )
         history[step, rows] = ll
         steps[rows] += 1
@@ -409,7 +424,9 @@ def fit_kinematic(
     seeded from ``[seed, index]``, so edge order cannot leak between
     fits, and each edge stops on its own.  An edge whose fit stops at
     ``max_iter`` rather than at ``EM_TOL`` is logged at INFO, with its
-    last gain in mean log-likelihood.
+    last gain in mean log-likelihood.  Samples so far apart that the fit
+    cannot represent them (its sums overflow, its likelihood falls, or its
+    mixture fails the :class:`Mixture` check) are refused naming the edge.
     """
     n_components = argument("n_components", n_components, count)
     seed = argument("seed", seed, nonnegative)
@@ -427,6 +444,10 @@ def fit_kinematic(
             raise DegenerateDataError(
                 f"edge {edge}: needs at least 2 displacement samples, got {X.shape[0]}"
             )
+        # This bounds the squared distances the k-means++ seeding sums.
+        with np.errstate(over="ignore"):
+            if not np.isfinite(len(X) * np.square(np.ptp(X, axis=0)).sum()):
+                raise _beyond_range(edge, "their squared range overflows")
     if not edges:
         return KinematicMoG({})
     ks = np.array([min(X.shape[0], n_components) for X in samples])
@@ -446,11 +467,15 @@ def fit_kinematic(
         mask[index, :n] = 1.0
         means[index, :k] = _kmeans_plusplus(X, k, np.random.default_rng([seed, index]))
 
-    weights, means, covs, history, steps = _em_fit(edges, points, mask, means, ks, max_iter)
+    with np.errstate(all="ignore"):  # a fit gone non-finite is refused below, naming its edge
+        weights, means, covs, history, steps = _em_fit(edges, points, mask, means, ks, max_iter)
     mixtures: dict[Edge, Mixture] = {}
     traces: dict[Edge, list[float]] = {}
     for index, (edge, k, length) in enumerate(zip(edges, ks, steps)):
-        mixtures[edge] = Mixture(weights[index, :k], means[index, :k], covs[index, :k])
+        try:
+            mixtures[edge] = Mixture(weights[index, :k], means[index, :k], covs[index, :k])
+        except ValidationError as exc:
+            raise _beyond_range(edge, exc) from None
         traces[edge] = trace = history[:length, index].tolist()
         if length > max_iter:
             gain = trace[-1] - trace[-2] if length > 1 else math.nan
@@ -551,36 +576,25 @@ def learn_models(
     grammar: AOGrammar,
     *,
     type_samples: Sequence[Mapping[NodeId, int]] | None = None,
-    proposal_groups: Sequence[Sequence[Proposal]] | None = None,
     n_components: int = 10,
     seed: int = 0,
 ):
     """Fit all three relation models from an annotated corpus.
 
-    Part types for the co-occurrence tables come from ``type_samples``
-    when given, else from labeling ``proposal_groups`` against their
-    annotations, else every edge falls back to uniform.
+    The co-occurrence tables count ``type_samples``, one part-type map per
+    annotation (:func:`proposal_part_types` labels detector proposals into
+    one); without them every edge falls back to the uniform table.
     """
     n_components = argument("n_components", n_components, count)
     seed = argument("seed", seed, nonnegative)
     if not annotations:
         raise DegenerateDataError("learning needs at least one annotation")
-    if type_samples is not None and len(type_samples) != len(annotations):
-        raise ValidationError("type_samples must align one-to-one with annotations")
-    if proposal_groups is not None and len(proposal_groups) != len(annotations):
-        raise ValidationError("proposal_groups must align one-to-one with annotations")
-
     if type_samples is None:
-        type_samples = []
-        for i, ann in enumerate(annotations):
-            types: dict[NodeId, int] = {}
-            if proposal_groups is not None:
-                for lp in label_proposals(ann, proposal_groups[i]):
-                    if not lp.is_negative and lp.part not in types:
-                        types[lp.part] = lp.part_type
-            type_samples.append(types)
+        type_samples = [{}] * len(annotations)
+    if len(type_samples) != len(annotations):
+        raise ValidationError("type_samples must align one-to-one with annotations")
 
-    syntactic = fit_syntactic(list(zip(annotations, type_samples)), grammar)
+    syntactic = fit_syntactic(type_samples, grammar)
     kinematic = fit_kinematic(
         displacement_samples(annotations, grammar), n_components=n_components, seed=seed
     )

@@ -422,18 +422,11 @@ class RelationModels:
         return {
             "schema_version": SCHEMA_VERSION,
             "part_type_count": self.part_type_count,
-            "syntactic": {
-                _edge_key(e): [[float(x) for x in row] for row in mat]
-                for e, mat in self.syntactic.tables.items()
-            },
+            "syntactic": {_edge_key(e): mat.tolist() for e, mat in self.syntactic.tables.items()},
             "kinematic": {
                 _edge_key(e): [
-                    {
-                        "w": float(w),
-                        "mu": [float(mu[0]), float(mu[1])],
-                        "cov": [[float(c) for c in row] for row in cov],
-                    }
-                    for w, mu, cov in zip(m.weights, m.means, m.covariances)
+                    {"w": w, "mu": mu, "cov": cov}
+                    for w, mu, cov in zip(m.weights.tolist(), m.means.tolist(), m.covariances.tolist())
                 ]
                 for e, m in self.kinematic.mixtures.items()
             },

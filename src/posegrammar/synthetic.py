@@ -9,7 +9,7 @@ regenerated byte-for-byte.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -123,11 +123,10 @@ def load_scene(path: str) -> SyntheticScene:
     return read_json(path, SyntheticScene.from_json_dict)
 
 
-def person_bbox(person: Person) -> tuple[float, float, float, float]:
-    """Axis-aligned joint bounding box padded by 8 pixels, as (x0, y0, w, h)."""
-    pad = 8.0
-    xs = [x for x, _ in person.joints.values()]
-    ys = [y for _, y in person.joints.values()]
+def padded_box(points: Iterable[tuple[float, float]], pad: float) -> tuple[float, float, float, float]:
+    """The axis-aligned bounding box of ``points`` grown by ``pad`` on every
+    side, as (x0, y0, w, h)."""
+    xs, ys = zip(*points)
     x0, y0 = min(xs) - pad, min(ys) - pad
     return (x0, y0, max(xs) + pad - x0, max(ys) + pad - y0)
 
@@ -136,11 +135,11 @@ def _sample_attributes(rng: np.random.Generator, attr_defs: Sequence[AttributeDe
     return {a.id: a.domain[int(rng.integers(0, len(a.domain)))] for a in attr_defs}
 
 
-def _pose_sigma(value) -> float:
-    """The joint jitter ``pose_sigma``: a number >= 0."""
-    sigma = argument("pose_sigma", value, number)
+def _sigma(name: str, value) -> float:
+    """The spread argument ``name``: a number >= 0."""
+    sigma = argument(name, value, number)
     if sigma < 0.0:
-        raise ValidationError(f"pose_sigma must be >= 0, got {sigma}")
+        raise ValidationError(f"{name} must be >= 0, got {sigma}")
     return sigma
 
 
@@ -170,7 +169,7 @@ def single_person_scene(
     attr_defs: Sequence[AttributeDef] | None = None,
 ) -> SyntheticScene:
     """One person near the canvas center, pose and attributes seeded."""
-    pose_sigma = _pose_sigma(pose_sigma)
+    pose_sigma = _sigma("pose_sigma", pose_sigma)
     attr_defs = default_attributes() if attr_defs is None else tuple(attr_defs)
     rng = np.random.default_rng(argument("seed", seed, nonnegative))
     w, h = image_size
@@ -200,7 +199,7 @@ def two_person_scene(
     draw the same attributes, the distractor's first attribute moves to
     another value, so with any attribute the two never agree on them all.
     """
-    pose_sigma = _pose_sigma(pose_sigma)
+    pose_sigma = _sigma("pose_sigma", pose_sigma)
     spacing = argument("spacing", spacing, number)
     attr_defs = default_attributes() if attr_defs is None else tuple(attr_defs)
     rng = np.random.default_rng(argument("seed", seed, nonnegative))

@@ -71,3 +71,40 @@ def trained_models(grammar):
         return learn_models(
             annotations, grammar, type_samples=types, n_components=10, seed=5
         )
+
+
+
+@pytest.fixture(scope="session")
+def far_apart(grammar):
+    """``make_training_pairs(60, seed=3)`` with every coordinate of its
+    annotations multiplied by a scale: a function of the scale returning
+    the annotations and the part types."""
+    from posegrammar.learning import Annotation, JointObs
+
+    annotations, types = make_training_pairs(60, seed=3, grammar=grammar)
+
+    def scaled(s: float):
+        return [
+            Annotation(
+                {p: JointObs(j.x * s, j.y * s, j.visible) for p, j in ann.joints.items()},
+                tuple(v * s for v in ann.person_box),
+                ann.attributes,
+            )
+            for ann in annotations
+        ], types
+
+    return scaled
+
+
+# Scales of that corpus whose fit must be refused, each with the edge the
+# refusal names: a covariance eigenvalue lost below the floor, a falling
+# EM likelihood, and squared distances beyond the float range.
+@pytest.fixture(
+    params=[(1e3, "('torso', 'r_shoulder')"), (1e20, "('r_hip', 'r_upper_leg')"), (1e153, "('torso', 'head')")],
+    ids=["1e3", "1e20", "1e153"],
+)
+def beyond_range(request, far_apart):
+    """The far-apart corpus at a scale the fit cannot represent: its
+    annotations, its part types and the edge the refusal names."""
+    scale, edge = request.param
+    return (*far_apart(scale), edge)

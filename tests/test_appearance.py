@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 
 from posegrammar.appearance import (
     PART_ORDER,
+    SYNTH_MARGIN,
+    SYNTH_TARGET_BONUS,
     Proposal,
     ProposalSet,
     ScoreTable,
@@ -243,29 +245,29 @@ class TestSynthScores:
                 assert best == truth[attr.id]
 
     def test_target_bonus_separates_persons(self):
+        """At sigma 0 the target's true value scores SYNTH_TARGET_BONUS on
+        every part and its others SYNTH_MARGIN less; each distractor part
+        scores 0 on exactly one value, its apparent one, and -SYNTH_MARGIN
+        on the rest."""
         scene = two_person_scene(seed=4, attr_defs=SMALL_ATTRS)
-        pset = synth_scores(
-            scene,
-            noise_sigma=0.0,
-            rng_seed=5,
-            attr_defs=SMALL_ATTRS,
-            target_bonus=0.25,
-            distractor_coherence=1.0,
-        )
+        pset = synth_scores(scene, noise_sigma=0.0, rng_seed=5, attr_defs=SMALL_ATTRS)
         truth = scene.persons[0].attributes
-        other = scene.persons[1].attributes
-        for part in ("head", "torso"):
-            mine = pset.scores.lookup(f"p0.{part}", "gender", truth["gender"])
-            assert mine == pytest.approx(0.25)
-            theirs = pset.scores.lookup(f"p1.{part}", "gender", other["gender"])
-            assert theirs == pytest.approx(0.0)
+        for part in PART_ORDER:
+            for attr in SMALL_ATTRS:
+                mine = {v: pset.scores.lookup(f"p0.{part}", attr.id, v) for v in attr.domain}
+                assert mine.pop(truth[attr.id]) == pytest.approx(SYNTH_TARGET_BONUS)
+                assert list(mine.values()) == [pytest.approx(SYNTH_TARGET_BONUS - SYNTH_MARGIN)] * len(mine)
+                theirs = sorted(pset.scores.lookup(f"p1.{part}", attr.id, v) for v in attr.domain)
+                assert theirs[-1] == pytest.approx(0.0)
+                assert theirs[:-1] == [pytest.approx(-SYNTH_MARGIN)] * (len(attr.domain) - 1)
+        assert SYNTH_TARGET_BONUS > 0.0 and SYNTH_MARGIN > SYNTH_TARGET_BONUS
 
     def test_incoherent_distractor_has_no_single_consistent_value(self):
         """With coherence 0 the distractor's per-part apparent values are
         resampled; over 14 atomic parts at least one disagrees with any
         fixed choice, so a global constraint accrues margin penalties."""
         scene = two_person_scene(seed=4)
-        pset = synth_scores(scene, noise_sigma=0.0, rng_seed=5, margin=2.5)
+        pset = synth_scores(scene, noise_sigma=0.0, rng_seed=5)
         attr = "upper_cloth_type"
         domain = ("t_shirt", "jumper", "suit", "no_cloth", "swimwear")
         best_total = max(
@@ -279,15 +281,21 @@ class TestSynthScores:
         with pytest.raises(ValidationError, match=r"^rng_seed must be an integer >= 0, got -1$"):
             synth_scores(scene, noise_sigma=0.1, rng_seed=-1)
 
+    def test_a_noise_beyond_the_float_range_is_refused_naming_it(self):
+        """The first score the noise pushes out of the float range is
+        refused naming ``noise_sigma``, the person and the part, not a
+        proposal record the caller never wrote."""
+        message = (
+            "noise_sigma 1e+308 gives person 0's part 'full_body' a score of -inf "
+            "for upper_cloth_type=no_cloth, not a finite number"
+        )
+        with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
+            synth_scores(two_person_scene(seed=4), noise_sigma=1e308, rng_seed=0)
+
     def test_negative_sigma_rejected(self):
         scene = single_person_scene(seed=3)
         with pytest.raises(ValidationError, match="noise_sigma"):
             synth_scores(scene, noise_sigma=-0.1, rng_seed=0)
-
-    def test_coherence_range_validated(self):
-        scene = single_person_scene(seed=3)
-        with pytest.raises(ValidationError, match="distractor_coherence"):
-            synth_scores(scene, noise_sigma=0.1, rng_seed=0, distractor_coherence=1.5)
 
     def test_person_missing_attribute_value(self):
         scene = single_person_scene(seed=3, attr_defs=SMALL_ATTRS)

@@ -27,6 +27,7 @@ from posegrammar.grammar import (
     part_keypoints,
     save_parse_graph,
 )
+from posegrammar.learning import save_annotations
 from posegrammar.relations import load_models
 from posegrammar.synthetic import load_scene
 
@@ -317,6 +318,20 @@ class TestLearn:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+
+    def test_a_corpus_beyond_the_fit_range_exits_one_naming_the_edge(self, pipeline, beyond_range, tmp_path, capsys):
+        far, _types, edge = beyond_range
+        annotations = tmp_path / "far.jsonl"
+        save_annotations(far, str(annotations))
+        argv = ["learn", "--annotations", str(annotations), "--grammar", pipeline["grammar"]]
+        argv += ["--components", "3", "--seed", "1", "--out", str(tmp_path / "m.json")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            assert cli_dispatch(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: edge {edge}: displacement samples are beyond the range")
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        assert not (tmp_path / "m.json").exists()
 
     def _learn(self, pipeline, tmp_path, *extra):
         argv = ["learn", "--annotations", pipeline["annotations"], "--grammar", pipeline["grammar"]]
@@ -766,6 +781,18 @@ class TestDiag:
         capsys.readouterr()
         assert cli_dispatch(["diag", "--config", str(cfg)]) == 1
         assert f"unknown keys ['{key}']" in capsys.readouterr().err
+
+    def test_a_noise_beyond_the_float_range_exits_one_naming_it(self, pipeline, tmp_path, capsys):
+        scenes = tmp_path / "scenes"
+        assert cli_dispatch(["synth", "--family", "two-person", "--n", "2", "--seed", "3", "--out", str(scenes)]) == 0
+        report = tmp_path / "diag.json"
+        argv = ["diag", "--scenes", str(scenes), "--grammar", pipeline["grammar"], "--models", pipeline["models"]]
+        capsys.readouterr()
+        assert cli_dispatch(argv + ["--noise-sigma", "1e308", "--report", str(report)]) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        shape = r"error: noise_sigma 1e\+308 gives person \d+'s part '\w+' a score of -?inf for \w+=\w+, not a"
+        assert re.fullmatch(shape + " finite number", line)
+        assert not report.exists()
 
     def test_empty_scene_directory(self, pipeline, tmp_path, capsys):
         empty = tmp_path / "none"

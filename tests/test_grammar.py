@@ -60,10 +60,8 @@ class TestDefaultGrammar:
 
     def test_dependency_tree_rooted_at_torso(self, grammar):
         assert grammar.dg_edges == DEFAULT_DG_EDGES
-        assert grammar.dg_parent("torso") is None
-        for part in ATOMIC_PARTS:
-            if part != "torso":
-                assert grammar.dg_parent(part) is not None
+        children = {child for _parent, child in grammar.dg_edges}
+        assert children == set(ATOMIC_PARTS) - {"torso"}
         # Tree over 14 nodes needs exactly 13 edges, all endpoints atomic.
         for parent, child in grammar.dg_edges:
             assert parent in ATOMIC_PARTS and child in ATOMIC_PARTS

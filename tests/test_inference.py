@@ -154,10 +154,8 @@ class TestExpansionOrder:
         assert len(order) == 17
         assert sorted(order) == sorted(grammar.part_ids)
         position = {p: i for i, p in enumerate(order)}
-        for part in order:
-            for parent in (grammar.psg_parent(part), grammar.dg_parent(part)):
-                if parent is not None:
-                    assert position[parent] < position[part]
+        for parent, child in grammar.psg_edges + grammar.dg_edges:
+            assert position[parent] < position[child]
         # The torso grounds before any limb joint it anchors.
         assert position["torso"] < position["head"]
         assert position["torso"] < position["l_shoulder"]

@@ -503,17 +503,14 @@ def test_a_count_argument_is_refused_naming_it(function, value, shown):
         (lambda: _pcp("0.5"), "threshold must be a finite number, got '0.5'"),
         (lambda: _synth(noise_sigma="1"), "noise_sigma must be a finite number, got '1'"),
         (lambda: _synth(noise_sigma=_NAN), "noise_sigma must be a finite number, got nan"),
-        (lambda: _synth(margin=_NAN), "margin must be a finite number, got nan"),
-        (lambda: _synth(target_bonus=_NAN), "target_bonus must be a finite number, got nan"),
-        (lambda: _synth(distractor_coherence="0.5"), "distractor_coherence must be a finite number, got '0.5'"),
         (lambda: single_person_scene(0, pose_sigma=-1.0), "pose_sigma must be >= 0, got -1.0"),
         (lambda: single_person_scene(0, pose_sigma=_NAN), "pose_sigma must be a finite number, got nan"),
         (lambda: two_person_scene(0, pose_sigma=_NAN), "pose_sigma must be a finite number, got nan"),
         (lambda: two_person_scene(0, spacing=_NAN), "spacing must be a finite number, got nan"),
     ],
     ids=[
-        "threshold-nan", "threshold-inf", "threshold-str", "noise-str", "noise-nan", "margin-nan",
-        "bonus-nan", "coherence-str", "pose-negative", "pose-nan", "two-person-pose-nan", "spacing-nan",
+        "threshold-nan", "threshold-inf", "threshold-str", "noise-str", "noise-nan",
+        "pose-negative", "pose-nan", "two-person-pose-nan", "spacing-nan",
     ],
 )
 def test_a_real_argument_is_refused_naming_it(call, message):

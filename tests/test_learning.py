@@ -43,6 +43,7 @@ from posegrammar.learning import (
     learn_models,
     load_annotations,
     mutual_information,
+    proposal_part_types,
     save_annotations,
 )
 from posegrammar.relations import COV_EIG_FLOOR, validate_association
@@ -227,7 +228,7 @@ def corpus_101(grammar):
     return make_training_pairs(600, seed=101, grammar=grammar)
 
 
-def _loop_syntactic(data, grammar):
+def _loop_syntactic(type_samples, grammar):
     """Co-occurrence counts one sample at a time: the reference for the
     counted fit."""
     t = grammar.part_type_count
@@ -235,7 +236,7 @@ def _loop_syntactic(data, grammar):
     for parent, child in grammar.psg_edges:
         counts = np.zeros((t, t))
         n = 0
-        for _ann, types in data:
+        for types in type_samples:
             if types.get(parent) is not None and types.get(child) is not None:
                 counts[types[parent] - 1, types[child] - 1] += 1.0
                 n += 1
@@ -277,8 +278,7 @@ class TestFitSyntactic:
         types = {p: 1 for p in grammar.part_ids}
         types["full_body"] = 2
         types["upper_body"] = 3
-        ann = _annotation()
-        table = fit_syntactic([(ann, types)], grammar)
+        table = fit_syntactic([types], grammar)
         np.testing.assert_allclose(
             table.score(("full_body", "upper_body"), 2, 3), math.log(2.0 / 82.0), atol=1e-12
         )
@@ -291,10 +291,8 @@ class TestFitSyntactic:
 
     def test_counting_oracle(self):
         g = _toy_grammar()
-        ann = _annotation()
         samples = [(1, 1), (1, 2), (1, 1)]
-        data = [(ann, {"root": tr, "a": tc, "b": tc}) for tr, tc in samples]
-        table = fit_syntactic(data, g)
+        table = fit_syntactic([{"root": tr, "a": tc, "b": tc} for tr, tc in samples], g)
         np.testing.assert_allclose(
             table.score(("root", "a"), 1, 1), math.log(3.0 / 7.0), atol=1e-12
         )
@@ -307,16 +305,24 @@ class TestFitSyntactic:
 
     def test_uniform_fallback_warns(self):
         g = _toy_grammar()
-        ann = _annotation()
-        with pytest.warns(UserWarning, match="uniform"):
-            table = fit_syntactic([(ann, {"root": 1})], g)
+        with pytest.warns(UserWarning, match="uniform") as caught:
+            table = fit_syntactic([{"root": 1}], g)
         np.testing.assert_allclose(table.score(("root", "a"), 2, 2), math.log(0.25), atol=1e-12)
+        np.testing.assert_allclose(table.score(("root", "b"), 1, 2), math.log(0.25), atol=1e-12)
+        assert [str(w.message) for w in caught] == [
+            "no part-type samples for edges [('root', 'a'), ('root', 'b')]; they use the uniform table"
+        ]
+        # One warning however many edges fall back; a sampled edge is not named.
+        with pytest.warns(UserWarning) as caught:
+            fit_syntactic([{"root": 1, "a": 2}, {"b": 1}], g)
+        assert [str(w.message) for w in caught] == [
+            "no part-type samples for edges [('root', 'b')]; they use the uniform table"
+        ]
 
     def test_out_of_range_type_rejected(self):
         g = _toy_grammar()
-        ann = _annotation()
         with pytest.raises(ValidationError, match="1..2"):
-            fit_syntactic([(ann, {"root": 1, "a": 3, "b": 1})], g)
+            fit_syntactic([{"root": 1, "a": 3, "b": 1}], g)
 
 
     def test_counts_match_the_per_sample_loop(self, grammar, corpus_101):
@@ -325,9 +331,8 @@ class TestFitSyntactic:
         annotations, types = corpus_101
         rng = np.random.default_rng(3)
         thinned = [{p: v for p, v in per.items() if rng.random() > 0.2} for per in types]
-        data = list(zip(annotations, thinned))
-        table = fit_syntactic(data, grammar)
-        expected = _loop_syntactic(data, grammar)
+        table = fit_syntactic(thinned, grammar)
+        expected = _loop_syntactic(thinned, grammar)
         assert list(table.tables) == list(expected)
         for edge, counts in expected.items():
             assert np.array_equal(table.tables[edge], counts), edge
@@ -336,14 +341,13 @@ class TestFitSyntactic:
         """Edges are checked in grammar order, each over the samples in
         order; a type whose edge partner has none is not a pair."""
         g = _toy_grammar()
-        ann = _annotation()
         samples = [{"root": 1, "a": 2}, {"a": 7, "b": 9}, {"root": 2, "a": 1, "b": 3}, {"root": 0, "b": 1}]
         message = "part types for edge ('root', 'b') must lie in 1..2, got (2, 3)"
         with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
-            fit_syntactic([(ann, types) for types in samples], g)
+            fit_syntactic(samples, g)
         message = "part types for edge ('root', 'a') must lie in 1..2, got (1, 1.5)"
         with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
-            fit_syntactic([(ann, {"root": 1, "a": 1.5})], g)
+            fit_syntactic([{"root": 1, "a": 1.5}], g)
 
 
 class TestDisplacementSamples:
@@ -741,11 +745,6 @@ class TestLearnModels:
         with pytest.raises(ValidationError, match="one-to-one"):
             learn_models([ann, ann], grammar, type_samples=[{}])
 
-    def test_misaligned_proposal_groups(self, grammar):
-        ann = _annotation(attributes={a.id: a.domain[0] for a in grammar.attributes})
-        with pytest.raises(ValidationError, match="one-to-one"):
-            learn_models([ann, ann], grammar, proposal_groups=[[]])
-
     def test_types_recovered_from_proposal_groups(self, grammar):
         """Proposals sitting on the joints get labeled and feed the tables."""
         attrs = {a.id: a.domain[0] for a in grammar.attributes}
@@ -770,13 +769,28 @@ class TestLearnModels:
             groups.append(group)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            models = learn_models(anns, grammar, proposal_groups=groups, n_components=2)
+            types = list(map(proposal_part_types, anns, groups))
+            models = learn_models(anns, grammar, type_samples=types, n_components=2)
         np.testing.assert_allclose(
             models.syntactic.score(("upper_body", "head"), 2, 2), math.log(3.0 / 83.0), atol=1e-12
         )
         np.testing.assert_allclose(
             models.syntactic.score(("upper_body", "head"), 1, 1), math.log(1.0 / 83.0), atol=1e-12
         )
+
+    @pytest.mark.parametrize("scale", [3.0, 300.0])
+    def test_a_spread_out_corpus_within_range_fits(self, grammar, far_apart, scale):
+        annotations, types = far_apart(scale)
+        models = learn_models(annotations, grammar, type_samples=types, n_components=3, seed=1)
+        assert set(models.kinematic.mixtures) == set(grammar.dg_edges)
+
+    def test_a_corpus_beyond_the_fit_range_is_refused_naming_the_edge(self, grammar, beyond_range):
+        """Each way the fit fails on far-apart samples ends in one named
+        refusal: no bare ``RuntimeError`` and no numpy ``ValueError``."""
+        annotations, types, edge = beyond_range
+        message = f"edge {edge}: displacement samples are beyond the range the fit can represent ("
+        with pytest.raises(ValidationError, match="^" + re.escape(message)):
+            learn_models(annotations, grammar, type_samples=types, n_components=3, seed=1)
 
     def test_deterministic_fit(self, grammar):
         from posegrammar.evaluation import make_training_pairs

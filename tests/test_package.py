@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 import posegrammar
@@ -99,3 +100,63 @@ def test_gaussian_math_is_closed_form_and_batched():
     names = (n for n in ast.walk(learning["_em_fit"]) if isinstance(n, (ast.Attribute, ast.Name)))
     named = [n.attr if isinstance(n, ast.Attribute) else n.id for n in names]
     assert "_log_sum_exp" in named and not {"exp", "expm1", "exp2"} & set(named)
+
+
+def _references(tree: ast.AST) -> set[str]:
+    """Every name ``tree`` reads: loaded names, attributes, imported names,
+    keyword arguments, and the words of string constants other than
+    docstrings (``perfbench`` traces functions by dotted name)."""
+    docstrings = {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.body
+        and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+    }
+    out: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.rsplit(".", 1)[-1])
+        elif isinstance(node, ast.keyword) and node.arg:
+            out.add(node.arg)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docstrings:
+            out.update(re.findall(r"\w+", node.value))
+    return out
+
+
+def _definitions(tree: ast.Module) -> list[tuple[str, int]]:
+    """The module-level names ``tree`` defines, and the methods of its
+    classes, dunders aside."""
+    defined = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.append((node.name, node.lineno))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined += [(t.id, node.lineno) for t in targets if isinstance(t, ast.Name)]
+        if isinstance(node, ast.ClassDef):
+            defined += [(n.name, n.lineno) for n in node.body if isinstance(n, ast.FunctionDef)]
+    return [(name, line) for name, line in defined if not (name.startswith("__") and name.endswith("__"))]
+
+
+def test_every_defined_name_is_used_somewhere_else():
+    """No module-level name or method of ``posegrammar`` is dead: each is
+    read somewhere in the package, the tests or the benchmark other than
+    where it is defined."""
+    root = Path(posegrammar.__file__).resolve().parents[2]
+    package = Path(posegrammar.__file__).parent
+    files = sorted(package.glob("*.py")) + sorted((root / "tests").glob("*.py")) + sorted((root / "perfbench").glob("*.py"))
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in files}
+    used = set().union(*map(_references, trees.values()))
+    dead = [
+        f"{path.name}:{line}: {name}"
+        for path in sorted(package.glob("*.py"))
+        for name, line in _definitions(trees[path])
+        if name not in used
+    ]
+    assert dead == []

@@ -1,0 +1,58 @@
+"""Outputs pinned to the bit: seeded appearance scores, a seeded training
+corpus and a models file.  A change that moves a random draw, the order of
+a sum or a serialized digit fails here, even where every other test only
+checks properties."""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import warnings
+
+from posegrammar import learn_models
+from posegrammar.appearance import synth_scores
+from posegrammar.evaluation import make_training_pairs
+from posegrammar.relations import save_models
+from posegrammar.synthetic import two_person_scene
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_synthesized_scores_of_the_target_and_the_distractor():
+    """Every later draw of the distractor's parts rides on its coherence
+    draw, so the grid digest moves if that draw is dropped."""
+    scores = synth_scores(two_person_scene(seed=4), noise_sigma=0.9, rng_seed=8).scores
+    gender = {pid: {v: s.hex() for v, s in scores.per_proposal(pid)["gender"].items()} for pid in ("p0.head", "p1.head")}
+    assert gender == {
+        "p0.head": {"male": "0x1.26e477b965822p+1", "female": "-0x1.f674a181b9391p+0"},
+        "p1.head": {"male": "-0x1.f31536a26efa5p+1", "female": "0x1.f8f3b1a1185d5p-1"},
+    }
+    cells = " ".join(map(float.hex, scores.values.ravel().tolist()))
+    assert _sha256(cells.encode()) == "51cd624fbc4bf26ab532686fdcbf1956cf91754118c78bf2b53e8a3f7f63c69f"
+
+
+def test_training_corpus(grammar):
+    annotations, types = make_training_pairs(3, seed=11, grammar=grammar)
+    # JSON writes each float by its shortest round-trip repr: bit-exact.
+    docs = json.dumps([ann.to_json_dict() for ann in annotations])
+    assert _sha256(docs.encode()) == "df104567f0ddc634137087044d52974b06f6caf897b7f5504d50d1280f572aac"
+    assert [list(per) for per in types] == [list(grammar.part_ids)] * 3
+    assert [list(per.values()) for per in types] == [
+        [7, 3, 7, 8, 7, 2, 3, 4, 3, 9, 1, 7, 1, 3, 5, 5, 1],
+        [9, 5, 6, 5, 2, 3, 2, 6, 6, 1, 7, 3, 7, 3, 2, 2, 7],
+        [9, 3, 5, 2, 2, 9, 8, 7, 2, 5, 2, 8, 1, 6, 6, 5, 2],
+    ]
+
+
+def test_models_file_bytes(grammar, tmp_path):
+    annotations, types = make_training_pairs(12, seed=11, grammar=grammar)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        models = learn_models(annotations, grammar, type_samples=types, n_components=2, seed=5)
+    path = tmp_path / "models.json"
+    save_models(models, str(path))
+    data = path.read_bytes()
+    assert len(data) == 59034
+    assert _sha256(data) == "ddaeefe4313876fec320c1842da6ad32859b4b4f1311c304b2263dd740b0b72f"

@@ -17,7 +17,7 @@ from posegrammar.synthetic import (
     _child_seed,
     generate_family,
     load_scene,
-    person_bbox,
+    padded_box,
     save_scene,
     single_person_scene,
     two_person_scene,
@@ -66,7 +66,7 @@ class TestPerson:
 
     def test_bbox_covers_joints_with_padding(self):
         person = _canonical_person()
-        x0, y0, w, h = person_bbox(person)
+        x0, y0, w, h = padded_box(person.joints.values(), 8.0)
         assert x0 == 160.0 - 22.0 - 8.0
         assert y0 == 120.0 - 35.0 - 8.0
         assert w == 44.0 + 16.0
