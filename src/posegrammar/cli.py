@@ -16,6 +16,7 @@ import argparse
 import math
 import os
 import sys
+import warnings
 from typing import Sequence
 
 from . import evaluation, learning, relations, synthetic
@@ -115,13 +116,13 @@ class _UsageError(Exception):
 def _cmd_validate(opts: dict) -> int:
     _require(opts, "grammar")
     grammar = load_grammar(opts["grammar"])
-    report = validate(grammar)
-    if report.ok:
-        _info(f"grammar {opts['grammar']} is valid")
-        return 0
-    for violation in report.violations:
+    violations = validate(grammar)
+    for violation in violations:
         _info(f"violation: {violation}")
-    return 1
+    if violations:
+        return 1
+    _info(f"grammar {opts['grammar']} is valid")
+    return 0
 
 
 def _cmd_init_grammar(opts: dict) -> int:
@@ -406,7 +407,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cli_dispatch(argv: Sequence[str]) -> int:
-    """Run one command; returns the process exit code instead of exiting."""
+    """Run one command; returns the process exit code instead of exiting.
+
+    Each warning the library raises during the command is printed as one
+    ``warning: <message>`` line on stderr.
+    """
     parser = _build_parser()
     try:
         args = parser.parse_args(list(argv))
@@ -417,8 +422,11 @@ def cli_dispatch(argv: Sequence[str]) -> int:
         return 2
     defaults = _COMMANDS[args.command][1]
     try:
-        opts = _merged_options(args, defaults)
-        return args.func(opts)
+        with warnings.catch_warnings():
+            # A library warning is one line, with no source path or code line.
+            warnings.showwarning = lambda message, *_where: _info(f"warning: {message}")
+            opts = _merged_options(args, defaults)
+            return args.func(opts)
     except _UsageError as exc:
         _info(f"error: {exc}")
         return 2

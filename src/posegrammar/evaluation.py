@@ -78,7 +78,10 @@ def strict_pcp(
         raise ValidationError(f"threshold must be positive, got {threshold}")
     per_stick: dict[int, bool] = {}
     for stick in sticks:
-        ja, jb = truth.joints[stick.a], truth.joints[stick.b]
+        try:
+            ja, jb = truth.joints[stick.a], truth.joints[stick.b]
+        except KeyError as exc:
+            raise MissingEntryError(f"annotation misses a joint for stick endpoint {exc.args[0]!r}") from None
         if not (ja.visible and jb.visible):
             continue
         try:
@@ -164,55 +167,48 @@ OCCLUSION_REGIONS: tuple[tuple[tuple[NodeId, ...], float], ...] = (
 )
 
 
-def annotation_from_person(
-    person: Person,
-    rng: np.random.Generator | None = None,
-    *,
-    occlude: bool = False,
-) -> Annotation:
-    """Turn a synthetic person into an annotation record.
-
-    With ``occlude`` enabled, whole body regions go invisible at their
-    configured rates plus per-joint flips, and an attribute's value is
-    recorded only when one of its informative parts stayed visible,
-    subject to small dropout (known value lost) and leak (value known
-    despite occlusion) noise.  Without it, everything is visible and
-    known.
-    """
-    visible = {p: True for p in person.joints}
-    attributes: dict[AttrId, str | None] = dict(person.attributes)
-    if occlude:
-        if rng is None:
-            raise ValidationError("occlusion sampling needs an rng")
-        for region, rate in OCCLUSION_REGIONS:
-            if rng.random() < rate:
-                for part in region:
-                    visible[part] = False
-        for part in visible:
-            if rng.random() < JOINT_FLIP:
-                visible[part] = not visible[part]
-        if not any(visible.values()):
-            visible["torso"] = True
-        for attr, value in person.attributes.items():
-            informative = INFORMATIVE_PARTS.get(attr, tuple(person.joints))
-            known = any(visible[p] for p in informative)
-            if known and rng.random() < ATTR_DROP:
-                known = False
-            elif not known and rng.random() < ATTR_LEAK:
-                known = True
-            attributes[attr] = value if known else None
-    joints = {
-        p: JointObs(x=x, y=y, visible=visible[p]) for p, (x, y) in person.joints.items()
-    }
-    return Annotation(joints=joints, person_box=padded_box(person.joints.values(), 8.0), attributes=attributes)
+def annotation_from_person(person: Person) -> Annotation:
+    """Turn a synthetic person into an annotation record with every joint
+    visible and every attribute known."""
+    return _annotation(person, dict.fromkeys(person.joints, True), dict(person.attributes))
 
 
 def occluded_annotation(person: Person, seed: int, index: int) -> tuple[Annotation, np.random.Generator]:
     """Item ``index`` of a corpus under ``seed``: ``person`` as an occluded
     annotation drawn from the generator ``[seed, index, 1]``, and that
-    generator, for the item's further draws."""
+    generator, for the item's further draws.
+
+    Whole body regions go invisible at their configured rates, plus
+    per-joint flips, and an attribute's value is recorded only when one of
+    its informative parts stayed visible, subject to small dropout (known
+    value lost) and leak (value known despite occlusion) noise.
+    """
     rng = np.random.default_rng([seed, index, 1])
-    return annotation_from_person(person, rng, occlude=True), rng
+    visible = dict.fromkeys(person.joints, True)
+    for region, rate in OCCLUSION_REGIONS:
+        if rng.random() < rate:
+            for part in region:
+                visible[part] = False
+    for part in visible:
+        if rng.random() < JOINT_FLIP:
+            visible[part] = not visible[part]
+    if not any(visible.values()):
+        visible["torso"] = True
+    attributes: dict[AttrId, str | None] = {}
+    for attr, value in person.attributes.items():
+        informative = INFORMATIVE_PARTS.get(attr, tuple(person.joints))
+        known = any(visible[p] for p in informative)
+        if known and rng.random() < ATTR_DROP:
+            known = False
+        elif not known and rng.random() < ATTR_LEAK:
+            known = True
+        attributes[attr] = value if known else None
+    return _annotation(person, visible, attributes), rng
+
+
+def _annotation(person: Person, visible: Mapping[NodeId, bool], attributes: Mapping[AttrId, str | None]) -> Annotation:
+    joints = {p: JointObs(x=x, y=y, visible=visible[p]) for p, (x, y) in person.joints.items()}
+    return Annotation(joints=joints, person_box=padded_box(person.joints.values(), 8.0), attributes=attributes)
 
 
 def make_training_pairs(

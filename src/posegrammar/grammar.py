@@ -9,7 +9,9 @@ inference produces.  The learned probability models live in
 A grammar carries two edge sets over the same nodes:
 
 * ``psg_edges`` decompose a part into its constituents (parent -> child),
-  e.g. the full body into upper and lower body.
+  e.g. the full body into upper and lower body.  They are derived from
+  the and-nodes' ``children`` lists, which are the one statement of the
+  decomposition.
 * ``dg_edges`` connect geometrically dependent parts (parent -> child),
   e.g. the torso to the head.  In the default grammar they form a tree
   over the 14 atomic parts, rooted at the torso.
@@ -25,7 +27,7 @@ edges whose two parts both have states.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
@@ -212,25 +214,26 @@ class AOGrammar:
     """Immutable structural grammar: nodes, both edge sets, attributes.
 
     The nodes form an and-graph; the alternatives of the paper's
-    or-nodes are part types in ``1..part_type_count``.
+    or-nodes are part types in ``1..part_type_count``.  ``psg_edges`` is
+    derived: ``(node.id, child)`` for each node in listing order and each
+    of its children in listed order.
 
     Construction accepts structurally broken graphs so that
     :func:`validate` can report on them; inference and learning assume a
-    grammar whose validation report is clean.
+    grammar with no violations.
     """
 
     def __init__(
         self,
         root: NodeId,
         nodes: Sequence[GrammarNode],
-        psg_edges: Iterable[tuple[NodeId, NodeId]],
         dg_edges: Iterable[tuple[NodeId, NodeId]],
         attributes: Sequence[AttributeDef] = (),
         part_type_count: int = DEFAULT_PART_TYPE_COUNT,
     ) -> None:
         self.root = root
         self.nodes = tuple(nodes)
-        self.psg_edges = tuple(map(tuple, psg_edges))
+        self.psg_edges = tuple((n.id, c) for n in self.nodes for c in n.children)
         self.dg_edges = tuple(map(tuple, dg_edges))
         self.attributes = tuple(attributes)
         self.part_type_count = part_type_count
@@ -290,7 +293,6 @@ class AOGrammar:
                 {"id": n.id, "kind": n.kind.value, "name": n.name, "children": list(n.children)}
                 for n in self.nodes
             ],
-            "psg_edges": [list(e) for e in self.psg_edges],
             "dg_edges": [list(e) for e in self.dg_edges],
             "attributes": [{"id": a.id, "name": a.name, "domain": list(a.domain)} for a in self.attributes],
             "part_type_count": self.part_type_count,
@@ -313,12 +315,10 @@ class AOGrammar:
         )
 
 
-_EDGES = optional(array(array(text, 2)), ())
 _GRAMMAR = record(
     root=text,
     nodes=array(GrammarNode.from_json_dict),
-    psg_edges=_EDGES,
-    dg_edges=_EDGES,
+    dg_edges=optional(array(array(text, 2)), ()),
     attributes=optional(array(AttributeDef.from_json_dict), ()),
     part_type_count=optional(count, DEFAULT_PART_TYPE_COUNT),
 )
@@ -348,10 +348,7 @@ def default_attributes() -> tuple[AttributeDef, ...]:
     return tuple(AttributeDef(id=a, name=a.replace("_", " "), domain=d) for a, d in spec)
 
 
-def build_default_human_grammar(
-    attr_defs: Sequence[AttributeDef] | None = None,
-    part_type_count: int = DEFAULT_PART_TYPE_COUNT,
-) -> AOGrammar:
+def build_default_human_grammar(attr_defs: Sequence[AttributeDef] | None = None) -> AOGrammar:
     """Build the 17-part human body grammar.
 
     One root (full body), two mid-level parts (upper and lower body), and
@@ -374,38 +371,10 @@ def build_default_human_grammar(
         GrammarNode(p, NodeKind.TERMINAL, p.replace("_", " ")) for p in ATOMIC_PARTS
     )
 
-    psg_edges = [(FULL_BODY, UPPER_BODY), (FULL_BODY, LOWER_BODY)]
-    psg_edges.extend((UPPER_BODY, m) for m in UPPER_BODY_MEMBERS)
-    psg_edges.extend((LOWER_BODY, m) for m in LOWER_BODY_MEMBERS)
-
-    return AOGrammar(
-        root=FULL_BODY,
-        nodes=nodes,
-        psg_edges=psg_edges,
-        dg_edges=DEFAULT_DG_EDGES,
-        attributes=tuple(attr_defs),
-        part_type_count=part_type_count,
-    )
+    return AOGrammar(root=FULL_BODY, nodes=nodes, dg_edges=DEFAULT_DG_EDGES, attributes=tuple(attr_defs))
 
 
 # -- validation ------------------------------------------------------------
-
-
-@dataclass
-class ValidationReport:
-    """Outcome of structural validation: empty ``violations`` means valid."""
-
-    violations: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def add(self, message: str) -> None:
-        self.violations.append(message)
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def parents_first(
@@ -433,61 +402,56 @@ def _cyclic(edges: Sequence[tuple[NodeId, NodeId]]) -> bool:
     return bool(parents_first(dict.fromkeys(n for edge in edges for n in edge), edges)[1])
 
 
-def validate(grammar: AOGrammar) -> ValidationReport:
-    """Check structural well-formedness; returns a report, never raises."""
-    report = ValidationReport()
+def validate(grammar: AOGrammar) -> list[str]:
+    """Check structural well-formedness; never raises.
+
+    Returns the violations, empty when the grammar is valid: the list is
+    truthy when there *are* violations.
+    """
+    report: list[str] = []
     ids = [n.id for n in grammar.nodes]
     known = set(ids)
 
     if len(known) != len(ids):
         dupes = sorted({i for i in ids if ids.count(i) > 1})
-        report.add(f"duplicate node ids: {dupes}")
+        report.append(f"duplicate node ids: {dupes}")
     if not grammar.nodes:
-        report.add("grammar has no nodes")
+        report.append("grammar has no nodes")
     if grammar.root not in known:
-        report.add(f"root {grammar.root!r} is not a declared node")
+        report.append(f"root {grammar.root!r} is not a declared node")
     try:
         count(grammar.part_type_count)
     except FieldError as exc:
-        report.add(str(exc.within("part_type_count")))
+        report.append(str(exc.within("part_type_count")))
 
     for n in grammar.nodes:
         n_children = len(n.children)
         if n.kind is NodeKind.TERMINAL and n_children:
-            report.add(f"terminal node {n.id!r} has children {list(n.children)}")
+            report.append(f"terminal node {n.id!r} has children {list(n.children)}")
         elif n.kind is NodeKind.AND and n_children < 1:
-            report.add(f"and-node {n.id!r} has no children")
+            report.append(f"and-node {n.id!r} has no children")
         if len(set(n.children)) != n_children:
-            report.add(f"node {n.id!r} lists duplicate children")
+            report.append(f"node {n.id!r} lists duplicate children")
         for c in n.children:
             if c not in known:
-                report.add(f"node {n.id!r} references undeclared child {c!r}")
+                report.append(f"node {n.id!r} references undeclared child {c!r}")
 
-    for label, edges in (("psg", grammar.psg_edges), ("dg", grammar.dg_edges)):
-        for p, c in edges:
-            if p == c:
-                report.add(f"{label} self-edge on {p!r}")
-            for end in (p, c):
-                if end not in known:
-                    report.add(f"{label} edge ({p!r}, {c!r}) references undeclared node {end!r}")
-        if len(set(edges)) != len(edges):
-            report.add(f"duplicate {label} edges")
-
-    # Decomposition edges must mirror the children lists.
-    psg_set = set(grammar.psg_edges)
-    child_set = {(n.id, c) for n in grammar.nodes for c in n.children}
-    for edge in sorted(psg_set - child_set):
-        report.add(f"psg edge {edge} not present in any children list")
-    for edge in sorted(child_set - psg_set):
-        report.add(f"children list pair {edge} missing from psg_edges")
+    for p, c in grammar.dg_edges:
+        if p == c:
+            report.append(f"dg self-edge on {p!r}")
+        for end in (p, c):
+            if end not in known:
+                report.append(f"dg edge ({p!r}, {c!r}) references undeclared node {end!r}")
+    if len(set(grammar.dg_edges)) != len(grammar.dg_edges):
+        report.append("duplicate dg edges")
 
     if _cyclic(grammar.psg_edges):
-        report.add("psg edges contain a cycle")
+        report.append("psg edges contain a cycle")
     else:
         # With acyclic edges, check single-parenthood and root reachability.
         for child, parents in grammar._psg_parents.items():
             if len(parents) > 1:
-                report.add(f"node {child!r} has multiple psg parents {sorted(parents)}")
+                report.append(f"node {child!r} has multiple psg parents {sorted(parents)}")
         if grammar.root in known:
             reached = {grammar.root}
             frontier = [grammar.root]
@@ -501,24 +465,24 @@ def validate(grammar: AOGrammar) -> ValidationReport:
                         frontier.append(c)
             unreached = sorted(known - reached)
             if unreached:
-                report.add(f"nodes unreachable from root via psg edges: {unreached}")
+                report.append(f"nodes unreachable from root via psg edges: {unreached}")
 
     terminals = set(grammar.terminal_ids)
     for p, c in grammar.dg_edges:
         for end in (p, c):
             if end in known and end not in terminals:
-                report.add(f"dg edge ({p!r}, {c!r}) touches non-terminal node {end!r}")
+                report.append(f"dg edge ({p!r}, {c!r}) touches non-terminal node {end!r}")
     if _cyclic(grammar.dg_edges):
-        report.add("dg edges contain a cycle")
+        report.append("dg edges contain a cycle")
     else:
         for child, parents in grammar._dg_parents.items():
             if len(parents) > 1:
-                report.add(f"node {child!r} has multiple dg parents {sorted(parents)}")
+                report.append(f"node {child!r} has multiple dg parents {sorted(parents)}")
 
     attr_ids = [a.id for a in grammar.attributes]
     if len(set(attr_ids)) != len(attr_ids):
         dupes = sorted({a for a in attr_ids if attr_ids.count(a) > 1})
-        report.add(f"duplicate attribute ids: {dupes}")
+        report.append(f"duplicate attribute ids: {dupes}")
 
     return report
 

@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import MissingEntryError, ValidationError
-from .grammar import DEFAULT_PART_TYPE_COUNT, AOGrammar, AttrId, NodeId, ValidationReport
+from .grammar import DEFAULT_PART_TYPE_COUNT, AOGrammar, AttrId, NodeId
 from .jsonio import SCHEMA_VERSION, read_json, schema_version, write_json
 from .jsonio import array, count, mapping, number, optional, record, text
 
@@ -384,22 +384,23 @@ def full_association(grammar: AOGrammar) -> AttributeAssociation:
     )
 
 
-def validate_association(assoc: AttributeAssociation, grammar: AOGrammar) -> ValidationReport:
-    """Report parts missing entries and ancestor-closure violations."""
-    report = ValidationReport()
+def validate_association(assoc: AttributeAssociation, grammar: AOGrammar) -> list[str]:
+    """Parts missing entries and ancestor-closure violations, empty when
+    there are none: the list is truthy when there *are* violations."""
+    report: list[str] = []
     for part in grammar.part_ids:
         if part not in assoc.parts:
-            report.add(f"association misses grammar part {part!r}")
+            report.append(f"association misses grammar part {part!r}")
     for part, attrs in assoc.parts.items():
         if not grammar.has_node(part):
-            report.add(f"association names unknown part {part!r}")
+            report.append(f"association names unknown part {part!r}")
             continue
         for ancestor in grammar.psg_ancestors(part):
             if ancestor not in assoc.parts:
                 continue
             missing = attrs - assoc.parts[ancestor]
             if missing:
-                report.add(
+                report.append(
                     f"ancestor {ancestor!r} of {part!r} misses attributes {sorted(missing)}"
                 )
     return report

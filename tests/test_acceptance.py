@@ -71,7 +71,6 @@ def _toy_grammar(t=3):
     return AOGrammar(
         root="root",
         nodes=nodes,
-        psg_edges=(("root", "a"), ("root", "b"), ("root", "c"), ("root", "d")),
         dg_edges=(("a", "b"), ("b", "c"), ("c", "d")),
         attributes=(AttributeDef("c1", "c1", ("u", "v")),),
         part_type_count=t,

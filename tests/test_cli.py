@@ -19,15 +19,21 @@ import numpy as np
 import pytest
 
 import posegrammar
+from posegrammar.appearance import load_proposals
 from posegrammar.cli import cli_dispatch
+from posegrammar.errors import MissingEntryError, ValidationError
+from posegrammar.evaluation import default_sticks, strict_pcp
 from posegrammar.grammar import (
     ParseGraph,
     PartState,
     build_default_human_grammar,
+    load_grammar,
     part_keypoints,
     save_parse_graph,
+    validate,
 )
-from posegrammar.learning import save_annotations
+from posegrammar.inference import BeamConfig, parse_unconstrained, select_final
+from posegrammar.learning import displacement_samples, learn_models, load_annotations, save_annotations
 from posegrammar.relations import load_models
 from posegrammar.synthetic import load_scene
 
@@ -812,3 +818,105 @@ class TestDiag:
         )
         assert code == 1
         assert "no scene files" in capsys.readouterr().err
+
+
+class TestWarnings:
+    """A library warning prints as one ``warning:`` line with no source
+    path or code line, on every command that raises it."""
+
+    @staticmethod
+    def _fallback_line() -> str:
+        edges = list(build_default_human_grammar().psg_edges)
+        return f"warning: no part-type samples for edges {edges}; they use the uniform table"
+
+    def test_the_uniform_fallback_is_one_line_every_time(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        argv = ["learn", "--annotations", pipeline["annotations"], "--grammar", pipeline["grammar"]]
+        argv += ["--components", "2", "--out", str(out)]
+        for _ in range(2):
+            assert cli_dispatch(argv) == 0
+            assert capsys.readouterr().err.splitlines() == [self._fallback_line(), f"wrote models to {out}"]
+
+    def test_each_component_drop_is_one_line(self, pipeline, tmp_path, capsys):
+        tiny = tmp_path / "tiny.jsonl"
+        tiny.write_text("".join(_read(pipeline["annotations"]).splitlines(keepends=True)[:6]), encoding="utf-8")
+        out = tmp_path / "m.json"
+        argv = ["learn", "--annotations", str(tiny), "--grammar", pipeline["grammar"]]
+        assert cli_dispatch(argv + ["--components", "7", "--out", str(out)]) == 0
+        samples = displacement_samples(load_annotations(str(tiny)), build_default_human_grammar())
+        drops = [f"warning: edge {edge}: only {len(x)} samples for 7 components; using {len(x)}" for edge, x in samples.items()]
+        err = capsys.readouterr().err
+        assert err.splitlines() == [self._fallback_line(), *drops, f"wrote models to {out}"]
+        assert ".py:" not in err
+
+
+def _edited_grammar(tmp_path, edit) -> str:
+    """A file of the default grammar's document after ``edit``."""
+    doc = edit(build_default_human_grammar().to_json_dict())
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def _add_dg_edge(parent, child):
+    return lambda doc: {**doc, "dg_edges": [*doc["dg_edges"], [parent, child]]}
+
+
+def _rename_head(doc):
+    return json.loads(json.dumps(doc).replace('"head"', '"skull"'))
+
+
+class TestGrammarPartsTheInputsLack:
+    """A grammar that loads but names a part the grammar or the annotations
+    lack ends in one error line naming the part, where the library first
+    needs it."""
+
+    @pytest.mark.parametrize(
+        "edit, part",
+        [(_add_dg_edge("torso", "ghost"), "ghost"), (_add_dg_edge("upper_body", "head"), "upper_body"), (_rename_head, "skull")],
+        ids=["undeclared", "composite", "renamed"],
+    )
+    def test_learn(self, pipeline, tmp_path, capsys, edit, part):
+        path = _edited_grammar(tmp_path, edit)
+        out = tmp_path / "m.json"
+        argv = ["learn", "--annotations", pipeline["annotations"], "--grammar", path]
+        assert cli_dispatch(argv + ["--components", "2", "--out", str(out)]) == 1
+        message = f"the annotations carry no joint for the grammar's terminals or dg endpoints ['{part}']"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+        with pytest.raises(MissingEntryError, match="^" + re.escape(message) + "$"):
+            learn_models(load_annotations(pipeline["annotations"]), load_grammar(path), n_components=2)
+
+    def test_parse_with_an_edge_to_an_undeclared_part(self, pipeline, tmp_path, capsys):
+        path = _edited_grammar(tmp_path, _add_dg_edge("torso", "ghost"))
+        out = tmp_path / "p.json"
+        argv = ["parse", "--grammar", path, "--models", pipeline["models"], "--proposals", pipeline["proposals"]]
+        assert cli_dispatch(argv + ["--beam", "4", "--out", str(out)]) == 1
+        message = "edge torso->ghost: part 'ghost' is not in the grammar"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+        grammar, models = load_grammar(path), load_models(pipeline["models"])
+        pset = load_proposals(pipeline["proposals"])
+        with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
+            parse_unconstrained(grammar, models, pset, cfg=BeamConfig(4))
+        with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
+            select_final(grammar, models, pset, cfg=BeamConfig(4))
+
+    def test_eval_pcp_with_a_renamed_terminal(self, pipeline, tmp_path, capsys):
+        path = _edited_grammar(tmp_path, _rename_head)
+        grammar = load_grammar(path)
+        assert validate(grammar) == []
+        truth = tmp_path / "truth.jsonl"
+        truth.write_text(_read(pipeline["annotations"]).splitlines(keepends=True)[0], encoding="utf-8")
+        pred = tmp_path / "pred"
+        pred.mkdir()
+        annotation = load_annotations(str(truth))[0]
+        pts = part_keypoints({p: (j.x, j.y) for p, j in annotation.joints.items()})
+        pg = ParseGraph({p: PartState(p, x, y, 1, f"t.{p}") for p, (x, y) in pts.items()}, {}, 0.0)
+        save_parse_graph(pg, str(pred / "p.json"), grammar)
+        argv = ["eval-pcp", "--pred", str(pred), "--truth", str(truth), "--grammar", path]
+        assert cli_dispatch(argv) == 1
+        message = "annotation misses a joint for stick endpoint 'skull'"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        with pytest.raises(MissingEntryError, match="^" + re.escape(message) + "$"):
+            strict_pcp(pg, annotation, default_sticks(grammar))

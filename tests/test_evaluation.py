@@ -29,6 +29,7 @@ from posegrammar.evaluation import (
     default_sticks,
     make_training_pairs,
     no_pose_attribute_scores,
+    occluded_annotation,
     parse_attribute_scores,
     run_diagnostic,
     strict_pcp,
@@ -103,7 +104,6 @@ class TestDefaultSticks:
         g = AOGrammar(
             root="root",
             nodes=nodes,
-            psg_edges=(("root", "a"), ("root", "b")),
             dg_edges=(("root", "a"),),
             attributes=(AttributeDef("c", "c", ("u", "v")),),
             part_type_count=2,
@@ -264,31 +264,24 @@ class TestAnnotationFromPerson:
         """Synthetic proposals and proposal labeling see one keypoint layout,
         in one order: the joints, then upper, lower and full body."""
         person = single_person_scene(3, attr_defs=tuple(grammar.attributes)).persons[0]
-        ann = annotation_from_person(person, np.random.default_rng(7), occlude=True)
+        ann, _rng = occluded_annotation(person, 7, 0)
         from_person = list(part_keypoints(person.joints).items())
         from_ann = list(part_keypoints({p: (j.x, j.y) for p, j in ann.joints.items()}).items())
         assert from_ann == from_person
         assert len(from_person) == 17
         assert [p for p, _ in from_person[14:]] == ["upper_body", "lower_body", "full_body"]
 
-    def test_occlusion_requires_rng(self, grammar):
-        scene = single_person_scene(3, attr_defs=tuple(grammar.attributes))
-        with pytest.raises(ValidationError, match="rng"):
-            annotation_from_person(scene.persons[0], occlude=True)
-
     def test_occlusion_is_seeded(self, grammar):
         scene = single_person_scene(3, attr_defs=tuple(grammar.attributes))
-        a = annotation_from_person(scene.persons[0], np.random.default_rng(7), occlude=True)
-        b = annotation_from_person(scene.persons[0], np.random.default_rng(7), occlude=True)
+        a, _rng = occluded_annotation(scene.persons[0], 7, 0)
+        b, _rng = occluded_annotation(scene.persons[0], 7, 0)
         assert a == b
 
     def test_occlusion_hides_joints_and_drops_values(self, grammar):
         scene = single_person_scene(3, attr_defs=tuple(grammar.attributes))
         hid_joint = dropped_value = 0
         for seed in range(60):
-            ann = annotation_from_person(
-                scene.persons[0], np.random.default_rng(seed), occlude=True
-            )
+            ann, _rng = occluded_annotation(scene.persons[0], seed, 0)
             assert any(j.visible for j in ann.joints.values())
             assert set(ann.joints) == set(ATOMIC_PARTS)
             hid_joint += any(not j.visible for j in ann.joints.values())
@@ -344,7 +337,6 @@ class TestAttributeScoring:
         return AOGrammar(
             root="root",
             nodes=nodes,
-            psg_edges=(("root", "head"), ("root", "torso")),
             dg_edges=(("head", "torso"),),
             attributes=(AttributeDef("hat", "hat", ("yes", "no")),),
             part_type_count=1,

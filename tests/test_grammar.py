@@ -53,10 +53,20 @@ class TestDefaultGrammar:
             assert grammar.node(part).is_terminal
 
     def test_validates_clean(self, grammar):
-        report = validate(grammar)
-        assert report.ok
-        assert bool(report)
-        assert report.violations == []
+        assert validate(grammar) == []
+
+    def test_decomposition_edges_follow_the_children_lists(self, grammar):
+        """The derived edges equal the 16 edges the grammar used to list,
+        in the same order: each node's children in listing order."""
+        upper = ("head", "torso", "l_shoulder", "r_shoulder", "l_upper_arm", "l_lower_arm", "r_upper_arm", "r_lower_arm")
+        lower = ("l_hip", "r_hip", "l_upper_leg", "l_lower_leg", "r_upper_leg", "r_lower_leg")
+        expected = (
+            (FULL_BODY, UPPER_BODY),
+            (FULL_BODY, LOWER_BODY),
+            *((UPPER_BODY, m) for m in upper),
+            *((LOWER_BODY, m) for m in lower),
+        )
+        assert grammar.psg_edges == expected
 
     def test_dependency_tree_rooted_at_torso(self, grammar):
         assert grammar.dg_edges == DEFAULT_DG_EDGES
@@ -116,7 +126,6 @@ def _toy_grammar(**overrides):
     kwargs = dict(
         root="root",
         nodes=_toy_nodes(),
-        psg_edges=(("root", "a"), ("root", "b")),
         dg_edges=(("a", "b"),),
         attributes=(AttributeDef("c", "c", ("u", "v")),),
         part_type_count=2,
@@ -129,16 +138,16 @@ class TestValidation:
     """validate() reports structural violations instead of raising."""
 
     def test_toy_grammar_clean(self):
-        assert validate(_toy_grammar()).ok
+        assert validate(_toy_grammar()) == []
 
     def test_duplicate_node_ids(self):
         nodes = _toy_nodes() + (GrammarNode("a", NodeKind.TERMINAL, "again"),)
         report = validate(_toy_grammar(nodes=nodes))
-        assert any("duplicate node ids" in v for v in report.violations)
+        assert any("duplicate node ids" in v for v in report)
 
     def test_missing_root(self):
         report = validate(_toy_grammar(root="ghost"))
-        assert any("root" in v and "ghost" in v for v in report.violations)
+        assert any("root" in v and "ghost" in v for v in report)
 
     def test_terminal_with_children(self):
         nodes = (
@@ -146,10 +155,8 @@ class TestValidation:
             GrammarNode("a", NodeKind.TERMINAL, "a", ("b",)),
             GrammarNode("b", NodeKind.TERMINAL, "b"),
         )
-        report = validate(
-            _toy_grammar(nodes=nodes, psg_edges=(("root", "a"), ("root", "b"), ("a", "b")))
-        )
-        assert any("terminal node 'a' has children" in v for v in report.violations)
+        report = validate(_toy_grammar(nodes=nodes))
+        assert any("terminal node 'a' has children" in v for v in report)
 
     def test_or_node_is_refused(self, tmp_path, capsys):
         allowed = r"grammar node 'root': kind 'or' is not one of \['and', 'terminal'\]"
@@ -166,11 +173,11 @@ class TestValidation:
 
     def test_self_edge(self):
         report = validate(_toy_grammar(dg_edges=(("a", "a"),)))
-        assert any("self-edge" in v for v in report.violations)
+        assert any("self-edge" in v for v in report)
 
     def test_undeclared_edge_endpoint(self):
         report = validate(_toy_grammar(dg_edges=(("a", "ghost"),)))
-        assert any("undeclared node 'ghost'" in v for v in report.violations)
+        assert any("undeclared node 'ghost'" in v for v in report)
 
     def test_psg_cycle(self):
         nodes = (
@@ -181,11 +188,14 @@ class TestValidation:
             AOGrammar(
                 root="root",
                 nodes=nodes,
-                psg_edges=(("root", "a"), ("a", "root")),
                 dg_edges=(),
             )
         )
-        assert any("psg edges contain a cycle" in v for v in report.violations)
+        assert any("psg edges contain a cycle" in v for v in report)
+
+    def test_node_listing_itself_as_a_child(self):
+        nodes = (GrammarNode("root", NodeKind.AND, "root", ("root", "a")), GrammarNode("a", NodeKind.TERMINAL, "a"))
+        assert "psg edges contain a cycle" in validate(AOGrammar(root="root", nodes=nodes, dg_edges=()))
 
     def test_multiple_psg_parents(self):
         nodes = (
@@ -197,20 +207,19 @@ class TestValidation:
             AOGrammar(
                 root="root",
                 nodes=nodes,
-                psg_edges=(("root", "m"), ("root", "a"), ("m", "a")),
                 dg_edges=(),
             )
         )
-        assert any("multiple psg parents" in v for v in report.violations)
+        assert any("multiple psg parents" in v for v in report)
 
     def test_unreachable_node(self):
         nodes = _toy_nodes() + (GrammarNode("island", NodeKind.TERMINAL, "island"),)
         report = validate(_toy_grammar(nodes=nodes))
-        assert any("unreachable" in v and "island" in v for v in report.violations)
+        assert any("unreachable" in v and "island" in v for v in report)
 
     def test_dg_on_composite_part(self):
         report = validate(_toy_grammar(dg_edges=(("root", "a"),)))
-        assert any("non-terminal" in v for v in report.violations)
+        assert any("non-terminal" in v for v in report)
 
     def test_dg_cycle(self):
         nodes = (
@@ -221,7 +230,7 @@ class TestValidation:
         report = validate(
             _toy_grammar(nodes=nodes, dg_edges=(("a", "b"), ("b", "a")))
         )
-        assert any("dg edges contain a cycle" in v for v in report.violations)
+        assert any("dg edges contain a cycle" in v for v in report)
 
     def test_placement_after_every_parent(self):
         """``parents_first`` places a node once all its parents are placed,
@@ -232,14 +241,10 @@ class TestValidation:
         assert parents_first(["a", "b", "c"], [("a", "b"), ("b", "a")]) == (["c"], ["a", "b"])
         assert parents_first(["a"], [("a", "a")]) == ([], ["a"])
 
-    def test_psg_must_mirror_children(self):
-        report = validate(_toy_grammar(psg_edges=(("root", "a"),)))
-        assert any("missing from psg_edges" in v for v in report.violations)
-
     @pytest.mark.parametrize("count", [0, 2.5, True])
     def test_part_type_count_bound(self, count):
         report = validate(_toy_grammar(part_type_count=count))
-        assert f"part_type_count must be an integer >= 1, got {count!r}" in report.violations
+        assert f"part_type_count must be an integer >= 1, got {count!r}" in report
 
 
 class TestGrammarSerialization:
@@ -253,6 +258,16 @@ class TestGrammarSerialization:
         path = tmp_path / "grammar.json"
         save_grammar(grammar, str(path))
         assert load_grammar(str(path)) == grammar
+
+    def test_children_lists_are_the_decomposition(self, grammar):
+        """A grammar file writes no ``psg_edges``; an older file's key is
+        ignored, even one that disagrees with the children lists."""
+        doc = grammar.to_json_dict()
+        assert "psg_edges" not in doc
+        older = dict(doc, psg_edges=[["full_body", "head"]])
+        back = AOGrammar.from_json_dict(older)
+        assert back == grammar
+        assert back.psg_edges == grammar.psg_edges
 
     def test_malformed_document(self):
         with pytest.raises(ValidationError, match="^root is missing$"):

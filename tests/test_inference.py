@@ -77,7 +77,6 @@ def _toy_grammar(part_type_count=2):
     return AOGrammar(
         root="root",
         nodes=nodes,
-        psg_edges=(("root", "a"), ("root", "b")),
         dg_edges=(("a", "b"),),
         attributes=(AttributeDef("c", "c", ("u", "v")),),
         part_type_count=part_type_count,
@@ -168,7 +167,7 @@ class TestExpansionOrder:
 
     def test_parts_that_never_become_placeable(self):
         g = _toy_grammar()
-        cyclic = AOGrammar(g.root, g.nodes, g.psg_edges, (("a", "b"), ("b", "a")), g.attributes, 2)
+        cyclic = AOGrammar(g.root, g.nodes, (("a", "b"), ("b", "a")), g.attributes, 2)
         message = "cannot derive an expansion order: parts ['a', 'b'] never become placeable"
         with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
             default_expansion_order(cyclic)
@@ -437,7 +436,7 @@ class TestSelectFinal:
 
     def test_grammar_without_attributes_rejected(self):
         g, models, pset = _toy_world(13)
-        bare = AOGrammar(g.root, g.nodes, g.psg_edges, g.dg_edges, attributes=(), part_type_count=2)
+        bare = AOGrammar(g.root, g.nodes, g.dg_edges, attributes=(), part_type_count=2)
         with pytest.raises(ValidationError, match="at least one"):
             select_final(bare, models, pset)
 
@@ -680,7 +679,6 @@ def _chain_world(seed, parts, flat=False, far=None):
     g = AOGrammar(
         root="root",
         nodes=nodes,
-        psg_edges=(("root", "a"), ("root", "b"), ("root", "c")),
         dg_edges=(("a", "b"), ("b", "c")),
         attributes=_PROPERTY_ATTRIBUTE,
         part_type_count=2,
@@ -736,7 +734,6 @@ def _two_parent_world(seed, counts=(2, 3, 3, 3)):
     g = AOGrammar(
         root="root",
         nodes=nodes,
-        psg_edges=(("root", "a"), ("root", "c"), ("root", "b")),
         dg_edges=(("a", "c"), ("b", "c")),
         attributes=_PROPERTY_ATTRIBUTE,
         part_type_count=2,

@@ -200,8 +200,8 @@ DATA = {
 }
 # Fields that may be absent, a default standing in.
 OPTIONAL = {
-    "grammar": [("schema_version",), ("nodes", ANY, "name"), ("nodes", ANY, "children"), ("psg_edges",),
-                ("dg_edges",), ("attributes",), ("attributes", ANY, "name"), ("part_type_count",)],
+    "grammar": [("schema_version",), ("nodes", ANY, "name"), ("nodes", ANY, "children"), ("dg_edges",),
+                ("attributes",), ("attributes", ANY, "name"), ("part_type_count",)],
     "models": [("schema_version",), ("part_type_count",), ("association", "mi")],
     "parse-graph": [("schema_version",), ("attributes",)],
     "scene": [("schema_version",), ("persons", ANY, "attributes")],
@@ -320,7 +320,7 @@ def test_every_mutation_of_a_document_is_refused_naming_the_field(tmp_path, read
 # naming the field.
 REGRESSIONS = {
     "grammar-null-node-id": ("grammar", ("nodes", 3, "id"), None, "must be a non-empty string, got None"),
-    "grammar-null-edge-end": ("grammar", ("psg_edges", 0, 1), None, "must be a non-empty string, got None"),
+    "grammar-null-edge-end": ("grammar", ("dg_edges", 0, 1), None, "must be a non-empty string, got None"),
     "grammar-float-type-count": ("grammar", ("part_type_count",), 3.7, "must be an integer >= 1, got 3.7"),
     "models-float-type-count": ("models", ("part_type_count",), 3.7, "must be an integer >= 1, got 3.7"),
     "models-string-attr-ids": ("models", ("association", "attr_ids"), "gender", "must be a JSON array, got 'gender'"),

@@ -214,7 +214,6 @@ def _toy_grammar():
     return AOGrammar(
         root="root",
         nodes=nodes,
-        psg_edges=(("root", "a"), ("root", "b")),
         dg_edges=(("a", "b"),),
         attributes=(AttributeDef("c", "c", ("u", "v")),),
         part_type_count=2,
@@ -728,7 +727,7 @@ class TestLearnModels:
     def test_full_fit_from_type_samples(self, grammar, quick_models):
         assert set(quick_models.syntactic.tables) == set(grammar.psg_edges)
         assert set(quick_models.kinematic.mixtures) == set(grammar.dg_edges)
-        assert validate_association(quick_models.association, grammar).violations == []
+        assert validate_association(quick_models.association, grammar) == []
         assert quick_models.part_type_count == grammar.part_type_count
 
     def test_a_negative_seed_is_refused_naming_it(self, grammar):

@@ -422,7 +422,7 @@ class TestAttributeAssociation:
 
     def test_full_association_is_closed(self, grammar):
         assoc = full_association(grammar)
-        assert validate_association(assoc, grammar).ok
+        assert validate_association(assoc, grammar) == []
         for part in grammar.part_ids:
             assert len(assoc.attrs_for(part)) == 9
 
@@ -433,15 +433,13 @@ class TestAttributeAssociation:
             parts=parts, attr_ids=tuple(a.id for a in grammar.attributes)
         )
         report = validate_association(assoc, grammar)
-        assert not report.ok
-        assert any(
-            "lower_body" in v and "l_upper_leg" in v for v in report.violations
-        )
+        assert report
+        assert any("lower_body" in v and "l_upper_leg" in v for v in report)
 
     def test_missing_part_reported(self, grammar):
         assoc = AttributeAssociation(parts={}, attr_ids=("hat",))
         report = validate_association(assoc, grammar)
-        assert any("misses grammar part" in v for v in report.violations)
+        assert any("misses grammar part" in v for v in report)
 
 
 _TWO_TYPES = SyntacticTable(
