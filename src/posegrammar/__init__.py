@@ -43,7 +43,6 @@ from .grammar import (
     AOGrammar,
     AttributeDef,
     GrammarNode,
-    NodeKind,
     ParseGraph,
     PartState,
     build_default_human_grammar,
@@ -53,7 +52,6 @@ from .grammar import (
     recompute_score,
     save_grammar,
     save_parse_graph,
-    validate,
 )
 from .inference import (
     BeamConfig,
@@ -119,7 +117,6 @@ __all__ = [
     "LabeledProposal",
     "MissingEntryError",
     "Mixture",
-    "NodeKind",
     "ParseGraph",
     "PartState",
     "PcpResult",
@@ -173,5 +170,4 @@ __all__ = [
     "synth_scores",
     "two_person_scene",
     "uniform_syntactic_table",
-    "validate",
 ]

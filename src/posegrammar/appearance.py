@@ -253,7 +253,7 @@ class ProposalSet:
         listing order.  Every id must be unique, have a row in ``scores``
         and a type of at most ``part_type_count``; an error about the i-th
         proposal starts with ``where(i)``."""
-        part_type_count = int(part_type_count)
+        part_type_count = argument("part_type_count", part_type_count, count)
         if max(types, default=0) > part_type_count or len(set(ids)) < len(ids):
             seen: set[str] = set()
             for i, (pid, part_type) in enumerate(zip(ids, types)):

@@ -40,16 +40,9 @@ class Stick(object):
 
 
 def default_sticks(grammar: AOGrammar) -> tuple[Stick, ...]:
-    """The grammar's dependency edges as sticks, indexed from 1."""
-    terminals = set(grammar.terminal_ids)
-    sticks = []
-    for i, (parent, child) in enumerate(grammar.dg_edges, start=1):
-        if parent not in terminals or child not in terminals:
-            raise ValidationError(
-                f"dg edge ({parent!r}, {child!r}) cannot be a stick: non-atomic endpoint"
-            )
-        sticks.append(Stick(index=i, a=parent, b=child))
-    return tuple(sticks)
+    """The grammar's dependency edges as sticks, indexed from 1; each joins
+    two terminals."""
+    return tuple(Stick(i, parent, child) for i, (parent, child) in enumerate(grammar.dg_edges, start=1))
 
 
 @dataclass

@@ -18,21 +18,22 @@ A grammar carries two edge sets over the same nodes:
 
 The alternatives an or-node would choose among (part scale, aspect
 ratio) are the per-part ``part_type`` in ``1..part_type_count``, so a
-grammar is an and-graph: every node is an and-node or a terminal, and a
-parse grounds every node.  A parse graph is its part states, its
-attribute assignment and its score; the edges it scores are the grammar's
-edges whose two parts both have states.
+grammar is an and-graph: a node with no children is a terminal, any other
+an and-node, and a parse grounds every node.  Construction refuses a
+grammar that breaks any structural rule, so every grammar is valid.  A
+parse graph is its part states, its attribute assignment and its score;
+the edges it scores are the grammar's edges whose two parts both have
+states.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from enum import Enum
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .errors import MissingEntryError, ValidationError
-from .jsonio import SCHEMA_VERSION, FieldError, read_json, schema_version, versioned, write_json
+from .jsonio import SCHEMA_VERSION, read_json, schema_version, versioned, write_json
 from .jsonio import array, check_fields, count, instance, mapping, number, optional, record, text
 
 NodeId = str
@@ -135,45 +136,24 @@ DEFAULT_DG_EDGES: tuple[tuple[NodeId, NodeId], ...] = (
 DEFAULT_PART_TYPE_COUNT = 9
 
 
-class NodeKind(str, Enum):
-    AND = "and"
-    TERMINAL = "terminal"
-
-
 @dataclass(frozen=True, slots=True)
 class GrammarNode:
-    """One node of the grammar: an and-node or a terminal.
+    """One node of the grammar: a terminal when it has no ``children``,
+    else an and-node composing them.
 
-    There are no or-nodes; a part's alternatives are its part types.  Any
-    other kind is refused here.  Arity rules (terminals childless,
-    and-nodes composing) are reported by :func:`validate` rather than
-    enforced here, so that malformed documents can be loaded and
-    diagnosed.
+    There are no or-nodes; a part's alternatives are its part types.
     """
 
     id: NodeId
-    kind: NodeKind
     name: str
     children: tuple[NodeId, ...] = ()
 
     def __post_init__(self) -> None:
         check_fields(self, _GRAMMAR_NODE_FIELDS)
-        try:
-            kind = NodeKind(self.kind)
-        except ValueError:
-            allowed = [k.value for k in NodeKind]
-            raise ValidationError(
-                f"grammar node {self.id!r}: kind {self.kind!r} is not one of {allowed}"
-            ) from None
-        object.__setattr__(self, "kind", kind)
 
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "GrammarNode":
         return cls(**_named_by_id(_GRAMMAR_NODE_FIELDS, doc))
-
-    @property
-    def is_terminal(self) -> bool:
-        return self.kind is NodeKind.TERMINAL
 
 
 @dataclass(frozen=True, slots=True)
@@ -198,7 +178,7 @@ class AttributeDef:
         return cls(**_named_by_id(_ATTRIBUTE_FIELDS, doc))
 
 
-_GRAMMAR_NODE_FIELDS = record(id=text, kind=text, name=optional(text, None), children=optional(array(text), ()))
+_GRAMMAR_NODE_FIELDS = record(id=text, name=optional(text, None), children=optional(array(text), ()))
 _ATTRIBUTE_FIELDS = record(id=text, name=optional(text, None), domain=array(text))
 
 
@@ -210,42 +190,43 @@ def _named_by_id(spec: record, doc) -> dict:
     return fields
 
 
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class AOGrammar:
     """Immutable structural grammar: nodes, both edge sets, attributes.
 
-    The nodes form an and-graph; the alternatives of the paper's
-    or-nodes are part types in ``1..part_type_count``.  ``psg_edges`` is
-    derived: ``(node.id, child)`` for each node in listing order and each
-    of its children in listed order.
+    The nodes form an and-graph whose terminals are the nodes with no
+    children; the alternatives of the paper's or-nodes are part types in
+    ``1..part_type_count``.  ``psg_edges`` is derived: ``(node.id, child)``
+    for each node in listing order and each of its children in listed
+    order.
 
-    Construction accepts structurally broken graphs so that
-    :func:`validate` can report on them; inference and learning assume a
-    grammar with no violations.
+    Construction checks the fields by the spec a grammar file is read
+    through, then the structural rules, and refuses every violation at
+    once in one :class:`ValidationError`: every grammar that exists is
+    valid.  So the two edge sets are acyclic together, since every
+    dependency endpoint is a terminal, which starts no decomposition edge.
     """
 
-    def __init__(
-        self,
-        root: NodeId,
-        nodes: Sequence[GrammarNode],
-        dg_edges: Iterable[tuple[NodeId, NodeId]],
-        attributes: Sequence[AttributeDef] = (),
-        part_type_count: int = DEFAULT_PART_TYPE_COUNT,
-    ) -> None:
-        self.root = root
-        self.nodes = tuple(nodes)
-        self.psg_edges = tuple((n.id, c) for n in self.nodes for c in n.children)
-        self.dg_edges = tuple(map(tuple, dg_edges))
-        self.attributes = tuple(attributes)
-        self.part_type_count = part_type_count
+    root: NodeId
+    nodes: tuple[GrammarNode, ...]
+    dg_edges: tuple[tuple[NodeId, NodeId], ...]
+    attributes: tuple[AttributeDef, ...] = ()
+    part_type_count: int = DEFAULT_PART_TYPE_COUNT
+    psg_edges: tuple[tuple[NodeId, NodeId], ...] = field(init=False)
+    _node_by_id: dict[NodeId, GrammarNode] = field(init=False)
+    _attr_by_id: dict[AttrId, AttributeDef] = field(init=False)
+    _psg_parent: dict[NodeId, NodeId] = field(init=False)
 
-        self._node_by_id = {n.id: n for n in self.nodes}
-        self._attr_by_id = {a.id: a for a in self.attributes}
-        self._psg_parents: dict[NodeId, list[NodeId]] = {}
-        for parent, child in self.psg_edges:
-            self._psg_parents.setdefault(child, []).append(parent)
-        self._dg_parents: dict[NodeId, list[NodeId]] = {}
-        for parent, child in self.dg_edges:
-            self._dg_parents.setdefault(child, []).append(parent)
+    def __post_init__(self) -> None:
+        check_fields(self, _GRAMMAR)
+        psg_edges = tuple((n.id, c) for n in self.nodes for c in n.children)
+        object.__setattr__(self, "psg_edges", psg_edges)
+        violations = _violations(self)
+        if violations:
+            raise ValidationError("; ".join(violations))
+        object.__setattr__(self, "_node_by_id", {n.id: n for n in self.nodes})
+        object.__setattr__(self, "_attr_by_id", {a.id: a for a in self.attributes})
+        object.__setattr__(self, "_psg_parent", {child: parent for parent, child in psg_edges})
 
     # -- lookups ---------------------------------------------------------
 
@@ -255,7 +236,7 @@ class AOGrammar:
 
     @property
     def terminal_ids(self) -> tuple[NodeId, ...]:
-        return tuple(n.id for n in self.nodes if n.is_terminal)
+        return tuple(n.id for n in self.nodes if not n.children)
 
     def node(self, node_id: NodeId) -> GrammarNode:
         try:
@@ -275,12 +256,10 @@ class AOGrammar:
     def psg_ancestors(self, node_id: NodeId) -> tuple[NodeId, ...]:
         """Chain of decomposition parents from ``node_id`` up to the root."""
         out: list[NodeId] = []
-        seen = {node_id}
-        parents = self._psg_parents.get(node_id)
-        while parents and parents[0] not in seen:
-            out.append(parents[0])
-            seen.add(parents[0])
-            parents = self._psg_parents.get(parents[0])
+        parent = self._psg_parent.get(node_id)
+        while parent is not None:
+            out.append(parent)
+            parent = self._psg_parent.get(parent)
         return tuple(out)
 
     # -- serialization ---------------------------------------------------
@@ -289,10 +268,7 @@ class AOGrammar:
         return {
             "schema_version": SCHEMA_VERSION,
             "root": self.root,
-            "nodes": [
-                {"id": n.id, "kind": n.kind.value, "name": n.name, "children": list(n.children)}
-                for n in self.nodes
-            ],
+            "nodes": [{"id": n.id, "name": n.name, "children": list(n.children)} for n in self.nodes],
             "dg_edges": [list(e) for e in self.dg_edges],
             "attributes": [{"id": a.id, "name": a.name, "domain": list(a.domain)} for a in self.attributes],
             "part_type_count": self.part_type_count,
@@ -300,7 +276,7 @@ class AOGrammar:
 
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "AOGrammar":
-        return cls(**_GRAMMAR(versioned(doc)))
+        return cls(**_GRAMMAR.present(versioned(doc)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AOGrammar):
@@ -317,9 +293,9 @@ class AOGrammar:
 
 _GRAMMAR = record(
     root=text,
-    nodes=array(GrammarNode.from_json_dict),
+    nodes=array(instance(GrammarNode, GrammarNode.from_json_dict)),
     dg_edges=optional(array(array(text, 2)), ()),
-    attributes=optional(array(AttributeDef.from_json_dict), ()),
+    attributes=optional(array(instance(AttributeDef, AttributeDef.from_json_dict)), ()),
     part_type_count=optional(count, DEFAULT_PART_TYPE_COUNT),
 )
 
@@ -356,22 +332,13 @@ def build_default_human_grammar(attr_defs: Sequence[AttributeDef] | None = None)
     """
     if attr_defs is None:
         attr_defs = default_attributes()
-    seen: set[AttrId] = set()
-    for a in attr_defs:
-        if a.id in seen:
-            raise ValidationError(f"duplicate attribute id {a.id!r}")
-        seen.add(a.id)
-
     nodes = [
-        GrammarNode(FULL_BODY, NodeKind.AND, "full body", (UPPER_BODY, LOWER_BODY)),
-        GrammarNode(UPPER_BODY, NodeKind.AND, "upper body", UPPER_BODY_MEMBERS),
-        GrammarNode(LOWER_BODY, NodeKind.AND, "lower body", LOWER_BODY_MEMBERS),
+        GrammarNode(FULL_BODY, "full body", (UPPER_BODY, LOWER_BODY)),
+        GrammarNode(UPPER_BODY, "upper body", UPPER_BODY_MEMBERS),
+        GrammarNode(LOWER_BODY, "lower body", LOWER_BODY_MEMBERS),
     ]
-    nodes.extend(
-        GrammarNode(p, NodeKind.TERMINAL, p.replace("_", " ")) for p in ATOMIC_PARTS
-    )
-
-    return AOGrammar(root=FULL_BODY, nodes=nodes, dg_edges=DEFAULT_DG_EDGES, attributes=tuple(attr_defs))
+    nodes.extend(GrammarNode(p, p.replace("_", " ")) for p in ATOMIC_PARTS)
+    return AOGrammar(root=FULL_BODY, nodes=nodes, dg_edges=DEFAULT_DG_EDGES, attributes=attr_defs)
 
 
 # -- validation ------------------------------------------------------------
@@ -398,16 +365,19 @@ def parents_first(
     return order, pool
 
 
-def _cyclic(edges: Sequence[tuple[NodeId, NodeId]]) -> bool:
-    return bool(parents_first(dict.fromkeys(n for edge in edges for n in edge), edges)[1])
+def _forest_violations(kind: str, edges: Sequence[tuple[NodeId, NodeId]]) -> list[str]:
+    """A cycle in ``edges``, or else each node with more than one parent."""
+    if parents_first(dict.fromkeys(n for edge in edges for n in edge), edges)[1]:
+        return [f"{kind} edges contain a cycle"]
+    parents: dict[NodeId, list[NodeId]] = {}
+    for parent, child in edges:
+        parents.setdefault(child, []).append(parent)
+    return [f"node {c!r} has multiple {kind} parents {sorted(ps)}" for c, ps in parents.items() if len(ps) > 1]
 
 
-def validate(grammar: AOGrammar) -> list[str]:
-    """Check structural well-formedness; never raises.
-
-    Returns the violations, empty when the grammar is valid: the list is
-    truthy when there *are* violations.
-    """
+def _violations(grammar: AOGrammar) -> list[str]:
+    """The structural rules the grammar's checked fields break, empty when
+    there are none."""
     report: list[str] = []
     ids = [n.id for n in grammar.nodes]
     known = set(ids)
@@ -419,18 +389,9 @@ def validate(grammar: AOGrammar) -> list[str]:
         report.append("grammar has no nodes")
     if grammar.root not in known:
         report.append(f"root {grammar.root!r} is not a declared node")
-    try:
-        count(grammar.part_type_count)
-    except FieldError as exc:
-        report.append(str(exc.within("part_type_count")))
 
     for n in grammar.nodes:
-        n_children = len(n.children)
-        if n.kind is NodeKind.TERMINAL and n_children:
-            report.append(f"terminal node {n.id!r} has children {list(n.children)}")
-        elif n.kind is NodeKind.AND and n_children < 1:
-            report.append(f"and-node {n.id!r} has no children")
-        if len(set(n.children)) != n_children:
+        if len(set(n.children)) != len(n.children):
             report.append(f"node {n.id!r} lists duplicate children")
         for c in n.children:
             if c not in known:
@@ -445,39 +406,26 @@ def validate(grammar: AOGrammar) -> list[str]:
     if len(set(grammar.dg_edges)) != len(grammar.dg_edges):
         report.append("duplicate dg edges")
 
-    if _cyclic(grammar.psg_edges):
-        report.append("psg edges contain a cycle")
-    else:
-        # With acyclic edges, check single-parenthood and root reachability.
-        for child, parents in grammar._psg_parents.items():
-            if len(parents) > 1:
-                report.append(f"node {child!r} has multiple psg parents {sorted(parents)}")
-        if grammar.root in known:
-            reached = {grammar.root}
-            frontier = [grammar.root]
-            while frontier:
-                cur = frontier.pop()
-                if cur not in grammar._node_by_id:
-                    continue
-                for c in grammar.node(cur).children:
-                    if c in known and c not in reached:
-                        reached.add(c)
-                        frontier.append(c)
-            unreached = sorted(known - reached)
-            if unreached:
-                report.append(f"nodes unreachable from root via psg edges: {unreached}")
+    report += _forest_violations("psg", grammar.psg_edges)
+    if grammar.root in known:
+        children = {n.id: n.children for n in grammar.nodes}
+        reached = {grammar.root}
+        frontier = [grammar.root]
+        while frontier:
+            for c in children[frontier.pop()]:
+                if c in known and c not in reached:
+                    reached.add(c)
+                    frontier.append(c)
+        unreached = sorted(known - reached)
+        if unreached:
+            report.append(f"nodes unreachable from root via psg edges: {unreached}")
 
-    terminals = set(grammar.terminal_ids)
+    composite = {n.id for n in grammar.nodes if n.children}
     for p, c in grammar.dg_edges:
         for end in (p, c):
-            if end in known and end not in terminals:
+            if end in composite:
                 report.append(f"dg edge ({p!r}, {c!r}) touches non-terminal node {end!r}")
-    if _cyclic(grammar.dg_edges):
-        report.append("dg edges contain a cycle")
-    else:
-        for child, parents in grammar._dg_parents.items():
-            if len(parents) > 1:
-                report.append(f"node {child!r} has multiple dg parents {sorted(parents)}")
+    report += _forest_violations("dg", grammar.dg_edges)
 
     attr_ids = [a.id for a in grammar.attributes]
     if len(set(attr_ids)) != len(attr_ids):

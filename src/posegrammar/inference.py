@@ -90,21 +90,11 @@ def default_expansion_order(grammar: AOGrammar) -> tuple[NodeId, ...]:
     and dependency parents (:func:`parents_first` over the root, then the
     grammar's listing), so every edge's parent is grounded before its
     child.  For the default human grammar this grounds the torso right
-    after the body levels and walks each limb outward.  An edge naming a
-    part the grammar lacks is refused, naming the edge and the part.
+    after the body levels and walks each limb outward.  A grammar's two
+    edge sets are acyclic together, so every part is placed.
     """
-    edges = grammar.psg_edges + grammar.dg_edges
-    for edge in edges:
-        for end in edge:
-            if not grammar.has_node(end):
-                raise ValidationError(f"edge {edge[0]}->{edge[1]}: part {end!r} is not in the grammar")
     pool = [grammar.root] + [p for p in grammar.part_ids if p != grammar.root]
-    order, stuck = parents_first(pool, edges)
-    if stuck:
-        raise ValidationError(
-            f"cannot derive an expansion order: parts {stuck} never become placeable"
-        )
-    return tuple(order)
+    return tuple(parents_first(pool, grammar.psg_edges + grammar.dg_edges)[0])
 
 
 class _Table:

@@ -584,8 +584,8 @@ def learn_models(
     The co-occurrence tables count ``type_samples``, one part-type map per
     annotation (:func:`proposal_part_types` labels detector proposals into
     one); without them every edge falls back to the uniform table.  A
-    terminal or dependency endpoint of ``grammar`` that the annotations
-    carry no joint for is refused, naming it.
+    terminal of ``grammar`` that the annotations carry no joint for is
+    refused, naming it.
     """
     n_components = argument("n_components", n_components, count)
     seed = argument("seed", seed, nonnegative)
@@ -596,10 +596,9 @@ def learn_models(
     if len(type_samples) != len(annotations):
         raise ValidationError("type_samples must align one-to-one with annotations")
     # Every annotation has the same joints.
-    needed = dict.fromkeys([*chain.from_iterable(grammar.dg_edges), *grammar.terminal_ids])
-    missing = [p for p in needed if p not in annotations[0].joints]
+    missing = [p for p in grammar.terminal_ids if p not in annotations[0].joints]
     if missing:
-        raise MissingEntryError(f"the annotations carry no joint for the grammar's terminals or dg endpoints {missing}")
+        raise MissingEntryError(f"the annotations carry no joint for the grammar's terminals {missing}")
 
     syntactic = fit_syntactic(type_samples, grammar)
     kinematic = fit_kinematic(

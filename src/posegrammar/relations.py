@@ -24,7 +24,7 @@ import numpy as np
 from .errors import MissingEntryError, ValidationError
 from .grammar import DEFAULT_PART_TYPE_COUNT, AOGrammar, AttrId, NodeId
 from .jsonio import SCHEMA_VERSION, read_json, schema_version, write_json
-from .jsonio import array, count, mapping, number, optional, record, text
+from .jsonio import argument, array, count, mapping, number, optional, record, text
 
 Edge = tuple[NodeId, NodeId]
 
@@ -51,7 +51,7 @@ class SyntacticTable:
     def __init__(
         self, tables: Mapping[Edge, np.ndarray], part_type_count: int = DEFAULT_PART_TYPE_COUNT
     ) -> None:
-        self.part_type_count = int(part_type_count)
+        self.part_type_count = argument("part_type_count", part_type_count, count)
         self.tables: dict[Edge, np.ndarray] = {}
         t = self.part_type_count
         for edge, mat in tables.items():

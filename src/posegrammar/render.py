@@ -28,8 +28,6 @@ def render_svg(pg: ParseGraph, grammar: AOGrammar) -> str:
     for parent, child in grammar.dg_edges:
         if parent not in pg.states or child not in pg.states:
             continue
-        if parent not in terminals or child not in terminals:
-            continue
         a, b = pg.states[parent], pg.states[child]
         lines.append(
             f'<line class="stick" x1="{_fmt(a.x)}" y1="{_fmt(a.y)}" '

@@ -27,7 +27,6 @@ from posegrammar.grammar import (
     AOGrammar,
     AttributeDef,
     GrammarNode,
-    NodeKind,
     ParseGraph,
     PartState,
     recompute_score,
@@ -62,11 +61,11 @@ _TOY_PARTS = ("root", "a", "b", "c", "d")
 
 def _toy_grammar(t=3):
     nodes = (
-        GrammarNode("root", NodeKind.AND, "root", ("a", "b", "c", "d")),
-        GrammarNode("a", NodeKind.TERMINAL, "a"),
-        GrammarNode("b", NodeKind.TERMINAL, "b"),
-        GrammarNode("c", NodeKind.TERMINAL, "c"),
-        GrammarNode("d", NodeKind.TERMINAL, "d"),
+        GrammarNode("root", "root", ("a", "b", "c", "d")),
+        GrammarNode("a", "a"),
+        GrammarNode("b", "b"),
+        GrammarNode("c", "c"),
+        GrammarNode("d", "d"),
     )
     return AOGrammar(
         root="root",

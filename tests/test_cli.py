@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 
 import posegrammar
-from posegrammar.appearance import load_proposals
 from posegrammar.cli import cli_dispatch
 from posegrammar.errors import MissingEntryError, ValidationError
 from posegrammar.evaluation import default_sticks, strict_pcp
@@ -30,9 +29,7 @@ from posegrammar.grammar import (
     load_grammar,
     part_keypoints,
     save_parse_graph,
-    validate,
 )
-from posegrammar.inference import BeamConfig, parse_unconstrained, select_final
 from posegrammar.learning import displacement_samples, learn_models, load_annotations, save_annotations
 from posegrammar.relations import load_models
 from posegrammar.synthetic import load_scene
@@ -147,15 +144,21 @@ class TestExitCodes:
 class TestValidate:
     def test_default_grammar_is_valid(self, pipeline, capsys):
         assert cli_dispatch(["validate", "--grammar", pipeline["grammar"]]) == 0
-        assert "is valid" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"grammar {pipeline['grammar']} is valid\n"
 
     def test_violations_exit_one(self, tmp_path, capsys):
+        """Every violation, in one error line naming the file."""
         doc = build_default_human_grammar().to_json_dict()
-        doc["nodes"].append({"id": "tail", "kind": "terminal", "label": "tail"})
+        doc["nodes"].append({"id": "tail", "label": "tail"})
+        doc["dg_edges"].append(["torso", "ghost"])
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc), encoding="utf-8")
         assert cli_dispatch(["validate", "--grammar", str(bad)]) == 1
-        assert "violation:" in capsys.readouterr().err
+        violations = [
+            "dg edge ('torso', 'ghost') references undeclared node 'ghost'",
+            "nodes unreachable from root via psg edges: ['tail']",
+        ]
+        assert capsys.readouterr().err == f"error: {bad}: {'; '.join(violations)}\n"
 
     def test_malformed_json_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "broken.json"
@@ -867,45 +870,48 @@ def _rename_head(doc):
 
 
 class TestGrammarPartsTheInputsLack:
-    """A grammar that loads but names a part the grammar or the annotations
-    lack ends in one error line naming the part, where the library first
-    needs it."""
+    """A grammar file with a dependency edge to an undeclared or a composite
+    part is refused at load; one that renames a terminal loads, and ends in
+    one error line naming the part where the library first needs it."""
 
     @pytest.mark.parametrize(
-        "edit, part",
-        [(_add_dg_edge("torso", "ghost"), "ghost"), (_add_dg_edge("upper_body", "head"), "upper_body"), (_rename_head, "skull")],
-        ids=["undeclared", "composite", "renamed"],
+        "edit, message",
+        [
+            (_add_dg_edge("torso", "ghost"), "dg edge ('torso', 'ghost') references undeclared node 'ghost'"),
+            (
+                _add_dg_edge("upper_body", "head"),
+                "dg edge ('upper_body', 'head') touches non-terminal node 'upper_body'; "
+                "node 'head' has multiple dg parents ['torso', 'upper_body']",
+            ),
+        ],
+        ids=["undeclared", "composite"],
     )
-    def test_learn(self, pipeline, tmp_path, capsys, edit, part):
+    def test_refused_at_load(self, pipeline, tmp_path, capsys, edit, message):
         path = _edited_grammar(tmp_path, edit)
+        out = tmp_path / "out.json"
+        learn = ["learn", "--annotations", pipeline["annotations"], "--components", "2"]
+        parse = ["parse", "--models", pipeline["models"], "--proposals", pipeline["proposals"], "--beam", "4"]
+        for argv in (learn, parse):
+            assert cli_dispatch(argv + ["--grammar", path, "--out", str(out)]) == 1
+            assert capsys.readouterr().err == f"error: {path}: {message}\n"
+            assert not out.exists()
+        with pytest.raises(ValidationError, match="^" + re.escape(f"{path}: {message}") + "$"):
+            load_grammar(path)
+
+    def test_learn_with_a_renamed_terminal(self, pipeline, tmp_path, capsys):
+        path = _edited_grammar(tmp_path, _rename_head)
         out = tmp_path / "m.json"
         argv = ["learn", "--annotations", pipeline["annotations"], "--grammar", path]
         assert cli_dispatch(argv + ["--components", "2", "--out", str(out)]) == 1
-        message = f"the annotations carry no joint for the grammar's terminals or dg endpoints ['{part}']"
+        message = "the annotations carry no joint for the grammar's terminals ['skull']"
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
         with pytest.raises(MissingEntryError, match="^" + re.escape(message) + "$"):
             learn_models(load_annotations(pipeline["annotations"]), load_grammar(path), n_components=2)
 
-    def test_parse_with_an_edge_to_an_undeclared_part(self, pipeline, tmp_path, capsys):
-        path = _edited_grammar(tmp_path, _add_dg_edge("torso", "ghost"))
-        out = tmp_path / "p.json"
-        argv = ["parse", "--grammar", path, "--models", pipeline["models"], "--proposals", pipeline["proposals"]]
-        assert cli_dispatch(argv + ["--beam", "4", "--out", str(out)]) == 1
-        message = "edge torso->ghost: part 'ghost' is not in the grammar"
-        assert capsys.readouterr().err == f"error: {message}\n"
-        assert not out.exists()
-        grammar, models = load_grammar(path), load_models(pipeline["models"])
-        pset = load_proposals(pipeline["proposals"])
-        with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
-            parse_unconstrained(grammar, models, pset, cfg=BeamConfig(4))
-        with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
-            select_final(grammar, models, pset, cfg=BeamConfig(4))
-
     def test_eval_pcp_with_a_renamed_terminal(self, pipeline, tmp_path, capsys):
         path = _edited_grammar(tmp_path, _rename_head)
         grammar = load_grammar(path)
-        assert validate(grammar) == []
         truth = tmp_path / "truth.jsonl"
         truth.write_text(_read(pipeline["annotations"]).splitlines(keepends=True)[0], encoding="utf-8")
         pred = tmp_path / "pred"

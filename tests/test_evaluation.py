@@ -40,7 +40,6 @@ from posegrammar.grammar import (
     build_default_human_grammar,
     AttributeDef,
     GrammarNode,
-    NodeKind,
     ParseGraph,
     PartState,
     part_keypoints,
@@ -94,22 +93,6 @@ class TestDefaultSticks:
         assert len(sticks) == 13
         assert [s.index for s in sticks] == list(range(1, 14))
         assert [(s.a, s.b) for s in sticks] == list(grammar.dg_edges)
-
-    def test_composite_endpoint_rejected(self):
-        nodes = (
-            GrammarNode("root", NodeKind.AND, "root", ("a", "b")),
-            GrammarNode("a", NodeKind.TERMINAL, "a"),
-            GrammarNode("b", NodeKind.TERMINAL, "b"),
-        )
-        g = AOGrammar(
-            root="root",
-            nodes=nodes,
-            dg_edges=(("root", "a"),),
-            attributes=(AttributeDef("c", "c", ("u", "v")),),
-            part_type_count=2,
-        )
-        with pytest.raises(ValidationError, match="non-atomic endpoint"):
-            default_sticks(g)
 
 
 _TORSO_HEAD = (Stick(1, "torso", "head"),)
@@ -330,9 +313,9 @@ def _tiny_pset():
 class TestAttributeScoring:
     def _grammar(self):
         nodes = (
-            GrammarNode("root", NodeKind.AND, "root", ("head", "torso")),
-            GrammarNode("head", NodeKind.TERMINAL, "head"),
-            GrammarNode("torso", NodeKind.TERMINAL, "torso"),
+            GrammarNode("root", "root", ("head", "torso")),
+            GrammarNode("head", "head"),
+            GrammarNode("torso", "torso"),
         )
         return AOGrammar(
             root="root",

@@ -1,4 +1,5 @@
-"""Structural tests: default grammar shape, validation, serialization."""
+"""Structural tests: default grammar shape, construction refusals,
+serialization."""
 
 from __future__ import annotations
 
@@ -7,10 +8,12 @@ import math
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posegrammar.appearance import ScoreTable
-from posegrammar.cli import cli_dispatch
 from posegrammar.errors import MissingEntryError, ValidationError
+from posegrammar.evaluation import default_sticks
 from posegrammar.grammar import (
     ATOMIC_PARTS,
     DEFAULT_DG_EDGES,
@@ -20,19 +23,18 @@ from posegrammar.grammar import (
     AOGrammar,
     AttributeDef,
     GrammarNode,
-    NodeKind,
     ParseGraph,
     PartState,
     build_default_human_grammar,
-    default_attributes,
     load_grammar,
     load_parse_graph,
     parents_first,
     recompute_score,
     save_grammar,
     save_parse_graph,
-    validate,
 )
+from posegrammar.inference import default_expansion_order
+from posegrammar.render import render_svg
 
 
 class TestDefaultGrammar:
@@ -47,13 +49,17 @@ class TestDefaultGrammar:
 
     def test_root_and_levels(self, grammar):
         assert grammar.root == FULL_BODY
-        assert grammar.node(FULL_BODY).kind is NodeKind.AND
         assert set(grammar.node(FULL_BODY).children) == {UPPER_BODY, LOWER_BODY}
+        assert grammar.terminal_ids == ATOMIC_PARTS
         for part in ATOMIC_PARTS:
-            assert grammar.node(part).is_terminal
+            assert grammar.node(part).children == ()
 
-    def test_validates_clean(self, grammar):
-        assert validate(grammar) == []
+    def test_rebuilds_from_its_own_fields(self, grammar):
+        """The constructor keeps node and attribute instances as they are."""
+        fields = (grammar.root, grammar.nodes, grammar.dg_edges, grammar.attributes, grammar.part_type_count)
+        back = AOGrammar(*fields)
+        assert back == grammar
+        assert back.nodes == grammar.nodes and back.nodes[0] is grammar.nodes[0]
 
     def test_decomposition_edges_follow_the_children_lists(self, grammar):
         """The derived edges equal the 16 edges the grammar used to list,
@@ -94,7 +100,7 @@ class TestDefaultGrammar:
             AttributeDef("gender", "gender", ("male", "female")),
             AttributeDef("gender", "gender", ("a", "b")),
         )
-        with pytest.raises(ValidationError, match="duplicate attribute"):
+        with pytest.raises(ValidationError, match=r"^duplicate attribute ids: \['gender'\]$"):
             build_default_human_grammar(attr_defs=dupes)
 
     def test_unknown_lookups_raise(self, grammar):
@@ -116,9 +122,9 @@ class TestAttributeDef:
 
 def _toy_nodes():
     return (
-        GrammarNode("root", NodeKind.AND, "root", ("a", "b")),
-        GrammarNode("a", NodeKind.TERMINAL, "a"),
-        GrammarNode("b", NodeKind.TERMINAL, "b"),
+        GrammarNode("root", "root", ("a", "b")),
+        GrammarNode("a", "a"),
+        GrammarNode("b", "b"),
     )
 
 
@@ -134,103 +140,101 @@ def _toy_grammar(**overrides):
     return AOGrammar(**kwargs)
 
 
+def _violations(**overrides) -> list[str]:
+    """The violations construction refuses the toy grammar with
+    ``overrides`` for, in order."""
+    with pytest.raises(ValidationError) as refused:
+        _toy_grammar(**overrides)
+    return str(refused.value).split("; ")
+
+
 class TestValidation:
-    """validate() reports structural violations instead of raising."""
+    """Construction refuses a grammar with every violation it has, in one
+    error."""
 
     def test_toy_grammar_clean(self):
-        assert validate(_toy_grammar()) == []
+        assert _toy_grammar().terminal_ids == ("a", "b")
 
     def test_duplicate_node_ids(self):
-        nodes = _toy_nodes() + (GrammarNode("a", NodeKind.TERMINAL, "again"),)
-        report = validate(_toy_grammar(nodes=nodes))
-        assert any("duplicate node ids" in v for v in report)
+        nodes = _toy_nodes() + (GrammarNode("a", "again"),)
+        assert "duplicate node ids: ['a']" in _violations(nodes=nodes)
 
     def test_missing_root(self):
-        report = validate(_toy_grammar(root="ghost"))
-        assert any("root" in v and "ghost" in v for v in report)
+        assert "root 'ghost' is not a declared node" in _violations(root="ghost")
+
+    def test_no_nodes(self):
+        assert _violations(nodes=(), dg_edges=()) == ["grammar has no nodes", "root 'root' is not a declared node"]
 
     def test_terminal_with_children(self):
+        """A terminal given children is an and-node, so the dependency edge
+        on it and the second parent of its child are refused."""
         nodes = (
-            GrammarNode("root", NodeKind.AND, "root", ("a", "b")),
-            GrammarNode("a", NodeKind.TERMINAL, "a", ("b",)),
-            GrammarNode("b", NodeKind.TERMINAL, "b"),
+            GrammarNode("root", "root", ("a", "b")),
+            GrammarNode("a", "a", ("b",)),
+            GrammarNode("b", "b"),
         )
-        report = validate(_toy_grammar(nodes=nodes))
-        assert any("terminal node 'a' has children" in v for v in report)
+        assert _violations(nodes=nodes) == [
+            "node 'b' has multiple psg parents ['a', 'root']",
+            "dg edge ('a', 'b') touches non-terminal node 'a'",
+        ]
 
-    def test_or_node_is_refused(self, tmp_path, capsys):
-        allowed = r"grammar node 'root': kind 'or' is not one of \['and', 'terminal'\]"
-        with pytest.raises(ValidationError, match=allowed):
-            GrammarNode("root", "or", "root", ("a", "b"))
-        doc = _toy_grammar().to_json_dict()
-        doc["nodes"][0]["kind"] = "or"
-        path = tmp_path / "or.json"
-        path.write_text(json.dumps(doc), encoding="utf-8")
-        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: grammar node 'root'"):
-            load_grammar(str(path))
-        assert cli_dispatch(["validate", "--grammar", str(path)]) == 1
-        assert f"{path}: grammar node 'root'" in capsys.readouterr().err
+    def test_duplicate_and_undeclared_children(self):
+        nodes = (GrammarNode("root", "root", ("a", "b", "a", "ghost")), GrammarNode("a", "a"), GrammarNode("b", "b"))
+        assert _violations(nodes=nodes)[:2] == [
+            "node 'root' lists duplicate children",
+            "node 'root' references undeclared child 'ghost'",
+        ]
 
     def test_self_edge(self):
-        report = validate(_toy_grammar(dg_edges=(("a", "a"),)))
-        assert any("self-edge" in v for v in report)
+        assert "dg self-edge on 'a'" in _violations(dg_edges=(("a", "a"),))
+
+    def test_duplicate_dg_edges(self):
+        assert _violations(dg_edges=(("a", "b"), ("a", "b"))) == [
+            "duplicate dg edges",
+            "node 'b' has multiple dg parents ['a', 'a']",
+        ]
 
     def test_undeclared_edge_endpoint(self):
-        report = validate(_toy_grammar(dg_edges=(("a", "ghost"),)))
-        assert any("undeclared node 'ghost'" in v for v in report)
+        assert _violations(dg_edges=(("a", "ghost"),)) == ["dg edge ('a', 'ghost') references undeclared node 'ghost'"]
 
     def test_psg_cycle(self):
         nodes = (
-            GrammarNode("root", NodeKind.AND, "root", ("a",)),
-            GrammarNode("a", NodeKind.AND, "a", ("root",)),
+            GrammarNode("root", "root", ("a",)),
+            GrammarNode("a", "a", ("root",)),
         )
-        report = validate(
-            AOGrammar(
-                root="root",
-                nodes=nodes,
-                dg_edges=(),
-            )
-        )
-        assert any("psg edges contain a cycle" in v for v in report)
+        assert _violations(nodes=nodes, dg_edges=()) == ["psg edges contain a cycle"]
 
     def test_node_listing_itself_as_a_child(self):
-        nodes = (GrammarNode("root", NodeKind.AND, "root", ("root", "a")), GrammarNode("a", NodeKind.TERMINAL, "a"))
-        assert "psg edges contain a cycle" in validate(AOGrammar(root="root", nodes=nodes, dg_edges=()))
+        nodes = (GrammarNode("root", "root", ("root", "a")), GrammarNode("a", "a"))
+        assert _violations(nodes=nodes, dg_edges=()) == ["psg edges contain a cycle"]
 
     def test_multiple_psg_parents(self):
         nodes = (
-            GrammarNode("root", NodeKind.AND, "root", ("m", "a")),
-            GrammarNode("m", NodeKind.AND, "m", ("a",)),
-            GrammarNode("a", NodeKind.TERMINAL, "a"),
+            GrammarNode("root", "root", ("m", "a")),
+            GrammarNode("m", "m", ("a",)),
+            GrammarNode("a", "a"),
         )
-        report = validate(
-            AOGrammar(
-                root="root",
-                nodes=nodes,
-                dg_edges=(),
-            )
-        )
-        assert any("multiple psg parents" in v for v in report)
+        assert _violations(nodes=nodes, dg_edges=()) == ["node 'a' has multiple psg parents ['m', 'root']"]
 
     def test_unreachable_node(self):
-        nodes = _toy_nodes() + (GrammarNode("island", NodeKind.TERMINAL, "island"),)
-        report = validate(_toy_grammar(nodes=nodes))
-        assert any("unreachable" in v and "island" in v for v in report)
+        nodes = _toy_nodes() + (GrammarNode("island", "island"),)
+        assert _violations(nodes=nodes) == ["nodes unreachable from root via psg edges: ['island']"]
 
     def test_dg_on_composite_part(self):
-        report = validate(_toy_grammar(dg_edges=(("root", "a"),)))
-        assert any("non-terminal" in v for v in report)
+        assert _violations(dg_edges=(("root", "a"),)) == ["dg edge ('root', 'a') touches non-terminal node 'root'"]
 
     def test_dg_cycle(self):
-        nodes = (
-            GrammarNode("root", NodeKind.AND, "root", ("a", "b")),
-            GrammarNode("a", NodeKind.TERMINAL, "a"),
-            GrammarNode("b", NodeKind.TERMINAL, "b"),
-        )
-        report = validate(
-            _toy_grammar(nodes=nodes, dg_edges=(("a", "b"), ("b", "a")))
-        )
-        assert any("dg edges contain a cycle" in v for v in report)
+        assert _violations(dg_edges=(("a", "b"), ("b", "a"))) == ["dg edges contain a cycle"]
+
+    def test_every_violation_in_one_error(self):
+        nodes = _toy_nodes() + (GrammarNode("island", "island"),)
+        attributes = (AttributeDef("c", "c", ("u", "v")),) * 2
+        assert _violations(nodes=nodes, dg_edges=(("a", "a"),), attributes=attributes) == [
+            "dg self-edge on 'a'",
+            "nodes unreachable from root via psg edges: ['island']",
+            "dg edges contain a cycle",
+            "duplicate attribute ids: ['c']",
+        ]
 
     def test_placement_after_every_parent(self):
         """``parents_first`` places a node once all its parents are placed,
@@ -243,8 +247,80 @@ class TestValidation:
 
     @pytest.mark.parametrize("count", [0, 2.5, True])
     def test_part_type_count_bound(self, count):
-        report = validate(_toy_grammar(part_type_count=count))
-        assert f"part_type_count must be an integer >= 1, got {count!r}" in report
+        message = f"part_type_count must be an integer >= 1, got {count!r}"
+        with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
+            _toy_grammar(part_type_count=count)
+
+    def test_fields_are_fixed(self, grammar):
+        """A grammar cannot be edited into an invalid one after construction."""
+        with pytest.raises(AttributeError):
+            grammar.dg_edges = (("head", "torso"),)
+
+
+def _edit(doc: dict, data) -> None:
+    """One structural edit of a grammar document, drawn by ``data``: add,
+    drop or move a child; add a dependency edge between any two ids, an
+    undeclared one included, or drop one; rename a node in one place only;
+    drop a node; or give a terminal children."""
+    nodes = doc["nodes"]
+    ids = [n["id"] for n in nodes] + ["ghost"]
+    node = data.draw(st.sampled_from(nodes))
+    kind = data.draw(
+        st.sampled_from(["add child", "drop child", "move child", "add edge", "drop edge", "rename", "drop node", "terminal"])
+    )
+    if kind == "add child":
+        node["children"].append(data.draw(st.sampled_from(ids)))
+    elif kind in ("drop child", "move child") and node["children"]:
+        child = node["children"].pop(data.draw(st.integers(0, len(node["children"]) - 1)))
+        if kind == "move child":
+            data.draw(st.sampled_from([n for n in nodes if n["children"]] or nodes))["children"].append(child)
+    elif kind == "add edge":
+        doc["dg_edges"].append([data.draw(st.sampled_from(ids)), data.draw(st.sampled_from(ids))])
+    elif kind == "drop edge" and doc["dg_edges"]:
+        doc["dg_edges"].pop(data.draw(st.integers(0, len(doc["dg_edges"]) - 1)))
+    elif kind == "rename":
+        places = [(doc, "root")] + [(n, "id") for n in nodes]
+        places += [(n["children"], i) for n in nodes for i in range(len(n["children"]))]
+        places += [(e, i) for e in doc["dg_edges"] for i in (0, 1)]
+        holder, key = data.draw(st.sampled_from(places))
+        holder[key] = "renamed"
+    elif kind == "drop node":
+        nodes.remove(node)
+    elif kind == "terminal":
+        terminal = data.draw(st.sampled_from([n for n in nodes if not n["children"]] or nodes))
+        terminal["children"] = data.draw(st.lists(st.sampled_from(ids), min_size=1, max_size=3))
+
+
+class TestEveryGrammarIsValid:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_an_edited_grammar_is_refused_or_usable(self, tmp_path_factory, data):
+        """Loading an edited default grammar either fails with one
+        ValidationError naming the file, or gives a grammar whose expansion
+        order places every part once after all of its parents, whose
+        sticks join terminals and which renders a parse grounded in that
+        order.  No other exception is raised."""
+        doc = build_default_human_grammar().to_json_dict()
+        for _ in range(data.draw(st.integers(0, 3))):
+            _edit(doc, data)
+        path = tmp_path_factory.mktemp("edited") / "grammar.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        try:
+            g = load_grammar(str(path))
+        except ValidationError as exc:
+            assert str(exc).startswith(f"{path}: "), str(exc)
+            return
+        order = default_expansion_order(g)
+        assert sorted(order) == sorted(g.part_ids) and len(set(order)) == len(order)
+        position = {p: i for i, p in enumerate(order)}
+        for parent, child in g.psg_edges + g.dg_edges:
+            assert position[parent] < position[child]
+        terminals = set(g.terminal_ids)
+        assert all({s.a, s.b} <= terminals for s in default_sticks(g))
+        states = {p: PartState(p, float(i), float(i % 3), 1, f"r{i}") for i, p in enumerate(order)}
+        svg = render_svg(ParseGraph(states, {}, 0.0), g)
+        assert svg.count('class="stick"') == len(g.dg_edges)
+        assert svg.count('class="keypoint"') == len(terminals)
 
 
 class TestGrammarSerialization:

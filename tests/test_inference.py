@@ -31,7 +31,6 @@ from posegrammar.grammar import (
     AOGrammar,
     AttributeDef,
     GrammarNode,
-    NodeKind,
     ParseGraph,
     PartState,
     part_keypoints,
@@ -70,9 +69,9 @@ _PROPERTY_ATTRIBUTE = (AttributeDef("c", "c", ("u", "v")),)
 
 def _toy_grammar(part_type_count=2):
     nodes = (
-        GrammarNode("root", NodeKind.AND, "root", ("a", "b")),
-        GrammarNode("a", NodeKind.TERMINAL, "a"),
-        GrammarNode("b", NodeKind.TERMINAL, "b"),
+        GrammarNode("root", "root", ("a", "b")),
+        GrammarNode("a", "a"),
+        GrammarNode("b", "b"),
     )
     return AOGrammar(
         root="root",
@@ -160,17 +159,13 @@ class TestExpansionOrder:
         assert position["torso"] < position["l_shoulder"]
 
     def test_a_part_waits_for_all_of_its_parents(self):
-        """``c`` is listed between its two dependency parents; it is placed
-        after both, so both of its edges close at its own step."""
-        g, _models, _pset = _two_parent_world(0)
+        """``c`` is listed before its dependency parent ``b``; it is placed
+        after both of its parents, so its decomposition edge and its
+        dependency edge close at its own step."""
+        g, models, pset = _two_parent_world(0)
         assert default_expansion_order(g) == ("root", "a", "b", "c")
-
-    def test_parts_that_never_become_placeable(self):
-        g = _toy_grammar()
-        cyclic = AOGrammar(g.root, g.nodes, (("a", "b"), ("b", "a")), g.attributes, 2)
-        message = "cannot derive an expansion order: parts ['a', 'b'] never become placeable"
-        with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
-            default_expansion_order(cyclic)
+        last = _prepare(g, models, pset, [{}])[-1]
+        assert [(parent, table.edge) for parent, table in last.closings] == [(0, ("root", "c")), (2, ("b", "c"))]
 
     def test_beam_width_bound(self):
         with pytest.raises(ValidationError, match="^beam_width must be an integer >= 1, got 0$"):
@@ -212,10 +207,11 @@ class TestBeamMatchesBruteForce:
 
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_two_dependency_parents_exact(self, seed):
-        """A part with two dependency parents: the full-width beam equals the
-        oracle (same ids, bit-identical total) under both objective forms,
-        and the total agrees with an independent recomputation."""
+    def test_two_parents_exact(self, seed):
+        """A part whose step closes two tables, one per parent: the
+        full-width beam equals the oracle (same ids, bit-identical total)
+        under both objective forms, and the total agrees with an
+        independent recomputation."""
         g, models, pset = _two_parent_world(seed)
         full = _lattice_size(pset, ("root", "a", "b", "c"))
         for assignment in ({"c": "u"}, {}):
@@ -671,10 +667,10 @@ def _chain_world(seed, parts, flat=False, far=None):
     ``far`` names a part whose proposals all sit at x of about 1e200."""
     rng = np.random.default_rng(seed)
     nodes = (
-        GrammarNode("root", NodeKind.AND, "root", ("a", "b", "c")),
-        GrammarNode("a", NodeKind.TERMINAL, "a"),
-        GrammarNode("b", NodeKind.TERMINAL, "b"),
-        GrammarNode("c", NodeKind.TERMINAL, "c"),
+        GrammarNode("root", "root", ("a", "b", "c")),
+        GrammarNode("a", "a"),
+        GrammarNode("b", "b"),
+        GrammarNode("c", "c"),
     )
     g = AOGrammar(
         root="root",
@@ -721,20 +717,21 @@ def _chain_world(seed, parts, flat=False, far=None):
 
 
 def _two_parent_world(seed, counts=(2, 3, 3, 3)):
-    """A four-part grammar (root over a, c, b) in which ``c``, listed
-    between them, has two dependency parents, ``a`` and ``b``; seeded
-    tables, mixtures, proposals and scores."""
+    """A four-part grammar (root over a, c, b; dependency chain a -> b -> c)
+    in which ``c``, listed before its dependency parent ``b``, has two
+    parents, ``root`` and ``b``; seeded tables, mixtures, proposals and
+    scores."""
     rng = np.random.default_rng(seed)
     nodes = (
-        GrammarNode("root", NodeKind.AND, "root", ("a", "c", "b")),
-        GrammarNode("a", NodeKind.TERMINAL, "a"),
-        GrammarNode("c", NodeKind.TERMINAL, "c"),
-        GrammarNode("b", NodeKind.TERMINAL, "b"),
+        GrammarNode("root", "root", ("a", "c", "b")),
+        GrammarNode("a", "a"),
+        GrammarNode("c", "c"),
+        GrammarNode("b", "b"),
     )
     g = AOGrammar(
         root="root",
         nodes=nodes,
-        dg_edges=(("a", "c"), ("b", "c")),
+        dg_edges=(("a", "b"), ("b", "c")),
         attributes=_PROPERTY_ATTRIBUTE,
         part_type_count=2,
     )

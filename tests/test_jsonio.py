@@ -29,6 +29,7 @@ from posegrammar.errors import PoseGrammarError, ValidationError
 from posegrammar.evaluation import annotation_from_person, default_sticks, make_training_pairs, strict_pcp
 from posegrammar.grammar import (
     ATOMIC_PARTS,
+    AOGrammar,
     AttributeDef,
     GrammarNode,
     ParseGraph,
@@ -46,6 +47,7 @@ from posegrammar.relations import (
     KinematicMoG,
     Mixture,
     RelationModels,
+    SyntacticTable,
     load_models,
     save_models,
     uniform_syntactic_table,
@@ -553,7 +555,11 @@ CONSTRUCTOR_CASES = {
     "attribute-number-domain": (
         lambda: AttributeDef("a", "a", (1, 2)), "domain[0] must be a non-empty string, got 1"
     ),
-    "node-number-id": (lambda: GrammarNode(5, "terminal", "x"), "id must be a non-empty string, got 5"),
+    "node-number-id": (lambda: GrammarNode(5, "x"), "id must be a non-empty string, got 5"),
+    "grammar-number-node": (lambda: AOGrammar("x", [5], ()), "nodes[0] must be a GrammarNode or a JSON object, got 5"),
+    "grammar-string-node": (
+        lambda: AOGrammar("head", ["head"], ()), "nodes[0] must be a GrammarNode or a JSON object, got 'head'"
+    ),
     "scene-number-person": (
         lambda: SyntheticScene([5], (320, 240)), "persons[0] must be a Person or a JSON object, got 5"
     ),
@@ -582,6 +588,28 @@ def test_a_record_constructor_refuses_a_field_naming_it(case):
         make()
 
 
+def _toy_grammar(part_type_count):
+    return AOGrammar("root", [{"id": "root", "children": ["a"]}, {"id": "a"}], (), (), part_type_count)
+
+
+# Library part-type counts: each is checked by the count spec, not coerced.
+PART_TYPE_COUNT_CASES = {
+    "syntactic-float": (lambda: SyntacticTable({}, part_type_count=2.5), "2.5"),
+    "syntactic-string": (lambda: SyntacticTable({}, part_type_count="2"), "'2'"),
+    "proposals-float": (lambda: ProposalSet.from_proposals([], ScoreTable({}), part_type_count=2.5), "2.5"),
+    "proposals-bool": (lambda: ProposalSet.from_proposals([], ScoreTable({}), part_type_count=True), "True"),
+    "proposals-string": (lambda: ProposalSet.from_proposals([], ScoreTable({}), part_type_count="3"), "'3'"),
+    "grammar-float": (lambda: _toy_grammar(2.5), "2.5"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PART_TYPE_COUNT_CASES))
+def test_a_library_part_type_count_is_checked(case):
+    make, shown = PART_TYPE_COUNT_CASES[case]
+    with pytest.raises(ValidationError, match="^" + re.escape(f"part_type_count must be an integer >= 1, got {shown}") + "$"):
+        make()
+
+
 def test_every_checked_record_is_a_frozen_slotted_dataclass():
     """Every class whose ``__post_init__`` runs ``check_fields`` is frozen
     and slotted: its instances carry no ``__dict__``, which the check
@@ -592,7 +620,7 @@ def test_every_checked_record_is_a_frozen_slotted_dataclass():
         for node in ast.walk(ast.parse(inspect.getsource(module))):
             if isinstance(node, ast.ClassDef) and "check_fields(" in ast.unparse(node):
                 checked.append(getattr(module, node.name))
-    assert len(checked) == 10
+    assert len(checked) == 11
     for cls in checked:
         assert cls.__dataclass_params__.frozen and "__slots__" in vars(cls), cls.__name__
         assert cls.__dictoffset__ == 0, cls.__name__

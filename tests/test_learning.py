@@ -26,7 +26,6 @@ from posegrammar.grammar import (
     AOGrammar,
     AttributeDef,
     GrammarNode,
-    NodeKind,
     part_keypoints,
 )
 from posegrammar.learning import (
@@ -207,9 +206,9 @@ class TestLabelProposals:
 
 def _toy_grammar():
     nodes = (
-        GrammarNode("root", NodeKind.AND, "root", ("a", "b")),
-        GrammarNode("a", NodeKind.TERMINAL, "a"),
-        GrammarNode("b", NodeKind.TERMINAL, "b"),
+        GrammarNode("root", "root", ("a", "b")),
+        GrammarNode("a", "a"),
+        GrammarNode("b", "b"),
     )
     return AOGrammar(
         root="root",

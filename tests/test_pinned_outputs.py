@@ -1,5 +1,5 @@
 """Outputs pinned to the bit: seeded appearance scores, a seeded training
-corpus and a models file.  A change that moves a random draw, the order of
+corpus, the default grammar file and a models file.  A change that moves a random draw, the order of
 a sum or a serialized digit fails here, even where every other test only
 checks properties."""
 
@@ -12,6 +12,7 @@ import warnings
 from posegrammar import learn_models
 from posegrammar.appearance import synth_scores
 from posegrammar.evaluation import make_training_pairs
+from posegrammar.grammar import build_default_human_grammar, load_grammar, save_grammar
 from posegrammar.relations import save_models
 from posegrammar.synthetic import two_person_scene
 
@@ -44,6 +45,31 @@ def test_training_corpus(grammar):
         [9, 5, 6, 5, 2, 3, 2, 6, 6, 1, 7, 3, 7, 3, 2, 2, 7],
         [9, 3, 5, 2, 2, 9, 8, 7, 2, 5, 2, 8, 1, 6, 6, 5, 2],
     ]
+
+
+def test_grammar_file_bytes(tmp_path):
+    path = tmp_path / "grammar.json"
+    save_grammar(build_default_human_grammar(), str(path))
+    data = path.read_bytes()
+    assert len(data) == 3889
+    assert _sha256(data) == "20df264dcd0946eb4a9a882bc80f8b75d182663f436bd5764369eb790afa11ea"
+
+
+def test_an_older_grammar_file_loads_equal(tmp_path):
+    """A file in the older format, with each node's ``kind`` and the
+    ``psg_edges`` list, loads equal to the default grammar: both keys are
+    ignored.  The digest is that of the default grammar file the older
+    writer wrote."""
+    grammar = build_default_human_grammar()
+    doc = grammar.to_json_dict()
+    for node in doc["nodes"]:
+        node["kind"] = "and" if node["children"] else "terminal"
+    doc["psg_edges"] = [list(edge) for edge in grammar.psg_edges]
+    path = tmp_path / "older.json"
+    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    assert _sha256(text.encode()) == "321e9904f723ee59c62f84c4ba80d5b12b9534eb83d55fddc1156e81d9cc55e4"
+    path.write_text(text, encoding="utf-8")
+    assert load_grammar(str(path)) == grammar
 
 
 def test_models_file_bytes(grammar, tmp_path):
