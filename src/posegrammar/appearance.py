@@ -15,6 +15,10 @@ columns: the proposal reader's, the synthetic provider's and
 :meth:`ProposalSet.from_proposals`'s.  The set keeps no :class:`Proposal`
 objects: the search reads the columns, and only
 :meth:`ProposalSet.proposals_for` rebuilds proposals.
+
+:func:`load_proposals` reads a file in one streaming pass, keeping only
+each line's proposal fields and score cells, and builds the score grid
+from those cells with the routine :class:`ScoreTable` uses for its rows.
 """
 
 from __future__ import annotations
@@ -22,9 +26,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain, repeat
+from itertools import chain
 from operator import itemgetter
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NoReturn, Sequence
 
 import numpy as np
 
@@ -42,7 +46,7 @@ from .grammar import (
     default_attributes,
     part_keypoints,
 )
-from .jsonio import FieldError, read_json_lines, write_json_lines
+from .jsonio import FieldError, json_lines, write_json_lines
 from .jsonio import argument, array, check_fields, count, mapping, nonnegative, number, number_column
 from .jsonio import record, text
 from .synthetic import PART_BOX_SIZES, SyntheticScene, _sigma, padded_box
@@ -91,9 +95,8 @@ class ScoreTable:
     __slots__ = ("values", "_rows", "_columns")
 
     def __init__(self, entries: Mapping[str, Mapping[AttrId, Mapping[str, float]]]):
-        self._rows = {pid: r for r, pid in enumerate(entries)}
-        grid = _grid(list(entries.values()))
-        if grid is None:
+        grid = _Grid()
+        if not all(map(grid.add, entries.values())):
             # Some row is not an object of objects, or its pairs differ
             # from the first row's: check each row, then find the first
             # pair a row lacks.
@@ -110,14 +113,28 @@ class ScoreTable:
                         raise ValidationError(
                             f"proposal {pid!r}: scores.{attr}.{value} is missing, which other proposals have"
                         )
-            grid = _grid(rows)
-        self._columns, cells = grid
+            grid = _Grid()
+            for per_attr in rows:
+                grid.add(per_attr)
+        self._fill(list(entries), grid)
+
+    @classmethod
+    def _from_grid(cls, pids: Sequence[str], grid: "_Grid") -> "ScoreTable":
+        """The table of ``grid``, which took every row it was given, one
+        row per id of ``pids`` (all distinct), in order."""
+        table = cls.__new__(cls)
+        table._fill(pids, grid)
+        return table
+
+    def _fill(self, pids: Sequence[str], grid: "_Grid") -> None:
+        self._rows = {pid: r for r, pid in enumerate(pids)}
+        self._columns = grid.columns
         try:
-            values = number_column(cells)
+            values = number_column(grid.cells)
         except FieldError as exc:
             r, c = divmod(exc.path[0], len(self._columns))
-            pid, pair = list(self._rows)[r], list(self._columns)[c]
-            raise _refused_scores(pid, FieldError(exc.problem), *pair) from None
+            pair = list(self._columns)[c]
+            raise _refused_scores(pids[r], FieldError(exc.problem), *pair) from None
         self.values = values.reshape(len(self._rows), len(self._columns))
         self.values.flags.writeable = False
 
@@ -190,28 +207,39 @@ def _cells(values: Sequence[str]) -> Callable[[Mapping], tuple]:
     return itemgetter(*values)
 
 
-def _grid(rows: list) -> tuple[dict, list] | None:
-    """The (attribute, value) pairs of ``rows[0]``, each mapped to its
-    column, and every row's cells read at those pairs, flat and row by row;
-    ``None`` when a row is not an object of objects or lists other pairs.
-    An attribute with no values adds no pair, listed or not."""
-    if not rows:
-        return {}, []
-    try:
-        getters = [(attr, _cells(tuple(per_value))) for attr, per_value in rows[0].items() if per_value]
-        cells: list = []
-        for per_attr in rows:
-            for attr, get in getters:
-                cells += get(per_attr[attr])
-        per_values = list(chain.from_iterable(map(dict.values, rows)))
-    except (AttributeError, KeyError, TypeError):
-        return None
-    # Every row has the first row's pairs; it has no others when the rows
-    # list as many pairs as were read.
-    if not (set(map(type, per_values)) <= {dict} and sum(map(len, per_values)) == len(cells)):
-        return None
-    pairs = ((attr, value) for attr, per_value in rows[0].items() for value in per_value)
-    return {pair: c for c, pair in enumerate(pairs)}, cells
+class _Grid:
+    """Score rows read one by one into one flat list of ``cells``, row by
+    row, at the (attribute, value) pairs of the first row, each pair
+    mapped to its column in ``columns``.  An attribute with no values adds
+    no pair, listed or not."""
+
+    __slots__ = ("columns", "cells", "_getters")
+
+    def __init__(self) -> None:
+        self.columns: dict[tuple[AttrId, str], int] = {}
+        self.cells: list = []
+        self._getters: list | None = None
+
+    def add(self, per_attr) -> bool:
+        """Read the row ``per_attr``'s cells; false, with the grid left
+        unusable, when it is not an object of objects listing the first
+        row's pairs and no others."""
+        try:
+            if self._getters is None:
+                self._getters = [(attr, _cells(tuple(pv))) for attr, pv in per_attr.items() if pv]
+                pairs = ((attr, value) for attr, per_value in per_attr.items() for value in per_value)
+                self.columns = {pair: c for c, pair in enumerate(pairs)}
+            per_values = per_attr.values()
+            if not (type(per_attr) is dict and set(map(type, per_values)) <= {dict}):
+                return False
+            # It lists no other pairs when it lists as many as are read.
+            if sum(map(len, per_values)) != len(self.columns):
+                return False
+            for attr, get in self._getters:
+                self.cells += get(per_attr[attr])
+        except (AttributeError, KeyError, TypeError):
+            return False
+        return True
 
 
 class Bucket:
@@ -312,39 +340,72 @@ class ProposalSet:
 def load_proposals(path: str, *, part_type_count: int = DEFAULT_PART_TYPE_COUNT) -> ProposalSet:
     """Read a JSON-lines proposal file; one proposal object per line.
 
-    Each line is decoded once, then each field is checked and converted
-    as one column.  An error names ``path:line`` of the first line at
-    fault, in the words a check of that line alone uses, except the score
-    grid's, which names ``path`` and the proposal.
+    One streaming pass: each line is decoded, its six proposal fields go
+    to the columns and its score cells, read at the first line's
+    (attribute, value) pairs, to one flat list, and the document is
+    dropped.  After the last line each field is checked as one column and
+    the score grid is built from the cells.  A file that fails a check,
+    or whose ids repeat, is read again line by line to find the error:
+    it names ``path:line`` of the first line at fault, in the words a
+    check of that line alone uses, except the score grid's, which names
+    ``path`` and the proposal.
     """
     linenos: list[int] = []
-    docs = read_json_lines(path, lambda doc: doc, linenos)
-    columns = _proposal_columns(docs)
-    if columns is None:
-        for lineno, doc in zip(linenos, docs):
+    fields: list[tuple] = []
+    grid = _Grid()
+    for lineno, doc in json_lines(path):
+        if type(doc) is not dict:
+            break
+        try:
+            fields.append(_PROPOSAL_FIELDS(doc))
+        except KeyError:
+            break
+        if not grid.add(doc.get("scores", {})):
+            break
+        linenos.append(lineno)
+    else:
+        columns = _proposal_columns(fields)
+        if columns is not None and len(set(columns[0])) == len(fields):
+            ids, parts, xy, types, boxes = columns
             try:
-                Proposal.from_json_dict(doc)
+                scores = ScoreTable._from_grid(ids, grid)
             except ValidationError as exc:
-                raise ValidationError(f"{path}:{lineno}: {exc}") from exc
-    ids, parts, xy, types, boxes = columns
+                raise ValidationError(f"{path}: {exc}") from exc
+            where = lambda i: f"{path}:{linenos[i]}: "
+            return ProposalSet.from_columns(ids, parts, xy, types, boxes, scores, part_type_count, where)
+    _refuse_proposals(path, part_type_count)
+
+
+def _refuse_proposals(path: str, part_type_count) -> NoReturn:
+    """Raise the error that checking the proposal file ``path`` line by
+    line finds; the streaming pass could not load it.  Every line is
+    decoded, then each line's proposal checked alone, then the score rows
+    (one per id, the last listing's), then the ids and part types."""
+    linenos: list[int] = []
+    docs = []
+    for lineno, doc in json_lines(path):
+        linenos.append(lineno)
+        docs.append(doc)
+    for lineno, doc in zip(linenos, docs):
+        try:
+            Proposal.from_json_dict(doc)
+        except ValidationError as exc:
+            raise ValidationError(f"{path}:{lineno}: {exc}") from exc
+    ids, parts, xy, types, boxes = _proposal_columns(list(map(_PROPOSAL_FIELDS, docs)))
     try:
-        scores = ScoreTable(dict(zip(ids, map(dict.get, docs, repeat("scores"), repeat({})))))
+        scores = ScoreTable(dict(zip(ids, (doc.get("scores", {}) for doc in docs))))
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
-    del docs  # the decoded lines are not needed past this point
     where = lambda i: f"{path}:{linenos[i]}: "
-    return ProposalSet.from_columns(ids, parts, xy, types, boxes, scores, part_type_count, where)
+    ProposalSet.from_columns(ids, parts, xy, types, boxes, scores, part_type_count, where)
+    raise AssertionError(f"{path}: the streaming pass refused a proposal file the line-by-line checks accept")
 
 
-def _proposal_columns(docs: list) -> tuple | None:
+def _proposal_columns(fields: list) -> tuple | None:
     """The columns ``ids``, ``parts``, ``xy``, ``types`` and ``boxes`` of the
-    proposal objects ``docs``; ``None`` when a document fails a check."""
-    if not set(map(type, docs)) <= {dict}:
-        return None
-    try:
-        ids, parts, xs, ys, types, boxes = zip(*map(_PROPOSAL_FIELDS, docs)) if docs else [()] * 6
-    except KeyError:
-        return None
+    proposal fields ``fields``, one tuple per proposal; ``None`` when a
+    field fails a check."""
+    ids, parts, xs, ys, types, boxes = zip(*fields) if fields else [()] * 6
     if not set(map(type, types)) <= {int}:
         return None
     try:
@@ -360,7 +421,7 @@ def _proposal_columns(docs: list) -> tuple | None:
         numbers = number_column(xs + ys + tuple(chain.from_iterable(boxes)))
     except FieldError:
         return None
-    n = len(docs)
+    n = len(fields)
     xy, boxes = numbers[: 2 * n].reshape(2, n).T, numbers[2 * n :].reshape(n, 4)
     if (boxes[:, 2:] <= 0.0).any():
         return None

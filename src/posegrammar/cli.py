@@ -30,7 +30,8 @@ from .grammar import (
     save_grammar,
     save_parse_graph,
 )
-from .inference import BeamConfig, attribute_scores, parse_constrained, parse_unconstrained, select_final
+from .inference import BeamConfig, attribute_scores, check_assignment, parse_constrained, parse_unconstrained
+from .inference import select_final
 from .jsonio import argument, array, integer, nonnegative, number, optional, read_json, read_json_lines, record, text
 from .jsonio import write_json
 from .render import save_svg
@@ -187,11 +188,13 @@ def _parse_mode(mode: str) -> tuple[str, str | None, str | None]:
 
 def _cmd_parse(opts: dict) -> int:
     _require(opts, "grammar", "models", "proposals", "out")
+    mode, attr, value = _parse_mode(opts["mode"])
     grammar = load_grammar(opts["grammar"])
+    if mode == "constrained":
+        check_assignment(grammar, {attr: value})
     models = relations.load_models(opts["models"])
     pset = load_proposals(opts["proposals"], part_type_count=grammar.part_type_count)
     cfg = BeamConfig(beam_width=opts["beam"])
-    mode, attr, value = _parse_mode(opts["mode"])
     if mode == "joint":
         pg, per_pair = select_final(grammar, models, pset, cfg=cfg)
         if opts.get("scores_out"):

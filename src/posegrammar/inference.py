@@ -102,7 +102,7 @@ class _Table:
     column per proposal of its child.  A row is computed the first time a
     search reads it."""
 
-    __slots__ = ("source", "edge", "log", "parent", "child", "values", "filled")
+    __slots__ = ("source", "edge", "log", "parent", "child", "values", "filled", "unfilled")
 
     def __init__(self, source, edge: Edge, parent: Bucket, child: Bucket):
         self.source = source
@@ -125,15 +125,18 @@ class _Table:
         self.child = child
         self.values = np.empty((len(parent.ids), len(child.ids)))
         self.filled = np.zeros(len(parent.ids), dtype=bool)
+        self.unfilled = len(parent.ids)
 
     def rows(self, idx: np.ndarray) -> np.ndarray:
         """The rows of the parent's proposals ``idx``, shape (len(idx), N)."""
-        todo = np.zeros_like(self.filled)
-        todo[idx] = True
-        todo = np.flatnonzero(todo & ~self.filled)
-        if todo.size:
-            self.values[todo] = self._compute(todo)
-            self.filled[todo] = True
+        if self.unfilled:
+            todo = np.zeros_like(self.filled)
+            todo[idx] = True
+            todo = np.flatnonzero(todo & ~self.filled)
+            if todo.size:
+                self.values[todo] = self._compute(todo)
+                self.filled[todo] = True
+                self.unfilled -= todo.size
         return self.values[idx]
 
     def _compute(self, rows: np.ndarray) -> np.ndarray:
@@ -172,18 +175,22 @@ class _Step:
         self.closings: list[tuple[int, _Table]] = []
 
 
+def check_assignment(grammar: AOGrammar, assignment: Mapping[AttrId, str]) -> None:
+    """Refuse an attribute ``assignment`` naming an attribute ``grammar``
+    lacks, or a value outside the attribute's domain."""
+    for attr_id, value in assignment.items():
+        domain = grammar.attribute(attr_id).domain
+        if value not in domain:
+            raise ValidationError(f"value {value!r} not in domain of attribute {attr_id!r}: {domain}")
+
+
 def _prepare(grammar, models, pset, assignments) -> list[_Step]:
     """Per step of the default expansion order, the bucket, its appearance
     block (one row per attribute assignment) and the tables of the edges
     it closes."""
     order = default_expansion_order(grammar)
     for assignment in assignments:
-        for attr_id, value in assignment.items():
-            domain = grammar.attribute(attr_id).domain
-            if value not in domain:
-                raise ValidationError(
-                    f"value {value!r} not in domain of attribute {attr_id!r}: {domain}"
-                )
+        check_assignment(grammar, assignment)
     tables = _TABLES.setdefault(pset, {})
     buckets = [pset.buckets.get(part) for part in order]
     if None in buckets:
@@ -231,7 +238,9 @@ def _cut(scores: np.ndarray, key_of, width: int) -> tuple[np.ndarray, np.ndarray
     Higher score wins; equal scores go to the lower key.  ``key_of(pool)``
     gives the keys of the candidates ``pool`` (K, P), so keys are built
     only for the pool: each row's ``width`` best by score and every
-    candidate tied with the row's score at the cut.
+    candidate tied with the row's score at the cut.  When no row's pool
+    holds two equal scores, the score order alone is the order, and keys
+    are built only for the kept candidates.
     """
     k, m = scores.shape
     rows = np.arange(k)[:, None]
@@ -242,9 +251,16 @@ def _cut(scores: np.ndarray, key_of, width: int) -> tuple[np.ndarray, np.ndarray
             pool = np.argpartition(scores, m - tied, axis=1)[:, m - tied :]
     else:
         pool = np.broadcast_to(np.arange(m), scores.shape)
-    keys = key_of(pool)
-    order = np.lexsort((keys, -scores[rows, pool]), axis=1)[:, :width]
-    return pool[rows, order], keys[rows, order]
+    negated = -scores[rows, pool]
+    order = np.argsort(negated, axis=1, kind="stable")
+    ranked = negated[rows, order]
+    if (ranked[:, 1:] == ranked[:, :-1]).any():
+        # Two candidates of a row tie (-0.0 equals 0.0): order by key too.
+        keys = key_of(pool)
+        order = np.lexsort((keys, negated), axis=1)[:, :width]
+        return pool[rows, order], keys[rows, order]
+    keep = pool[rows, order[:, :width]]
+    return keep, key_of(keep)
 
 
 def _run_beam(steps: list[_Step], beam_width: int) -> list[tuple[float, list[int]]]:
@@ -270,7 +286,10 @@ def _run_beam(steps: list[_Step], beam_width: int) -> list[tuple[float, list[int
 
         keep, keys = _cut(total, key_of, beam_width)
         parent, child = np.divmod(keep, n)
-        score, rank = total[rows, keep], keys.argsort(1).argsort(1)
+        score = total[rows, keep]
+        # Each survivor's rank among its objective's keys, all distinct.
+        rank = np.empty_like(keep)
+        rank[rows, keys.argsort(1)] = np.arange(keep.shape[1])
         idxs = np.concatenate((idxs[rows, parent], child[:, :, None]), axis=2)
         # Freed before the next step builds its own (K, B, N) block.
         del total

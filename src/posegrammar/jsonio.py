@@ -18,9 +18,12 @@ A refusal is a :class:`FieldError` naming the field path, e.g.
 ``nodes[3].id``.  :func:`number_column` is the number rule over a
 whole column at once, for readers of large files.  Readers refuse the
 ``NaN``, ``Infinity`` and ``-Infinity`` tokens and prefix every error
-with ``path``, or ``path:line`` for JSON-lines files.  Writers sort keys, refuse
-non-finite values and serialise the whole document before opening the
-file, so a refused value leaves no file behind.
+with ``path``, or ``path:line`` for JSON-lines files.
+:func:`json_lines` decodes a JSON-lines file one line at a time, so a
+reader of a large file can keep what it needs of each line and drop the
+rest.  Writers sort keys, refuse non-finite values and serialise the
+whole document before opening the file, so a refused value leaves no
+file behind.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import numbers
 import sys
 from collections.abc import Mapping
 from itertools import repeat
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -290,34 +293,49 @@ def parse_constant(token: str):
 _DECODER = json.JSONDecoder(parse_constant=parse_constant)
 
 
-def _build(where: str, text: str, build: Callable):
-    try:
-        return build(_DECODER.decode(text))
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{where}: invalid JSON: {exc}") from exc
-    except ValidationError as exc:
-        raise ValidationError(f"{where}: {exc}") from exc
-
-
 def read_json(path: str, build: Callable = lambda doc: doc):
     """``build`` applied to the document in ``path``; errors name ``path``."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    return _build(path, text, build)
+    try:
+        return build(_DECODER.decode(text))
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
 
 
-def read_json_lines(path: str, build: Callable, linenos: list[int] | None = None) -> list:
-    """``build`` applied to the document on each non-blank line of ``path``;
-    errors name ``path:line``.  Each document's line number is appended to
-    ``linenos`` when given, for errors found after the whole file is read."""
-    out = []
+def json_lines(path: str) -> Iterator[tuple[int, object]]:
+    """Each non-blank line of ``path`` with its line number and its decoded
+    document, one line at a time, so a caller can drop each document
+    before the next line is decoded; a decode error names ``path:line``."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
-            if line:
-                out.append(_build(f"{path}:{lineno}", line, build))
-                if linenos is not None:
-                    linenos.append(lineno)
+            if not line:
+                continue
+            try:
+                # A stripped line starts with its document, so ``decode``
+                # is needed only for its error about text after it.
+                doc, end = _DECODER.raw_decode(line)
+                if end < len(line):
+                    doc = _DECODER.decode(line)
+            except json.JSONDecodeError as exc:
+                raise ValidationError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+            except ValidationError as exc:
+                raise ValidationError(f"{path}:{lineno}: {exc}") from exc
+            yield lineno, doc
+
+
+def read_json_lines(path: str, build: Callable) -> list:
+    """``build`` applied to the document on each non-blank line of ``path``,
+    line by line; errors name ``path:line``."""
+    out = []
+    for lineno, doc in json_lines(path):
+        try:
+            out.append(build(doc))
+        except ValidationError as exc:
+            raise ValidationError(f"{path}:{lineno}: {exc}") from exc
     return out
 
 

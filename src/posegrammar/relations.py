@@ -200,8 +200,7 @@ def _floor_covariances(covariances) -> np.ndarray:
     lo, hi = _eigenvalues(a, b, d)
     lifted = lo < COV_EIG_FLOOR
     split = lifted & (hi > COV_EIG_FLOOR)
-    beta = np.where(lifted, 0.0, 1.0)
-    beta[split] = (hi[split] - COV_EIG_FLOOR) / (hi[split] - lo[split])
+    beta = np.divide(hi - COV_EIG_FLOOR, hi - lo, out=np.where(lifted, 0.0, 1.0), where=split)
     alpha = np.where(lifted, COV_EIG_FLOOR - beta * lo, 0.0)
     return _matrices(alpha + beta * a, beta * b, alpha + beta * d)
 
@@ -219,9 +218,12 @@ def _component_constants(weights, covariances) -> tuple[np.ndarray, np.ndarray]:
     a, b, d = _entries(covariances)
     live = w > 0.0
     det = np.where(live, _determinant(a, b, d), 1.0)
-    consts = np.full(w.shape, -np.inf)
-    consts[live] = np.log(w[live]) - _LOG_TWO_PI - 0.5 * np.log(det[live])
-    inverses = np.where(live[..., None], np.stack([d, -b, a], axis=-1) / det[..., None], 0.0)
+    consts = np.log(w, out=np.full(w.shape, -np.inf), where=live)
+    consts -= _LOG_TWO_PI
+    consts -= 0.5 * np.log(det)
+    entries = np.empty(w.shape + (3,))
+    entries[..., 0], entries[..., 1], entries[..., 2] = d, -b, a
+    inverses = np.divide(entries, det[..., None], out=np.zeros_like(entries), where=live[..., None])
     return consts, inverses
 
 

@@ -7,6 +7,8 @@ import json
 import math
 import re
 import sys
+import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -26,7 +28,7 @@ from posegrammar.appearance import (
 )
 from posegrammar.errors import MissingEntryError, ValidationError
 from posegrammar.jsonio import number, read_json_lines
-from posegrammar.grammar import AttributeDef
+from posegrammar.grammar import AttributeDef, default_attributes
 from posegrammar.synthetic import single_person_scene, two_person_scene
 
 SMALL_ATTRS = (
@@ -504,6 +506,132 @@ class TestLoaderErrors:
         message = f"{path}: proposal 'p1': scores.gender.male is missing, which other proposals have"
         with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
             load()
+
+
+_TWO = {"hat": {"yes": 0.5, "no": 1.0}, "gender": {"male": 0.0}}
+_BARE = json.dumps({"id": "p2", "part": "head", "x": 0.0, "y": 0.0, "part_type": 1, "box": [0, 0, 5, 5]})
+# Files the loader refuses, and the error each gets, ``PATH`` standing for
+# the file's path: the texts of the line-by-line loader this one replaced.
+_REFUSED_FILES = {
+    "decode-after-field": (
+        [_line("p1"), _line("p2", x="1"), _line("p3"), "{broken"],
+        "PATH:4: invalid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)",
+    ),
+    "decode-after-extra-pair": (
+        [_line("p1"), _line("p2", scores=_TWO), "[1, 2"],
+        "PATH:3: invalid JSON: Expecting ',' delimiter: line 1 column 6 (char 5)",
+    ),
+    "later-extra-pair": (
+        [_line("p1"), _line("p2"), _line("p3", scores={"hat": {"no": 0.5, "yes": 0.5}})],
+        "PATH: proposal 'p1': scores.hat.no is missing, which other proposals have",
+    ),
+    "later-extra-attribute": (
+        [_line("p1"), _line("p2", scores={"gender": {"male": 0.0}, "hat": {"yes": 0.5}})],
+        "PATH: proposal 'p1': scores.gender.male is missing, which other proposals have",
+    ),
+    "missing-pair": (
+        [
+            _line("p1", scores=_TWO),
+            _line("p2", scores={"gender": {"male": 0.0}, "hat": {"no": 1.0, "yes": 0.5}}),
+            _line("p3", scores={"hat": {"yes": 0.5, "no": 1.0}}),
+        ],
+        "PATH: proposal 'p3': scores.gender.male is missing, which other proposals have",
+    ),
+    "missing-scores": (
+        [_line("p1"), _BARE],
+        "PATH: proposal 'p2': scores.hat.yes is missing, which other proposals have",
+    ),
+    "score-not-object": (
+        [_line("p1"), _line("p2", scores={"hat": [0.5]})],
+        "PATH: proposal 'p2': scores.hat must be a JSON object, got a JSON array of length 1",
+    ),
+    "non-object-line": (
+        [_line("p1"), _line("p2", scores=_TWO), "[1]", _line("p4", x="1")],
+        "PATH:3: the document must be a JSON object, got a JSON array of length 1",
+    ),
+    "missing-field-after-extra-pair": (
+        [_line("p1"), _line("p2", scores=_TWO), json.dumps({"id": "p3"})],
+        "PATH:3: part is missing",
+    ),
+    "non-finite-cell": (
+        [_line("p1"), _line("p2").replace("0.5", "1e400")],
+        "PATH: proposal 'p2': scores.hat.yes must be a finite number, got inf",
+    ),
+    "duplicate-ids": (
+        [_line("p1"), _line("p2"), _line("p1", part="torso")],
+        "PATH:3: duplicate proposal id 'p1'",
+    ),
+    "duplicate-id-overriding-an-extra-pair": (
+        [_line("p1", scores=_TWO), _line("p2"), _line("p1")],
+        "PATH:3: duplicate proposal id 'p1'",
+    ),
+    "duplicate-id-overriding-a-non-finite-cell": (
+        [_line("p1").replace("0.5", "1e400"), _line("p1")],
+        "PATH:2: duplicate proposal id 'p1'",
+    ),
+    "duplicate-id-after-a-part-type-beyond-the-count": (
+        [_line("p1"), _line("p2", part_type=12), _line("p1")],
+        "PATH:2: proposal 'p2': part_type 12 exceeds part_type_count 9",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSED_FILES))
+def test_the_loader_refuses_a_file_in_the_words_of_a_line_by_line_check(tmp_path, case):
+    """A decode error wins over a field error on an earlier line, a field
+    error over any score row, and a score row (one per id, the last
+    listing's) over a repeated id or a part type beyond the count."""
+    lines, message = _REFUSED_FILES[case]
+    path = tmp_path / "props.jsonl"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    with pytest.raises(ValidationError) as caught:
+        load_proposals(str(path), part_type_count=9)
+    assert str(caught.value) == message.replace("PATH", str(path))
+
+
+def test_a_line_listing_its_keys_in_another_order_loads_equal(tmp_path):
+    scores = {"hat": {"yes": 0.5, "no": -0.0}, "gender": {"male": 1, "female": 2.5}}
+    docs = [json.loads(_line(f"p{i}", x=float(i), scores=scores)) for i in range(3)]
+    turned = [dict(reversed(doc.items())) for doc in docs]
+    turned[1]["scores"] = {a: dict(reversed(per_value.items())) for a, per_value in reversed(scores.items())}
+    loaded = []
+    for name, lines in (("listed.jsonl", docs), ("turned.jsonl", turned)):
+        path = tmp_path / name
+        path.write_text("".join(json.dumps(doc) + "\n" for doc in lines), encoding="utf-8")
+        loaded.append(load_proposals(str(path)))
+    listed, back = loaded
+    assert back.scores == listed.scores
+    assert _hexes(back.scores.values) == _hexes(listed.scores.values)
+    assert _listed(back) == _listed(listed)
+
+
+def test_the_loader_holds_less_than_half_of_the_decoded_file(tmp_path):
+    """It drops each line's document once its fields and cells are read:
+    on a 17 x 200 file its traced peak stays below half of the peak of
+    holding every decoded line."""
+    rng = np.random.default_rng(5)
+    attrs = default_attributes()
+    path = tmp_path / "wide.jsonl"
+    with open(path, "w", encoding="utf-8") as fh:
+        for part in PART_ORDER:
+            for i in range(200):
+                x, y = rng.uniform(0, 320), rng.uniform(0, 240)
+                doc = {
+                    "id": f"{part}.{i}", "part": part, "x": x, "y": y, "part_type": int(rng.integers(1, 10)),
+                    "box": [0.0, 0.0, 40.0, 40.0],
+                    "scores": {a.id: {v: float(rng.normal()) for v in a.domain} for a in attrs},
+                }
+                fh.write(json.dumps(doc) + "\n")
+    peaks = []
+    loads = (partial(load_proposals, part_type_count=9), partial(read_json_lines, build=lambda doc: doc))
+    for load in loads:
+        tracemalloc.start()
+        try:
+            load(str(path))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < 0.5 * peaks[1]
 
 
 # Valid cells of a proposal file: integers and floats, -0.0 and integers

@@ -525,6 +525,38 @@ class TestParse:
         assert code == 2
         assert "invalid --mode" in capsys.readouterr().err
 
+    def test_the_mode_is_checked_before_the_models_are_read(self, pipeline, tmp_path, capsys):
+        argv = [
+            "parse", "--grammar", pipeline["grammar"], "--models", str(tmp_path / "missing.json"),
+            "--proposals", pipeline["proposals"], "--mode", "bogus", "--out", str(tmp_path / "p.json"),
+        ]
+        assert cli_dispatch(argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: invalid --mode 'bogus': expected joint, unconstrained, or constrained:ATTR=VALUE"]
+
+    @pytest.mark.parametrize(
+        "pair, message",
+        [
+            ("colour=red", "unknown attribute 'colour'"),
+            ("gender=purple", "value 'purple' not in domain of attribute 'gender': ('male', 'female')"),
+        ],
+    )
+    def test_a_pair_the_grammar_lacks_is_refused_before_the_inputs_are_read(
+        self, pipeline, tmp_path, capsys, pair, message
+    ):
+        """Neither the models nor the proposal file is read: both are
+        broken here, and the error is still the pair's."""
+        broken = tmp_path / "broken.json"
+        broken.write_text("{broken\n", encoding="utf-8")
+        out = tmp_path / "p.json"
+        argv = [
+            "parse", "--grammar", pipeline["grammar"], "--models", str(broken), "--proposals", str(broken),
+            "--mode", f"constrained:{pair}", "--out", str(out),
+        ]
+        assert cli_dispatch(argv) == 1
+        assert capsys.readouterr().err.strip().splitlines() == [f"error: {message}"]
+        assert not out.exists()
+
     def test_models_file_holding_an_array_exits_one(self, pipeline, tmp_path, capsys):
         models = tmp_path / "models.json"
         models.write_text("[]", encoding="utf-8")

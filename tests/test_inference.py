@@ -308,6 +308,21 @@ class TestTieBreaking:
         oracle = brute_force_parse(g, models, pset2, {"c": "u"})
         assert oracle.states["root"].proposal_ref == "rt0"
 
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_zero_and_negative_zero_tie_and_fall_to_the_smaller_id(self, width):
+        """0.0 and -0.0 are equal scores: the smaller id wins the cut though
+        it is listed second."""
+        g, models, pset = _toy_world(5)
+        clones = [
+            Proposal(id=pid, part="root", x=1.0, y=2.0, part_type=1, box=(0, 0, 5, 5)) for pid in ("rt1", "rt0")
+        ]
+        kept = pset.proposals_for("a") + pset.proposals_for("b")
+        scores = {p.id: pset.scores.per_proposal(p.id) for p in kept}
+        scores.update({"rt1": {"c": {"u": 0.0, "v": 0.0}}, "rt0": {"c": {"u": -0.0, "v": -0.0}}})
+        pset2 = ProposalSet.from_proposals([*clones, *kept], ScoreTable(scores), part_type_count=2)
+        pg = parse_constrained(g, models, pset2, "c", "u", BeamConfig(beam_width=width))
+        oracle = brute_force_parse(g, models, pset2, {"c": "u"})
+        assert pg.states["root"].proposal_ref == oracle.states["root"].proposal_ref == "rt0"
 
     @pytest.mark.parametrize("width", [2, 3, 4])
     def test_tie_across_prefixes_goes_to_the_smaller_prefix(self, width):
