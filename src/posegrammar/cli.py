@@ -32,8 +32,8 @@ from .grammar import (
 )
 from .inference import BeamConfig, attribute_scores, check_assignment, parse_constrained, parse_unconstrained
 from .inference import select_final
-from .jsonio import argument, array, integer, nonnegative, number, optional, read_json, read_json_lines, record, text
-from .jsonio import write_json
+from .jsonio import argument, array, count, integer, nonnegative, number, optional, read_json, read_json_lines, record
+from .jsonio import text, write_json
 from .render import save_svg
 
 _UNSET = object()
@@ -53,13 +53,16 @@ def _merged_options(args: argparse.Namespace, defaults: dict) -> dict:
     return {**defaults, **config, **{k: _typed(k, v, defaults[k]) for k, v in explicit.items()}}
 
 
-# The spec of an option's value by the type of its default; a seed is an
-# integer >= 0, and any other option takes a string.
+# The spec of an option's value: a seed is an integer >= 0 and a count (a
+# beam width, a number of mixture components or of scenes) an integer
+# >= 1; any other option's spec goes by the type of its default, and an
+# option without one takes a string.
+_KEY_SPECS = {"seed": nonnegative, "beam": count, "components": count, "n": count}
 _OPTION_SPECS = {int: integer, float: number, tuple: array(integer, 2)}
 
 
 def _option_spec(key: str, default):
-    return nonnegative if key == "seed" else _OPTION_SPECS.get(type(default), text)
+    return _KEY_SPECS.get(key) or _OPTION_SPECS.get(type(default), text)
 
 
 def _config_reader(defaults: dict):

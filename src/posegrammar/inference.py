@@ -1,12 +1,11 @@
 """Parse inference: beam search over part proposals.
 
-Exact dynamic programming is ruled out by the loops the two edge sets
-create together, so parsing is a beam search.  It seeds candidates from
-the root part's proposals and grounds one part per step in a fixed
-expansion order; whenever a step grounds a part, every grammar edge whose
-endpoints are now both grounded contributes its relation score.  Only the
-top ``beam_width`` candidates survive a step, ordered by score and, on
-ties, by the tuple of chosen proposal ids.
+Parsing is a beam search.  It seeds candidates from the root part's
+proposals and grounds one part per step in a fixed expansion order;
+whenever a step grounds a part, every grammar edge whose endpoints are
+now both grounded contributes its relation score.  Only the top
+``beam_width`` candidates survive a step, ordered by score and, on ties,
+by the tuple of chosen proposal ids.
 
 An objective is an attribute assignment, the attribute grammar's part
 of the parse: ``{attr: value}`` scores every part under that one value,
@@ -43,6 +42,13 @@ objective alone.  The cut is per objective: a per-row ``argpartition`` at
 the beam width, widened to the largest count of candidates tied with a
 row's score at its cut, so every tied candidate reaches the sort; the
 pool is then ordered within each objective by (-score, id-tuple rank).
+A step keeps only back-pointers, each survivor's parent among the
+previous survivors and its own proposal, never the survivors' prefixes.
+The proposal indices of a part that a later step's edges read are kept
+as one (K, B) column, re-gathered through each step's parent pointers
+until its last reader; after the last step each objective's best
+survivor is decoded backwards through the pointers.  Every gather in a
+step is one flat ``take`` on indices offset by row.
 
 :func:`brute_force_parse` enumerates the full proposal lattice and reads
 the same tables through the same sum, at K=1, so on small instances a
@@ -137,7 +143,7 @@ class _Table:
                 self.values[todo] = self._compute(todo)
                 self.filled[todo] = True
                 self.unfilled -= todo.size
-        return self.values[idx]
+        return self.values.take(idx, axis=0)
 
     def _compute(self, rows: np.ndarray) -> np.ndarray:
         parent, child = self.parent, self.child
@@ -210,10 +216,11 @@ def _prepare(grammar, models, pset, assignments) -> list[_Step]:
     return steps
 
 
-def _extend(step: _Step, score: np.ndarray, idxs: np.ndarray) -> np.ndarray:
-    """Scores of the prefixes ``idxs`` (K, B, si) with ``score`` (K, B), one
-    row per objective, each extended by every proposal of ``step``: shape
-    (K, B, N).
+def _extend(step: _Step, score: np.ndarray, cols) -> np.ndarray:
+    """Scores of the prefixes with ``score`` (K, B), one row per objective,
+    each extended by every proposal of ``step``: shape (K, B, N).
+    ``cols[p]`` holds the prefixes' (K, B) proposal indices at step
+    position ``p``, for every parent position of ``step``'s closings.
 
     The appearance term is added first, then each closing table's row in
     plan order; the beam and the oracle (at K=1) both use this one sum.
@@ -222,7 +229,7 @@ def _extend(step: _Step, score: np.ndarray, idxs: np.ndarray) -> np.ndarray:
     """
     total = score[:, :, None] + step.app[:, None, :]
     for parent, table in step.closings:
-        total += table.rows(idxs[:, :, parent].ravel()).reshape(total.shape)
+        total += table.rows(cols[parent].ravel()).reshape(total.shape)
     if not np.isfinite(total).all():
         raise ValidationError(
             f"a partial parse score at part {step.bucket.part!r} is not finite: "
@@ -231,35 +238,41 @@ def _extend(step: _Step, score: np.ndarray, idxs: np.ndarray) -> np.ndarray:
     return total
 
 
+def _flat(idx: np.ndarray, m: int) -> np.ndarray:
+    """The per-row indices ``idx`` (K, P) into K rows of ``m`` entries, as
+    indices into the rows laid end to end, for one flat ``take``."""
+    return idx + np.arange(0, len(idx) * m, m)[:, None]
+
+
 def _cut(scores: np.ndarray, key_of, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per row of ``scores`` (K, M), the indices of its ``width`` best
-    candidates, best first, and their keys.
+    """Per row of ``scores`` (K, M), its ``width`` best candidates, best
+    first, as flat indices into ``scores``, and their keys.
 
     Higher score wins; equal scores go to the lower key.  ``key_of(pool)``
-    gives the keys of the candidates ``pool`` (K, P), so keys are built
-    only for the pool: each row's ``width`` best by score and every
-    candidate tied with the row's score at the cut.  When no row's pool
-    holds two equal scores, the score order alone is the order, and keys
-    are built only for the kept candidates.
+    gives the keys of the candidates at the flat indices ``pool`` (K, P),
+    so keys are built only for the pool: each row's ``width`` best by score
+    and every candidate tied with the row's score at the cut.  When no
+    row's pool holds two equal scores, the score order alone is the order,
+    and keys are built only for the kept candidates.
     """
     k, m = scores.shape
-    rows = np.arange(k)[:, None]
     if m > width:
         pool = np.argpartition(scores, m - width, axis=1)[:, m - width :]
-        tied = int(np.count_nonzero(scores >= scores[rows, pool[:, :1]], axis=1).max())
+        tied = int(np.count_nonzero(scores >= scores.take(_flat(pool[:, :1], m)), axis=1).max())
         if tied > width:
             pool = np.argpartition(scores, m - tied, axis=1)[:, m - tied :]
+        pool = _flat(pool, m)
     else:
-        pool = np.broadcast_to(np.arange(m), scores.shape)
-    negated = -scores[rows, pool]
-    order = np.argsort(negated, axis=1, kind="stable")
-    ranked = negated[rows, order]
+        pool = np.arange(k * m).reshape(k, m)
+    negated = -scores.take(pool)
+    order = _flat(np.argsort(negated, axis=1, kind="stable"), pool.shape[1])
+    ranked = negated.take(order)
     if (ranked[:, 1:] == ranked[:, :-1]).any():
         # Two candidates of a row tie (-0.0 equals 0.0): order by key too.
         keys = key_of(pool)
-        order = np.lexsort((keys, negated), axis=1)[:, :width]
-        return pool[rows, order], keys[rows, order]
-    keep = pool[rows, order[:, :width]]
+        order = _flat(np.lexsort((keys, negated), axis=1)[:, :width], pool.shape[1])
+        return pool.take(order), keys.take(order)
+    keep = pool.take(order[:, :width])
     return keep, key_of(keep)
 
 
@@ -271,29 +284,43 @@ def _run_beam(steps: list[_Step], beam_width: int) -> list[tuple[float, list[int
     lexicographically smaller tuple of proposal ids.  Each survivor carries
     a rank that orders its objective's survivors' id tuples, so a
     candidate's id tuple orders as (parent rank, child id rank).
+
+    A survivor's back-pointers are its parent, as a flat index into the
+    previous step's (K, B) survivors, and its proposal index.  A column
+    that later closings read is re-gathered through the parents until its
+    ``last`` read; each objective's best is decoded after the last step.
     """
-    first = steps[0]
-    rows = np.arange(len(first.app))[:, None]
-    keep, rank = _cut(first.app, first.bucket.id_rank.__getitem__, beam_width)
-    score, idxs = first.app[rows, keep], keep[:, :, None]
-    for step in steps[1:]:
-        total = _extend(step, score, idxs).reshape(len(rows), -1)
+    last = {parent: si for si, step in enumerate(steps) for parent, _table in step.closings}
+    # The first step's candidates all extend one empty prefix per objective.
+    rank = np.zeros((len(steps[0].app), 1), dtype=np.intp)
+    score, cols, pointers = None, {}, []
+    for si, step in enumerate(steps):
+        total = _extend(step, score, cols).reshape(len(score), -1) if si else step.app
         n, id_rank = step.app.shape[1], step.bucket.id_rank
 
         def key_of(pool):
             parent, child = np.divmod(pool, n)
-            return rank[rows, parent] * n + id_rank[child]
+            return rank.take(parent) * n + id_rank.take(child)
 
         keep, keys = _cut(total, key_of, beam_width)
+        score = total.take(keep)
         parent, child = np.divmod(keep, n)
-        score = total[rows, keep]
         # Each survivor's rank among its objective's keys, all distinct.
         rank = np.empty_like(keep)
-        rank[rows, keys.argsort(1)] = np.arange(keep.shape[1])
-        idxs = np.concatenate((idxs[rows, parent], child[:, :, None]), axis=2)
+        rank.put(_flat(keys.argsort(1), keep.shape[1]), np.arange(keep.shape[1]))
+        pointers.append((parent, child))
+        cols = {p: c.take(parent) for p, c in cols.items() if last[p] > si}
+        if si in last:
+            cols[si] = child
         # Freed before the next step builds its own (K, B, N) block.
         del total
-    return list(zip(score[:, 0].tolist(), idxs[:, 0].tolist()))
+    # Each objective's first survivor, as a flat index.
+    best = np.arange(0, score.size, score.shape[1])
+    idxs = []
+    for parent, child in reversed(pointers):
+        idxs.append(child.take(best))
+        best = parent.take(best)
+    return list(zip(score[:, 0].tolist(), np.column_stack(idxs[::-1]).tolist()))
 
 
 def _state(step: _Step, j: int) -> PartState:
@@ -387,7 +414,9 @@ def brute_force_parse(
                 if best[0] is None or key < best[0][0]:
                     best[0] = (key, score, ix)
             return
-        sums = _extend(steps[si], np.array([scores]), np.array([idxs]))[0].tolist()
+        # The prefixes' proposal indices, one (1, B) column per step position.
+        cols = np.array(idxs).T[:, None]
+        sums = _extend(steps[si], np.array([scores]), cols)[0].tolist()
         ids = steps[si].bucket.ids
         for row, idkey, ix in zip(sums, idkeys, idxs):
             descend(si + 1, row, [idkey + (i,) for i in ids], [ix + (j,) for j in range(len(ids))])

@@ -243,7 +243,7 @@ class TestConfigMerging:
         cfg.write_text(json.dumps({"n": "x"}), encoding="utf-8")
         assert cli_dispatch(["synth", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err.strip().splitlines()
-        assert err == [f"error: {cfg}: n must be an integer, got 'x'"]
+        assert err == [f"error: {cfg}: n must be an integer >= 1, got 'x'"]
 
 
     def test_path_option_must_be_a_string_and_leaves_an_open_descriptor_alone(self, tmp_path, capsys):
@@ -264,8 +264,8 @@ class TestConfigMerging:
     @pytest.mark.parametrize(
         "command, config, problem",
         [
-            ("parse", {"beam": 3.7}, "beam must be an integer, got 3.7"),
-            ("parse", {"beam": True}, "beam must be an integer, got True"),
+            ("parse", {"beam": 3.7}, "beam must be an integer >= 1, got 3.7"),
+            ("parse", {"beam": True}, "beam must be an integer >= 1, got True"),
             ("parse", {"mode": 1}, "mode must be a non-empty string, got 1"),
             ("diag", {"modes": ["joint"]}, "modes must be a non-empty string, got a JSON array of length 1"),
             ("eval-pcp", {"threshold": True}, "threshold must be a finite number, got True"),
@@ -291,6 +291,36 @@ class TestConfigMerging:
         assert cli_dispatch([command, "--config", str(cfg)]) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert err == [f"error: {cfg}: seed must be an integer >= 0, got -1"]
+
+    @pytest.mark.parametrize(
+        "command, option, inputs",
+        [
+            ("parse", "beam", ("grammar", "models", "proposals")),
+            ("diag", "beam", ("scenes", "grammar", "models")),
+            ("learn", "components", ("annotations", "grammar")),
+            ("synth", "n", ()),
+        ],
+    )
+    @pytest.mark.parametrize("shown", ["0", "-1"])
+    def test_a_count_below_one_is_refused_before_any_input_is_read(
+        self, tmp_path, capsys, command, option, inputs, shown
+    ):
+        """A count option below 1 is the only error printed, with exit 1,
+        though every input it would read is missing; nothing is written."""
+        argv = [command, f"--{option}", shown]
+        for name in inputs:
+            argv += [f"--{name}", str(tmp_path / f"missing-{name}")]
+        out = tmp_path / "out"
+        argv += ["--report" if command == "diag" else "--out", str(out)]
+        assert cli_dispatch(argv) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: --{option} must be an integer >= 1, got {shown}"]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({option: int(shown)}), encoding="utf-8")
+        assert cli_dispatch([*argv[:1], "--config", str(cfg), *argv[3:]]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {cfg}: {option} must be an integer >= 1, got {shown}"]
+        assert not out.exists()
 
     def test_config_numbers_take_the_option_type(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -352,7 +382,7 @@ class TestLearn:
     def test_zero_components_exits_one_naming_the_argument(self, pipeline, tmp_path, capsys):
         assert self._learn(pipeline, tmp_path, "--components", "0") == 1
         err = capsys.readouterr().err.strip().splitlines()
-        assert err == ["error: n_components must be an integer >= 1, got 0"]
+        assert err == ["error: --components must be an integer >= 1, got 0"]
         assert not (tmp_path / "m.json").exists()
 
     @staticmethod

@@ -401,8 +401,10 @@ class TestBeamTrace:
         audited = 0
         for si, step in enumerate(steps):
             if si:
-                # Both objectives extend the same prefixes, stacked.
-                total = _extend(step, score, np.stack([idxs] * len(objectives)))
+                # Both objectives extend the same prefixes, stacked; each
+                # earlier step's column of proposal indices, per objective.
+                cols = {p: np.stack([idxs[:, p]] * len(objectives)) for p in range(si)}
+                total = _extend(step, score, cols)
                 k, b, n = total.shape
                 score = total.reshape(k, -1)
                 idxs = np.column_stack((np.repeat(idxs, n, axis=0), np.tile(np.arange(n), b)))
@@ -797,7 +799,8 @@ def _reference_beam(steps, width):
     for step in steps[1:]:
         new = []
         for score, ids, idxs in beam:
-            sums = _extend(step, np.array([[score]]), np.array([[idxs]]))[0, 0].tolist()
+            cols = {p: np.array([[j]]) for p, j in enumerate(idxs)}
+            sums = _extend(step, np.array([[score]]), cols)[0, 0].tolist()
             new += [
                 (s, ids + (pid,), idxs + (j,))
                 for j, (s, pid) in enumerate(zip(sums, step.bucket.ids))
@@ -876,6 +879,40 @@ class TestBeamProperties:
         assert narrow == _refused_edge(lambda: alone(width)) == _refused_edge(plain)
         assert _refused_edge(lambda: stacked(full)) == _refused_edge(lambda: alone(full)) == _refused_edge(oracle)
         assert (narrow[0] == "refused") == (far in ("a", "b", "c"))
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), flat=st.booleans(), width=st.integers(1, 64), data=st.data())
+    def test_default_grammar_beam_equals_plain_sort(self, grammar, quick_models, seed, flat, width, data):
+        """At the default 17-part grammar, where the search drops a part's
+        column of proposal indices many steps before the last, the stacked
+        beam keeps what a plain sort keeps for every objective: same ids,
+        bit-identical total.  Coordinates, types and appearance scores come
+        from small pools, so candidates tie; ``flat`` puts every proposal
+        at one point with one type, so appearance alone decides."""
+        rng = np.random.default_rng(seed)
+        props, scores = [], {}
+        for part in grammar.part_ids:
+            n = int(rng.integers(2, 4))
+            # Ids listed out of id order, so listing order cannot stand in
+            # for the tie rule.
+            for pid in rng.permutation([f"{part}.{i}" for i in range(n)]).tolist():
+                x, y = (0.0, 0.0) if flat else rng.choice([0.0, 12.0], size=2).tolist()
+                part_type = 1 if flat else int(rng.integers(1, 3))
+                props.append(Proposal(pid, part, x, y, part_type, (0.0, 0.0, 5.0, 5.0)))
+                scores[pid] = {
+                    a.id: {v: float(rng.choice([0.0, 0.5, 1.0])) for v in a.domain} for a in grammar.attributes
+                }
+        pset = ProposalSet.from_proposals(props, ScoreTable(scores), part_type_count=grammar.part_type_count)
+        attribute = data.draw(st.sampled_from(grammar.attributes))
+        v, w = data.draw(st.permutations(attribute.domain))[:2]
+        objectives = [{attribute.id: v}, {attribute.id: w}, {}]
+
+        stacked = _search(grammar, quick_models, pset, objectives, BeamConfig(beam_width=width))
+        steps = _prepare(grammar, quick_models, pset, objectives)
+        for k, pg in enumerate(stacked):
+            score, ids, _idxs = _reference_beam(_objective_steps(steps, k), width)
+            assert tuple(pg.states[step.bucket.part].proposal_ref for step in steps) == ids
+            assert float.hex(pg.total_score) == float.hex(score)
 
     def test_objectives_resolve_their_own_ties_at_the_cut(self):
         """Stacked objectives tie at the cut on different candidates.  With
