@@ -12,7 +12,9 @@ gathers from it.
 A :class:`ProposalSet` holds one columnar :class:`Bucket` per part, all
 built by :meth:`ProposalSet.from_columns` from proposals given as
 columns: the proposal reader's, the synthetic provider's and
-:meth:`ProposalSet.from_proposals`'s.  The set keeps no :class:`Proposal`
+:meth:`ProposalSet.from_proposals`'s.  A bucket lists its part's
+proposals in id order, whatever order they were given in, so the search
+can break score ties by position.  The set keeps no :class:`Proposal`
 objects: the search reads the columns, and only
 :meth:`ProposalSet.proposals_for` rebuilds proposals.
 
@@ -243,16 +245,14 @@ class _Grid:
 
 
 class Bucket:
-    """One part's proposals as columns, in listing order: ``ids``, ``xy``
-    (N, 2), ``types`` (N,) and ``boxes`` (N, 4), each proposal's score-grid
-    row in ``rows``, and in ``id_rank`` each id's rank among the ids."""
+    """One part's proposals as columns: ``ids``, ``xy`` (N, 2), ``types``
+    (N,) and ``boxes`` (N, 4), and each proposal's score-grid row in
+    ``rows``.  :meth:`ProposalSet.from_columns` lists them in id order."""
 
-    __slots__ = ("part", "ids", "xy", "types", "boxes", "rows", "id_rank")
+    __slots__ = ("part", "ids", "xy", "types", "boxes", "rows")
 
     def __init__(self, part: NodeId, ids: tuple[str, ...], xy, types, boxes, rows) -> None:
         self.part, self.ids, self.xy, self.types, self.boxes, self.rows = part, ids, xy, types, boxes, rows
-        # The inverse of the id-sorting permutation.
-        self.id_rank = np.argsort(sorted(range(len(ids)), key=ids.__getitem__))
 
 
 class ProposalSet:
@@ -278,8 +278,8 @@ class ProposalSet:
     ) -> "ProposalSet":
         """Checked proposals given as columns in listing order (``xy`` and
         ``boxes`` of 2 and 4 numbers each), grouped by part, each part's in
-        listing order.  Every id must be unique, have a row in ``scores``
-        and a type of at most ``part_type_count``; an error about the i-th
+        id order.  Every id must be unique, have a row in ``scores`` and a
+        type of at most ``part_type_count``; an error about the i-th
         proposal starts with ``where(i)``."""
         part_type_count = argument("part_type_count", part_type_count, count)
         if max(types, default=0) > part_type_count or len(set(ids)) < len(ids):
@@ -301,6 +301,7 @@ class ProposalSet:
             members.setdefault(part, []).append(i)
         buckets = []
         for part, index in members.items():
+            index.sort(key=ids.__getitem__)
             part_ids = tuple(ids[i] for i in index)
             rows = scores.rows(part_ids, part)
             buckets.append(Bucket(part, part_ids, xy[index], types[index], boxes[index], rows))
@@ -326,7 +327,7 @@ class ProposalSet:
         )
 
     def proposals_for(self, part: NodeId) -> tuple[Proposal, ...]:
-        """``part``'s proposals in listing order, rebuilt from its bucket."""
+        """``part``'s proposals in id order, rebuilt from its bucket."""
         if part not in self.buckets:
             return ()
         b = self.buckets[part]
@@ -429,7 +430,8 @@ def _proposal_columns(fields: list) -> tuple | None:
 
 
 def save_proposals(pset: ProposalSet, path: str) -> None:
-    """Write JSON-lines, parts in sorted order, bucket order preserved."""
+    """Write JSON-lines, parts in sorted order, each part's proposals in id
+    order."""
     docs = []
     for part in sorted(pset.buckets):
         b = pset.buckets[part]

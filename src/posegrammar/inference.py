@@ -4,7 +4,7 @@ Parsing is a beam search.  It seeds candidates from the root part's
 proposals and grounds one part per step in a fixed expansion order;
 whenever a step grounds a part, every grammar edge whose endpoints are
 now both grounded contributes its relation score.  Only the top
-``beam_width`` candidates survive a step, ordered by score and, on ties,
+``beam_width`` candidates survive a step, chosen by score and, on ties,
 by the tuple of chosen proposal ids.
 
 An objective is an attribute assignment, the attribute grammar's part
@@ -38,17 +38,18 @@ A beam step is one (K, B, N) numpy sum: each survivor's score plus the
 appearance row of its objective, then each closing table's row in plan
 order, the rows gathered once for all K*B survivors.  So every candidate
 sees the same float operations, in the same order, as in a search of its
-objective alone.  The cut is per objective: a per-row ``argpartition`` at
-the beam width, widened to the largest count of candidates tied with a
-row's score at its cut, so every tied candidate reaches the sort; the
-pool is then ordered within each objective by (-score, id-tuple rank).
-A step keeps only back-pointers, each survivor's parent among the
-previous survivors and its own proposal, never the survivors' prefixes.
-The proposal indices of a part that a later step's edges read are kept
-as one (K, B) column, re-gathered through each step's parent pointers
-until its last reader; after the last step each objective's best
-survivor is decoded backwards through the pointers.  Every gather in a
-step is one flat ``take`` on indices offset by row.
+objective alone.  The tie rule is storage order: buckets list their
+proposals in id order and each step keeps its survivors in id-tuple
+order, so a candidate's flat index in its (B, N) block orders as its id
+tuple.  The cut is per objective, at the row's ``beam_width``-th best
+score: candidates above it survive, and the lowest-indexed at it fill
+the rest.  A step keeps only back-pointers, each survivor's parent among
+the previous survivors and its own proposal, never the survivors'
+prefixes.  The proposal indices of a part that a later step's edges read
+are kept as one (K, B) column, re-gathered through each step's parent
+pointers until its last reader; after the last step each objective's
+best survivor, its first maximum, is decoded backwards through the
+pointers.  Every gather in a step is one flat ``take``.
 
 :func:`brute_force_parse` enumerates the full proposal lattice and reads
 the same tables through the same sum, at K=1, so on small instances a
@@ -238,52 +239,34 @@ def _extend(step: _Step, score: np.ndarray, cols) -> np.ndarray:
     return total
 
 
-def _flat(idx: np.ndarray, m: int) -> np.ndarray:
-    """The per-row indices ``idx`` (K, P) into K rows of ``m`` entries, as
-    indices into the rows laid end to end, for one flat ``take``."""
-    return idx + np.arange(0, len(idx) * m, m)[:, None]
+def _cut(scores: np.ndarray, width: int) -> np.ndarray:
+    """Per row of ``scores`` (K, M), the flat indices into ``scores`` of its
+    ``width`` best candidates, in ascending order.
 
-
-def _cut(scores: np.ndarray, key_of, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per row of ``scores`` (K, M), its ``width`` best candidates, best
-    first, as flat indices into ``scores``, and their keys.
-
-    Higher score wins; equal scores go to the lower key.  ``key_of(pool)``
-    gives the keys of the candidates at the flat indices ``pool`` (K, P),
-    so keys are built only for the pool: each row's ``width`` best by score
-    and every candidate tied with the row's score at the cut.  When no
-    row's pool holds two equal scores, the score order alone is the order,
-    and keys are built only for the kept candidates.
+    Higher score wins; equal scores go to the lower index.  The cut is the
+    row's ``width``-th best score: every candidate above it is kept, and
+    the lowest-indexed candidates at it fill the rest.
     """
     k, m = scores.shape
-    if m > width:
-        pool = np.argpartition(scores, m - width, axis=1)[:, m - width :]
-        tied = int(np.count_nonzero(scores >= scores.take(_flat(pool[:, :1], m)), axis=1).max())
-        if tied > width:
-            pool = np.argpartition(scores, m - tied, axis=1)[:, m - tied :]
-        pool = _flat(pool, m)
-    else:
-        pool = np.arange(k * m).reshape(k, m)
-    negated = -scores.take(pool)
-    order = _flat(np.argsort(negated, axis=1, kind="stable"), pool.shape[1])
-    ranked = negated.take(order)
-    if (ranked[:, 1:] == ranked[:, :-1]).any():
-        # Two candidates of a row tie (-0.0 equals 0.0): order by key too.
-        keys = key_of(pool)
-        order = _flat(np.lexsort((keys, negated), axis=1)[:, :width], pool.shape[1])
-        return pool.take(order), keys.take(order)
-    keep = pool.take(order[:, :width])
-    return keep, key_of(keep)
+    if m <= width:
+        return np.arange(k * m).reshape(k, m)
+    cut = np.partition(scores, m - width, axis=1)[:, m - width, None]
+    kept = scores >= cut
+    if (np.count_nonzero(kept, axis=1) > width).any():
+        # More candidates tie at some row's cut (-0.0 equals 0.0) than fit.
+        above, at = scores > cut, scores == cut
+        room = width - np.count_nonzero(above, axis=1)[:, None]
+        kept = above | (at & (np.cumsum(at, axis=1) <= room))
+    return np.flatnonzero(kept).reshape(k, width)
 
 
 def _run_beam(steps: list[_Step], beam_width: int) -> list[tuple[float, list[int]]]:
     """Per objective, the best (score, per-step proposal indices) under the
     beam.
 
-    Each objective keeps its own ``beam_width`` survivors.  Ties go to the
-    lexicographically smaller tuple of proposal ids.  Each survivor carries
-    a rank that orders its objective's survivors' id tuples, so a
-    candidate's id tuple orders as (parent rank, child id rank).
+    Each objective keeps its own ``beam_width`` survivors, in id-tuple
+    order.  Ties go to the lexicographically smaller tuple of proposal ids,
+    which is the lower flat index in a step's (B, N) block.
 
     A survivor's back-pointers are its parent, as a flat index into the
     previous step's (K, B) survivors, and its proposal index.  A column
@@ -291,36 +274,28 @@ def _run_beam(steps: list[_Step], beam_width: int) -> list[tuple[float, list[int
     ``last`` read; each objective's best is decoded after the last step.
     """
     last = {parent: si for si, step in enumerate(steps) for parent, _table in step.closings}
-    # The first step's candidates all extend one empty prefix per objective.
-    rank = np.zeros((len(steps[0].app), 1), dtype=np.intp)
     score, cols, pointers = None, {}, []
     for si, step in enumerate(steps):
+        # The first step's candidates all extend one empty prefix per objective.
         total = _extend(step, score, cols).reshape(len(score), -1) if si else step.app
-        n, id_rank = step.app.shape[1], step.bucket.id_rank
-
-        def key_of(pool):
-            parent, child = np.divmod(pool, n)
-            return rank.take(parent) * n + id_rank.take(child)
-
-        keep, keys = _cut(total, key_of, beam_width)
+        keep = _cut(total, beam_width)
         score = total.take(keep)
-        parent, child = np.divmod(keep, n)
-        # Each survivor's rank among its objective's keys, all distinct.
-        rank = np.empty_like(keep)
-        rank.put(_flat(keys.argsort(1), keep.shape[1]), np.arange(keep.shape[1]))
+        parent, child = np.divmod(keep, step.app.shape[1])
         pointers.append((parent, child))
         cols = {p: c.take(parent) for p, c in cols.items() if last[p] > si}
         if si in last:
             cols[si] = child
         # Freed before the next step builds its own (K, B, N) block.
         del total
-    # Each objective's first survivor, as a flat index.
-    best = np.arange(0, score.size, score.shape[1])
+    # Each objective's best survivor, as a flat index: the first maximum,
+    # so the smallest id tuple among equal scores.
+    best = score.argmax(axis=1) + np.arange(0, score.size, score.shape[1])
+    top = score.take(best)
     idxs = []
     for parent, child in reversed(pointers):
         idxs.append(child.take(best))
         best = parent.take(best)
-    return list(zip(score[:, 0].tolist(), np.column_stack(idxs[::-1]).tolist()))
+    return list(zip(top.tolist(), np.column_stack(idxs[::-1]).tolist()))
 
 
 def _state(step: _Step, j: int) -> PartState:
@@ -433,7 +408,9 @@ def _pairs(grammar: AOGrammar) -> list[tuple[AttrId, str]]:
     """Every (attribute, value) pair of the grammar, in grammar order."""
     pairs = [(a.id, v) for a in grammar.attributes for v in a.domain]
     if not pairs:
-        raise ValidationError("select_final needs at least one (attribute, value) pair")
+        raise ValidationError(
+            "a joint parse needs at least one (attribute, value) pair, and the grammar declares no attributes"
+        )
     return pairs
 
 

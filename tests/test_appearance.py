@@ -319,19 +319,22 @@ class TestProposalIO:
 
     def test_round_trip_preserves_everything(self, tmp_path):
         """The proposals a set rebuilds, before and after a file round trip,
-        equal the ones it was built from, per part in listing order and with
-        the sign of a -0.0 coordinate kept."""
+        equal the ones it was built from, per part in id order and with the
+        sign of a -0.0 coordinate kept."""
         scene = two_person_scene(seed=7)
         synth = synth_scores(scene, noise_sigma=0.6, rng_seed=3)
         given = _listed(synth)[::-1]
         given[0] = dataclasses.replace(given[0], x=-0.0)
+        by_part = {part: [p for p in given if p.part == part] for part in synth.buckets}
+        # Given out of id order, so the set must sort them.
+        assert any([p.id for p in ps] != sorted(p.id for p in ps) for ps in by_part.values())
         pset = ProposalSet.from_proposals(given, synth.scores)
         path, back = self._round_trip(tmp_path, pset)
         assert back.scores == pset.scores
         for built in (pset, back):
-            assert set(built.buckets) == {p.part for p in given}
+            assert set(built.buckets) == set(by_part)
             for part in built.buckets:
-                assert built.proposals_for(part) == tuple(p for p in given if p.part == part)
+                assert built.proposals_for(part) == tuple(sorted(by_part[part], key=lambda p: p.id))
             (first,) = [p for p in _listed(built) if p.id == given[0].id]
             assert math.copysign(1.0, first.x) == -1.0
 
@@ -686,14 +689,14 @@ def test_the_columnar_loader_matches_a_line_by_line_reference(tmp_path_factory, 
     proposals = [Proposal.from_json_dict(doc) for doc in docs]
     assert list(pset.buckets) == list(dict.fromkeys(p.part for p in proposals))
     for part, bucket in pset.buckets.items():
-        mine = [(r, p) for r, p in enumerate(proposals) if p.part == part]
+        # Each part's proposals in id order, with their file rows.
+        mine = sorted(((r, p) for r, p in enumerate(proposals) if p.part == part), key=lambda rp: rp[1].id)
         ids = tuple(p.id for _r, p in mine)
-        assert bucket.ids == ids
+        assert bucket.ids == ids == tuple(sorted(ids))
         assert _hexes(bucket.xy) == _hexes([(p.x, p.y) for _r, p in mine])
         assert _hexes(bucket.boxes) == _hexes([p.box for _r, p in mine])
         assert bucket.types.tolist() == [p.part_type for _r, p in mine]
         assert bucket.rows.tolist() == [r for r, _p in mine]
-        assert bucket.id_rank.tolist() == [sorted(ids).index(pid) for pid in ids]
     assert pset.scores.values.shape == (len(docs), sum(map(len, docs[0]["scores"].values())))
     for r, doc in enumerate(docs):
         for attr, per_value in doc["scores"].items():

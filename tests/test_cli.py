@@ -865,6 +865,22 @@ class TestDiag:
         assert re.fullmatch(shape + " finite number", line)
         assert not report.exists()
 
+    def test_joint_mode_on_a_grammar_without_attributes_exits_one(self, pipeline, tmp_path, capsys):
+        scenes = tmp_path / "scenes"
+        assert cli_dispatch(["synth", "--family", "single", "--n", "1", "--seed", "3", "--out", str(scenes)]) == 0
+        bare = json.loads(_read(pipeline["grammar"]))
+        bare["attributes"] = []
+        grammar = tmp_path / "bare.json"
+        grammar.write_text(json.dumps(bare), encoding="utf-8")
+        report = tmp_path / "diag.json"
+        argv = ["diag", "--scenes", str(scenes), "--grammar", str(grammar), "--models", pipeline["models"]]
+        capsys.readouterr()
+        assert cli_dispatch(argv + ["--modes", "joint", "--report", str(report)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: a joint parse needs at least one (attribute, value) pair, and the grammar declares no attributes"
+        ]
+        assert not report.exists()
+
     def test_empty_scene_directory(self, pipeline, tmp_path, capsys):
         empty = tmp_path / "none"
         empty.mkdir()

@@ -449,6 +449,18 @@ class TestRunDiagnostic:
             assert entry["per_attribute_accuracy"] == {}
         assert 0.0 <= report["modes"]["no-attribute"]["pcp"] <= 1.0
 
+    def test_the_joint_mode_refuses_a_grammar_without_attributes(self, quick_models):
+        """The refusal names the joint parse and the grammar, not a
+        function the caller never called."""
+        bare = build_default_human_grammar(attr_defs=())
+        models = RelationModels(quick_models.syntactic, quick_models.kinematic, full_association(bare))
+        scenes = generate_family("single", 1, seed=0, attr_defs=())
+        with pytest.raises(ValidationError) as refused:
+            run_diagnostic(scenes, self._config(bare, models), modes=("joint",))
+        assert str(refused.value) == (
+            "a joint parse needs at least one (attribute, value) pair, and the grammar declares no attributes"
+        )
+
     def test_needs_scenes(self, grammar, quick_models):
         with pytest.raises(ValidationError, match="at least one scene"):
             run_diagnostic([], self._config(grammar, quick_models))

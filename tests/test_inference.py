@@ -40,9 +40,11 @@ from posegrammar.grammar import (
 from posegrammar.inference import (
     _TABLES,
     BeamConfig,
+    _cut,
     _extend,
     _prepare,
     _readout,
+    _run_beam,
     _search,
     _Step,
     _Table,
@@ -349,6 +351,30 @@ class TestTieBreaking:
         oracle = brute_force_parse(g, models, pset, {"c": "u"})
         assert _ids(beam) == _ids(oracle) == {"root": "r", "a": "a0", "b": "bz"}
         assert beam.total_score == oracle.total_score
+
+    # Eight distinct values, so candidates often tie; 0.0 and -0.0 tie too.
+    _POOL = (-2.0, -0.5, -0.0, 0.0, 0.5, 1.0, 1.5, 3.0, 7.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(width=st.integers(1, 6), m=st.integers(1, 8), data=st.data())
+    def test_cut_keeps_what_a_sort_on_score_then_index_keeps(self, width, m, data):
+        """Per row, ``_cut`` keeps the ``width`` candidates first under
+        (-score, index), listed by index, and the decode of a one-step
+        search picks the row's first maximum among them.  Rows drawn with
+        unique values never tie; the others mostly do."""
+        rows = lambda unique: st.lists(st.sampled_from(self._POOL), min_size=m, max_size=m, unique=unique)
+        k = data.draw(st.integers(1, 4))
+        scores = np.array([data.draw(rows(data.draw(st.booleans()))) for _ in range(k)])
+        kept = _cut(scores, width)
+        index = np.arange(m)
+        ranked = [np.lexsort((index, -row))[:width] for row in scores]
+        assert kept.tolist() == [sorted(r * m + order) for r, order in enumerate(ranked)]
+        ids = [f"p{j}" for j in range(m)]
+        proposals = [Proposal(pid, "root", 0.0, 0.0, 1, (0.0, 0.0, 1.0, 1.0)) for pid in ids]
+        bucket = ProposalSet.from_proposals(proposals, ScoreTable({pid: {} for pid in ids})).buckets["root"]
+        for row, order, (score, [j]) in zip(scores, ranked, _run_beam([_Step(bucket, scores)], width)):
+            assert j == order[0]
+            assert float.hex(score) == float.hex(row[j])
 
 
 class TestEnumerationGuard:
@@ -921,7 +947,7 @@ class TestBeamProperties:
         keeps roots (r2, r0) and objective ``v`` ties r1 and r2; at part
         ``a``, ``v``'s four candidates all tie at its cut, past the width,
         while ``u`` has no tie beyond it.  Each objective must break its
-        ties by its own survivors' id ranks, at its own cut score."""
+        ties by its own survivors' id tuples, at its own cut score."""
         g, models, _ = _toy_world(3)
         appearance = {
             "r0": (1.0, 0.0), "r1": (0.0, 1.0), "r2": (2.0, 1.0),

@@ -153,14 +153,15 @@ class TestMixtureDensity:
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
         np.testing.assert_allclose(mog.log_density(EDGE, pts), expected, rtol=0, atol=1e-12)
         # The beam's relation table: one parent at the origin, one child
-        # proposal per point.
+        # proposal per point, its ids zero-padded so id order is point order.
         parents = [Proposal("p", EDGE[0], 0.0, 0.0, 1, (0, 0, 1, 1))]
         kids = [
-            Proposal(f"c{i}", EDGE[1], float(x), float(y), 1, (0, 0, 1, 1))
+            Proposal(f"c{i:02d}", EDGE[1], float(x), float(y), 1, (0, 0, 1, 1))
             for i, (x, y) in enumerate(pts)
         ]
         table = ScoreTable({p.id: {} for p in parents + kids})
         buckets = ProposalSet.from_proposals(parents + kids, table).buckets
+        assert buckets[EDGE[1]].ids == tuple(p.id for p in kids)
         beam = _Table(mog, EDGE, buckets[EDGE[0]], buckets[EDGE[1]]).rows(np.array([0]))[0]
         np.testing.assert_allclose(beam, expected, rtol=0, atol=1e-12)
 
