@@ -64,12 +64,10 @@ from .inference import (
 from .learning import (
     Annotation,
     JointObs,
-    LabeledProposal,
     derive_associations,
     displacement_samples,
     fit_kinematic,
     fit_syntactic,
-    label_proposals,
     learn_models,
     load_annotations,
     mutual_information,
@@ -114,7 +112,6 @@ __all__ = [
     "InfeasibleParseError",
     "JointObs",
     "KinematicMoG",
-    "LabeledProposal",
     "MissingEntryError",
     "Mixture",
     "ParseGraph",
@@ -141,7 +138,6 @@ __all__ = [
     "fit_kinematic",
     "fit_syntactic",
     "generate_family",
-    "label_proposals",
     "learn_models",
     "load_annotations",
     "load_grammar",

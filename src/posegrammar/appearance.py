@@ -40,7 +40,6 @@ from .grammar import (
     DEFAULT_PART_TYPE_COUNT,
     FULL_BODY,
     LOWER_BODY,
-    PART_MEMBERS,
     UPPER_BODY,
     AttrId,
     AttributeDef,
@@ -51,7 +50,7 @@ from .grammar import (
 from .jsonio import FieldError, json_lines, write_json_lines
 from .jsonio import argument, array, check_fields, count, mapping, nonnegative, number, number_column
 from .jsonio import record, text
-from .synthetic import PART_BOX_SIZES, SyntheticScene, _sigma, padded_box
+from .synthetic import SyntheticScene, _sigma, part_box
 
 # Canonical 17-part ordering used by the synthetic provider.
 PART_ORDER: tuple[NodeId, ...] = (FULL_BODY, UPPER_BODY, LOWER_BODY) + ATOMIC_PARTS
@@ -450,16 +449,6 @@ def save_proposals(pset: ProposalSet, path: str) -> None:
     write_json_lines(path, docs)
 
 
-def _part_box(
-    part: NodeId, keypoints: Mapping[NodeId, tuple[float, float]]
-) -> tuple[float, float, float, float]:
-    if part in PART_BOX_SIZES:
-        w, h = PART_BOX_SIZES[part]
-        x, y = keypoints[part]
-        return (x - w / 2.0, y - h / 2.0, w, h)
-    return padded_box([keypoints[m] for m in PART_MEMBERS[part]], 6.0)
-
-
 # The synthetic provider's score structure, as :func:`synth_scores` uses it.
 SYNTH_MARGIN = 2.5
 SYNTH_TARGET_BONUS = 0.15
@@ -505,7 +494,7 @@ def synth_scores(
         for part in PART_ORDER:
             pid = f"p{pi}.{part}"
             part_type = int(rng.integers(1, part_type_count + 1))
-            proposals.append((pid, part, keypoints[part], part_type, _part_box(part, keypoints)))
+            proposals.append((pid, part, keypoints[part], part_type, part_box(part, keypoints)))
             per_attr = scores[pid] = {}
             for attr in attr_defs:
                 true_value = person.attributes.get(attr.id)

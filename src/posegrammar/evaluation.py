@@ -110,7 +110,7 @@ def average_precision(scores: Sequence[float], labels: Sequence[int]) -> float:
         )
     if s.shape[0] == 0:
         raise ValidationError("average precision needs at least one sample")
-    if not np.all(np.isin(y, (0, 1))):
+    if not ((y == 0) | (y == 1)).all():
         raise ValidationError("labels must be 0 or 1")
     positives = int(y.sum())
     if positives == 0:

@@ -104,8 +104,7 @@ def part_keypoints(
 ) -> dict[NodeId, tuple[float, float]]:
     """Keypoints for all 17 parts: the 14 joints, then member centroids.
 
-    The centroids follow in upper, lower, full body order; proposal
-    labeling breaks distance ties by this order.
+    The centroids follow in upper, lower, full body order.
     """
     pts = dict(joints)
     for part, members in PART_MEMBERS.items():

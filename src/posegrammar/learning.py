@@ -1,10 +1,10 @@
 """Model learning from pose annotations.
 
-Covers the ingestion and fitting side of the engine: labeling detector
-proposals against annotated persons, fitting the part-type co-occurrence
-tables and the per-edge displacement mixtures, and deriving part to
-attribute associations from mutual information between attribute
-availability and part visibility.
+Covers the ingestion and fitting side of the engine: reading the part
+types of detector proposals that sit on their own part's box, fitting the
+part-type co-occurrence tables and the per-edge displacement mixtures,
+and deriving part to attribute associations from mutual information
+between attribute availability and part visibility.
 """
 
 from __future__ import annotations
@@ -21,15 +21,7 @@ import numpy as np
 
 from .appearance import Proposal
 from .errors import DegenerateDataError, MissingEntryError, ValidationError
-from .grammar import (
-    ATOMIC_PARTS,
-    PART_MEMBERS,
-    AOGrammar,
-    AttrId,
-    NodeId,
-    part_keypoints,
-    require_atomic_joints,
-)
+from .grammar import AOGrammar, AttrId, NodeId, require_atomic_joints
 from .jsonio import read_json_lines, write_json_lines
 from .jsonio import argument, array, check_fields, count, flag, instance, mapping, nonnegative, nullable, number, optional
 from .jsonio import record, text
@@ -47,14 +39,11 @@ from .relations import (
     _mixture_terms,
     _offsets,
 )
+from .synthetic import part_box
 
-# Proposal labeling thresholds: person-box overlap below the first bound
-# marks a negative, above the second bound a part candidate; the band in
-# between is discarded as ambiguous.  Part candidates must additionally
-# have a normalized keypoint distance below the distance bound.
-OVERLAP_NEGATIVE = 0.5
+# A proposal shows its part's type when its box overlaps that part's box
+# by more than this.
 OVERLAP_POSITIVE = 0.7
-DISTANCE_BOUND = 0.5
 
 # EM stops once the mean log-likelihood gains less than this per iteration.
 EM_TOL = 1e-6
@@ -128,25 +117,6 @@ def load_annotations(path: str) -> list[Annotation]:
     return read_json_lines(path, Annotation.from_json_dict)
 
 
-@dataclass(frozen=True)
-class LabeledProposal:
-    """A proposal after labeling: a part candidate or a negative.
-
-    ``part`` is ``None`` for negatives.  ``distance`` records the
-    normalized keypoint distance for proposals that passed the overlap
-    bound, ``None`` otherwise.
-    """
-
-    proposal: Proposal
-    part: NodeId | None
-    part_type: int | None
-    distance: float | None
-
-    @property
-    def is_negative(self) -> bool:
-        return self.part is None
-
-
 def box_iou(a: Sequence[float], b: Sequence[float]) -> float:
     """Intersection over union of two (x0, y0, w, h) boxes."""
     ax0, ay0, aw, ah = a
@@ -159,54 +129,6 @@ def box_iou(a: Sequence[float], b: Sequence[float]) -> float:
     return inter / union if union > 0.0 else 0.0
 
 
-def _box_contains_all(box: Sequence[float], points: Iterable[tuple[float, float]]) -> bool:
-    x0, y0, w, h = box
-    return all(x0 <= x <= x0 + w and y0 <= y <= y0 + h for x, y in points)
-
-
-def label_proposals(ann: Annotation, proposals: Sequence[Proposal]) -> list[LabeledProposal]:
-    """Label proposals against one annotated person.
-
-    Proposals whose person-box overlap falls below ``OVERLAP_NEGATIVE``
-    become negatives.  Proposals above ``OVERLAP_POSITIVE`` are matched to
-    the part whose keypoint is nearest under the normalized squared
-    distance; a nearest composite part only sticks if the proposal box
-    contains all of its joints, otherwise the nearest atomic part is used.
-    Matches with distance at or above ``DISTANCE_BOUND`` are dropped, as
-    is the ambiguous overlap band in between.
-    """
-    keypoints = part_keypoints({p: (j.x, j.y) for p, j in ann.joints.items()})
-    out: list[LabeledProposal] = []
-    for prop in proposals:
-        overlap = box_iou(prop.box, ann.person_box)
-        if overlap < OVERLAP_NEGATIVE:
-            out.append(LabeledProposal(prop, part=None, part_type=None, distance=None))
-            continue
-        if overlap <= OVERLAP_POSITIVE:
-            continue
-        cx, cy = prop.x, prop.y
-        norm = min(prop.box[2], prop.box[3])
-        best_part = None
-        best_d = math.inf
-        for part, (kx, ky) in keypoints.items():
-            d = ((cx - kx) ** 2 + (cy - ky) ** 2) / norm
-            if d < best_d:
-                best_d = d
-                best_part = part
-        if best_part not in ATOMIC_PARTS:
-            members = PART_MEMBERS[best_part]
-            if not _box_contains_all(prop.box, [keypoints[m] for m in members]):
-                best_part = min(
-                    ATOMIC_PARTS,
-                    key=lambda p: (cx - keypoints[p][0]) ** 2 + (cy - keypoints[p][1]) ** 2,
-                )
-        if best_d < DISTANCE_BOUND:
-            out.append(
-                LabeledProposal(prop, part=best_part, part_type=prop.part_type, distance=best_d)
-            )
-    return out
-
-
 def _columns(edges: Iterable[Edge]) -> dict[NodeId, int]:
     """A column index for each part ``edges`` name, in order of first mention."""
     return {p: i for i, p in enumerate(dict.fromkeys(p for edge in edges for p in edge))}
@@ -214,11 +136,19 @@ def _columns(edges: Iterable[Edge]) -> dict[NodeId, int]:
 
 def proposal_part_types(annotation: Annotation, proposals: Sequence[Proposal]) -> dict[NodeId, int]:
     """The part types ``proposals`` show for ``annotation``: each part takes
-    the type of the first proposal :func:`label_proposals` matches to it."""
+    the type of the first proposal for it whose box overlaps the part's own
+    box (:func:`part_box` around the annotation's joints) by more than
+    ``OVERLAP_POSITIVE``.  A proposal whose part has no box, not being
+    one of the 17 keypoint parts, is refused naming it."""
+    joints = {p: (j.x, j.y) for p, j in annotation.joints.items()}
     types: dict[NodeId, int] = {}
-    for lp in label_proposals(annotation, proposals):
-        if not lp.is_negative:
-            types.setdefault(lp.part, lp.part_type)
+    for prop in proposals:
+        try:
+            box = part_box(prop.part, joints)
+        except KeyError:
+            raise ValidationError(f"proposal {prop.id!r}: part {prop.part!r} is not one of the 17 keypoint parts") from None
+        if prop.part not in types and box_iou(prop.box, box) > OVERLAP_POSITIVE:
+            types[prop.part] = prop.part_type
     return types
 
 
@@ -582,10 +512,10 @@ def learn_models(
     """Fit all three relation models from an annotated corpus.
 
     The co-occurrence tables count ``type_samples``, one part-type map per
-    annotation (:func:`proposal_part_types` labels detector proposals into
-    one); without them every edge falls back to the uniform table.  A
-    terminal of ``grammar`` that the annotations carry no joint for is
-    refused, naming it.
+    annotation (:func:`proposal_part_types` reads one off a group of
+    detector proposals); without them every edge falls back to the
+    uniform table.  A terminal of ``grammar`` that the annotations carry
+    no joint for is refused, naming it.
     """
     n_components = argument("n_components", n_components, count)
     seed = argument("seed", seed, nonnegative)

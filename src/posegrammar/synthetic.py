@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .grammar import AttrId, AttributeDef, NodeId, default_attributes, require_atomic_joints
+from .grammar import PART_MEMBERS, AttrId, AttributeDef, NodeId, default_attributes, require_atomic_joints
 from .jsonio import SCHEMA_VERSION, read_json, versioned, write_json
 from .jsonio import argument, array, check_fields, count, instance, mapping, nonnegative, number, optional, record, text
 
@@ -129,6 +129,18 @@ def padded_box(points: Iterable[tuple[float, float]], pad: float) -> tuple[float
     xs, ys = zip(*points)
     x0, y0 = min(xs) - pad, min(ys) - pad
     return (x0, y0, max(xs) + pad - x0, max(ys) + pad - y0)
+
+
+def part_box(part: NodeId, keypoints: Mapping[NodeId, tuple[float, float]]) -> tuple[float, float, float, float]:
+    """The box of ``part`` given the keypoints of (at least) the atomic
+    parts: an atomic part's ``PART_BOX_SIZES`` box centred on its keypoint,
+    a composite part's members' keypoints padded by 6.  A part that is
+    neither raises ``KeyError``."""
+    if part in PART_BOX_SIZES:
+        w, h = PART_BOX_SIZES[part]
+        x, y = keypoints[part]
+        return (x - w / 2.0, y - h / 2.0, w, h)
+    return padded_box([keypoints[m] for m in PART_MEMBERS[part]], 6.0)
 
 
 def _sample_attributes(rng: np.random.Generator, attr_defs: Sequence[AttributeDef]) -> dict[AttrId, str]:

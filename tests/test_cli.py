@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 import posegrammar
+from posegrammar.appearance import save_proposals, synth_scores
 from posegrammar.cli import cli_dispatch
 from posegrammar.errors import MissingEntryError, ValidationError
 from posegrammar.evaluation import default_sticks, strict_pcp
@@ -32,7 +33,7 @@ from posegrammar.grammar import (
 )
 from posegrammar.learning import displacement_samples, learn_models, load_annotations, save_annotations
 from posegrammar.relations import load_models
-from posegrammar.synthetic import load_scene
+from posegrammar.synthetic import load_scene, part_box, two_person_scene
 
 
 # A valid JSON integer beyond the float range.
@@ -105,9 +106,6 @@ def pipeline(tmp_path_factory):
         )
 
     # One two-person scene scored into a proposal file for parsing.
-    from posegrammar.appearance import save_proposals, synth_scores
-    from posegrammar.synthetic import two_person_scene
-
     scene = two_person_scene(seed=4)
     pset = synth_scores(scene, noise_sigma=0.5, rng_seed=8)
     proposals = str(root / "proposals.jsonl")
@@ -388,7 +386,7 @@ class TestLearn:
     @staticmethod
     def _groups(pipeline) -> list[str]:
         """One proposal group per annotation: a proposal at each part's
-        keypoint, boxed by the person box, with a type that varies by
+        keypoint, boxed by the part's own box, with a type that varies by
         part and person."""
         lines = []
         for i, line in enumerate(_read(pipeline["annotations"]).splitlines()):
@@ -396,7 +394,7 @@ class TestLearn:
             keypoints = part_keypoints({p: (x, y) for p, (x, y, _v) in ann["joints"].items()})
             group = [
                 {"id": f"{i}.{part}", "part": part, "x": x, "y": y,
-                 "part_type": 1 + (i + k) % 9, "box": ann["person_box"]}
+                 "part_type": 1 + (i + k) % 9, "box": part_box(part, keypoints)}
                 for k, (part, (x, y)) in enumerate(keypoints.items())
             ]
             lines.append(json.dumps(group))
@@ -411,6 +409,39 @@ class TestLearn:
         assert all(np.ptp(syntactic.log_matrix(edge)) > 0.0 for edge in grammar.psg_edges)
         uniform = load_models(pipeline["models"]).syntactic
         assert all(np.ptp(uniform.log_matrix(edge)) == 0.0 for edge in grammar.psg_edges)
+
+    def test_synth_proposals_fit_every_decomposition_edge(self, pipeline, tmp_path, capsys):
+        """The proposals ``synth_scores`` gives each synthesised scene, one
+        group per scene, type both parts of every decomposition edge: no
+        edge falls back to the uniform table."""
+        lines = []
+        for i, name in enumerate(sorted(os.listdir(pipeline["scenes"]))):
+            proposals = tmp_path / "proposals.jsonl"
+            save_proposals(synth_scores(load_scene(os.path.join(pipeline["scenes"], name)), 0.7, i), str(proposals))
+            lines.append(json.dumps([json.loads(line) for line in _read(proposals).splitlines()]))
+        assert len(lines) == 40
+        groups = tmp_path / "groups.jsonl"
+        groups.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        argv = ["learn", "--annotations", pipeline["annotations"], "--grammar", pipeline["grammar"]]
+        argv += ["--components", "2", "--proposals", str(groups), "--out", str(tmp_path / "m.json")]
+        assert cli_dispatch(argv) == 0
+        assert [line for line in capsys.readouterr().err.splitlines() if line.startswith("warning:")] == []
+        syntactic = load_models(str(tmp_path / "m.json")).syntactic
+        edges = build_default_human_grammar().psg_edges
+        assert len(edges) == 16
+        assert all(np.ptp(syntactic.log_matrix(edge)) > 0.0 for edge in edges)
+
+    def test_a_proposal_for_a_part_without_a_box_exits_one_naming_it(self, pipeline, tmp_path, capsys):
+        lines = self._groups(pipeline)
+        group = json.loads(lines[1])
+        group[0]["part"] = "tail"
+        lines[1] = json.dumps(group)
+        groups = tmp_path / "groups.jsonl"
+        groups.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert self._learn(pipeline, tmp_path, "--proposals", str(groups)) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: proposal {group[0]['id']!r}: part 'tail' is not one of the 17 keypoint parts"]
+        assert not (tmp_path / "m.json").exists()
 
     def test_a_group_count_other_than_the_annotations_exits_one(self, pipeline, tmp_path, capsys):
         lines = self._groups(pipeline)

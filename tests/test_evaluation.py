@@ -222,6 +222,15 @@ class TestAveragePrecision:
     def test_integer_scores_are_read_as_floats(self):
         assert average_precision([2, 1], [1, 0]) == 1.0
 
+    @pytest.mark.parametrize("labels", [[1, 0], [True, False], [1.0, 0.0]], ids=["int", "bool", "float"])
+    def test_labels_of_zero_and_one_are_accepted(self, labels):
+        assert average_precision([2.0, 1.0], labels) == 1.0
+
+    @pytest.mark.parametrize("label", [2, 0.5, "a", None])
+    def test_a_label_other_than_zero_or_one_is_refused(self, label):
+        with pytest.raises(ValidationError, match="^labels must be 0 or 1$"):
+            average_precision([2.0, 1.0], [1, label])
+
 
 class TestArgmaxValue:
     def test_picks_the_peak(self):

@@ -1,4 +1,4 @@
-"""Learning tests: labeling, table fitting, EM, MI, and associations.
+"""Learning tests: proposal part types, table fitting, EM, MI, and associations.
 
 Closed-form fixtures come first in each class; the generative checks
 afterwards only assert properties an estimator must have regardless of
@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
-from posegrammar.appearance import Proposal
+from posegrammar.appearance import PART_ORDER, Proposal
 from posegrammar.errors import DegenerateDataError, MissingEntryError, ValidationError
 from posegrammar.evaluation import make_training_pairs
 from posegrammar.grammar import (
@@ -30,15 +30,15 @@ from posegrammar.grammar import (
 )
 from posegrammar.learning import (
     Annotation,
+    EM_TOL,
+    OVERLAP_POSITIVE,
     JointObs,
     box_iou,
-    EM_TOL,
     _kmeans_plusplus,
     derive_associations,
     displacement_samples,
     fit_kinematic,
     fit_syntactic,
-    label_proposals,
     learn_models,
     load_annotations,
     mutual_information,
@@ -46,8 +46,9 @@ from posegrammar.learning import (
     save_annotations,
 )
 from posegrammar.relations import COV_EIG_FLOOR, validate_association
+from posegrammar.synthetic import part_box
 
-# A spread-out pose on a 100 x 100 person box, used by the labeling
+# A spread-out pose on a 100 x 100 person box, used by the part-type
 # fixtures below.  Member centroids: upper_body (50, 38.75),
 # lower_body (50, 75), full_body (50, 54.285...).
 _JOINTS = {
@@ -79,8 +80,10 @@ def _annotation(visible=(), hidden=(), attributes=None):
     )
 
 
-def _prop(pid, x, y, box, part_type=1):
-    return Proposal(id=pid, part="head", x=x, y=y, part_type=part_type, box=box)
+def _prop(pid, part, box, part_type=1):
+    """A proposal for ``part`` at the centre of ``box``."""
+    x0, y0, w, h = box
+    return Proposal(id=pid, part=part, x=x0 + w / 2.0, y=y0 + h / 2.0, part_type=part_type, box=box)
 
 
 class TestAnnotation:
@@ -148,60 +151,60 @@ class TestBoxIou:
         assert box_iou((0, 0, 0, 0), (0, 0, 0, 0)) == 0.0
 
 
-class TestLabelProposals:
-    def test_low_overlap_becomes_negative(self):
+class TestProposalPartTypes:
+    def test_a_proposal_on_its_own_part_box_gets_its_type(self):
         ann = _annotation()
-        out = label_proposals(ann, [_prop("n", 250.0, 50.0, (200, 0, 100, 100))])
-        assert len(out) == 1
-        assert out[0].is_negative
-        assert out[0].part is None and out[0].distance is None
+        props = [_prop(f"p{k}", part, part_box(part, _JOINTS), 1 + k % 9) for k, part in enumerate(PART_ORDER)]
+        assert len(props) == 17
+        assert proposal_part_types(ann, props) == {part: 1 + k % 9 for k, part in enumerate(PART_ORDER)}
 
-    def test_ambiguous_band_is_discarded(self):
+    def test_a_composite_box_covers_its_members_padded(self):
         ann = _annotation()
+        box = part_box("lower_body", _JOINTS)
+        assert box == (34.0, 54.0, 32.0, 42.0)
+        assert proposal_part_types(ann, [_prop("c", "lower_body", box, part_type=6)]) == {"lower_body": 6}
+
+    def test_the_person_box_around_an_atomic_keypoint_gives_no_type(self):
+        """The person box contains the head's keypoint but overlaps the
+        head's own box by only about 0.05."""
+        ann = _annotation()
+        assert box_iou(ann.person_box, part_box("head", _JOINTS)) < OVERLAP_POSITIVE
+        assert proposal_part_types(ann, [_prop("h", "head", ann.person_box, part_type=4)]) == {}
+
+    def test_a_box_at_the_overlap_bound_gives_no_type(self):
+        """l_lower_leg's box is (31, 75, 18, 30): 18 x 21 of it overlaps it
+        by exactly 0.7, 18 x 22 by more."""
+        ann = _annotation()
+        own = part_box("l_lower_leg", _JOINTS)
+        at, above = (31.0, 75.0, 18.0, 21.0), (31.0, 75.0, 18.0, 22.0)
+        assert box_iou(at, own) == OVERLAP_POSITIVE < box_iou(above, own)
+        assert proposal_part_types(ann, [_prop("at", "l_lower_leg", at)]) == {}
+        assert proposal_part_types(ann, [_prop("above", "l_lower_leg", above, 3)]) == {"l_lower_leg": 3}
+
+    def test_another_parts_box_gives_no_type(self):
+        """A proposal names its part: sitting exactly on another part's box
+        types neither part."""
+        ann = _annotation()
+        leg = part_box("l_lower_leg", _JOINTS)
+        assert proposal_part_types(ann, [_prop("h", "head", leg, part_type=5)]) == {}
+
+    def test_the_first_proposal_of_a_part_wins(self):
+        ann = _annotation()
+        head = part_box("head", _JOINTS)
         props = [
-            _prop("mid", 50.0, 30.0, (0, 0, 100, 60)),  # overlap 0.6
-            _prop("lo", 50.0, 25.0, (0, 0, 100, 50)),  # overlap 0.5, lower bound
-            _prop("hi", 50.0, 35.0, (0, 0, 100, 70)),  # overlap 0.7, upper bound
+            _prop("miss", "head", ann.person_box, part_type=1),
+            _prop("a", "head", head, part_type=3),
+            _prop("b", "head", head, part_type=5),
         ]
-        assert label_proposals(ann, props) == []
+        assert proposal_part_types(ann, props) == {"head": 3}
+        assert proposal_part_types(ann, props[::-1]) == {"head": 5}
 
-    def test_exact_keypoint_match(self):
+    def test_a_part_without_a_box_is_refused_naming_the_proposal(self):
         ann = _annotation()
-        out = label_proposals(ann, [_prop("h", 50.0, 10.0, (0, 0, 100, 100), part_type=4)])
-        assert len(out) == 1
-        lp = out[0]
-        assert lp.part == "head"
-        assert lp.part_type == 4
-        assert lp.distance == 0.0
-
-    def test_far_from_every_keypoint_is_dropped(self):
-        ann = _annotation()
-        out = label_proposals(ann, [_prop("far", 2.0, 2.0, (0, 0, 100, 100))])
-        assert out == []
-
-    def test_composite_match_when_box_contains_members(self):
-        ann = _annotation()
-        out = label_proposals(ann, [_prop("c", 50.0, 75.0, (0, 0, 100, 100))])
-        assert [lp.part for lp in out] == ["lower_body"]
-        assert out[0].distance == 0.0
-
-    def test_composite_falls_back_to_nearest_atomic(self):
-        """The nearest keypoint is lower_body's centroid, but the box cuts
-        off the lower legs, so the match falls back to the closest joint."""
-        ann = _annotation()
-        out = label_proposals(ann, [_prop("c", 49.0, 75.0, (0, 0, 100, 84))])
-        assert [lp.part for lp in out] == ["l_upper_leg"]
-
-    def test_order_invariance(self):
-        ann = _annotation()
-        props = [
-            _prop("a", 50.0, 10.0, (0, 0, 100, 100)),
-            _prop("b", 250.0, 50.0, (200, 0, 100, 100)),
-            _prop("c", 50.0, 75.0, (0, 0, 100, 100)),
-        ]
-        fwd = {lp.proposal.id: lp.part for lp in label_proposals(ann, props)}
-        rev = {lp.proposal.id: lp.part for lp in label_proposals(ann, props[::-1])}
-        assert fwd == rev == {"a": "head", "b": None, "c": "lower_body"}
+        props = [_prop("a", "head", part_box("head", _JOINTS)), _prop("t", "tail", (0.0, 0.0, 10.0, 10.0))]
+        message = "proposal 't': part 'tail' is not one of the 17 keypoint parts"
+        with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
+            proposal_part_types(ann, props)
 
 
 def _toy_grammar():
@@ -744,27 +747,16 @@ class TestLearnModels:
             learn_models([ann, ann], grammar, type_samples=[{}])
 
     def test_types_recovered_from_proposal_groups(self, grammar):
-        """Proposals sitting on the joints get labeled and feed the tables."""
+        """Proposals sitting on their own parts' boxes feed the tables."""
         attrs = {a.id: a.domain[0] for a in grammar.attributes}
         anns = [_annotation(attributes=attrs) for _ in range(2)]
-        # One proposal on the head joint, one on the upper-body centroid;
-        # both carry part type 2, so the decomposition edge between them
-        # is observed at cell (2, 2) once per annotation.
-        targets = (("head", _JOINTS["head"]), ("upper", (50.0, 38.75)))
-        groups = []
-        for _ in anns:
-            group = [
-                Proposal(
-                    id=f"g{j}",
-                    part="head",
-                    x=x,
-                    y=y,
-                    part_type=2,
-                    box=(0.0, 0.0, 100.0, 100.0),
-                )
-                for j, (_name, (x, y)) in enumerate(targets)
-            ]
-            groups.append(group)
+        # One proposal on the head's box, one on the upper body's; both
+        # carry part type 2, so the decomposition edge between them is
+        # observed at cell (2, 2) once per annotation.
+        groups = [
+            [_prop(f"g{j}", part, part_box(part, _JOINTS), part_type=2) for j, part in enumerate(("head", "upper_body"))]
+            for _ in anns
+        ]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             types = list(map(proposal_part_types, anns, groups))

@@ -65,6 +65,19 @@ def test_only_appearance_rebuilds_proposals():
     assert _calls_outside_appearance("proposals_for") == []
 
 
+def test_only_synthetic_reads_the_part_box_sizes():
+    """The part-box rule has one implementation, ``synthetic.part_box``:
+    no other module reads ``PART_BOX_SIZES``."""
+    offenders = []
+    for path in sorted(Path(posegrammar.__file__).parent.glob("*.py")):
+        if path.name == "synthetic.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if "PART_BOX_SIZES" in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
 def _functions(module: str) -> dict[str, ast.FunctionDef]:
     tree = ast.parse((Path(posegrammar.__file__).parent / module).read_text(encoding="utf-8"))
     return {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
