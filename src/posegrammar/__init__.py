@@ -21,7 +21,6 @@ from .appearance import (
 )
 from .errors import (
     DegenerateDataError,
-    EnumerationLimitError,
     InfeasibleParseError,
     MissingEntryError,
     PoseGrammarError,
@@ -56,7 +55,6 @@ from .grammar import (
 from .inference import (
     BeamConfig,
     attribute_scores,
-    brute_force_parse,
     parse_constrained,
     parse_unconstrained,
     select_final,
@@ -82,7 +80,6 @@ from .relations import (
     SyntacticTable,
     load_models,
     save_models,
-    uniform_syntactic_table,
 )
 from .render import render_svg, save_svg
 from .synthetic import (
@@ -107,7 +104,6 @@ __all__ = [
     "DEFAULT_DG_EDGES",
     "DegenerateDataError",
     "DiagnosticConfig",
-    "EnumerationLimitError",
     "GrammarNode",
     "InfeasibleParseError",
     "JointObs",
@@ -129,7 +125,6 @@ __all__ = [
     "ValidationError",
     "attribute_scores",
     "average_precision",
-    "brute_force_parse",
     "build_default_human_grammar",
     "default_attributes",
     "default_sticks",
@@ -165,5 +160,4 @@ __all__ = [
     "strict_pcp",
     "synth_scores",
     "two_person_scene",
-    "uniform_syntactic_table",
 ]

@@ -227,6 +227,8 @@ def _cmd_eval_pcp(opts: dict) -> int:
     hits: dict[int, list[int]] = {s.index: [0, 0] for s in sticks}
     for path, ann in zip(files, annotations):
         pg = load_parse_graph(path, grammar)
+        if not evaluation.evaluable_sticks(ann, sticks):
+            continue
         result = evaluation.strict_pcp(pg, ann, sticks, threshold=threshold)
         for index, ok in result.per_stick.items():
             hits[index][0] += int(ok)

@@ -24,9 +24,5 @@ class InfeasibleParseError(PoseGrammarError):
     """A part in the expansion order has no proposals to choose from."""
 
 
-class EnumerationLimitError(PoseGrammarError):
-    """Exhaustive search refused: the combination count exceeds the guard."""
-
-
 class DegenerateDataError(PoseGrammarError, ValueError):
     """Too little data to fit the requested model."""

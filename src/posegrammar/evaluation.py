@@ -53,6 +53,21 @@ class PcpResult:
     mean: float
 
 
+def evaluable_sticks(truth: Annotation, sticks: Sequence[Stick]) -> list[Stick]:
+    """The sticks whose two ground-truth endpoints are both visible in
+    ``truth``, the ones strict PCP scores.  A stick endpoint ``truth`` has
+    no joint for is refused naming it."""
+    evaluable = []
+    for stick in sticks:
+        try:
+            ja, jb = truth.joints[stick.a], truth.joints[stick.b]
+        except KeyError as exc:
+            raise MissingEntryError(f"annotation misses a joint for stick endpoint {exc.args[0]!r}") from None
+        if ja.visible and jb.visible:
+            evaluable.append(stick)
+    return evaluable
+
+
 def strict_pcp(
     pred: ParseGraph,
     truth: Annotation,
@@ -64,19 +79,15 @@ def strict_pcp(
     A stick counts as correct only if both predicted endpoints fall
     within ``threshold`` times the ground-truth stick length of their
     ground-truth positions.  Sticks with an invisible ground-truth
-    endpoint are excluded from the denominator.
+    endpoint are excluded from the denominator; an annotation with no
+    :func:`evaluable_sticks` is refused.
     """
     threshold = argument("threshold", threshold, number)
     if threshold <= 0.0:
         raise ValidationError(f"threshold must be positive, got {threshold}")
     per_stick: dict[int, bool] = {}
-    for stick in sticks:
-        try:
-            ja, jb = truth.joints[stick.a], truth.joints[stick.b]
-        except KeyError as exc:
-            raise MissingEntryError(f"annotation misses a joint for stick endpoint {exc.args[0]!r}") from None
-        if not (ja.visible and jb.visible):
-            continue
+    for stick in evaluable_sticks(truth, sticks):
+        ja, jb = truth.joints[stick.a], truth.joints[stick.b]
         try:
             pa, pb = pred.states[stick.a], pred.states[stick.b]
         except KeyError as exc:

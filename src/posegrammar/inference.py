@@ -32,7 +32,7 @@ displacement table evaluates the edge's mixture log-density on the grid
 of child-minus-parent ``xy`` offsets.  A row is computed the first time a
 search reads it.  The tables are the only thing cached per
 :class:`ProposalSet` (weakly, so a dropped set frees them), kept per
-relation model, so every objective and the oracle read the same numbers.
+relation model, so every objective of every search reads the same numbers.
 
 A beam step is one (K, B, N) numpy sum: each survivor's score plus the
 appearance row of its objective, then each closing table's row in plan
@@ -50,11 +50,6 @@ are kept as one (K, B) column, re-gathered through each step's parent
 pointers until its last reader; after the last step each objective's
 best survivor, its first maximum, is decoded backwards through the
 pointers.  Every gather in a step is one flat ``take``.
-
-:func:`brute_force_parse` enumerates the full proposal lattice and reads
-the same tables through the same sum, at K=1, so on small instances a
-wide-enough beam must match it exactly; it is the testing oracle, guarded
-against blowup.
 """
 
 from __future__ import annotations
@@ -67,16 +62,10 @@ from typing import Mapping
 import numpy as np
 
 from .appearance import Bucket, ProposalSet
-from .errors import (
-    EnumerationLimitError,
-    InfeasibleParseError,
-    ValidationError,
-)
+from .errors import InfeasibleParseError, ValidationError
 from .grammar import AOGrammar, AttrId, NodeId, ParseGraph, PartState, parents_first
 from .jsonio import check_fields, count, record
 from .relations import AttributeAssociation, Edge, RelationModels, SyntacticTable
-
-COMBINATION_GUARD = 10_000_000
 
 
 @dataclass(frozen=True, slots=True)
@@ -224,7 +213,8 @@ def _extend(step: _Step, score: np.ndarray, cols) -> np.ndarray:
     position ``p``, for every parent position of ``step``'s closings.
 
     The appearance term is added first, then each closing table's row in
-    plan order; the beam and the oracle (at K=1) both use this one sum.
+    plan order; the beam, and at K=1 the exhaustive oracle under ``tests/``,
+    both use this one sum.
     Table rows are gathered once for all K*B prefixes.  A sum that
     overflows is refused here; the searches silence numpy's warning.
     """
@@ -351,56 +341,6 @@ def parse_unconstrained(
 ) -> ParseGraph:
     """Best parse with every part free to pick its own attribute values."""
     [pg] = _search(grammar, models, pset, [{}], cfg)
-    return pg
-
-
-def brute_force_parse(
-    grammar: AOGrammar,
-    models: RelationModels,
-    pset: ProposalSet,
-    assignment: Mapping[AttrId, str],
-) -> ParseGraph:
-    """Exact argmax under the attribute ``assignment`` (``{}`` is
-    unconstrained) by exhaustive enumeration; the testing oracle.
-
-    Refuses instances whose proposal lattice exceeds ``COMBINATION_GUARD``
-    combinations.  Reads the beam's relation tables through the same sum,
-    and breaks ties on the tuple of proposal ids as the beam does, so a
-    beam covering the full lattice reproduces its result bit for bit.
-    """
-    steps = _prepare(grammar, models, pset, [assignment])
-
-    total = 1
-    for step in steps:
-        total *= len(step.bucket.ids)
-        if total > COMBINATION_GUARD:
-            raise EnumerationLimitError(
-                f"{total}+ proposal combinations exceed the guard of {COMBINATION_GUARD}"
-            )
-
-    n = len(steps)
-    best: list = [None]
-
-    def descend(si: int, scores: list, idkeys: list, idxs: list) -> None:
-        """Visit every completion of sibling prefixes that ground ``si`` parts."""
-        if si == n:
-            for score, idkey, ix in zip(scores, idkeys, idxs):
-                key = (-score, idkey)
-                if best[0] is None or key < best[0][0]:
-                    best[0] = (key, score, ix)
-            return
-        # The prefixes' proposal indices, one (1, B) column per step position.
-        cols = np.array(idxs).T[:, None]
-        sums = _extend(steps[si], np.array([scores]), cols)[0].tolist()
-        ids = steps[si].bucket.ids
-        for row, idkey, ix in zip(sums, idkeys, idxs):
-            descend(si + 1, row, [idkey + (i,) for i in ids], [ix + (j,) for j in range(len(ids))])
-
-    ids = steps[0].bucket.ids
-    with np.errstate(over="ignore"):
-        descend(1, steps[0].app[0].tolist(), [(i,) for i in ids], [(j,) for j in range(len(ids))])
-    _key, score, idxs = best[0]
-    [pg] = _build_parse_graphs(steps, [assignment], [(score, idxs)])
     return pg
 
 

@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import MissingEntryError, ValidationError
-from .grammar import DEFAULT_PART_TYPE_COUNT, AOGrammar, AttrId, NodeId
+from .grammar import DEFAULT_PART_TYPE_COUNT, AttrId, NodeId
 from .jsonio import SCHEMA_VERSION, read_json, schema_version, write_json
 from .jsonio import argument, array, count, mapping, number, optional, record, text
 
@@ -89,14 +89,6 @@ class SyntacticTable:
                 f"part types must lie in 1..{t}, got ({t_parent}, {t_child})"
             )
         return float(mat[t_parent - 1, t_child - 1])
-
-
-def uniform_syntactic_table(
-    edges: Iterable[Edge], part_type_count: int = DEFAULT_PART_TYPE_COUNT
-) -> SyntacticTable:
-    t = part_type_count
-    mat = np.full((t, t), 1.0 / (t * t))
-    return SyntacticTable({tuple(e): mat.copy() for e in edges}, part_type_count=t)
 
 
 @dataclass(frozen=True)
@@ -376,36 +368,6 @@ class AttributeAssociation:
         if attr not in self.attr_ids:
             raise MissingEntryError(f"unknown attribute {attr!r}")
         return attr in self.attrs_for(part)
-
-
-def full_association(grammar: AOGrammar) -> AttributeAssociation:
-    """Associate every part with every attribute (trivially closed)."""
-    attr_ids = tuple(a.id for a in grammar.attributes)
-    return AttributeAssociation(
-        {p: attr_ids for p in grammar.part_ids}, attr_ids=attr_ids
-    )
-
-
-def validate_association(assoc: AttributeAssociation, grammar: AOGrammar) -> list[str]:
-    """Parts missing entries and ancestor-closure violations, empty when
-    there are none: the list is truthy when there *are* violations."""
-    report: list[str] = []
-    for part in grammar.part_ids:
-        if part not in assoc.parts:
-            report.append(f"association misses grammar part {part!r}")
-    for part, attrs in assoc.parts.items():
-        if not grammar.has_node(part):
-            report.append(f"association names unknown part {part!r}")
-            continue
-        for ancestor in grammar.psg_ancestors(part):
-            if ancestor not in assoc.parts:
-                continue
-            missing = attrs - assoc.parts[ancestor]
-            if missing:
-                report.append(
-                    f"ancestor {ancestor!r} of {part!r} misses attributes {sorted(missing)}"
-                )
-    return report
 
 
 @dataclass

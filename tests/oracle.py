@@ -1,0 +1,85 @@
+"""Reference code the tests check the package against.
+
+:func:`brute_force_parse` enumerates the full proposal lattice and reads
+the beam's relation tables through the beam's own sum
+(:func:`posegrammar.inference._extend`), at K=1, so on small instances a
+wide-enough beam must match it exactly; it is the testing oracle, guarded
+against blowup.  :func:`uniform_syntactic_table` builds the co-occurrence
+model that puts equal mass on every pair of part types.
+"""
+
+from __future__ import annotations
+
+from typing import Iterable, Mapping
+
+import numpy as np
+
+from posegrammar.appearance import ProposalSet
+from posegrammar.errors import PoseGrammarError
+from posegrammar.grammar import DEFAULT_PART_TYPE_COUNT, AOGrammar, AttrId, ParseGraph
+from posegrammar.inference import _build_parse_graphs, _extend, _prepare
+from posegrammar.relations import Edge, RelationModels, SyntacticTable
+
+COMBINATION_GUARD = 10_000_000
+
+
+class EnumerationLimitError(PoseGrammarError):
+    """Exhaustive search refused: the combination count exceeds the guard."""
+
+
+def brute_force_parse(
+    grammar: AOGrammar,
+    models: RelationModels,
+    pset: ProposalSet,
+    assignment: Mapping[AttrId, str],
+) -> ParseGraph:
+    """Exact argmax under the attribute ``assignment`` (``{}`` is
+    unconstrained) by exhaustive enumeration; the testing oracle.
+
+    Refuses instances whose proposal lattice exceeds ``COMBINATION_GUARD``
+    combinations.  Reads the beam's relation tables through the same sum,
+    and breaks ties on the tuple of proposal ids as the beam does, so a
+    beam covering the full lattice reproduces its result bit for bit.
+    """
+    steps = _prepare(grammar, models, pset, [assignment])
+
+    total = 1
+    for step in steps:
+        total *= len(step.bucket.ids)
+        if total > COMBINATION_GUARD:
+            raise EnumerationLimitError(
+                f"{total}+ proposal combinations exceed the guard of {COMBINATION_GUARD}"
+            )
+
+    n = len(steps)
+    best: list = [None]
+
+    def descend(si: int, scores: list, idkeys: list, idxs: list) -> None:
+        """Visit every completion of sibling prefixes that ground ``si`` parts."""
+        if si == n:
+            for score, idkey, ix in zip(scores, idkeys, idxs):
+                key = (-score, idkey)
+                if best[0] is None or key < best[0][0]:
+                    best[0] = (key, score, ix)
+            return
+        # The prefixes' proposal indices, one (1, B) column per step position.
+        cols = np.array(idxs).T[:, None]
+        sums = _extend(steps[si], np.array([scores]), cols)[0].tolist()
+        ids = steps[si].bucket.ids
+        for row, idkey, ix in zip(sums, idkeys, idxs):
+            descend(si + 1, row, [idkey + (i,) for i in ids], [ix + (j,) for j in range(len(ids))])
+
+    ids = steps[0].bucket.ids
+    with np.errstate(over="ignore"):
+        descend(1, steps[0].app[0].tolist(), [(i,) for i in ids], [(j,) for j in range(len(ids))])
+    _key, score, idxs = best[0]
+    [pg] = _build_parse_graphs(steps, [assignment], [(score, idxs)])
+    return pg
+
+
+def uniform_syntactic_table(
+    edges: Iterable[Edge], part_type_count: int = DEFAULT_PART_TYPE_COUNT
+) -> SyntacticTable:
+    t = part_type_count
+    mat = np.full((t, t), 1.0 / (t * t))
+    return SyntacticTable({tuple(e): mat.copy() for e in edges}, part_type_count=t)

@@ -33,7 +33,6 @@ from posegrammar.grammar import (
 )
 from posegrammar.inference import (
     BeamConfig,
-    brute_force_parse,
     parse_constrained,
     parse_unconstrained,
     select_final,
@@ -53,6 +52,8 @@ from posegrammar.relations import (
     SyntacticTable,
 )
 from posegrammar.synthetic import generate_family, two_person_scene
+
+from oracle import brute_force_parse
 
 # -- shared toy world: 5 parts, up to 4 proposals each -------------------------
 

@@ -29,7 +29,7 @@ from posegrammar.appearance import (
 from posegrammar.errors import MissingEntryError, ValidationError
 from posegrammar.jsonio import number, read_json_lines
 from posegrammar.grammar import AttributeDef, default_attributes
-from posegrammar.synthetic import single_person_scene, two_person_scene
+from posegrammar.synthetic import Person, SyntheticScene, single_person_scene, two_person_scene
 
 SMALL_ATTRS = (
     AttributeDef("gender", "gender", ("male", "female")),
@@ -304,6 +304,13 @@ class TestSynthScores:
         extra = SMALL_ATTRS + (AttributeDef("age", "age", ("youth", "adult")),)
         with pytest.raises(ValidationError, match="no value for attribute 'age'"):
             synth_scores(scene, noise_sigma=0.0, rng_seed=0, attr_defs=extra)
+
+    def test_person_value_outside_the_domain(self):
+        scene = single_person_scene(seed=3)
+        [person] = scene.persons
+        robot = Person(person.joints, {**person.attributes, "gender": "robot"})
+        with pytest.raises(ValidationError, match="^person 0: value 'robot' outside domain of 'gender'$"):
+            synth_scores(SyntheticScene((robot,), scene.image_size), noise_sigma=0.0, rng_seed=0)
 
     def test_person_with_undeclared_attribute(self):
         scene = single_person_scene(seed=3)

@@ -22,7 +22,7 @@ import posegrammar
 from posegrammar.appearance import save_proposals, synth_scores
 from posegrammar.cli import cli_dispatch
 from posegrammar.errors import MissingEntryError, ValidationError
-from posegrammar.evaluation import default_sticks, strict_pcp
+from posegrammar.evaluation import default_sticks, evaluable_sticks, strict_pcp
 from posegrammar.grammar import (
     ParseGraph,
     PartState,
@@ -31,7 +31,14 @@ from posegrammar.grammar import (
     part_keypoints,
     save_parse_graph,
 )
-from posegrammar.learning import displacement_samples, learn_models, load_annotations, save_annotations
+from posegrammar.learning import (
+    Annotation,
+    JointObs,
+    displacement_samples,
+    learn_models,
+    load_annotations,
+    save_annotations,
+)
 from posegrammar.relations import load_models
 from posegrammar.synthetic import load_scene, part_box, two_person_scene
 
@@ -823,6 +830,39 @@ class TestEvalPcp:
         assert err[0].startswith(f"error: {where}: ")
         assert _non_finite_problem(token, "states[0].x" if which == "pred" else "joints.head[0]") in err[0]
         assert not report_path.exists()
+
+    def test_an_annotation_with_no_evaluable_stick_is_skipped(self, pipeline, tmp_path):
+        """The second annotation's only visible joint is the torso, so none
+        of its sticks has two visible endpoints: its file is skipped and the
+        first one's sticks still count.  A corpus of only such annotations
+        reports a null mean."""
+        grammar = load_grammar(pipeline["grammar"])
+        sticks = default_sticks(grammar)
+        first = load_annotations(pipeline["annotations"])[0]
+        joints = {p: JointObs(j.x, j.y, p == "torso") for p, j in first.joints.items()}
+        torso_only = Annotation(joints, first.person_box, first.attributes)
+        assert evaluable_sticks(first, sticks) and evaluable_sticks(torso_only, sticks) == []
+        pred = tmp_path / "pred"
+        pred.mkdir()
+        pts = part_keypoints({p: (j.x, j.y) for p, j in first.joints.items()})
+        pg = ParseGraph({p: PartState(p, x, y, 1, f"t.{p}") for p, (x, y) in pts.items()}, {}, 0.0)
+        for name in ("a.json", "b.json"):
+            save_parse_graph(pg, str(pred / name), grammar)
+
+        def report(annotations):
+            truth, out = tmp_path / "truth.jsonl", tmp_path / "report.json"
+            save_annotations(annotations, str(truth))
+            argv = ["eval-pcp", "--pred", str(pred), "--truth", str(truth), "--grammar", pipeline["grammar"]]
+            assert cli_dispatch(argv + ["--report", str(out)]) == 0
+            return _read_json(out)
+
+        scored = strict_pcp(pg, first, sticks).per_stick
+        both = report([first, torso_only])
+        assert both["mean_pcp"] == 1.0 and both["n_pairs"] == 2
+        assert both["per_stick"] == {str(s.index): (1.0 if s.index in scored else None) for s in sticks}
+        neither = report([torso_only, torso_only])
+        assert neither["mean_pcp"] is None and neither["n_pairs"] == 2
+        assert set(neither["per_stick"].values()) == {None}
 
     def test_count_mismatch_exits_one(self, pipeline, tmp_path, capsys):
         pred = tmp_path / "pred"

@@ -46,7 +46,7 @@ from posegrammar.grammar import (
 )
 from posegrammar.inference import BeamConfig
 from posegrammar.learning import Annotation, JointObs
-from posegrammar.relations import AttributeAssociation, RelationModels, full_association
+from posegrammar.relations import AttributeAssociation, RelationModels
 from posegrammar.synthetic import generate_family, single_person_scene
 
 _JOINTS = {
@@ -450,7 +450,7 @@ class TestRunDiagnostic:
         """The pose is still scored; accuracy, like mean AP, has nothing to
         average and reads None."""
         bare = build_default_human_grammar(attr_defs=())
-        models = RelationModels(quick_models.syntactic, quick_models.kinematic, full_association(bare))
+        models = RelationModels(quick_models.syntactic, quick_models.kinematic, AttributeAssociation({p: () for p in bare.part_ids}, ()))
         scenes = generate_family("single", 2, seed=0, attr_defs=())
         report = run_diagnostic(scenes, self._config(bare, models), modes=("no-attribute", "no-pose"))
         for mode, entry in report["modes"].items():
@@ -462,7 +462,7 @@ class TestRunDiagnostic:
         """The refusal names the joint parse and the grammar, not a
         function the caller never called."""
         bare = build_default_human_grammar(attr_defs=())
-        models = RelationModels(quick_models.syntactic, quick_models.kinematic, full_association(bare))
+        models = RelationModels(quick_models.syntactic, quick_models.kinematic, AttributeAssociation({p: () for p in bare.part_ids}, ()))
         scenes = generate_family("single", 1, seed=0, attr_defs=())
         with pytest.raises(ValidationError) as refused:
             run_diagnostic(scenes, self._config(bare, models), modes=("joint",))

@@ -21,12 +21,7 @@ from hypothesis import strategies as st
 from posegrammar import inference
 from posegrammar.appearance import Proposal, ProposalSet, ScoreTable, save_proposals, synth_scores
 from posegrammar.cli import cli_dispatch
-from posegrammar.errors import (
-    EnumerationLimitError,
-    InfeasibleParseError,
-    MissingEntryError,
-    ValidationError,
-)
+from posegrammar.errors import InfeasibleParseError, MissingEntryError, ValidationError
 from posegrammar.grammar import (
     AOGrammar,
     AttributeDef,
@@ -49,7 +44,6 @@ from posegrammar.inference import (
     _Step,
     _Table,
     attribute_scores,
-    brute_force_parse,
     default_expansion_order,
     parse_constrained,
     parse_unconstrained,
@@ -62,9 +56,10 @@ from posegrammar.relations import (
     RelationModels,
     SyntacticTable,
     save_models,
-    uniform_syntactic_table,
 )
 from posegrammar.synthetic import two_person_scene
+
+from oracle import EnumerationLimitError, brute_force_parse, uniform_syntactic_table
 
 _PROPERTY_ATTRIBUTE = (AttributeDef("c", "c", ("u", "v")),)
 
@@ -201,6 +196,16 @@ class TestBeamMatchesBruteForce:
         assert beam.total_score == oracle.total_score
         assert beam.states == oracle.states
         assert beam.attribute_assignment == {}
+
+    def test_the_oracle_is_not_a_narrow_beam(self):
+        """On this lattice a width-1 beam prunes the best parse: the oracle's
+        total is strictly above the beam's, so the oracle searches more
+        than the beam it checks."""
+        g, models, pset = _toy_world(1)
+        oracle = brute_force_parse(g, models, pset, {})
+        narrow = parse_unconstrained(g, models, pset, BeamConfig(beam_width=1))
+        assert oracle.total_score > narrow.total_score
+        assert _ids(oracle) != _ids(narrow)
 
     def test_parse_grounds_every_grammar_part(self):
         g, models, pset = _toy_world(1)
@@ -1084,6 +1089,18 @@ class TestOverflow:
         g, models, pset = self._huge()
         with pytest.raises(ValidationError, match="^" + re.escape(self._MESSAGE) + "$"):
             brute_force_parse(g, models, pset, {})
+
+    def test_recompute_score(self):
+        """A parse over the huge proposals, rescored from scratch, sums past
+        the float range and is refused."""
+        g, models, pset = self._huge()
+        states = {}
+        for part in ("root", "a", "b"):
+            p = pset.proposals_for(part)[0]
+            states[part] = PartState(part, p.x, p.y, p.part_type, p.id)
+        pg = ParseGraph(states, {"c": "u"}, 0.0)
+        with pytest.raises(ValidationError, match="^recomputed parse graph score is not finite$"):
+            recompute_score(pg, g, models, pset.scores)
 
 
 class TestReadoutOverflow:

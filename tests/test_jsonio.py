@@ -50,10 +50,11 @@ from posegrammar.relations import (
     SyntacticTable,
     load_models,
     save_models,
-    uniform_syntactic_table,
 )
 from posegrammar.synthetic import Person, SyntheticScene, generate_family, load_scene, single_person_scene
 from posegrammar.synthetic import two_person_scene
+
+from oracle import uniform_syntactic_table
 
 _PROPOSAL = {"id": "p1", "part": "head", "x": 0.0, "y": 0.0, "part_type": 1, "box": [0, 0, 5, 5]}
 _ANNOTATION = {"joints": {p: [1.0, 2.0, True] for p in ATOMIC_PARTS}, "person_box": [0, 0, 10, 10]}
@@ -78,7 +79,11 @@ LINE_READERS = {
     "proposals": (load_proposals, _PROPOSAL),
     "proposal-groups": (partial(read_json_lines, build=cli._proposal_group), [_PROPOSAL]),
 }
-DEFECTS = {"nan": ('{"a": NaN}', "non-finite JSON constant 'NaN'"), "truncated": ('{"a": [1', "invalid JSON")}
+DEFECTS = {
+    "nan": ('{"a": NaN}', "non-finite JSON constant 'NaN'"),
+    "truncated": ('{"a": [1', "invalid JSON"),
+    "trailing": ('{"a": 1} x', "invalid JSON: Extra data: line 1 column 10 (char 9)"),
+}
 
 
 @pytest.mark.parametrize("defect", sorted(DEFECTS))

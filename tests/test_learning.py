@@ -18,9 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
-from posegrammar.appearance import PART_ORDER, Proposal
+from posegrammar.appearance import PART_ORDER, Proposal, synth_scores
 from posegrammar.errors import DegenerateDataError, MissingEntryError, ValidationError
-from posegrammar.evaluation import make_training_pairs
+from posegrammar.evaluation import annotation_from_person, make_training_pairs
 from posegrammar.grammar import (
     ATOMIC_PARTS,
     AOGrammar,
@@ -45,8 +45,8 @@ from posegrammar.learning import (
     proposal_part_types,
     save_annotations,
 )
-from posegrammar.relations import COV_EIG_FLOOR, validate_association
-from posegrammar.synthetic import part_box
+from posegrammar.relations import COV_EIG_FLOOR
+from posegrammar.synthetic import generate_family, part_box
 
 # A spread-out pose on a 100 x 100 person box, used by the part-type
 # fixtures below.  Member centroids: upper_body (50, 38.75),
@@ -198,6 +198,21 @@ class TestProposalPartTypes:
         ]
         assert proposal_part_types(ann, props) == {"head": 3}
         assert proposal_part_types(ann, props[::-1]) == {"head": 5}
+
+    @pytest.mark.parametrize("index", range(8))
+    def test_a_distractors_proposals_type_none_of_the_targets_parts(self, index):
+        """A two-person scene's distractor stands beside the target: against
+        the target's annotation its proposals alone give no type, and listed
+        first they leave the target's own 17 types."""
+        scene = generate_family("two-person", 8, seed=7)[index]
+        pset = synth_scores(scene, 0.0, index)
+        listed = [p for part in pset.buckets for p in pset.proposals_for(part)]
+        target = [p for p in listed if p.id.startswith("p0.")]
+        distractor = [p for p in listed if p.id.startswith("p1.")]
+        assert len(target) == len(distractor) == 17
+        ann = annotation_from_person(scene.persons[0])
+        assert proposal_part_types(ann, distractor) == {}
+        assert proposal_part_types(ann, distractor + target) == {p.part: p.part_type for p in target}
 
     def test_a_part_without_a_box_is_refused_naming_the_proposal(self):
         ann = _annotation()
@@ -444,6 +459,10 @@ _HELD_OUT_MEAN_LOG_DENSITY = {
 
 
 class TestFitKinematic:
+    def test_no_edges_fit_an_empty_model(self):
+        model = fit_kinematic({})
+        assert model.mixtures == {} and model.fit_traces == {}
+
     @pytest.mark.parametrize("case", ["three-clusters", "empty-component"])
     def test_batched_fit_matches_the_per_component_reference(self, case):
         """Same iteration count, and parameters within 1e-9 of each
@@ -729,7 +748,9 @@ class TestLearnModels:
     def test_full_fit_from_type_samples(self, grammar, quick_models):
         assert set(quick_models.syntactic.tables) == set(grammar.psg_edges)
         assert set(quick_models.kinematic.mixtures) == set(grammar.dg_edges)
-        assert validate_association(quick_models.association, grammar) == []
+        parts = quick_models.association.parts
+        assert set(parts) == set(grammar.part_ids)
+        assert all(parts[p] <= parts[a] for p in grammar.part_ids for a in grammar.psg_ancestors(p))
         assert quick_models.part_type_count == grammar.part_type_count
 
     def test_a_negative_seed_is_refused_naming_it(self, grammar):

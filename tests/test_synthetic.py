@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from posegrammar.errors import ValidationError
-from posegrammar.grammar import ATOMIC_PARTS, part_keypoints
+from posegrammar.grammar import ATOMIC_PARTS, AttributeDef, part_keypoints
 from posegrammar.synthetic import (
     CANONICAL_POSE,
     Person,
@@ -116,6 +116,14 @@ class TestGenerators:
         for seed in range(30):
             scene = two_person_scene(seed=seed)
             assert scene.persons[0].attributes != scene.persons[1].attributes
+
+    def test_two_persons_drawing_the_same_value_are_moved_apart(self):
+        """With one two-valued attribute the two draws agree on about half
+        the seeds; the distractor then takes the other value."""
+        coin = (AttributeDef("coin", "coin", ("heads", "tails")),)
+        for seed in range(20):
+            target, distractor = two_person_scene(seed, attr_defs=coin).persons
+            assert {target.attributes["coin"], distractor.attributes["coin"]} == {"heads", "tails"}
 
     def test_two_person_scene_without_attributes(self):
         """With no attributes the two persons agree on all of none; there is
