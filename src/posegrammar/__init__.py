@@ -1,7 +1,7 @@
 """Attributed and-or grammar engine for human pose and attribute parsing.
 
-The package models a person as a part hierarchy (an and-graph whose
-terminals are body parts and whose or-alternatives are part types),
+The package models a person as a part hierarchy (an and-graph with
+body parts as terminals and part types as or-alternatives),
 attaches attribute variables to the nodes, and scores candidate body
 configurations with three relation models:
 part-type co-occurrence along decomposition edges, displacement mixture

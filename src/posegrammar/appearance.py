@@ -147,18 +147,13 @@ class ScoreTable:
             where = f" (part {part!r})" if part else ""
             raise MissingEntryError(f"no scores for proposal {exc.args[0]!r}{where}") from None
 
-    def column(self, attr: AttrId, value: str, whose: str = "the score table") -> int:
-        """The column of ``attr=value``; an error says ``whose`` lacks it."""
+    def column(self, attr: AttrId, value: str) -> int:
+        """The column of ``attr=value``."""
         if (attr, value) in self._columns:
             return self._columns[attr, value]
         if any(a == attr for a, _v in self._columns):
-            raise MissingEntryError(f"{whose} has no score for {attr!r}={value!r}")
-        raise MissingEntryError(f"{whose} has no scores for attribute {attr!r}")
-
-    def lookup(self, pid: str, attr: AttrId, value: str, part: NodeId | None = None) -> float:
-        [row] = self.rows([pid], part)
-        where = f" (part {part!r})" if part else ""
-        return float(self.values[row, self.column(attr, value, f"proposal {pid!r}{where}")])
+            raise MissingEntryError(f"the score table has no score for {attr!r}={value!r}")
+        raise MissingEntryError(f"the score table has no scores for attribute {attr!r}")
 
     def appearance(
         self, rows: np.ndarray, attributes: Sequence[AttributeDef], assignment: Mapping[AttrId, str]
@@ -345,7 +340,7 @@ def load_proposals(path: str, *, part_type_count: int = DEFAULT_PART_TYPE_COUNT)
     (attribute, value) pairs, to one flat list, and the document is
     dropped.  After the last line each field is checked as one column and
     the score grid is built from the cells.  A file that fails a check,
-    or whose ids repeat, is read again line by line to find the error:
+    or that repeats an id, is read again line by line to find the error:
     it names ``path:line`` of the first line at fault, in the words a
     check of that line alone uses, except the score grid's, which names
     ``path`` and the proposal.
@@ -472,7 +467,7 @@ def synth_scores(
     sigma ``noise_sigma`` (a number >= 0).  The first person's parts all
     show that person's true values, so with zero noise the true value is
     strictly highest at every one of its parts.  Later persons mimic
-    off-center people whose per-part attribute evidence is corrupted: each
+    off-center people with corrupted per-part attribute evidence: each
     (part, attribute) shows the person's true value with probability
     ``DISTRACTOR_COHERENCE`` and an independently drawn domain value
     otherwise, so no single value fits all of their parts at once.  A

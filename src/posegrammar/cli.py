@@ -17,6 +17,7 @@ import math
 import os
 import sys
 import warnings
+from contextlib import contextmanager
 from typing import Sequence
 
 from . import evaluation, learning, relations, synthetic
@@ -113,6 +114,16 @@ class _UsageError(Exception):
     pass
 
 
+@contextmanager
+def _naming(path: str):
+    """Put ``path`` in front of a library error raised inside, as the file
+    readers do for the files they read."""
+    try:
+        yield
+    except PoseGrammarError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
+
+
 # -- subcommand bodies --------------------------------------------------------
 
 
@@ -192,6 +203,8 @@ def _parse_mode(mode: str) -> tuple[str, str | None, str | None]:
 def _cmd_parse(opts: dict) -> int:
     _require(opts, "grammar", "models", "proposals", "out")
     mode, attr, value = _parse_mode(opts["mode"])
+    if mode != "joint" and opts.get("scores_out"):
+        raise _UsageError(f"--scores-out needs --mode joint, got --mode {opts['mode']!r}")
     grammar = load_grammar(opts["grammar"])
     if mode == "constrained":
         check_assignment(grammar, {attr: value})
@@ -215,6 +228,7 @@ def _cmd_parse(opts: dict) -> int:
 
 def _cmd_eval_pcp(opts: dict) -> int:
     _require(opts, "pred", "truth", "grammar")
+    threshold = evaluation._pcp_threshold(opts["threshold"])
     grammar = load_grammar(opts["grammar"])
     annotations = learning.load_annotations(opts["truth"])
     files = _json_files(opts["pred"])
@@ -223,13 +237,13 @@ def _cmd_eval_pcp(opts: dict) -> int:
             f"{len(files)} prediction files for {len(annotations)} annotations"
         )
     sticks = evaluation.default_sticks(grammar)
-    threshold = opts["threshold"]
     hits: dict[int, list[int]] = {s.index: [0, 0] for s in sticks}
     for path, ann in zip(files, annotations):
         pg = load_parse_graph(path, grammar)
         if not evaluation.evaluable_sticks(ann, sticks):
             continue
-        result = evaluation.strict_pcp(pg, ann, sticks, threshold=threshold)
+        with _naming(path):
+            result = evaluation.strict_pcp(pg, ann, sticks, threshold=threshold)
         for index, ok in result.per_stick.items():
             hits[index][0] += int(ok)
             hits[index][1] += 1
@@ -297,7 +311,8 @@ def _cmd_render(opts: dict) -> int:
     _require(opts, "parse", "grammar", "out")
     grammar = load_grammar(opts["grammar"])
     pg = load_parse_graph(opts["parse"], grammar)
-    save_svg(pg, grammar, opts["out"])
+    with _naming(opts["parse"]):
+        save_svg(pg, grammar, opts["out"])
     _info(f"wrote {opts['out']}")
     return 0
 

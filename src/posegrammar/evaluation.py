@@ -54,7 +54,7 @@ class PcpResult:
 
 
 def evaluable_sticks(truth: Annotation, sticks: Sequence[Stick]) -> list[Stick]:
-    """The sticks whose two ground-truth endpoints are both visible in
+    """The sticks with both ground-truth endpoints visible in
     ``truth``, the ones strict PCP scores.  A stick endpoint ``truth`` has
     no joint for is refused naming it."""
     evaluable = []
@@ -66,6 +66,15 @@ def evaluable_sticks(truth: Annotation, sticks: Sequence[Stick]) -> list[Stick]:
         if ja.visible and jb.visible:
             evaluable.append(stick)
     return evaluable
+
+
+def _pcp_threshold(threshold) -> float:
+    """``threshold`` read as a float once it is a positive number: the
+    rule :func:`strict_pcp` holds its threshold to."""
+    threshold = argument("threshold", threshold, number)
+    if threshold <= 0.0:
+        raise ValidationError(f"threshold must be positive, got {threshold}")
+    return threshold
 
 
 def strict_pcp(
@@ -82,9 +91,7 @@ def strict_pcp(
     endpoint are excluded from the denominator; an annotation with no
     :func:`evaluable_sticks` is refused.
     """
-    threshold = argument("threshold", threshold, number)
-    if threshold <= 0.0:
-        raise ValidationError(f"threshold must be positive, got {threshold}")
+    threshold = _pcp_threshold(threshold)
     per_stick: dict[int, bool] = {}
     for stick in evaluable_sticks(truth, sticks):
         ja, jb = truth.joints[stick.a], truth.joints[stick.b]
@@ -141,8 +148,8 @@ def average_precision(scores: Sequence[float], labels: Sequence[int]) -> float:
 
 # -- synthetic annotation corpus ---------------------------------------------
 
-# Atomic parts whose visibility governs whether an attribute's value can
-# be read off a person.  Attributes not listed fall back to all parts.
+# Atomic parts that, when visible, let an attribute's value be read off
+# a person.  Attributes not listed fall back to all parts.
 INFORMATIVE_PARTS: dict[AttrId, tuple[NodeId, ...]] = {
     "gender": ("head", "torso"),
     "age": ("head",),

@@ -22,8 +22,8 @@ grammar is an and-graph: a node with no children is a terminal, any other
 an and-node, and a parse grounds every node.  Construction refuses a
 grammar that breaks any structural rule, so every grammar is valid.  A
 parse graph is its part states, its attribute assignment and its score;
-the edges it scores are the grammar's edges whose two parts both have
-states.
+the edges it scores are the grammar's edges with states for both
+parts.
 """
 
 from __future__ import annotations
@@ -38,24 +38,6 @@ from .jsonio import array, check_fields, count, instance, mapping, number, optio
 
 NodeId = str
 AttrId = str
-
-# Atomic (terminal) parts, in canonical order.
-ATOMIC_PARTS: tuple[NodeId, ...] = (
-    "head",
-    "torso",
-    "l_shoulder",
-    "r_shoulder",
-    "l_upper_arm",
-    "l_lower_arm",
-    "r_upper_arm",
-    "r_lower_arm",
-    "l_hip",
-    "r_hip",
-    "l_upper_leg",
-    "l_lower_leg",
-    "r_upper_leg",
-    "r_lower_leg",
-)
 
 UPPER_BODY: NodeId = "upper_body"
 LOWER_BODY: NodeId = "lower_body"
@@ -79,6 +61,9 @@ LOWER_BODY_MEMBERS: tuple[NodeId, ...] = (
     "r_upper_leg",
     "r_lower_leg",
 )
+
+# Atomic (terminal) parts, in canonical order.
+ATOMIC_PARTS: tuple[NodeId, ...] = UPPER_BODY_MEMBERS + LOWER_BODY_MEMBERS
 
 # Atomic joints covered by each composite part.
 PART_MEMBERS: dict[NodeId, tuple[NodeId, ...]] = {
@@ -193,7 +178,7 @@ def _named_by_id(spec: record, doc) -> dict:
 class AOGrammar:
     """Immutable structural grammar: nodes, both edge sets, attributes.
 
-    The nodes form an and-graph whose terminals are the nodes with no
+    The nodes form an and-graph; its terminals are the nodes with no
     children; the alternatives of the paper's or-nodes are part types in
     ``1..part_type_count``.  ``psg_edges`` is derived: ``(node.id, child)``
     for each node in listing order and each of its children in listed
@@ -212,7 +197,6 @@ class AOGrammar:
     attributes: tuple[AttributeDef, ...] = ()
     part_type_count: int = DEFAULT_PART_TYPE_COUNT
     psg_edges: tuple[tuple[NodeId, NodeId], ...] = field(init=False)
-    _node_by_id: dict[NodeId, GrammarNode] = field(init=False)
     _attr_by_id: dict[AttrId, AttributeDef] = field(init=False)
     _psg_parent: dict[NodeId, NodeId] = field(init=False)
 
@@ -223,7 +207,6 @@ class AOGrammar:
         violations = _violations(self)
         if violations:
             raise ValidationError("; ".join(violations))
-        object.__setattr__(self, "_node_by_id", {n.id: n for n in self.nodes})
         object.__setattr__(self, "_attr_by_id", {a.id: a for a in self.attributes})
         object.__setattr__(self, "_psg_parent", {child: parent for parent, child in psg_edges})
 
@@ -236,15 +219,6 @@ class AOGrammar:
     @property
     def terminal_ids(self) -> tuple[NodeId, ...]:
         return tuple(n.id for n in self.nodes if not n.children)
-
-    def node(self, node_id: NodeId) -> GrammarNode:
-        try:
-            return self._node_by_id[node_id]
-        except KeyError:
-            raise MissingEntryError(f"unknown grammar node {node_id!r}") from None
-
-    def has_node(self, node_id: NodeId) -> bool:
-        return node_id in self._node_by_id
 
     def attribute(self, attr_id: AttrId) -> AttributeDef:
         try:
@@ -347,7 +321,7 @@ def parents_first(
     nodes: Iterable[NodeId], edges: Iterable[tuple[NodeId, NodeId]]
 ) -> tuple[list[NodeId], list[NodeId]]:
     """``nodes`` placed one by one, each time the first in ``nodes`` order
-    whose parents under the (parent, child) ``edges`` are all placed; and the
+    with all its parents under the (parent, child) ``edges`` placed; and the
     nodes never placeable, on or below a cycle or a parent not in ``nodes``."""
     parents: dict[NodeId, set[NodeId]] = {}
     for parent, child in edges:
@@ -527,15 +501,15 @@ def recompute_score(pg: ParseGraph, grammar: AOGrammar, models, scores) -> float
     assignment every part contributes, for each attribute in the grammar,
     its best value score (the unconstrained objective).  Relation terms
     sum, in grammar order, the syntactic score over the decomposition
-    edges and the geometric score over the dependency edges whose two
-    parts both have states.
+    edges and the geometric score over the dependency edges with states
+    for both parts.
     """
     refs = [pg.states[p].proposal_ref for p in grammar.part_ids if p in pg.states]
     app = scores.appearance(scores.rows(refs), grammar.attributes, pg.attribute_assignment)
     total = 0.0
     for term in app.tolist():
         total += term
-    missing = [p for p in pg.states if not grammar.has_node(p)]
+    missing = set(pg.states) - set(grammar.part_ids)
     if missing:
         raise MissingEntryError(f"parse graph states name unknown parts {sorted(missing)}")
 

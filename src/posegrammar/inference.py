@@ -2,8 +2,8 @@
 
 Parsing is a beam search.  It seeds candidates from the root part's
 proposals and grounds one part per step in a fixed expansion order;
-whenever a step grounds a part, every grammar edge whose endpoints are
-now both grounded contributes its relation score.  Only the top
+whenever a step grounds a part, every grammar edge with both endpoints
+now grounded contributes its relation score.  Only the top
 ``beam_width`` candidates survive a step, chosen by score and, on ties,
 by the tuple of chosen proposal ids.
 
@@ -385,7 +385,7 @@ def _readout(
     refused naming the pair and the proposals summed."""
     scores = pset.scores
     refs = [st.proposal_ref for part, st in pg.states.items() if assoc.contains(part, attr)]
-    # Added one by one, not by np.sum, whose pairwise order changes the
+    # Added one by one, not by np.sum: its pairwise order changes the
     # last bits of the byte-compared readout.
     total = 0.0
     for score in scores.values[scores.rows(refs), scores.column(attr, value)].tolist():

@@ -9,11 +9,11 @@ A spec is a callable from a decoded JSON value to the checked value:
 :func:`text` (a non-empty string), :func:`number` (the number rule),
 ``integer``, ``count`` (an integer >= 1), ``nonnegative`` (an integer >= 0,
 the rule for seeds), :func:`flag`, :func:`nullable`, :func:`array`,
-:func:`mapping` (an object whose keys are data), :func:`instance` (a
+:func:`mapping` (an object with data for keys), :func:`instance` (a
 nested record, or a document read into one) and :class:`record` (an
 object of named fields, :func:`optional` ones with a default; other keys
 are ignored).  :func:`versioned` checks a document's ``schema_version``.
-A document whose shape differs from its type's keeps a spec of its own.
+A document shaped unlike its type keeps a spec of its own.
 A refusal is a :class:`FieldError` naming the field path, e.g.
 ``nodes[3].id``.  :func:`number_column` is the number rule over a
 whole column at once, for readers of large files.  Readers refuse the
@@ -183,7 +183,7 @@ def array(item, length: int | None = None) -> Callable:
 
 
 def mapping(spec: Callable) -> Callable:
-    """A JSON object whose keys are data, every value checked by ``spec``."""
+    """A JSON object with data for keys, every value checked by ``spec``."""
 
     def check(value) -> dict:
         if not isinstance(value, Mapping):
@@ -279,8 +279,8 @@ _VERSIONED = record(schema_version=schema_version)
 
 
 def versioned(doc):
-    """``doc``, once it is a JSON object whose ``schema_version``, if any, is
-    the current one."""
+    """``doc``, once it is a JSON object with the current ``schema_version``,
+    if it has one."""
     _VERSIONED(doc)
     return doc
 

@@ -34,6 +34,7 @@ from .relations import (
     SyntacticTable,
     _component_constants,
     _floor_covariances,
+    _is_part_type,
     _log_sum_exp,
     _matrices,
     _mixture_terms,
@@ -136,9 +137,9 @@ def _columns(edges: Iterable[Edge]) -> dict[NodeId, int]:
 
 def proposal_part_types(annotation: Annotation, proposals: Sequence[Proposal]) -> dict[NodeId, int]:
     """The part types ``proposals`` show for ``annotation``: each part takes
-    the type of the first proposal for it whose box overlaps the part's own
+    the type of the first proposal for it with a box overlapping the part's own
     box (:func:`part_box` around the annotation's joints) by more than
-    ``OVERLAP_POSITIVE``.  A proposal whose part has no box, not being
+    ``OVERLAP_POSITIVE``.  A proposal for a part with no box, not being
     one of the 17 keypoint parts, is refused naming it."""
     joints = {p: (j.x, j.y) for p, j in annotation.joints.items()}
     types: dict[NodeId, int] = {}
@@ -157,36 +158,26 @@ def fit_syntactic(type_samples: Sequence[Mapping[NodeId, int]], grammar: AOGramm
 
     Each of ``type_samples`` maps parts to the types chosen for one
     annotation (for example by :func:`proposal_part_types`).  An edge
-    contributes a sample when both of its parts have a type.  Edges with
-    no samples fall back to the uniform table, named in one warning.
+    counts the samples where both of its parts have a type, not ``None``;
+    the first such pair with a value that :func:`_is_part_type` refuses,
+    edge by edge in sample order, is refused.  Edges with no samples fall
+    back to the uniform table, named in one warning.
     """
     t = grammar.part_type_count
     cells = t * t
-    parts = _columns(grammar.psg_edges)
-    # One row per sample, one column per part: its type, None when it has none.
-    typed = np.array([[types.get(p) for p in parts] for types in type_samples], dtype=object)
-    typed = typed.reshape(len(type_samples), len(parts))
-    present = np.not_equal(typed, None)
-    typed[~present] = 0
-    with np.errstate(invalid="ignore"):  # a NaN type is out of range
-        valid = present & (typed >= 1) & (typed <= t) & (typed % 1 == 0)
-    codes = np.where(valid, typed, 1).astype(np.intp) - 1
     tables: dict[Edge, np.ndarray] = {}
     unsampled: list[Edge] = []
     for edge in grammar.psg_edges:
-        i, j = parts[edge[0]], parts[edge[1]]
-        both = present[:, i] & present[:, j]
-        bad = np.flatnonzero(both & ~(valid[:, i] & valid[:, j]))
-        if bad.size:
-            types = type_samples[bad[0]]
-            raise ValidationError(
-                f"part types for edge {edge} must lie in 1..{t}, got ({types[edge[0]]}, {types[edge[1]]})"
-            )
-        n = int(both.sum())
-        if n == 0:
+        parent, child = edge
+        pairs = [(s[parent], s[child]) for s in type_samples if s.get(parent) is not None and s.get(child) is not None]
+        for a, b in pairs:
+            if not (_is_part_type(a, t) and _is_part_type(b, t)):
+                raise ValidationError(f"part types for edge {edge} must lie in 1..{t}, got ({a}, {b})")
+        if not pairs:
             unsampled.append(edge)
-        counts = np.bincount(codes[both, i] * t + codes[both, j], minlength=cells).reshape(t, t)
-        tables[edge] = (counts + 1.0) / (n + cells)
+        codes = np.array(pairs, dtype=np.intp).reshape(-1, 2) - 1
+        counts = np.bincount(codes[:, 0] * t + codes[:, 1], minlength=cells).reshape(t, t)
+        tables[edge] = (counts + 1.0) / (len(pairs) + cells)
     if unsampled:
         warnings.warn(
             f"no part-type samples for edges {unsampled}; they use the uniform table",
@@ -240,7 +231,7 @@ def _em_fit(
     Edge ``e`` has ``n_e = mask[e].sum() >= 2`` samples, the first ``n_e``
     columns of ``points[e]`` (rows x, y and 1, padded to the longest edge
     with copies of a sample that ``mask`` leaves out), and ``ks[e]``
-    components whose k-means++ seeds are the first rows of ``means[e]``;
+    components seeded for k-means++ by the first rows of ``means[e]``;
     the rest are padding at weight 0.  Each component starts from the
     covariance of the samples nearest its seed (the edge's covariance when
     fewer than two) and their share of the samples.
@@ -251,10 +242,10 @@ def _em_fit(
     running edge and its components, in (edge, component, sample) buffers
     that are prefix views of one allocation.  The responsibilities are the
     exponentials :func:`_log_sum_exp` returns over their sums, a padded
-    sample's sum set to +inf.  A component whose responsibilities sum below
+    sample's sum set to +inf.  A component with responsibilities summing below
     1e-12 keeps its parameters and gets weight 0.  An edge stops on its
     own once its mean log-likelihood gains less than ``EM_TOL``: its
-    parameters are written out, and it leaves every working array, whose
+    parameters are written out, and it leaves every working array; their
     samples are trimmed to the longest edge still running.
 
     Returns the weights (E, k), means (E, k, 2) and covariances
@@ -352,7 +343,7 @@ def fit_kinematic(
     fewer samples than requested components, the component count drops to
     the sample count with a warning.  Each edge's k-means++ start is
     seeded from ``[seed, index]``, so edge order cannot leak between
-    fits, and each edge stops on its own.  An edge whose fit stops at
+    fits, and each edge stops on its own.  An edge that stops at
     ``max_iter`` rather than at ``EM_TOL`` is logged at INFO, with its
     last gain in mean log-likelihood.  Samples so far apart that the fit
     cannot represent them (its sums overflow, its likelihood falls, or its
@@ -472,7 +463,7 @@ def derive_associations(
     mi: Mapping[NodeId, Mapping[AttrId, float]],
     grammar: AOGrammar,
 ) -> AttributeAssociation:
-    """Associate attributes with parts whose MI is strictly above the mean.
+    """Associate attributes with parts where their MI is strictly above the mean.
 
     The mean is taken over the atomic parts for each attribute.  Every
     associated part then propagates the attribute to its decomposition

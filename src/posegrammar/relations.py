@@ -24,7 +24,7 @@ import numpy as np
 from .errors import MissingEntryError, ValidationError
 from .grammar import DEFAULT_PART_TYPE_COUNT, AttrId, NodeId
 from .jsonio import SCHEMA_VERSION, read_json, schema_version, write_json
-from .jsonio import argument, array, count, mapping, number, optional, record, text
+from .jsonio import FieldError, argument, array, count, mapping, number, optional, record, text
 
 Edge = tuple[NodeId, NodeId]
 
@@ -43,6 +43,15 @@ def _parse_edge_key(key: str) -> Edge:
     if not sep or not parent or not child:
         raise ValidationError(f"malformed edge key {key!r}, expected 'parent->child'")
     return parent, child
+
+
+def _is_part_type(value, part_type_count: int) -> bool:
+    """Whether ``value`` is a part type of a ``part_type_count``-type table:
+    an integer the ``count`` spec accepts, at most ``part_type_count``."""
+    try:
+        return count(value) <= part_type_count
+    except FieldError:
+        return False
 
 
 class SyntacticTable:
@@ -82,12 +91,12 @@ class SyntacticTable:
             raise MissingEntryError(f"no syntactic table for edge {tuple(edge)}") from None
 
     def score(self, edge: Edge, t_parent: int, t_child: int) -> float:
+        """The log entry of ``edge``'s table for two part types; a value
+        :func:`_is_part_type` refuses, such as ``2.0`` or ``True``, is refused."""
         mat = self.log_matrix(edge)
         t = self.part_type_count
-        if not (1 <= t_parent <= t and 1 <= t_child <= t):
-            raise ValidationError(
-                f"part types must lie in 1..{t}, got ({t_parent}, {t_child})"
-            )
+        if not (_is_part_type(t_parent, t) and _is_part_type(t_child, t)):
+            raise ValidationError(f"part types must lie in 1..{t}, got ({t_parent}, {t_child})")
         return float(mat[t_parent - 1, t_child - 1])
 
 
@@ -281,7 +290,7 @@ def _log_sum_exp(terms: np.ndarray, scratch=None) -> tuple[np.ndarray, np.ndarra
     """Log-sum-exp over the components of (..., k, N) terms, shape (..., N),
     total on every point, with the exponentials and sums it is taken from.
 
-    A point whose terms are all -inf gives -inf and one with a NaN term
+    A point with all terms -inf gives -inf and one with a NaN term
     gives NaN; the largest term is taken out before ``exp`` only where it
     is finite.  The exponentials of the shifted terms, (..., k, N) and in
     ``scratch`` when given, and their per-point sums, (..., N), come back

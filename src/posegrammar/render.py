@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from html import escape
 
+from .errors import ValidationError
 from .grammar import AOGrammar, ParseGraph
 
 
@@ -15,8 +16,10 @@ def render_svg(pg: ParseGraph, grammar: AOGrammar) -> str:
     """Render sticks, keypoints, and an attribute legend as an SVG string.
 
     Output is a pure function of the inputs: fixed element order, fixed
-    float formatting, no timestamps.
+    float formatting, no timestamps.  A parse with no states is refused.
     """
+    if not pg.states:
+        raise ValidationError("parse graph has no states to render")
     terminals = set(grammar.terminal_ids)
     xs = [st.x for st in pg.states.values()]
     ys = [st.y for st in pg.states.values()]
@@ -70,5 +73,8 @@ def render_svg(pg: ParseGraph, grammar: AOGrammar) -> str:
 
 
 def save_svg(pg: ParseGraph, grammar: AOGrammar, path: str) -> None:
+    """Write :func:`render_svg`'s text to ``path``, rendered before the file
+    is opened, so a refused parse leaves no file behind."""
+    text = render_svg(pg, grammar)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render_svg(pg, grammar))
+        fh.write(text)

@@ -78,10 +78,15 @@ class TestProposal:
             Proposal(**{**fields, field: value})
 
 
+def _cell(table, pid, attr, value):
+    """The grid cell of proposal ``pid`` and ``attr=value``."""
+    return float(table.values[table.rows([pid])[0], table.column(attr, value)])
+
+
 class TestScoreTable:
     def test_lookup_reads_the_grid(self):
         t = ScoreTable({"p1": {"hat": {"yes": -0.25}}})
-        assert t.lookup("p1", "hat", "yes") == -0.25
+        assert _cell(t, "p1", "hat", "yes") == -0.25
 
     def test_values_hold_one_row_per_proposal_and_one_column_per_pair(self):
         t = ScoreTable(
@@ -155,12 +160,12 @@ class TestScoreTable:
 
     def test_missing_lookups_name_the_part(self):
         t = ScoreTable({"p1": {"hat": {"yes": 0.0}}})
-        with pytest.raises(MissingEntryError, match="no scores for proposal 'p9'"):
-            t.lookup("p9", "hat", "yes", part="head")
-        with pytest.raises(MissingEntryError, match="'head'"):
-            t.lookup("p1", "gender", "male", part="head")
-        with pytest.raises(MissingEntryError, match="'hat'='maybe'"):
-            t.lookup("p1", "hat", "maybe")
+        with pytest.raises(MissingEntryError, match=r"^no scores for proposal 'p9' \(part 'head'\)$"):
+            t.rows(["p9"], part="head")
+        with pytest.raises(MissingEntryError, match="^the score table has no scores for attribute 'gender'$"):
+            t.column("gender", "male")
+        with pytest.raises(MissingEntryError, match="^the score table has no score for 'hat'='maybe'$"):
+            t.column("hat", "maybe")
 
     def test_appearance_keeps_the_sign_of_an_assigned_zero(self):
         t = ScoreTable({"p1": {"hat": {"yes": -0.0, "no": -1.0}}})
@@ -242,7 +247,7 @@ class TestSynthScores:
         for prop in _listed(pset):
             for attr in SMALL_ATTRS:
                 best = max(
-                    attr.domain, key=lambda v: pset.scores.lookup(prop.id, attr.id, v)
+                    attr.domain, key=lambda v: _cell(pset.scores, prop.id, attr.id, v)
                 )
                 assert best == truth[attr.id]
 
@@ -256,10 +261,10 @@ class TestSynthScores:
         truth = scene.persons[0].attributes
         for part in PART_ORDER:
             for attr in SMALL_ATTRS:
-                mine = {v: pset.scores.lookup(f"p0.{part}", attr.id, v) for v in attr.domain}
+                mine = {v: _cell(pset.scores, f"p0.{part}", attr.id, v) for v in attr.domain}
                 assert mine.pop(truth[attr.id]) == pytest.approx(SYNTH_TARGET_BONUS)
                 assert list(mine.values()) == [pytest.approx(SYNTH_TARGET_BONUS - SYNTH_MARGIN)] * len(mine)
-                theirs = sorted(pset.scores.lookup(f"p1.{part}", attr.id, v) for v in attr.domain)
+                theirs = sorted(_cell(pset.scores, f"p1.{part}", attr.id, v) for v in attr.domain)
                 assert theirs[-1] == pytest.approx(0.0)
                 assert theirs[:-1] == [pytest.approx(-SYNTH_MARGIN)] * (len(attr.domain) - 1)
         assert SYNTH_TARGET_BONUS > 0.0 and SYNTH_MARGIN > SYNTH_TARGET_BONUS
@@ -273,7 +278,7 @@ class TestSynthScores:
         attr = "upper_cloth_type"
         domain = ("t_shirt", "jumper", "suit", "no_cloth", "swimwear")
         best_total = max(
-            sum(pset.scores.lookup(f"p1.{p}", attr, v) for p in PART_ORDER)
+            sum(_cell(pset.scores, f"p1.{p}", attr, v) for p in PART_ORDER)
             for v in domain
         )
         assert best_total < -2.0

@@ -625,6 +625,20 @@ class TestParse:
         assert capsys.readouterr().err.strip().splitlines() == [f"error: {message}"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("mode", ["unconstrained", "constrained:hat=yes"])
+    def test_scores_out_outside_joint_is_a_usage_error(self, tmp_path, capsys, mode):
+        """Refused before any input is read: none of the three files exists."""
+        out, scores_out = tmp_path / "p.json", tmp_path / "scores.json"
+        missing = str(tmp_path / "missing.json")
+        argv = [
+            "parse", "--grammar", missing, "--models", missing, "--proposals", missing,
+            "--mode", mode, "--out", str(out), "--scores-out", str(scores_out),
+        ]
+        assert cli_dispatch(argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: --scores-out needs --mode joint, got --mode {mode!r}"]
+        assert not out.exists() and not scores_out.exists()
+
     def test_models_file_holding_an_array_exits_one(self, pipeline, tmp_path, capsys):
         models = tmp_path / "models.json"
         models.write_text("[]", encoding="utf-8")
@@ -702,6 +716,18 @@ class TestRender:
         assert err[0].startswith(f"error: {parse_path}: ")
         assert _non_finite_problem(token, "states[0].x" if field == "x" else field) in err[0]
         assert not svg_path.exists()
+
+    def test_a_parse_with_no_states_exits_one_and_writes_no_svg(self, pipeline, tmp_path, capsys):
+        grammar = build_default_human_grammar()
+        parse_path, svg_path = tmp_path / "parse.json", tmp_path / "parse.svg"
+        save_parse_graph(ParseGraph({}, {}, 0.0), str(parse_path), grammar)
+        argv = ["render", "--parse", str(parse_path), "--grammar", pipeline["grammar"], "--out", str(svg_path)]
+        assert cli_dispatch(argv) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {parse_path}: parse graph has no states to render"]
+        assert not svg_path.exists()
+        with pytest.raises(ValidationError, match="^parse graph has no states to render$"):
+            posegrammar.render_svg(ParseGraph({}, {}, 0.0), grammar)
 
 
 class TestEvalAp:
@@ -802,6 +828,44 @@ class TestEvalPcp:
         assert cli_dispatch(argv) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert err == [f"error: invalid value for --threshold: {value!r}"]
+        assert not report_path.exists()
+
+    @pytest.mark.parametrize("value", ["-1", "0"])
+    @pytest.mark.parametrize("grammar", ["default", "missing"])
+    def test_a_threshold_not_above_zero_is_refused_before_any_file_is_read(
+        self, pipeline, tmp_path, capsys, grammar, value
+    ):
+        """An empty corpus scores no parse, so only the check made up front
+        sees the threshold; with the grammar file missing, the threshold is
+        still what is refused.  No report is written."""
+        pred, truth, report_path = tmp_path / "pred", tmp_path / "truth.jsonl", tmp_path / "report.json"
+        pred.mkdir()
+        truth.write_text("", encoding="utf-8")
+        grammar_path = pipeline["grammar"] if grammar == "default" else str(tmp_path / "missing.json")
+        argv = [
+            "eval-pcp", "--pred", str(pred), "--truth", str(truth), "--grammar", grammar_path,
+            "--threshold", value, "--report", str(report_path),
+        ]
+        assert cli_dispatch(argv) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: threshold must be positive, got {float(value)}"]
+        assert not report_path.exists()
+
+    def test_a_parse_missing_a_stick_endpoint_is_named(self, pipeline, tmp_path, capsys):
+        pred = tmp_path / "pred"
+        self._write_perfect_preds(pipeline, pred, 40)
+        bad = pred / "pred_00002.json"
+        doc = _read_json(bad)
+        doc["states"] = [s for s in doc["states"] if s["part"] != "torso"]
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        report_path = tmp_path / "report.json"
+        argv = [
+            "eval-pcp", "--pred", str(pred), "--truth", pipeline["annotations"],
+            "--grammar", pipeline["grammar"], "--report", str(report_path),
+        ]
+        assert cli_dispatch(argv) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {bad}: parse graph misses state for stick endpoint 'torso'"]
         assert not report_path.exists()
 
     @pytest.mark.parametrize("token", ["NaN", "1e400", _HUGE_INT])

@@ -48,11 +48,12 @@ class TestDefaultGrammar:
         assert grammar.part_type_count == 9
 
     def test_root_and_levels(self, grammar):
+        nodes = {n.id: n for n in grammar.nodes}
         assert grammar.root == FULL_BODY
-        assert set(grammar.node(FULL_BODY).children) == {UPPER_BODY, LOWER_BODY}
+        assert set(nodes[FULL_BODY].children) == {UPPER_BODY, LOWER_BODY}
         assert grammar.terminal_ids == ATOMIC_PARTS
         for part in ATOMIC_PARTS:
-            assert grammar.node(part).children == ()
+            assert nodes[part].children == ()
 
     def test_rebuilds_from_its_own_fields(self, grammar):
         """The constructor keeps node and attribute instances as they are."""
@@ -104,9 +105,9 @@ class TestDefaultGrammar:
             build_default_human_grammar(attr_defs=dupes)
 
     def test_unknown_lookups_raise(self, grammar):
-        with pytest.raises(MissingEntryError, match="unknown grammar node"):
-            grammar.node("tail")
-        with pytest.raises(MissingEntryError, match="unknown attribute"):
+        """The one lookup a grammar has; a parse naming an unknown part is
+        refused by ``recompute_score`` (``test_recompute_rejects_unknown_part``)."""
+        with pytest.raises(MissingEntryError, match="^unknown attribute 'mood'$"):
             grammar.attribute("mood")
 
 

@@ -399,15 +399,20 @@ class TestEnumerationGuard:
             brute_force_parse(g, models, pset, {"c": "u"})
 
 
+def _cell(table, pid, attr, value):
+    """The grid cell of proposal ``pid`` and ``attr=value``."""
+    return float(table.values[table.rows([pid])[0], table.column(attr, value)])
+
+
 def _partial_total(g, models, pset, assigned, attr=None, value=None):
     """Independent score of a partial assignment, summed per edge."""
     total = 0.0
     for part, st in assigned.items():
         if attr is not None:
-            total += pset.scores.lookup(st.proposal_ref, attr, value)
+            total += _cell(pset.scores, st.proposal_ref, attr, value)
         else:
             for a in g.attributes:
-                total += max(pset.scores.lookup(st.proposal_ref, a.id, v) for v in a.domain)
+                total += max(_cell(pset.scores, st.proposal_ref, a.id, v) for v in a.domain)
     for p, c in g.psg_edges:
         if p in assigned and c in assigned:
             total += models.syntactic.score((p, c), assigned[p].part_type, assigned[c].part_type)
@@ -581,17 +586,17 @@ class TestReadout:
 
 
 def _lookup_appearance(grammar, pset, step, assignment):
-    """A step's appearance vector read cell by cell through ``lookup``: the
-    assigned cell itself, or 0.0 plus each attribute's best value score."""
+    """A step's appearance vector read cell by cell: the assigned cell
+    itself, or 0.0 plus each attribute's best value score."""
     out = []
     for p in pset.proposals_for(step.bucket.part):
         if assignment:
             [(attr, value)] = assignment.items()
-            out.append(pset.scores.lookup(p.id, attr, value, part=p.part))
+            out.append(_cell(pset.scores, p.id, attr, value))
         else:
             total = 0.0
             for a in grammar.attributes:
-                total += max(pset.scores.lookup(p.id, a.id, v, part=p.part) for v in a.domain)
+                total += max(_cell(pset.scores, p.id, a.id, v) for v in a.domain)
             out.append(total)
     return out
 
@@ -602,7 +607,7 @@ def _lookup_readout(pg, pset, assoc, attr, value):
     total = 0.0
     for part, st in pg.states.items():
         if assoc.contains(part, attr):
-            total += pset.scores.lookup(st.proposal_ref, attr, value, part=part)
+            total += _cell(pset.scores, st.proposal_ref, attr, value)
     return total
 
 

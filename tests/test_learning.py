@@ -365,6 +365,20 @@ class TestFitSyntactic:
         with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
             fit_syntactic([{"root": 1, "a": 1.5}], g)
 
+    @pytest.mark.parametrize("bad", ["a", [1], 1.5, 2.0, True], ids=["str", "list", "fraction", "float", "bool"])
+    def test_fit_and_score_hold_one_part_type_rule(self, bad):
+        """``fit_syntactic`` and ``SyntacticTable.score`` refuse what
+        ``Proposal``, ``PartState`` and the file readers refuse: a part type
+        is an integer in 1..t, never a float or a bool, in either position."""
+        g = _toy_grammar()
+        table = fit_syntactic([{"root": 1, "a": 2, "b": 1}], g)
+        for pair in ((bad, 1), (1, bad)):
+            message = f"part types for edge ('root', 'a') must lie in 1..2, got ({pair[0]}, {pair[1]})"
+            with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
+                fit_syntactic([{"root": pair[0], "a": pair[1]}], g)
+            with pytest.raises(ValidationError, match=r"^part types must lie in 1\.\.2, got "):
+                table.score(("root", "a"), *pair)
+
 
 class TestDisplacementSamples:
     def test_offsets_are_child_minus_parent(self, grammar):

@@ -142,9 +142,9 @@ def _references(tree: ast.AST) -> set[str]:
     return out
 
 
-def _definitions(tree: ast.Module, methods: bool = True) -> list[tuple[str, int]]:
-    """The module-level names ``tree`` defines, and unless ``methods`` is
-    false the methods of its classes, dunders aside."""
+def _definitions(tree: ast.Module) -> list[tuple[str, int]]:
+    """The module-level names ``tree`` defines and the methods of its
+    classes, dunders aside."""
     defined = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -152,7 +152,7 @@ def _definitions(tree: ast.Module, methods: bool = True) -> list[tuple[str, int]
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             defined += [(t.id, node.lineno) for t in targets if isinstance(t, ast.Name)]
-        if methods and isinstance(node, ast.ClassDef):
+        if isinstance(node, ast.ClassDef):
             defined += [(n.name, n.lineno) for n in node.body if isinstance(n, ast.FunctionDef)]
     return [(name, line) for name, line in defined if not (name.startswith("__") and name.endswith("__"))]
 
@@ -175,16 +175,26 @@ def test_every_defined_name_is_used_somewhere_else():
     assert dead == []
 
 
-# Read only by the tests, and kept: the one writer of the documented
-# proposal-file format, which the README's library quick start calls.
-_TEST_ONLY_ALLOWED = {"save_proposals"}
+# Read only by the tests, and kept, each for its reason.
+_TEST_ONLY_ALLOWED = {
+    "save_proposals": "the one writer of the documented proposal-file format, "
+    "which the README's library quick start calls",
+    "proposals_for": "a proposal set's per-part Proposal view, which "
+    "test_only_appearance_rebuilds_proposals keeps out of the search",
+}
 
 
 def test_no_module_level_name_serves_only_the_tests():
-    """Every module-level name of ``posegrammar`` is read by the package
-    (its re-exports in ``__init__.py`` aside) or by the benchmark (its own
-    tests aside), not by the tests alone: code that only a test needs, such
-    as the exhaustive search oracle, lives under ``tests/``."""
+    """Every module-level name and method (dunders aside) of
+    ``posegrammar`` is read by the package (its re-exports in
+    ``__init__.py`` aside) or by the benchmark (its own tests aside), not
+    by the tests alone: code that only a test needs, such as the exhaustive
+    search oracle, lives under ``tests/``.
+
+    A name counts as read wherever it appears as a word of a string, so a
+    method named like a word of an error message would pass unseen: a
+    test-only ``AOGrammar.node`` would, as in "node 'x' lists duplicate
+    children"."""
     root = Path(posegrammar.__file__).resolve().parents[2]
     package = Path(posegrammar.__file__).parent
     readers = [p for p in sorted(package.glob("*.py")) if p.name != "__init__.py"]
@@ -193,7 +203,7 @@ def test_no_module_level_name_serves_only_the_tests():
     test_only = [
         f"{path.name}:{line}: {name}"
         for path in sorted(package.glob("*.py"))
-        for name, line in _definitions(ast.parse(path.read_text(encoding="utf-8")), methods=False)
+        for name, line in _definitions(ast.parse(path.read_text(encoding="utf-8")))
         if name not in used and name not in _TEST_ONLY_ALLOWED
     ]
     assert test_only == []
