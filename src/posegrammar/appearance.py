@@ -25,7 +25,6 @@ from those cells with the routine :class:`ScoreTable` uses for its rows.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain
@@ -117,26 +116,21 @@ class ScoreTable:
             grid = _Grid()
             for per_attr in rows:
                 grid.add(per_attr)
-        self._fill(list(entries), grid)
+        self._fill(list(entries), grid.columns, grid.values(list(entries)))
 
     @classmethod
-    def _from_grid(cls, pids: Sequence[str], grid: "_Grid") -> "ScoreTable":
-        """The table of ``grid``, which took every row it was given, one
-        row per id of ``pids`` (all distinct), in order."""
+    def _from_grid(cls, pids: Sequence[str], columns: dict, values: np.ndarray) -> "ScoreTable":
+        """The table of the finite (len(pids), len(columns)) array
+        ``values``: one row per id of ``pids`` (all distinct), in order, and
+        one column per pair of ``columns``, each mapped to its index."""
         table = cls.__new__(cls)
-        table._fill(pids, grid)
+        table._fill(pids, columns, values)
         return table
 
-    def _fill(self, pids: Sequence[str], grid: "_Grid") -> None:
+    def _fill(self, pids: Sequence[str], columns: dict, values: np.ndarray) -> None:
         self._rows = {pid: r for r, pid in enumerate(pids)}
-        self._columns = grid.columns
-        try:
-            values = number_column(grid.cells)
-        except FieldError as exc:
-            r, c = divmod(exc.path[0], len(self._columns))
-            pair = list(self._columns)[c]
-            raise _refused_scores(pids[r], FieldError(exc.problem), *pair) from None
-        self.values = values.reshape(len(self._rows), len(self._columns))
+        self._columns = columns
+        self.values = values
         self.values.flags.writeable = False
 
     def rows(self, pids: Iterable[str], part: NodeId | None = None) -> np.ndarray:
@@ -156,9 +150,13 @@ class ScoreTable:
         raise MissingEntryError(f"the score table has no scores for attribute {attr!r}")
 
     def appearance(
-        self, rows: np.ndarray, attributes: Sequence[AttributeDef], assignment: Mapping[AttrId, str]
+        self,
+        rows: np.ndarray,
+        attributes: Sequence[AttributeDef],
+        assignments: Sequence[Mapping[AttrId, str]],
     ) -> np.ndarray:
-        """The objective's appearance term of each of ``rows``.
+        """Each objective's appearance term of each of ``rows``: one row per
+        assignment of ``assignments``, shape (K, len(rows)).
 
         Under an assignment: the assigned cells, added in assignment order
         with no ``0.0`` start, so a ``-0.0`` score keeps its sign.  Without
@@ -166,13 +164,18 @@ class ScoreTable:
         of ``attributes``.  Every pair of ``attributes`` must have a column.
         """
         groups = [[self.column(a.id, v) for v in a.domain] for a in attributes]
-        if assignment:
-            # Gathered cell by cell, so the result owns its memory and holds
-            # no view of a whole row block.
-            cells = [self.values[rows, self.column(a, v)] for a, v in assignment.items()]
-            return reduce(np.add, cells)
-        grid = self.values[rows]
-        return reduce(np.add, [grid[:, g].max(axis=1) for g in groups], np.zeros(len(grid)))
+        columns = [[self.column(a, v) for a, v in assignment.items()] for assignment in assignments]
+        out = np.empty((len(columns), len(rows)))
+        single = [k for k, cols in enumerate(columns) if len(cols) == 1]
+        if single:
+            out[single] = self.values[rows][:, [columns[k][0] for k in single]].T
+        for k, cols in enumerate(columns):
+            if len(cols) > 1:
+                out[k] = reduce(np.add, [self.values[rows, c] for c in cols])
+            elif not cols:
+                grid = self.values[rows]
+                out[k] = reduce(np.add, [grid[:, g].max(axis=1) for g in groups], np.zeros(len(grid)))
+        return out
 
     def per_proposal(self, pid: str) -> dict[AttrId, dict[str, float]]:
         [row] = self.rows([pid])
@@ -236,6 +239,17 @@ class _Grid:
         except (AttributeError, KeyError, TypeError):
             return False
         return True
+
+    def values(self, pids: Sequence[str]) -> np.ndarray:
+        """The cells as a (len(pids), len(columns)) array, row ``r`` that of
+        ``pids[r]``; a cell that fails the number rule is refused naming
+        its proposal and pair."""
+        try:
+            values = number_column(self.cells)
+        except FieldError as exc:
+            r, c = divmod(exc.path[0], len(self.columns))
+            raise _refused_scores(pids[r], FieldError(exc.problem), *list(self.columns)[c]) from None
+        return values.reshape(len(pids), len(self.columns))
 
 
 class Bucket:
@@ -363,7 +377,7 @@ def load_proposals(path: str, *, part_type_count: int = DEFAULT_PART_TYPE_COUNT)
         if columns is not None and len(set(columns[0])) == len(fields):
             ids, parts, xy, types, boxes = columns
             try:
-                scores = ScoreTable._from_grid(ids, grid)
+                scores = ScoreTable._from_grid(ids, grid.columns, grid.values(ids))
             except ValidationError as exc:
                 raise ValidationError(f"{path}: {exc}") from exc
             where = lambda i: f"{path}:{linenos[i]}: "
@@ -472,45 +486,58 @@ def synth_scores(
     ``DISTRACTOR_COHERENCE`` and an independently drawn domain value
     otherwise, so no single value fits all of their parts at once.  A
     noise so large that a score leaves the float range is refused, naming
-    ``noise_sigma``, the person and the part.
+    ``noise_sigma``, the person, the part and the first such pair.
+
+    The draws run person by person, part by part: the part's type, then,
+    for the first person, one noise draw per (attribute, value) pair at
+    once; for a later person, per attribute, its coherence draw, its
+    apparent value when that draw fails, and one noise draw per value at
+    once.  Each row of the grid is written as it is drawn.
     """
     noise_sigma = _sigma("noise_sigma", noise_sigma)
     part_type_count = argument("part_type_count", part_type_count, count)
     attr_defs = default_attributes() if attr_defs is None else tuple(attr_defs)
     rng = np.random.default_rng(argument("rng_seed", rng_seed, nonnegative))
+    pairs = [(a.id, v) for a in attr_defs for v in a.domain]
+    starts = np.cumsum([0] + [len(a.domain) for a in attr_defs]).tolist()
+    grid = np.empty((len(scene.persons) * len(PART_ORDER), len(pairs)))
     proposals: list[tuple] = []  # (id, part, (x, y), part type, box)
-    scores: dict[str, dict[AttrId, dict[str, float]]] = {}
     for pi, person in enumerate(scene.persons):
         unknown = [a for a in person.attributes if a not in {d.id for d in attr_defs}]
         if unknown:
             raise ValidationError(f"person {pi} has values for undeclared attributes {unknown}")
+        for attr in attr_defs:
+            true_value = person.attributes.get(attr.id)
+            if true_value is None:
+                raise ValidationError(f"person {pi} has no value for attribute {attr.id!r}")
+            if true_value not in attr.domain:
+                raise ValidationError(f"person {pi}: value {true_value!r} outside domain of {attr.id!r}")
+        truth = [s + a.domain.index(person.attributes[a.id]) for s, a in zip(starts, attr_defs)]
         keypoints = part_keypoints(person.joints)
         bonus = SYNTH_TARGET_BONUS if pi == 0 else 0.0
+        first = len(proposals)
         for part in PART_ORDER:
-            pid = f"p{pi}.{part}"
             part_type = int(rng.integers(1, part_type_count + 1))
-            proposals.append((pid, part, keypoints[part], part_type, part_box(part, keypoints)))
-            per_attr = scores[pid] = {}
-            for attr in attr_defs:
-                true_value = person.attributes.get(attr.id)
-                if true_value is None:
-                    raise ValidationError(
-                        f"person {pi} has no value for attribute {attr.id!r}"
-                    )
-                if true_value not in attr.domain:
-                    raise ValidationError(
-                        f"person {pi}: value {true_value!r} outside domain of {attr.id!r}"
-                    )
-                apparent = true_value
-                if pi > 0 and rng.random() >= DISTRACTOR_COHERENCE:
-                    apparent = attr.domain[int(rng.integers(0, len(attr.domain)))]
-                per_value = per_attr[attr.id] = {}
-                for value in attr.domain:
-                    base = bonus + (0.0 if value == apparent else -SYNTH_MARGIN)
-                    score = per_value[value] = base + float(rng.normal(0.0, noise_sigma))
-                    if not math.isfinite(score):
-                        raise ValidationError(
-                            f"noise_sigma {noise_sigma} gives person {pi}'s part {part!r} "
-                            f"a score of {score} for {attr.id}={value}, not a finite number"
-                        )
-    return ProposalSet.from_columns(*zip(*proposals), ScoreTable(scores), part_type_count)
+            proposals.append((f"p{pi}.{part}", part, keypoints[part], part_type, part_box(part, keypoints)))
+            if pi == 0:
+                apparent, noise = truth, rng.normal(0.0, noise_sigma, size=len(pairs))
+            else:
+                apparent, noise = list(truth), np.empty(len(pairs))
+                for ai, attr in enumerate(attr_defs):
+                    if rng.random() >= DISTRACTOR_COHERENCE:
+                        apparent[ai] = starts[ai] + int(rng.integers(0, len(attr.domain)))
+                    noise[starts[ai] : starts[ai + 1]] = rng.normal(0.0, noise_sigma, size=len(attr.domain))
+            base = np.full(len(pairs), bonus + -SYNTH_MARGIN)
+            base[apparent] = bonus + 0.0
+            np.add(base, noise, out=grid[len(proposals) - 1])
+        bad = np.argwhere(~np.isfinite(grid[first : len(proposals)]))
+        if bad.size:
+            r, c = bad[0]
+            attr, value = pairs[c]
+            raise ValidationError(
+                f"noise_sigma {noise_sigma} gives person {pi}'s part {PART_ORDER[r]!r} "
+                f"a score of {grid.item(first + r, c)} for {attr}={value}, not a finite number"
+            )
+    columns = {pair: c for c, pair in enumerate(pairs)}
+    scores = ScoreTable._from_grid([pid for pid, *_rest in proposals], columns, grid)
+    return ProposalSet.from_columns(*zip(*proposals), scores, part_type_count)

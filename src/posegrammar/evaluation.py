@@ -130,20 +130,37 @@ def average_precision(scores: Sequence[float], labels: Sequence[int]) -> float:
         raise ValidationError("average precision needs at least one sample")
     if not ((y == 0) | (y == 1)).all():
         raise ValidationError("labels must be 0 or 1")
-    positives = int(y.sum())
-    if positives == 0:
+    if not y.any():
         raise ValidationError("average precision undefined: no positive labels")
 
-    order = np.argsort(-s, kind="stable")
-    s, y = s[order], y[order].astype(float)
-    boundaries = np.append(np.where(np.diff(s) != 0.0)[0], s.shape[0] - 1)
-    tp = np.cumsum(y)[boundaries]
-    seen = boundaries + 1.0
-    recall = tp / positives
-    precision = tp / seen
-    envelope = np.maximum.accumulate(precision[::-1])[::-1]
+    return _average_precisions(s[None], y[None])[0]
+
+
+def _average_precisions(scores: np.ndarray, labels: np.ndarray) -> list[float]:
+    """:func:`average_precision` of each row of the finite ``scores`` and
+    the 0/1 ``labels``, both (S, n), each row with a positive label.
+
+    The rows are ranked, grouped and enveloped together; each row's final
+    sum runs over its own boundary terms alone, so every row gets the bits
+    a call of its own gives.
+    """
+    order = np.argsort(-scores, axis=1, kind="stable")
+    s = np.take_along_axis(scores, order, axis=1)
+    y = np.take_along_axis(labels, order, axis=1).astype(float)
+    # A boundary is the last of a run of tied scores.
+    boundary = np.ones(s.shape, dtype=bool)
+    boundary[:, :-1] = np.diff(s, axis=1) != 0.0
+    tp = np.cumsum(y, axis=1)
+    recall = tp / tp[:, -1:]
+    precision = tp / np.arange(1.0, s.shape[1] + 1.0)
+    # Precision is >= 0, so a 0.0 off the boundaries moves no envelope.
+    envelope = np.maximum.accumulate(np.where(boundary, precision, 0.0)[:, ::-1], axis=1)[:, ::-1]
+    recall, envelope = recall[boundary], envelope[boundary]
+    starts = np.cumsum(np.count_nonzero(boundary, axis=1))[:-1]
     prev_recall = np.concatenate(([0.0], recall[:-1]))
-    return float(np.sum((recall - prev_recall) * envelope))
+    prev_recall[starts] = 0.0
+    terms = (recall - prev_recall) * envelope
+    return [float(np.sum(row)) for row in np.split(terms, starts)]
 
 
 # -- synthetic annotation corpus ---------------------------------------------
@@ -367,11 +384,8 @@ def run_diagnostic(
 
     report: dict = {"schema_version": 1, "n_scenes": len(scenes), "modes": {}}
     for mode in modes:
-        aps = []
-        for (attr_id, value), (s, y) in sorted(ap_streams[mode].items()):
-            if sum(y) == 0:
-                continue
-            aps.append(average_precision(s, y))
+        streams = [stream for _pair, stream in sorted(ap_streams[mode].items()) if sum(stream[1])]
+        aps = _average_precisions(*map(np.array, zip(*streams))) if streams else []
         hits, evaluated = stick_hits[mode]
         report["modes"][mode] = {
             "pcp": (hits / evaluated) if evaluated else None,

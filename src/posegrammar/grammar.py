@@ -505,7 +505,7 @@ def recompute_score(pg: ParseGraph, grammar: AOGrammar, models, scores) -> float
     for both parts.
     """
     refs = [pg.states[p].proposal_ref for p in grammar.part_ids if p in pg.states]
-    app = scores.appearance(scores.rows(refs), grammar.attributes, pg.attribute_assignment)
+    [app] = scores.appearance(scores.rows(refs), grammar.attributes, [pg.attribute_assignment])
     total = 0.0
     for term in app.tolist():
         total += term

@@ -19,20 +19,24 @@ constrained parses of :func:`select_final` are one K=26 search, and
 searches.  Steps, buckets and relation tables are shared; each step reads
 its part's columnar :class:`~posegrammar.appearance.Bucket` straight from
 the proposal set and holds a (K, N) appearance block, one row per
-objective, gathered once from the set's immutable score grid
-(:meth:`ScoreTable.appearance`); a grammar pair the grid lacks is refused
-before any search step.
+objective, cut from one (K, all proposals) block that one call of
+:meth:`ScoreTable.appearance` gathers for all K objectives from the set's
+immutable score grid; a grammar pair the grid lacks is refused before any
+search step.
 
 Relation scores come from tables, not from per-candidate math.  The
 expansion order grounds every part after all of its parents, so each edge
-closes at its child's step and its table has one row per proposal of the
-parent and one column per proposal of the child: the co-occurrence table
-gathers the edge's log matrix by the buckets' ``types``, and the
-displacement table evaluates the edge's mixture log-density on the grid
-of child-minus-parent ``xy`` offsets.  A row is computed the first time a
-search reads it.  The tables are the only thing cached per
-:class:`ProposalSet` (weakly, so a dropped set frees them), kept per
-relation model, so every objective of every search reads the same numbers.
+closes at its child's step, and a step reads its table as one row per
+proposal of the parent and one column per proposal of the child.  A
+co-occurrence edge scores part types only, so its table holds one row per
+part type: the edge's log matrix with its columns gathered by the child's
+``types``, built whole with the table, and a parent proposal's row is the
+row of its type.  A displacement table holds one row per parent proposal,
+the edge's mixture log-density on the grid of child-minus-parent ``xy``
+offsets, each row computed the first time a search reads it.  The tables
+are the only thing cached per :class:`ProposalSet` (weakly, so a dropped
+set frees them), kept per relation model, so every objective of every
+search reads the same numbers.
 
 A beam step is one (K, B, N) numpy sum: each survivor's score plus the
 appearance row of its objective, then each closing table's row in plan
@@ -62,7 +66,7 @@ from typing import Mapping
 import numpy as np
 
 from .appearance import Bucket, ProposalSet
-from .errors import InfeasibleParseError, ValidationError
+from .errors import InfeasibleParseError, MissingEntryError, ValidationError
 from .grammar import AOGrammar, AttrId, NodeId, ParseGraph, PartState, parents_first
 from .jsonio import check_fields, count, record
 from .relations import AttributeAssociation, Edge, RelationModels, SyntacticTable
@@ -94,18 +98,22 @@ def default_expansion_order(grammar: AOGrammar) -> tuple[NodeId, ...]:
 
 
 class _Table:
-    """Relation scores of one edge: one row per proposal of its parent, one
-    column per proposal of its child.  A row is computed the first time a
-    search reads it."""
+    """Relation scores of one edge, read as one row per proposal of its
+    parent and one column per proposal of its child.  A co-occurrence
+    table scores part types only, so it holds one row per part type,
+    gathered whole when built; a displacement table holds one row per
+    parent proposal, computed the first time a search reads it."""
 
-    __slots__ = ("source", "edge", "log", "parent", "child", "values", "filled", "unfilled")
+    __slots__ = ("source", "edge", "parent", "child", "values", "filled", "unfilled")
 
     def __init__(self, source, edge: Edge, parent: Bucket, child: Bucket):
         self.source = source
         self.edge = edge
+        self.parent = parent
+        self.child = child
         # Looked up now, so that a missing model entry fails before any search.
         if isinstance(source, SyntacticTable):
-            self.log = source.log_matrix(edge)
+            log = source.log_matrix(edge)
             for bucket in (parent, child):
                 beyond = np.flatnonzero(bucket.types > source.part_type_count)
                 if beyond.size:
@@ -114,31 +122,30 @@ class _Table:
                         f"edge {edge[0]}->{edge[1]}: proposal {bucket.ids[j]!r} has part_type "
                         f"{bucket.types[j]}, beyond the models' part_type_count {source.part_type_count}"
                     )
+            self.values = log.take(child.types - 1, axis=1)
+            self.filled = None
         else:
-            self.log = None
             source.mixture(edge)
-        self.parent = parent
-        self.child = child
-        self.values = np.empty((len(parent.ids), len(child.ids)))
-        self.filled = np.zeros(len(parent.ids), dtype=bool)
-        self.unfilled = len(parent.ids)
+            self.values = np.empty((len(parent.ids), len(child.ids)))
+            self.filled = np.zeros(len(parent.ids), dtype=bool)
+            self.unfilled = len(parent.ids)
 
     def rows(self, idx: np.ndarray) -> np.ndarray:
         """The rows of the parent's proposals ``idx``, shape (len(idx), N)."""
+        if self.filled is None:
+            return self.values.take(self.parent.types.take(idx) - 1, axis=0)
         if self.unfilled:
             todo = np.zeros_like(self.filled)
             todo[idx] = True
             todo = np.flatnonzero(todo & ~self.filled)
             if todo.size:
-                self.values[todo] = self._compute(todo)
+                self.values[todo] = self._displacements(todo)
                 self.filled[todo] = True
                 self.unfilled -= todo.size
         return self.values.take(idx, axis=0)
 
-    def _compute(self, rows: np.ndarray) -> np.ndarray:
+    def _displacements(self, rows: np.ndarray) -> np.ndarray:
         parent, child = self.parent, self.child
-        if self.log is not None:
-            return self.log[np.ix_(parent.types[rows] - 1, child.types - 1)]
         offsets = child.xy[None, :, :] - parent.xy[rows, None, :]
         with np.errstate(over="ignore", invalid="ignore"):
             values = self.source.log_density(self.edge, offsets.reshape(-1, 2))
@@ -192,7 +199,7 @@ def _prepare(grammar, models, pset, assignments) -> list[_Step]:
     if None in buckets:
         raise InfeasibleParseError(f"part {order[buckets.index(None)]!r} has no proposals")
     rows = np.concatenate([b.rows for b in buckets])
-    app = np.stack([pset.scores.appearance(rows, grammar.attributes, a) for a in assignments])
+    app = pset.scores.appearance(rows, grammar.attributes, assignments)
     ends = np.cumsum([len(b.rows) for b in buckets])[:-1]
     steps = [_Step(b, a) for b, a in zip(buckets, np.split(app, ends, axis=1))]
     position = {p: i for i, p in enumerate(order)}
@@ -242,7 +249,8 @@ def _cut(scores: np.ndarray, width: int) -> np.ndarray:
         return np.arange(k * m).reshape(k, m)
     cut = np.partition(scores, m - width, axis=1)[:, m - width, None]
     kept = scores >= cut
-    if (np.count_nonzero(kept, axis=1) > width).any():
+    # Every row keeps at least ``width``, so more in all means more in some.
+    if np.count_nonzero(kept) > k * width:
         # More candidates tie at some row's cut (-0.0 equals 0.0) than fit.
         above, at = scores > cut, scores == cut
         room = width - np.count_nonzero(above, axis=1)[:, None]
@@ -378,13 +386,13 @@ def select_final(
 
 
 def _readout(
-    pg: ParseGraph, pset: ProposalSet, assoc: AttributeAssociation, attr: AttrId, value: str
+    pg: ParseGraph, pset: ProposalSet, carried: Mapping[NodeId, frozenset[AttrId]], attr: AttrId, value: str
 ) -> float:
-    """Score of ``attr=value`` summed over the parse's parts associated with
-    ``attr``, in state order from ``0.0``.  A sum beyond the float range is
-    refused naming the pair and the proposals summed."""
+    """Score of ``attr=value`` summed over the parse's parts that carry
+    ``attr`` by ``carried``, in state order from ``0.0``.  A sum beyond the
+    float range is refused naming the pair and the proposals summed."""
     scores = pset.scores
-    refs = [st.proposal_ref for part, st in pg.states.items() if assoc.contains(part, attr)]
+    refs = [st.proposal_ref for part, st in pg.states.items() if attr in carried[part]]
     # Added one by one, not by np.sum: its pairwise order changes the
     # last bits of the byte-compared readout.
     total = 0.0
@@ -406,9 +414,16 @@ def attribute_scores(
 
     For each (attribute, value) pair, sums that value's appearance score
     over the parts of the pair's parse graph that are associated with the
-    attribute.  Parts outside the association contribute nothing.
+    attribute.  Parts outside the association contribute nothing.  Each
+    part's associated attributes are looked up once per call.
     """
     out: dict[AttrId, dict[str, float]] = {}
+    carried: dict[NodeId, frozenset[AttrId]] = {}
     for (attr, value), pg in per_pair.items():
-        out.setdefault(attr, {})[value] = _readout(pg, pset, assoc, attr, value)
+        if pg.states and attr not in assoc.attr_ids:
+            raise MissingEntryError(f"unknown attribute {attr!r}")
+        for part in pg.states:
+            if part not in carried:
+                carried[part] = assoc.attrs_for(part)
+        out.setdefault(attr, {})[value] = _readout(pg, pset, carried, attr, value)
     return out

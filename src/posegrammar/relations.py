@@ -373,11 +373,6 @@ class AttributeAssociation:
         except KeyError:
             raise MissingEntryError(f"no association entry for part {part!r}") from None
 
-    def contains(self, part: NodeId, attr: AttrId) -> bool:
-        if attr not in self.attr_ids:
-            raise MissingEntryError(f"unknown attribute {attr!r}")
-        return attr in self.attrs_for(part)
-
 
 @dataclass
 class RelationModels:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from html import escape
 
 from .errors import ValidationError
@@ -16,7 +17,8 @@ def render_svg(pg: ParseGraph, grammar: AOGrammar) -> str:
     """Render sticks, keypoints, and an attribute legend as an SVG string.
 
     Output is a pure function of the inputs: fixed element order, fixed
-    float formatting, no timestamps.  A parse with no states is refused.
+    float formatting, no timestamps.  A parse with no states is refused,
+    and so is one whose padded extent on an axis leaves the float range.
     """
     if not pg.states:
         raise ValidationError("parse graph has no states to render")
@@ -26,6 +28,12 @@ def render_svg(pg: ParseGraph, grammar: AOGrammar) -> str:
     pad = 40.0
     x0, y0 = min(xs) - pad, min(ys) - pad
     width, height = max(xs) + pad - x0, max(ys) + pad + 16.0 * (len(pg.attribute_assignment) + 2) - y0
+    for axis, span, values in (("x", width, xs), ("y", height, ys)):
+        if not math.isfinite(span):
+            raise ValidationError(
+                f"parse graph spans {min(values)!r} to {max(values)!r} in {axis}, "
+                "too wide to render: its padded extent leaves the float range"
+            )
 
     lines = []
     for parent, child in grammar.dg_edges:

@@ -6,6 +6,8 @@ the beam's relation tables through the beam's own sum
 wide-enough beam must match it exactly; it is the testing oracle, guarded
 against blowup.  :func:`uniform_syntactic_table` builds the co-occurrence
 model that puts equal mass on every pair of part types.
+:func:`reference_average_precision` is average precision of one stream,
+computed on its own, as the batched form must reproduce it bit for bit.
 """
 
 from __future__ import annotations
@@ -83,3 +85,21 @@ def uniform_syntactic_table(
     t = part_type_count
     mat = np.full((t, t), 1.0 / (t * t))
     return SyntacticTable({tuple(e): mat.copy() for e in edges}, part_type_count=t)
+
+
+def reference_average_precision(scores, labels) -> float:
+    """Average precision of one stream of finite ``scores`` and 0/1
+    ``labels`` with a positive label: ranked by score, stable on ties,
+    grouped at score boundaries, enveloped and summed by ``np.sum``."""
+    s, y = np.asarray(scores, dtype=float), np.asarray(labels)
+    positives = int(y.sum())
+    order = np.argsort(-s, kind="stable")
+    s, y = s[order], y[order].astype(float)
+    boundaries = np.append(np.where(np.diff(s) != 0.0)[0], s.shape[0] - 1)
+    tp = np.cumsum(y)[boundaries]
+    seen = boundaries + 1.0
+    recall = tp / positives
+    precision = tp / seen
+    envelope = np.maximum.accumulate(precision[::-1])[::-1]
+    prev_recall = np.concatenate(([0.0], recall[:-1]))
+    return float(np.sum((recall - prev_recall) * envelope))

@@ -246,12 +246,12 @@ def test_criterion_06_associations_follow_information(criterion, grammar):
                 else:
                     mi[p][attr.id] = 0.2
         assoc = derive_associations(mi, grammar)
-        carrying = {p for p in grammar.part_ids if assoc.contains(p, "lower_cloth_type")}
+        carrying = {p for p in grammar.part_ids if "lower_cloth_type" in assoc.attrs_for(p)}
         assert carrying == set(legs) | {"lower_body", "full_body"}
         for attr in grammar.attributes:
             if attr.id == "lower_cloth_type":
                 continue
-            assert not any(assoc.contains(p, attr.id) for p in grammar.part_ids)
+            assert not any(attr.id in assoc.attrs_for(p) for p in grammar.part_ids)
 
 
 def test_criterion_07_joint_parsing_beats_both_ablations(criterion, grammar, trained_models):

@@ -170,15 +170,14 @@ class TestScoreTable:
     def test_appearance_keeps_the_sign_of_an_assigned_zero(self):
         t = ScoreTable({"p1": {"hat": {"yes": -0.0, "no": -1.0}}})
         attrs = (AttributeDef("hat", "hat", ("yes", "no")),)
-        constrained = t.appearance(t.rows(["p1"]), attrs, {"hat": "yes"})
+        [constrained, unconstrained] = t.appearance(t.rows(["p1"]), attrs, [{"hat": "yes"}, {}])
         assert math.copysign(1.0, constrained[0]) == -1.0
-        unconstrained = t.appearance(t.rows(["p1"]), attrs, {})
         assert math.copysign(1.0, unconstrained[0]) == 1.0
 
     def test_appearance_refuses_a_pair_no_proposal_has(self):
         t = ScoreTable({"p1": {"hat": {"yes": 0.0}}})
         with pytest.raises(MissingEntryError, match="no score for 'hat'='no'"):
-            t.appearance(t.rows(["p1"]), (AttributeDef("hat", "hat", ("yes", "no")),), {"hat": "yes"})
+            t.appearance(t.rows(["p1"]), (AttributeDef("hat", "hat", ("yes", "no")),), [{"hat": "yes"}])
 
 
 def _listed(pset):

@@ -17,6 +17,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import posegrammar
 from posegrammar.appearance import save_proposals, synth_scores
@@ -728,6 +730,45 @@ class TestRender:
         assert not svg_path.exists()
         with pytest.raises(ValidationError, match="^parse graph has no states to render$"):
             posegrammar.render_svg(ParseGraph({}, {}, 0.0), grammar)
+
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_a_parse_too_wide_for_the_float_range_exits_one_and_writes_no_svg(
+        self, pipeline, tmp_path, capsys, axis
+    ):
+        """Finite coordinates whose padded span overflows are refused, not
+        written into the ``viewBox`` as ``inf``."""
+        grammar = build_default_human_grammar()
+        far = {"x": 0.0, "y": 0.0}
+        states = {}
+        for part, coordinate in (("head", 1e308), ("torso", -1e308)):
+            at = dict(far, **{axis: coordinate})
+            states[part] = PartState(part, at["x"], at["y"], 1, part)
+        pg = ParseGraph(states, {}, 1.5)
+        message = (
+            f"parse graph spans -1e+308 to 1e+308 in {axis}, too wide to render: "
+            "its padded extent leaves the float range"
+        )
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            posegrammar.render_svg(pg, grammar)
+        parse_path, svg_path = tmp_path / "parse.json", tmp_path / "parse.svg"
+        save_parse_graph(pg, str(parse_path), grammar)
+        argv = ["render", "--parse", str(parse_path), "--grammar", pipeline["grammar"], "--out", str(svg_path)]
+        assert cli_dispatch(argv) == 1
+        assert capsys.readouterr().err.strip().splitlines() == [f"error: {parse_path}: {message}"]
+        assert not svg_path.exists()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.floats(-1e300, 1e300), st.floats(-1e300, 1e300)), min_size=1, max_size=17
+        )
+    )
+    def test_coordinates_within_1e300_render_finite(self, points):
+        grammar = build_default_human_grammar()
+        parts = grammar.part_ids[: len(points)]
+        pg = ParseGraph({p: PartState(p, x, y, 1, p) for p, (x, y) in zip(parts, points)}, {"hat": "yes"}, 0.5)
+        svg = posegrammar.render_svg(pg, grammar)
+        assert "inf" not in svg and "nan" not in svg
 
 
 class TestEvalAp:

@@ -49,6 +49,8 @@ from posegrammar.learning import Annotation, JointObs
 from posegrammar.relations import AttributeAssociation, RelationModels
 from posegrammar.synthetic import generate_family, single_person_scene
 
+from oracle import reference_average_precision
+
 _JOINTS = {
     "head": (50.0, 10.0),
     "torso": (50.0, 40.0),
@@ -232,6 +234,34 @@ class TestAveragePrecision:
             average_precision([2.0, 1.0], [1, label])
 
 
+class TestBatchedAveragePrecision:
+    """``run_diagnostic`` scores every stream of a mode in one batched call;
+    each row must keep the bits of a call of its own."""
+
+    # Ties, both signs of zero and magnitudes from 1e-6 to 1e6.
+    _POOL = np.array([0.0, -0.0, 1.0, -1.0, 0.5, 2.5, 1e6, -1e6, 1e-6, -1e-6])
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        streams=st.integers(1, 6),
+        n=st.one_of(st.integers(1, 12), st.integers(1, 300)),
+    )
+    def test_each_row_equals_the_reference_to_the_bit(self, seed, streams, n):
+        rng = np.random.default_rng(seed)
+        scores = rng.normal(0.0, 1.0, (streams, n)) * 10.0 ** rng.integers(-6, 7, (streams, n))
+        pooled = rng.random((streams, n)) < rng.random()
+        scores[pooled] = rng.choice(self._POOL, int(pooled.sum()))
+        labels = (rng.random((streams, n)) < rng.random()).astype(int)
+        labels[np.arange(streams), rng.integers(0, n, streams)] = 1
+        expected = [reference_average_precision(s, y) for s, y in zip(scores, labels)]
+        batched = evaluation._average_precisions(scores, labels)
+        assert [v.hex() for v in batched] == [v.hex() for v in expected]
+        assert [average_precision(s.tolist(), y.tolist()).hex() for s, y in zip(scores, labels)] == [
+            v.hex() for v in expected
+        ]
+
+
 class TestArgmaxValue:
     def test_picks_the_peak(self):
         assert argmax_value({"u": -1.0, "v": 2.0, "w": 0.5}, ("u", "v", "w")) == "v"
@@ -370,6 +400,41 @@ class TestRunDiagnostic:
         )
         kwargs.update(overrides)
         return DiagnosticConfig(**kwargs)
+
+    # Per beam width: each mode's pcp, attribute accuracy and mean AP in
+    # float.hex, then its hits per attribute out of the 16 scenes.
+    _PINNED = {
+        100: {
+            "joint": ("0x1.913b13b13b13bp-1", "0x1.ee38e38e38e39p-1", "0x1.f1f893e655ab2p-1", (14, 15, 16, 16, 16, 14, 16, 16, 16)),
+            "no-attribute": ("0x1.5b13b13b13b14p-1", "0x1.e000000000000p-1", "0x1.f947733808480p-1", (14, 16, 16, 15, 14, 14, 15, 16, 15)),
+            "no-pose": (None, "0x1.9555555555555p-1", "0x1.8842ecbe6c269p-1", (13, 15, 12, 15, 12, 14, 12, 10, 11)),
+        },
+        3: {
+            "joint": ("0x1.a4ec4ec4ec4ecp-1", "0x1.ee38e38e38e39p-1", "0x1.f21803942bf65p-1", (14, 15, 16, 16, 16, 14, 16, 16, 16)),
+            "no-attribute": ("0x1.6000000000000p-1", "0x1.e38e38e38e38ep-1", "0x1.f66e407da173bp-1", (14, 15, 15, 16, 15, 14, 15, 16, 16)),
+            "no-pose": (None, "0x1.9555555555555p-1", "0x1.8842ecbe6c269p-1", (13, 15, 12, 15, 12, 14, 12, 10, 11)),
+        },
+    }
+
+    @pytest.mark.parametrize("beam", [100, 3])
+    def test_the_two_person_report_is_pinned_to_the_bit(self, grammar, trained_models, beam):
+        """16 two-person scenes, all three modes, noise 0.9, seed 1000: a
+        change to the search, the readout or the AP that moves a last bit
+        fails here.  Beam 3 prunes the lattice; beam 100 nearly covers it."""
+        scenes = generate_family("two-person", 16, seed=77)
+        cfg = self._config(grammar, trained_models, beam=BeamConfig(beam_width=beam), seed=1000)
+        report = run_diagnostic(scenes, cfg)
+        assert report["n_scenes"] == 16
+        observed = {
+            mode: (
+                None if entry["pcp"] is None else entry["pcp"].hex(),
+                entry["attribute_accuracy"].hex(),
+                entry["mean_ap"].hex(),
+                tuple(round(v * 16) for v in entry["per_attribute_accuracy"].values()),
+            )
+            for mode, entry in report["modes"].items()
+        }
+        assert observed == self._PINNED[beam]
 
     def test_report_shape(self, grammar, quick_models):
         scenes = generate_family("two-person", 3, seed=77)

@@ -538,7 +538,7 @@ class TestReadout:
 
     @staticmethod
     def _assigned_total(pg, pset, assoc):
-        return sum(_readout(pg, pset, assoc, a, v) for a, v in pg.attribute_assignment.items())
+        return sum(_readout(pg, pset, assoc.parts, a, v) for a, v in pg.attribute_assignment.items())
 
     def test_assigned_attributes_masked_by_association(self):
         table = ScoreTable(
@@ -586,13 +586,17 @@ class TestReadout:
 
 
 def _lookup_appearance(grammar, pset, step, assignment):
-    """A step's appearance vector read cell by cell: the assigned cell
-    itself, or 0.0 plus each attribute's best value score."""
+    """A step's appearance vector read cell by cell: the assigned cells
+    added in assignment order from the first, or 0.0 plus each
+    attribute's best value score."""
     out = []
     for p in pset.proposals_for(step.bucket.part):
         if assignment:
-            [(attr, value)] = assignment.items()
-            out.append(_cell(pset.scores, p.id, attr, value))
+            cells = [_cell(pset.scores, p.id, attr, value) for attr, value in assignment.items()]
+            total = cells[0]
+            for cell in cells[1:]:
+                total += cell
+            out.append(total)
         else:
             total = 0.0
             for a in grammar.attributes:
@@ -606,7 +610,7 @@ def _lookup_readout(pg, pset, assoc, attr, value):
     cell in state order."""
     total = 0.0
     for part, st in pg.states.items():
-        if assoc.contains(part, attr):
+        if attr in assoc.attrs_for(part):
             total += _cell(pset.scores, st.proposal_ref, attr, value)
     return total
 
@@ -618,12 +622,15 @@ def _bits(values):
 class TestAppearanceBits:
     """Every appearance read through the score grid performs the same float
     operations as the cell-by-cell loop it replaced, so results match bit
-    for bit: signed zeros, and sums whose order matters at 8+ terms."""
+    for bit: signed zeros, and sums whose order matters at 8+ terms.  The
+    stacked (K, N) block of a search equals each assignment's own sum, for
+    single-pair, two-pair and empty assignments alike."""
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), per_part=st.integers(1, 3))
     def test_prepare_and_readout_equal_the_lookup_loop(self, grammar, quick_models, seed, per_part):
         rng = np.random.default_rng(seed)
+        first, second = grammar.attributes[:2]
         scores, props = {}, []
         for part in grammar.part_ids:
             for i in range(per_part):
@@ -633,15 +640,25 @@ class TestAppearanceBits:
                 scores[pid] = {}
                 for a in grammar.attributes:
                     # Magnitudes 1e-8..1e8 make the summation order visible;
-                    # one cell in ten is -0.0.
+                    # one cell in ten is -0.0, and so is every cell of the
+                    # first two attributes at each part's first proposal,
+                    # which a two-pair sum from 0.0 would turn into 0.0.
                     n = len(a.domain)
                     cells = rng.normal(0.0, 1.0, n) * 10.0 ** rng.integers(-8, 9, n)
                     cells[rng.random(n) < 0.1] = -0.0
+                    if i == 0 and a in (first, second):
+                        cells[:] = -0.0
                     scores[pid][a.id] = dict(zip(a.domain, cells.tolist()))
         pset = ProposalSet.from_proposals(props, ScoreTable(scores), part_type_count=9)
 
         pairs = [(a.id, v) for a in grammar.attributes for v in a.domain]
-        assignments = [{}] + [{a: v} for a, v in pairs]
+        two_pairs = [{first.id: u, second.id: v} for u in first.domain for v in second.domain]
+        for _ in range(4):
+            a, b = rng.choice(len(grammar.attributes), 2, replace=False)
+            a, b = grammar.attributes[a], grammar.attributes[b]
+            two_pairs.append({a.id: str(rng.choice(a.domain)), b.id: str(rng.choice(b.domain))})
+        assignments = [{}] + [{a: v} for a, v in pairs] + two_pairs + [{}]
+        assignments = [assignments[k] for k in rng.permutation(len(assignments))]
         steps = _prepare(grammar, quick_models, pset, assignments)
         for step in steps:
             assert step.app.shape == (len(assignments), len(step.bucket.ids))
@@ -662,7 +679,7 @@ class TestAppearanceBits:
             pg = ParseGraph(
                 {part: PartState(part, 0.0, 0.0, 1, pid) for part, pid in chosen.items()}, {}, 0.0
             )
-            assert _bits([_readout(pg, pset, assoc, attr, value)]) == _bits(
+            assert _bits([_readout(pg, pset, assoc.parts, attr, value)]) == _bits(
                 [_lookup_readout(pg, pset, assoc, attr, value)]
             )
 
@@ -1007,6 +1024,19 @@ class TestRelationTables:
                         expected = models.kinematic.score(table.edge, ch.x - p.x, ch.y - p.y)
                         np.testing.assert_allclose(whole[r, c], expected, rtol=0, atol=1e-12)
 
+    def test_a_cooccurrence_table_holds_one_row_per_part_type(self, grammar, quick_models):
+        """A co-occurrence edge scores part types only, so its table is
+        (part types, child proposals), whatever the parent's proposal count:
+        an eager per-proposal gather would cost a wide lattice memory."""
+        pset = synth_scores(two_person_scene(seed=4), noise_sigma=0.9, rng_seed=8)
+        steps = _prepare(grammar, quick_models, pset, [{}])
+        tables = [table for step in steps for _parent, table in step.closings]
+        cooccurrence = [t for t in tables if isinstance(t.source, SyntacticTable)]
+        assert len(cooccurrence) == len(grammar.psg_edges)
+        for table in cooccurrence:
+            assert len(table.parent.ids) == 2
+            assert table.values.shape == (quick_models.syntactic.part_type_count, len(table.child.ids))
+
     def test_one_proposal_set_two_models(self):
         """Tables are kept per relation model, so alternating models on one
         proposal set gives each model the result a fresh set gives it."""
@@ -1141,8 +1171,8 @@ class TestReadoutOverflow:
 
     def test_the_search_stays_finite_and_the_readout_refuses(self, grammar, trained_models):
         assoc = trained_models.association
-        assert {"full_body", "torso"} <= {p for p in grammar.part_ids if assoc.contains(p, "gender")}
-        assert not assoc.contains("lower_body", "gender")
+        assert {"full_body", "torso"} <= {p for p in grammar.part_ids if "gender" in assoc.attrs_for(p)}
+        assert "gender" not in assoc.attrs_for("lower_body")
         pset = self._lattice(grammar)
         best, per_pair = select_final(grammar, trained_models, pset)
         assert best.attribute_assignment == {"gender": "male"} and math.isfinite(best.total_score)

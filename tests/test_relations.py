@@ -19,7 +19,8 @@ from scipy.stats import multivariate_normal
 
 from posegrammar.appearance import Proposal, ProposalSet, ScoreTable
 from posegrammar.errors import MissingEntryError, ValidationError
-from posegrammar.inference import _Table
+from posegrammar.grammar import ParseGraph, PartState
+from posegrammar.inference import _Table, attribute_scores
 from posegrammar.relations import (
     COV_EIG_FLOOR,
     AttributeAssociation,
@@ -409,19 +410,24 @@ class TestAttributeAssociation:
             parts={"head": ("hat",), "torso": ()},
             attr_ids=("hat", "backpack"),
         )
-        assert assoc.contains("head", "hat")
-        assert not assoc.contains("head", "backpack")
-        assert assoc.contains("head", "hat") is True
-        assert assoc.contains("torso", "hat") is False
+        assert assoc.attrs_for("head") == frozenset({"hat"})
+        assert assoc.attrs_for("torso") == frozenset()
 
     def test_undeclared_attribute_in_parts(self):
         with pytest.raises(ValidationError, match="undeclared attributes"):
             AttributeAssociation(parts={"head": ("mood",)}, attr_ids=("hat",))
 
     def test_unknown_attribute_query(self):
+        """A readout of an attribute the association does not declare is
+        refused, not summed over no parts."""
         assoc = AttributeAssociation(parts={"head": ("hat",)}, attr_ids=("hat",))
-        with pytest.raises(MissingEntryError, match="unknown attribute"):
-            assoc.contains("head", "mood")
+        pset = ProposalSet.from_proposals(
+            [Proposal("ph", "head", 0.0, 0.0, 1, (0.0, 0.0, 4.0, 4.0))],
+            ScoreTable({"ph": {"hat": {"yes": 1.0}, "mood": {"happy": 2.0}}}),
+        )
+        pg = ParseGraph({"head": PartState("head", 0.0, 0.0, 1, "ph")}, {"mood": "happy"}, 0.0)
+        with pytest.raises(MissingEntryError, match="^unknown attribute 'mood'$"):
+            attribute_scores({("mood", "happy"): pg}, pset, assoc)
 
     def test_unknown_part_query(self):
         assoc = AttributeAssociation(parts={"head": ("hat",)}, attr_ids=("hat",))
