@@ -38,22 +38,32 @@ are the only thing cached per :class:`ProposalSet` (weakly, so a dropped
 set frees them), kept per relation model, so every objective of every
 search reads the same numbers.
 
-A beam step is one (K, B, N) numpy sum: each survivor's score plus the
-appearance row of its objective, then each closing table's row in plan
-order, the rows gathered once for all K*B survivors.  So every candidate
-sees the same float operations, in the same order, as in a search of its
-objective alone.  The tie rule is storage order: buckets list their
-proposals in id order and each step keeps its survivors in id-tuple
-order, so a candidate's flat index in its (B, N) block orders as its id
-tuple.  The cut is per objective, at the row's ``beam_width``-th best
-score: candidates above it survive, and the lowest-indexed at it fill
-the rest.  A step keeps only back-pointers, each survivor's parent among
-the previous survivors and its own proposal, never the survivors'
-prefixes.  The proposal indices of a part that a later step's edges read
-are kept as one (K, B) column, re-gathered through each step's parent
-pointers until its last reader; after the last step each objective's
-best survivor, its first maximum, is decoded backwards through the
-pointers.  Every gather in a step is one flat ``take``.
+A beam step sums into one (K, B, N) block: each survivor's score plus
+the appearance row of its objective, then each closing table's row in
+plan order, the rows gathered once for all K*B survivors.  So every
+candidate sees the same float operations, in the same order, as in a
+search of its objective alone.  The first sum is a matrix product,
+``[score, 1] @ [1; app]``: both products are exact, so each cell is
+``score + app`` rounded once, written faster than a broadcast add.  A
+search allocates one workspace, two blocks sized by its largest step:
+one takes the sums, the other each table gather and then the cut's
+partition.  Appearance cells and table values are finite, so a sum can
+only fail by overflow; the search carries a bound on every prefix's
+``|score|``, grown per step by the largest ``|app|`` of the step's block
+and of each closing table, and checks a block cell by cell only once
+that bound reaches ``2**1022``.  The tie rule is storage order: buckets
+list their proposals in id order and each step keeps its survivors in
+id-tuple order, so a candidate's flat index in its (B, N) block orders
+as its id tuple.  The cut is per objective, at the row's
+``beam_width``-th best score: candidates above it survive, and the
+lowest-indexed at it fill the rest.  A step keeps only back-pointers,
+each survivor's parent among the previous survivors and its own
+proposal, never the survivors' prefixes.  The proposal indices of a part
+that a later step's edges read are kept as one (K, B) column,
+re-gathered through each step's parent pointers until its last reader;
+after the last step each objective's best survivor, its first maximum,
+is decoded backwards through the pointers.  Every gather in a step is
+one flat ``take``.
 """
 
 from __future__ import annotations
@@ -102,9 +112,10 @@ class _Table:
     parent and one column per proposal of its child.  A co-occurrence
     table scores part types only, so it holds one row per part type,
     gathered whole when built; a displacement table holds one row per
-    parent proposal, computed the first time a search reads it."""
+    parent proposal, computed the first time a search reads it.  ``peak``
+    is the largest ``|value|`` of the rows computed so far."""
 
-    __slots__ = ("source", "edge", "parent", "child", "values", "filled", "unfilled")
+    __slots__ = ("source", "edge", "parent", "child", "values", "filled", "unfilled", "peak")
 
     def __init__(self, source, edge: Edge, parent: Bucket, child: Bucket):
         self.source = source
@@ -124,25 +135,31 @@ class _Table:
                     )
             self.values = log.take(child.types - 1, axis=1)
             self.filled = None
+            self.peak = float(np.abs(self.values).max())
         else:
             source.mixture(edge)
             self.values = np.empty((len(parent.ids), len(child.ids)))
             self.filled = np.zeros(len(parent.ids), dtype=bool)
             self.unfilled = len(parent.ids)
+            self.peak = 0.0
 
-    def rows(self, idx: np.ndarray) -> np.ndarray:
-        """The rows of the parent's proposals ``idx``, shape (len(idx), N)."""
+    def rows(self, idx: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The rows of the parent's proposals ``idx``, shape (len(idx), N),
+        written into ``out`` if given."""
+        # Every index is in range, and "clip" writes ``out`` unbuffered.
         if self.filled is None:
-            return self.values.take(self.parent.types.take(idx) - 1, axis=0)
+            return self.values.take(self.parent.types.take(idx) - 1, axis=0, out=out, mode="clip")
         if self.unfilled:
             todo = np.zeros_like(self.filled)
             todo[idx] = True
             todo = np.flatnonzero(todo & ~self.filled)
             if todo.size:
-                self.values[todo] = self._displacements(todo)
+                values = self._displacements(todo)
+                self.values[todo] = values
                 self.filled[todo] = True
                 self.unfilled -= todo.size
-        return self.values.take(idx, axis=0)
+                self.peak = max(self.peak, float(np.abs(values).max()))
+        return self.values.take(idx, axis=0, out=out, mode="clip")
 
     def _displacements(self, rows: np.ndarray) -> np.ndarray:
         parent, child = self.parent, self.child
@@ -168,14 +185,48 @@ _TABLES: weakref.WeakKeyDictionary[ProposalSet, dict[tuple, _Table]] = weakref.W
 class _Step:
     """One expansion step: the part's bucket, its (K, N) appearance block,
     one row per objective, and the tables of the edges it closes, each with
-    the step position of the edge's parent."""
+    the step position of the edge's parent.  ``lifted`` is the (K, 2, N)
+    stack of a row of ones over each appearance row, the right factor of
+    the step's first sum, and ``app`` its second row; ``peak`` bounds the
+    block's ``|app|``."""
 
-    __slots__ = ("bucket", "app", "closings")
+    __slots__ = ("bucket", "lifted", "app", "peak", "closings")
 
-    def __init__(self, bucket: Bucket, app: np.ndarray):
+    def __init__(self, bucket: Bucket, lifted: np.ndarray, peak: float):
         self.bucket = bucket
-        self.app = app
+        self.lifted = lifted
+        self.app = lifted[:, 1]
+        self.peak = peak
         self.closings: list[tuple[int, _Table]] = []
+
+
+def _steps(buckets: list[Bucket], app: np.ndarray) -> list[_Step]:
+    """One step per bucket, each holding its columns of the (K, all
+    proposals) appearance block ``app``, which lists the buckets' proposals
+    in order."""
+    lifted = np.ones((app.shape[0], 2, app.shape[1]))
+    lifted[:, 1] = app
+    starts = np.cumsum([0] + [len(b.ids) for b in buckets[:-1]])
+    peaks = np.maximum.reduceat(np.abs(app).max(axis=0), starts).tolist()
+    return [_Step(*args) for args in zip(buckets, np.split(lifted, starts[1:], axis=2), peaks)]
+
+
+# A block whose bound on |score| stays below this holds only finite sums.
+_EXACT_CHECK = 2.0**1022
+
+
+class _Workspace:
+    """The scratch of one search: two flat blocks of ``size`` floats,
+    ``sums`` for a step's candidate scores and ``rows`` for its table
+    gathers and then its cut, and ``bound``, an upper bound on the
+    ``|score|`` of every candidate so far."""
+
+    __slots__ = ("sums", "rows", "bound")
+
+    def __init__(self, size: int, bound: float = math.inf):
+        self.sums = np.empty(size)
+        self.rows = np.empty(size)
+        self.bound = bound
 
 
 def check_assignment(grammar: AOGrammar, assignment: Mapping[AttrId, str]) -> None:
@@ -199,9 +250,7 @@ def _prepare(grammar, models, pset, assignments) -> list[_Step]:
     if None in buckets:
         raise InfeasibleParseError(f"part {order[buckets.index(None)]!r} has no proposals")
     rows = np.concatenate([b.rows for b in buckets])
-    app = pset.scores.appearance(rows, grammar.attributes, assignments)
-    ends = np.cumsum([len(b.rows) for b in buckets])[:-1]
-    steps = [_Step(b, a) for b, a in zip(buckets, np.split(app, ends, axis=1))]
+    steps = _steps(buckets, pset.scores.appearance(rows, grammar.attributes, assignments))
     position = {p: i for i, p in enumerate(order)}
     closing = ((models.syntactic, grammar.psg_edges), (models.kinematic, grammar.dg_edges))
     for source, edges in closing:
@@ -213,32 +262,57 @@ def _prepare(grammar, models, pset, assignments) -> list[_Step]:
     return steps
 
 
-def _extend(step: _Step, score: np.ndarray, cols) -> np.ndarray:
+def _extend(step: _Step, score: np.ndarray, cols, work: _Workspace | None = None) -> np.ndarray:
     """Scores of the prefixes with ``score`` (K, B), one row per objective,
-    each extended by every proposal of ``step``: shape (K, B, N).
-    ``cols[p]`` holds the prefixes' (K, B) proposal indices at step
-    position ``p``, for every parent position of ``step``'s closings.
+    each extended by every proposal of ``step``: shape (K, B, N), a view of
+    ``work.sums``.  ``cols[p]`` holds the prefixes' (K, B) proposal indices
+    at step position ``p``, for every parent position of ``step``'s
+    closings.  Without a workspace, one is allocated for the call, with no
+    bound, so that every sum is checked.
 
     The appearance term is added first, then each closing table's row in
     plan order; the beam, and at K=1 the exhaustive oracle under ``tests/``,
-    both use this one sum.
-    Table rows are gathered once for all K*B prefixes.  A sum that
-    overflows is refused here; the searches silence numpy's warning.
+    both use this one sum.  Table rows are gathered once for all K*B
+    prefixes, into ``work.rows``.  ``work.bound`` grows by the step's
+    ``peak`` and each closing table's; a sum that overflows is refused
+    here, checked cell by cell once the bound says it might; the searches
+    silence numpy's warning.
     """
-    total = score[:, :, None] + step.app[:, None, :]
+    k, b = score.shape
+    size = k * b * step.app.shape[1]
+    if work is None:
+        work = _Workspace(size)
+    total = work.sums[:size].reshape(k, b, -1)
+    if step.closings:
+        # The product gives -0.0 + -0.0 as +0.0, where a broadcast add
+        # gives -0.0; the first closing absorbs the sign.  It is the part's
+        # co-occurrence edge (every part but the root is a psg child, as
+        # the grammar refuses a part no psg edge reaches, and the plan
+        # lists psg edges first), whose log entries are never -0.0, and
+        # 0.0 + r equals -0.0 + r for every r but -0.0.
+        lhs = np.empty((k, b, 2))
+        lhs[..., 0], lhs[..., 1] = score, 1.0
+        np.matmul(lhs, step.lifted, out=total)
+    else:
+        np.add(score[:, :, None], step.app[:, None, :], out=total)
+    bound = work.bound + step.peak
+    gathered = work.rows[:size].reshape(k * b, -1)
     for parent, table in step.closings:
-        total += table.rows(cols[parent].ravel()).reshape(total.shape)
-    if not np.isfinite(total).all():
+        total += table.rows(cols[parent].ravel(), out=gathered).reshape(total.shape)
+        bound += table.peak
+    if bound >= _EXACT_CHECK and not np.isfinite(total).all():
         raise ValidationError(
             f"a partial parse score at part {step.bucket.part!r} is not finite: "
             "appearance and relation scores overflow"
         )
+    work.bound = bound
     return total
 
 
-def _cut(scores: np.ndarray, width: int) -> np.ndarray:
+def _cut(scores: np.ndarray, width: int, scratch: np.ndarray | None = None) -> np.ndarray:
     """Per row of ``scores`` (K, M), the flat indices into ``scores`` of its
-    ``width`` best candidates, in ascending order.
+    ``width`` best candidates, in ascending order.  ``scratch``, a flat
+    buffer of at least K*M floats, holds the partition if given.
 
     Higher score wins; equal scores go to the lower index.  The cut is the
     row's ``width``-th best score: every candidate above it is kept, and
@@ -247,7 +321,10 @@ def _cut(scores: np.ndarray, width: int) -> np.ndarray:
     k, m = scores.shape
     if m <= width:
         return np.arange(k * m).reshape(k, m)
-    cut = np.partition(scores, m - width, axis=1)[:, m - width, None]
+    part = np.empty_like(scores) if scratch is None else scratch[: k * m].reshape(k, m)
+    np.copyto(part, scores)
+    part.partition(m - width, axis=1)
+    cut = part[:, m - width, None]
     kept = scores >= cut
     # Every row keeps at least ``width``, so more in all means more in some.
     if np.count_nonzero(kept) > k * width:
@@ -266,25 +343,34 @@ def _run_beam(steps: list[_Step], beam_width: int) -> list[tuple[float, list[int
     order.  Ties go to the lexicographically smaller tuple of proposal ids,
     which is the lower flat index in a step's (B, N) block.
 
+    One workspace serves every step: its blocks are sized by the largest
+    (K, B, N) block of the search, and its bound starts at the first
+    block's largest ``|app|``.  It is freed when the search returns.
+
     A survivor's back-pointers are its parent, as a flat index into the
     previous step's (K, B) survivors, and its proposal index.  A column
     that later closings read is re-gathered through the parents until its
     ``last`` read; each objective's best is decoded after the last step.
     """
     last = {parent: si for si, step in enumerate(steps) for parent, _table in step.closings}
+    k = len(steps[0].app)
+    # B survivors per objective extend into B*N candidates, B=1 at the first step.
+    size, b = 0, 1
+    for step in steps:
+        m = b * step.app.shape[1]
+        size, b = max(size, m), min(beam_width, m)
+    work = _Workspace(k * size, steps[0].peak)
     score, cols, pointers = None, {}, []
     for si, step in enumerate(steps):
         # The first step's candidates all extend one empty prefix per objective.
-        total = _extend(step, score, cols).reshape(len(score), -1) if si else step.app
-        keep = _cut(total, beam_width)
+        total = _extend(step, score, cols, work).reshape(k, -1) if si else step.app
+        keep = _cut(total, beam_width, work.rows)
         score = total.take(keep)
         parent, child = np.divmod(keep, step.app.shape[1])
         pointers.append((parent, child))
         cols = {p: c.take(parent) for p, c in cols.items() if last[p] > si}
         if si in last:
             cols[si] = child
-        # Freed before the next step builds its own (K, B, N) block.
-        del total
     # Each objective's best survivor, as a flat index: the first maximum,
     # so the smallest id tuple among equal scores.
     best = score.argmax(axis=1) + np.arange(0, score.size, score.shape[1])

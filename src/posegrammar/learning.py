@@ -165,19 +165,28 @@ def fit_syntactic(type_samples: Sequence[Mapping[NodeId, int]], grammar: AOGramm
     """
     t = grammar.part_type_count
     cells = t * t
+    # Each part's type in each sample, checked once: present, accepted, and
+    # its code (type - 1, or 0 where absent or refused).
+    values, present, accepted, codes = {}, {}, {}, {}
+    for part in dict.fromkeys(p for edge in grammar.psg_edges for p in edge):
+        values[part] = [s.get(part) for s in type_samples]
+        present[part] = np.array([v is not None for v in values[part]], dtype=bool)
+        accepted[part] = np.array([v is not None and _is_part_type(v, t) for v in values[part]], dtype=bool)
+        codes[part] = np.array([v - 1 if ok else 0 for v, ok in zip(values[part], accepted[part])], dtype=np.intp)
     tables: dict[Edge, np.ndarray] = {}
     unsampled: list[Edge] = []
     for edge in grammar.psg_edges:
         parent, child = edge
-        pairs = [(s[parent], s[child]) for s in type_samples if s.get(parent) is not None and s.get(child) is not None]
-        for a, b in pairs:
-            if not (_is_part_type(a, t) and _is_part_type(b, t)):
-                raise ValidationError(f"part types for edge {edge} must lie in 1..{t}, got ({a}, {b})")
-        if not pairs:
+        paired = present[parent] & present[child]
+        refused = np.flatnonzero(paired & ~(accepted[parent] & accepted[child]))
+        if refused.size:
+            a, b = values[parent][refused[0]], values[child][refused[0]]
+            raise ValidationError(f"part types for edge {edge} must lie in 1..{t}, got ({a}, {b})")
+        n = np.count_nonzero(paired)
+        if not n:
             unsampled.append(edge)
-        codes = np.array(pairs, dtype=np.intp).reshape(-1, 2) - 1
-        counts = np.bincount(codes[:, 0] * t + codes[:, 1], minlength=cells).reshape(t, t)
-        tables[edge] = (counts + 1.0) / (len(pairs) + cells)
+        counts = np.bincount(codes[parent][paired] * t + codes[child][paired], minlength=cells).reshape(t, t)
+        tables[edge] = (counts + 1.0) / (n + cells)
     if unsampled:
         warnings.warn(
             f"no part-type samples for edges {unsampled}; they use the uniform table",

@@ -4,7 +4,9 @@
 the beam's relation tables through the beam's own sum
 (:func:`posegrammar.inference._extend`), at K=1, so on small instances a
 wide-enough beam must match it exactly; it is the testing oracle, guarded
-against blowup.  :func:`uniform_syntactic_table` builds the co-occurrence
+against blowup.  :func:`reference_extend` is that sum in its plain
+broadcast form, which the beam's product form must reproduce bit for
+bit.  :func:`uniform_syntactic_table` builds the co-occurrence
 model that puts equal mass on every pair of part types.
 :func:`reference_average_precision` is average precision of one stream,
 computed on its own, as the batched form must reproduce it bit for bit.
@@ -17,9 +19,9 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from posegrammar.appearance import ProposalSet
-from posegrammar.errors import PoseGrammarError
+from posegrammar.errors import PoseGrammarError, ValidationError
 from posegrammar.grammar import DEFAULT_PART_TYPE_COUNT, AOGrammar, AttrId, ParseGraph
-from posegrammar.inference import _build_parse_graphs, _extend, _prepare
+from posegrammar.inference import _build_parse_graphs, _extend, _prepare, _Step
 from posegrammar.relations import Edge, RelationModels, SyntacticTable
 
 COMBINATION_GUARD = 10_000_000
@@ -77,6 +79,22 @@ def brute_force_parse(
     _key, score, idxs = best[0]
     [pg] = _build_parse_graphs(steps, [assignment], [(score, idxs)])
     return pg
+
+
+def reference_extend(step: _Step, score: np.ndarray, cols) -> np.ndarray:
+    """The (K, B, N) scores of the prefixes with ``score`` (K, B) extended
+    by every proposal of ``step``, as one broadcast sum: ``score + app``,
+    then each closing table's row in plan order.  A sum that overflows is
+    refused."""
+    total = score[:, :, None] + step.app[:, None, :]
+    for parent, table in step.closings:
+        total += table.rows(cols[parent].ravel()).reshape(total.shape)
+    if not np.isfinite(total).all():
+        raise ValidationError(
+            f"a partial parse score at part {step.bucket.part!r} is not finite: "
+            "appearance and relation scores overflow"
+        )
+    return total
 
 
 def uniform_syntactic_table(

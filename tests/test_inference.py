@@ -42,7 +42,9 @@ from posegrammar.inference import (
     _run_beam,
     _search,
     _Step,
+    _steps,
     _Table,
+    _Workspace,
     attribute_scores,
     default_expansion_order,
     parse_constrained,
@@ -59,7 +61,7 @@ from posegrammar.relations import (
 )
 from posegrammar.synthetic import two_person_scene
 
-from oracle import EnumerationLimitError, brute_force_parse, uniform_syntactic_table
+from oracle import EnumerationLimitError, brute_force_parse, reference_extend, uniform_syntactic_table
 
 _PROPERTY_ATTRIBUTE = (AttributeDef("c", "c", ("u", "v")),)
 
@@ -364,8 +366,9 @@ class TestTieBreaking:
     @given(width=st.integers(1, 6), m=st.integers(1, 8), data=st.data())
     def test_cut_keeps_what_a_sort_on_score_then_index_keeps(self, width, m, data):
         """Per row, ``_cut`` keeps the ``width`` candidates first under
-        (-score, index), listed by index, and the decode of a one-step
-        search picks the row's first maximum among them.  Rows drawn with
+        (-score, index), listed by index, with or without a scratch buffer
+        full of NaN, and the decode of a one-step search picks the row's
+        first maximum among them.  Rows drawn with
         unique values never tie; the others mostly do."""
         rows = lambda unique: st.lists(st.sampled_from(self._POOL), min_size=m, max_size=m, unique=unique)
         k = data.draw(st.integers(1, 4))
@@ -374,10 +377,13 @@ class TestTieBreaking:
         index = np.arange(m)
         ranked = [np.lexsort((index, -row))[:width] for row in scores]
         assert kept.tolist() == [sorted(r * m + order) for r, order in enumerate(ranked)]
+        # A caller's scratch buffer, larger than needed and stale, keeps the same.
+        stale = np.full(scores.size + 3, np.nan)
+        assert _cut(scores, width, stale).tolist() == kept.tolist()
         ids = [f"p{j}" for j in range(m)]
         proposals = [Proposal(pid, "root", 0.0, 0.0, 1, (0.0, 0.0, 1.0, 1.0)) for pid in ids]
         bucket = ProposalSet.from_proposals(proposals, ScoreTable({pid: {} for pid in ids})).buckets["root"]
-        for row, order, (score, [j]) in zip(scores, ranked, _run_beam([_Step(bucket, scores)], width)):
+        for row, order, (score, [j]) in zip(scores, ranked, _run_beam(_steps([bucket], scores), width)):
             assert j == order[0]
             assert float.hex(score) == float.hex(row[j])
 
@@ -452,6 +458,60 @@ class TestBeamTrace:
                     np.testing.assert_allclose(partial, expected, rtol=0, atol=1e-9)
                     audited += 1
         assert audited == 2 * (3 + 9 + 27)
+
+
+def _awkward_cells(rng, shape):
+    """Cells of magnitude 1e-300 to 1e300 with either sign, about one in
+    three of them -0.0, 0.0 or subnormal."""
+    cells = rng.normal(0.0, 1.0, shape) * 10.0 ** rng.integers(-300, 301, shape)
+    pick = rng.random(shape)
+    cells[pick < 0.15] = -0.0
+    cells[(pick >= 0.15) & (pick < 0.25)] = 0.0
+    subnormal = (pick >= 0.25) & (pick < 0.35)
+    cells[subnormal] = rng.choice([5e-324, -5e-324, 1e-310, -2.5e-320], int(subnormal.sum()))
+    return cells
+
+
+class TestExtendBits:
+    """The product form of a beam step's sum gives, cell by cell, the
+    float a broadcast ``score + app`` followed by each closing's ``+=``
+    gives, with every prefix of the step's closings (none included), on
+    workspaces full of NaN."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), stacked=st.booleans(), prefixes=st.integers(1, 6))
+    def test_extend_equals_the_broadcast_reference(self, grammar, quick_models, seed, stacked, prefixes):
+        rng = np.random.default_rng(seed)
+        props, scores = [], {}
+        for part in grammar.part_ids:
+            for i in range(int(rng.integers(1, 4))):
+                pid = f"{part}.{i}"
+                x, y = rng.uniform(0.0, 320.0), rng.uniform(0.0, 240.0)
+                props.append(Proposal(pid, part, float(x), float(y), int(rng.integers(1, 10)), (0, 0, 4, 4)))
+                # Each part's first proposal scores -0.0 under every
+                # single-pair objective.
+                scores[pid] = {
+                    a.id: dict(zip(a.domain, (-0.0 if i == 0 else c for c in _awkward_cells(rng, len(a.domain)).tolist())))
+                    for a in grammar.attributes
+                }
+        pset = ProposalSet.from_proposals(props, ScoreTable(scores), part_type_count=grammar.part_type_count)
+        assignments = [{a.id: v} for a in grammar.attributes for v in a.domain] + [{}]
+        if not stacked:
+            assignments = [assignments[int(rng.integers(len(assignments)))]]
+        steps = _prepare(grammar, quick_models, pset, assignments)
+        k = len(assignments)
+        for step in steps[1:]:
+            score = _awkward_cells(rng, (k, prefixes))
+            score[:, 0] = -0.0
+            cols = {p: rng.integers(0, len(steps[p].bucket.ids), size=(k, prefixes)) for p, _ in step.closings}
+            for j in range(len(step.closings) + 1):
+                part = _Step(step.bucket, step.lifted, step.peak)
+                part.closings = step.closings[:j]
+                work = _Workspace(k * prefixes * len(step.bucket.ids), float(np.abs(score).max()))
+                work.sums.fill(np.nan)
+                work.rows.fill(np.nan)
+                got = _extend(part, score, cols, work)
+                assert _bits(got.ravel()) == _bits(reference_extend(part, score, cols).ravel())
 
 
 class TestSelectFinal:
@@ -836,7 +896,7 @@ def _objective_steps(steps, k):
     """The steps of a stacked search cut down to objective ``k`` alone."""
     out = []
     for step in steps:
-        alone = _Step(step.bucket, step.app[k : k + 1])
+        alone = _Step(step.bucket, step.lifted[k : k + 1], step.peak)
         alone.closings = step.closings
         out.append(alone)
     return out
@@ -1099,7 +1159,8 @@ class TestNonFiniteRelations:
 class TestOverflow:
     """Appearance scores of 1e308 on the first two parts sum past the float
     range at the second; the search refuses the input instead of ranking
-    an infinite score, and numpy warns of nothing."""
+    an infinite score, also where the cut would drop every infinite
+    candidate, and numpy warns of nothing."""
 
     _MESSAGE = (
         "a partial parse score at part 'a' is not finite: appearance and relation scores overflow"
@@ -1124,6 +1185,29 @@ class TestOverflow:
         g, models, pset = self._huge()
         with pytest.raises(ValidationError, match="^" + re.escape(self._MESSAGE) + "$"):
             brute_force_parse(g, models, pset, {})
+
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_an_overflow_the_cut_would_prune_is_refused(self, width):
+        """Every root proposal and ``a0`` score -1e308, so only the
+        candidates through ``a0`` overflow, to -inf, and a beam narrower
+        than the lattice would cut them: the search refuses the input all
+        the same, though no survivor is infinite."""
+        g, models, pset = _toy_world(43)
+
+        def low(pid, per_attr):
+            if pid.startswith("root") or pid == "a0":
+                per_attr["c"] = {"u": -1e308, "v": -1e308}
+
+        pset = _rescored(pset, low)
+        cfg = BeamConfig(beam_width=width)
+        assert width < _lattice_size(pset)
+        for run in (
+            lambda: parse_unconstrained(g, models, pset, cfg),
+            lambda: parse_constrained(g, models, pset, "c", "v", cfg),
+            lambda: select_final(g, models, pset, cfg),
+        ):
+            with pytest.raises(ValidationError, match="^" + re.escape(self._MESSAGE) + "$"):
+                run()
 
     def test_recompute_score(self):
         """A parse over the huge proposals, rescored from scratch, sums past
