@@ -44,11 +44,19 @@ plan order, the rows gathered once for all K*B survivors.  So every
 candidate sees the same float operations, in the same order, as in a
 search of its objective alone.  The first sum is a matrix product,
 ``[score, 1] @ [1; app]``: both products are exact, so each cell is
-``score + app`` rounded once, written faster than a broadcast add.  A
-search allocates one workspace, two blocks sized by its largest step:
-one takes the sums, the other each table gather and then the cut's
-partition.  Appearance cells and table values are finite, so a sum can
-only fail by overflow; the search carries a bound on every prefix's
+``score + app`` rounded once, written faster than a broadcast add.
+Objectives never mix, so a search runs them in contiguous groups of
+near-equal size, as few as keep a group's step block within
+``_GROUP_CELLS`` (2**16 float64 cells, 512 KiB): each group runs every
+step, and the 26 objectives of :func:`select_final` on a 17x50 lattice
+at width 100 run as two groups of 13.  A search allocates one workspace,
+two blocks sized by the largest step of its largest group: one takes the
+sums, the other each table gather and then the cut's partition, so the
+two stay within half of a 2 MiB per-core L2 while the step's passes run
+over them.  A group that fails stops the search, so where objectives in
+different groups fail at different steps the first group's error is the
+one raised.  Appearance cells and table values are finite, so a sum can
+only fail by overflow; each group carries a bound on every prefix's
 ``|score|``, grown per step by the largest ``|app|`` of the step's block
 and of each closing table, and checks a block cell by cell only once
 that bound reaches ``2**1022``.  The tie rule is storage order: buckets
@@ -199,6 +207,13 @@ class _Step:
         self.peak = peak
         self.closings: list[tuple[int, _Table]] = []
 
+    def objectives(self, lo: int, hi: int) -> _Step:
+        """This step for objectives ``lo:hi`` alone: views of their rows of
+        the block, the same closings, and the whole block's ``peak``."""
+        view = _Step(self.bucket, self.lifted[lo:hi], self.peak)
+        view.closings = self.closings
+        return view
+
 
 def _steps(buckets: list[Bucket], app: np.ndarray) -> list[_Step]:
     """One step per bucket, each holding its columns of the (K, all
@@ -216,10 +231,13 @@ _EXACT_CHECK = 2.0**1022
 
 
 class _Workspace:
-    """The scratch of one search: two flat blocks of ``size`` floats,
-    ``sums`` for a step's candidate scores and ``rows`` for its table
-    gathers and then its cut, and ``bound``, an upper bound on the
-    ``|score|`` of every candidate so far."""
+    """The scratch of one search, shared by its groups of objectives: two
+    flat blocks of ``size`` floats, ``sums`` for a step's candidate scores
+    and ``rows`` for its table gathers and then its cut, and ``bound``, an
+    upper bound on the ``|score|`` of every candidate of the running group
+    so far.  Sized for the largest group, each block holds at most
+    ``_GROUP_CELLS`` floats, unless one objective's step block alone is
+    larger."""
 
     __slots__ = ("sums", "rows", "bound")
 
@@ -335,6 +353,15 @@ def _cut(scores: np.ndarray, width: int, scratch: np.ndarray | None = None) -> n
     return np.flatnonzero(kept).reshape(k, width)
 
 
+# The most cells a step block of one group of objectives may hold.  A
+# float64 block of 2**16 cells is 512 KiB, so a step's two blocks, the sums
+# and the gathers, take half of a 2 MiB per-core L2 and stay there across
+# the step's passes.  At 2**17 a K=26 search on a 17x50 lattice at width
+# 100 would not split; in groups of 5 or fewer objectives it runs no
+# faster than unsplit, the extra groups' per-step calls eating the gain.
+_GROUP_CELLS = 2**16
+
+
 def _run_beam(steps: list[_Step], beam_width: int) -> list[tuple[float, list[int]]]:
     """Per objective, the best (score, per-step proposal indices) under the
     beam.
@@ -343,9 +370,44 @@ def _run_beam(steps: list[_Step], beam_width: int) -> list[tuple[float, list[int
     order.  Ties go to the lexicographically smaller tuple of proposal ids,
     which is the lower flat index in a step's (B, N) block.
 
-    One workspace serves every step: its blocks are sized by the largest
-    (K, B, N) block of the search, and its bound starts at the first
-    block's largest ``|app|``.  It is freed when the search returns.
+    Objectives are independent rows, so the K objectives run as the fewest
+    contiguous groups, of near-equal size, whose step blocks fit
+    ``_GROUP_CELLS`` cells: a group of G objectives fits when G times the
+    largest per-objective (B, N) block of the search does, and one
+    objective alone always runs.  Each group runs every step, on views of
+    its objectives' rows (a lone group on the steps themselves), and the
+    results are concatenated in objective order.  One workspace, sized for the largest group, serves every step
+    of every group and is freed when the search returns.
+
+    A group that fails raises, and later groups do not run.  Where
+    objectives in different groups would fail at different steps, the
+    error is the first failing group's, at its own step, not the one a
+    single stacked search would raise at the earliest step of any
+    objective.  Every input that search refuses is still refused: each
+    group reads the displacement rows its own survivors need, and the
+    overflow bound holds per group, as ``peak`` is a maximum over all K.
+    """
+    k = len(steps[0].app)
+    # B survivors per objective extend into B*N candidates, B=1 at the first step.
+    size, b = 0, 1
+    for step in steps:
+        m = b * step.app.shape[1]
+        size, b = max(size, m), min(beam_width, m)
+    n = -(-k // max(1, _GROUP_CELLS // size))
+    work = _Workspace(-(-k // n) * size)
+    if n == 1:
+        return _run_group(steps, beam_width, work)
+    bounds = [k * i // n for i in range(n + 1)]
+    results = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        results += _run_group([step.objectives(lo, hi) for step in steps], beam_width, work)
+    return results
+
+
+def _run_group(steps: list[_Step], beam_width: int, work: _Workspace) -> list[tuple[float, list[int]]]:
+    """:func:`_run_beam` for one group of objectives, every step summed and
+    cut in ``work``, whose bound starts at the first block's largest
+    ``|app|``.
 
     A survivor's back-pointers are its parent, as a flat index into the
     previous step's (K, B) survivors, and its proposal index.  A column
@@ -354,12 +416,7 @@ def _run_beam(steps: list[_Step], beam_width: int) -> list[tuple[float, list[int
     """
     last = {parent: si for si, step in enumerate(steps) for parent, _table in step.closings}
     k = len(steps[0].app)
-    # B survivors per objective extend into B*N candidates, B=1 at the first step.
-    size, b = 0, 1
-    for step in steps:
-        m = b * step.app.shape[1]
-        size, b = max(size, m), min(beam_width, m)
-    work = _Workspace(k * size, steps[0].peak)
+    work.bound = steps[0].peak
     score, cols, pointers = None, {}, []
     for si, step in enumerate(steps):
         # The first step's candidates all extend one empty prefix per objective.

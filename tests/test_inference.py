@@ -22,6 +22,7 @@ from posegrammar import inference
 from posegrammar.appearance import Proposal, ProposalSet, ScoreTable, save_proposals, synth_scores
 from posegrammar.cli import cli_dispatch
 from posegrammar.errors import InfeasibleParseError, MissingEntryError, ValidationError
+from posegrammar.evaluation import DiagnosticConfig, run_diagnostic
 from posegrammar.grammar import (
     AOGrammar,
     AttributeDef,
@@ -59,7 +60,7 @@ from posegrammar.relations import (
     SyntacticTable,
     save_models,
 )
-from posegrammar.synthetic import two_person_scene
+from posegrammar.synthetic import generate_family, two_person_scene
 
 from oracle import EnumerationLimitError, brute_force_parse, reference_extend, uniform_syntactic_table
 
@@ -894,12 +895,7 @@ def _two_parent_world(seed, counts=(2, 3, 3, 3)):
 
 def _objective_steps(steps, k):
     """The steps of a stacked search cut down to objective ``k`` alone."""
-    out = []
-    for step in steps:
-        alone = _Step(step.bucket, step.lifted[k : k + 1], step.peak)
-        alone.closings = step.closings
-        out.append(alone)
-    return out
+    return [step.objectives(k, k + 1) for step in steps]
 
 
 def _reference_beam(steps, width):
@@ -1055,6 +1051,76 @@ class TestBeamProperties:
         assert stacked == [_ids(parse_constrained(g, models, pset, "c", v, cfg)) for v in ("u", "v")]
 
 
+def _dense_lattice(grammar, seed, per_part):
+    """Criterion 9's draw: ``per_part`` proposals per part, uniform over a
+    320 x 240 image, part types uniform in 1..9 and N(0, 1) appearance
+    scores."""
+    rng = np.random.default_rng(seed)
+    props, scores = [], {}
+    for part in grammar.part_ids:
+        for i in range(per_part):
+            pid = f"{part}.{i}"
+            x, y = float(rng.uniform(0.0, 320.0)), float(rng.uniform(0.0, 240.0))
+            props.append(Proposal(pid, part, x, y, int(rng.integers(1, 10)), (0.0, 0.0, 40.0, 40.0)))
+            scores[pid] = {a.id: {v: float(rng.normal(0.0, 1.0)) for v in a.domain} for a in grammar.attributes}
+    return ProposalSet.from_proposals(props, ScoreTable(scores), part_type_count=grammar.part_type_count)
+
+
+class TestObjectiveGroups:
+    """A stacked search runs its objectives in the fewest contiguous groups,
+    of near-equal size, whose step blocks fit ``_GROUP_CELLS`` cells; no
+    grouping changes a parse."""
+
+    @pytest.mark.parametrize("width", [1, 3, 100])
+    @pytest.mark.parametrize("per_part", [8, 50])
+    def test_grouping_never_changes_a_parse(self, grammar, quick_models, monkeypatch, per_part, width):
+        """The 26 pairs and ``{}`` in groups of at most 1, 2 and 9
+        objectives give every objective the ids and bit-identical total of
+        one group of all 27."""
+        pset = _dense_lattice(grammar, 5, per_part)
+        assignments = [{a.id: v} for a in grammar.attributes for v in a.domain] + [{}]
+        cfg = BeamConfig(beam_width=width)
+        # The largest (B, N) block of one objective: B survivors of the
+        # previous step extended by a bucket of ``per_part``.
+        block, b = 0, 1
+        for _part in grammar.part_ids:
+            block, b = max(block, b * per_part), min(width, b * per_part)
+        sizes = _group_sizes(monkeypatch)
+
+        def run(group):
+            monkeypatch.setattr(inference, "_GROUP_CELLS", group * block)
+            sizes.clear()
+            return [(_ids(pg), float.hex(pg.total_score)) for pg in _search(grammar, quick_models, pset, assignments, cfg)]
+
+        whole = run(27)
+        assert sizes == [27]
+        for group, count in ((1, 27), (2, 14), (9, 3)):
+            assert run(group) == whole
+            assert len(sizes) == count and sum(sizes) == 27
+            assert max(sizes) == group and min(sizes) >= group - 1
+
+    def test_the_split_follows_the_block_size(self, grammar, quick_models, monkeypatch):
+        """At width 100 a 17x50 lattice's largest block is 5,000 cells per
+        objective, so ``select_final``'s 26 objectives run as 13 + 13 and
+        27 as 9 + 9 + 9; a two-person scene's diagnostic search, 200 cells
+        per objective, and every one-objective search run as one group."""
+        pset = _dense_lattice(grammar, 5, 50)
+        cfg = BeamConfig(beam_width=100)
+        sizes = _group_sizes(monkeypatch)
+        select_final(grammar, quick_models, pset, cfg)
+        assert sizes == [13, 13]
+        sizes.clear()
+        _search(grammar, quick_models, pset, [{a.id: v} for a in grammar.attributes for v in a.domain] + [{}], cfg)
+        assert sizes == [9, 9, 9]
+        sizes.clear()
+        run_diagnostic(generate_family("two-person", 1, seed=1), DiagnosticConfig(grammar, quick_models))
+        assert sizes == [27]
+        sizes.clear()
+        parse_constrained(grammar, quick_models, pset, "gender", "male", cfg)
+        parse_unconstrained(grammar, quick_models, pset, cfg)
+        assert sizes == [1, 1]
+
+
 class TestRelationTables:
     @pytest.mark.parametrize("seed", range(4))
     def test_lazy_rows_equal_full_table(self, seed):
@@ -1129,10 +1195,34 @@ class TestRelationTables:
         assert gone() is None
 
 
+@pytest.fixture(params=["one-group", "one-objective-per-group"])
+def group_budget(request, monkeypatch):
+    """The default group budget, or one so small that each objective of a
+    stacked search runs as a group of its own."""
+    if request.param == "one-objective-per-group":
+        monkeypatch.setattr(inference, "_GROUP_CELLS", 1)
+    return request.param
+
+
+def _group_sizes(monkeypatch):
+    """A list that records, from now on, the number of objectives of each
+    group a search runs."""
+    sizes = []
+    run_group = inference._run_group
+
+    def spied(steps, beam_width, work):
+        sizes.append(len(steps[0].app))
+        return run_group(steps, beam_width, work)
+
+    monkeypatch.setattr(inference, "_run_group", spied)
+    return sizes
+
+
 class TestNonFiniteRelations:
     """With every head proposal at x=1e200 the torso->head displacement
     density is -inf; every search refuses the input, naming the edge and
-    both proposals, instead of returning a NaN score."""
+    both proposals, instead of returning a NaN score, also where each
+    objective of a stacked search runs as a group of its own."""
 
     @staticmethod
     def _far_heads():
@@ -1142,13 +1232,20 @@ class TestNonFiniteRelations:
 
     _MESSAGE = r"edge torso->head: displacement score between proposals 'p\d\.torso' and 'p\d\.head' is -inf, not finite"
 
-    def test_parse_unconstrained(self, grammar, quick_models):
+    def test_parse_unconstrained(self, grammar, quick_models, group_budget):
         with pytest.raises(ValidationError, match=self._MESSAGE):
             parse_unconstrained(grammar, quick_models, self._far_heads())
 
-    def test_parse_constrained(self, grammar, quick_models):
+    def test_parse_constrained(self, grammar, quick_models, group_budget):
         with pytest.raises(ValidationError, match=self._MESSAGE):
             parse_constrained(grammar, quick_models, self._far_heads(), "gender", "male")
+
+    def test_select_final(self, grammar, quick_models, group_budget, monkeypatch):
+        sizes = _group_sizes(monkeypatch)
+        with pytest.raises(ValidationError, match=self._MESSAGE):
+            select_final(grammar, quick_models, self._far_heads())
+        # The first group reads a head row and stops the search.
+        assert sizes == [1 if group_budget == "one-objective-per-group" else 26]
 
     def test_brute_force_parse(self, grammar, quick_models):
         with pytest.raises(ValidationError, match=self._MESSAGE):
@@ -1187,7 +1284,7 @@ class TestOverflow:
             brute_force_parse(g, models, pset, {})
 
     @pytest.mark.parametrize("width", [1, 2])
-    def test_an_overflow_the_cut_would_prune_is_refused(self, width):
+    def test_an_overflow_the_cut_would_prune_is_refused(self, width, group_budget):
         """Every root proposal and ``a0`` score -1e308, so only the
         candidates through ``a0`` overflow, to -inf, and a beam narrower
         than the lattice would cut them: the search refuses the input all
@@ -1208,6 +1305,24 @@ class TestOverflow:
         ):
             with pytest.raises(ValidationError, match="^" + re.escape(self._MESSAGE) + "$"):
                 run()
+
+    def test_an_overflow_only_the_last_group_reaches_is_refused(self, group_budget, monkeypatch):
+        """Only the ``c=v`` column scores 1e308, on the first two parts, so
+        only the last objective of ``select_final`` overflows: run alone as
+        the last group, after ``c=u``'s group has finished, it is refused
+        in the same words."""
+        g, models, pset = _toy_world(43)
+
+        def huge_v(pid, per_attr):
+            if not pid.startswith("b"):
+                per_attr["c"]["v"] = 1e308
+
+        pset = _rescored(pset, huge_v)
+        parse_constrained(g, models, pset, "c", "u")
+        sizes = _group_sizes(monkeypatch)
+        with pytest.raises(ValidationError, match="^" + re.escape(self._MESSAGE) + "$"):
+            select_final(g, models, pset)
+        assert sizes == ([1, 1] if group_budget == "one-objective-per-group" else [2])
 
     def test_recompute_score(self):
         """A parse over the huge proposals, rescored from scratch, sums past
