@@ -57,6 +57,7 @@ from .inference import (
     attribute_scores,
     parse_constrained,
     parse_unconstrained,
+    search,
     select_final,
 )
 from .learning import (
@@ -155,6 +156,7 @@ __all__ = [
     "save_proposals",
     "save_scene",
     "save_svg",
+    "search",
     "select_final",
     "single_person_scene",
     "strict_pcp",

@@ -21,15 +21,18 @@ objects: the search reads the columns, and only
 :func:`load_proposals` reads a file in one streaming pass, keeping only
 each line's proposal fields and score cells, and builds the score grid
 from those cells with the routine :class:`ScoreTable` uses for its rows.
+It never reads its file twice: a file it refuses is refused from what
+that pass kept.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain
 from operator import itemgetter
-from typing import Callable, Iterable, Mapping, NoReturn, Sequence
+from typing import Callable, Collection, ContextManager, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -48,7 +51,7 @@ from .grammar import (
 )
 from .jsonio import FieldError, json_lines, write_json_lines
 from .jsonio import argument, array, check_fields, count, mapping, nonnegative, number, number_column
-from .jsonio import record, text
+from .jsonio import naming, record, text
 from .synthetic import SyntheticScene, _sigma, part_box
 
 # Canonical 17-part ordering used by the synthetic provider.
@@ -80,7 +83,7 @@ class Proposal:
 
 
 _PROPOSAL = record(id=text, part=text, x=number, y=number, part_type=count, box=array(number, 4))
-_PROPOSAL_FIELDS = itemgetter("id", "part", "x", "y", "part_type", "box")
+_PROPOSAL_FIELDS = itemgetter(*(name for name, _spec, _default in _PROPOSAL.fields))
 
 
 _SCORES = mapping(mapping(number))
@@ -95,27 +98,7 @@ class ScoreTable:
     __slots__ = ("values", "_rows", "_columns")
 
     def __init__(self, entries: Mapping[str, Mapping[AttrId, Mapping[str, float]]]):
-        grid = _Grid()
-        if not all(map(grid.add, entries.values())):
-            # Some row is not an object of objects, or its pairs differ
-            # from the first row's: check each row, then find the first
-            # pair a row lacks.
-            rows = []
-            for pid, per_attr in entries.items():
-                try:
-                    rows.append(_SCORES(per_attr))
-                except FieldError as exc:
-                    raise _refused_scores(pid, exc) from None
-            pairs = dict.fromkeys((a, v) for per_attr in rows for a, per_value in per_attr.items() for v in per_value)
-            for pid, per_attr in zip(entries, rows):
-                for attr, value in pairs:
-                    if value not in per_attr.get(attr, ()):
-                        raise ValidationError(
-                            f"proposal {pid!r}: scores.{attr}.{value} is missing, which other proposals have"
-                        )
-            grid = _Grid()
-            for per_attr in rows:
-                grid.add(per_attr)
+        grid = _score_grid(entries.items())
         self._fill(list(entries), grid.columns, grid.values(list(entries)))
 
     @classmethod
@@ -197,6 +180,32 @@ def _refused_scores(pid: str, exc: FieldError, *keys) -> ValidationError:
     return ValidationError(f"proposal {pid!r}: {exc.within('scores', *keys)}")
 
 
+def _score_grid(rows: Collection[tuple[str, Mapping]]) -> _Grid:
+    """The grid of the score ``rows``, (proposal id, row) pairs; a row that
+    is not an object of objects of numbers, or that lacks a pair another
+    row lists, is refused naming the first such proposal and its pair."""
+    grid = _Grid()
+    if all(grid.add(per_attr) for _pid, per_attr in rows):
+        return grid
+    # Some row is not an object of objects, or its pairs differ from the
+    # first row's: check each row, then find the first pair a row lacks.
+    checked = []
+    for pid, per_attr in rows:
+        try:
+            checked.append(_SCORES(per_attr))
+        except FieldError as exc:
+            raise _refused_scores(pid, exc) from None
+    pairs = dict.fromkeys((a, v) for per_attr in checked for a, per_value in per_attr.items() for v in per_value)
+    for (pid, _row), per_attr in zip(rows, checked):
+        for attr, value in pairs:
+            if value not in per_attr.get(attr, ()):
+                raise ValidationError(f"proposal {pid!r}: scores.{attr}.{value} is missing, which other proposals have")
+    grid = _Grid()
+    for per_attr in checked:
+        grid.add(per_attr)
+    return grid
+
+
 def _cells(values: Sequence[str]) -> Callable[[Mapping], tuple]:
     """A function from an object to its entries at ``values`` (at least
     one), as a tuple."""
@@ -208,11 +217,11 @@ def _cells(values: Sequence[str]) -> Callable[[Mapping], tuple]:
 
 class _Grid:
     """Score rows read one by one into one flat list of ``cells``, row by
-    row, at the (attribute, value) pairs of the first row, each pair
-    mapped to its column in ``columns``.  An attribute with no values adds
-    no pair, listed or not."""
+    row, at the (attribute, value) pairs of the first row, ``first``, each
+    pair mapped to its column in ``columns``.  An attribute with no values
+    adds no pair, listed or not."""
 
-    __slots__ = ("columns", "cells", "_getters")
+    __slots__ = ("columns", "cells", "first", "_getters")
 
     def __init__(self) -> None:
         self.columns: dict[tuple[AttrId, str], int] = {}
@@ -225,6 +234,7 @@ class _Grid:
         row's pairs and no others."""
         try:
             if self._getters is None:
+                self.first = per_attr
                 self._getters = [(attr, _cells(tuple(pv))) for attr, pv in per_attr.items() if pv]
                 pairs = ((attr, value) for attr, per_value in per_attr.items() for value in per_value)
                 self.columns = {pair: c for c, pair in enumerate(pairs)}
@@ -282,24 +292,25 @@ class ProposalSet:
         boxes,
         scores: ScoreTable,
         part_type_count: int,
-        where: Callable[[int], str] = lambda i: "",
+        where: Callable[[int], ContextManager] = lambda i: nullcontext(),
     ) -> "ProposalSet":
         """Checked proposals given as columns in listing order (``xy`` and
         ``boxes`` of 2 and 4 numbers each), grouped by part, each part's in
         id order.  Every id must be unique, have a row in ``scores`` and a
         type of at most ``part_type_count``; an error about the i-th
-        proposal starts with ``where(i)``."""
+        proposal is raised inside ``where(i)``, e.g. a
+        :func:`~posegrammar.jsonio.naming` of its line."""
         part_type_count = argument("part_type_count", part_type_count, count)
         if max(types, default=0) > part_type_count or len(set(ids)) < len(ids):
             seen: set[str] = set()
             for i, (pid, part_type) in enumerate(zip(ids, types)):
-                if part_type > part_type_count:
-                    raise ValidationError(
-                        f"{where(i)}proposal {pid!r}: part_type {part_type} exceeds "
-                        f"part_type_count {part_type_count}"
-                    )
-                if pid in seen:
-                    raise ValidationError(f"{where(i)}duplicate proposal id {pid!r}")
+                with where(i):
+                    if part_type > part_type_count:
+                        raise ValidationError(
+                            f"proposal {pid!r}: part_type {part_type} exceeds part_type_count {part_type_count}"
+                        )
+                    if pid in seen:
+                        raise ValidationError(f"duplicate proposal id {pid!r}")
                 seen.add(pid)
         xy = np.asarray(xy, dtype=float).reshape(-1, 2)
         types = np.asarray(types, dtype=np.int64)
@@ -349,65 +360,49 @@ class ProposalSet:
 def load_proposals(path: str, *, part_type_count: int = DEFAULT_PART_TYPE_COUNT) -> ProposalSet:
     """Read a JSON-lines proposal file; one proposal object per line.
 
-    One streaming pass: each line is decoded, its six proposal fields go
-    to the columns and its score cells, read at the first line's
-    (attribute, value) pairs, to one flat list, and the document is
-    dropped.  After the last line each field is checked as one column and
-    the score grid is built from the cells.  A file that fails a check,
-    or that repeats an id, is read again line by line to find the error:
-    it names ``path:line`` of the first line at fault, in the words a
-    check of that line alone uses, except the score grid's, which names
-    ``path`` and the proposal.
+    One streaming pass, which never reads the file again: each line is
+    decoded, its six proposal fields go to the columns and its score
+    cells, read at the first line's (attribute, value) pairs, to one flat
+    list, and the document is dropped.  The pass stops at the first line
+    it cannot read so (not an object, a field missing, or score pairs
+    unlike the first line's) and refuses it: by its fields, naming
+    ``path:line``, else by its score row against the first line's, naming
+    ``path`` and the proposal.  After the last line each field is checked
+    as one column, then the score grid is built from the cells, then ids
+    and part types are checked; each error names the first line at fault,
+    as a check of that line alone words it, except the score grid's, which
+    names ``path`` and the proposal.
     """
     linenos: list[int] = []
     fields: list[tuple] = []
     grid = _Grid()
     for lineno, doc in json_lines(path):
-        if type(doc) is not dict:
-            break
         try:
             fields.append(_PROPOSAL_FIELDS(doc))
-        except KeyError:
+        except (KeyError, TypeError):  # not an object, or a field missing
             break
         if not grid.add(doc.get("scores", {})):
             break
         linenos.append(lineno)
     else:
         columns = _proposal_columns(fields)
-        if columns is not None and len(set(columns[0])) == len(fields):
-            ids, parts, xy, types, boxes = columns
-            try:
-                scores = ScoreTable._from_grid(ids, grid.columns, grid.values(ids))
-            except ValidationError as exc:
-                raise ValidationError(f"{path}: {exc}") from exc
-            where = lambda i: f"{path}:{linenos[i]}: "
-            return ProposalSet.from_columns(ids, parts, xy, types, boxes, scores, part_type_count, where)
-    _refuse_proposals(path, part_type_count)
-
-
-def _refuse_proposals(path: str, part_type_count) -> NoReturn:
-    """Raise the error that checking the proposal file ``path`` line by
-    line finds; the streaming pass could not load it.  Every line is
-    decoded, then each line's proposal checked alone, then the score rows
-    (one per id, the last listing's), then the ids and part types."""
-    linenos: list[int] = []
-    docs = []
-    for lineno, doc in json_lines(path):
-        linenos.append(lineno)
-        docs.append(doc)
-    for lineno, doc in zip(linenos, docs):
-        try:
-            Proposal.from_json_dict(doc)
-        except ValidationError as exc:
-            raise ValidationError(f"{path}:{lineno}: {exc}") from exc
-    ids, parts, xy, types, boxes = _proposal_columns(list(map(_PROPOSAL_FIELDS, docs)))
-    try:
-        scores = ScoreTable(dict(zip(ids, (doc.get("scores", {}) for doc in docs))))
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
-    where = lambda i: f"{path}:{linenos[i]}: "
-    ProposalSet.from_columns(ids, parts, xy, types, boxes, scores, part_type_count, where)
-    raise AssertionError(f"{path}: the streaming pass refused a proposal file the line-by-line checks accept")
+        if columns is None:  # some field fails: the first line at fault names it
+            for lineno, row in zip(linenos, fields):
+                with naming(f"{path}:{lineno}"):
+                    Proposal(*row)
+        ids, parts, xy, types, boxes = columns
+        with naming(path):
+            scores = ScoreTable._from_grid(ids, grid.columns, grid.values(ids))
+        where = lambda i: naming(f"{path}:{linenos[i]}")
+        return ProposalSet.from_columns(ids, parts, xy, types, boxes, scores, part_type_count, where)
+    # The line the pass stopped at fails its fields' check, or its score
+    # row fails beside the first line's: ``grid.add`` refuses exactly what
+    # :func:`_score_grid` refuses.
+    with naming(f"{path}:{lineno}"):
+        Proposal.from_json_dict(doc)
+    first = [(fields[0][0], grid.first)] if linenos else []
+    with naming(path):
+        _score_grid(first + [(doc["id"], doc.get("scores", {}))])
 
 
 def _proposal_columns(fields: list) -> tuple | None:

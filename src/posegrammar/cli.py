@@ -17,7 +17,6 @@ import math
 import os
 import sys
 import warnings
-from contextlib import contextmanager
 from typing import Sequence
 
 from . import evaluation, learning, relations, synthetic
@@ -34,7 +33,7 @@ from .grammar import (
 from .inference import BeamConfig, attribute_scores, check_assignment, parse_constrained, parse_unconstrained
 from .inference import select_final
 from .jsonio import argument, array, count, integer, nonnegative, number, optional, read_json, read_json_lines, record
-from .jsonio import text, write_json
+from .jsonio import naming, text, write_json
 from .render import save_svg
 
 _UNSET = object()
@@ -112,16 +111,6 @@ def _require(opts: dict, *names: str) -> None:
 
 class _UsageError(Exception):
     pass
-
-
-@contextmanager
-def _naming(path: str):
-    """Put ``path`` in front of a library error raised inside, as the file
-    readers do for the files they read."""
-    try:
-        yield
-    except PoseGrammarError as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
 
 
 # -- subcommand bodies --------------------------------------------------------
@@ -242,7 +231,7 @@ def _cmd_eval_pcp(opts: dict) -> int:
         pg = load_parse_graph(path, grammar)
         if not evaluation.evaluable_sticks(ann, sticks):
             continue
-        with _naming(path):
+        with naming(path):
             result = evaluation.strict_pcp(pg, ann, sticks, threshold=threshold)
         for index, ok in result.per_stick.items():
             hits[index][0] += int(ok)
@@ -311,7 +300,7 @@ def _cmd_render(opts: dict) -> int:
     _require(opts, "parse", "grammar", "out")
     grammar = load_grammar(opts["grammar"])
     pg = load_parse_graph(opts["parse"], grammar)
-    with _naming(opts["parse"]):
+    with naming(opts["parse"]):
         save_svg(pg, grammar, opts["out"])
     _info(f"wrote {opts['out']}")
     return 0

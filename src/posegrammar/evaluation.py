@@ -18,7 +18,7 @@ import numpy as np
 from .appearance import ProposalSet, synth_scores
 from .errors import MissingEntryError, ValidationError
 from .grammar import AOGrammar, AttrId, NodeId, ParseGraph
-from .inference import BeamConfig, _pairs, _search, _select, attribute_scores
+from .inference import BeamConfig, attribute_pairs, attribute_scores, best_parse, search
 from .jsonio import argument, count, number, number_column
 from .learning import Annotation, JointObs
 from .relations import AttributeAssociation, RelationModels
@@ -333,7 +333,7 @@ def run_diagnostic(
     assoc = cfg.models.association
     sticks = default_sticks(grammar)
     attr_defs = tuple(grammar.attributes)
-    pairs = _pairs(grammar) if MODE_JOINT in modes else []
+    pairs = attribute_pairs(grammar) if MODE_JOINT in modes else []
     assignments = [{attr: value} for attr, value in pairs]
     if MODE_NO_ATTRIBUTE in modes:
         assignments.append({})
@@ -356,13 +356,13 @@ def run_diagnostic(
         truth = annotation_from_person(scene.persons[0])
         truth_values = scene.persons[0].attributes
 
-        parses = _search(grammar, cfg.models, pset, assignments, cfg.beam) if assignments else []
+        parses = search(grammar, cfg.models, pset, assignments, cfg.beam) if assignments else []
         mode_scores: dict[str, dict[AttrId, dict[str, float]]] = {}
         for mode in modes:
             if mode == MODE_JOINT:
                 per_pair = dict(zip(pairs, parses))
                 mode_scores[mode] = attribute_scores(per_pair, pset, assoc)
-                pcp = strict_pcp(_select(per_pair), truth, sticks)
+                pcp = strict_pcp(best_parse(per_pair), truth, sticks)
             elif mode == MODE_NO_ATTRIBUTE:
                 pg = parses[-1]
                 mode_scores[mode] = parse_attribute_scores(pg, pset, assoc, grammar)

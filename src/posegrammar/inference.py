@@ -13,10 +13,10 @@ treating the attribute as a global constraint on the whole body, and
 ``{}`` lets every part contribute its best value score for every
 attribute, each part free to pick its own values.
 
-One search runs K objectives stacked on a leading axis: the 26
-constrained parses of :func:`select_final` are one K=26 search, and
-:func:`parse_constrained` and :func:`parse_unconstrained` are K=1
-searches.  Steps, buckets and relation tables are shared; each step reads
+One search, :func:`search`, runs K objectives stacked on a leading
+axis: the 26 constrained parses of :func:`select_final` are one K=26
+search, and :func:`parse_constrained` and :func:`parse_unconstrained`
+are K=1 searches.  Steps, buckets and relation tables are shared; each step reads
 its part's columnar :class:`~posegrammar.appearance.Bucket` straight from
 the proposal set and holds a (K, N) appearance block, one row per
 objective, cut from one (K, all proposals) block that one call of
@@ -461,10 +461,10 @@ def _build_parse_graphs(steps, assignments, results) -> list[ParseGraph]:
     return graphs
 
 
-def _search(grammar, models, pset, assignments, cfg) -> list[ParseGraph]:
+def search(grammar, models, pset, assignments, cfg) -> list[ParseGraph]:
     """One beam search for the best parse under each of the attribute
     ``assignments``, stacked: steps, buckets and relation tables are
-    shared."""
+    shared.  One parse per assignment, in order; ``{}`` is unconstrained."""
     steps = _prepare(grammar, models, pset, assignments)
     with np.errstate(over="ignore"):
         results = _run_beam(steps, (cfg or BeamConfig()).beam_width)
@@ -480,7 +480,7 @@ def parse_constrained(
     cfg: BeamConfig | None = None,
 ) -> ParseGraph:
     """Best parse with ``attr`` fixed to ``value`` on every part."""
-    [pg] = _search(grammar, models, pset, [{attr: value}], cfg)
+    [pg] = search(grammar, models, pset, [{attr: value}], cfg)
     return pg
 
 
@@ -491,11 +491,11 @@ def parse_unconstrained(
     cfg: BeamConfig | None = None,
 ) -> ParseGraph:
     """Best parse with every part free to pick its own attribute values."""
-    [pg] = _search(grammar, models, pset, [{}], cfg)
+    [pg] = search(grammar, models, pset, [{}], cfg)
     return pg
 
 
-def _pairs(grammar: AOGrammar) -> list[tuple[AttrId, str]]:
+def attribute_pairs(grammar: AOGrammar) -> list[tuple[AttrId, str]]:
     """Every (attribute, value) pair of the grammar, in grammar order."""
     pairs = [(a.id, v) for a in grammar.attributes for v in a.domain]
     if not pairs:
@@ -505,7 +505,7 @@ def _pairs(grammar: AOGrammar) -> list[tuple[AttrId, str]]:
     return pairs
 
 
-def _select(per_pair: Mapping[tuple[AttrId, str], ParseGraph]) -> ParseGraph:
+def best_parse(per_pair: Mapping[tuple[AttrId, str], ParseGraph]) -> ParseGraph:
     """The best-scoring parse of ``per_pair``; ties go to the earliest pair."""
     return max(per_pair.values(), key=lambda pg: pg.total_score)
 
@@ -522,10 +522,10 @@ def select_final(
     Returns the winning parse graph and the full pair-to-parse map.  Ties
     go to the earliest pair in grammar order.
     """
-    pairs = _pairs(grammar)
+    pairs = attribute_pairs(grammar)
     assignments = [{attr: value} for attr, value in pairs]
-    per_pair = dict(zip(pairs, _search(grammar, models, pset, assignments, cfg)))
-    return _select(per_pair), per_pair
+    per_pair = dict(zip(pairs, search(grammar, models, pset, assignments, cfg)))
+    return best_parse(per_pair), per_pair
 
 
 def _readout(

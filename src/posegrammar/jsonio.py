@@ -18,7 +18,8 @@ A refusal is a :class:`FieldError` naming the field path, e.g.
 ``nodes[3].id``.  :func:`number_column` is the number rule over a
 whole column at once, for readers of large files.  Readers refuse the
 ``NaN``, ``Infinity`` and ``-Infinity`` tokens and prefix every error
-with ``path``, or ``path:line`` for JSON-lines files.
+with ``path``, or ``path:line`` for JSON-lines files; :func:`naming` puts
+either in front of an error a caller raises about a file it read.
 :func:`json_lines` decodes a JSON-lines file one line at a time, so a
 reader of a large file can keep what it needs of each line and drop the
 rest.  Writers sort keys, refuse non-finite values and serialise the
@@ -32,12 +33,13 @@ import json
 import numbers
 import sys
 from collections.abc import Mapping
+from contextlib import contextmanager
 from itertools import repeat
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import PoseGrammarError, ValidationError
 
 SCHEMA_VERSION = 1
 
@@ -291,6 +293,16 @@ def parse_constant(token: str):
 
 
 _DECODER = json.JSONDecoder(parse_constant=parse_constant)
+
+
+@contextmanager
+def naming(where: str):
+    """Put ``where``, a path or ``path:line``, in front of a library error
+    raised inside, as a :class:`~posegrammar.errors.ValidationError`."""
+    try:
+        yield
+    except PoseGrammarError as exc:
+        raise ValidationError(f"{where}: {exc}") from exc
 
 
 def read_json(path: str, build: Callable = lambda doc: doc):

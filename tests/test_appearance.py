@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import builtins
 import dataclasses
 import json
 import math
@@ -9,12 +10,14 @@ import re
 import sys
 import tracemalloc
 from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from posegrammar import appearance
 from posegrammar.appearance import (
     PART_ORDER,
     SYNTH_MARGIN,
@@ -30,6 +33,31 @@ from posegrammar.errors import MissingEntryError, ValidationError
 from posegrammar.jsonio import number, read_json_lines
 from posegrammar.grammar import AttributeDef, default_attributes
 from posegrammar.synthetic import Person, SyntheticScene, single_person_scene, two_person_scene
+
+
+@pytest.fixture(autouse=True, scope="module")
+def _every_load_opens_its_file_once():
+    """Every ``load_proposals`` call in this module, loaded or refused,
+    fails unless it opened its file exactly once: a refused file is not
+    read a second time to find its error."""
+
+    def load_once(path, **kwargs):
+        opened = []
+        real_open = builtins.open
+
+        def counted_open(file, *args, **kw):
+            opened.append(file)
+            return real_open(file, *args, **kw)
+
+        with mock.patch.object(builtins, "open", counted_open):
+            try:
+                return appearance.load_proposals(path, **kwargs)
+            finally:
+                assert opened == [path], f"load_proposals opened {opened}"
+
+    with mock.patch.object(sys.modules[__name__], "load_proposals", load_once):
+        yield
+
 
 SMALL_ATTRS = (
     AttributeDef("gender", "gender", ("male", "female")),
@@ -525,7 +553,7 @@ class TestLoaderErrors:
 _TWO = {"hat": {"yes": 0.5, "no": 1.0}, "gender": {"male": 0.0}}
 _BARE = json.dumps({"id": "p2", "part": "head", "x": 0.0, "y": 0.0, "part_type": 1, "box": [0, 0, 5, 5]})
 # Files the loader refuses, and the error each gets, ``PATH`` standing for
-# the file's path: the texts of the line-by-line loader this one replaced.
+# the file's path, in the words a check of the line at fault alone uses.
 _REFUSED_FILES = {
     "decode-after-field": (
         [_line("p1"), _line("p2", x="1"), _line("p3"), "{broken"],
@@ -533,7 +561,7 @@ _REFUSED_FILES = {
     ),
     "decode-after-extra-pair": (
         [_line("p1"), _line("p2", scores=_TWO), "[1, 2"],
-        "PATH:3: invalid JSON: Expecting ',' delimiter: line 1 column 6 (char 5)",
+        "PATH: proposal 'p1': scores.hat.no is missing, which other proposals have",
     ),
     "later-extra-pair": (
         [_line("p1"), _line("p2"), _line("p3", scores={"hat": {"no": 0.5, "yes": 0.5}})],
@@ -561,11 +589,11 @@ _REFUSED_FILES = {
     ),
     "non-object-line": (
         [_line("p1"), _line("p2", scores=_TWO), "[1]", _line("p4", x="1")],
-        "PATH:3: the document must be a JSON object, got a JSON array of length 1",
+        "PATH: proposal 'p1': scores.hat.no is missing, which other proposals have",
     ),
     "missing-field-after-extra-pair": (
         [_line("p1"), _line("p2", scores=_TWO), json.dumps({"id": "p3"})],
-        "PATH:3: part is missing",
+        "PATH: proposal 'p1': scores.hat.no is missing, which other proposals have",
     ),
     "non-finite-cell": (
         [_line("p1"), _line("p2").replace("0.5", "1e400")],
@@ -577,11 +605,15 @@ _REFUSED_FILES = {
     ),
     "duplicate-id-overriding-an-extra-pair": (
         [_line("p1", scores=_TWO), _line("p2"), _line("p1")],
-        "PATH:3: duplicate proposal id 'p1'",
+        "PATH: proposal 'p2': scores.hat.no is missing, which other proposals have",
     ),
     "duplicate-id-overriding-a-non-finite-cell": (
         [_line("p1").replace("0.5", "1e400"), _line("p1")],
-        "PATH:2: duplicate proposal id 'p1'",
+        "PATH: proposal 'p1': scores.hat.yes must be a finite number, got inf",
+    ),
+    "duplicate-id-with-other-pairs": (
+        [_line("p1"), _line("p1", scores={"hat": {"yes": 0.5, "no": 1.0}})],
+        "PATH: proposal 'p1': scores.hat.no is missing, which other proposals have",
     ),
     "duplicate-id-after-a-part-type-beyond-the-count": (
         [_line("p1"), _line("p2", part_type=12), _line("p1")],
@@ -592,9 +624,13 @@ _REFUSED_FILES = {
 
 @pytest.mark.parametrize("case", sorted(_REFUSED_FILES))
 def test_the_loader_refuses_a_file_in_the_words_of_a_line_by_line_check(tmp_path, case):
-    """A decode error wins over a field error on an earlier line, a field
-    error over any score row, and a score row (one per id, the last
-    listing's) over a repeated id or a part type beyond the count."""
+    """The first line the loader cannot read into its columns (not JSON,
+    not an object, a field missing, or score pairs unlike the first
+    line's) is refused at once, by its fields, then by its score row
+    against the first line's, so no later line is read.  Past the last
+    line a field error wins over any score cell, naming the first line at
+    fault, and a score cell over a repeated id or a part type beyond the
+    count."""
     lines, message = _REFUSED_FILES[case]
     path = tmp_path / "props.jsonl"
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")

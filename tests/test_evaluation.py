@@ -478,14 +478,14 @@ class TestRunDiagnostic:
     def test_one_search_per_scene(self, grammar, quick_models, monkeypatch):
         """All three modes on one scene run exactly one search."""
         calls = []
-        search = inference._search
+        search = inference.search
 
         def counted(*args):
             calls.append(args[3])
             return search(*args)
 
-        monkeypatch.setattr(inference, "_search", counted)
-        monkeypatch.setattr(evaluation, "_search", counted)
+        monkeypatch.setattr(inference, "search", counted)
+        monkeypatch.setattr(evaluation, "search", counted)
         run_diagnostic(generate_family("two-person", 1, seed=1), self._config(grammar, quick_models))
         pairs = [(a.id, v) for a in grammar.attributes for v in a.domain]
         assert calls == [[{a: v} for a, v in pairs] + [{}]]

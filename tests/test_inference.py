@@ -41,7 +41,6 @@ from posegrammar.inference import (
     _prepare,
     _readout,
     _run_beam,
-    _search,
     _Step,
     _steps,
     _Table,
@@ -50,6 +49,7 @@ from posegrammar.inference import (
     default_expansion_order,
     parse_constrained,
     parse_unconstrained,
+    search,
     select_final,
 )
 from posegrammar.relations import (
@@ -225,7 +225,7 @@ class TestBeamMatchesBruteForce:
         g, models, pset = _two_parent_world(seed)
         full = _lattice_size(pset, ("root", "a", "b", "c"))
         for assignment in ({"c": "u"}, {}):
-            [beam] = _search(g, models, pset, [assignment], BeamConfig(beam_width=full))
+            [beam] = search(g, models, pset, [assignment], BeamConfig(beam_width=full))
             oracle = brute_force_parse(g, models, pset, assignment)
             assert _ids(beam) == _ids(oracle)
             assert float.hex(beam.total_score) == float.hex(oracle.total_score)
@@ -537,9 +537,9 @@ class TestSelectFinal:
 
         def counted(*args):
             calls.append(args[3])
-            return _search(*args)
+            return search(*args)
 
-        monkeypatch.setattr(inference, "_search", counted)
+        monkeypatch.setattr(inference, "search", counted)
         _best, per_pair = select_final(g, models, pset)
         assert calls == [[{"c": "u"}, {"c": "v"}]]
         assert list(per_pair) == [("c", "u"), ("c", "v")]
@@ -971,7 +971,7 @@ class TestBeamProperties:
             return [result(public(objective, cfg)) for objective in objectives]
 
         def stacked(k):
-            return [result(pg) for pg in _search(g, models, pset, objectives, BeamConfig(beam_width=k))]
+            return [result(pg) for pg in search(g, models, pset, objectives, BeamConfig(beam_width=k))]
 
         def plain():
             steps = _prepare(g, models, pset, objectives)
@@ -1016,7 +1016,7 @@ class TestBeamProperties:
         v, w = data.draw(st.permutations(attribute.domain))[:2]
         objectives = [{attribute.id: v}, {attribute.id: w}, {}]
 
-        stacked = _search(grammar, quick_models, pset, objectives, BeamConfig(beam_width=width))
+        stacked = search(grammar, quick_models, pset, objectives, BeamConfig(beam_width=width))
         steps = _prepare(grammar, quick_models, pset, objectives)
         for k, pg in enumerate(stacked):
             score, ids, _idxs = _reference_beam(_objective_steps(steps, k), width)
@@ -1043,7 +1043,7 @@ class TestBeamProperties:
         pset = ProposalSet.from_proposals(proposals, scores, part_type_count=2)
         cfg = BeamConfig(beam_width=2)
         objectives = [{"c": "u"}, {"c": "v"}]
-        stacked = [_ids(pg) for pg in _search(g, models, pset, objectives, cfg)]
+        stacked = [_ids(pg) for pg in search(g, models, pset, objectives, cfg)]
         assert stacked == [
             {"root": "r2", "a": "a0", "b": "b1"},
             {"root": "r1", "a": "a0", "b": "b0"},
@@ -1090,7 +1090,7 @@ class TestObjectiveGroups:
         def run(group):
             monkeypatch.setattr(inference, "_GROUP_CELLS", group * block)
             sizes.clear()
-            return [(_ids(pg), float.hex(pg.total_score)) for pg in _search(grammar, quick_models, pset, assignments, cfg)]
+            return [(_ids(pg), float.hex(pg.total_score)) for pg in search(grammar, quick_models, pset, assignments, cfg)]
 
         whole = run(27)
         assert sizes == [27]
@@ -1110,7 +1110,7 @@ class TestObjectiveGroups:
         select_final(grammar, quick_models, pset, cfg)
         assert sizes == [13, 13]
         sizes.clear()
-        _search(grammar, quick_models, pset, [{a.id: v} for a in grammar.attributes for v in a.domain] + [{}], cfg)
+        search(grammar, quick_models, pset, [{a.id: v} for a in grammar.attributes for v in a.domain] + [{}], cfg)
         assert sizes == [9, 9, 9]
         sizes.clear()
         run_diagnostic(generate_family("two-person", 1, seed=1), DiagnosticConfig(grammar, quick_models))

@@ -189,7 +189,7 @@ DOCUMENTS = {
     "label-array": lambda: [1, 0],
     "config": lambda: {"n": 2, "seed": 9, "family": "single", "image_size": [320, 240], "spacing": 24.0},
     "annotations": lambda: [{**_ANNOTATION, "attributes": {"gender": "male", "hat": None}}] * 2,
-    "proposals": lambda: [_SCORED, {**_SCORED, "id": "p2"}],
+    "proposals": lambda: [_SCORED, {**_SCORED, "id": "p2"}, {**_SCORED, "id": "p3"}],
     "proposal-groups": lambda: [[_SCORED, {**_SCORED, "id": "p2"}]] * 2,
 }
 
@@ -271,9 +271,14 @@ def _at(doc, path):
     return doc
 
 
-def _write_mutated(tmp_dir, reader: str, path: tuple, value) -> str:
+# The lines a JSON-lines reader's mutation may fall on; the others' falls
+# on the last line.
+MUTATED_LINES = {"proposals": (0, 1, 2)}
+
+
+def _write_mutated(tmp_dir, reader: str, path: tuple, value, line: int = -1) -> str:
     doc = json.loads(json.dumps(DOCUMENTS[reader]()))  # every line its own copy
-    root = doc[-1] if reader in LINE_READERS else doc
+    root = doc[line] if reader in LINE_READERS else doc
     parent = _at(root, path[:-1])
     if value is DROP:
         del parent[path[-1]]
@@ -285,12 +290,12 @@ def _write_mutated(tmp_dir, reader: str, path: tuple, value) -> str:
     return str(target)
 
 
-def _refused_or_lenient(tmp_dir, reader: str, path: tuple, value) -> None:
-    """Load ``reader``'s document with ``path`` set to ``value`` (or dropped):
-    the load fails with an error naming the file and the field, unless the
-    README lists the field as optional (when dropped), nullable (when null
-    or a string) or ignored."""
-    target = _write_mutated(tmp_dir, reader, path, value)
+def _refused_or_lenient(tmp_dir, reader: str, path: tuple, value, line: int = -1) -> None:
+    """Load ``reader``'s document with ``path`` set to ``value`` (or dropped)
+    on its line ``line``: the load fails with an error naming the file and
+    the field, unless the README lists the field as optional (when
+    dropped), nullable (when null or a string) or ignored."""
+    target = _write_mutated(tmp_dir, reader, path, value, line)
     read = LINE_READERS[reader][0] if reader in LINE_READERS else READERS[reader]
     lenient = (
         _matches(path, IGNORED.get(reader, []), prefix=True)
@@ -311,16 +316,19 @@ def _refused_or_lenient(tmp_dir, reader: str, path: tuple, value) -> None:
 @given(data=st.data())
 def test_a_mutated_document_is_refused_naming_the_field(tmp_path_factory, reader, data):
     """Change one field's JSON type, drop a required key, write an integer
-    of 10**400 or wrap a value in an array or an object."""
+    of 10**400 or wrap a value in an array or an object; in a proposal
+    file, on its first, middle or last line."""
     path, value = data.draw(st.sampled_from(_mutations(reader)))
-    _refused_or_lenient(tmp_path_factory.mktemp(reader), reader, path, value)
+    line = data.draw(st.sampled_from(MUTATED_LINES.get(reader, (-1,))))
+    _refused_or_lenient(tmp_path_factory.mktemp(reader), reader, path, value, line)
 
 
 @pytest.mark.parametrize("reader", sorted(DOCUMENTS))
 def test_every_mutation_of_a_document_is_refused_naming_the_field(tmp_path, reader):
     """The property above, over every mutation at once: a few seconds in all."""
-    for path, value in _mutations(reader):
-        _refused_or_lenient(tmp_path, reader, path, value)
+    for line in MUTATED_LINES.get(reader, (-1,)):
+        for path, value in _mutations(reader):
+            _refused_or_lenient(tmp_path, reader, path, value, line)
 
 
 # Coercions the readers used to apply: each such document now fails,

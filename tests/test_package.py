@@ -65,6 +65,25 @@ def test_only_appearance_rebuilds_proposals():
     assert _calls_outside_appearance("proposals_for") == []
 
 
+def test_no_module_reaches_past_the_public_search():
+    """The search has one public entry, ``inference.search``: no other
+    module of ``posegrammar`` imports a private name from ``inference`` or
+    reads one off it."""
+    offenders = []
+    for path in sorted(Path(posegrammar.__file__).parent.glob("*.py")):
+        if path.name == "inference.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").rsplit(".", 1)[-1] == "inference":
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "inference":
+                names = [node.attr]
+            else:
+                continue
+            offenders += [f"{path.name}:{node.lineno}: {name}" for name in names if name.startswith("_")]
+    assert offenders == []
+
+
 def test_only_synthetic_reads_the_part_box_sizes():
     """The part-box rule has one implementation, ``synthetic.part_box``:
     no other module reads ``PART_BOX_SIZES``."""
