@@ -33,10 +33,12 @@ part type: the edge's log matrix with its columns gathered by the child's
 ``types``, built whole with the table, and a parent proposal's row is the
 row of its type.  A displacement table holds one row per parent proposal,
 the edge's mixture log-density on the grid of child-minus-parent ``xy``
-offsets, each row computed the first time a search reads it.  The tables
-are the only thing cached per :class:`ProposalSet` (weakly, so a dropped
-set frees them), kept per relation model, so every objective of every
-search reads the same numbers.
+offsets, each row computed the first time a search reads it, under the
+table's lock.  The tables are the only thing cached per
+:class:`ProposalSet` (weakly, so a dropped set frees them), kept per
+relation model, so every objective of every search reads the same
+numbers, and the public searches may be called from several threads on
+one set.
 
 A beam step sums into one (K, B, N) block: each survivor's score plus
 the appearance row of its objective, then each closing table's row in
@@ -49,13 +51,19 @@ Objectives never mix, so a search runs them in contiguous groups of
 near-equal size, as few as keep a group's step block within
 ``_GROUP_CELLS`` (2**16 float64 cells, 512 KiB): each group runs every
 step, and the 26 objectives of :func:`select_final` on a 17x50 lattice
-at width 100 run as two groups of 13.  A search allocates one workspace,
-two blocks sized by the largest step of its largest group: one takes the
-sums, the other each table gather and then the cut's partition, so the
-two stay within half of a 2 MiB per-core L2 while the step's passes run
-over them.  A group that fails stops the search, so where objectives in
-different groups fail at different steps the first group's error is the
-one raised.  Appearance cells and table values are finite, so a sum can
+at width 100 run as two groups of 13.  Groups share no cell, so a search
+of two or more groups runs them at once on ``_WORKERS`` threads at most,
+one per CPU the process may use, the caller's among them: started for
+the search, taking groups in order, and joined before it returns or
+raises.  Each running thread allocates one workspace, two blocks sized
+by the largest step of the largest group: one takes the sums, the other
+each table gather and then the cut's partition, so the two stay within
+half of a 2 MiB per-core L2 while the step's passes run over them.  No
+group starts after one has failed, and the error raised is the
+lowest-indexed failed group's, whatever the number of threads, though a
+later group may have run meanwhile; so where objectives in different
+groups fail at different steps the first group's error is the one
+raised.  Appearance cells and table values are finite, so a sum can
 only fail by overflow; each group carries a bound on every prefix's
 ``|score|``, grown per step by the largest ``|app|`` of the step's block
 and of each closing table, and checks a block cell by cell only once
@@ -77,6 +85,8 @@ one flat ``take``.
 from __future__ import annotations
 
 import math
+import os
+import threading
 import weakref
 from dataclasses import dataclass
 from typing import Mapping
@@ -120,10 +130,12 @@ class _Table:
     parent and one column per proposal of its child.  A co-occurrence
     table scores part types only, so it holds one row per part type,
     gathered whole when built; a displacement table holds one row per
-    parent proposal, computed the first time a search reads it.  ``peak``
-    is the largest ``|value|`` of the rows computed so far."""
+    parent proposal, computed the first time a search reads it, under the
+    table's ``lock``, so that searches on several threads share it.
+    ``peak`` is the largest ``|value|`` of the rows computed so far; it
+    only grows."""
 
-    __slots__ = ("source", "edge", "parent", "child", "values", "filled", "unfilled", "peak")
+    __slots__ = ("source", "edge", "parent", "child", "values", "filled", "unfilled", "peak", "lock")
 
     def __init__(self, source, edge: Edge, parent: Bucket, child: Bucket):
         self.source = source
@@ -150,6 +162,7 @@ class _Table:
             self.filled = np.zeros(len(parent.ids), dtype=bool)
             self.unfilled = len(parent.ids)
             self.peak = 0.0
+            self.lock = threading.Lock()
 
     def rows(self, idx: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The rows of the parent's proposals ``idx``, shape (len(idx), N),
@@ -157,16 +170,21 @@ class _Table:
         # Every index is in range, and "clip" writes ``out`` unbuffered.
         if self.filled is None:
             return self.values.take(self.parent.types.take(idx) - 1, axis=0, out=out, mode="clip")
-        if self.unfilled:
-            todo = np.zeros_like(self.filled)
-            todo[idx] = True
-            todo = np.flatnonzero(todo & ~self.filled)
-            if todo.size:
-                values = self._displacements(todo)
-                self.values[todo] = values
-                self.filled[todo] = True
-                self.unfilled -= todo.size
-                self.peak = max(self.peak, float(np.abs(values).max()))
+        if self.unfilled and not self.filled.take(idx).all():
+            with self.lock:
+                # Another thread may have filled some of the rows meanwhile.
+                todo = np.zeros_like(self.filled)
+                todo[idx] = True
+                todo = np.flatnonzero(todo & ~self.filled)
+                if todo.size:
+                    values = self._displacements(todo)
+                    self.values[todo] = values
+                    # A row is marked filled only once its values and
+                    # ``peak`` are written, as readers check ``filled``
+                    # without the lock.
+                    self.peak = max(self.peak, float(np.abs(values).max()))
+                    self.filled[todo] = True
+                    self.unfilled -= todo.size
         return self.values.take(idx, axis=0, out=out, mode="clip")
 
     def _displacements(self, rows: np.ndarray) -> np.ndarray:
@@ -231,11 +249,11 @@ _EXACT_CHECK = 2.0**1022
 
 
 class _Workspace:
-    """The scratch of one search, shared by its groups of objectives: two
-    flat blocks of ``size`` floats, ``sums`` for a step's candidate scores
-    and ``rows`` for its table gathers and then its cut, and ``bound``, an
-    upper bound on the ``|score|`` of every candidate of the running group
-    so far.  Sized for the largest group, each block holds at most
+    """The scratch of one thread of a search, shared by the groups of
+    objectives it runs: two flat blocks of ``size`` floats, ``sums`` for a
+    step's candidate scores and ``rows`` for its table gathers and then its
+    cut, and ``bound``, an upper bound on the ``|score|`` of every
+    candidate of the running group so far.  Sized for the largest group, each block holds at most
     ``_GROUP_CELLS`` floats, unless one objective's step block alone is
     larger."""
 
@@ -274,9 +292,14 @@ def _prepare(grammar, models, pset, assignments) -> list[_Step]:
     for source, edges in closing:
         for edge in edges:
             parent, child = position[edge[0]], position[edge[1]]
-            if (source, edge) not in tables:
-                tables[source, edge] = _Table(source, edge, steps[parent].bucket, steps[child].bucket)
-            steps[child].closings.append((parent, tables[source, edge]))
+            table = tables.get((source, edge))
+            if table is None:
+                # A search on another thread may build the same table: the
+                # first one stored is the one every search reads.
+                table = tables.setdefault(
+                    (source, edge), _Table(source, edge, steps[parent].bucket, steps[child].bucket)
+                )
+            steps[child].closings.append((parent, table))
     return steps
 
 
@@ -353,6 +376,10 @@ def _cut(scores: np.ndarray, width: int, scratch: np.ndarray | None = None) -> n
     return np.flatnonzero(kept).reshape(k, width)
 
 
+# The CPUs this process may run on: at most this many groups of a stacked
+# search run at once.
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
 # The most cells a step block of one group of objectives may hold.  A
 # float64 block of 2**16 cells is 512 KiB, so a step's two blocks, the sums
 # and the gathers, take half of a 2 MiB per-core L2 and stay there across
@@ -376,16 +403,25 @@ def _run_beam(steps: list[_Step], beam_width: int) -> list[tuple[float, list[int
     largest per-objective (B, N) block of the search does, and one
     objective alone always runs.  Each group runs every step, on views of
     its objectives' rows (a lone group on the steps themselves), and the
-    results are concatenated in objective order.  One workspace, sized for the largest group, serves every step
-    of every group and is freed when the search returns.
+    results are concatenated in objective order.  Groups never share a
+    cell, so several run at once, on ``min(groups, _WORKERS)`` threads,
+    the caller's among them (see :func:`_run_groups`): a lone group, or
+    any search where ``_WORKERS`` is 1, runs on the caller's thread alone.
+    Each running thread has one workspace, sized for the largest group,
+    that serves every step of every group it runs and is freed when the
+    search returns.
 
-    A group that fails raises, and later groups do not run.  Where
+    A group that fails raises, and no group starts after it.  The error
+    raised is that of the lowest-indexed group that failed, so it is the
+    same whatever the number of threads; a later group, running at the
+    same time, may have run to its end or to its own failure.  Where
     objectives in different groups would fail at different steps, the
     error is the first failing group's, at its own step, not the one a
     single stacked search would raise at the earliest step of any
     objective.  Every input that search refuses is still refused: each
     group reads the displacement rows its own survivors need, and the
-    overflow bound holds per group, as ``peak`` is a maximum over all K.
+    overflow bound holds per group, as a step's ``peak`` is a maximum
+    over all K and a table's covers at least the rows the group has read.
     """
     k = len(steps[0].app)
     # B survivors per objective extend into B*N candidates, B=1 at the first step.
@@ -394,14 +430,59 @@ def _run_beam(steps: list[_Step], beam_width: int) -> list[tuple[float, list[int
         m = b * step.app.shape[1]
         size, b = max(size, m), min(beam_width, m)
     n = -(-k // max(1, _GROUP_CELLS // size))
-    work = _Workspace(-(-k // n) * size)
     if n == 1:
-        return _run_group(steps, beam_width, work)
-    bounds = [k * i // n for i in range(n + 1)]
-    results = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        results += _run_group([step.objectives(lo, hi) for step in steps], beam_width, work)
-    return results
+        groups = [steps]
+    else:
+        bounds = [k * i // n for i in range(n + 1)]
+        groups = [[step.objectives(lo, hi) for step in steps] for lo, hi in zip(bounds, bounds[1:])]
+    return _run_groups(groups, beam_width, -(-k // n) * size, min(n, _WORKERS))
+
+
+def _run_groups(
+    groups: list[list[_Step]], beam_width: int, cells: int, workers: int
+) -> list[tuple[float, list[int]]]:
+    """:func:`_run_beam` for the objective ``groups`` on ``workers``
+    threads: the caller's and ``workers - 1`` started for this call, all
+    joined before it returns or raises, so one worker starts none.  Each
+    thread takes the next group in order until none is left or one has
+    failed, and runs it in its own workspace of ``cells`` floats per
+    block, under its own ``np.errstate``, since a new thread starts with
+    numpy's defaults.  The error raised is the lowest-indexed failed
+    group's; every group below it has run to its end, as groups are taken
+    in order.
+    """
+    results: list[list[tuple[float, list[int]]]] = [[] for _ in groups]
+    failed: dict[int, BaseException] = {}
+    taken = iter(range(len(groups)))
+    lock = threading.Lock()
+
+    def run() -> None:
+        work = _Workspace(cells)
+        with np.errstate(over="ignore"):
+            while True:
+                with lock:
+                    i = None if failed else next(taken, None)
+                if i is None:
+                    return
+                try:
+                    results[i] = _run_group(groups[i], beam_width, work)
+                except BaseException as exc:
+                    failed[i] = exc
+                    return
+
+    threads = []
+    try:
+        for _ in range(workers - 1):
+            thread = threading.Thread(target=run)
+            thread.start()
+            threads.append(thread)
+        run()
+    finally:
+        for thread in threads:
+            thread.join()
+    if failed:
+        raise failed[min(failed)]
+    return [result for group in results for result in group]
 
 
 def _run_group(steps: list[_Step], beam_width: int, work: _Workspace) -> list[tuple[float, list[int]]]:
@@ -466,8 +547,7 @@ def search(grammar, models, pset, assignments, cfg) -> list[ParseGraph]:
     ``assignments``, stacked: steps, buckets and relation tables are
     shared.  One parse per assignment, in order; ``{}`` is unconstrained."""
     steps = _prepare(grammar, models, pset, assignments)
-    with np.errstate(over="ignore"):
-        results = _run_beam(steps, (cfg or BeamConfig()).beam_width)
+    results = _run_beam(steps, (cfg or BeamConfig()).beam_width)
     return _build_parse_graphs(steps, assignments, results)
 
 

@@ -11,6 +11,7 @@ import dataclasses
 import gc
 import math
 import re
+import threading
 import weakref
 
 import numpy as np
@@ -1073,10 +1074,10 @@ class TestObjectiveGroups:
 
     @pytest.mark.parametrize("width", [1, 3, 100])
     @pytest.mark.parametrize("per_part", [8, 50])
-    def test_grouping_never_changes_a_parse(self, grammar, quick_models, monkeypatch, per_part, width):
+    def test_grouping_never_changes_a_parse(self, grammar, quick_models, monkeypatch, per_part, width, workers):
         """The 26 pairs and ``{}`` in groups of at most 1, 2 and 9
-        objectives give every objective the ids and bit-identical total of
-        one group of all 27."""
+        objectives, run on 1, 2 or 4 threads, give every objective the ids
+        and bit-identical total of one group of all 27."""
         pset = _dense_lattice(grammar, 5, per_part)
         assignments = [{a.id: v} for a in grammar.attributes for v in a.domain] + [{}]
         cfg = BeamConfig(beam_width=width)
@@ -1119,6 +1120,79 @@ class TestObjectiveGroups:
         parse_constrained(grammar, quick_models, pset, "gender", "male", cfg)
         parse_unconstrained(grammar, quick_models, pset, cfg)
         assert sizes == [1, 1]
+
+    @pytest.mark.parametrize("workers", [2], indirect=True)
+    def test_the_lowest_failed_group_s_error_is_raised(self, monkeypatch, workers):
+        """``c=u`` overflows at part 'b' and ``c=v`` at part 'a', each
+        objective a group of its own.  Run on two threads, with ``c=u``'s
+        group held back until ``c=v``'s has failed, the search still
+        raises the first group's error, as it does on one thread."""
+        g, models, pset = _toy_world(43)
+
+        def huge(pid, per_attr):
+            per_attr["c"] = {
+                "root": {"u": 1e308, "v": 1.5e308},
+                "a": {"u": 0.0, "v": 1e308},
+                "b": {"u": 1e308, "v": 0.0},
+            }[pid.rstrip("0123456789")]
+
+        pset = _rescored(pset, huge)
+        monkeypatch.setattr(inference, "_GROUP_CELLS", 1)
+        later_failed = threading.Event()
+        run_group = inference._run_group
+
+        def spied(steps, beam_width, work):
+            if steps[0].app[0, 0] == 1e308:
+                assert later_failed.wait(timeout=30), "c=v's group never failed"
+                return run_group(steps, beam_width, work)
+            try:
+                return run_group(steps, beam_width, work)
+            except ValidationError as exc:
+                assert "at part 'a'" in str(exc)
+                later_failed.set()
+                raise
+
+        monkeypatch.setattr(inference, "_run_group", spied)
+        with pytest.raises(ValidationError, match=r"^a partial parse score at part 'b' is not finite: "):
+            select_final(g, models, pset)
+        assert later_failed.is_set()
+
+    @pytest.mark.parametrize("workers", [1, 2], indirect=True)
+    def test_no_group_starts_after_one_fails(self, monkeypatch, workers):
+        """Of three one-objective groups only the first, ``c=v``,
+        overflows.  On one thread it stops the search before the others
+        start.  On two, the first fails once the second has started, the
+        second, held back until then, runs to its end, and its thread
+        starts no third."""
+        g, models, pset = _toy_world(43)
+
+        def huge_v(pid, per_attr):
+            if not pid.startswith("b"):
+                per_attr["c"]["v"] = 1e308
+
+        pset = _rescored(pset, huge_v)
+        monkeypatch.setattr(inference, "_GROUP_CELLS", 1)
+        second, failed = threading.Event(), threading.Event()
+        started = []
+        run_group = inference._run_group
+
+        def spied(steps, beam_width, work):
+            started.append(steps)
+            if len(started) == 2:
+                second.set()
+            if steps[0].app[0, 0] == 1e308:
+                assert workers == 1 or second.wait(timeout=30), "no second group started"
+                try:
+                    return run_group(steps, beam_width, work)
+                finally:
+                    failed.set()
+            assert failed.wait(timeout=30), "c=v's group never ran"
+            return run_group(steps, beam_width, work)
+
+        monkeypatch.setattr(inference, "_run_group", spied)
+        with pytest.raises(ValidationError, match=r"^a partial parse score at part 'a' is not finite: "):
+            search(g, models, pset, [{"c": "v"}, {"c": "u"}, {"c": "u"}], None)
+        assert len(started) == workers
 
 
 class TestRelationTables:
@@ -1185,6 +1259,93 @@ class TestRelationTables:
             assert pg.total_score == expected.total_score
         assert runs[0][1].total_score != runs[1][1].total_score
 
+    def test_threads_reading_the_same_unfilled_rows_fill_them_once(self, monkeypatch):
+        """Two threads that read the same unfilled half of a displacement
+        table at once both get its rows, and the table stays exact for
+        every later read.  Each fill first waits at a barrier for the
+        other thread's: with the table's lock one thread fills the rows
+        while the other waits for the lock and then finds them filled, so
+        the barrier only times out; without it both fill the same rows,
+        count them twice, and the half never read counts as filled."""
+        g, models, pset = _toy_world(34, counts=(3, 4, 3))
+        steps = _prepare(g, models, pset, [{}])
+        [table] = [t for step in steps for _parent, t in step.closings if not isinstance(t.source, SyntacticTable)]
+        n = len(table.parent.ids)
+        # Built before the reference is filled, so that no unfilled row of
+        # it is memory that held the reference's values.
+        shared = _Table(table.source, table.edge, table.parent, table.child)
+        whole = _Table(table.source, table.edge, table.parent, table.child).rows(np.arange(n))
+        barrier = threading.Barrier(2, timeout=1.0)
+        displacements = _Table._displacements
+
+        def meeting(self, rows):
+            try:
+                barrier.wait()
+            except threading.BrokenBarrierError:
+                pass
+            return displacements(self, rows)
+
+        monkeypatch.setattr(_Table, "_displacements", meeting)
+        half = np.arange(n // 2)
+        read = [None, None]
+
+        def reader(i):
+            read[i] = shared.rows(half)
+
+        threads = [threading.Thread(target=reader, args=(i,)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        for rows in read:
+            np.testing.assert_array_equal(rows, whole[half])
+        np.testing.assert_array_equal(shared.rows(np.arange(n)), whole)
+        assert shared.unfilled == 0 and shared.filled.all()
+
+    @pytest.mark.parametrize("seed", [300, 301])
+    def test_concurrent_searches_on_one_set_match_a_lone_search(self, grammar, quick_models, seed, monkeypatch):
+        """Two threads running ``select_final`` on one fresh proposal set
+        each get the parses of a search on a set of its own, and both read
+        the tables the set keeps, one per edge, though each thread builds
+        every table, the two meeting at a barrier in each build."""
+        cfg = BeamConfig(beam_width=10)
+        lone = select_final(grammar, quick_models, _dense_lattice(grammar, seed, 20), cfg)[1]
+        expected = [(_ids(pg), float.hex(pg.total_score)) for pg in lone.values()]
+        pset = _dense_lattice(grammar, seed, 20)
+        barrier = threading.Barrier(2, timeout=1.0)
+        build = _Table.__init__
+
+        def meeting(self, *args):
+            try:
+                barrier.wait()
+            except threading.BrokenBarrierError:
+                pass
+            build(self, *args)
+
+        monkeypatch.setattr(_Table, "__init__", meeting)
+        read = []
+        run_group = inference._run_group
+
+        def spied(steps, beam_width, work):
+            read.extend(table for step in steps for _parent, table in step.closings)
+            return run_group(steps, beam_width, work)
+
+        monkeypatch.setattr(inference, "_run_group", spied)
+        got = [None, None]
+
+        def search_on(i):
+            got[i] = [(_ids(pg), float.hex(pg.total_score)) for pg in select_final(grammar, quick_models, pset, cfg)[1].values()]
+
+        threads = [threading.Thread(target=search_on, args=(i,)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert got == [expected, expected]
+        kept = _TABLES[pset].values()
+        assert len(kept) == len(grammar.psg_edges) + len(grammar.dg_edges)
+        assert {id(table) for table in read} == {id(table) for table in kept}
+
     def test_dropped_proposal_set_frees_its_tables(self):
         g, models, pset = _toy_world(33)
         parse_constrained(g, models, pset, "c", "u")
@@ -1201,6 +1362,14 @@ def group_budget(request, monkeypatch):
     stacked search runs as a group of its own."""
     if request.param == "one-objective-per-group":
         monkeypatch.setattr(inference, "_GROUP_CELLS", 1)
+    return request.param
+
+
+@pytest.fixture(params=[1, 2, 4])
+def workers(request, monkeypatch):
+    """The number of CPUs a stacked search takes as usable: the most
+    threads its groups of objectives run on."""
+    monkeypatch.setattr(inference, "_WORKERS", request.param)
     return request.param
 
 
@@ -1240,12 +1409,20 @@ class TestNonFiniteRelations:
         with pytest.raises(ValidationError, match=self._MESSAGE):
             parse_constrained(grammar, quick_models, self._far_heads(), "gender", "male")
 
-    def test_select_final(self, grammar, quick_models, group_budget, monkeypatch):
+    @pytest.mark.parametrize("workers", [1, 2], indirect=True)
+    def test_select_final(self, grammar, quick_models, group_budget, workers, monkeypatch):
         sizes = _group_sizes(monkeypatch)
         with pytest.raises(ValidationError, match=self._MESSAGE):
             select_final(grammar, quick_models, self._far_heads())
-        # The first group reads a head row and stops the search.
-        assert sizes == [1 if group_budget == "one-objective-per-group" else 26]
+        if group_budget == "one-group":
+            assert sizes == [26]
+        elif workers == 1:
+            # The first group reads a head row and stops the search.
+            assert sizes == [1]
+        else:
+            # Each thread's first group reads a head row and fails, so no
+            # thread starts a second one.
+            assert sizes in ([1], [1, 1])
 
     def test_brute_force_parse(self, grammar, quick_models):
         with pytest.raises(ValidationError, match=self._MESSAGE):
@@ -1262,6 +1439,12 @@ class TestOverflow:
     _MESSAGE = (
         "a partial parse score at part 'a' is not finite: appearance and relation scores overflow"
     )
+
+    @pytest.fixture(autouse=True)
+    def two_workers(self, monkeypatch):
+        """Stacked searches of more than one group run on two threads, so a
+        thread that does not silence numpy's overflow warning fails."""
+        monkeypatch.setattr(inference, "_WORKERS", 2)
 
     @staticmethod
     def _huge():

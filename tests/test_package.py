@@ -1,12 +1,21 @@
-"""Package surface: the names ``posegrammar`` exports."""
+"""Package surface: the names ``posegrammar`` exports, and what a call
+leaves behind."""
 
 from __future__ import annotations
 
 import ast
+import dataclasses
 import re
+import threading
 from pathlib import Path
 
+import pytest
+
 import posegrammar
+from posegrammar import inference
+from posegrammar.appearance import ProposalSet, synth_scores
+from posegrammar.errors import ValidationError
+from posegrammar.synthetic import two_person_scene
 
 
 def test_every_exported_name_resolves_once():
@@ -226,3 +235,62 @@ def test_no_module_level_name_serves_only_the_tests():
         if name not in used and name not in _TEST_ONLY_ALLOWED
     ]
     assert test_only == []
+
+
+def _scene(far_heads: bool = False) -> ProposalSet:
+    """A two-person scene's proposals; with ``far_heads``, every head at
+    x=1e200, where the torso->head displacement score is -inf and every
+    search is refused."""
+    pset = synth_scores(two_person_scene(seed=21), noise_sigma=0.0, rng_seed=4)
+    props = [p for part in pset.buckets for p in pset.proposals_for(part)]
+    if far_heads:
+        props = [dataclasses.replace(p, x=1e200) if p.part == "head" else p for p in props]
+    return ProposalSet.from_proposals(props, pset.scores, part_type_count=pset.part_type_count)
+
+
+def _started_threads(monkeypatch) -> list[threading.Thread]:
+    """A list that records, from now on, every ``threading.Thread`` that
+    is started."""
+    started = []
+
+    class Spied(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Spied)
+    return started
+
+
+@pytest.mark.parametrize("refused", [False, True], ids=["succeeds", "refused"])
+def test_a_search_joins_the_threads_it_starts(grammar, quick_models, monkeypatch, refused):
+    """A search whose 26 groups run on four usable CPUs starts three
+    threads and joins them before it returns or raises."""
+    pset = _scene(far_heads=refused)
+    monkeypatch.setattr(inference, "_GROUP_CELLS", 1)
+    monkeypatch.setattr(inference, "_WORKERS", 4)
+    started = _started_threads(monkeypatch)
+    before = threading.active_count()
+    if refused:
+        with pytest.raises(ValidationError, match="is -inf, not finite"):
+            posegrammar.select_final(grammar, quick_models, pset)
+    else:
+        posegrammar.select_final(grammar, quick_models, pset)
+    assert len(started) == 3
+    assert not any(thread.is_alive() for thread in started)
+    assert threading.active_count() == before
+
+
+def test_a_one_group_or_one_cpu_search_starts_no_thread(grammar, quick_models, monkeypatch):
+    """A search of one group, whether of one objective or of objectives
+    whose blocks fit together, or any search with one usable CPU, runs on
+    the caller's thread alone."""
+    pset = _scene()
+    monkeypatch.setattr(inference, "_WORKERS", 4)
+    started = _started_threads(monkeypatch)
+    posegrammar.select_final(grammar, quick_models, pset)
+    monkeypatch.setattr(inference, "_GROUP_CELLS", 1)
+    posegrammar.parse_unconstrained(grammar, quick_models, pset)
+    monkeypatch.setattr(inference, "_WORKERS", 1)
+    posegrammar.select_final(grammar, quick_models, pset)
+    assert started == []
