@@ -1,85 +1,12 @@
 """Parse inference: beam search over part proposals.
 
-Parsing is a beam search.  It seeds candidates from the root part's
-proposals and grounds one part per step in a fixed expansion order;
-whenever a step grounds a part, every grammar edge with both endpoints
-now grounded contributes its relation score.  Only the top
-``beam_width`` candidates survive a step, chosen by score and, on ties,
-by the tuple of chosen proposal ids.
-
-An objective is an attribute assignment, the attribute grammar's part
-of the parse: ``{attr: value}`` scores every part under that one value,
-treating the attribute as a global constraint on the whole body, and
-``{}`` lets every part contribute its best value score for every
-attribute, each part free to pick its own values.
-
-One search, :func:`search`, runs K objectives stacked on a leading
-axis: the 26 constrained parses of :func:`select_final` are one K=26
-search, and :func:`parse_constrained` and :func:`parse_unconstrained`
-are K=1 searches.  Steps, buckets and relation tables are shared; each step reads
-its part's columnar :class:`~posegrammar.appearance.Bucket` straight from
-the proposal set and holds a (K, N) appearance block, one row per
-objective, cut from one (K, all proposals) block that one call of
-:meth:`ScoreTable.appearance` gathers for all K objectives from the set's
-immutable score grid; a grammar pair the grid lacks is refused before any
-search step.
-
-Relation scores come from tables, not from per-candidate math.  The
-expansion order grounds every part after all of its parents, so each edge
-closes at its child's step, and a step reads its table as one row per
-proposal of the parent and one column per proposal of the child.  A
-co-occurrence edge scores part types only, so its table holds one row per
-part type: the edge's log matrix with its columns gathered by the child's
-``types``, built whole with the table, and a parent proposal's row is the
-row of its type.  A displacement table holds one row per parent proposal,
-the edge's mixture log-density on the grid of child-minus-parent ``xy``
-offsets, each row computed the first time a search reads it, under the
-table's lock.  The tables are the only thing cached per
-:class:`ProposalSet` (weakly, so a dropped set frees them), kept per
-relation model, so every objective of every search reads the same
-numbers, and the public searches may be called from several threads on
-one set.
-
-A beam step sums into one (K, B, N) block: each survivor's score plus
-the appearance row of its objective, then each closing table's row in
-plan order, the rows gathered once for all K*B survivors.  So every
-candidate sees the same float operations, in the same order, as in a
-search of its objective alone.  The first sum is a matrix product,
-``[score, 1] @ [1; app]``: both products are exact, so each cell is
-``score + app`` rounded once, written faster than a broadcast add.
-Objectives never mix, so a search runs them in contiguous groups of
-near-equal size, as few as keep a group's step block within
-``_GROUP_CELLS`` (2**16 float64 cells, 512 KiB): each group runs every
-step, and the 26 objectives of :func:`select_final` on a 17x50 lattice
-at width 100 run as two groups of 13.  Groups share no cell, so a search
-of two or more groups runs them at once on ``_WORKERS`` threads at most,
-one per CPU the process may use, the caller's among them: started for
-the search, taking groups in order, and joined before it returns or
-raises.  Each running thread allocates one workspace, two blocks sized
-by the largest step of the largest group: one takes the sums, the other
-each table gather and then the cut's partition, so the two stay within
-half of a 2 MiB per-core L2 while the step's passes run over them.  No
-group starts after one has failed, and the error raised is the
-lowest-indexed failed group's, whatever the number of threads, though a
-later group may have run meanwhile; so where objectives in different
-groups fail at different steps the first group's error is the one
-raised.  Appearance cells and table values are finite, so a sum can
-only fail by overflow; each group carries a bound on every prefix's
-``|score|``, grown per step by the largest ``|app|`` of the step's block
-and of each closing table, and checks a block cell by cell only once
-that bound reaches ``2**1022``.  The tie rule is storage order: buckets
-list their proposals in id order and each step keeps its survivors in
-id-tuple order, so a candidate's flat index in its (B, N) block orders
-as its id tuple.  The cut is per objective, at the row's
-``beam_width``-th best score: candidates above it survive, and the
-lowest-indexed at it fill the rest.  A step keeps only back-pointers,
-each survivor's parent among the previous survivors and its own
-proposal, never the survivors' prefixes.  The proposal indices of a part
-that a later step's edges read are kept as one (K, B) column,
-re-gathered through each step's parent pointers until its last reader;
-after the last step each objective's best survivor, its first maximum,
-is decoded backwards through the pointers.  Every gather in a step is
-one flat ``take``.
+One search, :func:`search`, finds the best parse under each of K
+attribute assignments, its objectives, stacked on a leading axis:
+:func:`select_final` runs its 26 (attribute, value) pairs as one K=26
+search, and :func:`parse_constrained` and :func:`parse_unconstrained` are
+K=1 searches.  :func:`_prepare` plans the steps and their relation tables
+(:class:`_Table`), :func:`_extend` sums a step's candidates, :func:`_cut`
+keeps each objective's best, and :func:`_run_beam` runs the steps.
 """
 
 from __future__ import annotations
@@ -89,7 +16,7 @@ import os
 import threading
 import weakref
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -132,8 +59,7 @@ class _Table:
     gathered whole when built; a displacement table holds one row per
     parent proposal, computed the first time a search reads it, under the
     table's ``lock``, so that searches on several threads share it.
-    ``peak`` is the largest ``|value|`` of the rows computed so far; it
-    only grows."""
+    ``peak``, the largest ``|value|`` computed so far, only grows."""
 
     __slots__ = ("source", "edge", "parent", "child", "values", "filled", "unfilled", "peak", "lock")
 
@@ -164,9 +90,9 @@ class _Table:
             self.peak = 0.0
             self.lock = threading.Lock()
 
-    def rows(self, idx: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def rows(self, idx: np.ndarray, out: np.ndarray) -> np.ndarray:
         """The rows of the parent's proposals ``idx``, shape (len(idx), N),
-        written into ``out`` if given."""
+        written into ``out``."""
         # Every index is in range, and "clip" writes ``out`` unbuffered.
         if self.filled is None:
             return self.values.take(self.parent.types.take(idx) - 1, axis=0, out=out, mode="clip")
@@ -203,8 +129,9 @@ class _Table:
         return values
 
 
-# The relation tables of each proposal set, by relation model and edge; a
-# dropped set frees its tables.
+# The relation tables of each proposal set, by relation model and edge: the
+# only thing a search caches, so every objective of every search reads the
+# same numbers.  A dropped set frees its tables.
 _TABLES: weakref.WeakKeyDictionary[ProposalSet, dict[tuple, _Table]] = weakref.WeakKeyDictionary()
 
 
@@ -250,19 +177,20 @@ _EXACT_CHECK = 2.0**1022
 
 class _Workspace:
     """The scratch of one thread of a search, shared by the groups of
-    objectives it runs: two flat blocks of ``size`` floats, ``sums`` for a
-    step's candidate scores and ``rows`` for its table gathers and then its
-    cut, and ``bound``, an upper bound on the ``|score|`` of every
-    candidate of the running group so far.  Sized for the largest group, each block holds at most
-    ``_GROUP_CELLS`` floats, unless one objective's step block alone is
-    larger."""
+    objectives it runs: two flat blocks of ``size`` floats, ``sums`` for
+    a step's candidate scores and ``rows`` for its table gathers and then
+    its cut, and ``bound``, an upper bound on the ``|score|`` of every
+    candidate of the running group so far, infinite until a group sets
+    it, so that every sum is checked.  Sized for the largest group, each
+    block holds at most ``_GROUP_CELLS`` floats, unless one objective's
+    step block alone is larger."""
 
     __slots__ = ("sums", "rows", "bound")
 
-    def __init__(self, size: int, bound: float = math.inf):
+    def __init__(self, size: int):
         self.sums = np.empty(size)
         self.rows = np.empty(size)
-        self.bound = bound
+        self.bound = math.inf
 
 
 def check_assignment(grammar: AOGrammar, assignment: Mapping[AttrId, str]) -> None:
@@ -303,39 +231,38 @@ def _prepare(grammar, models, pset, assignments) -> list[_Step]:
     return steps
 
 
-def _extend(step: _Step, score: np.ndarray, cols, work: _Workspace | None = None) -> np.ndarray:
+def _extend(step: _Step, score: np.ndarray, cols, work: _Workspace) -> np.ndarray:
     """Scores of the prefixes with ``score`` (K, B), one row per objective,
-    each extended by every proposal of ``step``: shape (K, B, N), a view of
-    ``work.sums``.  ``cols[p]`` holds the prefixes' (K, B) proposal indices
-    at step position ``p``, for every parent position of ``step``'s
-    closings.  Without a workspace, one is allocated for the call, with no
-    bound, so that every sum is checked.
+    each extended by every proposal of ``step``, a step after the first:
+    shape (K, B, N), a view of ``work.sums``.  ``cols[p]`` holds the
+    prefixes' (K, B) proposal indices at step position ``p``, for every
+    parent position of ``step``'s closings.
 
     The appearance term is added first, then each closing table's row in
-    plan order; the beam, and at K=1 the exhaustive oracle under ``tests/``,
-    both use this one sum.  Table rows are gathered once for all K*B
-    prefixes, into ``work.rows``.  ``work.bound`` grows by the step's
-    ``peak`` and each closing table's; a sum that overflows is refused
-    here, checked cell by cell once the bound says it might; the searches
-    silence numpy's warning.
+    plan order, so every candidate sees the float operations of a search
+    of its objective alone; the beam, and at K=1 the exhaustive oracle
+    under ``tests/``, both use this one sum.  The first sum is the product
+    ``[score, 1] @ [1; app]``: both products are exact, so each cell is
+    ``score + app`` rounded once, written faster than a broadcast add.
+    Table rows are gathered once for all K*B prefixes, into ``work.rows``.
+
+    Appearance cells and table values are finite, so a sum can fail only
+    by overflow: ``work.bound`` grows by the step's ``peak`` and each
+    closing table's, and the block is checked cell by cell once it reaches
+    ``_EXACT_CHECK``.  The searches silence numpy's warning.
     """
     k, b = score.shape
     size = k * b * step.app.shape[1]
-    if work is None:
-        work = _Workspace(size)
     total = work.sums[:size].reshape(k, b, -1)
-    if step.closings:
-        # The product gives -0.0 + -0.0 as +0.0, where a broadcast add
-        # gives -0.0; the first closing absorbs the sign.  It is the part's
-        # co-occurrence edge (every part but the root is a psg child, as
-        # the grammar refuses a part no psg edge reaches, and the plan
-        # lists psg edges first), whose log entries are never -0.0, and
-        # 0.0 + r equals -0.0 + r for every r but -0.0.
-        lhs = np.empty((k, b, 2))
-        lhs[..., 0], lhs[..., 1] = score, 1.0
-        np.matmul(lhs, step.lifted, out=total)
-    else:
-        np.add(score[:, :, None], step.app[:, None, :], out=total)
+    # The product gives -0.0 + -0.0 as +0.0, where a broadcast add gives
+    # -0.0; the first closing absorbs the sign.  It is the part's
+    # co-occurrence edge (every part but the root is a psg child, as the
+    # grammar refuses a part no psg edge reaches, and the plan lists psg
+    # edges first), whose log entries are never -0.0, and 0.0 + r equals
+    # -0.0 + r for every r but -0.0.
+    lhs = np.empty((k, b, 2))
+    lhs[..., 0], lhs[..., 1] = score, 1.0
+    np.matmul(lhs, step.lifted, out=total)
     bound = work.bound + step.peak
     gathered = work.rows[:size].reshape(k * b, -1)
     for parent, table in step.closings:
@@ -350,10 +277,10 @@ def _extend(step: _Step, score: np.ndarray, cols, work: _Workspace | None = None
     return total
 
 
-def _cut(scores: np.ndarray, width: int, scratch: np.ndarray | None = None) -> np.ndarray:
+def _cut(scores: np.ndarray, width: int, scratch: np.ndarray) -> np.ndarray:
     """Per row of ``scores`` (K, M), the flat indices into ``scores`` of its
     ``width`` best candidates, in ascending order.  ``scratch``, a flat
-    buffer of at least K*M floats, holds the partition if given.
+    buffer of at least K*M floats, holds the partition.
 
     Higher score wins; equal scores go to the lower index.  The cut is the
     row's ``width``-th best score: every candidate above it is kept, and
@@ -362,7 +289,7 @@ def _cut(scores: np.ndarray, width: int, scratch: np.ndarray | None = None) -> n
     k, m = scores.shape
     if m <= width:
         return np.arange(k * m).reshape(k, m)
-    part = np.empty_like(scores) if scratch is None else scratch[: k * m].reshape(k, m)
+    part = scratch[: k * m].reshape(k, m)
     np.copyto(part, scores)
     part.partition(m - width, axis=1)
     cut = part[:, m - width, None]
@@ -391,37 +318,29 @@ _GROUP_CELLS = 2**16
 
 def _run_beam(steps: list[_Step], beam_width: int) -> list[tuple[float, list[int]]]:
     """Per objective, the best (score, per-step proposal indices) under the
-    beam.
+    beam.  Ties go to the smaller tuple of proposal ids: buckets list their
+    proposals in id order and each step keeps its survivors in id-tuple
+    order, so a candidate's flat index in a (B, N) block orders as its ids.
 
-    Each objective keeps its own ``beam_width`` survivors, in id-tuple
-    order.  Ties go to the lexicographically smaller tuple of proposal ids,
-    which is the lower flat index in a step's (B, N) block.
+    The K objectives run as the fewest contiguous groups, of near-equal
+    size, whose step blocks fit ``_GROUP_CELLS`` cells (one objective
+    alone always runs), each on views of its objectives' rows, on
+    ``min(groups, _WORKERS)`` threads: the caller's, and others started
+    for this search and joined before it returns or raises.  Each thread
+    takes the next group in order and runs it in its own workspace, under
+    its own ``np.errstate``, since a new thread starts with numpy's
+    defaults.
 
-    Objectives are independent rows, so the K objectives run as the fewest
-    contiguous groups, of near-equal size, whose step blocks fit
-    ``_GROUP_CELLS`` cells: a group of G objectives fits when G times the
-    largest per-objective (B, N) block of the search does, and one
-    objective alone always runs.  Each group runs every step, on views of
-    its objectives' rows (a lone group on the steps themselves), and the
-    results are concatenated in objective order.  Groups never share a
-    cell, so several run at once, on ``min(groups, _WORKERS)`` threads,
-    the caller's among them (see :func:`_run_groups`): a lone group, or
-    any search where ``_WORKERS`` is 1, runs on the caller's thread alone.
-    Each running thread has one workspace, sized for the largest group,
-    that serves every step of every group it runs and is freed when the
-    search returns.
-
-    A group that fails raises, and no group starts after it.  The error
-    raised is that of the lowest-indexed group that failed, so it is the
-    same whatever the number of threads; a later group, running at the
-    same time, may have run to its end or to its own failure.  Where
-    objectives in different groups would fail at different steps, the
-    error is the first failing group's, at its own step, not the one a
-    single stacked search would raise at the earliest step of any
-    objective.  Every input that search refuses is still refused: each
-    group reads the displacement rows its own survivors need, and the
-    overflow bound holds per group, as a step's ``peak`` is a maximum
-    over all K and a table's covers at least the rows the group has read.
+    No group starts after one has failed, and the error raised is the
+    lowest-indexed failed group's: groups are taken in order, so whatever
+    the number of threads every group below it has run to its end, and a
+    later one may have run meanwhile.  So where objectives in different
+    groups fail at different steps, the first failing group's error is
+    raised, not the one at the earliest step of any objective.  Every
+    input one group would refuse is still refused: each group reads the
+    displacement rows its survivors need, and the overflow bound holds per
+    group, as a step's ``peak`` covers all K and a table's at least the
+    rows the group has read.
     """
     k = len(steps[0].app)
     # B survivors per objective extend into B*N candidates, B=1 at the first step.
@@ -430,30 +349,11 @@ def _run_beam(steps: list[_Step], beam_width: int) -> list[tuple[float, list[int
         m = b * step.app.shape[1]
         size, b = max(size, m), min(beam_width, m)
     n = -(-k // max(1, _GROUP_CELLS // size))
-    if n == 1:
-        groups = [steps]
-    else:
-        bounds = [k * i // n for i in range(n + 1)]
-        groups = [[step.objectives(lo, hi) for step in steps] for lo, hi in zip(bounds, bounds[1:])]
-    return _run_groups(groups, beam_width, -(-k // n) * size, min(n, _WORKERS))
-
-
-def _run_groups(
-    groups: list[list[_Step]], beam_width: int, cells: int, workers: int
-) -> list[tuple[float, list[int]]]:
-    """:func:`_run_beam` for the objective ``groups`` on ``workers``
-    threads: the caller's and ``workers - 1`` started for this call, all
-    joined before it returns or raises, so one worker starts none.  Each
-    thread takes the next group in order until none is left or one has
-    failed, and runs it in its own workspace of ``cells`` floats per
-    block, under its own ``np.errstate``, since a new thread starts with
-    numpy's defaults.  The error raised is the lowest-indexed failed
-    group's; every group below it has run to its end, as groups are taken
-    in order.
-    """
+    groups = [[step.objectives(k * i // n, k * (i + 1) // n) for step in steps] for i in range(n)]
+    cells = -(-k // n) * size
     results: list[list[tuple[float, list[int]]]] = [[] for _ in groups]
     failed: dict[int, BaseException] = {}
-    taken = iter(range(len(groups)))
+    taken = iter(range(n))
     lock = threading.Lock()
 
     def run() -> None:
@@ -472,7 +372,7 @@ def _run_groups(
 
     threads = []
     try:
-        for _ in range(workers - 1):
+        for _ in range(min(n, _WORKERS) - 1):
             thread = threading.Thread(target=run)
             thread.start()
             threads.append(thread)
@@ -542,10 +442,18 @@ def _build_parse_graphs(steps, assignments, results) -> list[ParseGraph]:
     return graphs
 
 
-def search(grammar, models, pset, assignments, cfg) -> list[ParseGraph]:
+def search(
+    grammar: AOGrammar,
+    models: RelationModels,
+    pset: ProposalSet,
+    assignments: Sequence[Mapping[AttrId, str]],
+    cfg: BeamConfig | None = None,
+) -> list[ParseGraph]:
     """One beam search for the best parse under each of the attribute
     ``assignments``, stacked: steps, buckets and relation tables are
-    shared.  One parse per assignment, in order; ``{}`` is unconstrained."""
+    shared.  One parse per assignment, in order.  ``{attr: value}`` scores
+    every part under that one value, a global constraint on the body;
+    ``{}`` lets each part contribute its best value of every attribute."""
     steps = _prepare(grammar, models, pset, assignments)
     results = _run_beam(steps, (cfg or BeamConfig()).beam_width)
     return _build_parse_graphs(steps, assignments, results)

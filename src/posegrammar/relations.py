@@ -250,7 +250,7 @@ def _offsets(points, centres, out=(None, None)) -> tuple[np.ndarray, np.ndarray]
     return dx, dy
 
 
-def _quadratic(inverses, dx, dy, out=None) -> np.ndarray:
+def _quadratic(inverses, dx, dy, out) -> np.ndarray:
     """``ia dx^2 + 2 ib dx dy + ic dy^2`` for (..., k, 3) inverse entries
     and (..., k, N) offsets ``dx``, ``dy``: shape (..., k, N).  ``dx`` is
     overwritten."""

@@ -6,7 +6,8 @@ the beam's relation tables through the beam's own sum
 wide-enough beam must match it exactly; it is the testing oracle, guarded
 against blowup.  :func:`reference_extend` is that sum in its plain
 broadcast form, which the beam's product form must reproduce bit for
-bit.  :func:`uniform_syntactic_table` builds the co-occurrence
+bit, and :func:`table_rows` reads a relation table's rows into a fresh
+buffer.  :func:`uniform_syntactic_table` builds the co-occurrence
 model that puts equal mass on every pair of part types.
 :func:`reference_average_precision` is average precision of one stream,
 computed on its own, as the batched form must reproduce it bit for bit.
@@ -21,7 +22,7 @@ import numpy as np
 from posegrammar.appearance import ProposalSet
 from posegrammar.errors import PoseGrammarError, ValidationError
 from posegrammar.grammar import DEFAULT_PART_TYPE_COUNT, AOGrammar, AttrId, ParseGraph
-from posegrammar.inference import _build_parse_graphs, _extend, _prepare, _Step
+from posegrammar.inference import _build_parse_graphs, _extend, _prepare, _Step, _Table, _Workspace
 from posegrammar.relations import Edge, RelationModels, SyntacticTable
 
 COMBINATION_GUARD = 10_000_000
@@ -68,7 +69,9 @@ def brute_force_parse(
             return
         # The prefixes' proposal indices, one (1, B) column per step position.
         cols = np.array(idxs).T[:, None]
-        sums = _extend(steps[si], np.array([scores]), cols)[0].tolist()
+        # A fresh workspace has no bound, so every sum is checked.
+        work = _Workspace(len(scores) * len(steps[si].bucket.ids))
+        sums = _extend(steps[si], np.array([scores]), cols, work)[0].tolist()
         ids = steps[si].bucket.ids
         for row, idkey, ix in zip(sums, idkeys, idxs):
             descend(si + 1, row, [idkey + (i,) for i in ids], [ix + (j,) for j in range(len(ids))])
@@ -88,13 +91,20 @@ def reference_extend(step: _Step, score: np.ndarray, cols) -> np.ndarray:
     refused."""
     total = score[:, :, None] + step.app[:, None, :]
     for parent, table in step.closings:
-        total += table.rows(cols[parent].ravel()).reshape(total.shape)
+        total += table_rows(table, cols[parent].ravel()).reshape(total.shape)
     if not np.isfinite(total).all():
         raise ValidationError(
             f"a partial parse score at part {step.bucket.part!r} is not finite: "
             "appearance and relation scores overflow"
         )
     return total
+
+
+def table_rows(table: _Table, idx) -> np.ndarray:
+    """The rows of ``table`` for its parent's proposals ``idx``, gathered
+    into a buffer of their own."""
+    idx = np.asarray(idx)
+    return table.rows(idx, np.empty((len(idx), len(table.child.ids))))
 
 
 def uniform_syntactic_table(

@@ -63,7 +63,7 @@ from posegrammar.relations import (
 )
 from posegrammar.synthetic import generate_family, two_person_scene
 
-from oracle import EnumerationLimitError, brute_force_parse, reference_extend, uniform_syntactic_table
+from oracle import EnumerationLimitError, brute_force_parse, reference_extend, table_rows, uniform_syntactic_table
 
 _PROPERTY_ATTRIBUTE = (AttributeDef("c", "c", ("u", "v")),)
 
@@ -167,6 +167,27 @@ class TestExpansionOrder:
         assert default_expansion_order(g) == ("root", "a", "b", "c")
         last = _prepare(g, models, pset, [{}])[-1]
         assert [(parent, table.edge) for parent, table in last.closings] == [(0, ("root", "c")), (2, ("b", "c"))]
+
+    def test_every_later_step_first_closes_a_cooccurrence_table(self, grammar, quick_models):
+        """The root's step closes no edge, and every later step closes at
+        least one, the first of them read from a co-occurrence table, on
+        the default human grammar and on every grammar these tests build.
+        ``_extend``'s product form relies on it: that first closing absorbs
+        the sign of a ``-0.0 + -0.0`` sum."""
+        worlds = [
+            (grammar, quick_models, synth_scores(two_person_scene(seed=21), noise_sigma=0.0, rng_seed=4)),
+            _toy_world(0),
+            _toy_world(0, part_type_count=9),
+            _chain_world(0, {p: [f"{p}0", f"{p}1"] for p in ("root", "a", "b", "c")}),
+            _two_parent_world(0),
+        ]
+        for g, models, pset in worlds:
+            steps = _prepare(g, models, pset, [{}])
+            assert [step.bucket.part for step in steps] == list(default_expansion_order(g))
+            assert steps[0].closings == []
+            for step in steps[1:]:
+                assert step.closings, step.bucket.part
+                assert isinstance(step.closings[0][1].source, SyntacticTable), step.bucket.part
 
     def test_beam_width_bound(self):
         with pytest.raises(ValidationError, match="^beam_width must be an integer >= 1, got 0$"):
@@ -368,14 +389,14 @@ class TestTieBreaking:
     @given(width=st.integers(1, 6), m=st.integers(1, 8), data=st.data())
     def test_cut_keeps_what_a_sort_on_score_then_index_keeps(self, width, m, data):
         """Per row, ``_cut`` keeps the ``width`` candidates first under
-        (-score, index), listed by index, with or without a scratch buffer
-        full of NaN, and the decode of a one-step search picks the row's
-        first maximum among them.  Rows drawn with
-        unique values never tie; the others mostly do."""
+        (-score, index), listed by index, in a fresh scratch buffer and in
+        a larger one full of NaN, and the decode of a one-step search picks
+        the row's first maximum among them.  Rows drawn with unique values
+        never tie; the others mostly do."""
         rows = lambda unique: st.lists(st.sampled_from(self._POOL), min_size=m, max_size=m, unique=unique)
         k = data.draw(st.integers(1, 4))
         scores = np.array([data.draw(rows(data.draw(st.booleans()))) for _ in range(k)])
-        kept = _cut(scores, width)
+        kept = _cut(scores, width, np.empty(scores.size))
         index = np.arange(m)
         ranked = [np.lexsort((index, -row))[:width] for row in scores]
         assert kept.tolist() == [sorted(r * m + order) for r, order in enumerate(ranked)]
@@ -448,7 +469,7 @@ class TestBeamTrace:
                 # Both objectives extend the same prefixes, stacked; each
                 # earlier step's column of proposal indices, per objective.
                 cols = {p: np.stack([idxs[:, p]] * len(objectives)) for p in range(si)}
-                total = _extend(step, score, cols)
+                total = _extend(step, score, cols, _Workspace(score.size * len(step.bucket.ids)))
                 k, b, n = total.shape
                 score = total.reshape(k, -1)
                 idxs = np.column_stack((np.repeat(idxs, n, axis=0), np.tile(np.arange(n), b)))
@@ -477,8 +498,8 @@ def _awkward_cells(rng, shape):
 class TestExtendBits:
     """The product form of a beam step's sum gives, cell by cell, the
     float a broadcast ``score + app`` followed by each closing's ``+=``
-    gives, with every prefix of the step's closings (none included), on
-    workspaces full of NaN."""
+    gives, with every prefix of the step's closings that keeps the first,
+    on workspaces full of NaN."""
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), stacked=st.booleans(), prefixes=st.integers(1, 6))
@@ -506,10 +527,11 @@ class TestExtendBits:
             score = _awkward_cells(rng, (k, prefixes))
             score[:, 0] = -0.0
             cols = {p: rng.integers(0, len(steps[p].bucket.ids), size=(k, prefixes)) for p, _ in step.closings}
-            for j in range(len(step.closings) + 1):
+            for j in range(1, len(step.closings) + 1):
                 part = _Step(step.bucket, step.lifted, step.peak)
                 part.closings = step.closings[:j]
-                work = _Workspace(k * prefixes * len(step.bucket.ids), float(np.abs(score).max()))
+                work = _Workspace(k * prefixes * len(step.bucket.ids))
+                work.bound = float(np.abs(score).max())
                 work.sums.fill(np.nan)
                 work.rows.fill(np.nan)
                 got = _extend(part, score, cols, work)
@@ -910,7 +932,7 @@ def _reference_beam(steps, width):
         new = []
         for score, ids, idxs in beam:
             cols = {p: np.array([[j]]) for p, j in enumerate(idxs)}
-            sums = _extend(step, np.array([[score]]), cols)[0, 0].tolist()
+            sums = _extend(step, np.array([[score]]), cols, _Workspace(len(step.bucket.ids)))[0, 0].tolist()
             new += [
                 (s, ids + (pid,), idxs + (j,))
                 for j, (s, pid) in enumerate(zip(sums, step.bucket.ids))
@@ -1206,12 +1228,12 @@ class TestRelationTables:
         for table in tables:
             n = len(table.parent.ids)
             full = _Table(table.source, table.edge, table.parent, table.child)
-            whole = full.rows(np.arange(n))
+            whole = table_rows(full, np.arange(n))
             lazy = _Table(table.source, table.edge, table.parent, table.child)
             for _ in range(3):
                 idx = rng.integers(0, n, size=int(rng.integers(1, n + 1)))
-                np.testing.assert_array_equal(lazy.rows(idx), whole[idx])
-            np.testing.assert_array_equal(lazy.rows(np.arange(n)), whole)
+                np.testing.assert_array_equal(table_rows(lazy, idx), whole[idx])
+            np.testing.assert_array_equal(table_rows(lazy, np.arange(n)), whole)
             # Each entry against the model's own scalar score.
             parent, child = table.edge
             for r, p in enumerate(pset.proposals_for(table.parent.part)):
@@ -1274,7 +1296,7 @@ class TestRelationTables:
         # Built before the reference is filled, so that no unfilled row of
         # it is memory that held the reference's values.
         shared = _Table(table.source, table.edge, table.parent, table.child)
-        whole = _Table(table.source, table.edge, table.parent, table.child).rows(np.arange(n))
+        whole = table_rows(_Table(table.source, table.edge, table.parent, table.child), np.arange(n))
         barrier = threading.Barrier(2, timeout=1.0)
         displacements = _Table._displacements
 
@@ -1290,7 +1312,7 @@ class TestRelationTables:
         read = [None, None]
 
         def reader(i):
-            read[i] = shared.rows(half)
+            read[i] = table_rows(shared, half)
 
         threads = [threading.Thread(target=reader, args=(i,)) for i in range(2)]
         for thread in threads:
@@ -1299,7 +1321,7 @@ class TestRelationTables:
             thread.join()
         for rows in read:
             np.testing.assert_array_equal(rows, whole[half])
-        np.testing.assert_array_equal(shared.rows(np.arange(n)), whole)
+        np.testing.assert_array_equal(table_rows(shared, np.arange(n)), whole)
         assert shared.unfilled == 0 and shared.filled.all()
 
     @pytest.mark.parametrize("seed", [300, 301])

@@ -237,6 +237,61 @@ def test_no_module_level_name_serves_only_the_tests():
     assert test_only == []
 
 
+def _private_defaults(tree: ast.Module, module: str) -> list[tuple[str, str, str, int | None]]:
+    """Per parameter default of a private function of ``tree``, or of a
+    method or constructor of a private class: the name a call reaches it
+    by, its label, the parameter, and the parameter's position among a
+    call's positional arguments (``None`` for a keyword-only one)."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_"):
+            functions = [(node.name, f"{module}.{node.name}", node, 0)]
+        elif isinstance(node, ast.ClassDef) and node.name.startswith("_"):
+            functions = [
+                (node.name if fn.name == "__init__" else fn.name, f"{module}.{node.name}.{fn.name}", fn, 1)
+                for fn in node.body
+                if isinstance(fn, ast.FunctionDef) and (fn.name == "__init__" or not fn.name.startswith("__"))
+            ]
+        else:
+            continue
+        for name, label, fn, bound in functions:
+            params = (fn.args.posonlyargs + fn.args.args)[bound:]
+            with_default = params[len(params) - len(fn.args.defaults):] if fn.args.defaults else []
+            found += [(name, label, arg.arg, params.index(arg)) for arg in with_default]
+            found += [(name, label, arg.arg, None) for arg, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d]
+    return found
+
+
+def test_every_private_default_is_relied_on():
+    """Some call in the package omits each parameter default of a private
+    function, or of a method or constructor of a private class: a default
+    that only the tests omit is a second path through the code that no
+    search or command takes.
+
+    Calls are matched by name, so a call to any function or method of the
+    same name counts, and one that spreads ``*args`` or ``**kwargs``
+    counts as omitting every default.  A method that shares its name with
+    another class's, as ``_Table.rows`` does with ``ScoreTable.rows``,
+    passes whenever a call of that name omits the argument."""
+    package = Path(posegrammar.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(package.glob("*.py"))}
+    defaults = [found for module, tree in trees.items() for found in _private_defaults(tree, module)]
+    omitted = set()
+    for tree in trees.values():
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            name = getattr(call.func, "id", getattr(call.func, "attr", None))
+            spread = any(isinstance(a, ast.Starred) for a in call.args) or any(k.arg is None for k in call.keywords)
+            passed = {k.arg for k in call.keywords}
+            for callee, label, param, position in defaults:
+                if callee == name and (
+                    spread or (param not in passed and (position is None or position >= len(call.args)))
+                ):
+                    omitted.add((label, param))
+    assert [f"{label}({param})" for _name, label, param, _ in defaults if (label, param) not in omitted] == []
+
+
 def _scene(far_heads: bool = False) -> ProposalSet:
     """A two-person scene's proposals; with ``far_heads``, every head at
     x=1e200, where the torso->head displacement score is -inf and every

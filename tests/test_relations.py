@@ -41,7 +41,7 @@ from posegrammar.relations import (
     save_models,
 )
 
-from oracle import uniform_syntactic_table
+from oracle import table_rows, uniform_syntactic_table
 
 EDGE = ("torso", "head")
 
@@ -162,7 +162,7 @@ class TestMixtureDensity:
         table = ScoreTable({p.id: {} for p in parents + kids})
         buckets = ProposalSet.from_proposals(parents + kids, table).buckets
         assert buckets[EDGE[1]].ids == tuple(p.id for p in kids)
-        beam = _Table(mog, EDGE, buckets[EDGE[0]], buckets[EDGE[1]]).rows(np.array([0]))[0]
+        beam = table_rows(_Table(mog, EDGE, buckets[EDGE[0]], buckets[EDGE[1]]), [0])[0]
         np.testing.assert_allclose(beam, expected, rtol=0, atol=1e-12)
 
     def test_density_integrates_to_one(self):
@@ -262,7 +262,7 @@ class TestClosedFormGaussian:
         offsets = rng.normal(0.0, 30.0, size=(200, 50, 2))
         quad = np.einsum("kni,kij,knj->kn", offsets, inv, offsets)
         dx, dy = (offsets[..., i].reshape(4, 50, 50) for i in (0, 1))
-        got = _quadratic(inverses, dx, dy)
+        got = _quadratic(inverses, dx, dy, out=None)
         assert got.shape == (4, 50, 50)
         np.testing.assert_allclose(got.reshape(200, 50), quad, rtol=1e-10)
 
