@@ -46,6 +46,7 @@ from .grammar import (
     AttrId,
     AttributeDef,
     NodeId,
+    PartState,
     default_attributes,
     part_keypoints,
 )
@@ -294,17 +295,24 @@ class ProposalSet:
         part_type_count: int,
         where: Callable[[int], ContextManager] = lambda i: nullcontext(),
     ) -> "ProposalSet":
-        """Checked proposals given as columns in listing order (``xy`` and
-        ``boxes`` of 2 and 4 numbers each), grouped by part, each part's in
-        id order.  Every id must be unique, have a row in ``scores`` and a
-        type of at most ``part_type_count``; an error about the i-th
-        proposal is raised inside ``where(i)``, e.g. a
-        :func:`~posegrammar.jsonio.naming` of its line."""
+        """Proposals given as columns in listing order (``xy`` and ``boxes``
+        of 2 and 4 numbers each, read as floats), grouped by part, each
+        part's in id order.  Each must pass :class:`PartState`'s field specs,
+        as the search builds its states from these columns unchecked, and
+        have a type of at most ``part_type_count``, a unique id and a row in
+        ``scores``.  An error about the i-th proposal names it inside
+        ``where(i)``, e.g. a :func:`~posegrammar.jsonio.naming` of its line."""
         part_type_count = argument("part_type_count", part_type_count, count)
-        if max(types, default=0) > part_type_count or len(set(ids)) < len(ids):
+        xy = np.asarray(xy, dtype=float).reshape(-1, 2)
+        fine = set(map(type, types)) <= {int} and 1 <= min(types, default=1) <= max(types, default=1) <= part_type_count
+        fine = fine and set(map(type, ids)) | set(map(type, parts)) <= {str} and all(ids) and all(parts)
+        if not (fine and np.isfinite(xy).all() and len(set(ids)) == len(ids)):
+            # Some proposal may be at fault: the first one is refused.
             seen: set[str] = set()
-            for i, (pid, part_type) in enumerate(zip(ids, types)):
+            for i, (pid, part, (x, y), part_type) in enumerate(zip(ids, parts, xy.tolist(), types)):
                 with where(i):
+                    with naming(f"proposal {pid!r}"):
+                        PartState(part, x, y, part_type, pid)
                     if part_type > part_type_count:
                         raise ValidationError(
                             f"proposal {pid!r}: part_type {part_type} exceeds part_type_count {part_type_count}"
@@ -312,7 +320,6 @@ class ProposalSet:
                     if pid in seen:
                         raise ValidationError(f"duplicate proposal id {pid!r}")
                 seen.add(pid)
-        xy = np.asarray(xy, dtype=float).reshape(-1, 2)
         types = np.asarray(types, dtype=np.int64)
         boxes = np.asarray(boxes, dtype=float).reshape(-1, 4)
         members: dict[NodeId, list[int]] = {}

@@ -484,6 +484,16 @@ _PARSE_DOC = record(
 )
 
 
+def _trusted(cls, *values):
+    """The frozen dataclass ``cls`` with ``values`` in its fields, in order,
+    unchecked: for values its field specs keep as they are, as the search's
+    states built from :meth:`ProposalSet.from_columns`' checked columns."""
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__slots__, values):
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 def save_parse_graph(pg: ParseGraph, path: str, grammar: AOGrammar) -> None:
     write_json(path, pg.to_json_dict(grammar))
 

@@ -22,8 +22,8 @@ import numpy as np
 
 from .appearance import Bucket, ProposalSet
 from .errors import InfeasibleParseError, MissingEntryError, ValidationError
-from .grammar import AOGrammar, AttrId, NodeId, ParseGraph, PartState, parents_first
-from .jsonio import check_fields, count, record
+from .grammar import AOGrammar, AttrId, NodeId, ParseGraph, PartState, _trusted, parents_first
+from .jsonio import argument, check_fields, count, number, record
 from .relations import AttributeAssociation, Edge, RelationModels, SyntacticTable
 
 
@@ -98,10 +98,9 @@ class _Table:
             return self.values.take(self.parent.types.take(idx) - 1, axis=0, out=out, mode="clip")
         if self.unfilled and not self.filled.take(idx).all():
             with self.lock:
-                # Another thread may have filled some of the rows meanwhile.
-                todo = np.zeros_like(self.filled)
-                todo[idx] = True
-                todo = np.flatnonzero(todo & ~self.filled)
+                # The rows read and not filled: another thread may have
+                # filled some of them meanwhile.
+                todo = np.flatnonzero(np.bincount(idx, minlength=len(self.filled)) * ~self.filled)
                 if todo.size:
                     values = self._displacements(todo)
                     self.values[todo] = values
@@ -119,9 +118,8 @@ class _Table:
         with np.errstate(over="ignore", invalid="ignore"):
             values = self.source.log_density(self.edge, offsets.reshape(-1, 2))
         values = values.reshape(len(rows), len(child.ids))
-        bad = np.argwhere(~np.isfinite(values))
-        if bad.size:
-            r, c = bad[0]
+        if not np.isfinite(values).all():
+            r, c = np.argwhere(~np.isfinite(values))[0]
             raise ValidationError(
                 f"edge {self.edge[0]}->{self.edge[1]}: displacement score between proposals "
                 f"{parent.ids[rows[r]]!r} and {child.ids[c]!r} is {float(values[r, c])!r}, not finite"
@@ -420,25 +418,23 @@ def _run_group(steps: list[_Step], beam_width: int, work: _Workspace) -> list[tu
     return list(zip(top.tolist(), np.column_stack(idxs[::-1]).tolist()))
 
 
-def _state(step: _Step, j: int) -> PartState:
-    b = step.bucket
-    x, y, part_type = b.xy.item(j, 0), b.xy.item(j, 1), b.types.item(j)
-    return PartState(part=b.part, x=x, y=y, part_type=part_type, proposal_ref=b.ids[j])
-
-
 def _build_parse_graphs(steps, assignments, results) -> list[ParseGraph]:
     """One parse graph per objective's assignment and (score, per-step
-    proposal indices); a proposal several objectives choose gets one
-    shared, immutable :class:`PartState`."""
-    states: dict[tuple[int, int], PartState] = {}
+    proposal indices), built by :func:`~posegrammar.grammar._trusted` from
+    the buckets' columns: only the scores, which the search summed, are
+    checked.  A proposal several objectives choose gets one shared,
+    immutable :class:`PartState`, its cells read once per search."""
+    states = []
+    for step, chosen in zip(steps, zip(*(idxs for _score, idxs in results))):
+        b, made = step.bucket, {}
+        for j in set(chosen):  # cell by cell: a wide bucket's whole columns cost more to read
+            made[j] = _trusted(PartState, b.part, b.xy.item(j, 0), b.xy.item(j, 1), b.types.item(j), b.ids[j])
+        states.append(made)
+    parts = [step.bucket.part for step in steps]
     graphs = []
     for assignment, (score, idxs) in zip(assignments, results):
-        chosen = {}
-        for si, j in enumerate(idxs):
-            if (si, j) not in states:
-                states[si, j] = _state(steps[si], j)
-            chosen[steps[si].bucket.part] = states[si, j]
-        graphs.append(ParseGraph(states=chosen, attribute_assignment=assignment, total_score=score))
+        chosen = dict(zip(parts, map(dict.__getitem__, states, idxs)))
+        graphs.append(_trusted(ParseGraph, chosen, dict(assignment), argument("total_score", score, number)))
     return graphs
 
 

@@ -32,13 +32,14 @@ from .relations import (
     Mixture,
     RelationModels,
     SyntacticTable,
-    _component_constants,
+    _centring,
     _floor_covariances,
     _is_part_type,
     _log_sum_exp,
     _matrices,
     _mixture_terms,
     _offsets,
+    _term_constants,
 )
 from .synthetic import part_box
 
@@ -269,7 +270,7 @@ def _em_fit(
     # ``r @ samples`` gives each component's sums of r x, r y and r.
     samples = np.ascontiguousarray(points.transpose(0, 2, 1))
 
-    dx, dy = _offsets(points, means, scratch)
+    dx, dy = _offsets(points, _centring(means), scratch)
     distance = np.add(np.square(dx, out=dx), np.square(dy, out=dy), out=terms)
     np.copyto(distance, np.inf, where=~real[..., None])
     nearest = distance.argmin(axis=1)
@@ -277,11 +278,12 @@ def _em_fit(
     members *= mask[:, None, :]
     moments = members @ samples
     counts = moments[..., 2]
-    centres = moments[..., :2] / np.maximum(counts, 1.0)[..., None]
+    centres = _centring(moments[..., :2] / np.maximum(counts, 1.0)[..., None])
     own = _scatter(members, *_offsets(points, centres, scratch)) / np.maximum(counts - 1.0, 1.0)[..., None, None]
     whole = mask[:, None, :]
     moments = whole @ samples
-    spread = _scatter(whole, *_offsets(points, moments[..., :2] / moments[..., 2:])) / (n - 1.0)[:, None, None, None]
+    centre = _centring(moments[..., :2] / moments[..., 2:])
+    spread = _scatter(whole, *_offsets(points, centre)) / (n - 1.0)[:, None, None, None]
     covs = _floor_covariances(np.where((counts >= 2)[..., None, None], own, spread))
     weights = np.where(real, np.maximum(counts, 1.0), 0.0) / n[:, None]
     weights /= weights.sum(axis=1, keepdims=True)
@@ -291,11 +293,10 @@ def _em_fit(
     steps = np.zeros(len(edges), dtype=int)
     rows = np.arange(len(edges))  # the edge of each working row
     prev = np.full(len(edges), -np.inf)
-    offsets = _offsets(points, means, scratch)
+    offsets = _offsets(points, _centring(means), scratch)
     for step in range(max_iter + 1):
         # E-step quantities double as the likelihood trace.
-        consts, inverses = _component_constants(weights, covs)
-        _mixture_terms(offsets, consts, inverses, out=terms)
+        _mixture_terms(offsets, *_term_constants(weights, covs), out=terms)
         log_mix, exps, sums = _log_sum_exp(terms, scratch=scratch[0])
         ll = np.einsum("en,en->e", log_mix, mask) / n
         fell = np.flatnonzero(ll < prev - 1e-7)
@@ -331,7 +332,7 @@ def _em_fit(
         mass = np.where(live, nk, 1.0)
         means = np.where(live[..., None], moments[..., :2] / mass[..., None], means)
         # The offsets from the new means serve the scatter and the next E-step.
-        offsets = _offsets(points, means, scratch)
+        offsets = _offsets(points, _centring(means), scratch)
         update = _floor_covariances(_scatter(resp, *offsets) / mass[..., None, None])
         covs = np.where(live[..., None, None], update, covs)
         fresh = np.where(live, nk, 0.0) / n[:, None]

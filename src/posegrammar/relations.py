@@ -235,18 +235,24 @@ def _component_constants(weights, covariances) -> tuple[np.ndarray, np.ndarray]:
 # through ``out`` and ``scratch``; without them each call allocates its own.
 
 
-def _offsets(points, centres, out=(None, None)) -> tuple[np.ndarray, np.ndarray]:
+def _centring(centres) -> np.ndarray:
+    """The left factors ``[1, -cx]`` and ``[1, -cy]`` by which
+    :func:`_offsets` takes the (..., k, 2) ``centres``, shape (..., k, 2, 2)."""
+    lhs = np.ones(np.shape(centres) + (2,))
+    np.negative(centres, out=lhs[..., 1])
+    return lhs
+
+
+def _offsets(points, centring, out=(None, None)) -> tuple[np.ndarray, np.ndarray]:
     """``x - cx`` and ``y - cy`` of the (..., 3, N) points ``[x; y; 1]``
-    against the (..., k, 2) centres, each (..., k, N).
+    against the centres of ``centring`` (:func:`_centring`), each (..., k, N).
 
     Each is the product of ``[1, -c]`` with ``[x; 1]``: both products are
     exact, so the one rounded sum is ``x - c`` to the bit, and the matrix
     product writes the block faster than a broadcast subtraction.
     """
-    lhs = np.ones(np.shape(centres) + (2,))
-    np.negative(centres, out=lhs[..., 1])
-    dx = np.matmul(lhs[..., 0, :], points[..., ::2, :], out=out[0])
-    dy = np.matmul(lhs[..., 1, :], points[..., 1:, :], out=out[1])
+    dx = np.matmul(centring[..., 0, :], points[..., ::2, :], out=out[0])
+    dy = np.matmul(centring[..., 1, :], points[..., 1:, :], out=out[1])
     return dx, dy
 
 
@@ -266,23 +272,31 @@ def _quadratic(inverses, dx, dy, out) -> np.ndarray:
     return quad
 
 
-def _mixture_terms(offsets, consts, inverses, out=None) -> np.ndarray:
+def _term_constants(weights, covariances) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """What :func:`_mixture_terms` reads of each component: its constant as
+    a (..., k, 1) column, minus half its inverse entries, (..., k, 3), and
+    the (..., k, 1) mask of the -inf constants, ``None`` when there is none."""
+    consts, inverses = _component_constants(weights, covariances)
+    dead = consts == -np.inf
+    # Halving the inverse entries is exact, so the terms get -quad / 2 to the bit.
+    return consts[..., None], -0.5 * inverses, dead[..., None] if dead.any() else None
+
+
+def _mixture_terms(offsets, consts, halved, dead, out=None) -> np.ndarray:
     """Per-component log terms ``const - quad / 2`` of the points at the
     (..., k, N) offsets ``(dx, dy)`` from each component's mean, as
     :func:`_offsets` gives them, shape (..., k, N); ``dx`` is overwritten.
 
-    ``consts`` and ``inverses`` come from :func:`_component_constants`;
-    components with a -inf constant stay -inf.  :func:`_log_sum_exp` over
-    the components gives the mixture log-density, and the EM E-step the
+    ``consts``, ``halved`` and ``dead`` come from :func:`_term_constants`;
+    the dead components' terms are -inf.  :func:`_log_sum_exp` over the
+    components gives the mixture log-density, and the EM E-step the
     responsibilities.
     """
     dx, dy = offsets
-    # Halving the inverse entries is exact, so this is -quad / 2 to the bit.
-    terms = _quadratic(-0.5 * inverses, dx, dy, out=out)
-    terms += consts[..., None]
-    dead = consts == -np.inf
-    if dead.any():
-        np.copyto(terms, -np.inf, where=dead[..., None])
+    terms = _quadratic(halved, dx, dy, out=out)
+    terms += consts
+    if dead is not None:
+        np.copyto(terms, -np.inf, where=dead)
     return terms
 
 
@@ -316,8 +330,9 @@ class KinematicMoG:
         fit_traces: Mapping[Edge, Sequence[float]] | None = None,
     ) -> None:
         self.mixtures: dict[Edge, Mixture] = {tuple(e): m for e, m in mixtures.items()}
+        # What :meth:`log_density` reads of each mixture, computed once.
         self._constants = {
-            e: _component_constants(m.weights, m.covariances) for e, m in self.mixtures.items()
+            e: (_centring(m.means), *_term_constants(m.weights, m.covariances)) for e, m in self.mixtures.items()
         }
         self.fit_traces: dict[Edge, tuple[float, ...]] = {
             tuple(e): tuple(t) for e, t in (fit_traces or {}).items()
@@ -336,11 +351,11 @@ class KinematicMoG:
 
     def log_density(self, edge: Edge, points: np.ndarray) -> np.ndarray:
         """Vectorized log density over an (N, 2) array of displacements."""
-        mix = self.mixture(edge)
-        consts, inverses = self._constants[tuple(edge)]
+        self.mixture(edge)
+        centring, *constants = self._constants[tuple(edge)]
         rows = np.ones((3, len(points)))
         rows[:2] = np.asarray(points, dtype=float).T
-        return _log_sum_exp(_mixture_terms(_offsets(rows, mix.means), consts, inverses))[0]
+        return _log_sum_exp(_mixture_terms(_offsets(rows, centring), *constants))[0]
 
 
 class AttributeAssociation:

@@ -31,7 +31,7 @@ from posegrammar.appearance import (
 )
 from posegrammar.errors import MissingEntryError, ValidationError
 from posegrammar.jsonio import number, read_json_lines
-from posegrammar.grammar import AttributeDef, default_attributes
+from posegrammar.grammar import AttributeDef, PartState, default_attributes
 from posegrammar.synthetic import Person, SyntheticScene, single_person_scene, two_person_scene
 
 
@@ -212,6 +212,26 @@ def _listed(pset):
     return [p for part in pset.buckets for p in pset.proposals_for(part)]
 
 
+# Per proposal field, values the ``PartState`` field it feeds refuses:
+# ``id`` feeds ``proposal_ref``; ``x`` and ``y`` are read as floats.
+_REFUSED_TEXT = st.one_of(st.just(""), st.integers(), st.none(), st.floats(), st.booleans())
+_REFUSED_COORDINATE = st.sampled_from([math.nan, math.inf, -math.inf])
+_REFUSED = {
+    "id": _REFUSED_TEXT,
+    "part": _REFUSED_TEXT,
+    "x": _REFUSED_COORDINATE,
+    "y": _REFUSED_COORDINATE,
+    "part_type": st.one_of(
+        st.integers(max_value=0),
+        st.integers(min_value=10**309),
+        st.floats(),
+        st.booleans(),
+        st.text(max_size=2),
+        st.none(),
+    ),
+}
+
+
 class TestProposalSet:
     def test_part_type_exceeds_count(self):
         with pytest.raises(ValidationError, match="exceeds"):
@@ -236,6 +256,34 @@ class TestProposalSet:
         assert pset.proposals_for("torso") == ()
         assert len(pset) == 1
 
+    @settings(max_examples=80, deadline=None)
+    @given(field=st.sampled_from(sorted(_REFUSED)), data=st.data())
+    def test_from_columns_refuses_what_a_part_state_refuses(self, tmp_path_factory, field, data):
+        """Every column value that the ``PartState`` field it feeds refuses
+        is refused before any search, which builds its states from these
+        columns unchecked: by ``from_columns``, naming the proposal, and
+        earlier by the ``Proposal`` that ``from_proposals`` takes and by
+        ``load_proposals``, naming the line."""
+        n = data.draw(st.integers(1, 4))
+        i = data.draw(st.integers(0, n - 1))
+        rows = [{"id": f"p{j}", "part": PART_ORDER[j], "x": float(j), "y": -0.0, "part_type": j + 1} for j in range(n)]
+        rows[i][field] = data.draw(_REFUSED[field])
+        fields, named = rows[i], "proposal_ref" if field == "id" else field
+        with pytest.raises(ValidationError, match=f"^{named} must be"):
+            PartState(fields["part"], fields["x"], fields["y"], fields["part_type"], fields["id"])
+        ids, parts, types = ([r[f] for r in rows] for f in ("id", "part", "part_type"))
+        xy, boxes = [(r["x"], r["y"]) for r in rows], [(0.0, 0.0, 5.0, 5.0)] * n
+        scores = ScoreTable({f"p{j}": {"hat": {"yes": 0.5}} for j in range(n)})
+        with pytest.raises(ValidationError, match="^" + re.escape(f"proposal {fields['id']!r}: {named} must be")):
+            ProposalSet.from_columns(ids, parts, xy, types, boxes, scores, 9)
+        with pytest.raises(ValidationError, match=f"^{field} must be"):
+            Proposal(**fields, box=(0.0, 0.0, 5.0, 5.0))
+        path = tmp_path_factory.mktemp("refused") / "props.jsonl"
+        lines = [json.dumps({**r, "box": [0, 0, 5, 5], "scores": {"hat": {"yes": 0.5}}}) for r in rows]
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        with pytest.raises(ValidationError, match="^" + re.escape(f"{path}:{i + 1}: ")):
+            load_proposals(str(path))
+
 
 class TestSynthScores:
     def test_one_proposal_per_person_and_part(self):
@@ -244,6 +292,17 @@ class TestSynthScores:
         assert len(pset) == 2 * 17
         for part in PART_ORDER:
             assert len(pset.proposals_for(part)) == 2
+
+    def test_a_hub_keypoint_beyond_the_float_range_is_refused_naming_its_proposal(self):
+        """Joints near the edge of the float range give the hubs, member
+        centroids, an infinite keypoint: the proposal set refuses it when
+        it is built, naming the proposal, not a search once it has run."""
+        person = single_person_scene(seed=1).persons[0]
+        joints = {p: (1.7e308, y) for p, (_x, y) in person.joints.items()}
+        edge = int(1.79e308)
+        scene = SyntheticScene(persons=(Person(joints=joints, attributes=person.attributes),), image_size=(edge, edge))
+        with pytest.raises(ValidationError, match=r"^proposal 'p0\.full_body': x must be a finite number, got inf$"):
+            synth_scores(scene, noise_sigma=0.0, rng_seed=3)
 
     def test_proposals_sit_on_ground_truth(self):
         scene = single_person_scene(seed=6)

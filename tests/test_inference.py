@@ -1089,6 +1089,63 @@ def _dense_lattice(grammar, seed, per_part):
     return ProposalSet.from_proposals(props, ScoreTable(scores), part_type_count=grammar.part_type_count)
 
 
+class TestParseAssembly:
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), width=st.integers(1, 16))
+    def test_search_results_equal_what_the_checked_constructors_build(self, grammar, quick_models, seed, width):
+        """The search builds its parse graphs from the proposal set's
+        columns without re-checking them.  Rebuilt through the public
+        ``PartState`` and ``ParseGraph`` constructors, each graph is equal,
+        with fields of the same types and the chosen proposals' coordinates
+        to the bit (``-0.0`` included).  A proposal chosen under several
+        objectives is one state object, and each graph holds its own copy
+        of its assignment."""
+        rng = np.random.default_rng(seed)
+        props, scores = [], {}
+        for part in grammar.part_ids:
+            for i in range(int(rng.integers(1, 4))):
+                pid = f"{part}.{i}"
+                x, y = rng.choice([-0.0, 0.0, 7.5, 12.0, 1e3], size=2).tolist()
+                props.append(Proposal(pid, part, x, y, int(rng.integers(1, 4)), (0.0, 0.0, 5.0, 5.0)))
+                scores[pid] = {a.id: {v: float(rng.normal()) for v in a.domain} for a in grammar.attributes}
+        pset = ProposalSet.from_proposals(props, ScoreTable(scores), part_type_count=grammar.part_type_count)
+        by_id = {p.id: p for p in props}
+        objectives = [{a.id: v} for a in grammar.attributes[:2] for v in a.domain] + [{}]
+        graphs = search(grammar, quick_models, pset, objectives, BeamConfig(beam_width=width))
+        shared = {}
+        for objective, pg in zip(objectives, graphs):
+            states = {p: PartState(s.part, s.x, s.y, s.part_type, s.proposal_ref) for p, s in pg.states.items()}
+            assert pg == ParseGraph(states, objective, pg.total_score)
+            assert list(pg.states) == list(default_expansion_order(grammar))
+            assert (type(pg.states), type(pg.attribute_assignment), type(pg.total_score)) == (dict, dict, float)
+            assert pg.attribute_assignment == objective and pg.attribute_assignment is not objective
+            for part, state in pg.states.items():
+                chosen = by_id[state.proposal_ref]
+                fields = (state.part, state.x, state.y, state.part_type, state.proposal_ref)
+                assert [type(f) for f in fields] == [str, float, float, int, str]
+                assert (state.part, chosen.part) == (part, part)
+                assert (float.hex(state.x), float.hex(state.y)) == (float.hex(chosen.x), float.hex(chosen.y))
+                assert state.part_type == chosen.part_type
+                assert shared.setdefault(state.proposal_ref, state) is state
+
+    def test_a_non_finite_total_is_still_refused(self):
+        """A one-part grammar's search never sums two steps, so no overflow
+        check sees its total: the assembly refuses a total beyond the float
+        range, naming the field, as the checked constructor did."""
+        attrs = (AttributeDef("c", "c", ("u", "v")), AttributeDef("d", "d", ("u", "v")))
+        g = AOGrammar(root="r", nodes=[GrammarNode("r", "r")], dg_edges=[], attributes=attrs)
+        models = RelationModels(
+            uniform_syntactic_table([], 2), KinematicMoG({}), AttributeAssociation({"r": ("c",)}, ("c", "d"))
+        )
+        scores = ScoreTable({"r0": {a: {"u": 1.7e308, "v": 1.7e308} for a in ("c", "d")}})
+        pset = ProposalSet.from_proposals([Proposal("r0", "r", 0.0, 0.0, 1, (0.0, 0.0, 1.0, 1.0))], scores, 2)
+        assert parse_constrained(g, models, pset, "c", "u").total_score == 1.7e308
+        # The unconstrained appearance sum overflows when the objective is prepared.
+        refused = r"^total_score must be a finite number, got inf$"
+        with np.errstate(over="ignore"), pytest.raises(ValidationError, match=refused):
+            parse_unconstrained(g, models, pset)
+
+
 class TestObjectiveGroups:
     """A stacked search runs its objectives in the fewest contiguous groups,
     of near-equal size, whose step blocks fit ``_GROUP_CELLS`` cells; no

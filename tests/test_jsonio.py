@@ -392,8 +392,9 @@ def _nan_parse_graph(path):
 def _nan_proposals(path):
     table = ScoreTable({"p1": {"hat": {"yes": 0.5}}})
     prop = Proposal(id="p1", part="head", x=0.0, y=1.0, part_type=1, box=(0, 0, 2, 2))
-    object.__setattr__(prop, "x", math.nan)
-    save_proposals(ProposalSet.from_proposals([prop], table), path)
+    pset = ProposalSet.from_proposals([prop], table)
+    pset.buckets["head"].xy[0, 0] = math.nan
+    save_proposals(pset, path)
 
 
 def _nan_models(path):

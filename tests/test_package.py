@@ -6,16 +6,19 @@ from __future__ import annotations
 import ast
 import dataclasses
 import re
+import sys
 import threading
 from pathlib import Path
 
 import pytest
 
 import posegrammar
-from posegrammar import inference
+from posegrammar import inference, jsonio
 from posegrammar.appearance import ProposalSet, synth_scores
 from posegrammar.errors import ValidationError
-from posegrammar.synthetic import two_person_scene
+from posegrammar.evaluation import DiagnosticConfig, run_diagnostic
+from posegrammar.learning import Annotation, JointObs
+from posegrammar.synthetic import generate_family, two_person_scene
 
 
 def test_every_exported_name_resolves_once():
@@ -129,8 +132,8 @@ def test_gaussian_math_is_closed_form_and_batched():
     relations, learning = _functions("relations.py"), _functions("learning.py")
     batched = [relations[name] for name in (
         "__post_init__", "_entries", "_matrices", "_determinant", "_eigenvalues",
-        "_floor_covariances", "_component_constants", "_offsets", "_quadratic", "_mixture_terms",
-        "_log_sum_exp",
+        "_floor_covariances", "_component_constants", "_centring", "_offsets", "_quadratic",
+        "_term_constants", "_mixture_terms", "_log_sum_exp",
     )] + [learning["_scatter"]]
     loops = (ast.For, ast.While, ast.comprehension)
     assert [fn.name for fn in batched if any(isinstance(n, loops) for n in ast.walk(fn))] == []
@@ -349,3 +352,36 @@ def test_a_one_group_or_one_cpu_search_starts_no_thread(grammar, quick_models, m
     monkeypatch.setattr(inference, "_WORKERS", 1)
     posegrammar.select_final(grammar, quick_models, pset)
     assert started == []
+
+
+def _checked_records(monkeypatch) -> list:
+    """A list that records, from now on, every record that
+    ``check_fields`` checks, through any module of ``posegrammar``."""
+    checked = []
+    real = jsonio.check_fields
+
+    def spied(obj, spec):
+        checked.append(obj)
+        return real(obj, spec)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("posegrammar") and getattr(module, "check_fields", None) is real:
+            monkeypatch.setattr(module, "check_fields", spied)
+    return checked
+
+
+def test_a_search_builds_its_results_without_re_checks(grammar, quick_models, monkeypatch):
+    """A search builds its part states and parse graphs from the proposal
+    set's columns, which were checked when the set was built: a stacked
+    ``select_final`` calls ``check_fields`` on no record at all, and a
+    diagnostic only on the truth annotation it builds per scene."""
+    pset = _scene()
+    cfg = inference.BeamConfig(beam_width=100)
+    diag = DiagnosticConfig(grammar=grammar, models=quick_models, beam=cfg, seed=3)
+    scenes = generate_family("two-person", 2, seed=77)
+    checked = _checked_records(monkeypatch)
+    assert posegrammar.select_final(grammar, quick_models, pset, cfg)[0].states
+    assert checked == []
+    assert run_diagnostic(scenes, diag)["modes"]
+    assert {type(obj) for obj in checked} == {Annotation, JointObs}
+    assert len(checked) == len(scenes) * 15

@@ -28,6 +28,7 @@ from posegrammar.relations import (
     Mixture,
     RelationModels,
     SyntacticTable,
+    _centring,
     _component_constants,
     _eigenvalues,
     _entries,
@@ -37,6 +38,7 @@ from posegrammar.relations import (
     _offsets,
     _parse_edge_key,
     _quadratic,
+    _term_constants,
     load_models,
     save_models,
 )
@@ -211,6 +213,84 @@ class TestMixtureDensity:
         np.testing.assert_allclose(mog.score(EDGE, dx, dy), expected, rtol=1e-10, atol=1e-10)
 
 
+def _per_call_log_density(mix: Mixture, points: np.ndarray) -> np.ndarray:
+    """The mixture log-density of the (N, 2) ``points`` as it was computed
+    before the model cached its per-edge constants: the constants, minus
+    half the inverse entries and the dead components derived afresh, the
+    offsets by subtraction (the matrix product is the subtraction to the
+    bit), and every array component-major, (k, N), as the cached path
+    lays them out."""
+    consts, inverses = _component_constants(mix.weights, mix.covariances)
+    ia, ib, ic = (-0.5 * inverses).T[:, :, None]
+    pts = np.asarray(points, dtype=float)
+    dx = pts[None, :, 0] - mix.means[:, 0, None]
+    dy = pts[None, :, 1] - mix.means[:, 1, None]
+    terms = ia * dx * dx + dx * (2.0 * ib) * dy + ic * dy * dy + consts[:, None]
+    terms[consts == -np.inf] = -np.inf
+    top = terms.max(axis=0)
+    shift = np.where(np.isfinite(top), top, 0.0)
+    with np.errstate(divide="ignore"):
+        return np.log(np.exp(terms - shift).sum(axis=0)) + shift
+
+
+class TestLogDensityBits:
+    """The cached per-edge constants give the per-call formula's result to
+    the bit, at ten components, where numpy's sum over a (k, 1) block of
+    one point takes its pairwise path, and with dead components."""
+
+    @staticmethod
+    def _mixture(rng, dead=()):
+        """Ten broad, overlapping components, so that several add to the
+        sum at a point and its order shows in the last bits."""
+        weights = rng.dirichlet(np.ones(10))
+        weights[list(dead)] = 0.0
+        weights /= weights.sum()
+        return Mixture(weights, rng.normal(0.0, 5.0, size=(10, 2)), _spd(rng, 10, (50.0, 100.0), 4.0))
+
+    @staticmethod
+    def _assert_bits(got, expected):
+        assert [float.hex(v) for v in np.ravel(got)] == [float.hex(v) for v in np.ravel(expected)]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_points(self, seed):
+        rng = np.random.default_rng(seed)
+        mix = self._mixture(rng)
+        points = rng.normal(0.0, 20.0, size=(int(rng.integers(2, 40)), 2))
+        self._assert_bits(KinematicMoG({EDGE: mix}).log_density(EDGE, points), _per_call_log_density(mix, points))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_one_point_as_score_reads_it(self, seed):
+        rng = np.random.default_rng(seed + 10)
+        mix = self._mixture(rng)
+        mog = KinematicMoG({EDGE: mix})
+        for dx, dy in rng.normal(0.0, 20.0, size=(20, 2)).tolist():
+            [expected] = _per_call_log_density(mix, np.array([[dx, dy]]))
+            self._assert_bits(mog.log_density(EDGE, np.array([[dx, dy]])), [expected])
+            self._assert_bits(mog.score(EDGE, dx, dy), expected)
+
+    @pytest.mark.parametrize("dead", [(0,), (3, 7), tuple(range(9))], ids=["first", "two", "all-but-one"])
+    def test_zero_weight_components(self, dead):
+        rng = np.random.default_rng(len(dead))
+        mix = self._mixture(rng, dead)
+        mog = KinematicMoG({EDGE: mix})
+        points = rng.normal(0.0, 20.0, size=(12, 2))
+        self._assert_bits(mog.log_density(EDGE, points), _per_call_log_density(mix, points))
+        for point in points:
+            self._assert_bits(mog.log_density(EDGE, point[None]), _per_call_log_density(mix, point[None]))
+
+    def test_a_dead_component_stays_minus_inf_at_an_infinite_offset(self):
+        """An offset that overflows to infinity gives a dead component's
+        zero inverse a NaN quadratic term; its term stays -inf, so where the
+        live component's term is -inf the density is -inf, not NaN."""
+        covs = np.array([np.eye(2), [[2.0, 0.5], [0.5, 1.0]], np.eye(2)])
+        mix = Mixture(np.array([0.0, 1.0, 0.0]), np.full((3, 2), [-1e308, 0.0]), covs)
+        points = np.array([[1.7e308, -1.0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = KinematicMoG({EDGE: mix}).log_density(EDGE, points)
+            self._assert_bits(got, _per_call_log_density(mix, points))
+        assert got.tolist() == [-np.inf]
+
+
 def _spd(rng, count, lowest=(1e-2, 1e2), max_condition=1e4):
     """Random SPD 2x2 matrices: a random rotation of eigenvalues whose
     smaller one and condition number are log-uniform in the given ranges."""
@@ -275,7 +355,7 @@ class TestClosedFormGaussian:
         centres[0, 0] = -1.7e308
         points = np.concatenate([xy, np.ones((3, 1, 40))], axis=1)
         with np.errstate(over="ignore"):
-            dx, dy = _offsets(points, centres)
+            dx, dy = _offsets(points, _centring(centres))
             assert np.array_equal(dx, xy[:, None, 0, :] - centres[..., 0, None])
             assert np.array_equal(dy, xy[:, None, 1, :] - centres[..., 1, None])
         assert np.isinf(dx[0, 0, :2]).all()
@@ -292,14 +372,14 @@ class TestClosedFormGaussian:
         means = rng.normal(0.0, 10.0, size=(3, 4, 2))
         xy = rng.normal(0.0, 10.0, size=(3, 2, 30))
         points = np.concatenate([xy, np.ones((3, 1, 30))], axis=1)
-        consts, inverses = _component_constants(weights, covs)
-        terms = _mixture_terms(_offsets(points, means), consts, inverses)
+        terms = _mixture_terms(_offsets(points, _centring(means)), *_term_constants(weights, covs))
         assert np.all(terms[1, 2] == -np.inf)
         stacked, exps, sums = _log_sum_exp(terms)
         np.testing.assert_allclose(exps / sums[:, None, :], np.exp(terms - stacked[:, None, :]), rtol=1e-12, atol=0)
         assert np.all(exps[1, 2] == 0.0)
         for e in range(3):
-            alone = _log_sum_exp(_mixture_terms(_offsets(points[e], means[e]), consts[e], inverses[e]))[0]
+            constants = _term_constants(weights[e], covs[e])
+            alone = _log_sum_exp(_mixture_terms(_offsets(points[e], _centring(means[e])), *constants))[0]
             np.testing.assert_array_equal(stacked[e], alone)
             live = [
                 np.log(w) + multivariate_normal(m, c).logpdf(xy[e].T)
