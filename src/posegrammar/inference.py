@@ -12,7 +12,6 @@ keeps each objective's best, and :func:`_run_beam` runs the steps.
 from __future__ import annotations
 
 import math
-import os
 import threading
 import weakref
 from dataclasses import dataclass
@@ -20,6 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import parallel
 from .appearance import Bucket, ProposalSet
 from .errors import InfeasibleParseError, MissingEntryError, ValidationError
 from .grammar import AOGrammar, AttrId, NodeId, ParseGraph, PartState, _trusted, parents_first
@@ -59,11 +59,12 @@ class _Table:
     gathered whole when built; a displacement table holds one row per
     parent proposal, computed the first time a search reads it, under the
     table's ``lock``, so that searches on several threads share it.
-    ``peak``, the largest ``|value|`` computed so far, only grows."""
+    ``peak``, the largest ``|value|`` computed so far, only grows.
+    ``type_count``, the buckets' set's part_type_count, bounds their types."""
 
     __slots__ = ("source", "edge", "parent", "child", "values", "filled", "unfilled", "peak", "lock")
 
-    def __init__(self, source, edge: Edge, parent: Bucket, child: Bucket):
+    def __init__(self, source, edge: Edge, parent: Bucket, child: Bucket, type_count: int):
         self.source = source
         self.edge = edge
         self.parent = parent
@@ -71,14 +72,15 @@ class _Table:
         # Looked up now, so that a missing model entry fails before any search.
         if isinstance(source, SyntacticTable):
             log = source.log_matrix(edge)
-            for bucket in (parent, child):
-                beyond = np.flatnonzero(bucket.types > source.part_type_count)
-                if beyond.size:
-                    j = beyond[0]
-                    raise ValidationError(
-                        f"edge {edge[0]}->{edge[1]}: proposal {bucket.ids[j]!r} has part_type "
-                        f"{bucket.types[j]}, beyond the models' part_type_count {source.part_type_count}"
-                    )
+            if type_count > source.part_type_count:
+                for bucket in (parent, child):
+                    beyond = np.flatnonzero(bucket.types > source.part_type_count)
+                    if beyond.size:
+                        j = beyond[0]
+                        raise ValidationError(
+                            f"edge {edge[0]}->{edge[1]}: proposal {bucket.ids[j]!r} has part_type "
+                            f"{bucket.types[j]}, beyond the models' part_type_count {source.part_type_count}"
+                        )
             self.values = log.take(child.types - 1, axis=1)
             self.filled = None
             self.peak = float(np.abs(self.values).max())
@@ -174,14 +176,13 @@ _EXACT_CHECK = 2.0**1022
 
 
 class _Workspace:
-    """The scratch of one thread of a search, shared by the groups of
-    objectives it runs: two flat blocks of ``size`` floats, ``sums`` for
-    a step's candidate scores and ``rows`` for its table gathers and then
-    its cut, and ``bound``, an upper bound on the ``|score|`` of every
-    candidate of the running group so far, infinite until a group sets
-    it, so that every sum is checked.  Sized for the largest group, each
-    block holds at most ``_GROUP_CELLS`` floats, unless one objective's
-    step block alone is larger."""
+    """The scratch of one group of objectives of a search: two flat blocks
+    of ``size`` floats, ``sums`` for a step's candidate scores and ``rows``
+    for its table gathers and then its cut, and ``bound``, an upper bound
+    on the ``|score|`` of every candidate of the group so far, infinite
+    until the group sets it, so that every sum is checked.  Sized for the
+    largest group, each block holds at most ``_GROUP_CELLS`` floats, unless
+    one objective's step block alone is larger."""
 
     __slots__ = ("sums", "rows", "bound")
 
@@ -212,7 +213,8 @@ def _prepare(grammar, models, pset, assignments) -> list[_Step]:
     if None in buckets:
         raise InfeasibleParseError(f"part {order[buckets.index(None)]!r} has no proposals")
     rows = np.concatenate([b.rows for b in buckets])
-    steps = _steps(buckets, pset.scores.appearance(rows, grammar.attributes, assignments))
+    with np.errstate(over="ignore"):  # a sum beyond the float range is refused by the search
+        steps = _steps(buckets, pset.scores.appearance(rows, grammar.attributes, assignments))
     position = {p: i for i, p in enumerate(order)}
     closing = ((models.syntactic, grammar.psg_edges), (models.kinematic, grammar.dg_edges))
     for source, edges in closing:
@@ -223,7 +225,8 @@ def _prepare(grammar, models, pset, assignments) -> list[_Step]:
                 # A search on another thread may build the same table: the
                 # first one stored is the one every search reads.
                 table = tables.setdefault(
-                    (source, edge), _Table(source, edge, steps[parent].bucket, steps[child].bucket)
+                    (source, edge),
+                    _Table(source, edge, steps[parent].bucket, steps[child].bucket, pset.part_type_count),
                 )
             steps[child].closings.append((parent, table))
     return steps
@@ -301,10 +304,6 @@ def _cut(scores: np.ndarray, width: int, scratch: np.ndarray) -> np.ndarray:
     return np.flatnonzero(kept).reshape(k, width)
 
 
-# The CPUs this process may run on: at most this many groups of a stacked
-# search run at once.
-_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
 # The most cells a step block of one group of objectives may hold.  A
 # float64 block of 2**16 cells is 512 KiB, so a step's two blocks, the sums
 # and the gathers, take half of a 2 MiB per-core L2 and stay there across
@@ -322,23 +321,14 @@ def _run_beam(steps: list[_Step], beam_width: int) -> list[tuple[float, list[int
 
     The K objectives run as the fewest contiguous groups, of near-equal
     size, whose step blocks fit ``_GROUP_CELLS`` cells (one objective
-    alone always runs), each on views of its objectives' rows, on
-    ``min(groups, _WORKERS)`` threads: the caller's, and others started
-    for this search and joined before it returns or raises.  Each thread
-    takes the next group in order and runs it in its own workspace, under
-    its own ``np.errstate``, since a new thread starts with numpy's
-    defaults.
-
-    No group starts after one has failed, and the error raised is the
-    lowest-indexed failed group's: groups are taken in order, so whatever
-    the number of threads every group below it has run to its end, and a
-    later one may have run meanwhile.  So where objectives in different
-    groups fail at different steps, the first failing group's error is
-    raised, not the one at the earliest step of any objective.  Every
-    input one group would refuse is still refused: each group reads the
-    displacement rows its survivors need, and the overflow bound holds per
-    group, as a step's ``peak`` covers all K and a table's at least the
-    rows the group has read.
+    alone always runs), each on views of its objectives' rows and in a
+    workspace of its own, by :func:`~posegrammar.parallel._run_groups`.
+    Where objectives in different groups fail at different steps, the
+    lowest-indexed failing group's error is raised, not the one at the
+    earliest step of any objective.  Every input one group would refuse is
+    still refused: each group reads the displacement rows its survivors
+    need, and the overflow bound holds per group, as a step's ``peak``
+    covers all K and a table's at least the rows the group has read.
     """
     k = len(steps[0].app)
     # B survivors per objective extend into B*N candidates, B=1 at the first step.
@@ -349,37 +339,7 @@ def _run_beam(steps: list[_Step], beam_width: int) -> list[tuple[float, list[int
     n = -(-k // max(1, _GROUP_CELLS // size))
     groups = [[step.objectives(k * i // n, k * (i + 1) // n) for step in steps] for i in range(n)]
     cells = -(-k // n) * size
-    results: list[list[tuple[float, list[int]]]] = [[] for _ in groups]
-    failed: dict[int, BaseException] = {}
-    taken = iter(range(n))
-    lock = threading.Lock()
-
-    def run() -> None:
-        work = _Workspace(cells)
-        with np.errstate(over="ignore"):
-            while True:
-                with lock:
-                    i = None if failed else next(taken, None)
-                if i is None:
-                    return
-                try:
-                    results[i] = _run_group(groups[i], beam_width, work)
-                except BaseException as exc:
-                    failed[i] = exc
-                    return
-
-    threads = []
-    try:
-        for _ in range(min(n, _WORKERS) - 1):
-            thread = threading.Thread(target=run)
-            thread.start()
-            threads.append(thread)
-        run()
-    finally:
-        for thread in threads:
-            thread.join()
-    if failed:
-        raise failed[min(failed)]
+    results = parallel._run_groups(n, lambda i: _run_group(groups[i], beam_width, _Workspace(cells)), over="ignore")
     return [result for group in results for result in group]
 
 

@@ -12,6 +12,7 @@ import gc
 import math
 import re
 import threading
+import warnings
 import weakref
 
 import numpy as np
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posegrammar import inference
+from posegrammar import inference, parallel
 from posegrammar.appearance import Proposal, ProposalSet, ScoreTable, save_proposals, synth_scores
 from posegrammar.cli import cli_dispatch
 from posegrammar.errors import InfeasibleParseError, MissingEntryError, ValidationError
@@ -1131,7 +1132,9 @@ class TestParseAssembly:
     def test_a_non_finite_total_is_still_refused(self):
         """A one-part grammar's search never sums two steps, so no overflow
         check sees its total: the assembly refuses a total beyond the float
-        range, naming the field, as the checked constructor did."""
+        range, naming the field, as the checked constructor did.  The
+        appearance sums that overflow, unconstrained and over two assigned
+        attributes, warn nothing."""
         attrs = (AttributeDef("c", "c", ("u", "v")), AttributeDef("d", "d", ("u", "v")))
         g = AOGrammar(root="r", nodes=[GrammarNode("r", "r")], dg_edges=[], attributes=attrs)
         models = RelationModels(
@@ -1140,10 +1143,15 @@ class TestParseAssembly:
         scores = ScoreTable({"r0": {a: {"u": 1.7e308, "v": 1.7e308} for a in ("c", "d")}})
         pset = ProposalSet.from_proposals([Proposal("r0", "r", 0.0, 0.0, 1, (0.0, 0.0, 1.0, 1.0))], scores, 2)
         assert parse_constrained(g, models, pset, "c", "u").total_score == 1.7e308
-        # The unconstrained appearance sum overflows when the objective is prepared.
+        # The appearance sum overflows when the objective is prepared.
         refused = r"^total_score must be a finite number, got inf$"
-        with np.errstate(over="ignore"), pytest.raises(ValidationError, match=refused):
-            parse_unconstrained(g, models, pset)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValidationError, match=refused):
+                parse_unconstrained(g, models, pset)
+            with pytest.raises(ValidationError, match=refused):
+                search(g, models, pset, [{"c": "u", "d": "v"}])
+        assert caught == []
 
 
 class TestObjectiveGroups:
@@ -1284,9 +1292,9 @@ class TestRelationTables:
         assert len(tables) == 3
         for table in tables:
             n = len(table.parent.ids)
-            full = _Table(table.source, table.edge, table.parent, table.child)
+            full = _Table(table.source, table.edge, table.parent, table.child, pset.part_type_count)
             whole = table_rows(full, np.arange(n))
-            lazy = _Table(table.source, table.edge, table.parent, table.child)
+            lazy = _Table(table.source, table.edge, table.parent, table.child, pset.part_type_count)
             for _ in range(3):
                 idx = rng.integers(0, n, size=int(rng.integers(1, n + 1)))
                 np.testing.assert_array_equal(table_rows(lazy, idx), whole[idx])
@@ -1352,8 +1360,9 @@ class TestRelationTables:
         n = len(table.parent.ids)
         # Built before the reference is filled, so that no unfilled row of
         # it is memory that held the reference's values.
-        shared = _Table(table.source, table.edge, table.parent, table.child)
-        whole = table_rows(_Table(table.source, table.edge, table.parent, table.child), np.arange(n))
+        args = (table.source, table.edge, table.parent, table.child, pset.part_type_count)
+        shared = _Table(*args)
+        whole = table_rows(_Table(*args), np.arange(n))
         barrier = threading.Barrier(2, timeout=1.0)
         displacements = _Table._displacements
 
@@ -1448,7 +1457,7 @@ def group_budget(request, monkeypatch):
 def workers(request, monkeypatch):
     """The number of CPUs a stacked search takes as usable: the most
     threads its groups of objectives run on."""
-    monkeypatch.setattr(inference, "_WORKERS", request.param)
+    monkeypatch.setattr(parallel, "_WORKERS", request.param)
     return request.param
 
 
@@ -1523,7 +1532,7 @@ class TestOverflow:
     def two_workers(self, monkeypatch):
         """Stacked searches of more than one group run on two threads, so a
         thread that does not silence numpy's overflow warning fails."""
-        monkeypatch.setattr(inference, "_WORKERS", 2)
+        monkeypatch.setattr(parallel, "_WORKERS", 2)
 
     @staticmethod
     def _huge():

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
+from posegrammar import learning, parallel
 from posegrammar.appearance import PART_ORDER, Proposal, synth_scores
 from posegrammar.errors import DegenerateDataError, MissingEntryError, ValidationError
 from posegrammar.evaluation import annotation_from_person, make_training_pairs
@@ -537,18 +538,23 @@ class TestFitKinematic:
         assert capped == {("d", "e"), ("e", "f")} and lengths[("a", "b")] < 40
         assert {r.args[:2] for r in caplog.records} == capped
 
-    def test_the_longest_edge_stopping_first_trims_the_width(self):
-        """The longest edge converges first and the middle one next, so the
-        working samples shrink twice, each time to the longest edge left,
-        while the shortest, padded until the last, runs to ``max_iter``:
-        each edge still matches the reference run alone, at the tolerances
-        above."""
+    @staticmethod
+    def _longest_first():
+        """Three edges: the longest converges first and the middle one
+        next, while the shortest runs to ``max_iter=30``."""
         rng = np.random.default_rng(8)
-        data = {
+        return {
             ("a", "b"): np.vstack([rng.normal((10.0, 0.0), 0.1, (150, 2)), rng.normal((-10.0, 5.0), 0.1, (150, 2))]),
             ("b", "c"): rng.normal(0.0, 3.0, size=(150, 2)),
             ("c", "d"): rng.normal((4.0, -2.0), 0.5, size=(60, 2)),
         }
+
+    def test_the_longest_edge_stopping_first_leaves_the_rest_running(self):
+        """The longest edge stops first and the middle one next, so the
+        working arrays lose an edge twice, while the shortest, padded until
+        the last, runs to ``max_iter``: each edge still matches the
+        reference run alone, at the tolerances above."""
+        data = self._longest_first()
         model = fit_kinematic(data, n_components=2, seed=2, max_iter=30)
         lengths = {}
         for index, (edge, X) in enumerate(data.items()):
@@ -561,6 +567,84 @@ class TestFitKinematic:
             np.testing.assert_allclose(mix.covariances, covs, rtol=1e-9, atol=1e-9 * np.abs(covs).max())
             lengths[edge] = len(trace)
         assert lengths[("a", "b")] < lengths[("b", "c")] < lengths[("c", "d")] == 31
+
+    @staticmethod
+    def _on_cpus(monkeypatch, cpus: int) -> list:
+        """From now on, fit on ``cpus`` usable CPUs, each group on a thread
+        of its own whatever its size: a list that records the likelihood
+        fall, or ``None``, each group's :func:`_em_fit` returns."""
+        monkeypatch.setattr(parallel, "_WORKERS", cpus)
+        monkeypatch.setattr(learning, "_THREAD_CELLS", 1)
+        falls = []
+        em_fit = learning._em_fit
+
+        def spied(*args):
+            fit, fall = em_fit(*args)
+            falls.append(fall)
+            return fit, fall
+
+        monkeypatch.setattr(learning, "_em_fit", spied)
+        return falls
+
+    @pytest.mark.parametrize("corpus", ["quick", "longest-first", "mixed-1", "mixed-3"])
+    def test_grouping_never_changes_a_fit(self, grammar, monkeypatch, corpus):
+        """On 1, 2, 3 and E usable CPUs the edges run as that many
+        contiguous groups, on as many threads; with E each edge is fitted
+        alone in its group.  Every mixture and every trace is bit-identical
+        to the one-group fit's: every group pads its samples to the fit's
+        longest edge, and each mean log-likelihood is summed in sample
+        order.  The corpora: the quick models' 13 edges of 10 components,
+        the three edges whose longest stops first, and four edges of 11 to
+        200 samples with 1 or 3 components, on which groups padded only to
+        their own longest edge would round differently."""
+        if corpus == "quick":
+            data = displacement_samples(make_training_pairs(80, seed=11, grammar=grammar)[0], grammar)
+            kwargs = {"n_components": 10, "seed": 5}
+        elif corpus == "longest-first":
+            data, kwargs = self._longest_first(), {"n_components": 2, "seed": 2, "max_iter": 30}
+        else:
+            rng = np.random.default_rng(4)
+            data = {
+                ("a", "b"): rng.normal((3.0, 1.0), 2.0, (200, 2)),
+                ("b", "c"): rng.normal(0.0, 1.5, (11, 2)),
+                ("c", "d"): rng.normal((-2.0, 4.0), 1.0, (37, 2)),
+                ("d", "e"): rng.normal(0.0, 3.0, (90, 2)),
+            }
+            kwargs = {"n_components": int(corpus[-1]), "seed": 3}
+        fits = {}
+        for cpus in sorted({1, 2, 3, len(data)}):
+            falls = self._on_cpus(monkeypatch, cpus)
+            model = fit_kinematic(data, **kwargs)
+            assert falls == [None] * cpus  # one group per CPU, none fell
+            fits[cpus] = {
+                edge: (mix.weights.tobytes(), mix.means.tobytes(), mix.covariances.tobytes(), model.fit_traces[edge])
+                for edge, mix in model.mixtures.items()
+            }
+        assert all(fit == fits[1] for fit in fits.values())
+
+    def test_the_earliest_likelihood_fall_is_refused_on_any_number_of_cpus(self, grammar, monkeypatch):
+        """Two far-apart edges, ``a->b`` first, fall at EM iterations 7 and
+        2.  From two CPUs on they run in different groups, each of which
+        stops at its own fall; the refusal, as on one CPU, names the edge
+        that fell at the earliest iteration, ``c->d``, with its numbers."""
+        corpus = displacement_samples(make_training_pairs(60, seed=3, grammar=grammar)[0], grammar)
+        filler = np.random.default_rng(0).normal(0.0, 5.0, size=(40, 2))
+        data = {
+            ("a", "b"): corpus[("r_hip", "r_upper_leg")] * 1e18,
+            ("b", "c"): filler,
+            ("c", "d"): corpus[("l_hip", "l_upper_leg")] * 1e18,
+            ("d", "e"): filler,
+        }
+        message = (
+            "edge ('c', 'd'): displacement samples are beyond the range the fit can represent "
+            "(EM mean log-likelihood decreased from -88.52032643455907 to -88.54908089207339)"
+        )
+        for cpus in (1, 2, 3, 4):
+            falls = self._on_cpus(monkeypatch, cpus)
+            with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
+                fit_kinematic(data, n_components=4, seed=2)
+            steps = sorted(fall[0] for fall in falls if fall)
+            assert steps == ([2] if cpus == 1 else [2, 7])
 
     def test_recovers_cluster_means(self):
         rng = np.random.default_rng(0)

@@ -8,12 +8,13 @@ import dataclasses
 import re
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
 
 import posegrammar
-from posegrammar import inference, jsonio
+from posegrammar import inference, jsonio, learning, parallel
 from posegrammar.appearance import ProposalSet, synth_scores
 from posegrammar.errors import ValidationError
 from posegrammar.evaluation import DiagnosticConfig, run_diagnostic
@@ -326,7 +327,7 @@ def test_a_search_joins_the_threads_it_starts(grammar, quick_models, monkeypatch
     threads and joins them before it returns or raises."""
     pset = _scene(far_heads=refused)
     monkeypatch.setattr(inference, "_GROUP_CELLS", 1)
-    monkeypatch.setattr(inference, "_WORKERS", 4)
+    monkeypatch.setattr(parallel, "_WORKERS", 4)
     started = _started_threads(monkeypatch)
     before = threading.active_count()
     if refused:
@@ -344,13 +345,59 @@ def test_a_one_group_or_one_cpu_search_starts_no_thread(grammar, quick_models, m
     whose blocks fit together, or any search with one usable CPU, runs on
     the caller's thread alone."""
     pset = _scene()
-    monkeypatch.setattr(inference, "_WORKERS", 4)
+    monkeypatch.setattr(parallel, "_WORKERS", 4)
     started = _started_threads(monkeypatch)
     posegrammar.select_final(grammar, quick_models, pset)
     monkeypatch.setattr(inference, "_GROUP_CELLS", 1)
     posegrammar.parse_unconstrained(grammar, quick_models, pset)
-    monkeypatch.setattr(inference, "_WORKERS", 1)
+    monkeypatch.setattr(parallel, "_WORKERS", 1)
     posegrammar.select_final(grammar, quick_models, pset)
+    assert started == []
+
+
+@pytest.mark.parametrize("refused", [False, True], ids=["succeeds", "refused"])
+def test_learning_joins_the_threads_it_starts(grammar, far_apart, monkeypatch, refused):
+    """A fit whose 13 edges run as groups on four usable CPUs, every group
+    worth a thread, starts three threads and joins them before it returns
+    or raises; the corpus at scale 1e20 is refused after a likelihood fall.
+    Each group but the caller's first sleeps, so that a thread left
+    unjoined would still run when the caller's group ends."""
+    annotations, types = far_apart(1e20 if refused else 1.0)
+    monkeypatch.setattr(parallel, "_WORKERS", 4)
+    monkeypatch.setattr(learning, "_THREAD_CELLS", 1)
+    em_fit = learning._em_fit
+
+    def slow(*args):
+        if threading.current_thread() is not threading.main_thread():
+            time.sleep(0.05)
+        return em_fit(*args)
+
+    monkeypatch.setattr(learning, "_em_fit", slow)
+    started = _started_threads(monkeypatch)
+    before = threading.active_count()
+    if refused:
+        with pytest.raises(ValidationError, match=r"\(EM mean log-likelihood decreased from "):
+            learning.learn_models(annotations, grammar, type_samples=types, n_components=3, seed=1)
+    else:
+        learning.learn_models(annotations, grammar, type_samples=types, n_components=3, seed=1)
+    assert len(started) == 3
+    assert not any(thread.is_alive() for thread in started)
+    assert threading.active_count() == before
+
+
+def test_a_one_group_fit_starts_no_thread(grammar, far_apart, monkeypatch):
+    """A fit whose groups would hold too few cells to be worth a thread, a
+    fit of one edge, and any fit with one usable CPU run on the caller's
+    thread alone."""
+    annotations, types = far_apart(1.0)
+    monkeypatch.setattr(parallel, "_WORKERS", 4)
+    started = _started_threads(monkeypatch)
+    learning.learn_models(annotations, grammar, type_samples=types, n_components=3, seed=1)
+    monkeypatch.setattr(learning, "_THREAD_CELLS", 1)
+    [(edge, X), *_] = learning.displacement_samples(annotations, grammar).items()
+    learning.fit_kinematic({edge: X}, n_components=3, seed=1)
+    monkeypatch.setattr(parallel, "_WORKERS", 1)
+    learning.learn_models(annotations, grammar, type_samples=types, n_components=3, seed=1)
     assert started == []
 
 

@@ -162,9 +162,10 @@ class TestMixtureDensity:
             for i, (x, y) in enumerate(pts)
         ]
         table = ScoreTable({p.id: {} for p in parents + kids})
-        buckets = ProposalSet.from_proposals(parents + kids, table).buckets
+        pset = ProposalSet.from_proposals(parents + kids, table)
+        buckets = pset.buckets
         assert buckets[EDGE[1]].ids == tuple(p.id for p in kids)
-        beam = table_rows(_Table(mog, EDGE, buckets[EDGE[0]], buckets[EDGE[1]]), [0])[0]
+        beam = table_rows(_Table(mog, EDGE, buckets[EDGE[0]], buckets[EDGE[1]], pset.part_type_count), [0])[0]
         np.testing.assert_allclose(beam, expected, rtol=0, atol=1e-12)
 
     def test_density_integrates_to_one(self):
