@@ -300,10 +300,16 @@ class ProposalSet:
         part's in id order.  Each must pass :class:`PartState`'s field specs,
         as the search builds its states from these columns unchecked, and
         have a type of at most ``part_type_count``, a unique id and a row in
-        ``scores``.  An error about the i-th proposal names it inside
-        ``where(i)``, e.g. a :func:`~posegrammar.jsonio.naming` of its line."""
+        ``scores``.  Columns of unequal length are refused, naming each one's.
+        An error about the i-th proposal names it inside ``where(i)``, e.g. a
+        :func:`~posegrammar.jsonio.naming` of its line."""
         part_type_count = argument("part_type_count", part_type_count, count)
         xy = np.asarray(xy, dtype=float).reshape(-1, 2)
+        boxes = np.asarray(boxes, dtype=float).reshape(-1, 4)
+        lengths = {"ids": len(ids), "parts": len(parts), "xy": len(xy), "types": len(types), "boxes": len(boxes)}
+        if len(set(lengths.values())) > 1:
+            named = ", ".join(f"{name} {n}" for name, n in lengths.items())
+            raise ValidationError(f"proposal columns differ in length: {named}")
         fine = set(map(type, types)) <= {int} and 1 <= min(types, default=1) <= max(types, default=1) <= part_type_count
         fine = fine and set(map(type, ids)) | set(map(type, parts)) <= {str} and all(ids) and all(parts)
         if not (fine and np.isfinite(xy).all() and len(set(ids)) == len(ids)):
@@ -321,7 +327,6 @@ class ProposalSet:
                         raise ValidationError(f"duplicate proposal id {pid!r}")
                 seen.add(pid)
         types = np.asarray(types, dtype=np.int64)
-        boxes = np.asarray(boxes, dtype=float).reshape(-1, 4)
         members: dict[NodeId, list[int]] = {}
         for i, part in enumerate(parts):
             members.setdefault(part, []).append(i)

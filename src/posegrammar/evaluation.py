@@ -356,7 +356,7 @@ def run_diagnostic(
         truth = annotation_from_person(scene.persons[0])
         truth_values = scene.persons[0].attributes
 
-        parses = search(grammar, cfg.models, pset, assignments, cfg.beam) if assignments else []
+        parses = search(grammar, cfg.models, pset, assignments, cfg.beam)
         mode_scores: dict[str, dict[AttrId, dict[str, float]]] = {}
         for mode in modes:
             if mode == MODE_JOINT:

@@ -152,13 +152,6 @@ class _Step:
         self.peak = peak
         self.closings: list[tuple[int, _Table]] = []
 
-    def objectives(self, lo: int, hi: int) -> _Step:
-        """This step for objectives ``lo:hi`` alone: views of their rows of
-        the block, the same closings, and the whole block's ``peak``."""
-        view = _Step(self.bucket, self.lifted[lo:hi], self.peak)
-        view.closings = self.closings
-        return view
-
 
 def _steps(buckets: list[Bucket], app: np.ndarray) -> list[_Step]:
     """One step per bucket, each holding its columns of the (K, all
@@ -167,7 +160,7 @@ def _steps(buckets: list[Bucket], app: np.ndarray) -> list[_Step]:
     lifted = np.ones((app.shape[0], 2, app.shape[1]))
     lifted[:, 1] = app
     starts = np.cumsum([0] + [len(b.ids) for b in buckets[:-1]])
-    peaks = np.maximum.reduceat(np.abs(app).max(axis=0), starts).tolist()
+    peaks = np.maximum.reduceat(np.abs(app).max(axis=0, initial=0.0), starts).tolist()
     return [_Step(*args) for args in zip(buckets, np.split(lifted, starts[1:], axis=2), peaks)]
 
 
@@ -175,20 +168,18 @@ def _steps(buckets: list[Bucket], app: np.ndarray) -> list[_Step]:
 _EXACT_CHECK = 2.0**1022
 
 
-class _Workspace:
-    """The scratch of one group of objectives of a search: two flat blocks
-    of ``size`` floats, ``sums`` for a step's candidate scores and ``rows``
-    for its table gathers and then its cut, and ``bound``, an upper bound
-    on the ``|score|`` of every candidate of the group so far, infinite
-    until the group sets it, so that every sum is checked.  Sized for the
-    largest group, each block holds at most ``_GROUP_CELLS`` floats, unless
-    one objective's step block alone is larger."""
+class _Group:
+    """The rows ``objectives`` of a search's step blocks that run together,
+    with two flat blocks of ``size`` floats per objective, ``sums`` for a
+    step's sums and ``rows`` for its gathers and cut, and ``bound``, a bound
+    on the group's ``|score|`` so far, infinite until set: every sum is checked."""
 
-    __slots__ = ("sums", "rows", "bound")
+    __slots__ = ("objectives", "sums", "rows", "bound")
 
-    def __init__(self, size: int):
-        self.sums = np.empty(size)
-        self.rows = np.empty(size)
+    def __init__(self, objectives: slice, size: int):
+        self.objectives = objectives
+        self.sums = np.empty((objectives.stop - objectives.start) * size)
+        self.rows = np.empty_like(self.sums)
         self.bound = math.inf
 
 
@@ -232,12 +223,12 @@ def _prepare(grammar, models, pset, assignments) -> list[_Step]:
     return steps
 
 
-def _extend(step: _Step, score: np.ndarray, cols, work: _Workspace) -> np.ndarray:
-    """Scores of the prefixes with ``score`` (K, B), one row per objective,
-    each extended by every proposal of ``step``, a step after the first:
-    shape (K, B, N), a view of ``work.sums``.  ``cols[p]`` holds the
-    prefixes' (K, B) proposal indices at step position ``p``, for every
-    parent position of ``step``'s closings.
+def _extend(step: _Step, score: np.ndarray, cols, work: _Group) -> np.ndarray:
+    """Scores of the prefixes with ``score`` (K, B), one row per objective
+    of the group ``work``, each extended by every proposal of ``step``, a
+    step after the first: shape (K, B, N), a view of ``work.sums``.
+    ``cols[p]`` holds the prefixes' (K, B) proposal indices at step
+    position ``p``, for every parent position of ``step``'s closings.
 
     The appearance term is added first, then each closing table's row in
     plan order, so every candidate sees the float operations of a search
@@ -263,7 +254,7 @@ def _extend(step: _Step, score: np.ndarray, cols, work: _Workspace) -> np.ndarra
     # -0.0 + r for every r but -0.0.
     lhs = np.empty((k, b, 2))
     lhs[..., 0], lhs[..., 1] = score, 1.0
-    np.matmul(lhs, step.lifted, out=total)
+    np.matmul(lhs, step.lifted[work.objectives], out=total)
     bound = work.bound + step.peak
     gathered = work.rows[:size].reshape(k * b, -1)
     for parent, table in step.closings:
@@ -319,16 +310,13 @@ def _run_beam(steps: list[_Step], beam_width: int) -> list[tuple[float, list[int
     proposals in id order and each step keeps its survivors in id-tuple
     order, so a candidate's flat index in a (B, N) block orders as its ids.
 
-    The K objectives run as the fewest contiguous groups, of near-equal
-    size, whose step blocks fit ``_GROUP_CELLS`` cells (one objective
-    alone always runs), each on views of its objectives' rows and in a
-    workspace of its own, by :func:`~posegrammar.parallel._run_groups`.
-    Where objectives in different groups fail at different steps, the
-    lowest-indexed failing group's error is raised, not the one at the
-    earliest step of any objective.  Every input one group would refuse is
-    still refused: each group reads the displacement rows its survivors
-    need, and the overflow bound holds per group, as a step's ``peak``
-    covers all K and a table's at least the rows the group has read.
+    The K objectives run as the fewest groups whose step blocks fit
+    ``_GROUP_CELLS`` cells (one objective alone always runs), each a
+    :class:`_Group`, by :func:`~posegrammar.parallel._run_groups`.  Every
+    input one group would refuse is still refused: each group reads the
+    displacement rows its survivors need, and the overflow bound holds per
+    group, as a step's ``peak`` covers all K and a table's at least the
+    rows the group has read.
     """
     k = len(steps[0].app)
     # B survivors per objective extend into B*N candidates, B=1 at the first step.
@@ -337,16 +325,13 @@ def _run_beam(steps: list[_Step], beam_width: int) -> list[tuple[float, list[int
         m = b * step.app.shape[1]
         size, b = max(size, m), min(beam_width, m)
     n = -(-k // max(1, _GROUP_CELLS // size))
-    groups = [[step.objectives(k * i // n, k * (i + 1) // n) for step in steps] for i in range(n)]
-    cells = -(-k // n) * size
-    results = parallel._run_groups(n, lambda i: _run_group(groups[i], beam_width, _Workspace(cells)), over="ignore")
+    results = parallel._run_groups(k, n, lambda rows: _run_group(steps, beam_width, _Group(rows, size)), over="ignore")
     return [result for group in results for result in group]
 
 
-def _run_group(steps: list[_Step], beam_width: int, work: _Workspace) -> list[tuple[float, list[int]]]:
-    """:func:`_run_beam` for one group of objectives, every step summed and
-    cut in ``work``, whose bound starts at the first block's largest
-    ``|app|``.
+def _run_group(steps: list[_Step], beam_width: int, work: _Group) -> list[tuple[float, list[int]]]:
+    """:func:`_run_beam` for the group ``work``, every step summed and cut
+    in its blocks, its bound starting at the first block's largest ``|app|``.
 
     A survivor's back-pointers are its parent, as a flat index into the
     previous step's (K, B) survivors, and its proposal index.  A column
@@ -354,12 +339,11 @@ def _run_group(steps: list[_Step], beam_width: int, work: _Workspace) -> list[tu
     ``last`` read; each objective's best is decoded after the last step.
     """
     last = {parent: si for si, step in enumerate(steps) for parent, _table in step.closings}
-    k = len(steps[0].app)
     work.bound = steps[0].peak
     score, cols, pointers = None, {}, []
     for si, step in enumerate(steps):
         # The first step's candidates all extend one empty prefix per objective.
-        total = _extend(step, score, cols, work).reshape(k, -1) if si else step.app
+        total = _extend(step, score, cols, work).reshape(len(score), -1) if si else step.app[work.objectives]
         keep = _cut(total, beam_width, work.rows)
         score = total.take(keep)
         parent, child = np.divmod(keep, step.app.shape[1])
@@ -451,6 +435,8 @@ def attribute_pairs(grammar: AOGrammar) -> list[tuple[AttrId, str]]:
 
 def best_parse(per_pair: Mapping[tuple[AttrId, str], ParseGraph]) -> ParseGraph:
     """The best-scoring parse of ``per_pair``; ties go to the earliest pair."""
+    if not per_pair:
+        raise ValidationError("best_parse needs at least one (attribute, value) pair's parse, got none")
     return max(per_pair.values(), key=lambda pg: pg.total_score)
 
 
@@ -460,12 +446,9 @@ def select_final(
     pset: ProposalSet,
     cfg: BeamConfig | None = None,
 ) -> tuple[ParseGraph, dict[tuple[AttrId, str], ParseGraph]]:
-    """Run one constrained parse per (attribute, value) pair of the
-    grammar, all in one stacked search; keep the best.
-
-    Returns the winning parse graph and the full pair-to-parse map.  Ties
-    go to the earliest pair in grammar order.
-    """
+    """One constrained parse per (attribute, value) pair of the grammar,
+    all in one stacked search: the winner by :func:`best_parse`, and the
+    full pair-to-parse map in grammar order."""
     pairs = attribute_pairs(grammar)
     assignments = [{attr: value} for attr, value in pairs]
     per_pair = dict(zip(pairs, search(grammar, models, pset, assignments, cfg)))

@@ -400,16 +400,16 @@ def fit_kinematic(
         means[index, :k] = _kmeans_plusplus(X, k, np.random.default_rng([seed, index]))
 
     n_groups = max(1, min(parallel._WORKERS, len(edges), means.shape[1] * mask.size // _THREAD_CELLS))
-    groups = [slice(len(edges) * i // n_groups, len(edges) * (i + 1) // n_groups) for i in range(n_groups)]
     # One allocation for every group's buffers, on this thread: made on the groups' threads, the malloc
     # state they left cost a later search in the process 410 page faults and 6% of its time in 3 of 5 runs.
     block = np.empty((3, len(edges), means.shape[1] * width))
 
-    def fit(i: int):
-        return _em_fit(*(a[groups[i]] for a in (points, mask, means, ks)), block[:, groups[i]], max_iter)
+    def fit(group: slice):
+        result, fall = _em_fit(*(a[group] for a in (points, mask, means, ks)), block[:, group], max_iter)
+        return result, fall and (fall[0], group.start + fall[1], fall[2])
 
-    fits = parallel._run_groups(n_groups, fit, all="ignore")  # a fit gone non-finite is refused below
-    falls = [(fall[0], group.start + fall[1], fall[2]) for group, (_fit, fall) in zip(groups, fits) if fall]
+    fits = parallel._run_groups(len(edges), n_groups, fit, all="ignore")  # a fit gone non-finite is refused below
+    falls = [fall for _fit, fall in fits if fall]
     if falls:
         _step, index, why = min(falls)
         raise _beyond_range(edges[index], why)

@@ -22,7 +22,7 @@ import numpy as np
 from posegrammar.appearance import ProposalSet
 from posegrammar.errors import PoseGrammarError, ValidationError
 from posegrammar.grammar import DEFAULT_PART_TYPE_COUNT, AOGrammar, AttrId, ParseGraph
-from posegrammar.inference import _build_parse_graphs, _extend, _prepare, _Step, _Table, _Workspace
+from posegrammar.inference import _build_parse_graphs, _extend, _Group, _prepare, _Step, _Table
 from posegrammar.relations import Edge, RelationModels, SyntacticTable
 
 COMBINATION_GUARD = 10_000_000
@@ -69,8 +69,8 @@ def brute_force_parse(
             return
         # The prefixes' proposal indices, one (1, B) column per step position.
         cols = np.array(idxs).T[:, None]
-        # A fresh workspace has no bound, so every sum is checked.
-        work = _Workspace(len(scores) * len(steps[si].bucket.ids))
+        # A fresh group has no bound, so every sum is checked.
+        work = _Group(slice(0, 1), len(scores) * len(steps[si].bucket.ids))
         sums = _extend(steps[si], np.array([scores]), cols, work)[0].tolist()
         ids = steps[si].bucket.ids
         for row, idkey, ix in zip(sums, idkeys, idxs):

@@ -285,6 +285,27 @@ class TestProposalSet:
             load_proposals(str(path))
 
 
+    @pytest.mark.parametrize("delta", [1, -1], ids=["too-long", "too-short"])
+    @pytest.mark.parametrize("column", ["ids", "parts", "xy", "types", "boxes"])
+    def test_from_columns_refuses_columns_of_unequal_length(self, column, delta):
+        """Three proposals' columns, one of them a proposal longer or
+        shorter, are refused naming each column's length: not built without
+        a proposal, nor failed on an index."""
+        columns = {
+            "ids": ["a", "b", "c"],
+            "parts": ["head", "torso", "head"],
+            "xy": [(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)],
+            "types": [1, 2, 3],
+            "boxes": [(0.0, 0.0, 5.0, 5.0)] * 3,
+        }
+        extra = {"ids": "d", "parts": "torso", "xy": (3.0, 3.0), "types": 1, "boxes": (0.0, 0.0, 5.0, 5.0)}
+        columns[column] = columns[column] + [extra[column]] if delta > 0 else columns[column][:-1]
+        named = ", ".join(f"{name} {3 + delta if name == column else 3}" for name in columns)
+        scores = ScoreTable({pid: {} for pid in "abcd"})
+        with pytest.raises(ValidationError, match="^" + re.escape(f"proposal columns differ in length: {named}") + "$"):
+            ProposalSet.from_columns(*columns.values(), scores, 9)
+
+
 class TestSynthScores:
     def test_one_proposal_per_person_and_part(self):
         scene = two_person_scene(seed=2)

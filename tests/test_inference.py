@@ -40,14 +40,15 @@ from posegrammar.inference import (
     BeamConfig,
     _cut,
     _extend,
+    _Group,
     _prepare,
     _readout,
     _run_beam,
     _Step,
     _steps,
     _Table,
-    _Workspace,
     attribute_scores,
+    best_parse,
     default_expansion_order,
     parse_constrained,
     parse_unconstrained,
@@ -322,6 +323,10 @@ class TestObjectives:
         with pytest.raises(InfeasibleParseError, match="part 'b' has no proposals"):
             parse_constrained(g, models, empty, "c", "u")
 
+    def test_no_assignments_give_no_parses(self):
+        g, models, pset = _toy_world(0)
+        assert search(g, models, pset, []) == []
+
 
 class TestTieBreaking:
     def test_exact_tie_falls_to_lexicographic_ids(self):
@@ -470,7 +475,8 @@ class TestBeamTrace:
                 # Both objectives extend the same prefixes, stacked; each
                 # earlier step's column of proposal indices, per objective.
                 cols = {p: np.stack([idxs[:, p]] * len(objectives)) for p in range(si)}
-                total = _extend(step, score, cols, _Workspace(score.size * len(step.bucket.ids)))
+                work = _Group(slice(0, len(objectives)), score.shape[1] * len(step.bucket.ids))
+                total = _extend(step, score, cols, work)
                 k, b, n = total.shape
                 score = total.reshape(k, -1)
                 idxs = np.column_stack((np.repeat(idxs, n, axis=0), np.tile(np.arange(n), b)))
@@ -531,7 +537,7 @@ class TestExtendBits:
             for j in range(1, len(step.closings) + 1):
                 part = _Step(step.bucket, step.lifted, step.peak)
                 part.closings = step.closings[:j]
-                work = _Workspace(k * prefixes * len(step.bucket.ids))
+                work = _Group(slice(0, k), prefixes * len(step.bucket.ids))
                 work.bound = float(np.abs(score).max())
                 work.sums.fill(np.nan)
                 work.rows.fill(np.nan)
@@ -540,6 +546,10 @@ class TestExtendBits:
 
 
 class TestSelectFinal:
+    def test_best_parse_of_no_parses_is_refused(self):
+        with pytest.raises(ValidationError, match=r"^best_parse needs at least one \(attribute, value\) pair's parse"):
+            best_parse({})
+
     def test_rigged_pair_wins(self):
         g, models, pset = _toy_world(13)
         pset = _rescored(pset, lambda pid, per_attr: per_attr["c"].update(v=25.0))
@@ -917,23 +927,19 @@ def _two_parent_world(seed, counts=(2, 3, 3, 3)):
     return g, models, ProposalSet.from_proposals(props, ScoreTable(scores), part_type_count=2)
 
 
-def _objective_steps(steps, k):
-    """The steps of a stacked search cut down to objective ``k`` alone."""
-    return [step.objectives(k, k + 1) for step in steps]
-
-
-def _reference_beam(steps, width):
-    """The beam of a one-objective search as a plain sort on (-score, id
-    tuple), cut to ``width`` at every step, over the same candidate sums
-    the search uses."""
+def _reference_beam(steps, k, width):
+    """The beam of objective ``k`` of a stacked search, searched alone, as a
+    plain sort on (-score, id tuple), cut to ``width`` at every step, over
+    the same candidate sums the search uses."""
     first = steps[0]
-    beam = [(s, (pid,), (j,)) for j, (s, pid) in enumerate(zip(first.app[0].tolist(), first.bucket.ids))]
+    beam = [(s, (pid,), (j,)) for j, (s, pid) in enumerate(zip(first.app[k].tolist(), first.bucket.ids))]
     beam = sorted(beam, key=lambda c: (-c[0], c[1]))[:width]
     for step in steps[1:]:
         new = []
         for score, ids, idxs in beam:
             cols = {p: np.array([[j]]) for p, j in enumerate(idxs)}
-            sums = _extend(step, np.array([[score]]), cols, _Workspace(len(step.bucket.ids)))[0, 0].tolist()
+            work = _Group(slice(k, k + 1), len(step.bucket.ids))
+            sums = _extend(step, np.array([[score]]), cols, work)[0, 0].tolist()
             new += [
                 (s, ids + (pid,), idxs + (j,))
                 for j, (s, pid) in enumerate(zip(sums, step.bucket.ids))
@@ -1001,7 +1007,7 @@ class TestBeamProperties:
             steps = _prepare(g, models, pset, objectives)
             out = []
             for k in range(len(objectives)):
-                score, ids, _idxs = _reference_beam(_objective_steps(steps, k), width)
+                score, ids, _idxs = _reference_beam(steps, k, width)
                 out.append((ids, float.hex(score)))
             return out
 
@@ -1043,7 +1049,7 @@ class TestBeamProperties:
         stacked = search(grammar, quick_models, pset, objectives, BeamConfig(beam_width=width))
         steps = _prepare(grammar, quick_models, pset, objectives)
         for k, pg in enumerate(stacked):
-            score, ids, _idxs = _reference_beam(_objective_steps(steps, k), width)
+            score, ids, _idxs = _reference_beam(steps, k, width)
             assert tuple(pg.states[step.bucket.part].proposal_ref for step in steps) == ids
             assert float.hex(pg.total_score) == float.hex(score)
 
@@ -1229,7 +1235,7 @@ class TestObjectiveGroups:
         run_group = inference._run_group
 
         def spied(steps, beam_width, work):
-            if steps[0].app[0, 0] == 1e308:
+            if steps[0].app[work.objectives][0, 0] == 1e308:
                 assert later_failed.wait(timeout=30), "c=v's group never failed"
                 return run_group(steps, beam_width, work)
             try:
@@ -1264,10 +1270,10 @@ class TestObjectiveGroups:
         run_group = inference._run_group
 
         def spied(steps, beam_width, work):
-            started.append(steps)
+            started.append(work.objectives)
             if len(started) == 2:
                 second.set()
-            if steps[0].app[0, 0] == 1e308:
+            if steps[0].app[work.objectives][0, 0] == 1e308:
                 assert workers == 1 or second.wait(timeout=30), "no second group started"
                 try:
                     return run_group(steps, beam_width, work)
@@ -1468,7 +1474,7 @@ def _group_sizes(monkeypatch):
     run_group = inference._run_group
 
     def spied(steps, beam_width, work):
-        sizes.append(len(steps[0].app))
+        sizes.append(work.objectives.stop - work.objectives.start)
         return run_group(steps, beam_width, work)
 
     monkeypatch.setattr(inference, "_run_group", spied)

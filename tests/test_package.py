@@ -49,6 +49,28 @@ def test_only_the_codec_encodes_or_decodes_json():
     assert offenders == []
 
 
+def test_only_parallel_starts_threads():
+    """Threads are started in ``posegrammar.parallel`` alone: no other
+    module references ``threading.Thread`` or imports ``Thread``."""
+    offenders = []
+    for path in sorted(Path(posegrammar.__file__).parent.glob("*.py")):
+        if path.name == "parallel.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr == "Thread"
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "threading"
+            ) or (
+                isinstance(node, ast.ImportFrom)
+                and node.module == "threading"
+                and "Thread" in {alias.name for alias in node.names}
+            ):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
 def _calls_outside_appearance(method: str) -> list[str]:
     """Where a module other than ``posegrammar.appearance`` calls ``.method(``."""
     offenders = []
