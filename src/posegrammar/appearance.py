@@ -9,14 +9,14 @@ a proposal lacking a pair another proposal has, is refused when the table
 is built, naming the proposal and the pair.  Every appearance read
 gathers from it.
 
-A :class:`ProposalSet` holds one columnar :class:`Bucket` per part, all
-built by :meth:`ProposalSet.from_columns` from proposals given as
-columns: the proposal reader's, the synthetic provider's and
-:meth:`ProposalSet.from_proposals`'s.  A bucket lists its part's
-proposals in id order, whatever order they were given in, so the search
-can break score ties by position.  The set keeps no :class:`Proposal`
-objects: the search reads the columns, and only
-:meth:`ProposalSet.proposals_for` rebuilds proposals.
+A :class:`ProposalSet` holds one columnar :class:`Bucket` per part.  Its
+proposals, given as columns by the proposal reader, the synthetic
+provider or :meth:`ProposalSet.from_proposals`, pass one check,
+:func:`_checked_columns`: what a :class:`Proposal` refuses, a part type
+beyond the count or a repeated id is refused there, as the search reads
+the columns unchecked.  A bucket lists its part's proposals in id order,
+whatever order they were given in, so the search can break score ties by
+position.  Only :meth:`ProposalSet.proposals_for` rebuilds proposals.
 
 :func:`load_proposals` reads a file in one streaming pass, keeping only
 each line's proposal fields and score cells, and builds the score grid
@@ -27,12 +27,11 @@ that pass kept.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain
 from operator import itemgetter
-from typing import Callable, Collection, ContextManager, Iterable, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -46,7 +45,6 @@ from .grammar import (
     AttrId,
     AttributeDef,
     NodeId,
-    PartState,
     default_attributes,
     part_keypoints,
 )
@@ -73,9 +71,7 @@ class Proposal:
     def __post_init__(self) -> None:
         check_fields(self, _PROPOSAL)
         if self.box[2] <= 0.0 or self.box[3] <= 0.0:
-            raise ValidationError(
-                f"proposal {self.id!r}: box width and height must be positive, got {self.box!r}"
-            )
+            raise ValidationError(f"box width and height must be positive, got {self.box!r}")
 
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "Proposal":
@@ -284,49 +280,18 @@ class ProposalSet:
         self.part_type_count = part_type_count
 
     @classmethod
-    def from_columns(
-        cls,
-        ids: Sequence[str],
-        parts: Sequence[NodeId],
-        xy,
-        types: Sequence[int],
-        boxes,
-        scores: ScoreTable,
-        part_type_count: int,
-        where: Callable[[int], ContextManager] = lambda i: nullcontext(),
-    ) -> "ProposalSet":
-        """Proposals given as columns in listing order (``xy`` and ``boxes``
-        of 2 and 4 numbers each, read as floats), grouped by part, each
-        part's in id order.  Each must pass :class:`PartState`'s field specs,
-        as the search builds its states from these columns unchecked, and
-        have a type of at most ``part_type_count``, a unique id and a row in
-        ``scores``.  Columns of unequal length are refused, naming each one's.
-        An error about the i-th proposal names it inside ``where(i)``, e.g. a
-        :func:`~posegrammar.jsonio.naming` of its line."""
+    def from_columns(cls, ids, parts, xy, types, boxes, scores: ScoreTable, part_type_count: int) -> "ProposalSet":
+        """Proposals given as columns in listing order, grouped by part,
+        each part's in id order.  They pass :func:`_checked_columns`, whose
+        errors name the proposal by its id, as the search builds its states
+        from these columns unchecked; each must have a row in ``scores``."""
         part_type_count = argument("part_type_count", part_type_count, count)
-        xy = np.asarray(xy, dtype=float).reshape(-1, 2)
-        boxes = np.asarray(boxes, dtype=float).reshape(-1, 4)
-        lengths = {"ids": len(ids), "parts": len(parts), "xy": len(xy), "types": len(types), "boxes": len(boxes)}
-        if len(set(lengths.values())) > 1:
-            named = ", ".join(f"{name} {n}" for name, n in lengths.items())
-            raise ValidationError(f"proposal columns differ in length: {named}")
-        fine = set(map(type, types)) <= {int} and 1 <= min(types, default=1) <= max(types, default=1) <= part_type_count
-        fine = fine and set(map(type, ids)) | set(map(type, parts)) <= {str} and all(ids) and all(parts)
-        if not (fine and np.isfinite(xy).all() and len(set(ids)) == len(ids)):
-            # Some proposal may be at fault: the first one is refused.
-            seen: set[str] = set()
-            for i, (pid, part, (x, y), part_type) in enumerate(zip(ids, parts, xy.tolist(), types)):
-                with where(i):
-                    with naming(f"proposal {pid!r}"):
-                        PartState(part, x, y, part_type, pid)
-                    if part_type > part_type_count:
-                        raise ValidationError(
-                            f"proposal {pid!r}: part_type {part_type} exceeds part_type_count {part_type_count}"
-                        )
-                    if pid in seen:
-                        raise ValidationError(f"duplicate proposal id {pid!r}")
-                seen.add(pid)
-        types = np.asarray(types, dtype=np.int64)
+        columns = _checked_columns(ids, parts, xy, types, boxes, part_type_count, lambda i: f"proposal {ids[i]!r}")
+        return cls._grouped(ids, parts, *columns, scores, part_type_count)
+
+    @classmethod
+    def _grouped(cls, ids, parts, xy: np.ndarray, types: np.ndarray, boxes: np.ndarray, scores, part_type_count):
+        """The set of the checked columns, one bucket per part."""
         members: dict[NodeId, list[int]] = {}
         for i, part in enumerate(parts):
             members.setdefault(part, []).append(i)
@@ -334,8 +299,7 @@ class ProposalSet:
         for part, index in members.items():
             index.sort(key=ids.__getitem__)
             part_ids = tuple(ids[i] for i in index)
-            rows = scores.rows(part_ids, part)
-            buckets.append(Bucket(part, part_ids, xy[index], types[index], boxes[index], rows))
+            buckets.append(Bucket(part, part_ids, xy[index], types[index], boxes[index], scores.rows(part_ids, part)))
         return cls(buckets, scores, part_type_count)
 
     @classmethod
@@ -379,12 +343,12 @@ def load_proposals(path: str, *, part_type_count: int = DEFAULT_PART_TYPE_COUNT)
     it cannot read so (not an object, a field missing, or score pairs
     unlike the first line's) and refuses it: by its fields, naming
     ``path:line``, else by its score row against the first line's, naming
-    ``path`` and the proposal.  After the last line each field is checked
-    as one column, then the score grid is built from the cells, then ids
-    and part types are checked; each error names the first line at fault,
-    as a check of that line alone words it, except the score grid's, which
-    names ``path`` and the proposal.
+    ``path`` and the proposal.  After the last line the proposals pass
+    :func:`_checked_columns`, whose errors name the first line at fault,
+    as a check of that line alone words it; then the score grid is built
+    from the cells, its errors naming ``path`` and the proposal.
     """
+    part_type_count = argument("part_type_count", part_type_count, count)
     linenos: list[int] = []
     fields: list[tuple] = []
     grid = _Grid()
@@ -397,16 +361,13 @@ def load_proposals(path: str, *, part_type_count: int = DEFAULT_PART_TYPE_COUNT)
             break
         linenos.append(lineno)
     else:
-        columns = _proposal_columns(fields)
-        if columns is None:  # some field fails: the first line at fault names it
-            for lineno, row in zip(linenos, fields):
-                with naming(f"{path}:{lineno}"):
-                    Proposal(*row)
-        ids, parts, xy, types, boxes = columns
+        ids, parts, xs, ys, types, boxes = zip(*fields) if fields else [()] * 6
+        where = lambda i: f"{path}:{linenos[i]}"
+        xy, types, boxes = _checked_columns(ids, parts, list(zip(xs, ys)), types, boxes, part_type_count, where)
+        # The grid keys its rows by id, so it comes after the ids' check.
         with naming(path):
             scores = ScoreTable._from_grid(ids, grid.columns, grid.values(ids))
-        where = lambda i: naming(f"{path}:{linenos[i]}")
-        return ProposalSet.from_columns(ids, parts, xy, types, boxes, scores, part_type_count, where)
+        return ProposalSet._grouped(ids, parts, xy, types, boxes, scores, part_type_count)
     # The line the pass stopped at fails its fields' check, or its score
     # row fails beside the first line's: ``grid.add`` refuses exactly what
     # :func:`_score_grid` refuses.
@@ -417,31 +378,55 @@ def load_proposals(path: str, *, part_type_count: int = DEFAULT_PART_TYPE_COUNT)
         _score_grid(first + [(doc["id"], doc.get("scores", {}))])
 
 
-def _proposal_columns(fields: list) -> tuple | None:
-    """The columns ``ids``, ``parts``, ``xy``, ``types`` and ``boxes`` of the
-    proposal fields ``fields``, one tuple per proposal; ``None`` when a
-    field fails a check."""
-    ids, parts, xs, ys, types, boxes = zip(*fields) if fields else [()] * 6
-    if not set(map(type, types)) <= {int}:
-        return None
-    try:
-        # Integers all pass the count rule when their extremes do.
-        count(min(types, default=1)), count(max(types, default=1))
-    except FieldError:
-        return None
-    if not (set(map(type, ids)) | set(map(type, parts)) <= {str} and all(ids) and all(parts)):
-        return None
-    if not (set(map(type, boxes)) <= {list} and set(map(len, boxes)) <= {4}):
-        return None
-    try:
-        numbers = number_column(xs + ys + tuple(chain.from_iterable(boxes)))
-    except FieldError:
-        return None
-    n = len(fields)
-    xy, boxes = numbers[: 2 * n].reshape(2, n).T, numbers[2 * n :].reshape(n, 4)
-    if (boxes[:, 2:] <= 0.0).any():
-        return None
-    return ids, parts, xy, types, boxes
+_PAIR = array(lambda entry: entry, 2)  # (x, y), its entries left to the check of a Proposal
+
+
+def _checked_columns(ids, parts, xy, types, boxes, part_type_count: int, where: Callable[[int], str]) -> tuple:
+    """The ``xy`` (N, 2), ``types`` (N,) and ``boxes`` (N, 4) arrays of N
+    proposals given as columns in listing order, ``xy`` of (x, y) pairs and
+    ``boxes`` of 4 numbers each, as lists or tuples: the reader's decoded
+    lists, :func:`synth_scores`' tuples and
+    :meth:`ProposalSet.from_proposals`' checked floats alike.
+
+    Each proposal must be one :class:`Proposal` takes, with a part type of
+    at most ``part_type_count`` and an id no earlier one has.  Columns of
+    unequal length are refused, naming each one's length.  Otherwise each
+    column is scanned whole; when one fails, the first proposal at fault
+    is refused, by ``Proposal(...)``, then by the part-type bound, then by
+    its repeated id, the error prefixed by ``where(i)`` for the i-th."""
+    lengths = {"ids": len(ids), "parts": len(parts), "xy": len(xy), "types": len(types), "boxes": len(boxes)}
+    if len(set(lengths.values())) > 1:
+        named = ", ".join(f"{name} {n}" for name, n in lengths.items())
+        raise ValidationError(f"proposal columns differ in length: {named}")
+    n = len(ids)
+    fine = set(map(type, ids)) | set(map(type, parts)) <= {str} and all(ids) and all(parts) and len(set(ids)) == n
+    fine = fine and set(map(type, types)) <= {int}
+    fine = fine and 1 <= min(types, default=1) <= max(types, default=1) <= part_type_count
+    fine = fine and set(map(type, xy)) | set(map(type, boxes)) <= {list, tuple}
+    if fine and set(map(len, xy)) <= {2} and set(map(len, boxes)) <= {4}:
+        try:
+            numbers = number_column([*chain.from_iterable(xy), *chain.from_iterable(boxes)])
+        except FieldError:
+            pass
+        else:
+            checked_xy, checked_boxes = numbers[: 2 * n].reshape(n, 2), numbers[2 * n :].reshape(n, 4)
+            if (checked_boxes[:, 2:] > 0.0).all():
+                return checked_xy, np.array(types, dtype=np.int64), checked_boxes
+    # Some proposal may be at fault: the first one is refused.  If none is,
+    # the columns hold their values as a Proposal reads them.
+    seen: set[str] = set()
+    checked = []
+    for i, (pid, part, pair, part_type, box) in enumerate(zip(ids, parts, xy, types, boxes)):
+        with naming(where(i)):
+            p = Proposal(pid, part, *argument("xy", pair, _PAIR), part_type, box)
+            if p.part_type > part_type_count:
+                raise ValidationError(f"part_type {p.part_type} exceeds part_type_count {part_type_count}")
+            if p.id in seen:
+                raise ValidationError(f"duplicate proposal id {p.id!r}")
+        seen.add(p.id)
+        checked.append(((p.x, p.y), p.part_type, p.box))
+    xy, types, boxes = zip(*checked)
+    return np.array(xy, dtype=float), np.array(types, dtype=np.int64), np.array(boxes, dtype=float)
 
 
 def save_proposals(pset: ProposalSet, path: str) -> None:

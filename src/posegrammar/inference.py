@@ -23,7 +23,7 @@ from . import parallel
 from .appearance import Bucket, ProposalSet
 from .errors import InfeasibleParseError, MissingEntryError, ValidationError
 from .grammar import AOGrammar, AttrId, NodeId, ParseGraph, PartState, _trusted, parents_first
-from .jsonio import argument, check_fields, count, number, record
+from .jsonio import argument, check_fields, count, instance, nullable, number, record
 from .relations import AttributeAssociation, Edge, RelationModels, SyntacticTable
 
 
@@ -160,7 +160,7 @@ def _steps(buckets: list[Bucket], app: np.ndarray) -> list[_Step]:
     lifted = np.ones((app.shape[0], 2, app.shape[1]))
     lifted[:, 1] = app
     starts = np.cumsum([0] + [len(b.ids) for b in buckets[:-1]])
-    peaks = np.maximum.reduceat(np.abs(app).max(axis=0, initial=0.0), starts).tolist()
+    peaks = np.maximum.reduceat(np.abs(app).max(axis=0), starts).tolist()
     return [_Step(*args) for args in zip(buckets, np.split(lifted, starts[1:], axis=2), peaks)]
 
 
@@ -393,10 +393,14 @@ def search(
     ``assignments``, stacked: steps, buckets and relation tables are
     shared.  One parse per assignment, in order.  ``{attr: value}`` scores
     every part under that one value, a global constraint on the body;
-    ``{}`` lets each part contribute its best value of every attribute."""
+    ``{}`` lets each part contribute its best value of every attribute.
+    ``cfg`` is a :class:`BeamConfig` or ``None``; past it, a search of no
+    objectives returns ``[]``, refusing nothing, not even a set lacking a part."""
+    cfg = argument("cfg", cfg, nullable(instance(BeamConfig))) or BeamConfig()
+    if not assignments:
+        return []
     steps = _prepare(grammar, models, pset, assignments)
-    results = _run_beam(steps, (cfg or BeamConfig()).beam_width)
-    return _build_parse_graphs(steps, assignments, results)
+    return _build_parse_graphs(steps, assignments, _run_beam(steps, cfg.beam_width))
 
 
 def parse_constrained(

@@ -350,11 +350,15 @@ class KinematicMoG:
         return float(self.log_density(edge, np.array([[dx, dy]]))[0])
 
     def log_density(self, edge: Edge, points: np.ndarray) -> np.ndarray:
-        """Vectorized log density over an (N, 2) array of displacements."""
+        """Vectorized log density over an (N, 2) array of displacements;
+        points of another shape are refused, naming the edge."""
         self.mixture(edge)
         centring, *constants = self._constants[tuple(edge)]
+        points = np.asarray(points, dtype=float)
+        if points.ndim != 2 or points.shape[1] != 2:
+            raise ValidationError(f"edge {edge[0]}->{edge[1]}: displacements must have shape (N, 2), got {points.shape}")
         rows = np.ones((3, len(points)))
-        rows[:2] = np.asarray(points, dtype=float).T
+        rows[:2] = points.T
         return _log_sum_exp(_mixture_terms(_offsets(rows, centring), *constants))[0]
 
 

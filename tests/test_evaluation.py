@@ -490,6 +490,10 @@ class TestRunDiagnostic:
         pairs = [(a.id, v) for a in grammar.attributes for v in a.domain]
         assert calls == [[{a: v} for a, v in pairs] + [{}]]
 
+    def test_a_beam_that_is_not_a_beam_config_is_refused(self, grammar, quick_models):
+        with pytest.raises(ValidationError, match="^cfg must be a BeamConfig, got 10$"):
+            run_diagnostic(generate_family("two-person", 1, seed=1), self._config(grammar, quick_models, beam=10))
+
     @pytest.mark.parametrize(
         "modes",
         [(), ("joint", "joint"), ("no-pose", "joint", "no-pose")],

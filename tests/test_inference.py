@@ -323,9 +323,26 @@ class TestObjectives:
         with pytest.raises(InfeasibleParseError, match="part 'b' has no proposals"):
             parse_constrained(g, models, empty, "c", "u")
 
-    def test_no_assignments_give_no_parses(self):
+    def test_no_assignments_give_no_parses(self, monkeypatch):
+        """A search of no objectives plans nothing, so it refuses no set,
+        not even one with a part without proposals."""
         g, models, pset = _toy_world(0)
+        partial = ProposalSet.from_proposals(pset.proposals_for("root"), pset.scores, part_type_count=2)
+
+        def unplanned(*args):
+            raise AssertionError("_prepare called")
+
+        monkeypatch.setattr(inference, "_prepare", unplanned)
         assert search(g, models, pset, []) == []
+        assert search(g, models, partial, [], BeamConfig(beam_width=3)) == []
+
+    @pytest.mark.parametrize("cfg, shown", [(10, "10"), ("wide", "'wide'"), ({"beam_width": 3}, "a JSON object")])
+    def test_a_cfg_that_is_not_a_beam_config_is_refused(self, cfg, shown):
+        g, models, pset = _toy_world(0)
+        message = f"cfg must be a BeamConfig, got {shown}"
+        for assignments in ([{"c": "u"}], []):
+            with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
+                search(g, models, pset, assignments, cfg)
 
 
 class TestTieBreaking:

@@ -100,6 +100,33 @@ def test_only_appearance_rebuilds_proposals():
     assert _calls_outside_appearance("proposals_for") == []
 
 
+def test_appearance_checks_proposals_once():
+    """Proposals have one check, ``appearance._checked_columns``: the
+    module does not import ``PartState``, whose fields a second check
+    would test, and calls ``number_column`` in that check and in
+    ``_Grid.values``, for score cells, alone."""
+    tree = ast.parse((Path(posegrammar.__file__).parent / "appearance.py").read_text(encoding="utf-8"))
+    assert "PartState" not in _references(tree)
+    scopes = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    scopes |= {
+        f"{cls.name}.{fn.name}": fn
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef)
+    }
+
+    def calls(node: ast.AST) -> int:
+        return sum(
+            isinstance(n, ast.Call) and "number_column" in (getattr(n.func, "id", None), getattr(n.func, "attr", None))
+            for n in ast.walk(node)
+        )
+
+    callers = {name: calls(node) for name, node in scopes.items() if calls(node)}
+    assert sorted(callers) == ["_Grid.values", "_checked_columns"]
+    assert sum(callers.values()) == calls(tree)
+
+
 def test_no_module_reaches_past_the_public_search():
     """The search has one public entry, ``inference.search``: no other
     module of ``posegrammar`` imports a private name from ``inference`` or

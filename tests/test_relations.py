@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -137,6 +138,16 @@ class TestMixtureDensity:
         np.testing.assert_allclose(
             mog.score(EDGE, 0.0, 0.0), -1.8378770664093453, rtol=0, atol=1e-12
         )
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 3), (2,), (1, 2, 2)])
+    def test_points_not_of_shape_n_by_2_are_refused(self, shape):
+        """A (1, 1) array would broadcast into the offset (x, x), and a
+        (3, 3) one fail in numpy: both are refused, naming the edge."""
+        mog = KinematicMoG({EDGE: _single_gaussian()})
+        message = f"edge torso->head: displacements must have shape (N, 2), got {shape}"
+        with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
+            mog.log_density(EDGE, np.ones(shape).tolist())
+        assert mog.log_density(EDGE, np.zeros((0, 2))).shape == (0,)
 
     def test_shifted_gaussian_quadratic_falloff(self):
         """One sigma from the mean costs exactly one half nat."""
