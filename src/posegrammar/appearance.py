@@ -381,6 +381,9 @@ def load_proposals(path: str, *, part_type_count: int = DEFAULT_PART_TYPE_COUNT)
 _PAIR = array(lambda entry: entry, 2)  # (x, y), its entries left to the check of a Proposal
 
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
 def _checked_columns(ids, parts, xy, types, boxes, part_type_count: int, where: Callable[[int], str]) -> tuple:
     """The ``xy`` (N, 2), ``types`` (N,) and ``boxes`` (N, 4) arrays of N
     proposals given as columns in listing order, ``xy`` of (x, y) pairs and
@@ -393,7 +396,13 @@ def _checked_columns(ids, parts, xy, types, boxes, part_type_count: int, where: 
     unequal length are refused, naming each one's length.  Otherwise each
     column is scanned whole; when one fails, the first proposal at fault
     is refused, by ``Proposal(...)``, then by the part-type bound, then by
-    its repeated id, the error prefixed by ``where(i)`` for the i-th."""
+    its repeated id, the error prefixed by ``where(i)`` for the i-th.  A
+    ``part_type_count`` beyond the int64 ``types`` column's range is
+    refused first, so every part type at most it fits the column."""
+    if part_type_count > _INT64_MAX:
+        raise ValidationError(
+            f"part_type_count {part_type_count} is beyond {_INT64_MAX}, the largest part type an int64 column holds"
+        )
     lengths = {"ids": len(ids), "parts": len(parts), "xy": len(xy), "types": len(types), "boxes": len(boxes)}
     if len(set(lengths.values())) > 1:
         named = ", ".join(f"{name} {n}" for name, n in lengths.items())

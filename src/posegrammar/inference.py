@@ -24,7 +24,7 @@ from .appearance import Bucket, ProposalSet
 from .errors import InfeasibleParseError, MissingEntryError, ValidationError
 from .grammar import AOGrammar, AttrId, NodeId, ParseGraph, PartState, _trusted, parents_first
 from .jsonio import argument, check_fields, count, instance, nullable, number, record
-from .relations import AttributeAssociation, Edge, RelationModels, SyntacticTable
+from .relations import AttributeAssociation, Edge, RelationModels, SyntacticTable, _padded
 
 
 @dataclass(frozen=True, slots=True)
@@ -56,19 +56,18 @@ class _Table:
     """Relation scores of one edge, read as one row per proposal of its
     parent and one column per proposal of its child.  A co-occurrence
     table scores part types only, so it holds one row per part type,
-    gathered whole when built; a displacement table holds one row per
-    parent proposal, computed the first time a search reads it, under the
-    table's ``lock``, so that searches on several threads share it.
-    ``peak``, the largest ``|value|`` computed so far, only grows.
-    ``type_count``, the buckets' set's part_type_count, bounds their types."""
+    gathered whole when built.  A displacement table holds one row per
+    parent proposal: :func:`_fill_whole` fills a small set's tables whole
+    before any search reads them, and a row not filled then is computed
+    the first time a search reads it, under the table's ``lock``, so that
+    searches on several threads share it.  ``peak`` bounds the ``|value|``
+    of every filled row and only grows.  ``type_count``, the buckets'
+    set's part_type_count, bounds their types."""
 
     __slots__ = ("source", "edge", "parent", "child", "values", "filled", "unfilled", "peak", "lock")
 
     def __init__(self, source, edge: Edge, parent: Bucket, child: Bucket, type_count: int):
-        self.source = source
-        self.edge = edge
-        self.parent = parent
-        self.child = child
+        self.source, self.edge, self.parent, self.child = source, edge, parent, child
         # Looked up now, so that a missing model entry fails before any search.
         if isinstance(source, SyntacticTable):
             log = source.log_matrix(edge)
@@ -87,9 +86,7 @@ class _Table:
         else:
             source.mixture(edge)
             self.values = np.empty((len(parent.ids), len(child.ids)))
-            self.filled = np.zeros(len(parent.ids), dtype=bool)
-            self.unfilled = len(parent.ids)
-            self.peak = 0.0
+            self.filled, self.unfilled, self.peak = np.zeros(len(parent.ids), dtype=bool), len(parent.ids), 0.0
             self.lock = threading.Lock()
 
     def rows(self, idx: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -115,18 +112,34 @@ class _Table:
         return self.values.take(idx, axis=0, out=out, mode="clip")
 
     def _displacements(self, rows: np.ndarray) -> np.ndarray:
-        parent, child = self.parent, self.child
-        offsets = child.xy[None, :, :] - parent.xy[rows, None, :]
-        with np.errstate(over="ignore", invalid="ignore"):
-            values = self.source.log_density(self.edge, offsets.reshape(-1, 2))
-        values = values.reshape(len(rows), len(child.ids))
+        [values] = self.source.displacement_scores([self.edge], self.parent.xy[None, rows], self.child.xy[None])
         if not np.isfinite(values).all():
             r, c = np.argwhere(~np.isfinite(values))[0]
             raise ValidationError(
                 f"edge {self.edge[0]}->{self.edge[1]}: displacement score between proposals "
-                f"{parent.ids[rows[r]]!r} and {child.ids[c]!r} is {float(values[r, c])!r}, not finite"
+                f"{self.parent.ids[rows[r]]!r} and {self.child.ids[c]!r} is {float(values[r, c])!r}, not finite"
             )
         return values
+
+
+def _fill_whole(tables: list[_Table]) -> None:
+    """Every row of a set's new displacement ``tables``, in one stacked
+    mixture call, where their (edges, components, cells) block fits
+    ``_GROUP_CELLS``; before any search reads them, so without their locks.
+    Each row of finite cells is marked filled, and ``peak`` covers them
+    all; a row with a cell that is not finite stays unfilled, for the
+    search that reads it to compute again and refuse.  A wider set's rows
+    are each computed when first read."""
+    shapes = [(len(t.parent.ids), len(t.child.ids)) for t in tables]
+    if not tables or len(tables) * tables[0].source.components * math.prod(map(max, zip(*shapes))) > _GROUP_CELLS:
+        return
+    parents, children = _padded([t.parent.xy for t in tables]), _padded([t.child.xy for t in tables])
+    values = tables[0].source.displacement_scores([t.edge for t in tables], parents, children)
+    finite = np.isfinite(values).all(axis=2)
+    peaks = np.where(finite, np.abs(values).max(axis=2), 0.0).max(axis=1).tolist()
+    for table, block, filled, peak, (n, m) in zip(tables, values, finite, peaks, shapes):
+        table.values, table.filled, table.peak = block[:n, :m], filled[:n], peak
+        table.unfilled = n - int(np.count_nonzero(table.filled))
 
 
 # The relation tables of each proposal set, by relation model and edge: the
@@ -146,10 +159,7 @@ class _Step:
     __slots__ = ("bucket", "lifted", "app", "peak", "closings")
 
     def __init__(self, bucket: Bucket, lifted: np.ndarray, peak: float):
-        self.bucket = bucket
-        self.lifted = lifted
-        self.app = lifted[:, 1]
-        self.peak = peak
+        self.bucket, self.lifted, self.app, self.peak = bucket, lifted, lifted[:, 1], peak
         self.closings: list[tuple[int, _Table]] = []
 
 
@@ -207,19 +217,19 @@ def _prepare(grammar, models, pset, assignments) -> list[_Step]:
     with np.errstate(over="ignore"):  # a sum beyond the float range is refused by the search
         steps = _steps(buckets, pset.scores.appearance(rows, grammar.attributes, assignments))
     position = {p: i for i, p in enumerate(order)}
-    closing = ((models.syntactic, grammar.psg_edges), (models.kinematic, grammar.dg_edges))
-    for source, edges in closing:
-        for edge in edges:
-            parent, child = position[edge[0]], position[edge[1]]
-            table = tables.get((source, edge))
-            if table is None:
-                # A search on another thread may build the same table: the
-                # first one stored is the one every search reads.
-                table = tables.setdefault(
-                    (source, edge),
-                    _Table(source, edge, steps[parent].bucket, steps[child].bucket, pset.part_type_count),
-                )
-            steps[child].closings.append((parent, table))
+    closing = [(models.syntactic, e) for e in grammar.psg_edges] + [(models.kinematic, e) for e in grammar.dg_edges]
+    made = {
+        (source, edge): _Table(source, edge, pset.buckets[edge[0]], pset.buckets[edge[1]], pset.part_type_count)
+        for source, edge in closing
+        if (source, edge) not in tables
+    }
+    _fill_whole([table for table in made.values() if table.filled is not None])
+    for key, table in made.items():
+        # A search on another thread may build the same table: the first
+        # one stored is the one every search reads.
+        tables.setdefault(key, table)
+    for source, edge in closing:
+        steps[position[edge[1]]].closings.append((position[edge[0]], tables[source, edge]))
     return steps
 
 
@@ -383,10 +393,7 @@ def _build_parse_graphs(steps, assignments, results) -> list[ParseGraph]:
 
 
 def search(
-    grammar: AOGrammar,
-    models: RelationModels,
-    pset: ProposalSet,
-    assignments: Sequence[Mapping[AttrId, str]],
+    grammar: AOGrammar, models: RelationModels, pset: ProposalSet, assignments: Sequence[Mapping[AttrId, str]],
     cfg: BeamConfig | None = None,
 ) -> list[ParseGraph]:
     """One beam search for the best parse under each of the attribute
@@ -404,11 +411,7 @@ def search(
 
 
 def parse_constrained(
-    grammar: AOGrammar,
-    models: RelationModels,
-    pset: ProposalSet,
-    attr: AttrId,
-    value: str,
+    grammar: AOGrammar, models: RelationModels, pset: ProposalSet, attr: AttrId, value: str,
     cfg: BeamConfig | None = None,
 ) -> ParseGraph:
     """Best parse with ``attr`` fixed to ``value`` on every part."""
@@ -417,10 +420,7 @@ def parse_constrained(
 
 
 def parse_unconstrained(
-    grammar: AOGrammar,
-    models: RelationModels,
-    pset: ProposalSet,
-    cfg: BeamConfig | None = None,
+    grammar: AOGrammar, models: RelationModels, pset: ProposalSet, cfg: BeamConfig | None = None
 ) -> ParseGraph:
     """Best parse with every part free to pick its own attribute values."""
     [pg] = search(grammar, models, pset, [{}], cfg)
@@ -445,10 +445,7 @@ def best_parse(per_pair: Mapping[tuple[AttrId, str], ParseGraph]) -> ParseGraph:
 
 
 def select_final(
-    grammar: AOGrammar,
-    models: RelationModels,
-    pset: ProposalSet,
-    cfg: BeamConfig | None = None,
+    grammar: AOGrammar, models: RelationModels, pset: ProposalSet, cfg: BeamConfig | None = None
 ) -> tuple[ParseGraph, dict[tuple[AttrId, str], ParseGraph]]:
     """One constrained parse per (attribute, value) pair of the grammar,
     all in one stacked search: the winner by :func:`best_parse`, and the

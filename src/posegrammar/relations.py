@@ -314,7 +314,11 @@ def _log_sum_exp(terms: np.ndarray, scratch=None) -> tuple[np.ndarray, np.ndarra
     shift = np.where(np.isfinite(top), top, 0.0)
     exps = np.subtract(terms, shift[..., None, :], out=scratch)
     np.exp(exps, out=exps)
-    sums = exps.sum(axis=-2)
+    # numpy sums a block of two or more points over its components in
+    # order, but a (..., k, 1) block pairwise, as one contiguous run; its
+    # running sum is in order, so a point's bits do not depend on how many
+    # points share its call.
+    sums = exps.sum(axis=-2) if exps.shape[-1] != 1 else np.add.accumulate(exps, axis=-2)[..., -1, :]
     with np.errstate(divide="ignore"):
         total = np.log(sums)
     total += shift
@@ -322,7 +326,8 @@ def _log_sum_exp(terms: np.ndarray, scratch=None) -> tuple[np.ndarray, np.ndarra
 
 
 class KinematicMoG:
-    """Per-dependency-edge Gaussian mixtures over child-minus-parent offsets."""
+    """Per-dependency-edge Gaussian mixtures over child-minus-parent
+    offsets; ``components`` is the most components any of them has."""
 
     def __init__(
         self,
@@ -330,10 +335,19 @@ class KinematicMoG:
         fit_traces: Mapping[Edge, Sequence[float]] | None = None,
     ) -> None:
         self.mixtures: dict[Edge, Mixture] = {tuple(e): m for e, m in mixtures.items()}
-        # What :meth:`log_density` reads of each mixture, computed once.
-        self._constants = {
-            e: (_centring(m.means), *_term_constants(m.weights, m.covariances)) for e, m in self.mixtures.items()
-        }
+        # What :meth:`log_densities` reads of each mixture, computed once
+        # and stacked one edge per row, every mixture padded to the most
+        # components with zero-weight ones: their terms are -inf and add
+        # 0.0 to each sum, so no density changes by a bit.
+        self._row = {e: i for i, e in enumerate(self.mixtures)}
+        self.components = max((len(m.weights) for m in self.mixtures.values()), default=1)
+        weights = np.zeros((len(self.mixtures), self.components))
+        means = np.zeros(weights.shape + (2,))
+        covariances = np.broadcast_to(np.eye(2), weights.shape + (2, 2)).copy()
+        for i, m in enumerate(self.mixtures.values()):
+            k = len(m.weights)
+            weights[i, :k], means[i, :k], covariances[i, :k] = m.weights, m.means, m.covariances
+        self._constants = (_centring(means), *_term_constants(weights, covariances))
         self.fit_traces: dict[Edge, tuple[float, ...]] = {
             tuple(e): tuple(t) for e, t in (fit_traces or {}).items()
         }
@@ -353,13 +367,43 @@ class KinematicMoG:
         """Vectorized log density over an (N, 2) array of displacements;
         points of another shape are refused, naming the edge."""
         self.mixture(edge)
-        centring, *constants = self._constants[tuple(edge)]
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != 2:
             raise ValidationError(f"edge {edge[0]}->{edge[1]}: displacements must have shape (N, 2), got {points.shape}")
-        rows = np.ones((3, len(points)))
-        rows[:2] = points.T
-        return _log_sum_exp(_mixture_terms(_offsets(rows, centring), *constants))[0]
+        return self.log_densities([edge], points[None])[0]
+
+    def log_densities(self, edges: Sequence[Edge], points: np.ndarray) -> np.ndarray:
+        """The log densities of an (E, N, 2) block of displacements, row
+        ``e`` under the mixture of ``edges[e]``: shape (E, N), in one pass
+        over (edge, component, point) arrays.  A point gets the same bits
+        whatever edges and points share its call."""
+        try:
+            rows = [self._row[tuple(edge)] for edge in edges]
+        except KeyError as exc:
+            raise MissingEntryError(f"no kinematic mixture for edge {exc.args[0]}") from None
+        centring, consts, halved, dead = (c if c is None else c.take(rows, axis=0) for c in self._constants)
+        block = np.ones((len(rows), 3, points.shape[1]))
+        block[:, :2] = points.transpose(0, 2, 1)
+        return _log_sum_exp(_mixture_terms(_offsets(block, centring), consts, halved, dead))[0]
+
+    def displacement_scores(self, edges: Sequence[Edge], parents: np.ndarray, children: np.ndarray) -> np.ndarray:
+        """The log densities of the offsets from each of the (E, R, 2)
+        positions ``parents[e]`` to each of the (E, C, 2) ``children[e]``
+        under the mixture of ``edges[e]``, all in one :meth:`log_densities`
+        call: shape (E, R, C).  Offsets too far apart for the float range
+        give scores that are not finite, without numpy's warnings: the
+        relation tables refuse them."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            offsets = children[:, None, :, :] - parents[:, :, None, :]
+            return self.log_densities(edges, offsets.reshape(len(edges), -1, 2)).reshape(offsets.shape[:3])
+
+
+def _padded(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """The (n_e, 2) ``arrays`` stacked, each padded to the longest by
+    repeating its last row: shape (E, n, 2)."""
+    lengths = np.array([len(a) for a in arrays])
+    at = np.cumsum(lengths) - lengths
+    return np.concatenate(arrays)[at[:, None] + np.minimum(np.arange(lengths.max()), lengths[:, None] - 1)]
 
 
 class AttributeAssociation:

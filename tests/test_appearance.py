@@ -340,6 +340,28 @@ class TestProposalSet:
         with pytest.raises(ValidationError, match="^" + re.escape(f"proposal columns differ in length: {named}") + "$"):
             ProposalSet.from_columns(*columns.values(), scores, 9)
 
+    @pytest.mark.parametrize("part_type", [1, 2**63])
+    @pytest.mark.parametrize("part_type_count", [2**63, 2**64])
+    def test_from_columns_refuses_a_part_type_count_beyond_int64(self, part_type, part_type_count):
+        """A count a ``Proposal`` accepts, but beyond the range of the
+        int64 part-type column, is refused by name, not by numpy's
+        ``OverflowError``, whatever the part types."""
+        message = f"part_type_count {part_type_count} is beyond {2**63 - 1}, the largest part type an int64 column holds"
+        with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
+            ProposalSet.from_columns(
+                ["a"], ["head"], [(0.0, 0.0)], [part_type], [(0, 0, 5, 5)], ScoreTable({"a": {}}), part_type_count
+            )
+
+    def test_a_part_type_beyond_int64_is_refused_by_the_count(self):
+        """Under the largest count the column holds, a part type one past
+        it is refused naming the proposal; the count itself is accepted."""
+        scores = ScoreTable({"a": {}})
+        pset = ProposalSet.from_columns(["a"], ["head"], [(0.0, 0.0)], [2**63 - 1], [(0, 0, 5, 5)], scores, 2**63 - 1)
+        assert pset.buckets["head"].types.tolist() == [2**63 - 1]
+        message = f"proposal 'a': part_type {2**63} exceeds part_type_count {2**63 - 1}"
+        with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
+            ProposalSet.from_columns(["a"], ["head"], [(0.0, 0.0)], [2**63], [(0, 0, 5, 5)], scores, 2**63 - 1)
+
 
 class TestSynthScores:
     def test_one_proposal_per_person_and_part(self):
@@ -619,6 +641,12 @@ class TestLoaderErrors:
     def test_a_part_type_beyond_the_count_names_its_line(self, tmp_path):
         path, load = self._load(tmp_path, [_line("p0"), _line("full_body.0", part_type=4)], part_type_count=1)
         message = f"{path}:2: part_type 4 exceeds part_type_count 1"
+        with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
+            load()
+
+    def test_a_part_type_beyond_int64_names_its_line(self, tmp_path):
+        path, load = self._load(tmp_path, [_line("p0"), _line("full_body.0", part_type=2**63)], part_type_count=2**63 - 1)
+        message = f"{path}:2: part_type {2**63} exceeds part_type_count {2**63 - 1}"
         with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
             load()
 

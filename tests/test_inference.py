@@ -40,6 +40,7 @@ from posegrammar.inference import (
     BeamConfig,
     _cut,
     _extend,
+    _fill_whole,
     _Group,
     _prepare,
     _readout,
@@ -47,6 +48,7 @@ from posegrammar.inference import (
     _Step,
     _steps,
     _Table,
+    attribute_pairs,
     attribute_scores,
     best_parse,
     default_expansion_order,
@@ -1102,10 +1104,15 @@ def _dense_lattice(grammar, seed, per_part):
     """Criterion 9's draw: ``per_part`` proposals per part, uniform over a
     320 x 240 image, part types uniform in 1..9 and N(0, 1) appearance
     scores."""
+    return _lattice(grammar, seed, dict.fromkeys(grammar.part_ids, per_part))
+
+
+def _lattice(grammar, seed, sizes):
+    """Criterion 9's draw with ``sizes[part]`` proposals for each part."""
     rng = np.random.default_rng(seed)
     props, scores = [], {}
     for part in grammar.part_ids:
-        for i in range(per_part):
+        for i in range(sizes[part]):
             pid = f"{part}.{i}"
             x, y = float(rng.uniform(0.0, 320.0)), float(rng.uniform(0.0, 240.0))
             props.append(Proposal(pid, part, x, y, int(rng.integers(1, 10)), (0.0, 0.0, 40.0, 40.0)))
@@ -1538,6 +1545,149 @@ class TestNonFiniteRelations:
     def test_brute_force_parse(self, grammar, quick_models):
         with pytest.raises(ValidationError, match=self._MESSAGE):
             brute_force_parse(grammar, quick_models, self._far_heads(), {"gender": "male"})
+
+
+def _kinematic(steps):
+    """The displacement tables ``steps`` close, in plan order."""
+    return [table for step in steps for _parent, table in step.closings if table.filled is not None]
+
+
+def _outcome(run):
+    """``run()``'s (ids, hex total) per parse, or the message of the
+    ValidationError it raises."""
+    try:
+        return [(_ids(pg), float.hex(pg.total_score)) for pg in run()]
+    except ValidationError as exc:
+        return str(exc)
+
+
+class TestWholeFill:
+    """A set whose stacked (edges, components, cells) block of displacement
+    tables fits ``_GROUP_CELLS`` has every table filled whole when built,
+    in one mixture call, before any search can read them; every search on
+    it gets the ids, the bits and the refusals of row-by-row fills."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        sizes=st.lists(st.integers(1, 4), min_size=17, max_size=17),
+        width=st.integers(1, 100),
+        workers=st.sampled_from([1, 2]),
+        budget=st.sampled_from([2**16, 13 * 10 * 16]),
+        data=st.data(),
+    )
+    def test_parses_equal_those_of_row_by_row_fills(self, grammar, trained_models, seed, sizes, width, workers, budget, data):
+        """Buckets of 1 to 4 proposals, mixed within a set, so 1x1 tables
+        share the block with larger ones; K=1 and the diagnostic's K=27;
+        at the smaller budget, which every such block still fits, a wide
+        K=27 search runs in several groups, on one thread or two."""
+        sizes = dict(zip(grammar.part_ids, sizes))
+        everything = [{attr: value} for attr, value in attribute_pairs(grammar)] + [{}]
+        assignments = data.draw(st.sampled_from([everything, *([a] for a in everything)]))
+        cfg = BeamConfig(beam_width=width)
+
+        def run(whole):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(parallel, "_WORKERS", workers)
+                mp.setattr(inference, "_GROUP_CELLS", budget)
+                if not whole:
+                    mp.setattr(inference, "_fill_whole", lambda tables: None)
+                pset = _lattice(grammar, seed, sizes)
+                got = _outcome(lambda: search(grammar, trained_models, pset, assignments, cfg))
+                filled = [table.filled.all() for table in _kinematic(_prepare(grammar, trained_models, pset, [{}]))]
+            return got, filled
+
+        (whole, filled), (lazy, _) = run(True), run(False)
+        assert whole == lazy
+        assert all(filled)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_each_cell_is_the_row_by_row_fill_to_the_bit(self, grammar, trained_models, seed):
+        """Each cell of a whole-filled table equals its row computed alone,
+        as the lazy fill computes a row a survivor reads: a table whose
+        child has one proposal gets a one-point row, whose ten components
+        are summed in the order the stacked block sums them."""
+        rng = np.random.default_rng(seed)
+        pset = _lattice(grammar, seed, {part: int(rng.integers(1, 5)) for part in grammar.part_ids})
+        for table in _kinematic(_prepare(grammar, trained_models, pset, [{}])):
+            assert table.filled.all() and table.unfilled == 0
+            alone = np.concatenate([table._displacements(np.array([r])) for r in range(len(table.parent.ids))])
+            assert [float.hex(v) for v in alone.ravel()] == [float.hex(v) for v in table.values.ravel()]
+            assert table.peak == float(np.abs(table.values).max()) > 0.0
+
+    def test_tables_are_filled_in_one_call_before_they_are_published(self, grammar, trained_models, monkeypatch):
+        """One mixture call fills every dependency edge's table, none of them
+        yet in ``_TABLES``, where another search could read a row not yet
+        written; a second search on the set fills nothing."""
+        pset = _lattice(grammar, 3, {part: 1 + i % 4 for i, part in enumerate(grammar.part_ids)})
+        calls = []
+        scores = KinematicMoG.displacement_scores
+
+        def spied(self, edges, parents, children):
+            calls.append([(self, edge) in _TABLES.get(pset, {}) for edge in edges])
+            return scores(self, edges, parents, children)
+
+        monkeypatch.setattr(KinematicMoG, "displacement_scores", spied)
+        parse_unconstrained(grammar, trained_models, pset, BeamConfig(beam_width=100))
+        assert calls == [[False] * len(grammar.dg_edges)]
+        select_final(grammar, trained_models, pset, BeamConfig(beam_width=100))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("over", [0, 1], ids=["fits", "one-cell-over"])
+    def test_a_block_beyond_the_budget_is_filled_row_by_row(self, grammar, trained_models, over, monkeypatch):
+        """Thirteen edges of ten components over a 3x4 block of cells fill
+        whole at a budget of exactly that many cells, and not a cell below."""
+        sizes = {part: 3 for part in grammar.part_ids}
+        sizes["head"] = 4
+        monkeypatch.setattr(inference, "_GROUP_CELLS", 13 * 10 * 3 * 4 - over)
+        tables = _kinematic(_prepare(grammar, trained_models, _lattice(grammar, 5, sizes), [{}]))
+        assert len(tables) == 13
+        assert [table.unfilled for table in tables] == [0 if not over else len(table.parent.ids) for table in tables]
+        assert all(table.peak == (0.0 if over else float(np.abs(table.values).max())) for table in tables)
+
+    def test_the_benchmark_lattices_stay_row_by_row(self, grammar, trained_models):
+        """17x50 (13 x 10 x 2,500 cells) is far past the budget, so those
+        sets keep filling only the rows a search reads."""
+        tables = _kinematic(_prepare(grammar, trained_models, _dense_lattice(grammar, 200, 50), [{}]))
+        assert all(not table.filled.any() for table in tables)
+
+    @pytest.mark.parametrize("width", [1, 100])
+    @pytest.mark.parametrize("workers", [1, 2], indirect=True)
+    def test_a_non_finite_row_is_refused_as_row_by_row(self, grammar, trained_models, width, workers, group_budget):
+        """With one torso proposal at x=1e200, each of the torso's five
+        dependency tables has one row that is not finite: the whole fill
+        leaves it unfilled, so the search refuses where, and in the words,
+        a row-by-row fill does, after the same groups; or, where the beam
+        drops that torso before reading its row, returns the same parses."""
+
+        def far_torso():
+            pset = _lattice(grammar, 8, dict.fromkeys(grammar.part_ids, 2))
+            props = [dataclasses.replace(p, x=1e200) if p.id == "torso.1" else p for p in _listed(pset)]
+            return ProposalSet.from_proposals(props, pset.scores, part_type_count=pset.part_type_count)
+
+        assignments = [{attr: value} for attr, value in attribute_pairs(grammar)] + [{}]
+
+        def run(whole):
+            with pytest.MonkeyPatch.context() as mp:
+                if not whole:
+                    mp.setattr(inference, "_fill_whole", lambda tables: None)
+                sizes = _group_sizes(mp)
+                pset = far_torso()
+                got = _outcome(lambda: search(grammar, trained_models, pset, assignments, BeamConfig(beam_width=width)))
+                tables = _kinematic(_prepare(grammar, trained_models, pset, [{}]))
+                return got, sizes, {table.edge: (~table.filled).tolist() for table in tables}
+
+        whole, lazy = run(True), run(False)
+        assert whole[0] == lazy[0]
+        if isinstance(whole[0], str) and workers == 2 and group_budget != "one-group":
+            # Each thread's first group may read a torso row and fail.
+            assert whole[1] in ([1], [1, 1]) and lazy[1] in ([1], [1, 1])
+        else:
+            assert whole[1] == lazy[1]
+        if width == 100:
+            assert re.fullmatch(r"edge torso->head: displacement score between proposals 'torso\.1' and 'head\.\d' is -inf, not finite", whole[0])
+        if group_budget == "one-group":
+            assert whole[2] == {edge: [False, edge[0] == "torso"] for edge in grammar.dg_edges}
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -41,6 +41,7 @@ from posegrammar.relations import (
     _quadratic,
     _term_constants,
     load_models,
+    _padded,
     save_models,
 )
 
@@ -230,8 +231,8 @@ def _per_call_log_density(mix: Mixture, points: np.ndarray) -> np.ndarray:
     before the model cached its per-edge constants: the constants, minus
     half the inverse entries and the dead components derived afresh, the
     offsets by subtraction (the matrix product is the subtraction to the
-    bit), and every array component-major, (k, N), as the cached path
-    lays them out."""
+    bit), every array component-major, (k, N), as the cached path lays
+    them out, and the components summed one by one, in order, at every N."""
     consts, inverses = _component_constants(mix.weights, mix.covariances)
     ia, ib, ic = (-0.5 * inverses).T[:, :, None]
     pts = np.asarray(points, dtype=float)
@@ -241,14 +242,19 @@ def _per_call_log_density(mix: Mixture, points: np.ndarray) -> np.ndarray:
     terms[consts == -np.inf] = -np.inf
     top = terms.max(axis=0)
     shift = np.where(np.isfinite(top), top, 0.0)
+    exps = np.exp(terms - shift)
+    sums = exps[0]
+    for row in exps[1:]:
+        sums = sums + row
     with np.errstate(divide="ignore"):
-        return np.log(np.exp(terms - shift).sum(axis=0)) + shift
+        return np.log(sums) + shift
 
 
 class TestLogDensityBits:
     """The cached per-edge constants give the per-call formula's result to
-    the bit, at ten components, where numpy's sum over a (k, 1) block of
-    one point takes its pairwise path, and with dead components."""
+    the bit, at ten components, with dead components, and for a point
+    alone, where numpy's own sum over a (k, 1) block would take its
+    pairwise path: every point's components are summed in order."""
 
     @staticmethod
     def _mixture(rng, dead=()):
@@ -279,6 +285,54 @@ class TestLogDensityBits:
             [expected] = _per_call_log_density(mix, np.array([[dx, dy]]))
             self._assert_bits(mog.log_density(EDGE, np.array([[dx, dy]])), [expected])
             self._assert_bits(mog.score(EDGE, dx, dy), expected)
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), dead=st.sets(st.integers(0, 9), max_size=9))
+    def test_a_point_reads_the_same_alone_and_among_others(self, seed, n, dead):
+        """``log_density(edge, P)[i]`` is ``log_density(edge, P[i:i+1])[0]``
+        to the bit: how many points share a call never changes the order in
+        which a point's components are summed."""
+        rng = np.random.default_rng(seed)
+        mog = KinematicMoG({EDGE: self._mixture(rng, sorted(dead))})
+        points = rng.normal(0.0, 20.0, size=(n, 2))
+        self._assert_bits(mog.log_density(EDGE, points), [mog.log_density(EDGE, points[i : i + 1])[0] for i in range(n)])
+
+    def test_edges_stacked_with_unequal_component_counts_read_as_each_alone(self):
+        """One :meth:`log_densities` call over edges of 10, 3 (one of them
+        dead) and 1 components, padded to 10 with zero-weight ones, gives
+        each edge's row the bits of its own model, one point at a time too."""
+        rng = np.random.default_rng(5)
+        three = Mixture(np.array([0.5, 0.0, 0.5]), rng.normal(0.0, 5.0, size=(3, 2)), _spd(rng, 3, (50.0, 100.0), 4.0))
+        mixtures = {("a", "b"): self._mixture(rng), ("b", "c"): three, ("c", "d"): _single_gaussian(mean=(1.0, -2.0))}
+        mog = KinematicMoG(mixtures)
+        assert mog.components == 10
+        points = rng.normal(0.0, 20.0, size=(3, 7, 2))
+        stacked = mog.log_densities(list(mixtures), points)
+        for row, (edge, mix), pts in zip(stacked, mixtures.items(), points):
+            self._assert_bits(row, _per_call_log_density(mix, pts))
+            self._assert_bits(row, KinematicMoG({edge: mix}).log_density(edge, pts))
+            self._assert_bits(row[:1], mog.log_densities([edge], pts[None, :1])[0])
+        with pytest.raises(MissingEntryError, match=re.escape("no kinematic mixture for edge ('a', 'c')")):
+            mog.log_densities([("a", "b"), ("a", "c")], points[:2])
+
+    def test_displacement_scores_are_child_minus_parent_densities(self):
+        """Each (parent, child) cell of a padded block is the density of the
+        child's position minus the parent's; the padding repeats each edge's
+        last position, so its cells repeat real ones."""
+        rng = np.random.default_rng(6)
+        mixtures = {("a", "b"): self._mixture(rng), ("b", "c"): self._mixture(rng)}
+        mog = KinematicMoG(mixtures)
+        parents = [rng.normal(0.0, 9.0, size=(2, 2)), rng.normal(0.0, 9.0, size=(3, 2))]
+        children = [rng.normal(0.0, 9.0, size=(4, 2)), rng.normal(0.0, 9.0, size=(1, 2))]
+        ends = _padded(parents), _padded(children)
+        assert ends[0].shape == (2, 3, 2) and ends[1].shape == (2, 4, 2)
+        assert ends[0][0].tolist() == parents[0].tolist() + [parents[0][-1].tolist()]
+        assert ends[1][1].tolist() == [children[1][0].tolist()] * 4
+        block = mog.displacement_scores(list(mixtures), *ends)
+        for e, edge in enumerate(mixtures):
+            for r, c in np.ndindex(block.shape[1:]):
+                offset = ends[1][e, c] - ends[0][e, r]
+                self._assert_bits(block[e, r, c], mog.log_density(edge, offset[None]))
 
     @pytest.mark.parametrize("dead", [(0,), (3, 7), tuple(range(9))], ids=["first", "two", "all-but-one"])
     def test_zero_weight_components(self, dead):
