@@ -57,12 +57,11 @@ class _Table:
     parent and one column per proposal of its child.  A co-occurrence
     table scores part types only, so it holds one row per part type,
     gathered whole when built.  A displacement table holds one row per
-    parent proposal: :func:`_fill_whole` fills a small set's tables whole
-    before any search reads them, and a row not filled then is computed
-    the first time a search reads it, under the table's ``lock``, so that
-    searches on several threads share it.  ``peak`` bounds the ``|value|``
-    of every filled row and only grows.  ``type_count``, the buckets'
-    set's part_type_count, bounds their types."""
+    parent proposal, filled whole when built or, once proved finite, each
+    row the first time a search reads it, under the table's ``lock``, so
+    that searches on several threads share it.  ``peak``, set when built,
+    bounds every ``|value|``.  ``type_count``, the buckets' set's
+    part_type_count, bounds their types."""
 
     __slots__ = ("source", "edge", "parent", "child", "values", "filled", "unfilled", "peak", "lock")
 
@@ -80,13 +79,11 @@ class _Table:
                             f"edge {edge[0]}->{edge[1]}: proposal {bucket.ids[j]!r} has part_type "
                             f"{bucket.types[j]}, beyond the models' part_type_count {source.part_type_count}"
                         )
-            self.values = log.take(child.types - 1, axis=1)
-            self.filled = None
-            self.peak = float(np.abs(self.values).max())
+            self.values, self.filled = log.take(child.types - 1, axis=1), None
         else:
             source.mixture(edge)
             self.values = np.empty((len(parent.ids), len(child.ids)))
-            self.filled, self.unfilled, self.peak = np.zeros(len(parent.ids), dtype=bool), len(parent.ids), 0.0
+            self.filled, self.unfilled = np.zeros(len(parent.ids), dtype=bool), len(parent.ids)
             self.lock = threading.Lock()
 
     def rows(self, idx: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -101,45 +98,31 @@ class _Table:
                 # filled some of them meanwhile.
                 todo = np.flatnonzero(np.bincount(idx, minlength=len(self.filled)) * ~self.filled)
                 if todo.size:
-                    values = self._displacements(todo)
-                    self.values[todo] = values
-                    # A row is marked filled only once its values and
-                    # ``peak`` are written, as readers check ``filled``
-                    # without the lock.
-                    self.peak = max(self.peak, float(np.abs(values).max()))
+                    # Marked filled once written: readers check ``filled`` unlocked.
+                    parents = self.parent.xy[None, todo]
+                    [self.values[todo]] = self.source.displacement_scores([self.edge], parents, self.child.xy[None])
                     self.filled[todo] = True
                     self.unfilled -= todo.size
         return self.values.take(idx, axis=0, out=out, mode="clip")
 
-    def _displacements(self, rows: np.ndarray) -> np.ndarray:
-        [values] = self.source.displacement_scores([self.edge], self.parent.xy[None, rows], self.child.xy[None])
-        if not np.isfinite(values).all():
-            r, c = np.argwhere(~np.isfinite(values))[0]
-            raise ValidationError(
-                f"edge {self.edge[0]}->{self.edge[1]}: displacement score between proposals "
-                f"{self.parent.ids[rows[r]]!r} and {self.child.ids[c]!r} is {float(values[r, c])!r}, not finite"
-            )
-        return values
-
 
 def _fill_whole(tables: list[_Table]) -> None:
-    """Every row of a set's new displacement ``tables``, in one stacked
-    mixture call, where their (edges, components, cells) block fits
-    ``_GROUP_CELLS``; before any search reads them, so without their locks.
-    Each row of finite cells is marked filled, and ``peak`` covers them
-    all; a row with a cell that is not finite stays unfilled, for the
-    search that reads it to compute again and refuse.  A wider set's rows
-    are each computed when first read."""
+    """Every cell of the new displacement ``tables`` in one stacked mixture
+    call, before any search reads them, so without their locks, and each
+    one's ``peak``; the first cell that is not finite, in table, row and
+    column order (a padded cell repeats an earlier one), refuses the set."""
     shapes = [(len(t.parent.ids), len(t.child.ids)) for t in tables]
-    if not tables or len(tables) * tables[0].source.components * math.prod(map(max, zip(*shapes))) > _GROUP_CELLS:
-        return
     parents, children = _padded([t.parent.xy for t in tables]), _padded([t.child.xy for t in tables])
     values = tables[0].source.displacement_scores([t.edge for t in tables], parents, children)
-    finite = np.isfinite(values).all(axis=2)
-    peaks = np.where(finite, np.abs(values).max(axis=2), 0.0).max(axis=1).tolist()
-    for table, block, filled, peak, (n, m) in zip(tables, values, finite, peaks, shapes):
-        table.values, table.filled, table.peak = block[:n, :m], filled[:n], peak
-        table.unfilled = n - int(np.count_nonzero(table.filled))
+    if not np.isfinite(values).all():
+        e, r, c = np.argwhere(~np.isfinite(values))[0]
+        t = tables[e]
+        raise ValidationError(
+            f"edge {t.edge[0]}->{t.edge[1]}: displacement score between proposals "
+            f"{t.parent.ids[r]!r} and {t.child.ids[c]!r} is {float(values[e, r, c])!r}, not finite"
+        )
+    for table, block, peak, (n, m) in zip(tables, values, np.abs(values).max(axis=(1, 2)).tolist(), shapes):
+        table.values, table.peak, table.unfilled, table.filled[:] = block[:n, :m], peak, 0, True
 
 
 # The relation tables of each proposal set, by relation model and edge: the
@@ -154,12 +137,12 @@ class _Step:
     the step position of the edge's parent.  ``lifted`` is the (K, 2, N)
     stack of a row of ones over each appearance row, the right factor of
     the step's first sum, and ``app`` its second row; ``peak`` bounds the
-    block's ``|app|``."""
+    block's ``|app|``; while ``check`` (true until set) its sums are checked."""
 
-    __slots__ = ("bucket", "lifted", "app", "peak", "closings")
+    __slots__ = ("bucket", "lifted", "app", "peak", "closings", "check")
 
     def __init__(self, bucket: Bucket, lifted: np.ndarray, peak: float):
-        self.bucket, self.lifted, self.app, self.peak = bucket, lifted, lifted[:, 1], peak
+        self.bucket, self.lifted, self.app, self.peak, self.check = bucket, lifted, lifted[:, 1], peak, True
         self.closings: list[tuple[int, _Table]] = []
 
 
@@ -181,16 +164,14 @@ _EXACT_CHECK = 2.0**1022
 class _Group:
     """The rows ``objectives`` of a search's step blocks that run together,
     with two flat blocks of ``size`` floats per objective, ``sums`` for a
-    step's sums and ``rows`` for its gathers and cut, and ``bound``, a bound
-    on the group's ``|score|`` so far, infinite until set: every sum is checked."""
+    step's sums and ``rows`` for its gathers and cut."""
 
-    __slots__ = ("objectives", "sums", "rows", "bound")
+    __slots__ = ("objectives", "sums", "rows")
 
     def __init__(self, objectives: slice, size: int):
         self.objectives = objectives
         self.sums = np.empty((objectives.stop - objectives.start) * size)
         self.rows = np.empty_like(self.sums)
-        self.bound = math.inf
 
 
 def check_assignment(grammar: AOGrammar, assignment: Mapping[AttrId, str]) -> None:
@@ -204,8 +185,12 @@ def check_assignment(grammar: AOGrammar, assignment: Mapping[AttrId, str]) -> No
 
 def _prepare(grammar, models, pset, assignments) -> list[_Step]:
     """Per step of the default expansion order, the bucket, its appearance
-    block (one row per attribute assignment) and the tables of the edges
-    it closes."""
+    block (one row per attribute assignment), the tables of the edges it
+    closes, and ``check``, set once the peaks so far reach ``_EXACT_CHECK``.
+    New displacement tables are filled whole together where their block
+    fits ``_GROUP_CELLS``; else each one ``displacement_bound`` cannot
+    prove finite is filled whole alone.  A set holding a score that is not
+    finite is so refused before any search, and keeps no table."""
     order = default_expansion_order(grammar)
     for assignment in assignments:
         check_assignment(grammar, assignment)
@@ -223,13 +208,26 @@ def _prepare(grammar, models, pset, assignments) -> list[_Step]:
         for source, edge in closing
         if (source, edge) not in tables
     }
-    _fill_whole([table for table in made.values() if table.filled is not None])
+    kinematic = [table for table in made.values() if table.filled is not None]
+    shapes = [(len(t.parent.ids), len(t.child.ids)) for t in kinematic]
+    if kinematic and len(shapes) * models.kinematic.components * math.prod(map(max, zip(*shapes))) <= _GROUP_CELLS:
+        _fill_whole(kinematic)
+    for table in made.values():
+        if table.filled is None:
+            table.peak = float(np.abs(table.values).max())
+        elif table.unfilled:
+            table.peak = table.source.displacement_bound(table.edge, table.parent.xy, table.child.xy)
+            if table.peak == math.inf:
+                _fill_whole([table])
     for key, table in made.items():
         # A search on another thread may build the same table: the first
         # one stored is the one every search reads.
         tables.setdefault(key, table)
     for source, edge in closing:
         steps[position[edge[1]]].closings.append((position[edge[0]], tables[source, edge]))
+    bound = 0.0
+    for step in steps:
+        step.check = (bound := bound + step.peak + sum(t.peak for _parent, t in step.closings)) >= _EXACT_CHECK
     return steps
 
 
@@ -248,10 +246,8 @@ def _extend(step: _Step, score: np.ndarray, cols, work: _Group) -> np.ndarray:
     ``score + app`` rounded once, written faster than a broadcast add.
     Table rows are gathered once for all K*B prefixes, into ``work.rows``.
 
-    Appearance cells and table values are finite, so a sum can fail only
-    by overflow: ``work.bound`` grows by the step's ``peak`` and each
-    closing table's, and the block is checked cell by cell once it reaches
-    ``_EXACT_CHECK``.  The searches silence numpy's warning.
+    Table values are finite, so a sum fails only by overflow, checked cell
+    by cell where ``step.check`` is set; the searches silence numpy's warning.
     """
     k, b = score.shape
     size = k * b * step.app.shape[1]
@@ -265,17 +261,14 @@ def _extend(step: _Step, score: np.ndarray, cols, work: _Group) -> np.ndarray:
     lhs = np.empty((k, b, 2))
     lhs[..., 0], lhs[..., 1] = score, 1.0
     np.matmul(lhs, step.lifted[work.objectives], out=total)
-    bound = work.bound + step.peak
     gathered = work.rows[:size].reshape(k * b, -1)
     for parent, table in step.closings:
         total += table.rows(cols[parent].ravel(), out=gathered).reshape(total.shape)
-        bound += table.peak
-    if bound >= _EXACT_CHECK and not np.isfinite(total).all():
+    if step.check and not np.isfinite(total).all():
         raise ValidationError(
             f"a partial parse score at part {step.bucket.part!r} is not finite: "
             "appearance and relation scores overflow"
         )
-    work.bound = bound
     return total
 
 
@@ -322,12 +315,7 @@ def _run_beam(steps: list[_Step], beam_width: int) -> list[tuple[float, list[int
 
     The K objectives run as the fewest groups whose step blocks fit
     ``_GROUP_CELLS`` cells (one objective alone always runs), each a
-    :class:`_Group`, by :func:`~posegrammar.parallel._run_groups`.  Every
-    input one group would refuse is still refused: each group reads the
-    displacement rows its survivors need, and the overflow bound holds per
-    group, as a step's ``peak`` covers all K and a table's at least the
-    rows the group has read.
-    """
+    :class:`_Group`, by :func:`~posegrammar.parallel._run_groups`."""
     k = len(steps[0].app)
     # B survivors per objective extend into B*N candidates, B=1 at the first step.
     size, b = 0, 1
@@ -340,8 +328,7 @@ def _run_beam(steps: list[_Step], beam_width: int) -> list[tuple[float, list[int
 
 
 def _run_group(steps: list[_Step], beam_width: int, work: _Group) -> list[tuple[float, list[int]]]:
-    """:func:`_run_beam` for the group ``work``, every step summed and cut
-    in its blocks, its bound starting at the first block's largest ``|app|``.
+    """:func:`_run_beam` for the group ``work``, every step summed and cut in its blocks.
 
     A survivor's back-pointers are its parent, as a flat index into the
     previous step's (K, B) survivors, and its proposal index.  A column
@@ -349,7 +336,6 @@ def _run_group(steps: list[_Step], beam_width: int, work: _Group) -> list[tuple[
     ``last`` read; each objective's best is decoded after the last step.
     """
     last = {parent: si for si, step in enumerate(steps) for parent, _table in step.closings}
-    work.bound = steps[0].peak
     score, cols, pointers = None, {}, []
     for si, step in enumerate(steps):
         # The first step's candidates all extend one empty prefix per objective.

@@ -397,6 +397,20 @@ class KinematicMoG:
             offsets = children[:, None, :, :] - parents[:, :, None, :]
             return self.log_densities(edges, offsets.reshape(len(edges), -1, 2)).reshape(offsets.shape[:3])
 
+    def displacement_bound(self, edge: Edge, parents: np.ndarray, children: np.ndarray) -> float:
+        """A bound on each ``|score|`` :meth:`displacement_scores` gives the (R, 2) ``parents``
+        and (C, 2) ``children`` under ``edge``: per live component, its quadratic term at their
+        extents, bounded in :func:`_quadratic`'s order so that rounding keeps it, its constant and
+        the live count; ``inf`` unless every quadratic term is below 2**900, proving all finite."""
+        centring, consts, halved = (c[self._row[tuple(edge)]] for c in self._constants[:3])
+        live = consts[:, 0] > -math.inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            extent = np.maximum(children.max(0) - parents.min(0), parents.max(0) - children.min(0))
+            (rx, ry), (ha, hb, hc) = (extent + np.abs(centring[live, :, 1])).T, np.abs(halved[live]).T
+            quad = ha * rx * rx + rx * (2.0 * hb) * ry + hc * ry * ry
+            bound = float((quad + np.abs(consts[live, 0])).max()) + np.count_nonzero(live)
+        return bound if quad.max() < 2.0**900 else math.inf
+
 
 def _padded(arrays: Sequence[np.ndarray]) -> np.ndarray:
     """The (n_e, 2) ``arrays`` stacked, each padded to the longest by

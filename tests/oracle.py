@@ -47,6 +47,9 @@ def brute_force_parse(
     beam covering the full lattice reproduces its result bit for bit.
     """
     steps = _prepare(grammar, models, pset, [assignment])
+    # Every sum is checked, whatever the tables' peaks.
+    for step in steps:
+        step.check = True
 
     total = 1
     for step in steps:
@@ -69,7 +72,6 @@ def brute_force_parse(
             return
         # The prefixes' proposal indices, one (1, B) column per step position.
         cols = np.array(idxs).T[:, None]
-        # A fresh group has no bound, so every sum is checked.
         work = _Group(slice(0, 1), len(scores) * len(steps[si].bucket.ids))
         sums = _extend(steps[si], np.array([scores]), cols, work)[0].tolist()
         ids = steps[si].bucket.ids

@@ -40,7 +40,6 @@ from posegrammar.inference import (
     BeamConfig,
     _cut,
     _extend,
-    _fill_whole,
     _Group,
     _prepare,
     _readout,
@@ -557,7 +556,6 @@ class TestExtendBits:
                 part = _Step(step.bucket, step.lifted, step.peak)
                 part.closings = step.closings[:j]
                 work = _Group(slice(0, k), prefixes * len(step.bucket.ids))
-                work.bound = float(np.abs(score).max())
                 work.sums.fill(np.nan)
                 work.rows.fill(np.nan)
                 got = _extend(part, score, cols, work)
@@ -1394,16 +1392,16 @@ class TestRelationTables:
         shared = _Table(*args)
         whole = table_rows(_Table(*args), np.arange(n))
         barrier = threading.Barrier(2, timeout=1.0)
-        displacements = _Table._displacements
+        scores = KinematicMoG.displacement_scores
 
-        def meeting(self, rows):
+        def meeting(self, edges, parents, children):
             try:
                 barrier.wait()
             except threading.BrokenBarrierError:
                 pass
-            return displacements(self, rows)
+            return scores(self, edges, parents, children)
 
-        monkeypatch.setattr(_Table, "_displacements", meeting)
+        monkeypatch.setattr(KinematicMoG, "displacement_scores", meeting)
         half = np.arange(n // 2)
         read = [None, None]
 
@@ -1529,18 +1527,11 @@ class TestNonFiniteRelations:
 
     @pytest.mark.parametrize("workers", [1, 2], indirect=True)
     def test_select_final(self, grammar, quick_models, group_budget, workers, monkeypatch):
+        """The set is refused when its tables are built, so no group runs."""
         sizes = _group_sizes(monkeypatch)
         with pytest.raises(ValidationError, match=self._MESSAGE):
             select_final(grammar, quick_models, self._far_heads())
-        if group_budget == "one-group":
-            assert sizes == [26]
-        elif workers == 1:
-            # The first group reads a head row and stops the search.
-            assert sizes == [1]
-        else:
-            # Each thread's first group reads a head row and fails, so no
-            # thread starts a second one.
-            assert sizes in ([1], [1, 1])
+        assert sizes == []
 
     def test_brute_force_parse(self, grammar, quick_models):
         with pytest.raises(ValidationError, match=self._MESSAGE):
@@ -1565,7 +1556,8 @@ class TestWholeFill:
     """A set whose stacked (edges, components, cells) block of displacement
     tables fits ``_GROUP_CELLS`` has every table filled whole when built,
     in one mixture call, before any search can read them; every search on
-    it gets the ids, the bits and the refusals of row-by-row fills."""
+    it gets the ids and the bits of the bounded path, which fills each row
+    as a search reads it."""
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -1576,42 +1568,45 @@ class TestWholeFill:
         budget=st.sampled_from([2**16, 13 * 10 * 16]),
         data=st.data(),
     )
-    def test_parses_equal_those_of_row_by_row_fills(self, grammar, trained_models, seed, sizes, width, workers, budget, data):
+    def test_parses_equal_those_of_the_bounded_path(self, grammar, trained_models, seed, sizes, width, workers, budget, data):
         """Buckets of 1 to 4 proposals, mixed within a set, so 1x1 tables
         share the block with larger ones; K=1 and the diagnostic's K=27;
         at the smaller budget, which every such block still fits, a wide
-        K=27 search runs in several groups, on one thread or two."""
+        K=27 search runs in several groups, on one thread or two.  A budget
+        of one cell, which no block fits, takes the bounded path."""
         sizes = dict(zip(grammar.part_ids, sizes))
         everything = [{attr: value} for attr, value in attribute_pairs(grammar)] + [{}]
         assignments = data.draw(st.sampled_from([everything, *([a] for a in everything)]))
         cfg = BeamConfig(beam_width=width)
 
-        def run(whole):
+        def run(budget):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(parallel, "_WORKERS", workers)
                 mp.setattr(inference, "_GROUP_CELLS", budget)
-                if not whole:
-                    mp.setattr(inference, "_fill_whole", lambda tables: None)
                 pset = _lattice(grammar, seed, sizes)
+                tables = _kinematic(_prepare(grammar, trained_models, pset, [{}]))
+                unfilled = [table.unfilled for table in tables]
                 got = _outcome(lambda: search(grammar, trained_models, pset, assignments, cfg))
-                filled = [table.filled.all() for table in _kinematic(_prepare(grammar, trained_models, pset, [{}]))]
-            return got, filled
+            return got, unfilled, tables
 
-        (whole, filled), (lazy, _) = run(True), run(False)
-        assert whole == lazy
-        assert all(filled)
+        (whole, unfilled_whole, _), (bounded, unfilled, tables) = run(budget), run(1)
+        assert whole == bounded
+        assert unfilled_whole == [0] * 13
+        assert unfilled == [len(table.parent.ids) for table in tables]
+        assert [table.peak for table in tables] == [_bound(trained_models, table) for table in tables]
 
     @pytest.mark.parametrize("seed", range(6))
     def test_each_cell_is_the_row_by_row_fill_to_the_bit(self, grammar, trained_models, seed):
         """Each cell of a whole-filled table equals its row computed alone,
-        as the lazy fill computes a row a survivor reads: a table whose
+        as the bounded path computes a row a survivor reads: a table whose
         child has one proposal gets a one-point row, whose ten components
         are summed in the order the stacked block sums them."""
         rng = np.random.default_rng(seed)
         pset = _lattice(grammar, seed, {part: int(rng.integers(1, 5)) for part in grammar.part_ids})
         for table in _kinematic(_prepare(grammar, trained_models, pset, [{}])):
             assert table.filled.all() and table.unfilled == 0
-            alone = np.concatenate([table._displacements(np.array([r])) for r in range(len(table.parent.ids))])
+            args = (table.source, table.edge, table.parent, table.child, pset.part_type_count)
+            alone = np.concatenate([table_rows(_Table(*args), [r]) for r in range(len(table.parent.ids))])
             assert [float.hex(v) for v in alone.ravel()] == [float.hex(v) for v in table.values.ravel()]
             assert table.peak == float(np.abs(table.values).max()) > 0.0
 
@@ -1634,60 +1629,138 @@ class TestWholeFill:
         assert len(calls) == 1
 
     @pytest.mark.parametrize("over", [0, 1], ids=["fits", "one-cell-over"])
-    def test_a_block_beyond_the_budget_is_filled_row_by_row(self, grammar, trained_models, over, monkeypatch):
+    def test_a_block_beyond_the_budget_is_bounded(self, grammar, trained_models, over, monkeypatch):
         """Thirteen edges of ten components over a 3x4 block of cells fill
-        whole at a budget of exactly that many cells, and not a cell below."""
+        whole at a budget of exactly that many cells; a cell below, each
+        table is left unfilled, its ``peak`` the bound."""
         sizes = {part: 3 for part in grammar.part_ids}
         sizes["head"] = 4
         monkeypatch.setattr(inference, "_GROUP_CELLS", 13 * 10 * 3 * 4 - over)
         tables = _kinematic(_prepare(grammar, trained_models, _lattice(grammar, 5, sizes), [{}]))
         assert len(tables) == 13
         assert [table.unfilled for table in tables] == [0 if not over else len(table.parent.ids) for table in tables]
-        assert all(table.peak == (0.0 if over else float(np.abs(table.values).max())) for table in tables)
+        expected = [_bound(trained_models, t) if over else float(np.abs(t.values).max()) for t in tables]
+        assert [table.peak for table in tables] == expected
+        assert all(0.0 < table.peak < 2.0**900 for table in tables)
 
     def test_the_benchmark_lattices_stay_row_by_row(self, grammar, trained_models):
         """17x50 (13 x 10 x 2,500 cells) is far past the budget, so those
-        sets keep filling only the rows a search reads."""
-        tables = _kinematic(_prepare(grammar, trained_models, _dense_lattice(grammar, 200, 50), [{}]))
+        sets keep filling only the rows a search reads; every table is
+        proved finite, and its bound sets no step's check."""
+        steps = _prepare(grammar, trained_models, _dense_lattice(grammar, 200, 50), [{}])
+        tables = _kinematic(steps)
         assert all(not table.filled.any() for table in tables)
+        assert all(table.peak == _bound(trained_models, table) < 1e10 for table in tables)
+        assert not any(step.check for step in steps)
+
+
+def _bound(models, table):
+    return models.kinematic.displacement_bound(table.edge, table.parent.xy, table.child.xy)
+
+
+def _moved(pset, pid, **coordinates):
+    """``pset`` rebuilt with the proposal ``pid`` moved to ``coordinates``."""
+    props = [dataclasses.replace(p, **coordinates) if p.id == pid else p for p in _listed(pset)]
+    return ProposalSet.from_proposals(props, pset.scores, part_type_count=pset.part_type_count)
+
+
+class TestRefusedForWhatItHolds:
+    """A set holding a displacement score that is not finite is refused when
+    its tables are built, naming the first such cell in plan, row and
+    column order, whatever the width, the objectives, their groups, the
+    threads or the fill path: no group runs and no table is kept."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        wide=st.booleans(),
+        far=st.sampled_from([1e150, -1e150, 1e160, -1e160, 1e200, -1e200]),
+        axis=st.sampled_from(["x", "y"]),
+        bounded=st.booleans(),
+        workers=st.sampled_from([1, 2]),
+        data=st.data(),
+    )
+    def test_a_set_refused_at_some_width_is_refused_at_every_width(
+        self, grammar, trained_models, seed, wide, far, axis, bounded, workers, data
+    ):
+        """One proposal of a part's bucket of 1 to 4 proposals, or of 23 to
+        40, two other parts having up to 3, at one extreme coordinate: a
+        search at width w refuses the set exactly when one at full width,
+        which reads every row, does, in the same words.  The part is often
+        the torso, the one dependency parent no dependency edge reaches, so
+        that only its own rows hold its scores and a narrow beam may drop
+        it unread.  K=1 or the diagnostic's K=27, on one thread or two; a
+        budget of one cell takes the bounded path."""
+        rng = np.random.default_rng(seed)
+        sizes = dict.fromkeys(grammar.part_ids, 1)
+        big = data.draw(st.one_of(st.just("torso"), st.sampled_from(grammar.part_ids)))
+        for part in rng.choice([p for p in grammar.part_ids if p != big], 2, replace=False).tolist():
+            sizes[part] = int(rng.integers(1, 4))
+        sizes[big] = int(rng.integers(23, 41) if wide else rng.integers(1, 5))
+        pset = _lattice(grammar, seed, sizes)
+        moved = f"{big}.{data.draw(st.integers(0, sizes[big] - 1))}"
+        everything = [{attr: value} for attr, value in attribute_pairs(grammar)] + [{}]
+        assignments = data.draw(st.sampled_from([everything, [{}], [everything[0]]]))
+        width = data.draw(st.integers(1, 100))
+
+        def refusal(width):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(parallel, "_WORKERS", workers)
+                if bounded:
+                    mp.setattr(inference, "_GROUP_CELLS", 1)
+                try:
+                    search(grammar, trained_models, _moved(pset, moved, **{axis: far}), assignments, BeamConfig(width))
+                except ValidationError as exc:
+                    return str(exc)
+                return None
+
+        assert refusal(width) == refusal(math.prod(sizes.values()))
 
     @pytest.mark.parametrize("width", [1, 100])
     @pytest.mark.parametrize("workers", [1, 2], indirect=True)
-    def test_a_non_finite_row_is_refused_as_row_by_row(self, grammar, trained_models, width, workers, group_budget):
+    def test_a_far_torso_is_refused_before_any_search(self, grammar, trained_models, width, workers, group_budget, monkeypatch):
         """With one torso proposal at x=1e200, each of the torso's five
-        dependency tables has one row that is not finite: the whole fill
-        leaves it unfilled, so the search refuses where, and in the words,
-        a row-by-row fill does, after the same groups; or, where the beam
-        drops that torso before reading its row, returns the same parses."""
-
-        def far_torso():
-            pset = _lattice(grammar, 8, dict.fromkeys(grammar.part_ids, 2))
-            props = [dataclasses.replace(p, x=1e200) if p.id == "torso.1" else p for p in _listed(pset)]
-            return ProposalSet.from_proposals(props, pset.scores, part_type_count=pset.part_type_count)
-
+        dependency tables has one row that is not finite: on either fill
+        path (the budget of one cell takes the bounded one) the set is
+        refused at its first cell, before any group runs, and no table of
+        it is kept."""
+        pset = _moved(_lattice(grammar, 8, dict.fromkeys(grammar.part_ids, 2)), "torso.1", x=1e200)
         assignments = [{attr: value} for attr, value in attribute_pairs(grammar)] + [{}]
+        sizes = _group_sizes(monkeypatch)
+        message = "edge torso->head: displacement score between proposals 'torso.1' and 'head.0' is -inf, not finite"
+        with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
+            search(grammar, trained_models, pset, assignments, BeamConfig(beam_width=width))
+        assert sizes == []
+        assert _TABLES[pset] == {}
 
-        def run(whole):
-            with pytest.MonkeyPatch.context() as mp:
-                if not whole:
-                    mp.setattr(inference, "_fill_whole", lambda tables: None)
-                sizes = _group_sizes(mp)
-                pset = far_torso()
-                got = _outcome(lambda: search(grammar, trained_models, pset, assignments, BeamConfig(beam_width=width)))
-                tables = _kinematic(_prepare(grammar, trained_models, pset, [{}]))
-                return got, sizes, {table.edge: (~table.filled).tolist() for table in tables}
+    @pytest.mark.parametrize("torso", [0, 31, 37, 47])
+    @pytest.mark.parametrize("width", [1, 100])
+    def test_lattice_200_with_a_far_torso(self, grammar, trained_models, torso, width):
+        """On the benchmark's 17x50 lattice 200, a torso proposal at
+        x=1e160 is refused at width 1 as at width 100; at x=1e150 every
+        score is finite and the set is accepted.  Before sets were refused
+        for what they hold, torso.0, .31 and .47 were accepted at width 1."""
+        pset = _dense_lattice(grammar, 200, 50)
+        cfg = BeamConfig(beam_width=width)
+        message = f"edge torso->head: displacement score between proposals 'torso.{torso}' and 'head.0' is -inf, not finite"
+        with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
+            parse_unconstrained(grammar, trained_models, _moved(pset, f"torso.{torso}", x=1e160), cfg)
+        parse_unconstrained(grammar, trained_models, _moved(pset, f"torso.{torso}", x=1e150), cfg)
 
-        whole, lazy = run(True), run(False)
-        assert whole[0] == lazy[0]
-        if isinstance(whole[0], str) and workers == 2 and group_budget != "one-group":
-            # Each thread's first group may read a torso row and fail.
-            assert whole[1] in ([1], [1, 1]) and lazy[1] in ([1], [1, 1])
-        else:
-            assert whole[1] == lazy[1]
-        if width == 100:
-            assert re.fullmatch(r"edge torso->head: displacement score between proposals 'torso\.1' and 'head\.\d' is -inf, not finite", whole[0])
-        if group_budget == "one-group":
-            assert whole[2] == {edge: [False, edge[0] == "torso"] for edge in grammar.dg_edges}
+    def test_a_table_the_bound_cannot_prove_finite_is_filled_whole(self, grammar, trained_models):
+        """At x=1e150 a torso's quadratic terms reach about 1e297: finite,
+        but past 2**900, so each table of a torso edge is filled whole when
+        built and its ``peak`` is its largest ``|value|``; every other
+        table of the 17x50 set is proved finite and filled as read."""
+        pset = _moved(_dense_lattice(grammar, 200, 50), "torso.0", x=1e150)
+        steps = _prepare(grammar, trained_models, pset, [{}])
+        for table in _kinematic(steps):
+            if table.edge[0] == "torso":
+                assert table.unfilled == 0 and table.filled.all()
+                assert table.peak == float(np.abs(table.values).max()) > 2.0**900
+            else:
+                assert table.unfilled == 50 and table.peak == _bound(trained_models, table) < 1e10
+        assert not any(step.check for step in steps)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -4,7 +4,6 @@ leaves behind."""
 from __future__ import annotations
 
 import ast
-import dataclasses
 import re
 import sys
 import threading
@@ -15,7 +14,7 @@ import pytest
 
 import posegrammar
 from posegrammar import inference, jsonio, learning, parallel
-from posegrammar.appearance import ProposalSet, synth_scores
+from posegrammar.appearance import ProposalSet, ScoreTable, synth_scores
 from posegrammar.errors import ValidationError
 from posegrammar.evaluation import DiagnosticConfig, run_diagnostic
 from posegrammar.learning import Annotation, JointObs
@@ -69,6 +68,50 @@ def test_only_parallel_starts_threads():
             ):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+def _scopes(node: ast.AST, prefix: str = ""):
+    """Every function and class under ``node``, by qualified name."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            yield prefix + child.name, child
+            yield from _scopes(child, prefix + child.name + ".")
+        else:
+            yield from _scopes(child, prefix)
+
+
+def _targets(node: ast.AST):
+    """The targets ``node`` assigns, tuples and lists unpacked."""
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+    while targets:
+        target = targets.pop()
+        if isinstance(target, (ast.Tuple, ast.List)):
+            targets.extend(target.elts)
+        else:
+            yield target
+
+
+def test_a_set_is_refused_where_its_tables_are_filled():
+    """A set is refused for the displacement scores it holds, when its
+    tables are built: ``_fill_whole`` alone raises that refusal, a table's
+    ``rows`` raises nothing, and only ``_prepare`` and ``_fill_whole``
+    write a table's ``peak`` (``_Step.__init__`` writes a step's own), so
+    nothing a search runs changes a bound after the plan is built."""
+    refusing, writing, rows = set(), set(), None
+    for path in sorted(Path(posegrammar.__file__).parent.glob("*.py")):
+        for name, scope in _scopes(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(scope, ast.FunctionDef):
+                continue
+            rows = scope if (path.name, name) == ("inference.py", "_Table.rows") else rows
+            for node in ast.walk(scope):
+                if isinstance(node, ast.Constant) and "displacement score between proposals" in str(node.value):
+                    refusing.add(f"{path.name}:{name}")
+                if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                    if any(isinstance(t, ast.Attribute) and t.attr == "peak" for t in _targets(node)):
+                        writing.add(f"{path.name}:{name}")
+    assert refusing == {"inference.py:_fill_whole"}
+    assert [node.lineno for node in ast.walk(rows) if isinstance(node, ast.Raise)] == []
+    assert writing == {"inference.py:_Step.__init__", "inference.py:_prepare", "inference.py:_fill_whole"}
 
 
 def _calls_outside_appearance(method: str) -> list[str]:
@@ -345,15 +388,19 @@ def test_every_private_default_is_relied_on():
     assert [f"{label}({param})" for _name, label, param, _ in defaults if (label, param) not in omitted] == []
 
 
-def _scene(far_heads: bool = False) -> ProposalSet:
-    """A two-person scene's proposals; with ``far_heads``, every head at
-    x=1e200, where the torso->head displacement score is -inf and every
-    search is refused."""
+def _scene(huge: bool = False) -> ProposalSet:
+    """A two-person scene's proposals; with ``huge``, every appearance score
+    of the first two parts at 1e308, so that every objective's partial sum
+    overflows at the second part and every group of a search is refused."""
     pset = synth_scores(two_person_scene(seed=21), noise_sigma=0.0, rng_seed=4)
+    if not huge:
+        return pset
     props = [p for part in pset.buckets for p in pset.proposals_for(part)]
-    if far_heads:
-        props = [dataclasses.replace(p, x=1e200) if p.part == "head" else p for p in props]
-    return ProposalSet.from_proposals(props, pset.scores, part_type_count=pset.part_type_count)
+    scores = {p.id: pset.scores.per_proposal(p.id) for p in props}
+    for p in props:
+        if p.part in ("full_body", "upper_body"):
+            scores[p.id] = {attr: dict.fromkeys(values, 1e308) for attr, values in scores[p.id].items()}
+    return ProposalSet.from_proposals(props, ScoreTable(scores), part_type_count=pset.part_type_count)
 
 
 def _started_threads(monkeypatch) -> list[threading.Thread]:
@@ -374,13 +421,13 @@ def _started_threads(monkeypatch) -> list[threading.Thread]:
 def test_a_search_joins_the_threads_it_starts(grammar, quick_models, monkeypatch, refused):
     """A search whose 26 groups run on four usable CPUs starts three
     threads and joins them before it returns or raises."""
-    pset = _scene(far_heads=refused)
+    pset = _scene(huge=refused)
     monkeypatch.setattr(inference, "_GROUP_CELLS", 1)
     monkeypatch.setattr(parallel, "_WORKERS", 4)
     started = _started_threads(monkeypatch)
     before = threading.active_count()
     if refused:
-        with pytest.raises(ValidationError, match="is -inf, not finite"):
+        with pytest.raises(ValidationError, match="^a partial parse score at part 'upper_body' is not finite: "):
             posegrammar.select_final(grammar, quick_models, pset)
     else:
         posegrammar.select_final(grammar, quick_models, pset)

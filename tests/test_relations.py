@@ -357,6 +357,81 @@ class TestLogDensityBits:
         assert got.tolist() == [-np.inf]
 
 
+def _positions(rng, n, scale):
+    """``n`` random (x, y) positions of magnitude about ``10**scale``, with
+    -0.0, 0.0 and subnormal coordinates among them."""
+    xy = rng.normal(0.0, 1.0, size=(n, 2)) * 10.0**scale
+    pick = rng.random((n, 2))
+    xy[pick < 0.1] = -0.0
+    xy[(pick >= 0.1) & (pick < 0.2)] = 0.0
+    subnormal = (pick >= 0.2) & (pick < 0.3)
+    xy[subnormal] = rng.choice([5e-324, -5e-324, 1e-310, -2.5e-320], int(subnormal.sum()))
+    return xy
+
+
+class TestDisplacementBound:
+    """``displacement_bound`` bounds every ``|score|`` of the offsets between
+    two sets of positions from their extents alone; where it is finite,
+    every score is finite."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(1, 4),
+        rows=st.integers(1, 4),
+        cols=st.integers(1, 4),
+        mean_scale=st.integers(-320, 200),
+        position_scale=st.integers(-320, 200),
+        dead=st.booleans(),
+    )
+    def test_a_finite_bound_holds_every_cell(self, seed, k, rows, cols, mean_scale, position_scale, dead):
+        rng = np.random.default_rng(seed)
+        weights = rng.dirichlet(np.ones(k))
+        if dead and k > 1:
+            weights[0] = 0.0
+            weights /= weights.sum()
+        means = rng.normal(0.0, 1.0, size=(k, 2)) * 10.0**mean_scale
+        mog = KinematicMoG({EDGE: Mixture(weights, means, _spd(rng, k, (1e-3, 1e2), 1e4))})
+        parents, children = _positions(rng, rows, position_scale), _positions(rng, cols, position_scale)
+        bound = mog.displacement_bound(EDGE, parents, children)
+        cells = mog.displacement_scores([EDGE], parents[None], children[None])[0]
+        if bound < math.inf:
+            assert np.isfinite(cells).all()
+            assert np.abs(cells).max() <= bound
+
+    @pytest.mark.parametrize(
+        "mean, cov, child",
+        [
+            ((0.0, 0.0), ((1.0, -0.9), (-0.9, 1.0)), (10.0, 10.0)),
+            ((0.0, 0.0), ((1.0, 0.9), (0.9, 1.0)), (-10.0, 10.0)),
+            ((1e3, -1e3), ((1.0, 0.0), (0.0, 1.0)), (1.0, 1.0)),
+            ((1e200, 0.0), ((1.0, 0.0), (0.0, 1.0)), (1.0, 1.0)),
+        ],
+        ids=["corner-anticorrelated", "corner-correlated", "far-mean", "mean-beyond-the-range"],
+    )
+    def test_the_bound_holds_where_the_extents_are_reached(self, mean, cov, child):
+        """From a parent at the origin, the one offset reaches both extents
+        plus the mean, and at the two corners the cross term adds to the
+        quadratic term; a mean of 1e200 puts the score beyond the float
+        range, so the bound is infinite."""
+        mog = KinematicMoG({EDGE: _single_gaussian(mean, cov)})
+        parents, children = np.zeros((1, 2)), np.array([child])
+        [[cell]] = mog.displacement_scores([EDGE], parents[None], children[None])[0]
+        bound = mog.displacement_bound(EDGE, parents, children)
+        assert abs(cell) <= bound
+        assert math.isfinite(cell) == math.isfinite(bound)
+
+    def test_a_bound_past_2_to_the_900_is_infinite(self):
+        """Quadratic terms of about 5e279, past 2**900 but inside the float
+        range, prove nothing: the bound is infinite, though every score is
+        finite, and the table is filled whole to find out."""
+        mog = KinematicMoG({EDGE: _single_gaussian()})
+        parents, children = np.zeros((1, 2)), np.array([[1e140, 0.0], [1e134, 0.0]])
+        assert np.isfinite(mog.displacement_scores([EDGE], parents[None], children[None])).all()
+        assert mog.displacement_bound(EDGE, parents, children) == math.inf
+        assert mog.displacement_bound(EDGE, parents, children[1:]) < 2.0**900
+
+
 def _spd(rng, count, lowest=(1e-2, 1e2), max_condition=1e4):
     """Random SPD 2x2 matrices: a random rotation of eigenvalues whose
     smaller one and condition number are log-uniform in the given ranges."""
