@@ -121,6 +121,10 @@ class ScoreTable:
             where = f" (part {part!r})" if part else ""
             raise MissingEntryError(f"no scores for proposal {exc.args[0]!r}{where}") from None
 
+    def row(self, pid: str) -> int:
+        """The row of ``pid``, refused as :meth:`rows` refuses it."""
+        return self._rows[pid] if pid in self._rows else int(self.rows([pid])[0])
+
     def column(self, attr: AttrId, value: str) -> int:
         """The column of ``attr=value``."""
         if (attr, value) in self._columns:
@@ -146,15 +150,17 @@ class ScoreTable:
         groups = [[self.column(a.id, v) for v in a.domain] for a in attributes]
         columns = [[self.column(a, v) for a, v in assignment.items()] for assignment in assignments]
         out = np.empty((len(columns), len(rows)))
-        single = [k for k, cols in enumerate(columns) if len(cols) == 1]
-        if single:
-            out[single] = self.values[rows][:, [columns[k][0] for k in single]].T
+        if single := [k for k, cols in enumerate(columns) if len(cols) == 1]:
+            out[single] = self.values.take(rows, axis=0).take([columns[k][0] for k in single], axis=1).T
         for k, cols in enumerate(columns):
             if len(cols) > 1:
                 out[k] = reduce(np.add, [self.values[rows, c] for c in cols])
-            elif not cols:
-                grid = self.values[rows]
-                out[k] = reduce(np.add, [grid[:, g].max(axis=1) for g in groups], np.zeros(len(grid)))
+        if free := [k for k, cols in enumerate(columns) if not cols]:
+            # 0.0, then each attribute's best, by one reduceat, summed in order by one cumsum.
+            block = np.zeros((len(rows), 1 + sum(map(len, groups))))
+            block[:, 1:] = self.values[rows[:, None], sum(groups, [])]
+            best = np.maximum.reduceat(block, np.cumsum([0, 1] + [len(g) for g in groups])[:-1], axis=1)
+            out[free] = np.cumsum(best, axis=1)[:, -1]
         return out
 
     def per_proposal(self, pid: str) -> dict[AttrId, dict[str, float]]:
@@ -493,7 +499,7 @@ def synth_scores(
     for the first person, one noise draw per (attribute, value) pair at
     once; for a later person, per attribute, its coherence draw, its
     apparent value when that draw fails, and one noise draw per value at
-    once.  Each row of the grid is written as it is drawn.
+    once.  A person's rows are written together once drawn.
     """
     noise_sigma = _sigma("noise_sigma", noise_sigma)
     part_type_count = argument("part_type_count", part_type_count, count)
@@ -516,28 +522,31 @@ def synth_scores(
         truth = [s + a.domain.index(person.attributes[a.id]) for s, a in zip(starts, attr_defs)]
         keypoints = part_keypoints(person.joints)
         bonus = SYNTH_TARGET_BONUS if pi == 0 else 0.0
-        first = len(proposals)
+        first, noise, shown = len(proposals), [], []
         for part in PART_ORDER:
             part_type = int(rng.integers(1, part_type_count + 1))
             proposals.append((f"p{pi}.{part}", part, keypoints[part], part_type, part_box(part, keypoints)))
             if pi == 0:
-                apparent, noise = truth, rng.normal(0.0, noise_sigma, size=len(pairs))
+                apparent = truth
+                noise.append(rng.normal(0.0, noise_sigma, size=len(pairs)))
             else:
-                apparent, noise = list(truth), np.empty(len(pairs))
+                apparent = list(truth)
                 for ai, attr in enumerate(attr_defs):
                     if rng.random() >= DISTRACTOR_COHERENCE:
                         apparent[ai] = starts[ai] + int(rng.integers(0, len(attr.domain)))
-                    noise[starts[ai] : starts[ai + 1]] = rng.normal(0.0, noise_sigma, size=len(attr.domain))
-            base = np.full(len(pairs), bonus + -SYNTH_MARGIN)
-            base[apparent] = bonus + 0.0
-            np.add(base, noise, out=grid[len(proposals) - 1])
-        bad = np.argwhere(~np.isfinite(grid[first : len(proposals)]))
+                    noise.append(rng.normal(0.0, noise_sigma, size=len(attr.domain)))
+            shown.append(apparent)
+        rows = grid[first : len(proposals)]
+        rows.fill(bonus + -SYNTH_MARGIN)
+        rows[np.arange(len(PART_ORDER))[:, None], np.array(shown, dtype=np.intp)] = bonus + 0.0
+        rows += np.concatenate(noise).reshape(rows.shape) if noise else 0.0  # a later person may have no attributes
+        bad = np.argwhere(~np.isfinite(rows))
         if bad.size:
             r, c = bad[0]
             attr, value = pairs[c]
             raise ValidationError(
                 f"noise_sigma {noise_sigma} gives person {pi}'s part {PART_ORDER[r]!r} "
-                f"a score of {grid.item(first + r, c)} for {attr}={value}, not a finite number"
+                f"a score of {rows.item(r, c)} for {attr}={value}, not a finite number"
             )
     columns = {pair: c for c, pair in enumerate(pairs)}
     scores = ScoreTable._from_grid([pid for pid, *_rest in proposals], columns, grid)

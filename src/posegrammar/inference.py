@@ -24,7 +24,7 @@ from .appearance import Bucket, ProposalSet
 from .errors import InfeasibleParseError, MissingEntryError, ValidationError
 from .grammar import AOGrammar, AttrId, NodeId, ParseGraph, PartState, _trusted, parents_first
 from .jsonio import argument, check_fields, count, instance, nullable, number, record
-from .relations import AttributeAssociation, Edge, RelationModels, SyntacticTable, _padded
+from .relations import AttributeAssociation, Edge, KinematicMoG, RelationModels, SyntacticTable, _padded
 
 
 @dataclass(frozen=True, slots=True)
@@ -55,42 +55,26 @@ def default_expansion_order(grammar: AOGrammar) -> tuple[NodeId, ...]:
 class _Table:
     """Relation scores of one edge, read as one row per proposal of its
     parent and one column per proposal of its child.  A co-occurrence
-    table scores part types only, so it holds one row per part type,
-    gathered whole when built.  A displacement table holds one row per
-    parent proposal, filled whole when built or, once proved finite, each
-    row the first time a search reads it, under the table's ``lock``, so
-    that searches on several threads share it.  ``peak``, set when built,
-    bounds every ``|value|``.  ``type_count``, the buckets' set's
-    part_type_count, bounds their types."""
+    table scores part types only, so it holds one row per part type; a
+    displacement table one row per parent proposal.  A displacement table
+    proved finite may be built without ``values``: it fills each row the
+    first time a search reads it, under its ``lock``, so that searches on
+    several threads share it.  ``peak`` bounds every ``|value|``."""
 
-    __slots__ = ("source", "edge", "parent", "child", "values", "filled", "unfilled", "peak", "lock")
+    __slots__ = ("source", "edge", "parent", "child", "peak", "values", "unfilled", "filled", "lock")
 
-    def __init__(self, source, edge: Edge, parent: Bucket, child: Bucket, type_count: int):
-        self.source, self.edge, self.parent, self.child = source, edge, parent, child
-        # Looked up now, so that a missing model entry fails before any search.
-        if isinstance(source, SyntacticTable):
-            log = source.log_matrix(edge)
-            if type_count > source.part_type_count:
-                for bucket in (parent, child):
-                    beyond = np.flatnonzero(bucket.types > source.part_type_count)
-                    if beyond.size:
-                        j = beyond[0]
-                        raise ValidationError(
-                            f"edge {edge[0]}->{edge[1]}: proposal {bucket.ids[j]!r} has part_type "
-                            f"{bucket.types[j]}, beyond the models' part_type_count {source.part_type_count}"
-                        )
-            self.values, self.filled = log.take(child.types - 1, axis=1), None
-        else:
-            source.mixture(edge)
-            self.values = np.empty((len(parent.ids), len(child.ids)))
-            self.filled, self.unfilled = np.zeros(len(parent.ids), dtype=bool), len(parent.ids)
-            self.lock = threading.Lock()
+    def __init__(self, source, edge: Edge, parent: Bucket, child: Bucket, peak: float, values: np.ndarray | None = None):
+        self.source, self.edge, self.parent, self.child, self.peak = source, edge, parent, child, peak
+        self.values, self.unfilled = values, 0
+        if values is None:
+            self.values, self.unfilled = np.empty((len(parent.ids), len(child.ids))), len(parent.ids)
+            self.filled, self.lock = np.zeros(len(parent.ids), dtype=bool), threading.Lock()
 
     def rows(self, idx: np.ndarray, out: np.ndarray) -> np.ndarray:
         """The rows of the parent's proposals ``idx``, shape (len(idx), N),
         written into ``out``."""
         # Every index is in range, and "clip" writes ``out`` unbuffered.
-        if self.filled is None:
+        if isinstance(self.source, SyntacticTable):
             return self.values.take(self.parent.types.take(idx) - 1, axis=0, out=out, mode="clip")
         if self.unfilled and not self.filled.take(idx).all():
             with self.lock:
@@ -106,23 +90,59 @@ class _Table:
         return self.values.take(idx, axis=0, out=out, mode="clip")
 
 
-def _fill_whole(tables: list[_Table]) -> None:
-    """Every cell of the new displacement ``tables`` in one stacked mixture
-    call, before any search reads them, so without their locks, and each
-    one's ``peak``; the first cell that is not finite, in table, row and
-    column order (a padded cell repeats an earlier one), refuses the set."""
-    shapes = [(len(t.parent.ids), len(t.child.ids)) for t in tables]
-    parents, children = _padded([t.parent.xy for t in tables]), _padded([t.child.xy for t in tables])
-    values = tables[0].source.displacement_scores([t.edge for t in tables], parents, children)
+def _cooccurrences(source: SyntacticTable, edges: list[Edge], pset: ProposalSet) -> list[_Table]:
+    """The co-occurrence tables of ``edges`` (at least one) on ``pset``, and
+    their peaks, in one gather from ``source``'s stacked logs, each child's
+    types padded by repeating its last, once each edge is found and, edge
+    by edge, no proposal's part type is beyond its count."""
+    parents, children = [pset.buckets[e[0]] for e in edges], [pset.buckets[e[1]] for e in edges]
+    rows = []
+    for edge, parent, child in zip(edges, parents, children):
+        rows.append(source.row(edge))
+        for bucket in (parent, child) if pset.part_type_count > source.part_type_count else ():
+            beyond = np.flatnonzero(bucket.types > source.part_type_count)
+            if beyond.size:
+                j = beyond[0]
+                raise ValidationError(
+                    f"edge {edge[0]}->{edge[1]}: proposal {bucket.ids[j]!r} has part_type "
+                    f"{bucket.types[j]}, beyond the models' part_type_count {source.part_type_count}"
+                )
+    types = _padded([c.types for c in children])[:, None] - 1
+    block = source.logs[np.array(rows)[:, None, None], np.arange(source.part_type_count)[:, None], types]
+    tables = zip(edges, parents, children, np.abs(block).max(axis=(1, 2)).tolist(), block)
+    return [_Table(source, e, p, c, peak, values[:, : len(c.ids)]) for e, p, c, peak, values in tables]
+
+
+def _displacements(source: KinematicMoG, edges: list[Edge], pset: ProposalSet) -> list[_Table]:
+    """The displacement tables of ``edges`` (at least one) on ``pset``, once
+    each mixture is found: filled whole together if their block fits
+    ``_GROUP_CELLS``, else each proved finite fills as read, its bound its
+    peak, and each other one is filled whole alone."""
+    for edge in edges:
+        source.mixture(edge)
+    parents, children = [pset.buckets[e[0]] for e in edges], [pset.buckets[e[1]] for e in edges]
+    shape = max(len(p.ids) for p in parents), max(len(c.ids) for c in children)
+    if len(edges) * source.components * math.prod(shape) <= _GROUP_CELLS:
+        return _fill_whole(source, edges, parents, children)
+    bounds = source.displacement_bounds(edges, _padded([p.xy for p in parents]), _padded([c.xy for c in children]))
+    tables = zip(edges, parents, children, bounds)
+    return [_Table(source, e, p, c, b) if b < math.inf else _fill_whole(source, [e], [p], [c])[0] for e, p, c, b in tables]
+
+
+def _fill_whole(source: KinematicMoG, edges: list[Edge], parents: list[Bucket], children: list[Bucket]) -> list[_Table]:
+    """The displacement tables of ``edges`` from the buckets ``parents`` to
+    ``children``, and their peaks, every cell in one stacked mixture call;
+    the first cell that is not finite, in table, row and column order (a
+    padded cell repeats an earlier one), refuses the set."""
+    values = source.displacement_scores(edges, _padded([p.xy for p in parents]), _padded([c.xy for c in children]))
     if not np.isfinite(values).all():
         e, r, c = np.argwhere(~np.isfinite(values))[0]
-        t = tables[e]
         raise ValidationError(
-            f"edge {t.edge[0]}->{t.edge[1]}: displacement score between proposals "
-            f"{t.parent.ids[r]!r} and {t.child.ids[c]!r} is {float(values[e, r, c])!r}, not finite"
+            f"edge {edges[e][0]}->{edges[e][1]}: displacement score between proposals "
+            f"{parents[e].ids[r]!r} and {children[e].ids[c]!r} is {float(values[e, r, c])!r}, not finite"
         )
-    for table, block, peak, (n, m) in zip(tables, values, np.abs(values).max(axis=(1, 2)).tolist(), shapes):
-        table.values, table.peak, table.unfilled, table.filled[:] = block[:n, :m], peak, 0, True
+    tables = zip(edges, parents, children, np.abs(values).max(axis=(1, 2)).tolist(), values)
+    return [_Table(source, e, p, c, peak, block[: len(p.ids), : len(c.ids)]) for e, p, c, peak, block in tables]
 
 
 # The relation tables of each proposal set, by relation model and edge: the
@@ -152,9 +172,9 @@ def _steps(buckets: list[Bucket], app: np.ndarray) -> list[_Step]:
     in order."""
     lifted = np.ones((app.shape[0], 2, app.shape[1]))
     lifted[:, 1] = app
-    starts = np.cumsum([0] + [len(b.ids) for b in buckets[:-1]])
-    peaks = np.maximum.reduceat(np.abs(app).max(axis=0), starts).tolist()
-    return [_Step(*args) for args in zip(buckets, np.split(lifted, starts[1:], axis=2), peaks)]
+    ends = np.cumsum([len(b.ids) for b in buckets]).tolist()
+    peaks = np.maximum.reduceat(np.abs(app).max(axis=0), [0] + ends[:-1]).tolist()
+    return [_Step(b, lifted[:, :, s:e], peak) for b, s, e, peak in zip(buckets, [0] + ends, ends, peaks)]
 
 
 # A block whose bound on |score| stays below this holds only finite sums.
@@ -187,10 +207,9 @@ def _prepare(grammar, models, pset, assignments) -> list[_Step]:
     """Per step of the default expansion order, the bucket, its appearance
     block (one row per attribute assignment), the tables of the edges it
     closes, and ``check``, set once the peaks so far reach ``_EXACT_CHECK``.
-    New displacement tables are filled whole together where their block
-    fits ``_GROUP_CELLS``; else each one ``displacement_bound`` cannot
-    prove finite is filled whole alone.  A set holding a score that is not
-    finite is so refused before any search, and keeps no table."""
+    The set's new tables are built by :func:`_cooccurrences` and
+    :func:`_displacements`.  A set holding a score that is not finite is so
+    refused before any search, and keeps no table."""
     order = default_expansion_order(grammar)
     for assignment in assignments:
         check_assignment(grammar, assignment)
@@ -203,26 +222,14 @@ def _prepare(grammar, models, pset, assignments) -> list[_Step]:
         steps = _steps(buckets, pset.scores.appearance(rows, grammar.attributes, assignments))
     position = {p: i for i, p in enumerate(order)}
     closing = [(models.syntactic, e) for e in grammar.psg_edges] + [(models.kinematic, e) for e in grammar.dg_edges]
-    made = {
-        (source, edge): _Table(source, edge, pset.buckets[edge[0]], pset.buckets[edge[1]], pset.part_type_count)
-        for source, edge in closing
-        if (source, edge) not in tables
-    }
-    kinematic = [table for table in made.values() if table.filled is not None]
-    shapes = [(len(t.parent.ids), len(t.child.ids)) for t in kinematic]
-    if kinematic and len(shapes) * models.kinematic.components * math.prod(map(max, zip(*shapes))) <= _GROUP_CELLS:
-        _fill_whole(kinematic)
-    for table in made.values():
-        if table.filled is None:
-            table.peak = float(np.abs(table.values).max())
-        elif table.unfilled:
-            table.peak = table.source.displacement_bound(table.edge, table.parent.xy, table.child.xy)
-            if table.peak == math.inf:
-                _fill_whole([table])
-    for key, table in made.items():
+    psg = [e for e in grammar.psg_edges if (models.syntactic, e) not in tables]
+    dg = [e for e in grammar.dg_edges if (models.kinematic, e) not in tables]
+    made = _cooccurrences(models.syntactic, psg, pset) if psg else []
+    made += _displacements(models.kinematic, dg, pset) if dg else []
+    for table in made:
         # A search on another thread may build the same table: the first
         # one stored is the one every search reads.
-        tables.setdefault(key, table)
+        tables.setdefault((table.source, table.edge), table)
     for source, edge in closing:
         steps[position[edge[1]]].closings.append((position[edge[0]], tables[source, edge]))
     bound = 0.0
@@ -446,16 +453,18 @@ def _readout(
     pg: ParseGraph, pset: ProposalSet, carried: Mapping[NodeId, frozenset[AttrId]], attr: AttrId, value: str
 ) -> float:
     """Score of ``attr=value`` summed over the parse's parts that carry
-    ``attr`` by ``carried``, in state order from ``0.0``.  A sum beyond the
-    float range is refused naming the pair and the proposals summed."""
+    ``attr`` by ``carried``, in state order from ``0.0``, each cell read as
+    one float.  A sum beyond the float range is refused naming the pair and
+    the proposals summed."""
     scores = pset.scores
-    refs = [st.proposal_ref for part, st in pg.states.items() if attr in carried[part]]
     # Added one by one, not by np.sum: its pairwise order changes the
     # last bits of the byte-compared readout.
-    total = 0.0
-    for score in scores.values[scores.rows(refs), scores.column(attr, value)].tolist():
-        total += score
+    cell, row, column, total = scores.values.item, scores.row, scores.column(attr, value), 0.0
+    for part, st in pg.states.items():
+        if attr in carried[part]:
+            total += cell(row(st.proposal_ref), column)
     if not math.isfinite(total):
+        refs = [st.proposal_ref for part, st in pg.states.items() if attr in carried[part]]
         raise ValidationError(
             f"attribute score {attr}={value} summed over proposals {refs} is {total}, not a finite number"
         )

@@ -82,18 +82,20 @@ class SyntacticTable:
                     f"syntactic table for {edge}: entries sum to {arr.sum()!r}, not 1"
                 )
             self.tables[tuple(edge)] = arr
-        self._log = {edge: np.log(arr) for edge, arr in self.tables.items()}
+        self._row = {edge: i for i, edge in enumerate(self.tables)}
+        self.logs = np.array([np.log(arr) for arr in self.tables.values()]).reshape(-1, t, t)
 
-    def log_matrix(self, edge: Edge) -> np.ndarray:
+    def row(self, edge: Edge) -> int:
+        """The index of ``edge``'s table in ``logs``, the (edges, T, T) stack of their logs."""
         try:
-            return self._log[tuple(edge)]
+            return self._row[tuple(edge)]
         except KeyError:
             raise MissingEntryError(f"no syntactic table for edge {tuple(edge)}") from None
 
     def score(self, edge: Edge, t_parent: int, t_child: int) -> float:
         """The log entry of ``edge``'s table for two part types; a value
         :func:`_is_part_type` refuses, such as ``2.0`` or ``True``, is refused."""
-        mat = self.log_matrix(edge)
+        mat = self.logs[self.row(edge)]
         t = self.part_type_count
         if not (_is_part_type(t_parent, t) and _is_part_type(t_child, t)):
             raise ValidationError(f"part types must lie in 1..{t}, got ({t_parent}, {t_child})")
@@ -397,27 +399,31 @@ class KinematicMoG:
             offsets = children[:, None, :, :] - parents[:, :, None, :]
             return self.log_densities(edges, offsets.reshape(len(edges), -1, 2)).reshape(offsets.shape[:3])
 
-    def displacement_bound(self, edge: Edge, parents: np.ndarray, children: np.ndarray) -> float:
-        """A bound on each ``|score|`` :meth:`displacement_scores` gives the (R, 2) ``parents``
-        and (C, 2) ``children`` under ``edge``: per live component, its quadratic term at their
-        extents, bounded in :func:`_quadratic`'s order so that rounding keeps it, its constant and
-        the live count; ``inf`` unless every quadratic term is below 2**900, proving all finite."""
-        centring, consts, halved = (c[self._row[tuple(edge)]] for c in self._constants[:3])
-        live = consts[:, 0] > -math.inf
+    def displacement_bounds(self, edges: Sequence[Edge], parents: np.ndarray, children: np.ndarray) -> list[float]:
+        """Per edge ``e``, a bound on each ``|score|`` :meth:`displacement_scores` gives the
+        (E, R, 2) ``parents`` and (E, C, 2) ``children``, padded or not, the bits it gets alone:
+        per live component of its mixture, its quadratic term at their extents, bounded in
+        :func:`_quadratic`'s order so that rounding keeps it, its constant and the live count;
+        ``inf`` unless every quadratic term is below 2**900, proving all finite."""
+        rows = [self._row[tuple(edge)] for edge in edges]
+        centring, consts, halved = (c.take(rows, axis=0) for c in self._constants[:3])
+        live = consts[..., 0].T > -math.inf
         with np.errstate(over="ignore", invalid="ignore"):
-            extent = np.maximum(children.max(0) - parents.min(0), parents.max(0) - children.min(0))
-            (rx, ry), (ha, hb, hc) = (extent + np.abs(centring[live, :, 1])).T, np.abs(halved[live]).T
+            # Each coordinate's points made contiguous: a reduction over a middle axis is slow.
+            parents, children = (np.ascontiguousarray(xy.transpose(0, 2, 1)) for xy in (parents, children))
+            extent = np.maximum(children.max(2) - parents.min(2), parents.max(2) - children.min(2))
+            (rx, ry), (ha, hb, hc) = (extent[:, None] + np.abs(centring[..., 1])).T, np.abs(halved).T
             quad = ha * rx * rx + rx * (2.0 * hb) * ry + hc * ry * ry
-            bound = float((quad + np.abs(consts[live, 0])).max()) + np.count_nonzero(live)
-        return bound if quad.max() < 2.0**900 else math.inf
+            bound = np.where(live, quad + np.abs(consts[..., 0].T), -math.inf).max(axis=0) + np.count_nonzero(live, axis=0)
+            finite = np.where(live, quad, -math.inf).max(axis=0) < 2.0**900
+        return np.where(finite, bound, math.inf).tolist()
 
 
 def _padded(arrays: Sequence[np.ndarray]) -> np.ndarray:
-    """The (n_e, 2) ``arrays`` stacked, each padded to the longest by
-    repeating its last row: shape (E, n, 2)."""
-    lengths = np.array([len(a) for a in arrays])
-    at = np.cumsum(lengths) - lengths
-    return np.concatenate(arrays)[at[:, None] + np.minimum(np.arange(lengths.max()), lengths[:, None] - 1)]
+    """The (n_e, ...) ``arrays`` stacked, each padded to the longest by
+    repeating its last row: shape (E, n, ...)."""
+    n = max(len(a) for a in arrays)
+    return np.array([np.concatenate([a, a[-1:].repeat(n - len(a), axis=0)]) if len(a) < n else a for a in arrays])
 
 
 class AttributeAssociation:

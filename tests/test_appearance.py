@@ -463,6 +463,24 @@ class TestSynthScores:
         with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
             synth_scores(two_person_scene(seed=4), noise_sigma=1e308, rng_seed=0)
 
+    def test_a_person_is_drawn_and_checked_before_the_next_is_checked(self):
+        """Each person's attributes are checked, then drawn, then its rows
+        checked, before the next person's attributes: a second person
+        lacking an attribute is refused only once the first person's rows
+        are finite."""
+        scene = two_person_scene(seed=4)
+        first, second = scene.persons
+        lacking = Person(second.joints, {a: v for a, v in second.attributes.items() if a != "gender"})
+        scene = SyntheticScene((first, lacking), scene.image_size)
+        message = (
+            "noise_sigma 1e+308 gives person 0's part 'full_body' a score of -inf "
+            "for upper_cloth_type=no_cloth, not a finite number"
+        )
+        with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
+            synth_scores(scene, noise_sigma=1e308, rng_seed=0)
+        with pytest.raises(ValidationError, match="^person 1 has no value for attribute 'gender'$"):
+            synth_scores(scene, noise_sigma=0.9, rng_seed=0)
+
     def test_negative_sigma_rejected(self):
         scene = single_person_scene(seed=3)
         with pytest.raises(ValidationError, match="noise_sigma"):

@@ -415,9 +415,9 @@ class TestLearn:
         assert self._learn(pipeline, tmp_path, "--proposals", str(groups)) == 0
         syntactic = load_models(str(tmp_path / "m.json")).syntactic
         grammar = build_default_human_grammar()
-        assert all(np.ptp(syntactic.log_matrix(edge)) > 0.0 for edge in grammar.psg_edges)
+        assert all(np.ptp(syntactic.logs[syntactic.row(edge)]) > 0.0 for edge in grammar.psg_edges)
         uniform = load_models(pipeline["models"]).syntactic
-        assert all(np.ptp(uniform.log_matrix(edge)) == 0.0 for edge in grammar.psg_edges)
+        assert all(np.ptp(uniform.logs[uniform.row(edge)]) == 0.0 for edge in grammar.psg_edges)
 
     def test_synth_proposals_fit_every_decomposition_edge(self, pipeline, tmp_path, capsys):
         """The proposals ``synth_scores`` gives each synthesised scene, one
@@ -438,7 +438,7 @@ class TestLearn:
         syntactic = load_models(str(tmp_path / "m.json")).syntactic
         edges = build_default_human_grammar().psg_edges
         assert len(edges) == 16
-        assert all(np.ptp(syntactic.log_matrix(edge)) > 0.0 for edge in edges)
+        assert all(np.ptp(syntactic.logs[syntactic.row(edge)]) > 0.0 for edge in edges)
 
     def test_a_proposal_for_a_part_without_a_box_exits_one_naming_it(self, pipeline, tmp_path, capsys):
         lines = self._groups(pipeline)

@@ -1320,9 +1320,10 @@ class TestRelationTables:
         assert len(tables) == 3
         for table in tables:
             n = len(table.parent.ids)
-            full = _Table(table.source, table.edge, table.parent, table.child, pset.part_type_count)
-            whole = table_rows(full, np.arange(n))
-            lazy = _Table(table.source, table.edge, table.parent, table.child, pset.part_type_count)
+            # A co-occurrence table is only ever built whole.
+            cooccurrence = isinstance(table.source, SyntacticTable)
+            whole = table_rows(table if cooccurrence else _unfilled(table), np.arange(n))
+            lazy = table if cooccurrence else _unfilled(table)
             for _ in range(3):
                 idx = rng.integers(0, n, size=int(rng.integers(1, n + 1)))
                 np.testing.assert_array_equal(table_rows(lazy, idx), whole[idx])
@@ -1388,9 +1389,8 @@ class TestRelationTables:
         n = len(table.parent.ids)
         # Built before the reference is filled, so that no unfilled row of
         # it is memory that held the reference's values.
-        args = (table.source, table.edge, table.parent, table.child, pset.part_type_count)
-        shared = _Table(*args)
-        whole = table_rows(_Table(*args), np.arange(n))
+        shared = _unfilled(table)
+        whole = table_rows(_unfilled(table), np.arange(n))
         barrier = threading.Barrier(2, timeout=1.0)
         scores = KinematicMoG.displacement_scores
 
@@ -1540,7 +1540,13 @@ class TestNonFiniteRelations:
 
 def _kinematic(steps):
     """The displacement tables ``steps`` close, in plan order."""
-    return [table for step in steps for _parent, table in step.closings if table.filled is not None]
+    return [table for step in steps for _parent, table in step.closings if not isinstance(table.source, SyntacticTable)]
+
+
+def _unfilled(table):
+    """The displacement ``table`` built anew with no values, each row
+    filled the first time it is read."""
+    return _Table(table.source, table.edge, table.parent, table.child, table.peak)
 
 
 def _outcome(run):
@@ -1604,9 +1610,9 @@ class TestWholeFill:
         rng = np.random.default_rng(seed)
         pset = _lattice(grammar, seed, {part: int(rng.integers(1, 5)) for part in grammar.part_ids})
         for table in _kinematic(_prepare(grammar, trained_models, pset, [{}])):
-            assert table.filled.all() and table.unfilled == 0
-            args = (table.source, table.edge, table.parent, table.child, pset.part_type_count)
-            alone = np.concatenate([table_rows(_Table(*args), [r]) for r in range(len(table.parent.ids))])
+            # Built whole: no row is left to fill, so no fill mask or lock is made.
+            assert table.unfilled == 0 and not hasattr(table, "filled") and not hasattr(table, "lock")
+            alone = np.concatenate([table_rows(_unfilled(table), [r]) for r in range(len(table.parent.ids))])
             assert [float.hex(v) for v in alone.ravel()] == [float.hex(v) for v in table.values.ravel()]
             assert table.peak == float(np.abs(table.values).max()) > 0.0
 
@@ -1655,7 +1661,8 @@ class TestWholeFill:
 
 
 def _bound(models, table):
-    return models.kinematic.displacement_bound(table.edge, table.parent.xy, table.child.xy)
+    [bound] = models.kinematic.displacement_bounds([table.edge], table.parent.xy[None], table.child.xy[None])
+    return bound
 
 
 def _moved(pset, pid, **coordinates):
@@ -1756,7 +1763,7 @@ class TestRefusedForWhatItHolds:
         steps = _prepare(grammar, trained_models, pset, [{}])
         for table in _kinematic(steps):
             if table.edge[0] == "torso":
-                assert table.unfilled == 0 and table.filled.all()
+                assert table.unfilled == 0 and not hasattr(table, "filled")
                 assert table.peak == float(np.abs(table.values).max()) > 2.0**900
             else:
                 assert table.unfilled == 50 and table.peak == _bound(trained_models, table) < 1e10

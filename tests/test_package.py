@@ -94,9 +94,9 @@ def _targets(node: ast.AST):
 def test_a_set_is_refused_where_its_tables_are_filled():
     """A set is refused for the displacement scores it holds, when its
     tables are built: ``_fill_whole`` alone raises that refusal, a table's
-    ``rows`` raises nothing, and only ``_prepare`` and ``_fill_whole``
-    write a table's ``peak`` (``_Step.__init__`` writes a step's own), so
-    nothing a search runs changes a bound after the plan is built."""
+    ``rows`` raises nothing, and only ``_Table.__init__`` writes a table's
+    ``peak`` (``_Step.__init__`` writes a step's own), so nothing a search
+    runs changes a bound after the plan is built."""
     refusing, writing, rows = set(), set(), None
     for path in sorted(Path(posegrammar.__file__).parent.glob("*.py")):
         for name, scope in _scopes(ast.parse(path.read_text(encoding="utf-8"))):
@@ -111,7 +111,7 @@ def test_a_set_is_refused_where_its_tables_are_filled():
                         writing.add(f"{path.name}:{name}")
     assert refusing == {"inference.py:_fill_whole"}
     assert [node.lineno for node in ast.walk(rows) if isinstance(node, ast.Raise)] == []
-    assert writing == {"inference.py:_Step.__init__", "inference.py:_prepare", "inference.py:_fill_whole"}
+    assert writing == {"inference.py:_Step.__init__", "inference.py:_Table.__init__"}
 
 
 def _calls_outside_appearance(method: str) -> list[str]:

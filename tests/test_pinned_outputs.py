@@ -1,7 +1,7 @@
 """Outputs pinned to the bit: seeded appearance scores, a seeded training
-corpus, the default grammar file and a models file.  A change that moves a random draw, the order of
-a sum or a serialized digit fails here, even where every other test only
-checks properties."""
+corpus, the default grammar file, a models file and a diagnostic report.
+A change that moves a random draw, the order of a sum or a serialized
+digit fails here, even where every other test only checks properties."""
 
 from __future__ import annotations
 
@@ -9,12 +9,15 @@ import hashlib
 import json
 import warnings
 
+import pytest
+
 from posegrammar import learn_models
 from posegrammar.appearance import synth_scores
-from posegrammar.evaluation import make_training_pairs
+from posegrammar.evaluation import DiagnosticConfig, make_training_pairs, run_diagnostic
 from posegrammar.grammar import build_default_human_grammar, load_grammar, save_grammar
+from posegrammar.inference import BeamConfig
 from posegrammar.relations import save_models
-from posegrammar.synthetic import two_person_scene
+from posegrammar.synthetic import generate_family, two_person_scene
 
 
 def _sha256(data: bytes) -> str:
@@ -82,3 +85,20 @@ def test_models_file_bytes(grammar, tmp_path):
     data = path.read_bytes()
     assert len(data) == 59034
     assert _sha256(data) == "ddaeefe4313876fec320c1842da6ad32859b4b4f1311c304b2263dd740b0b72f"
+
+
+@pytest.mark.parametrize(
+    "beam, digest",
+    [
+        (100, "30a3500faf373e67d5eeeddec770b5154de36540497bcea9493abc5911dbca67"),
+        (3, "79405591c8dd346548cd63e7363173fcd77639439ae60c061cb5a10cd80fe5b2"),
+    ],
+)
+def test_diagnostic_report(grammar, quick_models, beam, digest):
+    """The first 4 of the acceptance gate's 100 two-person scenes, all three
+    modes, under its noise and seed: a change to ``synth_scores``' draws,
+    the search, the attribute readout or the AP moves the digest.  Beam 3
+    prunes the lattice; beam 100 nearly covers it."""
+    cfg = DiagnosticConfig(grammar, quick_models, beam=BeamConfig(beam_width=beam), noise_sigma=0.9, seed=3)
+    report = run_diagnostic(generate_family("two-person", 4, seed=77), cfg)
+    assert _sha256(json.dumps(report, sort_keys=True).encode()) == digest

@@ -177,7 +177,7 @@ class TestMixtureDensity:
         pset = ProposalSet.from_proposals(parents + kids, table)
         buckets = pset.buckets
         assert buckets[EDGE[1]].ids == tuple(p.id for p in kids)
-        beam = table_rows(_Table(mog, EDGE, buckets[EDGE[0]], buckets[EDGE[1]], pset.part_type_count), [0])[0]
+        beam = table_rows(_Table(mog, EDGE, buckets[EDGE[0]], buckets[EDGE[1]], math.inf), [0])[0]
         np.testing.assert_allclose(beam, expected, rtol=0, atol=1e-12)
 
     def test_density_integrates_to_one(self):
@@ -369,8 +369,27 @@ def _positions(rng, n, scale):
     return xy
 
 
+def _bound(mog, parents, children, edge=EDGE):
+    """``edge``'s bound for the (R, 2) ``parents`` and (C, 2) ``children``, alone in its call."""
+    [bound] = mog.displacement_bounds([edge], parents[None], children[None])
+    return bound
+
+
+def _bound_one_edge(mog, edge, parents, children):
+    """The bound as it was computed one edge at a time, over the live
+    components only: the reference a stacked call must match to the bit."""
+    centring, consts, halved = (c[mog._row[edge]] for c in mog._constants[:3])
+    live = consts[:, 0] > -math.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        extent = np.maximum(children.max(0) - parents.min(0), parents.max(0) - children.min(0))
+        (rx, ry), (ha, hb, hc) = (extent + np.abs(centring[live, :, 1])).T, np.abs(halved[live]).T
+        quad = ha * rx * rx + rx * (2.0 * hb) * ry + hc * ry * ry
+        bound = float((quad + np.abs(consts[live, 0])).max()) + np.count_nonzero(live)
+    return bound if quad.max() < 2.0**900 else math.inf
+
+
 class TestDisplacementBound:
-    """``displacement_bound`` bounds every ``|score|`` of the offsets between
+    """``displacement_bounds`` bounds every ``|score|`` of the offsets between
     two sets of positions from their extents alone; where it is finite,
     every score is finite."""
 
@@ -393,7 +412,7 @@ class TestDisplacementBound:
         means = rng.normal(0.0, 1.0, size=(k, 2)) * 10.0**mean_scale
         mog = KinematicMoG({EDGE: Mixture(weights, means, _spd(rng, k, (1e-3, 1e2), 1e4))})
         parents, children = _positions(rng, rows, position_scale), _positions(rng, cols, position_scale)
-        bound = mog.displacement_bound(EDGE, parents, children)
+        bound = _bound(mog, parents, children)
         cells = mog.displacement_scores([EDGE], parents[None], children[None])[0]
         if bound < math.inf:
             assert np.isfinite(cells).all()
@@ -417,7 +436,7 @@ class TestDisplacementBound:
         mog = KinematicMoG({EDGE: _single_gaussian(mean, cov)})
         parents, children = np.zeros((1, 2)), np.array([child])
         [[cell]] = mog.displacement_scores([EDGE], parents[None], children[None])[0]
-        bound = mog.displacement_bound(EDGE, parents, children)
+        bound = _bound(mog, parents, children)
         assert abs(cell) <= bound
         assert math.isfinite(cell) == math.isfinite(bound)
 
@@ -428,8 +447,31 @@ class TestDisplacementBound:
         mog = KinematicMoG({EDGE: _single_gaussian()})
         parents, children = np.zeros((1, 2)), np.array([[1e140, 0.0], [1e134, 0.0]])
         assert np.isfinite(mog.displacement_scores([EDGE], parents[None], children[None])).all()
-        assert mog.displacement_bound(EDGE, parents, children) == math.inf
-        assert mog.displacement_bound(EDGE, parents, children[1:]) < 2.0**900
+        assert _bound(mog, parents, children) == math.inf
+        assert _bound(mog, parents, children[1:]) < 2.0**900
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), edges=st.integers(1, 6), scale=st.integers(-320, 200))
+    def test_a_stacked_call_gives_each_edge_its_bound_alone(self, seed, edges, scale):
+        """Edges of 1 to 4 components, some of them dead, each over 1 to 5
+        parents and children, padded by repeating the last: one call gives
+        each edge the bits of its bound alone, finite or not, and of the
+        bound computed one edge at a time over its live components."""
+        rng = np.random.default_rng(seed)
+        mixtures = {}
+        for e in range(edges):
+            k = int(rng.integers(1, 5))
+            weights = rng.dirichlet(np.ones(k))
+            weights[: int(rng.integers(0, k))] = 0.0
+            means = rng.normal(0.0, 1.0, size=(k, 2)) * 10.0 ** int(rng.integers(-320, 200))
+            mixtures[f"p{e}", f"c{e}"] = Mixture(weights / weights.sum(), means, _spd(rng, k, (1e-3, 1e2), 1e4))
+        mog = KinematicMoG(mixtures)
+        parents = [_positions(rng, int(rng.integers(1, 6)), scale) for _ in range(edges)]
+        children = [_positions(rng, int(rng.integers(1, 6)), scale) for _ in range(edges)]
+        stacked = mog.displacement_bounds(list(mixtures), _padded(parents), _padded(children))
+        alone = [_bound(mog, p, c, edge) for edge, p, c in zip(mixtures, parents, children)]
+        reference = [_bound_one_edge(mog, edge, p, c) for edge, p, c in zip(mixtures, parents, children)]
+        assert [float.hex(b) for b in stacked] == [float.hex(b) for b in alone] == [float.hex(b) for b in reference]
 
 
 def _spd(rng, count, lowest=(1e-2, 1e2), max_condition=1e4):
