@@ -10,8 +10,8 @@ and AP).
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -156,11 +156,11 @@ def _average_precisions(scores: np.ndarray, labels: np.ndarray) -> list[float]:
     # Precision is >= 0, so a 0.0 off the boundaries moves no envelope.
     envelope = np.maximum.accumulate(np.where(boundary, precision, 0.0)[:, ::-1], axis=1)[:, ::-1]
     recall, envelope = recall[boundary], envelope[boundary]
-    starts = np.cumsum(np.count_nonzero(boundary, axis=1))[:-1]
+    bounds = [0, *np.cumsum(np.count_nonzero(boundary, axis=1)).tolist()]
     prev_recall = np.concatenate(([0.0], recall[:-1]))
-    prev_recall[starts] = 0.0
+    prev_recall[bounds[:-1]] = 0.0
     terms = (recall - prev_recall) * envelope
-    return [float(np.sum(row)) for row in np.split(terms, starts)]
+    return [float(terms[start:end].sum()) for start, end in zip(bounds, bounds[1:])]
 
 
 # -- synthetic annotation corpus ---------------------------------------------
@@ -318,15 +318,15 @@ def run_diagnostic(
     one stacked search.  Pose is scored as strict PCP against the first
     person; attributes as accuracy and mean AP over (attribute, value)
     pairs with at least one positive scene.  ``modes`` must name each
-    mode at most once, and at least one.
+    mode at most once, and at least one, in a sequence.
     """
+    if isinstance(modes, str) or not isinstance(modes, Sequence):
+        raise ValidationError(f"modes must be a sequence of diagnostic mode names, got {modes!r}")
     for mode in modes:
         if mode not in ALL_MODES:
             raise ValidationError(f"unknown diagnostic mode {mode!r}, expected {ALL_MODES}")
     if not modes or len(set(modes)) != len(modes):
-        raise ValidationError(
-            f"diagnostic modes must be distinct and non-empty, got {tuple(modes)!r}"
-        )
+        raise ValidationError(f"diagnostic modes must be distinct and non-empty, got {tuple(modes)!r}")
     if not scenes:
         raise ValidationError("diagnostic needs at least one scene")
     grammar = cfg.grammar
@@ -341,9 +341,10 @@ def run_diagnostic(
     stick_hits: dict[str, list[int]] = {m: [0, 0] for m in modes}
     # Correct predictions per mode and attribute, out of len(scenes) each.
     correct: dict[str, dict[AttrId, int]] = {m: {a.id: 0 for a in attr_defs} for m in modes}
-    ap_streams: dict[str, dict[tuple[AttrId, str], tuple[list[float], list[int]]]] = {
-        m: {} for m in modes
-    }
+    # Per scene, the truth of every pair and each mode's score, in sorted pair order.
+    ap_pairs = sorted((a.id, v) for a in attr_defs for v in a.domain)
+    ap_labels: list[list[bool]] = []
+    ap_scores: list[list[list[float]]] = []
 
     for i, scene in enumerate(scenes):
         pset = synth_scores(
@@ -355,37 +356,38 @@ def run_diagnostic(
         )
         truth = annotation_from_person(scene.persons[0])
         truth_values = scene.persons[0].attributes
+        ap_labels.append([truth_values[attr] == value for attr, value in ap_pairs])
 
         parses = search(grammar, cfg.models, pset, assignments, cfg.beam)
         mode_scores: dict[str, dict[AttrId, dict[str, float]]] = {}
         for mode in modes:
+            pg = None  # the mode's parse, none for no-pose
             if mode == MODE_JOINT:
                 per_pair = dict(zip(pairs, parses))
-                mode_scores[mode] = attribute_scores(per_pair, pset, assoc)
-                pcp = strict_pcp(best_parse(per_pair), truth, sticks)
+                mode_scores[mode], pg = attribute_scores(per_pair, pset, assoc), best_parse(per_pair)
             elif mode == MODE_NO_ATTRIBUTE:
                 pg = parses[-1]
                 mode_scores[mode] = parse_attribute_scores(pg, pset, assoc, grammar)
-                pcp = strict_pcp(pg, truth, sticks)
             else:
                 mode_scores[mode] = no_pose_attribute_scores(pset, grammar)
-                pcp = None
-            if pcp is not None:
+            if pg is not None:
+                pcp = strict_pcp(pg, truth, sticks)
                 stick_hits[mode][0] += sum(pcp.per_stick.values())
                 stick_hits[mode][1] += len(pcp.per_stick)
             for attr in attr_defs:
-                per_value = mode_scores[mode][attr.id]
-                predicted = argmax_value(per_value, attr.domain)
+                predicted = argmax_value(mode_scores[mode][attr.id], attr.domain)
                 correct[mode][attr.id] += predicted == truth_values[attr.id]
-                for value in attr.domain:
-                    stream = ap_streams[mode].setdefault((attr.id, value), ([], []))
-                    stream[0].append(per_value[value])
-                    stream[1].append(int(truth_values[attr.id] == value))
+        ap_scores.append([[mode_scores[m][attr][value] for attr, value in ap_pairs] for m in modes])
 
+    # Every mode's k AP streams, one per pair with a positive scene, in one pass.
+    labels = np.array(ap_labels).T
+    positive = labels.any(axis=1)
+    k = np.count_nonzero(positive)
+    streams = np.array(ap_scores).transpose(1, 2, 0)[:, positive].reshape(-1, len(scenes))
+    every_ap = _average_precisions(streams, np.tile(labels[positive], (len(modes), 1))) if k else []
     report: dict = {"schema_version": 1, "n_scenes": len(scenes), "modes": {}}
-    for mode in modes:
-        streams = [stream for _pair, stream in sorted(ap_streams[mode].items()) if sum(stream[1])]
-        aps = _average_precisions(*map(np.array, zip(*streams))) if streams else []
+    for mi, mode in enumerate(modes):
+        aps = every_ap[mi * k : (mi + 1) * k]
         hits, evaluated = stick_hits[mode]
         report["modes"][mode] = {
             "pcp": (hits / evaluated) if evaluated else None,

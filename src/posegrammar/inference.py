@@ -14,15 +14,15 @@ from __future__ import annotations
 import math
 import threading
 import weakref
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import parallel
 from .appearance import Bucket, ProposalSet
 from .errors import InfeasibleParseError, MissingEntryError, ValidationError
-from .grammar import AOGrammar, AttrId, NodeId, ParseGraph, PartState, _trusted, parents_first
+from .grammar import AOGrammar, AttrId, NodeId, ParseGraph, PartState, _trusted
 from .jsonio import argument, check_fields, count, instance, nullable, number, record
 from .relations import AttributeAssociation, Edge, KinematicMoG, RelationModels, SyntacticTable, _padded
 
@@ -41,15 +41,8 @@ _BEAM_WIDTH = record(beam_width=count)
 
 
 def default_expansion_order(grammar: AOGrammar) -> tuple[NodeId, ...]:
-    """Root-first order placing each part after all of its decomposition
-    and dependency parents (:func:`parents_first` over the root, then the
-    grammar's listing), so every edge's parent is grounded before its
-    child.  For the default human grammar this grounds the torso right
-    after the body levels and walks each limb outward.  A grammar's two
-    edge sets are acyclic together, so every part is placed.
-    """
-    pool = [grammar.root] + [p for p in grammar.part_ids if p != grammar.root]
-    return tuple(parents_first(pool, grammar.psg_edges + grammar.dg_edges)[0])
+    """``grammar.expansion_order``, the order every search grounds the parts in."""
+    return grammar.expansion_order
 
 
 class _Table:
@@ -198,20 +191,24 @@ def check_assignment(grammar: AOGrammar, assignment: Mapping[AttrId, str]) -> No
     """Refuse an attribute ``assignment`` naming an attribute ``grammar``
     lacks, or a value outside the attribute's domain."""
     for attr_id, value in assignment.items():
+        if isinstance(value, str) and (attr_id, value) in grammar._pairs:  # a non-string may not hash
+            continue
         domain = grammar.attribute(attr_id).domain
         if value not in domain:
             raise ValidationError(f"value {value!r} not in domain of attribute {attr_id!r}: {domain}")
 
 
 def _prepare(grammar, models, pset, assignments) -> list[_Step]:
-    """Per step of the default expansion order, the bucket, its appearance
+    """Per step of the grammar's expansion order, the bucket, its appearance
     block (one row per attribute assignment), the tables of the edges it
     closes, and ``check``, set once the peaks so far reach ``_EXACT_CHECK``.
     The set's new tables are built by :func:`_cooccurrences` and
     :func:`_displacements`.  A set holding a score that is not finite is so
     refused before any search, and keeps no table."""
-    order = default_expansion_order(grammar)
-    for assignment in assignments:
+    order = grammar.expansion_order
+    for i, assignment in enumerate(assignments):
+        if not isinstance(assignment, Mapping):
+            raise ValidationError(f"assignments[{i}] must be a mapping of attribute to value, got {assignment!r}")
         check_assignment(grammar, assignment)
     tables = _TABLES.setdefault(pset, {})
     buckets = [pset.buckets.get(part) for part in order]
@@ -220,7 +217,7 @@ def _prepare(grammar, models, pset, assignments) -> list[_Step]:
     rows = np.concatenate([b.rows for b in buckets])
     with np.errstate(over="ignore"):  # a sum beyond the float range is refused by the search
         steps = _steps(buckets, pset.scores.appearance(rows, grammar.attributes, assignments))
-    position = {p: i for i, p in enumerate(order)}
+    position = grammar._position
     closing = [(models.syntactic, e) for e in grammar.psg_edges] + [(models.kinematic, e) for e in grammar.dg_edges]
     psg = [e for e in grammar.psg_edges if (models.syntactic, e) not in tables]
     dg = [e for e in grammar.dg_edges if (models.kinematic, e) not in tables]

@@ -8,6 +8,7 @@ the acceptance suite.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 
@@ -506,6 +507,35 @@ class TestRunDiagnostic:
                 self._config(grammar, quick_models),
                 modes=modes,
             )
+
+    @pytest.mark.parametrize(
+        "modes, shown",
+        [("joint", "'joint'"), ((m for m in ("joint",)), "<generator"), ({"joint"}, "{'joint'}"), (None, "None")],
+        ids=["a-string", "a-generator", "a-set", "none"],
+    )
+    def test_modes_that_are_not_a_sequence_are_refused(self, grammar, quick_models, modes, shown):
+        with pytest.raises(ValidationError) as caught:
+            run_diagnostic(generate_family("two-person", 1, seed=1), self._config(grammar, quick_models), modes=modes)
+        assert str(caught.value).startswith(f"modes must be a sequence of diagnostic mode names, got {shown}")
+
+    @pytest.mark.parametrize("scenes", [1, 3])
+    def test_one_average_precision_pass_per_run(self, grammar, quick_models, monkeypatch, scenes):
+        """Every mode subset's AP streams are scored in one batched call,
+        the same number of rows for each mode, one column per scene."""
+        corpus = generate_family("two-person", scenes, seed=9)
+        cfg = self._config(grammar, quick_models)
+        batched, calls = evaluation._average_precisions, []
+
+        def counted(scores, labels):
+            calls.append(scores.shape)
+            return batched(scores, labels)
+
+        monkeypatch.setattr(evaluation, "_average_precisions", counted)
+        for modes in (c for r in (1, 2, 3) for c in itertools.permutations(ALL_MODES, r)):
+            calls.clear()
+            report = run_diagnostic(corpus, cfg, modes=modes)
+            assert len(calls) == 1 and calls[0][1] == scenes and calls[0][0] % len(modes) == 0, (modes, calls)
+            assert list(report["modes"]) == list(modes)
 
     def test_unknown_mode(self, grammar, quick_models):
         with pytest.raises(ValidationError, match="unknown diagnostic mode"):

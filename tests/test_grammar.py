@@ -33,7 +33,6 @@ from posegrammar.grammar import (
     save_grammar,
     save_parse_graph,
 )
-from posegrammar.inference import default_expansion_order
 from posegrammar.render import render_svg
 
 
@@ -311,9 +310,11 @@ class TestEveryGrammarIsValid:
         except ValidationError as exc:
             assert str(exc).startswith(f"{path}: "), str(exc)
             return
-        order = default_expansion_order(g)
+        order = g.expansion_order
         assert sorted(order) == sorted(g.part_ids) and len(set(order)) == len(order)
+        assert g._pairs == {(a.id, v) for a in g.attributes for v in a.domain}
         position = {p: i for i, p in enumerate(order)}
+        assert g._position == position
         for parent, child in g.psg_edges + g.dg_edges:
             assert position[parent] < position[child]
         terminals = set(g.terminal_ids)

@@ -50,7 +50,6 @@ from posegrammar.inference import (
     attribute_pairs,
     attribute_scores,
     best_parse,
-    default_expansion_order,
     parse_constrained,
     parse_unconstrained,
     search,
@@ -151,8 +150,9 @@ def _lattice_size(pset, parts=("root", "a", "b")):
 
 class TestExpansionOrder:
     def test_default_grammar_order(self, grammar):
-        order = default_expansion_order(grammar)
-        assert order[0] == "full_body"
+        order = grammar.expansion_order
+        assert type(order) is tuple and order[0] == "full_body"
+        assert inference.default_expansion_order(grammar) is order
         assert len(order) == 17
         assert sorted(order) == sorted(grammar.part_ids)
         position = {p: i for i, p in enumerate(order)}
@@ -167,7 +167,7 @@ class TestExpansionOrder:
         after both of its parents, so its decomposition edge and its
         dependency edge close at its own step."""
         g, models, pset = _two_parent_world(0)
-        assert default_expansion_order(g) == ("root", "a", "b", "c")
+        assert g.expansion_order == ("root", "a", "b", "c")
         last = _prepare(g, models, pset, [{}])[-1]
         assert [(parent, table.edge) for parent, table in last.closings] == [(0, ("root", "c")), (2, ("b", "c"))]
 
@@ -186,7 +186,7 @@ class TestExpansionOrder:
         ]
         for g, models, pset in worlds:
             steps = _prepare(g, models, pset, [{}])
-            assert [step.bucket.part for step in steps] == list(default_expansion_order(g))
+            assert [step.bucket.part for step in steps] == list(g.expansion_order)
             assert steps[0].closings == []
             for step in steps[1:]:
                 assert step.closings, step.bucket.part
@@ -315,6 +315,41 @@ class TestObjectives:
         g, models, pset = _toy_world(0)
         with pytest.raises(ValidationError, match="not in domain"):
             parse_constrained(g, models, pset, "c", "w")
+
+    @pytest.mark.parametrize(
+        "assignment, error, text",
+        [
+            ({"c": "w"}, ValidationError, "value 'w' not in domain of attribute 'c': ('u', 'v')"),
+            ({"c": ["u"]}, ValidationError, "value ['u'] not in domain of attribute 'c': ('u', 'v')"),
+            ({"c": ("u",)}, ValidationError, "value ('u',) not in domain of attribute 'c': ('u', 'v')"),
+            ({"c": None}, ValidationError, "value None not in domain of attribute 'c': ('u', 'v')"),
+            ({"mood": "u"}, MissingEntryError, "unknown attribute 'mood'"),
+            ({"mood": ["u"]}, MissingEntryError, "unknown attribute 'mood'"),
+        ],
+        ids=["outside", "unhashable", "tuple", "none", "unknown", "unknown-unhashable"],
+    )
+    def test_refused_pairs_keep_their_texts(self, assignment, error, text):
+        """A pair the grammar does not declare, hashable or not, is refused
+        by its attribute's domain, with the text a search always gave, and
+        before any table is built."""
+        g, models, pset = _toy_world(0)
+        with pytest.raises(error) as caught:
+            search(g, models, pset, [{"c": "u"}, assignment])
+        assert str(caught.value) == text
+        assert pset not in inference._TABLES
+
+    @pytest.mark.parametrize(
+        "assignments, shown",
+        [({"c": "u"}, "'c'"), (["c"], "'c'"), ([{"c": "u"}, ("c", "u")], "('c', 'u')")],
+        ids=["a-mapping", "a-list-of-names", "a-tuple"],
+    )
+    def test_an_assignment_that_is_not_a_mapping_is_refused_by_index(self, assignments, shown):
+        g, models, pset = _toy_world(0)
+        index = len(assignments) - 1
+        with pytest.raises(ValidationError) as caught:
+            search(g, models, pset, assignments)
+        assert str(caught.value) == f"assignments[{index}] must be a mapping of attribute to value, got {shown}"
+        assert pset not in inference._TABLES
 
     def test_empty_bucket_is_infeasible(self):
         g, models, pset = _toy_world(0)
@@ -1145,7 +1180,7 @@ class TestParseAssembly:
         for objective, pg in zip(objectives, graphs):
             states = {p: PartState(s.part, s.x, s.y, s.part_type, s.proposal_ref) for p, s in pg.states.items()}
             assert pg == ParseGraph(states, objective, pg.total_score)
-            assert list(pg.states) == list(default_expansion_order(grammar))
+            assert list(pg.states) == list(grammar.expansion_order)
             assert (type(pg.states), type(pg.attribute_assignment), type(pg.total_score)) == (dict, dict, float)
             assert pg.attribute_assignment == objective and pg.attribute_assignment is not objective
             for part, state in pg.states.items():

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import posegrammar
+from posegrammar import grammar as grammar_module
 from posegrammar import inference, jsonio, learning, parallel
 from posegrammar.appearance import ProposalSet, ScoreTable, synth_scores
 from posegrammar.errors import ValidationError
@@ -187,6 +188,27 @@ def test_no_module_reaches_past_the_public_search():
                 continue
             offenders += [f"{path.name}:{node.lineno}: {name}" for name in names if name.startswith("_")]
     assert offenders == []
+
+
+def test_the_expansion_order_is_placed_once_per_grammar(grammar, quick_models, monkeypatch):
+    """Only ``grammar.py`` calls ``parents_first``: the grammar places its
+    expansion order when it is built, so a search, ``select_final`` and a
+    diagnostic run on a built grammar place nothing."""
+    callers = set()
+    for path in sorted(Path(posegrammar.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                if "parents_first" in (getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                    callers.add(path.name)
+    assert callers == {"grammar.py"}
+    placed, place = [], grammar_module.parents_first
+    monkeypatch.setattr(grammar_module, "parents_first", lambda *args: placed.append(args) or place(*args))
+    scenes = generate_family("two-person", 2, seed=3)
+    pset = synth_scores(scenes[0], 0.5, 1, attr_defs=grammar.attributes)
+    inference.search(grammar, quick_models, pset, [{}, {"gender": "male"}])
+    inference.select_final(grammar, quick_models, pset)
+    run_diagnostic(scenes, DiagnosticConfig(grammar=grammar, models=quick_models))
+    assert placed == []
 
 
 def test_only_synthetic_reads_the_part_box_sizes():
