@@ -508,7 +508,6 @@ def synth_scores(
     pairs = [(a.id, v) for a in attr_defs for v in a.domain]
     sizes = [len(a.domain) for a in attr_defs]
     starts, declared = np.cumsum([0] + sizes).tolist(), {a.id for a in attr_defs}
-    random, integers, normal = rng.random, rng.integers, rng.normal
     grid = np.empty((len(scene.persons) * len(PART_ORDER), len(pairs)))
     proposals: list[tuple] = []  # (id, part, (x, y), part type, box)
     for pi, person in enumerate(scene.persons):
@@ -526,17 +525,17 @@ def synth_scores(
         bonus = SYNTH_TARGET_BONUS if pi == 0 else 0.0
         first, noise, shown = len(proposals), [], []
         for part in PART_ORDER:
-            part_type = int(integers(1, part_type_count + 1))
+            part_type = int(rng.integers(1, part_type_count + 1))
             proposals.append((f"p{pi}.{part}", part, keypoints[part], part_type, part_box(part, keypoints)))
             if pi == 0:
                 apparent = truth
-                noise.append(normal(0.0, noise_sigma, size=len(pairs)))
+                noise.append(rng.normal(0.0, noise_sigma, size=len(pairs)))
             else:
                 apparent = list(truth)
                 for ai, size in enumerate(sizes):
-                    if random() >= DISTRACTOR_COHERENCE:
-                        apparent[ai] = starts[ai] + int(integers(0, size))
-                    noise.append(normal(0.0, noise_sigma, size=size))
+                    if rng.random() >= DISTRACTOR_COHERENCE:
+                        apparent[ai] = starts[ai] + int(rng.integers(0, size))
+                    noise.append(rng.normal(0.0, noise_sigma, size=size))
             shown.append(apparent)
         rows = grid[first : len(proposals)]
         rows.fill(bonus + -SYNTH_MARGIN)

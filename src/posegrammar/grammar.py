@@ -200,8 +200,6 @@ class AOGrammar:
     part_type_count: int = DEFAULT_PART_TYPE_COUNT
     psg_edges: tuple[tuple[NodeId, NodeId], ...] = field(init=False)
     expansion_order: tuple[NodeId, ...] = field(init=False)
-    _position: dict[NodeId, int] = field(init=False)  # step positions in expansion_order
-    _pairs: frozenset[tuple[AttrId, str]] = field(init=False)  # every declared (attribute, value)
     _attr_by_id: dict[AttrId, AttributeDef] = field(init=False)
     _psg_parent: dict[NodeId, NodeId] = field(init=False)
 
@@ -214,8 +212,6 @@ class AOGrammar:
             raise ValidationError("; ".join(violations))
         pool = [self.root] + [n.id for n in self.nodes if n.id != self.root]
         object.__setattr__(self, "expansion_order", tuple(parents_first(pool, psg_edges + self.dg_edges)[0]))
-        object.__setattr__(self, "_position", {p: i for i, p in enumerate(self.expansion_order)})
-        object.__setattr__(self, "_pairs", frozenset((a.id, v) for a in self.attributes for v in a.domain))
         object.__setattr__(self, "_attr_by_id", {a.id: a for a in self.attributes})
         object.__setattr__(self, "_psg_parent", {child: parent for parent, child in psg_edges})
 

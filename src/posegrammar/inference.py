@@ -191,8 +191,6 @@ def check_assignment(grammar: AOGrammar, assignment: Mapping[AttrId, str]) -> No
     """Refuse an attribute ``assignment`` naming an attribute ``grammar``
     lacks, or a value outside the attribute's domain."""
     for attr_id, value in assignment.items():
-        if isinstance(value, str) and (attr_id, value) in grammar._pairs:  # a non-string may not hash
-            continue
         domain = grammar.attribute(attr_id).domain
         if value not in domain:
             raise ValidationError(f"value {value!r} not in domain of attribute {attr_id!r}: {domain}")
@@ -217,7 +215,7 @@ def _prepare(grammar, models, pset, assignments) -> list[_Step]:
     rows = np.concatenate([b.rows for b in buckets])
     with np.errstate(over="ignore"):  # a sum beyond the float range is refused by the search
         steps = _steps(buckets, pset.scores.appearance(rows, grammar.attributes, assignments))
-    position = grammar._position
+    position = {p: i for i, p in enumerate(order)}
     closing = [(models.syntactic, e) for e in grammar.psg_edges] + [(models.kinematic, e) for e in grammar.dg_edges]
     psg = [e for e in grammar.psg_edges if (models.syntactic, e) not in tables]
     dg = [e for e in grammar.dg_edges if (models.kinematic, e) not in tables]

@@ -312,9 +312,7 @@ class TestEveryGrammarIsValid:
             return
         order = g.expansion_order
         assert sorted(order) == sorted(g.part_ids) and len(set(order)) == len(order)
-        assert g._pairs == {(a.id, v) for a in g.attributes for v in a.domain}
         position = {p: i for i, p in enumerate(order)}
-        assert g._position == position
         for parent, child in g.psg_edges + g.dg_edges:
             assert position[parent] < position[child]
         terminals = set(g.terminal_ids)
