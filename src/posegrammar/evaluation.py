@@ -317,11 +317,12 @@ def run_diagnostic(
     the best proposal score per value.  The parses a scene needs run as
     one stacked search.  Pose is scored as strict PCP against the first
     person; attributes as accuracy and mean AP over (attribute, value)
-    pairs with at least one positive scene.  ``modes`` must name each
-    mode at most once, and at least one, in a sequence.
+    pairs with at least one positive scene.  ``scenes`` and ``modes`` are
+    sequences; ``modes`` names each mode at most once, and at least one.
     """
-    if isinstance(modes, str) or not isinstance(modes, Sequence):
-        raise ValidationError(f"modes must be a sequence of diagnostic mode names, got {modes!r}")
+    for name, value, of in (("modes", modes, "diagnostic mode names"), ("scenes", scenes, "synthetic scenes")):
+        if isinstance(value, str) or not isinstance(value, Sequence):
+            raise ValidationError(f"{name} must be a sequence of {of}, got {value!r}")
     for mode in modes:
         if mode not in ALL_MODES:
             raise ValidationError(f"unknown diagnostic mode {mode!r}, expected {ALL_MODES}")

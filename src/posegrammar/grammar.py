@@ -32,6 +32,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .errors import MissingEntryError, ValidationError
 from .jsonio import SCHEMA_VERSION, read_json, schema_version, versioned, write_json
 from .jsonio import array, check_fields, count, instance, mapping, number, optional, record, text
@@ -473,7 +475,10 @@ class ParseGraph:
 
     @classmethod
     def from_json_dict(cls, doc: Mapping, grammar: AOGrammar) -> "ParseGraph":
-        d = _PARSE_DOC(doc)
+        d, first = _PARSE_DOC(doc), {}
+        for j, s in enumerate(d["states"]):
+            if (i := first.setdefault(s["part"], j)) != j:
+                raise ValidationError(f"states[{j}] repeats part {s['part']!r} of states[{i}]")
         states = [PartState(s["part"], s["x"], s["y"], s["part_type"], s["proposal"]) for s in d["states"]]
         return cls({s.part: s for s in states}, d["attributes"], d["total_score"])
 
@@ -508,35 +513,42 @@ def load_parse_graph(path: str, grammar: AOGrammar) -> ParseGraph:
 
 
 def recompute_score(pg: ParseGraph, grammar: AOGrammar, models, scores) -> float:
-    """Recompute a parse graph's score from scratch.
+    """Recompute a parse graph's score from scratch, summed as the search sums it.
 
     The appearance term follows the objective the parse was produced
-    under: with a non-empty attribute assignment every part contributes
-    the assigned value's score for each assigned attribute; with an empty
-    assignment every part contributes, for each attribute in the grammar,
-    its best value score (the unconstrained objective).  Relation terms
-    sum, in grammar order, the syntactic score over the decomposition
-    edges and the geometric score over the dependency edges with states
-    for both parts.
+    under: the assigned values' scores, or with an empty assignment each
+    attribute's best value score.  From ``0.0``, each part with a state
+    adds, in ``grammar.expansion_order``, its appearance term, then the
+    term of each edge with states for both parts that closes at it: its
+    decomposition edge's co-occurrence log entry, then its dependency
+    edge's displacement log density.  Each model is read in one call.
     """
-    refs = [pg.states[p].proposal_ref for p in grammar.part_ids if p in pg.states]
-    [app] = scores.appearance(scores.rows(refs), grammar.attributes, [pg.attribute_assignment])
-    total = 0.0
-    for term in app.tolist():
-        total += term
-    missing = set(pg.states) - set(grammar.part_ids)
+    states = pg.states
+    missing = set(states) - set(grammar.part_ids)
     if missing:
         raise MissingEntryError(f"parse graph states name unknown parts {sorted(missing)}")
-
-    states = pg.states
-    for parent, child in grammar.psg_edges:
-        if parent in states and child in states:
-            ps, cs = states[parent], states[child]
-            total += models.syntactic.score((parent, child), ps.part_type, cs.part_type)
-    for parent, child in grammar.dg_edges:
-        if parent in states and child in states:
-            ps, cs = states[parent], states[child]
-            total += models.kinematic.score((parent, child), cs.x - ps.x, cs.y - ps.y)
+    parts = [p for p in grammar.expansion_order if p in states]
+    [app] = scores.appearance(scores.rows([states[p].proposal_ref for p in parts]), grammar.attributes, [pg.attribute_assignment])
+    psg, dg = ([(p, c) for p, c in edges if p in states and c in states] for edges in (grammar.psg_edges, grammar.dg_edges))
+    t, cells = models.syntactic.part_type_count, []
+    for parent, child in psg:
+        row, pair = models.syntactic.row((parent, child)), (states[parent].part_type, states[child].part_type)
+        if max(pair) > t:
+            raise ValidationError(f"part types must lie in 1..{t}, got {pair}")
+        cells.append((row, pair[0] - 1, pair[1] - 1))
+    offsets = [(states[c].x - states[p].x, states[c].y - states[p].y) for p, c in dg]
+    for dx, dy in offsets:
+        if not (math.isfinite(dx) and math.isfinite(dy)):
+            raise ValidationError(f"displacement must be finite, got ({dx}, {dy})")
+    terms = {part: [term] for part, term in zip(parts, app.tolist())}
+    relations = models.syntactic.logs[tuple(np.array(cells, dtype=int).reshape(-1, 3).T)].tolist()
+    relations += models.kinematic.log_densities(dg, np.reshape(offsets, (-1, 1, 2)))[:, 0].tolist()
+    for (_parent, child), term in zip(psg + dg, relations):
+        terms[child].append(term)
+    total = 0.0
+    for part_terms in terms.values():
+        for term in part_terms:
+            total += term
     if not math.isfinite(total):
         raise ValidationError("recomputed parse graph score is not finite")
     return total

@@ -392,6 +392,7 @@ def search(
     ``cfg`` is a :class:`BeamConfig` or ``None``; past it, a search of no
     objectives returns ``[]``, refusing nothing, not even a set lacking a part."""
     cfg = argument("cfg", cfg, nullable(instance(BeamConfig))) or BeamConfig()
+    assignments = list(assignments)
     if not assignments:
         return []
     steps = _prepare(grammar, models, pset, assignments)

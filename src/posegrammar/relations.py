@@ -92,15 +92,6 @@ class SyntacticTable:
         except KeyError:
             raise MissingEntryError(f"no syntactic table for edge {tuple(edge)}") from None
 
-    def score(self, edge: Edge, t_parent: int, t_child: int) -> float:
-        """The log entry of ``edge``'s table for two part types; a value
-        :func:`_is_part_type` refuses, such as ``2.0`` or ``True``, is refused."""
-        mat = self.logs[self.row(edge)]
-        t = self.part_type_count
-        if not (_is_part_type(t_parent, t) and _is_part_type(t_child, t)):
-            raise ValidationError(f"part types must lie in 1..{t}, got ({t_parent}, {t_child})")
-        return float(mat[t_parent - 1, t_child - 1])
-
 
 @dataclass(frozen=True)
 class Mixture:
@@ -360,15 +351,9 @@ class KinematicMoG:
         except KeyError:
             raise MissingEntryError(f"no kinematic mixture for edge {tuple(edge)}") from None
 
-    def score(self, edge: Edge, dx: float, dy: float) -> float:
-        if not (math.isfinite(dx) and math.isfinite(dy)):
-            raise ValidationError(f"displacement must be finite, got ({dx}, {dy})")
-        return float(self.log_density(edge, np.array([[dx, dy]]))[0])
-
     def log_density(self, edge: Edge, points: np.ndarray) -> np.ndarray:
         """Vectorized log density over an (N, 2) array of displacements;
         points of another shape are refused, naming the edge."""
-        self.mixture(edge)
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != 2:
             raise ValidationError(f"edge {edge[0]}->{edge[1]}: displacements must have shape (N, 2), got {points.shape}")

@@ -731,6 +731,21 @@ class TestRender:
         with pytest.raises(ValidationError, match="^parse graph has no states to render$"):
             posegrammar.render_svg(ParseGraph({}, {}, 0.0), grammar)
 
+    def test_a_parse_listing_a_part_twice_exits_one_and_writes_no_svg(self, pipeline, tmp_path, capsys):
+        """Two ``head`` states with proposals ``a`` and ``b``: the file is
+        refused, naming both states, rather than rendered with the last."""
+        grammar = build_default_human_grammar()
+        pg = ParseGraph({"head": PartState("head", 5.0, 6.0, 1, "a")}, {}, 1.5)
+        doc = pg.to_json_dict(grammar)
+        doc["states"].append(dict(doc["states"][0], proposal="b"))
+        parse_path, svg_path = tmp_path / "parse.json", tmp_path / "parse.svg"
+        parse_path.write_text(json.dumps(doc), encoding="utf-8")
+        argv = ["render", "--parse", str(parse_path), "--grammar", pipeline["grammar"], "--out", str(svg_path)]
+        assert cli_dispatch(argv) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {parse_path}: states[1] repeats part 'head' of states[0]"]
+        assert not svg_path.exists()
+
     @pytest.mark.parametrize("axis", ["x", "y"])
     def test_a_parse_too_wide_for_the_float_range_exits_one_and_writes_no_svg(
         self, pipeline, tmp_path, capsys, axis

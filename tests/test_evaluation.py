@@ -518,6 +518,23 @@ class TestRunDiagnostic:
             run_diagnostic(generate_family("two-person", 1, seed=1), self._config(grammar, quick_models), modes=modes)
         assert str(caught.value).startswith(f"modes must be a sequence of diagnostic mode names, got {shown}")
 
+    @pytest.mark.parametrize(
+        "kind, shown", [("generator", "<generator"), ("iterator", "<list_iterator"), ("mapping", "{0: ")], ids=["generator", "iterator", "mapping"]
+    )
+    def test_scenes_that_are_not_a_sequence_are_refused_before_any_scene(
+        self, grammar, quick_models, monkeypatch, kind, shown
+    ):
+        """As ``modes``: scenes that ``len`` cannot count are refused by
+        name before any scene's scores are synthesized or searched."""
+        family = generate_family("two-person", 2, seed=1)
+        scenes = {"generator": (s for s in family), "iterator": iter(family), "mapping": dict(enumerate(family))}[kind]
+        synthesized = []
+        monkeypatch.setattr(evaluation, "synth_scores", lambda *args, **kwargs: synthesized.append(args))
+        with pytest.raises(ValidationError) as caught:
+            run_diagnostic(scenes, self._config(grammar, quick_models))
+        assert str(caught.value).startswith(f"scenes must be a sequence of synthetic scenes, got {shown}")
+        assert synthesized == []
+
     @pytest.mark.parametrize("scenes", [1, 3])
     def test_one_average_precision_pass_per_run(self, grammar, quick_models, monkeypatch, scenes):
         """Every mode subset's AP streams are scored in one batched call,

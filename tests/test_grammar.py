@@ -3,10 +3,12 @@ serialization."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,6 +35,7 @@ from posegrammar.grammar import (
     save_grammar,
     save_parse_graph,
 )
+from posegrammar.relations import AttributeAssociation, KinematicMoG, Mixture, RelationModels, SyntacticTable
 from posegrammar.render import render_svg
 
 
@@ -365,30 +368,22 @@ def _toy_parse(score=0.0, assignment=()):
     return ParseGraph(states=states, attribute_assignment=dict(assignment), total_score=score)
 
 
-class _FlatSyntactic:
-    def __init__(self, value):
-        self.value = value
-        self.calls = []
-
-    def score(self, edge, t_parent, t_child):
-        self.calls.append((edge, t_parent, t_child))
-        return self.value
-
-
-class _FlatKinematic:
-    def __init__(self, value):
-        self.value = value
-        self.calls = []
-
-    def score(self, edge, dx, dy):
-        self.calls.append((edge, dx, dy))
-        return self.value
+def _toy_models():
+    """Real relation models for the toy grammar, with entries a hand total
+    can name: ``(root, a)`` holds 0.5 at types (1, 2) and 0.125 at (1, 1),
+    ``(root, b)`` 0.25 at (1, 1), and ``(a, b)`` is a unit Gaussian at the
+    offset (0, 4), whose log density there is -log(2 pi) to the bit."""
+    syntactic = SyntacticTable(
+        {("root", "a"): [[0.125, 0.5], [0.125, 0.25]], ("root", "b"): [[0.25, 0.125], [0.375, 0.25]]},
+        part_type_count=2,
+    )
+    kinematic = KinematicMoG({("a", "b"): Mixture(np.array([1.0]), np.array([[0.0, 4.0]]), np.eye(2)[None])})
+    return RelationModels(syntactic, kinematic, AttributeAssociation({}, ("c",)))
 
 
-class _Models:
-    def __init__(self, syn, kin):
-        self.syntactic = syn
-        self.kinematic = kin
+def _log(models, edge, t_parent, t_child):
+    """The co-occurrence log entry of ``edge`` at two part types."""
+    return float(models.syntactic.logs[models.syntactic.row(edge), t_parent - 1, t_child - 1])
 
 
 _TOY_TABLE = ScoreTable(
@@ -418,23 +413,24 @@ class TestParseGraph:
             PartState("a", 0.0, 0.0, 0, "p")
 
     def test_recompute_constrained_fixture(self):
-        """Hand-computed total: appearance + syntactic + kinematic.
-
-        Appearance (assigned c=u): 1.0 + 2.0 + 0.5 = 3.5.  Two psg edges
-        at 0.75 each, one dg edge at 1.5: total 3.5 + 1.5 + 1.5 = 6.5.
-        """
-        g = _toy_grammar()
+        """Hand-computed total: appearance (assigned c=u) 1.0, 2.0 and 0.5;
+        the (root, a) entry 0.5 at types (1, 2), the (root, b) entry 0.25 at
+        (1, 1), and the (a, b) offset (0, 4), child minus parent, at the
+        unit Gaussian's mean.  Summed in expansion order from 0.0: root, then
+        a and its decomposition edge, then b, its decomposition edge and its
+        dependency edge."""
+        g, models = _toy_grammar(), _toy_models()
         pg = _toy_parse(assignment={"c": "u"})
-        syn, kin = _FlatSyntactic(0.75), _FlatKinematic(1.5)
-        total = recompute_score(pg, g, _Models(syn, kin), _TOY_TABLE)
-        assert math.isclose(total, 6.5, rel_tol=0, abs_tol=1e-12)
-        assert syn.calls == [(("root", "a"), 1, 2), (("root", "b"), 1, 1)]
-        # Displacement is child minus parent for the (a, b) edge.
-        assert kin.calls == [(("a", "b"), 0.0, 4.0)]
+        total = recompute_score(pg, g, models, _TOY_TABLE)
+        assert math.isclose(total, 3.5 + math.log(0.5 * 0.25) - math.log(2.0 * math.pi), rel_tol=0, abs_tol=1e-12)
+        [density] = models.kinematic.log_density(("a", "b"), np.array([[0.0, 4.0]]))
+        assert density == -math.log(2.0 * math.pi)
+        in_order = 0.0 + 1.0 + 2.0 + _log(models, ("root", "a"), 1, 2) + 0.5 + _log(models, ("root", "b"), 1, 1) + density
+        assert float.hex(total) == float.hex(in_order)
 
     def test_recompute_unconstrained_takes_best_value(self):
         """With no assignment, each part contributes its best value score."""
-        g = _toy_grammar()
+        g, models = _toy_grammar(), _toy_models()
         pg = _toy_parse()
         table = ScoreTable(
             {
@@ -443,8 +439,9 @@ class TestParseGraph:
                 "pb": {"c": {"u": 0.5, "v": 0.25}},
             }
         )
-        total = recompute_score(pg, g, _Models(_FlatSyntactic(0.0), _FlatKinematic(0.0)), table)
-        assert math.isclose(total, 4.0 + 2.0 + 0.5, rel_tol=0, abs_tol=1e-12)
+        total = recompute_score(pg, g, models, table)
+        expected = 4.0 + 2.0 + math.log(0.5) + 0.5 + math.log(0.25) - math.log(2.0 * math.pi)
+        assert math.isclose(total, expected, rel_tol=0, abs_tol=1e-12)
 
     def test_recompute_rejects_unknown_part(self):
         g = _toy_grammar()
@@ -455,7 +452,46 @@ class TestParseGraph:
         )
         table = ScoreTable({"p": {"c": {"u": 0.0, "v": 0.0}}})
         with pytest.raises(MissingEntryError, match="unknown parts"):
-            recompute_score(pg, g, _Models(_FlatSyntactic(0.0), _FlatKinematic(0.0)), table)
+            recompute_score(pg, g, _toy_models(), table)
+
+    def test_an_empty_parse_recomputes_to_zero(self):
+        total = recompute_score(ParseGraph({}, {}, 0.0), _toy_grammar(), _toy_models(), _TOY_TABLE)
+        assert float.hex(total) == float.hex(0.0)
+
+    @pytest.mark.parametrize("source", ["syntactic", "kinematic"])
+    def test_an_edge_with_no_model_is_refused_naming_it(self, source):
+        models = _toy_models()
+        if source == "syntactic":
+            tables = {("root", "a"): models.syntactic.tables[("root", "a")]}
+            models.syntactic, message = SyntacticTable(tables, 2), "no syntactic table for edge ('root', 'b')"
+        else:
+            models.kinematic, message = KinematicMoG({}), "no kinematic mixture for edge ('a', 'b')"
+        with pytest.raises(MissingEntryError, match="^" + re.escape(message) + "$"):
+            recompute_score(_toy_parse(assignment={"c": "u"}), _toy_grammar(), models, _TOY_TABLE)
+
+    @pytest.mark.parametrize("part_type", [3, 2**63, 2**70])
+    @pytest.mark.parametrize("part", ["root", "b"])
+    def test_a_part_type_beyond_the_models_count_is_refused(self, part, part_type):
+        """``PartState`` takes any integer >= 1; the models' count is checked
+        before any gather, so 2**70 is refused, not an ``OverflowError``."""
+        pg = _toy_parse(assignment={"c": "u"})
+        states = dict(pg.states, **{part: dataclasses.replace(pg.states[part], part_type=part_type)})
+        pair = (part_type, 2) if part == "root" else (1, part_type)
+        message = f"part types must lie in 1..2, got {pair}"
+        with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
+            recompute_score(ParseGraph(states, {"c": "u"}, 0.0), _toy_grammar(), _toy_models(), _TOY_TABLE)
+
+    @pytest.mark.parametrize("b_x, shown", [(1e308, "(inf, 4.0)"), (-1.7e308, "(-inf, 4.0)")])
+    def test_a_displacement_past_the_float_range_is_refused(self, b_x, shown):
+        """``a`` and ``b`` at finite x on opposite sides of 0, too far apart
+        for their offset, child minus parent, to be a float."""
+        pg = _toy_parse(assignment={"c": "u"})
+        states = dict(pg.states)
+        states["a"] = dataclasses.replace(states["a"], x=-1e308 if b_x > 0 else 1e308)
+        states["b"] = dataclasses.replace(states["b"], x=b_x)
+        message = f"displacement must be finite, got {shown}"
+        with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
+            recompute_score(ParseGraph(states, {"c": "u"}, 0.0), _toy_grammar(), _toy_models(), _TOY_TABLE)
 
     def test_json_round_trip(self, tmp_path):
         g = _toy_grammar()
@@ -466,12 +502,12 @@ class TestParseGraph:
         assert back.states == pg.states
         assert back.attribute_assignment == {"c": "u"}
         assert back.total_score == 6.5
-        models = _Models(_FlatSyntactic(0.75), _FlatKinematic(1.5))
+        models = _toy_models()
         rescored = [recompute_score(p, g, models, _TOY_TABLE) for p in (back, pg)]
         assert float.hex(rescored[0]) == float.hex(rescored[1])
 
     def test_partial_parse_scores_only_covered_edges(self):
-        """Appearance 1.0 + 2.0, one covered psg edge at 0.75, no dg edge."""
+        """Appearance 1.0 + 2.0, one covered psg edge at log 0.125, no dg edge."""
         g = _toy_grammar()
         doc = {
             "schema_version": 1,
@@ -483,8 +519,22 @@ class TestParseGraph:
             "total_score": 0.0,
         }
         pg = ParseGraph.from_json_dict(doc, g)
-        syn, kin = _FlatSyntactic(0.75), _FlatKinematic(1.5)
-        total = recompute_score(pg, g, _Models(syn, kin), _TOY_TABLE)
-        assert syn.calls == [(("root", "a"), 1, 1)]
-        assert kin.calls == []
-        assert total == 1.0 + 2.0 + 0.75
+        models = _toy_models()
+        total = recompute_score(pg, g, models, _TOY_TABLE)
+        assert float.hex(total) == float.hex(1.0 + 2.0 + _log(models, ("root", "a"), 1, 1))
+        assert math.isclose(total, 3.0 + math.log(0.125), rel_tol=0, abs_tol=1e-12)
+
+    def test_a_part_listed_twice_is_refused_naming_both_states(self, tmp_path):
+        """A parse document keeps one state per part: a second ``head``
+        is refused, not kept over the first."""
+        g = build_default_human_grammar()
+        pg = ParseGraph({p: PartState(p, 1.0, 2.0, 1, f"{p}.0") for p in ("torso", "head")}, {}, 0.5)
+        doc = pg.to_json_dict(g)
+        doc["states"].append(dict(doc["states"][0], proposal="b"))
+        message = "states[2] repeats part 'head' of states[0]"
+        with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
+            ParseGraph.from_json_dict(doc, g)
+        path = tmp_path / "parse.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ValidationError, match="^" + re.escape(f"{path}: {message}") + "$"):
+            load_parse_graph(str(path), g)

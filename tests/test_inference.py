@@ -259,6 +259,41 @@ class TestBeamMatchesBruteForce:
             )
 
 
+def _search_bits(grammar, models, pset, width):
+    """``float.hex`` of each total and of its recomputation, per parse of a
+    K=27 search: every (attribute, value) pair of ``grammar`` and ``{}``."""
+    assignments = [{attr: value} for attr, value in attribute_pairs(grammar)] + [{}]
+    parses = search(grammar, models, pset, assignments, BeamConfig(beam_width=width))
+    return [(float.hex(pg.total_score), float.hex(recompute_score(pg, grammar, models, pset.scores))) for pg in parses]
+
+
+class TestRecomputeBits:
+    """``recompute_score`` sums in the search's order, so every parse a
+    search returns recomputes to its ``total_score`` bit for bit, on the
+    benchmark's lattices and on diagnostic scenes, at narrow and full
+    widths.  Summing all appearance terms first, a dependency term before
+    a co-occurrence term, or parts in listing order breaks this."""
+
+    @pytest.mark.parametrize("seed", range(200, 208))
+    def test_dense_lattices(self, grammar, trained_models, seed):
+        pset = _dense_lattice(grammar, seed, 50)
+        for width in (10, 100):
+            bits = _search_bits(grammar, trained_models, pset, width)
+            assert [total for total, _ in bits] == [again for _, again in bits]
+
+    def test_a_wide_lattice_filled_as_read(self, grammar, trained_models):
+        pset = _dense_lattice(grammar, 300, 200)
+        bits = _search_bits(grammar, trained_models, pset, 10)
+        assert [total for total, _ in bits] == [again for _, again in bits]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_two_person_scenes(self, grammar, trained_models, seed):
+        pset = synth_scores(two_person_scene(seed=seed), noise_sigma=0.9, rng_seed=seed)
+        for width in (1, 4, 100):
+            bits = _search_bits(grammar, trained_models, pset, width)
+            assert [total for total, _ in bits] == [again for _, again in bits]
+
+
 class TestBeamWidthMonotonicity:
     @pytest.mark.parametrize("seed", range(6))
     def test_score_never_drops_as_width_grows(self, seed):
@@ -336,6 +371,18 @@ class TestObjectives:
             search(g, models, pset, [{"c": "u"}, assignment])
         assert str(caught.value) == text
         assert pset not in inference._TABLES
+
+    def test_assignments_are_read_once(self):
+        """A generator of assignments gives the parses its list gives, bit
+        for bit, and an empty one gives none."""
+        g, models, pset = _toy_world(4)
+        assignments = [{"c": "u"}, {}, {"c": "v"}]
+        listed = search(g, models, pset, assignments, BeamConfig(beam_width=2))
+        generated = search(g, models, pset, (a for a in assignments), BeamConfig(beam_width=2))
+        assert [(_ids(pg), float.hex(pg.total_score), pg.attribute_assignment) for pg in generated] == [
+            (_ids(pg), float.hex(pg.total_score), pg.attribute_assignment) for pg in listed
+        ]
+        assert search(g, models, pset, iter([])) == []
 
     @pytest.mark.parametrize(
         "assignments, shown",
@@ -500,15 +547,15 @@ def _partial_total(g, models, pset, assigned, attr=None, value=None):
         else:
             for a in g.attributes:
                 total += max(_cell(pset.scores, st.proposal_ref, a.id, v) for v in a.domain)
+    syntactic = models.syntactic
     for p, c in g.psg_edges:
         if p in assigned and c in assigned:
-            total += models.syntactic.score((p, c), assigned[p].part_type, assigned[c].part_type)
+            total += syntactic.logs[syntactic.row((p, c)), assigned[p].part_type - 1, assigned[c].part_type - 1]
     for p, c in g.dg_edges:
         if p in assigned and c in assigned:
-            total += models.kinematic.score(
-                (p, c), assigned[c].x - assigned[p].x, assigned[c].y - assigned[p].y
-            )
-    return total
+            offset = [[assigned[c].x - assigned[p].x, assigned[c].y - assigned[p].y]]
+            total += models.kinematic.log_density((p, c), np.array(offset))[0]
+    return float(total)
 
 
 class TestBeamTrace:
@@ -1368,10 +1415,10 @@ class TestRelationTables:
                 for c, ch in enumerate(pset.proposals_for(table.child.part)):
                     assert (p.part, ch.part) == (parent, child)
                     if isinstance(table.source, SyntacticTable):
-                        expected = models.syntactic.score(table.edge, p.part_type, ch.part_type)
+                        expected = models.syntactic.logs[models.syntactic.row(table.edge), p.part_type - 1, ch.part_type - 1]
                         assert whole[r, c] == expected
                     else:
-                        expected = models.kinematic.score(table.edge, ch.x - p.x, ch.y - p.y)
+                        [expected] = models.kinematic.log_density(table.edge, np.array([[ch.x - p.x, ch.y - p.y]]))
                         np.testing.assert_allclose(whole[r, c], expected, rtol=0, atol=1e-12)
 
     def test_a_cooccurrence_table_holds_one_row_per_part_type(self, grammar, quick_models):

@@ -27,6 +27,7 @@ from posegrammar.grammar import (
     AOGrammar,
     AttributeDef,
     GrammarNode,
+    PartState,
     part_keypoints,
 )
 from posegrammar.learning import (
@@ -245,6 +246,11 @@ def corpus_101(grammar):
     return make_training_pairs(600, seed=101, grammar=grammar)
 
 
+def _log(table, edge, t_parent, t_child):
+    """The log entry of ``edge``'s co-occurrence table at two part types."""
+    return table.logs[table.row(edge), t_parent - 1, t_child - 1]
+
+
 def _loop_syntactic(type_samples, grammar):
     """Co-occurrence counts one sample at a time: the reference for the
     counted fit."""
@@ -297,13 +303,13 @@ class TestFitSyntactic:
         types["upper_body"] = 3
         table = fit_syntactic([types], grammar)
         np.testing.assert_allclose(
-            table.score(("full_body", "upper_body"), 2, 3), math.log(2.0 / 82.0), atol=1e-12
+            _log(table, ("full_body", "upper_body"), 2, 3), math.log(2.0 / 82.0), atol=1e-12
         )
         np.testing.assert_allclose(
-            table.score(("full_body", "upper_body"), 1, 1), math.log(1.0 / 82.0), atol=1e-12
+            _log(table, ("full_body", "upper_body"), 1, 1), math.log(1.0 / 82.0), atol=1e-12
         )
         np.testing.assert_allclose(
-            table.score(("upper_body", "head"), 3, 1), math.log(2.0 / 82.0), atol=1e-12
+            _log(table, ("upper_body", "head"), 3, 1), math.log(2.0 / 82.0), atol=1e-12
         )
 
     def test_counting_oracle(self):
@@ -311,21 +317,21 @@ class TestFitSyntactic:
         samples = [(1, 1), (1, 2), (1, 1)]
         table = fit_syntactic([{"root": tr, "a": tc, "b": tc} for tr, tc in samples], g)
         np.testing.assert_allclose(
-            table.score(("root", "a"), 1, 1), math.log(3.0 / 7.0), atol=1e-12
+            _log(table, ("root", "a"), 1, 1), math.log(3.0 / 7.0), atol=1e-12
         )
         np.testing.assert_allclose(
-            table.score(("root", "a"), 1, 2), math.log(2.0 / 7.0), atol=1e-12
+            _log(table, ("root", "a"), 1, 2), math.log(2.0 / 7.0), atol=1e-12
         )
         np.testing.assert_allclose(
-            table.score(("root", "a"), 2, 1), math.log(1.0 / 7.0), atol=1e-12
+            _log(table, ("root", "a"), 2, 1), math.log(1.0 / 7.0), atol=1e-12
         )
 
     def test_uniform_fallback_warns(self):
         g = _toy_grammar()
         with pytest.warns(UserWarning, match="uniform") as caught:
             table = fit_syntactic([{"root": 1}], g)
-        np.testing.assert_allclose(table.score(("root", "a"), 2, 2), math.log(0.25), atol=1e-12)
-        np.testing.assert_allclose(table.score(("root", "b"), 1, 2), math.log(0.25), atol=1e-12)
+        np.testing.assert_allclose(_log(table, ("root", "a"), 2, 2), math.log(0.25), atol=1e-12)
+        np.testing.assert_allclose(_log(table, ("root", "b"), 1, 2), math.log(0.25), atol=1e-12)
         assert [str(w.message) for w in caught] == [
             "no part-type samples for edges [('root', 'a'), ('root', 'b')]; they use the uniform table"
         ]
@@ -368,17 +374,17 @@ class TestFitSyntactic:
 
     @pytest.mark.parametrize("bad", ["a", [1], 1.5, 2.0, True], ids=["str", "list", "fraction", "float", "bool"])
     def test_fit_and_score_hold_one_part_type_rule(self, bad):
-        """``fit_syntactic`` and ``SyntacticTable.score`` refuse what
-        ``Proposal``, ``PartState`` and the file readers refuse: a part type
-        is an integer in 1..t, never a float or a bool, in either position."""
+        """``fit_syntactic`` refuses what ``Proposal``, ``PartState`` (so
+        every parse ``recompute_score`` scores) and the file readers refuse:
+        a part type is an integer in 1..t, never a float or a bool, in
+        either position."""
         g = _toy_grammar()
-        table = fit_syntactic([{"root": 1, "a": 2, "b": 1}], g)
         for pair in ((bad, 1), (1, bad)):
             message = f"part types for edge ('root', 'a') must lie in 1..2, got ({pair[0]}, {pair[1]})"
             with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
                 fit_syntactic([{"root": pair[0], "a": pair[1]}], g)
-            with pytest.raises(ValidationError, match=r"^part types must lie in 1\.\.2, got "):
-                table.score(("root", "a"), *pair)
+        with pytest.raises(ValidationError, match="^part_type must be an integer >= 1, got "):
+            PartState("a", 0.0, 0.0, bad, "p")
 
 
 class TestDisplacementSamples:
@@ -671,8 +677,7 @@ class TestFitKinematic:
         rng = np.random.default_rng(9)
         X = rng.normal((4.0, -2.0), 0.5, size=(80, 2))
         model = fit_kinematic({("a", "b"): X}, n_components=3, seed=0)
-        near = model.score(("a", "b"), 4.0, -2.0)
-        far = model.score(("a", "b"), 40.0, 40.0)
+        near, far = model.log_density(("a", "b"), np.array([[4.0, -2.0], [40.0, 40.0]]))
         assert near > far + 10.0
 
     def test_too_few_samples(self):
@@ -881,10 +886,10 @@ class TestLearnModels:
             types = list(map(proposal_part_types, anns, groups))
             models = learn_models(anns, grammar, type_samples=types, n_components=2)
         np.testing.assert_allclose(
-            models.syntactic.score(("upper_body", "head"), 2, 2), math.log(3.0 / 83.0), atol=1e-12
+            _log(models.syntactic, ("upper_body", "head"), 2, 2), math.log(3.0 / 83.0), atol=1e-12
         )
         np.testing.assert_allclose(
-            models.syntactic.score(("upper_body", "head"), 1, 1), math.log(1.0 / 83.0), atol=1e-12
+            _log(models.syntactic, ("upper_body", "head"), 1, 1), math.log(1.0 / 83.0), atol=1e-12
         )
 
     @pytest.mark.parametrize("scale", [3.0, 300.0])

@@ -19,6 +19,7 @@ from posegrammar.appearance import ProposalSet, ScoreTable, synth_scores
 from posegrammar.errors import ValidationError
 from posegrammar.evaluation import DiagnosticConfig, run_diagnostic
 from posegrammar.learning import Annotation, JointObs
+from posegrammar.relations import KinematicMoG, SyntacticTable
 from posegrammar.synthetic import generate_family, two_person_scene
 
 
@@ -209,6 +210,21 @@ def test_the_expansion_order_is_placed_once_per_grammar(grammar, quick_models, m
     inference.select_final(grammar, quick_models, pset)
     run_diagnostic(scenes, DiagnosticConfig(grammar=grammar, models=quick_models))
     assert placed == []
+
+
+def test_a_parse_is_scored_once_per_relation_model(grammar, quick_models, monkeypatch):
+    """Neither relation model scores one edge at a time: neither class
+    defines ``score``, and ``recompute_score`` reads a full parse's 13
+    dependency edges in one ``log_densities`` call, one offset per edge."""
+    assert [cls.__name__ for cls in (SyntacticTable, KinematicMoG) if hasattr(cls, "score")] == []
+    pset = synth_scores(two_person_scene(seed=5), 0.9, 5)
+    parses = inference.search(grammar, quick_models, pset, [{}, {"gender": "male"}])
+    calls, density = [], quick_models.kinematic.log_densities
+    monkeypatch.setattr(quick_models.kinematic, "log_densities", lambda e, p: calls.append(p.shape) or density(e, p))
+    for pg in parses:
+        assert set(pg.states) == set(grammar.part_ids)
+        assert float.hex(grammar_module.recompute_score(pg, grammar, quick_models, pset.scores)) == float.hex(pg.total_score)
+    assert calls == [(13, 1, 2)] * len(parses)
 
 
 def test_only_synthetic_reads_the_part_box_sizes():

@@ -58,15 +58,16 @@ class TestSyntacticTable:
         for tp in (1, 5, 9):
             for tc in (1, 5, 9):
                 np.testing.assert_allclose(
-                    table.score(EDGE, tp, tc), expected, rtol=0, atol=1e-15
+                    table.logs[table.row(EDGE), tp - 1, tc - 1], expected, rtol=0, atol=1e-15
                 )
 
-    def test_score_reads_log_of_entry(self):
+    def test_logs_hold_the_log_of_each_entry(self):
         mat = np.array([[0.5, 0.25], [0.125, 0.125]])
         table = SyntacticTable({EDGE: mat}, part_type_count=2)
-        np.testing.assert_allclose(table.score(EDGE, 1, 1), math.log(0.5), atol=1e-15)
-        np.testing.assert_allclose(table.score(EDGE, 1, 2), math.log(0.25), atol=1e-15)
-        np.testing.assert_allclose(table.score(EDGE, 2, 1), math.log(0.125), atol=1e-15)
+        logs = table.logs[table.row(EDGE)]
+        np.testing.assert_allclose(logs[0, 0], math.log(0.5), atol=1e-15)
+        np.testing.assert_allclose(logs[0, 1], math.log(0.25), atol=1e-15)
+        np.testing.assert_allclose(logs[1, 0], math.log(0.125), atol=1e-15)
 
     def test_rejects_bad_shape(self):
         with pytest.raises(ValidationError, match="expected shape"):
@@ -87,14 +88,7 @@ class TestSyntacticTable:
     def test_missing_edge(self):
         table = uniform_syntactic_table([EDGE], part_type_count=2)
         with pytest.raises(MissingEntryError, match="no syntactic table"):
-            table.score(("torso", "l_hip"), 1, 1)
-
-    def test_type_out_of_range(self):
-        table = uniform_syntactic_table([EDGE], part_type_count=2)
-        with pytest.raises(ValidationError, match="part types must lie in 1..2"):
-            table.score(EDGE, 0, 1)
-        with pytest.raises(ValidationError, match="part types must lie in 1..2"):
-            table.score(EDGE, 1, 3)
+            table.row(("torso", "l_hip"))
 
 
 def _single_gaussian(mean=(0.0, 0.0), cov=((1.0, 0.0), (0.0, 1.0))):
@@ -137,7 +131,7 @@ class TestMixtureDensity:
         """A unit Gaussian evaluated at its mean: log(1/(2*pi))."""
         mog = KinematicMoG({EDGE: _single_gaussian()})
         np.testing.assert_allclose(
-            mog.score(EDGE, 0.0, 0.0), -1.8378770664093453, rtol=0, atol=1e-12
+            mog.log_density(EDGE, np.zeros((1, 2))), [-1.8378770664093453], rtol=0, atol=1e-12
         )
 
     @pytest.mark.parametrize("shape", [(1, 1), (3, 3), (2,), (1, 2, 2)])
@@ -153,8 +147,7 @@ class TestMixtureDensity:
     def test_shifted_gaussian_quadratic_falloff(self):
         """One sigma from the mean costs exactly one half nat."""
         mog = KinematicMoG({EDGE: _single_gaussian(mean=(3.0, -2.0))})
-        at_mean = mog.score(EDGE, 3.0, -2.0)
-        one_off = mog.score(EDGE, 4.0, -2.0)
+        at_mean, one_off = mog.log_density(EDGE, np.array([[3.0, -2.0], [4.0, -2.0]]))
         np.testing.assert_allclose(at_mean - one_off, 0.5, rtol=0, atol=1e-12)
 
     def test_three_component_matches_direct_summation(self):
@@ -163,7 +156,7 @@ class TestMixtureDensity:
         rng = np.random.default_rng(7)
         pts = rng.normal(0.0, 15.0, size=(64, 2)) + np.array([0.0, -30.0])
         expected = _oracle_logpdf(mix, pts)
-        got = np.array([mog.score(EDGE, float(x), float(y)) for x, y in pts])
+        got = np.array([mog.log_density(EDGE, np.array([[x, y]]))[0] for x, y in pts])
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
         np.testing.assert_allclose(mog.log_density(EDGE, pts), expected, rtol=0, atol=1e-12)
         # The beam's relation table: one parent at the origin, one child
@@ -201,9 +194,8 @@ class TestMixtureDensity:
         )
         mog = KinematicMoG({EDGE: with_dead})
         solo = KinematicMoG({EDGE: _single_gaussian()})
-        np.testing.assert_allclose(
-            mog.score(EDGE, 1.0, -2.0), solo.score(EDGE, 1.0, -2.0), rtol=0, atol=1e-15
-        )
+        point = np.array([[1.0, -2.0]])
+        np.testing.assert_allclose(mog.log_density(EDGE, point), solo.log_density(EDGE, point), rtol=0, atol=1e-15)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -223,7 +215,7 @@ class TestMixtureDensity:
         mix = Mixture(weights=w, means=means, covariances=covs)
         mog = KinematicMoG({EDGE: mix})
         expected = _oracle_logpdf(mix, np.array([[dx, dy]]))[0]
-        np.testing.assert_allclose(mog.score(EDGE, dx, dy), expected, rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(mog.log_density(EDGE, np.array([[dx, dy]])), [expected], rtol=1e-10, atol=1e-10)
 
 
 def _per_call_log_density(mix: Mixture, points: np.ndarray) -> np.ndarray:
@@ -277,14 +269,17 @@ class TestLogDensityBits:
         self._assert_bits(KinematicMoG({EDGE: mix}).log_density(EDGE, points), _per_call_log_density(mix, points))
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_one_point_as_score_reads_it(self, seed):
+    def test_one_point_per_edge_as_recompute_reads_it(self, seed):
+        """``recompute_score`` reads one offset per dependency edge, all in
+        one (E, 1, 2) ``log_densities`` call."""
         rng = np.random.default_rng(seed + 10)
         mix = self._mixture(rng)
         mog = KinematicMoG({EDGE: mix})
-        for dx, dy in rng.normal(0.0, 20.0, size=(20, 2)).tolist():
-            [expected] = _per_call_log_density(mix, np.array([[dx, dy]]))
-            self._assert_bits(mog.log_density(EDGE, np.array([[dx, dy]])), [expected])
-            self._assert_bits(mog.score(EDGE, dx, dy), expected)
+        points = rng.normal(0.0, 20.0, size=(20, 2))
+        expected = [_per_call_log_density(mix, point[None])[0] for point in points]
+        for point, want in zip(points, expected):
+            self._assert_bits(mog.log_density(EDGE, point[None]), [want])
+        self._assert_bits(mog.log_densities([EDGE] * len(points), points[:, None]), expected)
 
     @settings(max_examples=80, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), dead=st.sets(st.integers(0, 9), max_size=9))
@@ -656,15 +651,12 @@ class TestMixtureValidation:
                 covariances=np.array([np.eye(2)]),
             )
 
-    def test_non_finite_displacement_rejected(self):
-        mog = KinematicMoG({EDGE: _single_gaussian()})
-        with pytest.raises(ValidationError, match="finite"):
-            mog.score(EDGE, math.nan, 0.0)
-
     def test_missing_edge(self):
         mog = KinematicMoG({EDGE: _single_gaussian()})
         with pytest.raises(MissingEntryError, match="no kinematic mixture"):
-            mog.score(("torso", "l_hip"), 0.0, 0.0)
+            mog.log_density(("torso", "l_hip"), np.zeros((1, 2)))
+        with pytest.raises(MissingEntryError, match="no kinematic mixture"):
+            mog.log_densities([EDGE, ("torso", "l_hip")], np.zeros((2, 1, 2)))
 
 
 class TestAttributeAssociation:
@@ -754,13 +746,13 @@ class TestModelSerialization:
         back = load_models(str(path))
         assert back.part_type_count == syn.part_type_count
         np.testing.assert_array_equal(back.syntactic.tables[("root", "a")], syn.tables[("root", "a")])
-        for dx, dy in ((0.0, -30.0), (6.0, -28.0), (10.0, 0.0)):
-            np.testing.assert_allclose(
-                back.kinematic.score(("a", "b"), dx, dy),
-                models.kinematic.score(("a", "b"), dx, dy),
-                rtol=0,
-                atol=0,
-            )
+        points = np.array([(0.0, -30.0), (6.0, -28.0), (10.0, 0.0)])
+        np.testing.assert_allclose(
+            back.kinematic.log_density(("a", "b"), points),
+            models.kinematic.log_density(("a", "b"), points),
+            rtol=0,
+            atol=0,
+        )
 
     def test_malformed_document(self):
         with pytest.raises(ValidationError, match="^kinematic is missing$"):
