@@ -445,47 +445,43 @@ def select_final(
     return best_parse(per_pair), per_pair
 
 
-def _readout(
-    pg: ParseGraph, pset: ProposalSet, carried: Mapping[NodeId, frozenset[AttrId]], attr: AttrId, value: str
-) -> float:
-    """Score of ``attr=value`` summed over the parse's parts that carry
-    ``attr`` by ``carried``, in state order from ``0.0``, each cell read as
-    one float.  A sum beyond the float range is refused naming the pair and
-    the proposals summed."""
-    scores = pset.scores
-    # Added one by one, not by np.sum: its pairwise order changes the
-    # last bits of the byte-compared readout.
-    cell, row, column, total = scores.values.item, scores.row, scores.column(attr, value), 0.0
-    for part, st in pg.states.items():
-        if attr in carried[part]:
-            total += cell(row(st.proposal_ref), column)
-    if not math.isfinite(total):
-        refs = [st.proposal_ref for part, st in pg.states.items() if attr in carried[part]]
-        raise ValidationError(
-            f"attribute score {attr}={value} summed over proposals {refs} is {total}, not a finite number"
-        )
-    return total
-
-
 def attribute_scores(
-    per_pair: Mapping[tuple[AttrId, str], ParseGraph],
-    pset: ProposalSet,
-    assoc: AttributeAssociation,
+    per_pair: Mapping[tuple[AttrId, str], ParseGraph], pset: ProposalSet, assoc: AttributeAssociation
 ) -> dict[AttrId, dict[str, float]]:
     """Attribute classification scores from attribute-specific parses.
 
-    For each (attribute, value) pair, sums that value's appearance score
-    over the parts of the pair's parse graph that are associated with the
-    attribute.  Parts outside the association contribute nothing.  Each
-    part's associated attributes are looked up once per call.
+    Per (attribute, value) pair, the value's cells of the pair's parse's
+    states whose parts carry the attribute, summed in state order from
+    ``0.0``, one float at a time.  Within one call each part's carried
+    attributes are looked up once, and each distinct parse's carried rows
+    once per attribute, after the pair's column.  A sum beyond the float
+    range is refused naming the pair and the proposals summed.
     """
-    out: dict[AttrId, dict[str, float]] = {}
+    scores, cell, out = pset.scores, pset.scores.values.item, {}
     carried: dict[NodeId, frozenset[AttrId]] = {}
-    for (attr, value), pg in per_pair.items():
+    rows: dict[tuple[int, AttrId], list[int]] = {}  # by (parse identity, attribute)
+    # Listed first, so every parse outlives the loop and no identity is reused.
+    for (attr, value), pg in list(per_pair.items()):
         if pg.states and attr not in assoc.attr_ids:
             raise MissingEntryError(f"unknown attribute {attr!r}")
-        for part in pg.states:
-            if part not in carried:
-                carried[part] = assoc.attrs_for(part)
-        out.setdefault(attr, {})[value] = _readout(pg, pset, carried, attr, value)
+        if (found := rows.get(key := (id(pg), attr))) is None:
+            for part in pg.states:
+                if part not in carried:
+                    carried[part] = assoc.attrs_for(part)
+        column = scores.column(attr, value)
+        if found is None:
+            found = rows[key] = []
+            for part, st in pg.states.items():
+                if attr in carried[part]:
+                    found.append(scores.row(st.proposal_ref))
+        # One by one, not by np.sum: its pairwise order changes the last bits.
+        total = 0.0
+        for r in found:
+            total += cell(r, column)
+        if not math.isfinite(total):
+            refs = [st.proposal_ref for part, st in pg.states.items() if attr in carried[part]]
+            raise ValidationError(
+                f"attribute score {attr}={value} summed over proposals {refs} is {total}, not a finite number"
+            )
+        out.setdefault(attr, {})[value] = total
     return out

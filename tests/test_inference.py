@@ -24,7 +24,7 @@ from posegrammar import inference, parallel
 from posegrammar.appearance import Proposal, ProposalSet, ScoreTable, save_proposals, synth_scores
 from posegrammar.cli import cli_dispatch
 from posegrammar.errors import InfeasibleParseError, MissingEntryError, ValidationError
-from posegrammar.evaluation import DiagnosticConfig, run_diagnostic
+from posegrammar.evaluation import DiagnosticConfig, parse_attribute_scores, run_diagnostic
 from posegrammar.grammar import (
     AOGrammar,
     AttributeDef,
@@ -42,7 +42,6 @@ from posegrammar.inference import (
     _extend,
     _Group,
     _prepare,
-    _readout,
     _run_beam,
     _Step,
     _steps,
@@ -731,7 +730,9 @@ class TestReadout:
 
     @staticmethod
     def _assigned_total(pg, pset, assoc):
-        return sum(_readout(pg, pset, assoc.parts, a, v) for a, v in pg.attribute_assignment.items())
+        pairs = pg.attribute_assignment.items()
+        scores = attribute_scores({(a, v): pg for a, v in pairs}, pset, assoc)
+        return sum(scores[a][v] for a, v in pairs)
 
     def test_assigned_attributes_masked_by_association(self):
         table = ScoreTable(
@@ -778,6 +779,96 @@ class TestReadout:
         np.testing.assert_allclose(self._assigned_total(pg, pset, assoc), 1.25, atol=1e-12)
 
 
+def _counted_rows(monkeypatch) -> list[str]:
+    """A list that records, from now on, the id of every ``ScoreTable.row`` lookup."""
+    calls, row = [], ScoreTable.row
+    monkeypatch.setattr(ScoreTable, "row", lambda table, pid: calls.append(pid) or row(table, pid))
+    return calls
+
+
+class TestReadoutRows:
+    """A readout finds a parse's carried rows once per attribute: pairs
+    that share a parse share its rows, distinct parses find their own.
+    Errors keep their order: an unknown attribute, then a part with no
+    association entry, then the pair's column, then a missing row, then a
+    sum that is not finite, naming only its own attribute's proposals."""
+
+    def test_a_shared_parse_finds_its_rows_once_per_attribute(self, grammar, quick_models, monkeypatch):
+        assoc, pset = quick_models.association, synth_scores(two_person_scene(seed=5), 0.9, 5)
+        pg = parse_unconstrained(grammar, quick_models, pset)
+        carrying = {
+            a.id: [st.proposal_ref for part, st in pg.states.items() if a.id in assoc.attrs_for(part)]
+            for a in grammar.attributes
+        }
+        assert len({tuple(refs) for refs in carrying.values()}) > 1
+        calls = _counted_rows(monkeypatch)
+        parse_attribute_scores(pg, pset, assoc, grammar)
+        assert calls == [ref for a in grammar.attributes for ref in carrying[a.id]]
+        assert len(calls) < sum(len(carrying[a.id]) * len(a.domain) for a in grammar.attributes)
+
+    def test_distinct_parses_find_their_own_rows(self, grammar, quick_models, monkeypatch):
+        assoc, pset = quick_models.association, synth_scores(two_person_scene(seed=5), 0.9, 5)
+        _best, per_pair = select_final(grammar, quick_models, pset)
+        assert len({id(pg) for pg in per_pair.values()}) == len(per_pair) == 26
+        calls = _counted_rows(monkeypatch)
+        attribute_scores(per_pair, pset, assoc)
+        expected = [
+            st.proposal_ref for (attr, _v), pg in per_pair.items() for part, st in pg.states.items()
+            if attr in assoc.attrs_for(part)
+        ]
+        assert calls == expected
+
+    @staticmethod
+    def _world(extra=None):
+        """A head carrying ``hat``, and a torso and legs carrying
+        ``gender``, whose ``male`` cells sum beyond the float range; one
+        parse holds all three, plus ``extra`` states (part to proposal)."""
+        table = ScoreTable({
+            "ph": {"hat": {"yes": 1.5, "no": -2.0}, "gender": {"male": 0.0, "female": 0.25}},
+            "pt": {"hat": {"yes": 4.0, "no": 8.0}, "gender": {"male": 1e308, "female": 0.5}},
+            "pl": {"hat": {"yes": 16.0, "no": 32.0}, "gender": {"male": 1e308, "female": 0.75}},
+        })
+        scored = {"head": "ph", "torso": "pt", "legs": "pl"}
+        pset = ProposalSet.from_proposals(
+            [Proposal(id=pid, part=part, x=0, y=0, part_type=1, box=(0, 0, 2, 2)) for part, pid in scored.items()], table
+        )
+        assoc = AttributeAssociation({"head": ("hat",), "torso": ("gender",), "legs": ("gender",)}, ("hat", "gender"))
+        states = {part: PartState(part, 0.0, 0.0, 1, pid) for part, pid in (scored | (extra or {})).items()}
+        return pset, assoc, ParseGraph(states, {}, 0.0)
+
+    @staticmethod
+    def _refused(error, message, per_pair, pset, assoc):
+        with pytest.raises(error, match="^" + re.escape(message) + "$"):
+            attribute_scores(per_pair, pset, assoc)
+
+    def test_a_non_finite_sum_names_its_own_attribute_s_proposals(self):
+        pset, assoc, pg = self._world()
+        pairs = [("hat", "yes"), ("hat", "no"), ("gender", "female")]
+        assert attribute_scores(dict.fromkeys(pairs, pg), pset, assoc) == {
+            "hat": {"yes": 1.5, "no": -2.0}, "gender": {"female": 1.25}
+        }
+        message = "attribute score gender=male summed over proposals ['pt', 'pl'] is inf, not a finite number"
+        self._refused(ValidationError, message, dict.fromkeys(pairs + [("gender", "male")], pg), pset, assoc)
+
+    def test_the_column_is_refused_before_a_row(self):
+        pset, assoc, pg = self._world({"head": "ghost"})
+        column = "the score table has no score for 'hat'='maybe'"
+        self._refused(MissingEntryError, column, dict.fromkeys([("hat", "maybe"), ("hat", "yes")], pg), pset, assoc)
+        row = "no scores for proposal 'ghost'"
+        self._refused(MissingEntryError, row, dict.fromkeys([("hat", "yes"), ("hat", "maybe")], pg), pset, assoc)
+        self._refused(MissingEntryError, row, dict.fromkeys([("gender", "female"), ("hat", "yes")], pg), pset, assoc)
+
+    def test_unknown_attributes_and_unassociated_parts_keep_their_errors(self):
+        pset, assoc, pg = self._world({"arm": "ghost"})
+        unknown = "unknown attribute 'mood'"
+        self._refused(MissingEntryError, unknown, dict.fromkeys([("mood", "happy"), ("hat", "yes")], pg), pset, assoc)
+        unassociated = "no association entry for part 'arm'"
+        self._refused(MissingEntryError, unassociated, {("hat", "maybe"): pg}, pset, assoc)
+        _pset, _assoc, known = self._world()
+        per_pair = {("hat", "yes"): known, ("gender", "female"): known, ("mood", "happy"): known}
+        self._refused(MissingEntryError, unknown, per_pair, pset, assoc)
+
+
 def _lookup_appearance(grammar, pset, step, assignment):
     """A step's appearance vector read cell by cell: the assigned cells
     added in assignment order from the first, or 0.0 plus each
@@ -799,8 +890,8 @@ def _lookup_appearance(grammar, pset, step, assignment):
 
 
 def _lookup_readout(pg, pset, assoc, attr, value):
-    """``_readout`` as a plain loop: from 0.0, add each associated part's
-    cell in state order."""
+    """An attribute readout as a plain loop: from 0.0, add each associated
+    part's cell in state order."""
     total = 0.0
     for part, st in pg.states.items():
         if attr in assoc.attrs_for(part):
@@ -863,6 +954,7 @@ class TestAppearanceBits:
         carried = {
             a.id: set(rng.permutation(parts)[: int(rng.integers(8, 18))]) for a in grammar.attributes
         }
+        assert len({frozenset(c) for c in carried.values()}) > 1
         assoc = AttributeAssociation(
             {part: tuple(a for a in carried if part in carried[a]) for part in parts}, list(carried)
         )
@@ -872,9 +964,19 @@ class TestAppearanceBits:
             pg = ParseGraph(
                 {part: PartState(part, 0.0, 0.0, 1, pid) for part, pid in chosen.items()}, {}, 0.0
             )
-            assert _bits([_readout(pg, pset, assoc.parts, attr, value)]) == _bits(
+            assert _bits([attribute_scores({(attr, value): pg}, pset, assoc)[attr][value]]) == _bits(
                 [_lookup_readout(pg, pset, assoc, attr, value)]
             )
+        # One parse shared by all pairs, as the no-attribute readout shares
+        # it: each attribute sums its own carried parts.
+        order = rng.permutation(parts).tolist()
+        shared = ParseGraph(
+            {part: PartState(part, 0.0, 0.0, 1, f"{part}.{int(rng.integers(0, per_part))}") for part in order}, {}, 0.0
+        )
+        scores = attribute_scores({pair: shared for pair in pairs}, pset, assoc)
+        assert _bits([scores[a][v] for a, v in pairs]) == _bits(
+            [_lookup_readout(shared, pset, assoc, a, v) for a, v in pairs]
+        )
 
 
 class TestListingOrder:

@@ -145,6 +145,29 @@ def test_only_appearance_rebuilds_proposals():
     assert _calls_outside_appearance("proposals_for") == []
 
 
+def test_only_the_readout_reads_score_cells_one_at_a_time():
+    """Attribute scores have one readout, ``inference.attribute_scores``:
+    outside ``posegrammar.appearance``, which owns the score grid, no other
+    code reads a grid's cells one at a time (``.values.item``)."""
+    readers = []
+    for path in sorted(Path(posegrammar.__file__).parent.glob("*.py")):
+        if path.name == "appearance.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        # Outer scopes come first, so the last span holding a line is its innermost.
+        spans = [(name, s.lineno, s.end_lineno) for name, s in _scopes(tree) if isinstance(s, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr == "item"
+                and isinstance(node.value, ast.Attribute)
+                and node.value.attr == "values"
+            ):
+                inside = [name for name, start, end in spans if start <= node.lineno <= end] or ["<module>"]
+                readers.append(f"{path.name}:{inside[-1]}")
+    assert readers == ["inference.py:attribute_scores"]
+
+
 def test_appearance_checks_proposals_once():
     """Proposals have one check, ``appearance._checked_columns``: the
     module does not import ``PartState``, whose fields a second check
