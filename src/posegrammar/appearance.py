@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain
+from itertools import accumulate, chain
 from operator import itemgetter
 from typing import Callable, Collection, Iterable, Mapping, Sequence
 
@@ -113,12 +113,12 @@ class ScoreTable:
         self.values = values
         self.values.flags.writeable = False
 
-    def rows(self, pids: Iterable[str], part: NodeId | None = None) -> np.ndarray:
-        """The row of each of ``pids``; an error names ``part``."""
+    def rows(self, pids: Sequence[str], part: Callable[[int], NodeId] | None = None) -> np.ndarray:
+        """The row of each of ``pids``; an error names the first id missing, the i-th, and its part ``part(i)``."""
         try:
             return np.array([self._rows[pid] for pid in pids], dtype=np.intp)
         except KeyError as exc:
-            where = f" (part {part!r})" if part else ""
+            where = f" (part {part(pids.index(exc.args[0]))!r})" if part else ""
             raise MissingEntryError(f"no scores for proposal {exc.args[0]!r}{where}") from None
 
     def row(self, pid: str) -> int:
@@ -150,17 +150,17 @@ class ScoreTable:
         groups = [[self.column(a.id, v) for v in a.domain] for a in attributes]
         columns = [[self.column(a, v) for a, v in assignment.items()] for assignment in assignments]
         out = np.empty((len(columns), len(rows)))
+        cells = self.values.take(rows, axis=0)
         if single := [k for k, cols in enumerate(columns) if len(cols) == 1]:
-            out[single] = self.values.take(rows, axis=0).take([columns[k][0] for k in single], axis=1).T
+            out[single] = cells.take([columns[k][0] for k in single], axis=1).T
         for k, cols in enumerate(columns):
             if len(cols) > 1:
-                out[k] = reduce(np.add, [self.values[rows, c] for c in cols])
+                out[k] = reduce(np.add, [cells[:, c] for c in cols])
         if free := [k for k, cols in enumerate(columns) if not cols]:
-            # 0.0, then each attribute's best, by one reduceat, summed in order by one cumsum.
-            block = np.zeros((len(rows), 1 + sum(map(len, groups))))
-            block[:, 1:] = self.values[rows[:, None], sum(groups, [])]
-            best = np.maximum.reduceat(block, np.cumsum([0, 1] + [len(g) for g in groups])[:-1], axis=1)
-            out[free] = np.cumsum(best, axis=1)[:, -1]
+            total = np.zeros(len(rows))
+            for group in groups:
+                total += reduce(np.maximum, [cells[:, c] for c in group])
+            out[free] = total
         return out
 
     def per_proposal(self, pid: str) -> dict[AttrId, dict[str, float]]:
@@ -297,15 +297,15 @@ class ProposalSet:
 
     @classmethod
     def _grouped(cls, ids, parts, xy: np.ndarray, types: np.ndarray, boxes: np.ndarray, scores, part_type_count):
-        """The set of the checked columns, one bucket per part."""
+        """The set of the checked columns, one bucket per part: its slice of the columns gathered once, in id order."""
         members: dict[NodeId, list[int]] = {}
         for i, part in enumerate(parts):
             members.setdefault(part, []).append(i)
-        buckets = []
-        for part, index in members.items():
-            index.sort(key=ids.__getitem__)
-            part_ids = tuple(ids[i] for i in index)
-            buckets.append(Bucket(part, part_ids, xy[index], types[index], boxes[index], scores.rows(part_ids, part)))
+        order = [i for index in members.values() for i in sorted(index, key=ids.__getitem__)]
+        ordered = [ids[i] for i in order]
+        columns = xy[order], types[order], boxes[order], scores.rows(ordered, lambda i: parts[order[i]])
+        ends = list(accumulate(map(len, members.values())))
+        buckets = [Bucket(p, tuple(ordered[s:e]), *(c[s:e] for c in columns)) for p, s, e in zip(members, [0] + ends, ends)]
         return cls(buckets, scores, part_type_count)
 
     @classmethod

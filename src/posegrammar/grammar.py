@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import MemberDescriptorType
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -492,6 +493,8 @@ _PARSE_DOC = record(
     attributes=optional(mapping(text), {}),
     total_score=number,
 )
+_SLOTS = {cls: [vars(cls)[name] for name in cls.__slots__] for cls in (PartState, ParseGraph)}
+_SET_SLOT = MemberDescriptorType.__set__  # sets a slot past the frozen ``__setattr__``
 
 
 def _trusted(cls, *values):
@@ -499,8 +502,8 @@ def _trusted(cls, *values):
     unchecked: for values its field specs keep as they are, as the search's
     states built from :meth:`ProposalSet.from_columns`' checked columns."""
     obj = object.__new__(cls)
-    for name, value in zip(cls.__slots__, values):
-        object.__setattr__(obj, name, value)
+    for slot, value in zip(_SLOTS[cls], values):
+        _SET_SLOT(slot, obj, value)
     return obj
 
 

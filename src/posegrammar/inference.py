@@ -63,12 +63,13 @@ class _Table:
             self.values, self.unfilled = np.empty((len(parent.ids), len(child.ids))), len(parent.ids)
             self.filled, self.lock = np.zeros(len(parent.ids), dtype=bool), threading.Lock()
 
+    def column(self, idx: np.ndarray) -> np.ndarray:
+        """The rows of the parent's proposals ``idx``: their part-type rows in a co-occurrence table."""
+        return self.parent.types.take(idx) - 1 if isinstance(self.source, SyntacticTable) else idx
+
     def rows(self, idx: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """The rows of the parent's proposals ``idx``, shape (len(idx), N),
-        written into ``out``."""
+        """The rows ``idx`` (:meth:`column`), shape (len(idx), N), written into ``out``."""
         # Every index is in range, and "clip" writes ``out`` unbuffered.
-        if isinstance(self.source, SyntacticTable):
-            return self.values.take(self.parent.types.take(idx) - 1, axis=0, out=out, mode="clip")
         if self.unfilled and not self.filled.take(idx).all():
             with self.lock:
                 # The rows read and not filled: another thread may have
@@ -237,8 +238,8 @@ def _extend(step: _Step, score: np.ndarray, cols, work: _Group) -> np.ndarray:
     """Scores of the prefixes with ``score`` (K, B), one row per objective
     of the group ``work``, each extended by every proposal of ``step``, a
     step after the first: shape (K, B, N), a view of ``work.sums``.
-    ``cols[p]`` holds the prefixes' (K, B) proposal indices at step
-    position ``p``, for every parent position of ``step``'s closings.
+    ``cols[p]`` holds the prefixes' (K, B) column at step position ``p``
+    (:meth:`_Table.column`), for every parent position of ``step``'s closings.
 
     The appearance term is added first, then each closing table's row in
     plan order, so every candidate sees the float operations of a search
@@ -334,21 +335,24 @@ def _run_group(steps: list[_Step], beam_width: int, work: _Group) -> list[tuple[
 
     A survivor's back-pointers are its parent, as a flat index into the
     previous step's (K, B) survivors, and its proposal index.  A column
-    that later closings read is re-gathered through the parents until its
-    ``last`` read; each objective's best is decoded after the last step.
+    that later closings read is made by the ``last`` table to read it (the
+    grammar keeps decomposition parents off the dependency edges, so a
+    position's readers are of one kind) and re-gathered through the
+    parents until then; each objective's best is decoded after the last step.
     """
-    last = {parent: si for si, step in enumerate(steps) for parent, _table in step.closings}
+    last = {parent: (si, table) for si, step in enumerate(steps) for parent, table in step.closings}
     score, cols, pointers = None, {}, []
     for si, step in enumerate(steps):
         # The first step's candidates all extend one empty prefix per objective.
         total = _extend(step, score, cols, work).reshape(len(score), -1) if si else step.app[work.objectives]
         keep = _cut(total, beam_width, work.rows)
         score = total.take(keep)
-        parent, child = np.divmod(keep, step.app.shape[1])
+        parent = keep // step.app.shape[1]
+        child = keep - parent * step.app.shape[1]  # half the cost of np.divmod
         pointers.append((parent, child))
-        cols = {p: c.take(parent) for p, c in cols.items() if last[p] > si}
+        cols = {p: c.take(parent) for p, c in cols.items() if last[p][0] > si}
         if si in last:
-            cols[si] = child
+            cols[si] = last[si][1].column(child)
     # Each objective's best survivor, as a flat index: the first maximum,
     # so the smallest id tuple among equal scores.
     best = score.argmax(axis=1) + np.arange(0, score.size, score.shape[1])

@@ -7,8 +7,10 @@ wide-enough beam must match it exactly; it is the testing oracle, guarded
 against blowup.  :func:`reference_extend` is that sum in its plain
 broadcast form, which the beam's product form must reproduce bit for
 bit, and :func:`table_rows` reads a relation table's rows into a fresh
-buffer.  :func:`uniform_syntactic_table` builds the co-occurrence
-model that puts equal mass on every pair of part types.
+buffer.  Each reads the columns the search reads, made by the tables'
+own :meth:`~posegrammar.inference._Table.column`.
+:func:`uniform_syntactic_table` builds the co-occurrence model that puts
+equal mass on every pair of part types.
 :func:`reference_average_precision` is average precision of one stream,
 computed on its own, as the batched form must reproduce it bit for bit.
 """
@@ -70,8 +72,8 @@ def brute_force_parse(
                 if best[0] is None or key < best[0][0]:
                     best[0] = (key, score, ix)
             return
-        # The prefixes' proposal indices, one (1, B) column per step position.
-        cols = np.array(idxs).T[:, None]
+        # The prefixes' (1, B) column per parent position, made by its table as the search makes it.
+        cols = {p: table.column(np.array(idxs)[None, :, p]) for p, table in steps[si].closings}
         work = _Group(slice(0, 1), len(scores) * len(steps[si].bucket.ids))
         sums = _extend(steps[si], np.array([scores]), cols, work)[0].tolist()
         ids = steps[si].bucket.ids
@@ -103,8 +105,9 @@ def reference_extend(step: _Step, score: np.ndarray, cols) -> np.ndarray:
 
 
 def table_rows(table: _Table, idx) -> np.ndarray:
-    """The rows of ``table`` for its parent's proposals ``idx``, gathered
-    into a buffer of their own."""
+    """The rows ``idx`` of ``table``, gathered into a buffer of their own:
+    a beam column, as :meth:`~posegrammar.inference._Table.column` makes it
+    from the parent's proposal indices."""
     idx = np.asarray(idx)
     return table.rows(idx, np.empty((len(idx), len(table.child.ids))))
 

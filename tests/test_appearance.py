@@ -188,8 +188,11 @@ class TestScoreTable:
 
     def test_missing_lookups_name_the_part(self):
         t = ScoreTable({"p1": {"hat": {"yes": 0.0}}})
+        # ``part`` gives the part at the missing id's position.
         with pytest.raises(MissingEntryError, match=r"^no scores for proposal 'p9' \(part 'head'\)$"):
-            t.rows(["p9"], part="head")
+            t.rows(["p1", "p9", "p8"], part=["torso", "head", "neck"].__getitem__)
+        with pytest.raises(MissingEntryError, match=r"^no scores for proposal 'p9'$"):
+            t.rows(["p1", "p9"])
         with pytest.raises(MissingEntryError, match="^the score table has no scores for attribute 'gender'$"):
             t.column("gender", "male")
         with pytest.raises(MissingEntryError, match="^the score table has no score for 'hat'='maybe'$"):
@@ -263,6 +266,50 @@ class TestProposalSet:
             ProposalSet.from_proposals(
                 [_proposal("p1"), _proposal("p2", part="torso")], ScoreTable({"p1": {}})
             )
+
+    @settings(max_examples=60, deadline=None)
+    @given(persons=st.integers(1, 12), seed=st.integers(0, 2**32 - 1), missing=st.integers(0, 3))
+    def test_buckets_equal_a_per_part_reference(self, persons, seed, missing):
+        """Each part's proposals are gathered in one order, and each bucket
+        holds what gathering that part alone gives: its ids in id order
+        (``p10`` before ``p2``), their ``xy``, ``types``, ``boxes`` and
+        score rows, whatever order the proposals and the score rows are
+        listed in.  With ``missing`` score rows dropped, the set is refused
+        naming the first proposal without one, in bucket order, and its
+        part, in the words of a part-by-part lookup."""
+        rng = np.random.default_rng(seed)
+        listed = [(f"p{i}", part) for i in range(persons) for part in PART_ORDER]
+        listed = [listed[j] for j in rng.permutation(len(listed))]
+        ids, parts = [f"{pid}.{part}" for pid, part in listed], [part for _pid, part in listed]
+        xy = [tuple(pair) for pair in rng.uniform(-50.0, 400.0, (len(ids), 2)).tolist()]
+        types = rng.integers(1, 10, len(ids)).tolist()
+        boxes = [tuple(box) for box in rng.uniform(1.0, 40.0, (len(ids), 4)).tolist()]
+        dropped = set(rng.choice(ids, size=missing, replace=False).tolist())
+        scored = [ids[j] for j in rng.permutation(len(ids)) if ids[j] not in dropped]
+        table = ScoreTable({pid: {"hat": dict(zip(("yes", "no"), rng.normal(size=2).tolist()))} for pid in scored})
+        members: dict[str, list[int]] = {}
+        for i, part in enumerate(parts):
+            members.setdefault(part, []).append(i)
+        reference = {part: sorted(index, key=ids.__getitem__) for part, index in members.items()}
+        lacking = [(ids[i], part) for part, index in reference.items() for i in index if ids[i] in dropped]
+        if lacking:
+            pid, part = lacking[0]
+            with pytest.raises(MissingEntryError, match=f"^no scores for proposal '{re.escape(pid)}' \\(part '{part}'\\)$"):
+                ProposalSet.from_columns(ids, parts, xy, types, boxes, table, 9)
+            return
+        pset = ProposalSet.from_columns(ids, parts, xy, types, boxes, table, 9)
+        assert list(pset.buckets) == list(reference)
+        for part, index in reference.items():
+            b = pset.buckets[part]
+            assert b.part == part and b.ids == tuple(ids[i] for i in index)
+            if persons > 10:
+                assert b.ids.index(f"p10.{part}") < b.ids.index(f"p2.{part}")
+            np.testing.assert_array_equal(b.xy, np.array([xy[i] for i in index]))
+            np.testing.assert_array_equal(b.types, np.array([types[i] for i in index], dtype=np.int64))
+            np.testing.assert_array_equal(b.boxes, np.array([boxes[i] for i in index]))
+            assert b.rows.tolist() == [table.row(ids[i]) for i in index]
+            assert (b.xy.dtype, b.types.dtype, b.boxes.dtype, b.rows.dtype) == (float, np.int64, float, np.intp)
+            assert (b.xy.shape, b.boxes.shape) == ((len(index), 2), (len(index), 4))
 
     def test_missing_bucket_is_empty(self):
         pset = ProposalSet.from_proposals([_proposal()], ScoreTable({"p1": {}}))

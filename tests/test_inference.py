@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import hashlib
 import math
 import re
 import threading
@@ -293,6 +294,64 @@ class TestRecomputeBits:
             assert [total for total, _ in bits] == [again for _, again in bits]
 
 
+def _search_digest(grammar, models, pset, objectives, widths):
+    """sha256 over every parse of one search per width and per list of
+    ``objectives``: its proposal ids, part by part in expansion order, and
+    the ``float.hex`` of its total."""
+    digest = hashlib.sha256()
+    for width in widths:
+        for assignments in objectives:
+            for pg in search(grammar, models, pset, assignments, BeamConfig(beam_width=width)):
+                ids = [pg.states[part].proposal_ref for part in grammar.expansion_order]
+                digest.update(repr((ids, float.hex(pg.total_score))).encode())
+    return digest.hexdigest()
+
+
+# Taken from the search before it gathered each set's buckets at once and
+# before its beam columns held table rows.
+TWO_PERSON_DIGESTS = [
+    "9551587a2a463ce1d1f8b8e8087c65326d10030526c265e43b8fb05727b337f2",
+    "7522729a8aebac698d468a9e85c39318fc4eac38b00c3c3b7b89ffc7ec0b574a",
+    "78b642d3686535056d527e013c4f4ddcbe06143013d6078737fae4128524f15e",
+    "41a0ff55eee4f939705dc2d2e7a63d2766a977d9f0cb893da1eed5f58aac5722",
+]
+DENSE_DIGESTS = {
+    200: "2b208f87595be8081b371828baab737b1644e73d8bc908fb307b1f47182ba2bf",
+    201: "0768dbd27dc369345406072d156aeda1626672b46c8990f2f308c215345dad07",
+}
+WIDE_DIGEST = "2a284da30e4a00d83bae743be2e5cfd3ada9b000ded8f03e3003d5c394e4ccc3"
+
+
+class TestSearchDigests:
+    """Every parse of a search keeps its proposal ids and its total's bits,
+    against the digests above.  Two-person scenes run K=27 (every pair and
+    ``{}``); the lattices run the K=26 pairs and ``{}`` as two searches, as
+    ``joint-dense`` does."""
+
+    @staticmethod
+    def _pairs(grammar):
+        return [{attr: value} for attr, value in attribute_pairs(grammar)]
+
+    def test_two_person_scenes(self, grammar, trained_models):
+        digests = []
+        for seed in range(4):
+            pset = synth_scores(two_person_scene(seed=seed), noise_sigma=0.9, rng_seed=seed)
+            objectives = [self._pairs(grammar) + [{}]]
+            digests.append(_search_digest(grammar, trained_models, pset, objectives, (1, 3, 100)))
+        assert digests == TWO_PERSON_DIGESTS
+
+    @pytest.mark.parametrize("seed", [200, 201])
+    def test_dense_lattices(self, grammar, trained_models, seed):
+        pset = _dense_lattice(grammar, seed, 50)
+        objectives = [self._pairs(grammar), [{}]]
+        assert _search_digest(grammar, trained_models, pset, objectives, (10, 100)) == DENSE_DIGESTS[seed]
+
+    def test_a_wide_lattice(self, grammar, trained_models):
+        pset = _dense_lattice(grammar, 300, 200)
+        objectives = [self._pairs(grammar), [{}]]
+        assert _search_digest(grammar, trained_models, pset, objectives, (10,)) == WIDE_DIGEST
+
+
 class TestBeamWidthMonotonicity:
     @pytest.mark.parametrize("seed", range(6))
     def test_score_never_drops_as_width_grows(self, seed):
@@ -571,8 +630,8 @@ class TestBeamTrace:
         for si, step in enumerate(steps):
             if si:
                 # Both objectives extend the same prefixes, stacked; each
-                # earlier step's column of proposal indices, per objective.
-                cols = {p: np.stack([idxs[:, p]] * len(objectives)) for p in range(si)}
+                # parent's column, per objective, made by its table as the search makes it.
+                cols = {p: table.column(np.stack([idxs[:, p]] * len(objectives))) for p, table in step.closings}
                 work = _Group(slice(0, len(objectives)), score.shape[1] * len(step.bucket.ids))
                 total = _extend(step, score, cols, work)
                 k, b, n = total.shape
@@ -631,7 +690,7 @@ class TestExtendBits:
         for step in steps[1:]:
             score = _awkward_cells(rng, (k, prefixes))
             score[:, 0] = -0.0
-            cols = {p: rng.integers(0, len(steps[p].bucket.ids), size=(k, prefixes)) for p, _ in step.closings}
+            cols = {p: t.column(rng.integers(0, len(steps[p].bucket.ids), size=(k, prefixes))) for p, t in step.closings}
             for j in range(1, len(step.closings) + 1):
                 part = _Step(step.bucket, step.lifted, step.peak)
                 part.closings = step.closings[:j]
@@ -1137,7 +1196,7 @@ def _reference_beam(steps, k, width):
     for step in steps[1:]:
         new = []
         for score, ids, idxs in beam:
-            cols = {p: np.array([[j]]) for p, j in enumerate(idxs)}
+            cols = {p: table.column(np.array([[idxs[p]]])) for p, table in step.closings}
             work = _Group(slice(k, k + 1), len(step.bucket.ids))
             sums = _extend(step, np.array([[score]]), cols, work)[0, 0].tolist()
             new += [
@@ -1501,16 +1560,21 @@ class TestRelationTables:
         rng = np.random.default_rng(seed)
         tables = [table for step in steps for _first, table in step.closings]
         assert len(tables) == 3
+
+        def read(t, idx):
+            """The rows of the parent's proposals ``idx``, through the column the search makes."""
+            return table_rows(t, t.column(idx))
+
         for table in tables:
             n = len(table.parent.ids)
             # A co-occurrence table is only ever built whole.
             cooccurrence = isinstance(table.source, SyntacticTable)
-            whole = table_rows(table if cooccurrence else _unfilled(table), np.arange(n))
+            whole = read(table if cooccurrence else _unfilled(table), np.arange(n))
             lazy = table if cooccurrence else _unfilled(table)
             for _ in range(3):
                 idx = rng.integers(0, n, size=int(rng.integers(1, n + 1)))
-                np.testing.assert_array_equal(table_rows(lazy, idx), whole[idx])
-            np.testing.assert_array_equal(table_rows(lazy, np.arange(n)), whole)
+                np.testing.assert_array_equal(read(lazy, idx), whole[idx])
+            np.testing.assert_array_equal(read(lazy, np.arange(n)), whole)
             # Each entry against the model's own scalar score.
             parent, child = table.edge
             for r, p in enumerate(pset.proposals_for(table.parent.part)):

@@ -168,6 +168,23 @@ def test_only_the_readout_reads_score_cells_one_at_a_time():
     assert readers == ["inference.py:attribute_scores"]
 
 
+def test_only_the_search_results_are_built_unchecked():
+    """``grammar._trusted`` builds a record without its field checks, so it
+    is called only from ``inference._build_parse_graphs``, on the proposal
+    set's checked columns and the search's sums: no other code of the
+    package imports or reads it, and ``grammar.py`` only defines it."""
+    uses = []
+    for path in sorted(Path(posegrammar.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        spans = [(name, s.lineno, s.end_lineno) for name, s in _scopes(tree) if isinstance(s, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            imported = isinstance(node, ast.ImportFrom) and "_trusted" in [alias.name for alias in node.names]
+            if imported or "_trusted" in (getattr(node, "id", None), getattr(node, "attr", None)):
+                inside = [name for name, start, end in spans if start <= node.lineno <= end] or ["<module>"]
+                uses.append(f"{path.name}:{inside[-1]}")
+    assert sorted(uses) == ["inference.py:<module>"] + ["inference.py:_build_parse_graphs"] * 2
+
+
 def test_appearance_checks_proposals_once():
     """Proposals have one check, ``appearance._checked_columns``: the
     module does not import ``PartState``, whose fields a second check
