@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate, chain
 from operator import itemgetter
+from types import MappingProxyType
 from typing import Callable, Collection, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -151,16 +152,19 @@ class ScoreTable:
         columns = [[self.column(a, v) for a, v in assignment.items()] for assignment in assignments]
         out = np.empty((len(columns), len(rows)))
         cells = self.values.take(rows, axis=0)
-        if single := [k for k, cols in enumerate(columns) if len(cols) == 1]:
-            out[single] = cells.take([columns[k][0] for k in single], axis=1).T
-        for k, cols in enumerate(columns):
-            if len(cols) > 1:
-                out[k] = reduce(np.add, [cells[:, c] for c in cols])
-        if free := [k for k, cols in enumerate(columns) if not cols]:
-            total = np.zeros(len(rows))
-            for group in groups:
-                total += reduce(np.maximum, [cells[:, c] for c in group])
-            out[free] = total
+        free = None  # the first free objective's row, built once
+        for row, cols in zip(out, columns):
+            if cols:
+                row[:] = cells[:, cols[0]]
+                for c in cols[1:]:
+                    row += cells[:, c]
+            elif free is not None:
+                row[:] = free
+            else:
+                free = row
+                row.fill(0.0)
+                for group in groups:
+                    row += reduce(np.maximum, [cells[:, c] for c in group])
         return out
 
     def per_proposal(self, pid: str) -> dict[AttrId, dict[str, float]]:
@@ -268,7 +272,8 @@ class _Grid:
 class Bucket:
     """One part's proposals as columns: ``ids``, ``xy`` (N, 2), ``types``
     (N,) and ``boxes`` (N, 4), and each proposal's score-grid row in
-    ``rows``.  :meth:`ProposalSet.from_columns` lists them in id order."""
+    ``rows``.  :meth:`ProposalSet.from_columns` lists them in id order,
+    read-only."""
 
     __slots__ = ("part", "ids", "xy", "types", "boxes", "rows")
 
@@ -277,11 +282,12 @@ class Bucket:
 
 
 class ProposalSet:
-    """One :class:`Bucket` per part that has proposals, sharing one score
-    table; built by :meth:`from_columns`."""
+    """A read-only mapping to one :class:`Bucket` of read-only columns per
+    part that has proposals, sharing one score table; built by
+    :meth:`from_columns`.  The search caches tables built from it."""
 
     def __init__(self, buckets: Iterable[Bucket], scores: ScoreTable, part_type_count: int) -> None:
-        self.buckets = {b.part: b for b in buckets}
+        self.buckets = MappingProxyType({b.part: b for b in buckets})
         self.scores = scores
         self.part_type_count = part_type_count
 
@@ -304,6 +310,8 @@ class ProposalSet:
         order = [i for index in members.values() for i in sorted(index, key=ids.__getitem__)]
         ordered = [ids[i] for i in order]
         columns = xy[order], types[order], boxes[order], scores.rows(ordered, lambda i: parts[order[i]])
+        for column in columns:
+            column.flags.writeable = False
         ends = list(accumulate(map(len, members.values())))
         buckets = [Bucket(p, tuple(ordered[s:e]), *(c[s:e] for c in columns)) for p, s, e in zip(members, [0] + ends, ends)]
         return cls(buckets, scores, part_type_count)
@@ -468,7 +476,6 @@ def save_proposals(pset: ProposalSet, path: str) -> None:
 # The synthetic provider's score structure, as :func:`synth_scores` uses it.
 SYNTH_MARGIN = 2.5
 SYNTH_TARGET_BONUS = 0.15
-DISTRACTOR_COHERENCE = 0.0
 
 
 def synth_scores(
@@ -489,17 +496,16 @@ def synth_scores(
     show that person's true values, so with zero noise the true value is
     strictly highest at every one of its parts.  Later persons mimic
     off-center people with corrupted per-part attribute evidence: each
-    (part, attribute) shows the person's true value with probability
-    ``DISTRACTOR_COHERENCE`` and an independently drawn domain value
-    otherwise, so no single value fits all of their parts at once.  A
-    noise so large that a score leaves the float range is refused, naming
-    ``noise_sigma``, the person, the part and the first such pair.
+    (part, attribute) shows an independently drawn domain value, so no
+    single value fits all of their parts at once.  A noise so large that a
+    score leaves the float range is refused, naming ``noise_sigma``, the
+    person, the part and the first such pair.
 
     The draws run person by person, part by part: the part's type, then,
     for the first person, one noise draw per (attribute, value) pair at
-    once; for a later person, per attribute, its coherence draw, its
-    apparent value when that draw fails, and one noise draw per value at
-    once.  A person's rows are written together once drawn.
+    once; for a later person, per attribute, one uniform draw no value
+    depends on, its apparent value and one noise draw per value at once.
+    A person's rows are written together once drawn.
     """
     noise_sigma = _sigma("noise_sigma", noise_sigma)
     part_type_count = argument("part_type_count", part_type_count, count)
@@ -531,10 +537,10 @@ def synth_scores(
                 apparent = truth
                 noise.append(rng.normal(0.0, noise_sigma, size=len(pairs)))
             else:
-                apparent = list(truth)
-                for ai, size in enumerate(sizes):
-                    if rng.random() >= DISTRACTOR_COHERENCE:
-                        apparent[ai] = starts[ai] + int(rng.integers(0, size))
+                apparent = []
+                for start, size in zip(starts, sizes):
+                    rng.random()  # dropped, but the later draws follow it and tests/test_pinned_outputs.py pins them
+                    apparent.append(start + int(rng.integers(0, size)))
                     noise.append(rng.normal(0.0, noise_sigma, size=size))
             shown.append(apparent)
         rows = grid[first : len(proposals)]

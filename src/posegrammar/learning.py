@@ -13,9 +13,7 @@ import logging
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import chain
-from operator import attrgetter
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -135,11 +133,6 @@ def box_iou(a: Sequence[float], b: Sequence[float]) -> float:
     inter = iw * ih
     union = aw * ah + bw * bh - inter
     return inter / union if union > 0.0 else 0.0
-
-
-def _columns(edges: Iterable[Edge]) -> dict[NodeId, int]:
-    """A column index for each part ``edges`` name, in order of first mention."""
-    return {p: i for i, p in enumerate(dict.fromkeys(p for edge in edges for p in edge))}
 
 
 def proposal_part_types(annotation: Annotation, proposals: Sequence[Proposal]) -> dict[NodeId, int]:
@@ -431,24 +424,14 @@ def fit_kinematic(
     return KinematicMoG(mixtures, fit_traces=traces)
 
 
-def displacement_samples(
-    annotations: Sequence[Annotation], grammar: AOGrammar
-) -> dict[Edge, np.ndarray]:
+def displacement_samples(annotations: Sequence[Annotation], grammar: AOGrammar) -> dict[Edge, np.ndarray]:
     """Child-minus-parent offsets per dependency edge, visible joints only;
-    each edge's samples are an (n, 2) array."""
-    parts = _columns(grammar.dg_edges)
-    # x, y and visible of each annotation's joint of each part.
-    joints = chain.from_iterable(map(ann.joints.__getitem__, parts) for ann in annotations)
-    table = np.fromiter(
-        chain.from_iterable(map(attrgetter("x", "y", "visible"), joints)),
-        dtype=float,
-        count=len(annotations) * len(parts) * 3,
-    ).reshape(len(annotations), len(parts), 3)
+    each edge's samples are an (n, 2) array, in annotation order."""
     out: dict[Edge, np.ndarray] = {}
     for parent, child in grammar.dg_edges:
-        jp, jc = table[:, parts[parent]], table[:, parts[child]]
-        seen = (jp[:, 2] != 0.0) & (jc[:, 2] != 0.0)
-        out[(parent, child)] = jc[seen, :2] - jp[seen, :2]
+        pairs = ((ann.joints[parent], ann.joints[child]) for ann in annotations)
+        offsets = [(c.x - p.x, c.y - p.y) for p, c in pairs if p.visible and c.visible]
+        out[(parent, child)] = np.array(offsets, dtype=float).reshape(-1, 2)
     return out
 
 

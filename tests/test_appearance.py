@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import builtins
 import dataclasses
+import hashlib
 import json
 import math
 import re
@@ -31,7 +32,8 @@ from posegrammar.appearance import (
 )
 from posegrammar.errors import MissingEntryError, ValidationError
 from posegrammar.jsonio import number, read_json_lines
-from posegrammar.grammar import AttributeDef, PartState, default_attributes
+from posegrammar.grammar import AttributeDef, PartState, default_attributes, recompute_score
+from posegrammar.inference import parse_unconstrained
 from posegrammar.synthetic import Person, SyntheticScene, single_person_scene, two_person_scene
 
 
@@ -210,6 +212,86 @@ class TestScoreTable:
         with pytest.raises(MissingEntryError, match="no score for 'hat'='no'"):
             t.appearance(t.rows(["p1"]), (AttributeDef("hat", "hat", ("yes", "no")),), [{"hat": "yes"}])
 
+    def test_appearance_refuses_a_grammar_pair_before_an_assigned_pair(self):
+        t = ScoreTable({"p1": {"hat": {"yes": 0.0}}})
+        with pytest.raises(MissingEntryError, match="^the score table has no score for 'hat'='no'$"):
+            t.appearance(t.rows(["p1"]), (AttributeDef("hat", "hat", ("yes", "no")),), [{"gender": "male"}])
+
+
+def _normal_lattice(parts: int, per_part: int, seed: int) -> tuple[ScoreTable, list[np.ndarray]]:
+    """A table of ``parts * per_part`` proposals with N(0, 1) scores for
+    every default pair, and its rows as ``parts`` blocks of ``per_part``,
+    each block shuffled, as a search reads them one part at a time."""
+    rng = np.random.default_rng(seed)
+    attrs = default_attributes()
+    n = parts * per_part
+    table = ScoreTable({f"q{i}": {a.id: {v: float(rng.normal()) for v in a.domain} for a in attrs} for i in range(n)})
+    rows = rng.permutation(n).reshape(parts, per_part)
+    return table, list(rows)
+
+
+def _appearance_digest(table, blocks, assignments) -> str:
+    """The SHA-256 of the ``float.hex`` of every appearance term of each
+    block of rows under ``assignments``, over the default attributes."""
+    outs = [table.appearance(rows, default_attributes(), assignments) for rows in blocks]
+    assert {out.shape for out in outs} == {(len(assignments), len(blocks[0]))}
+    cells = " ".join(float.hex(x) for out in outs for x in out.ravel().tolist())
+    return hashlib.sha256(cells.encode()).hexdigest()
+
+
+_SINGLES = [{a.id: v} for a in default_attributes() for v in a.domain]
+_PAIR = {"gender": "female", "hat": "no"}
+_THREE = {"upper_cloth_type": "suit", "gender": "male", "backpack": "yes"}
+
+
+class TestAppearanceBits:
+    """Every appearance term pinned to the bit, as the search reads them:
+    the order of each objective's additions and of the free row's maxima
+    and sums is fixed here."""
+
+    def test_one_pair_per_objective_on_a_17_by_50_lattice(self):
+        table, blocks = _normal_lattice(17, 50, seed=1)
+        assert len(_SINGLES) == 26
+        assert _appearance_digest(table, blocks, _SINGLES) == "54e747f8333d0b9b8e76c07a6afad0d641b24c643c6b9fb26defd5e18860b90e"
+
+    def test_every_pair_and_the_free_objective_on_a_two_person_scene(self):
+        pset = synth_scores(two_person_scene(seed=4), noise_sigma=0.9, rng_seed=8)
+        blocks = [b.rows for b in pset.buckets.values()]
+        assert _appearance_digest(pset.scores, blocks, _SINGLES + [{}]) == "99f25db519d3649df8e034087e7d198bce4ce257bc412c3fb459e14ad432bbd3"
+
+    @pytest.mark.parametrize(
+        "assignments, digest",
+        [
+            ([{}, {"hat": "yes"}, _PAIR, _THREE], "10fdfac56364fd22810cd9815a9571927c5898330e927a3bf50178819eb8842f"),
+            ([{"hat": "yes"}, _PAIR, {}, _THREE, {}], "18bf487e38d951ce2c304bf6c1154f8d7f44a74b74d721d20f22f38af7d93bc1"),
+            ([_THREE, {"hat": "yes"}, _PAIR, {}], "9e7ab264fce62c1c9b151074b271d024b81a0b26365ab2fba9aef079a679b712"),
+        ],
+        ids=["free-first", "free-in-the-middle", "free-last"],
+    )
+    def test_the_free_objective_anywhere_among_assignments(self, assignments, digest):
+        table, blocks = _normal_lattice(17, 50, seed=2)
+        assert _appearance_digest(table, blocks, assignments) == digest
+
+    def test_one_objective_on_a_17_by_200_lattice(self):
+        table, blocks = _normal_lattice(17, 200, seed=3)
+        assert _appearance_digest(table, blocks, [_THREE]) == "6a43a7e59494671e1ace9b38bcc78c3dc1a804602a1e10f934085e38f247ca3d"
+
+    def test_negative_zero_cells_alone_and_summed(self):
+        t = ScoreTable(
+            {
+                "z": {"hat": {"yes": -0.0, "no": -0.0}, "gender": {"male": -0.0, "female": 0.0}},
+                "w": {"hat": {"yes": 0.0, "no": -0.0}, "gender": {"male": -0.0, "female": -0.0}},
+            }
+        )
+        assignments = [{"hat": "yes"}, {"hat": "yes", "gender": "male"}, {"hat": "no", "gender": "female"}, {}]
+        out = t.appearance(t.rows(["z", "w"]), SMALL_ATTRS, assignments)
+        assert [[x.hex() for x in row] for row in out.tolist()] == [
+            ["-0x0.0p+0", "0x0.0p+0"],  # a -0.0 cell alone
+            ["-0x0.0p+0", "0x0.0p+0"],  # -0.0 + -0.0, and 0.0 + -0.0
+            ["0x0.0p+0", "-0x0.0p+0"],  # -0.0 + 0.0, and -0.0 + -0.0
+            ["0x0.0p+0", "0x0.0p+0"],  # 0.0 plus each best value
+        ]
+
 
 def _listed(pset):
     return [p for part in pset.buckets for p in pset.proposals_for(part)]
@@ -315,6 +397,29 @@ class TestProposalSet:
         pset = ProposalSet.from_proposals([_proposal()], ScoreTable({"p1": {}}))
         assert pset.proposals_for("torso") == ()
         assert len(pset) == 1
+
+    @pytest.mark.parametrize("loaded", [False, True], ids=["synthesized", "loaded"])
+    def test_a_set_is_read_only_once_checked(self, grammar, quick_models, tmp_path, loaded):
+        """The search caches tables built from a set's columns, so neither
+        the columns nor the mapping of buckets can be written, and a set's
+        searches after an attempted write equal those before it."""
+        pset = synth_scores(two_person_scene(seed=4), noise_sigma=0.9, rng_seed=8)
+        if loaded:
+            save_proposals(pset, str(tmp_path / "props.jsonl"))
+            pset = load_proposals(str(tmp_path / "props.jsonl"))
+        before = parse_unconstrained(grammar, quick_models, pset)
+        head = pset.buckets["head"]
+        for column in (head.xy, head.types, head.boxes, head.rows):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] += 1
+        with pytest.raises(TypeError):
+            pset.buckets["head"] = head
+        with pytest.raises(TypeError):
+            del pset.buckets["head"]
+        after = parse_unconstrained(grammar, quick_models, pset)
+        assert after.total_score.hex() == before.total_score.hex()
+        assert after.total_score == recompute_score(after, grammar, quick_models, pset.scores)
+        assert {p: s.proposal_ref for p, s in after.states.items()} == {p: s.proposal_ref for p, s in before.states.items()}
 
     @settings(max_examples=120, deadline=None)
     @given(field=st.sampled_from(sorted(_REFUSED)), data=st.data())
@@ -481,9 +586,9 @@ class TestSynthScores:
         assert SYNTH_TARGET_BONUS > 0.0 and SYNTH_MARGIN > SYNTH_TARGET_BONUS
 
     def test_incoherent_distractor_has_no_single_consistent_value(self):
-        """With coherence 0 the distractor's per-part apparent values are
-        resampled; over 14 atomic parts at least one disagrees with any
-        fixed choice, so a global constraint accrues margin penalties."""
+        """The distractor's per-part apparent values are drawn independently;
+        over 14 atomic parts at least one disagrees with any fixed choice,
+        so a global constraint accrues margin penalties."""
         scene = two_person_scene(seed=4)
         pset = synth_scores(scene, noise_sigma=0.0, rng_seed=5)
         attr = "upper_cloth_type"

@@ -18,17 +18,19 @@ import re
 import sys
 from functools import partial
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import posegrammar
 from posegrammar import cli
-from posegrammar.appearance import Proposal, ProposalSet, ScoreTable, load_proposals, save_proposals, synth_scores
+from posegrammar.appearance import Bucket, ProposalSet, ScoreTable, load_proposals, save_proposals, synth_scores
 from posegrammar.errors import PoseGrammarError, ValidationError
 from posegrammar.evaluation import annotation_from_person, default_sticks, make_training_pairs, strict_pcp
 from posegrammar.grammar import (
     ATOMIC_PARTS,
+    DEFAULT_PART_TYPE_COUNT,
     AOGrammar,
     AttributeDef,
     GrammarNode,
@@ -390,11 +392,12 @@ def _nan_parse_graph(path):
 
 
 def _nan_proposals(path):
+    # A set's columns are read-only once checked, so this one is built
+    # past the check from a hand-made bucket.
     table = ScoreTable({"p1": {"hat": {"yes": 0.5}}})
-    prop = Proposal(id="p1", part="head", x=0.0, y=1.0, part_type=1, box=(0, 0, 2, 2))
-    pset = ProposalSet.from_proposals([prop], table)
-    pset.buckets["head"].xy[0, 0] = math.nan
-    save_proposals(pset, path)
+    xy, types, boxes = np.array([[math.nan, 1.0]]), np.array([1]), np.array([[0.0, 0.0, 2.0, 2.0]])
+    bucket = Bucket("head", ("p1",), xy, types, boxes, table.rows(["p1"]))
+    save_proposals(ProposalSet([bucket], table, DEFAULT_PART_TYPE_COUNT), path)
 
 
 def _nan_models(path):

@@ -411,6 +411,28 @@ class TestDisplacementSamples:
     def test_an_edge_never_seen_has_no_rows(self, grammar):
         samples = displacement_samples([_annotation(hidden=("head",))], grammar)
         assert samples[("torso", "head")].shape == (0, 2)
+        assert samples[("torso", "head")].dtype == np.float64
+
+    @pytest.mark.parametrize("hidden", [(), ("head",)], ids=["as-drawn", "head-never-seen"])
+    def test_offsets_equal_the_per_annotation_reference_to_the_bit(self, grammar, hidden):
+        drawn, _types = make_training_pairs(60, seed=3, grammar=grammar)
+        joints = [{p: JointObs(j.x, j.y, j.visible and p not in hidden) for p, j in ann.joints.items()} for ann in drawn]
+        # An annotation left with no visible joint is refused, so it goes.
+        annotations = [
+            Annotation(per, ann.person_box, ann.attributes)
+            for per, ann in zip(joints, drawn)
+            if any(j.visible for j in per.values())
+        ]
+        samples = displacement_samples(annotations, grammar)
+        expected = _loop_displacements(annotations, grammar)
+        assert list(samples) == list(expected)
+        assert any(0 < len(offsets) < len(annotations) for offsets in expected.values())  # some joints hidden
+        for edge, offsets in expected.items():
+            assert samples[edge].dtype == np.float64 and samples[edge].shape == offsets.shape, edge
+            bits = [[x.hex() for x in row] for row in samples[edge].tolist()]
+            assert bits == [[x.hex() for x in row] for row in offsets.tolist()], edge
+        if hidden:
+            assert samples[("torso", "head")].shape == (0, 2)
 
 
 def _reference_em(X, k, rng, max_iter):

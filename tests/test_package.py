@@ -359,6 +359,24 @@ def _definitions(tree: ast.Module) -> list[tuple[str, int]]:
     return [(name, line) for name, line in defined if not (name.startswith("__") and name.endswith("__"))]
 
 
+def test_every_imported_name_is_read_where_it_is_imported():
+    """Each name a ``posegrammar`` module imports is read in that module,
+    so an import outlives no code that used it.  ``__init__.py`` imports
+    to re-export, and a ``__future__`` import sets a compiler flag: both
+    are exempt."""
+    unused = []
+    for path in sorted(Path(posegrammar.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+                unused += [f"{path.name}:{node.lineno}: {name}" for name in bound if name not in read]
+    assert unused == []
+
+
 def test_every_defined_name_is_used_somewhere_else():
     """No module-level name or method of ``posegrammar`` is dead: each is
     read somewhere in the package, the tests or the benchmark other than

@@ -25,8 +25,9 @@ def _sha256(data: bytes) -> str:
 
 
 def test_synthesized_scores_of_the_target_and_the_distractor():
-    """Every later draw of the distractor's parts rides on its coherence
-    draw, so the grid digest moves if that draw is dropped."""
+    """Every later draw of the distractor's parts follows a uniform draw
+    that no score depends on, so the grid digest moves if that draw is
+    dropped."""
     scores = synth_scores(two_person_scene(seed=4), noise_sigma=0.9, rng_seed=8).scores
     gender = {pid: {v: s.hex() for v, s in scores.per_proposal(pid)["gender"].items()} for pid in ("p0.head", "p1.head")}
     assert gender == {
