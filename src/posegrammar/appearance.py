@@ -4,10 +4,10 @@ The engine never looks at pixels.  Whatever detector produced the
 proposals is abstracted into a :class:`ScoreTable`, loaded from disk or
 produced by the synthetic provider :func:`synth_scores`: an immutable
 grid with one row per proposal and one column per (attribute, value)
-pair.  It is complete and finite; a score that is not a finite number, or
-a proposal lacking a pair another proposal has, is refused when the table
-is built, naming the proposal and the pair.  Every appearance read
-gathers from it.
+pair.  It is complete and finite: ``_Grid.add``, the one reader of a
+score row for :class:`ScoreTable` and :func:`load_proposals` alike,
+refuses a row by the file reader's rule, naming the proposal and the
+pair.  Every appearance read gathers from it.
 
 A :class:`ProposalSet` holds one columnar :class:`Bucket` per part.  Its
 proposals, given as columns by the proposal reader, the synthetic
@@ -16,23 +16,23 @@ provider or :meth:`ProposalSet.from_proposals`, pass one check,
 beyond the count or a repeated id is refused there, as the search reads
 the columns unchecked.  A bucket lists its part's proposals in id order,
 whatever order they were given in, so the search can break score ties by
-position.  Only :meth:`ProposalSet.proposals_for` rebuilds proposals.
+position.  A set and its buckets are read-only once built.  Only
+:meth:`ProposalSet.proposals_for` rebuilds proposals.
 
 :func:`load_proposals` reads a file in one streaming pass, keeping only
-each line's proposal fields and score cells, and builds the score grid
-from those cells with the routine :class:`ScoreTable` uses for its rows.
-It never reads its file twice: a file it refuses is refused from what
-that pass kept.
+each line's proposal fields and score cells, read by the grid's one
+reader, and builds the score grid from those cells.  It never reads its
+file twice: a file it refuses is refused from what that pass kept.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import reduce
 from itertools import accumulate, chain
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Callable, Collection, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -96,7 +96,9 @@ class ScoreTable:
     __slots__ = ("values", "_rows", "_columns")
 
     def __init__(self, entries: Mapping[str, Mapping[AttrId, Mapping[str, float]]]):
-        grid = _score_grid(entries.items())
+        grid = _Grid()
+        for pid, per_attr in entries.items():
+            grid.add(pid, per_attr)
         self._fill(list(entries), grid.columns, grid.values(list(entries)))
 
     @classmethod
@@ -187,32 +189,6 @@ def _refused_scores(pid: str, exc: FieldError, *keys) -> ValidationError:
     return ValidationError(f"proposal {pid!r}: {exc.within('scores', *keys)}")
 
 
-def _score_grid(rows: Collection[tuple[str, Mapping]]) -> _Grid:
-    """The grid of the score ``rows``, (proposal id, row) pairs; a row that
-    is not an object of objects of numbers, or that lacks a pair another
-    row lists, is refused naming the first such proposal and its pair."""
-    grid = _Grid()
-    if all(grid.add(per_attr) for _pid, per_attr in rows):
-        return grid
-    # Some row is not an object of objects, or its pairs differ from the
-    # first row's: check each row, then find the first pair a row lacks.
-    checked = []
-    for pid, per_attr in rows:
-        try:
-            checked.append(_SCORES(per_attr))
-        except FieldError as exc:
-            raise _refused_scores(pid, exc) from None
-    pairs = dict.fromkeys((a, v) for per_attr in checked for a, per_value in per_attr.items() for v in per_value)
-    for (pid, _row), per_attr in zip(rows, checked):
-        for attr, value in pairs:
-            if value not in per_attr.get(attr, ()):
-                raise ValidationError(f"proposal {pid!r}: scores.{attr}.{value} is missing, which other proposals have")
-    grid = _Grid()
-    for per_attr in checked:
-        grid.add(per_attr)
-    return grid
-
-
 def _cells(values: Sequence[str]) -> Callable[[Mapping], tuple]:
     """A function from an object to its entries at ``values`` (at least
     one), as a tuple."""
@@ -224,38 +200,54 @@ def _cells(values: Sequence[str]) -> Callable[[Mapping], tuple]:
 
 class _Grid:
     """Score rows read one by one into one flat list of ``cells``, row by
-    row, at the (attribute, value) pairs of the first row, ``first``, each
-    pair mapped to its column in ``columns``.  An attribute with no values
-    adds no pair, listed or not."""
+    row, at the (attribute, value) pairs of the first row, each pair mapped
+    to its column in ``columns``.  An attribute with no values adds no
+    pair, listed or not."""
 
-    __slots__ = ("columns", "cells", "first", "_getters")
+    __slots__ = ("columns", "cells", "_first", "_getters")
 
     def __init__(self) -> None:
         self.columns: dict[tuple[AttrId, str], int] = {}
         self.cells: list = []
         self._getters: list | None = None
 
-    def add(self, per_attr) -> bool:
-        """Read the row ``per_attr``'s cells; false, with the grid left
-        unusable, when it is not an object of objects listing the first
-        row's pairs and no others."""
+    def add(self, pid: str, per_attr) -> None:
+        """Read proposal ``pid``'s score row ``per_attr``, an object of
+        objects listing the first row's pairs and no others.  A row the
+        fast read cannot take is checked beside the first row: the first
+        row, then this one, by the score-row spec, then the first of the two
+        that lacks a pair the other lists is refused, naming its proposal
+        and the pair.  A row that passes is read as checked."""
         try:
             if self._getters is None:
-                self.first = per_attr
+                self._first = pid, per_attr
                 self._getters = [(attr, _cells(tuple(pv))) for attr, pv in per_attr.items() if pv]
                 pairs = ((attr, value) for attr, per_value in per_attr.items() for value in per_value)
                 self.columns = {pair: c for c, pair in enumerate(pairs)}
             per_values = per_attr.values()
-            if not (type(per_attr) is dict and set(map(type, per_values)) <= {dict}):
-                return False
-            # It lists no other pairs when it lists as many as are read.
-            if sum(map(len, per_values)) != len(self.columns):
-                return False
-            for attr, get in self._getters:
-                self.cells += get(per_attr[attr])
+            if type(per_attr) is dict and set(map(type, per_values)) <= {dict}:
+                # It lists no other pairs when it lists as many as are read.
+                if sum(map(len, per_values)) == len(self.columns):
+                    for attr, get in self._getters:
+                        self.cells += get(per_attr[attr])
+                    return
         except (AttributeError, KeyError, TypeError):
-            return False
-        return True
+            pass
+        # The fast read may have read some cells of a row lacking one of the
+        # first row's pairs: such a row is refused below.
+        rows, checked = [self._first, (pid, per_attr)], []
+        for row_pid, row in rows:
+            try:
+                checked.append(_SCORES(row))
+            except FieldError as exc:
+                raise _refused_scores(row_pid, exc) from None
+        pairs = dict.fromkeys((a, v) for row in checked for a, per_value in row.items() for v in per_value)
+        for (row_pid, _row), row in zip(rows, checked):
+            for attr, value in pairs:
+                if value not in row.get(attr, ()):
+                    raise ValidationError(f"proposal {row_pid!r}: scores.{attr}.{value} is missing, which other proposals have")
+        for attr, get in self._getters:
+            self.cells += get(checked[1][attr])
 
     def values(self, pids: Sequence[str]) -> np.ndarray:
         """The cells as a (len(pids), len(columns)) array, row ``r`` that of
@@ -269,27 +261,36 @@ class _Grid:
         return values.reshape(len(pids), len(self.columns))
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class Bucket:
     """One part's proposals as columns: ``ids``, ``xy`` (N, 2), ``types``
     (N,) and ``boxes`` (N, 4), and each proposal's score-grid row in
     ``rows``.  :meth:`ProposalSet.from_columns` lists them in id order,
-    read-only."""
+    read-only; no field can be rebound."""
 
-    __slots__ = ("part", "ids", "xy", "types", "boxes", "rows")
-
-    def __init__(self, part: NodeId, ids: tuple[str, ...], xy, types, boxes, rows) -> None:
-        self.part, self.ids, self.xy, self.types, self.boxes, self.rows = part, ids, xy, types, boxes, rows
+    part: NodeId
+    ids: tuple[str, ...]
+    xy: np.ndarray
+    types: np.ndarray
+    boxes: np.ndarray
+    rows: np.ndarray
 
 
 class ProposalSet:
     """A read-only mapping to one :class:`Bucket` of read-only columns per
     part that has proposals, sharing one score table; built by
-    :meth:`from_columns`.  The search caches tables built from it."""
+    :meth:`from_columns`.  No attribute can be rebound, as the search
+    caches tables built from the set (weakly, by the set)."""
+
+    __slots__ = ("buckets", "scores", "part_type_count", "__weakref__")
 
     def __init__(self, buckets: Iterable[Bucket], scores: ScoreTable, part_type_count: int) -> None:
-        self.buckets = MappingProxyType({b.part: b for b in buckets})
-        self.scores = scores
-        self.part_type_count = part_type_count
+        object.__setattr__(self, "buckets", MappingProxyType({b.part: b for b in buckets}))
+        object.__setattr__(self, "scores", scores)
+        object.__setattr__(self, "part_type_count", part_type_count)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     @classmethod
     def from_columns(cls, ids, parts, xy, types, boxes, scores: ScoreTable, part_type_count: int) -> "ProposalSet":
@@ -369,27 +370,20 @@ def load_proposals(path: str, *, part_type_count: int = DEFAULT_PART_TYPE_COUNT)
     for lineno, doc in json_lines(path):
         try:
             fields.append(_PROPOSAL_FIELDS(doc))
-        except (KeyError, TypeError):  # not an object, or a field missing
-            break
-        if not grid.add(doc.get("scores", {})):
-            break
+            grid.add(doc["id"], doc.get("scores", {}))
+        except (KeyError, TypeError, ValidationError):  # not an object, a field missing, or its score row refused
+            with naming(f"{path}:{lineno}"):
+                Proposal.from_json_dict(doc)
+            with naming(path):
+                raise
         linenos.append(lineno)
-    else:
-        ids, parts, xs, ys, types, boxes = zip(*fields) if fields else [()] * 6
-        where = lambda i: f"{path}:{linenos[i]}"
-        xy, types, boxes = _checked_columns(ids, parts, list(zip(xs, ys)), types, boxes, part_type_count, where)
-        # The grid keys its rows by id, so it comes after the ids' check.
-        with naming(path):
-            scores = ScoreTable._from_grid(ids, grid.columns, grid.values(ids))
-        return ProposalSet._grouped(ids, parts, xy, types, boxes, scores, part_type_count)
-    # The line the pass stopped at fails its fields' check, or its score
-    # row fails beside the first line's: ``grid.add`` refuses exactly what
-    # :func:`_score_grid` refuses.
-    with naming(f"{path}:{lineno}"):
-        Proposal.from_json_dict(doc)
-    first = [(fields[0][0], grid.first)] if linenos else []
+    ids, parts, xs, ys, types, boxes = zip(*fields) if fields else [()] * 6
+    where = lambda i: f"{path}:{linenos[i]}"
+    xy, types, boxes = _checked_columns(ids, parts, list(zip(xs, ys)), types, boxes, part_type_count, where)
+    # The grid keys its rows by id, so it comes after the ids' check.
     with naming(path):
-        _score_grid(first + [(doc["id"], doc.get("scores", {}))])
+        scores = ScoreTable._from_grid(ids, grid.columns, grid.values(ids))
+    return ProposalSet._grouped(ids, parts, xy, types, boxes, scores, part_type_count)
 
 
 _PAIR = array(lambda entry: entry, 2)  # (x, y), its entries left to the check of a Proposal

@@ -11,11 +11,12 @@ import re
 import sys
 import tracemalloc
 from functools import partial
+from types import MappingProxyType
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from posegrammar import appearance
@@ -416,6 +417,29 @@ class TestProposalSet:
             pset.buckets["head"] = head
         with pytest.raises(TypeError):
             del pset.buckets["head"]
+        after = parse_unconstrained(grammar, quick_models, pset)
+        assert after.total_score.hex() == before.total_score.hex()
+        assert after.total_score == recompute_score(after, grammar, quick_models, pset.scores)
+        assert {p: s.proposal_ref for p, s in after.states.items()} == {p: s.proposal_ref for p, s in before.states.items()}
+
+    def test_no_attribute_of_a_set_or_its_buckets_can_be_rebound(self, grammar, quick_models):
+        """Rebinding a bucket's ``xy`` or the set's ``scores`` after a
+        search would leave the next search reading the cached tables of the
+        old ones, its total then unlike ``recompute_score``'s: every
+        attribute of a set and of a bucket refuses assignment, and the
+        set's searches after the attempts equal those before them."""
+        pset = synth_scores(two_person_scene(seed=4), noise_sigma=0.9, rng_seed=8)
+        before = parse_unconstrained(grammar, quick_models, pset)
+        head = pset.buckets["head"]
+        ids = [pid for b in pset.buckets.values() for pid in b.ids]
+        turned = ScoreTable({pid: pset.scores.per_proposal(pid) for pid in reversed(ids)})
+        attempts = [(head, "xy", head.xy + [0, 40]), (pset, "scores", turned)]
+        attempts += [(head, name, getattr(head, name)) for name in ("part", "ids", "xy", "types", "boxes", "rows")]
+        attempts += [(pset, name, getattr(pset, name)) for name in ("buckets", "scores", "part_type_count")]
+        for obj, name, value in attempts:
+            with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+                setattr(obj, name, value)
+        assert pset.buckets["head"] is head and pset.scores is not turned
         after = parse_unconstrained(grammar, quick_models, pset)
         assert after.total_score.hex() == before.total_score.hex()
         assert after.total_score == recompute_score(after, grammar, quick_models, pset.scores)
@@ -1063,6 +1087,73 @@ def test_the_columnar_loader_matches_a_line_by_line_reference(tmp_path_factory, 
             for value, cell in per_value.items():
                 got = pset.scores.values[r, pset.scores.column(attr, value)]
                 assert float.hex(float(got)) == float.hex(number(cell))
+
+
+_ROW_PAIRS = {"hat": ("yes", "no"), "age": ("old",)}
+# Cells the number rule refuses, each written to a file as itself.
+_BAD_CELLS = st.sampled_from(["x", True, None, [1.0], 10**400])
+
+
+@st.composite
+def _score_rows(draw):
+    """1-5 score rows over ``_ROW_PAIRS``, each fine or with one fault: not
+    an object, a value not an object, a pair missing or extra, a bad cell,
+    or every object a ``MappingProxyType``.  A proxied row's cells are
+    numbers: a row the fast read cannot take has its cells checked when it
+    is read, and a file holds no proxy."""
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        row = {a: {v: draw(_NUMBERS) for v in values} for a, values in _ROW_PAIRS.items()}
+        fault = draw(st.sampled_from(["fine", "row", "value", "missing", "extra", "cell", "proxy"]))
+        attr = draw(st.sampled_from(sorted(_ROW_PAIRS)))
+        value = draw(st.sampled_from(_ROW_PAIRS[attr]))
+        if fault == "row":
+            row = draw(st.sampled_from([None, 5, "hat", [1.0], {}]))
+        elif fault == "value":
+            row[attr] = draw(st.sampled_from([[1], [], 5, "yes", None]))
+        elif fault == "missing":
+            del row[attr][value]
+        elif fault == "extra":
+            row.setdefault(draw(st.sampled_from(["hat", "gender"])), {})[draw(st.sampled_from(["maybe", "male"]))] = 0.5
+        elif fault == "cell":
+            row[attr][value] = draw(_BAD_CELLS)
+        elif fault == "proxy":
+            row = MappingProxyType({a: MappingProxyType(per_value) for a, per_value in row.items()})
+        rows.append(row)
+    return rows
+
+
+def _plain(row):
+    """``row`` with each ``MappingProxyType`` made a dict, as a file holds it."""
+    if isinstance(row, MappingProxyType):
+        return {a: dict(per_value) for a, per_value in row.items()}
+    return row
+
+
+@given(rows=_score_rows())
+@example(rows=[{"hat": {"yes": 0.5}}, {"hat": {"yes": "x"}}, {"hat": [1]}])
+@example(rows=[{"hat": {"yes": 0.5, "no": 0.5}}, {"hat": {"yes": 0.5}}, {"hat": {"yes": 0.5, "no": 0.5}, "age": {"old": 0.5}}])
+@settings(max_examples=300, deadline=None)
+def test_a_table_refuses_its_rows_as_the_file_reader_refuses_them(tmp_path_factory, rows):
+    """``ScoreTable(entries)`` and ``load_proposals`` on the same rows
+    written as a file both load equal tables, or both refuse with the same
+    text once the file's ``PATH: `` is removed: the first row the fast read
+    cannot take is checked beside the first row, and a bad cell of a row
+    read fast is refused when the grid is built."""
+    entries = {f"p{i + 1}": row for i, row in enumerate(rows)}
+    path = tmp_path_factory.mktemp("rows") / "props.jsonl"
+    docs = [{**json.loads(_line(pid)), "scores": _plain(row)} for pid, row in entries.items()]
+    path.write_text("".join(json.dumps(doc) + "\n" for doc in docs), encoding="utf-8")
+    outcomes = []
+    for read in (lambda: ScoreTable(entries), lambda: load_proposals(str(path)).scores):
+        try:
+            outcomes.append(read())
+        except ValidationError as exc:
+            outcomes.append(str(exc).removeprefix(f"{path}: "))
+    table, loaded = outcomes
+    assert table == loaded
+    if isinstance(table, ScoreTable):
+        assert _hexes(table.values) == _hexes(loaded.values)
 
 
 @st.composite

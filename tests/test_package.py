@@ -185,6 +185,24 @@ def test_only_the_search_results_are_built_unchecked():
     assert sorted(uses) == ["inference.py:<module>"] + ["inference.py:_build_parse_graphs"] * 2
 
 
+def test_only_the_grid_reads_a_score_row():
+    """A score row has one reader, ``appearance._Grid.add``, which refuses
+    what it cannot read: ``ScoreTable`` and ``load_proposals`` both go
+    through it, so no other code of the package reads the score-row spec
+    ``_SCORES``, imports it or reads it off a module."""
+    reads = []
+    for path in sorted(Path(posegrammar.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        spans = [(name, s.lineno, s.end_lineno) for name, s in _scopes(tree) if isinstance(s, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            imported = isinstance(node, ast.ImportFrom) and "_SCORES" in [alias.name for alias in node.names]
+            loaded = isinstance(node, ast.Name) and node.id == "_SCORES" and isinstance(node.ctx, ast.Load)
+            if imported or loaded or getattr(node, "attr", None) == "_SCORES":
+                inside = [name for name, start, end in spans if start <= node.lineno <= end] or ["<module>"]
+                reads.append(f"{path.name}:{inside[-1]}")
+    assert reads == ["appearance.py:_Grid.add"]
+
+
 def test_appearance_checks_proposals_once():
     """Proposals have one check, ``appearance._checked_columns``: the
     module does not import ``PartState``, whose fields a second check
